@@ -527,6 +527,37 @@ func BenchmarkForkVsReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkBacktrack measures a complete sequential search on the two
+// shapes restore-based backtracking meets: a wide, toss-heavy tree
+// (5ESS medium to depth 28) and a narrow deadlocking one (seven
+// philosophers). replaysteps is the per-run total of re-executed
+// transitions — about one per backtrack when every path restores a
+// snapshot — and allocs/op shows the snapshots come from the pool.
+func BenchmarkBacktrack(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		src  string
+		opt  explore.Options
+	}{
+		{"5ess-medium-d28", fiveess.Source(fiveess.Scale("medium")), explore.Options{MaxDepth: 28}},
+		{"phil-7", progs.Philosophers(7), explore.Options{}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			closed := mustCloseB(b, c.src)
+			var replayed, trans int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep := exploreB(b, closed, c.opt)
+				replayed = rep.ReplaySteps
+				trans = rep.Transitions
+			}
+			b.ReportMetric(float64(replayed), "replaysteps")
+			b.ReportMetric(float64(trans), "transitions")
+		})
+	}
+}
+
 // BenchmarkAnalyze measures the dataflow analysis alone.
 func BenchmarkAnalyze(b *testing.B) {
 	for _, n := range []int{1000, 5000} {

@@ -39,10 +39,20 @@ type Object interface {
 	// used on the explorer's hot path.
 	AppendFingerprint(dst []byte) []byte
 	// Clone returns an independent deep copy of the object for state
-	// snapshots (System.Fork). Payloads are opaque here, so the caller
-	// supplies copyPayload to duplicate each stored value; mutations of
-	// either copy never affect the other.
+	// snapshots (the reference interpreter's fork). Payloads are opaque
+	// here, so the caller supplies copyPayload to duplicate each stored
+	// value; mutations of either copy never affect the other.
 	Clone(copyPayload func(any) any) Object
+}
+
+// appendPayload renders one stored payload exactly as fmt.Append would.
+// The interpreter's values render themselves allocation-free through
+// AppendString; anything else takes the reflective path.
+func appendPayload(dst []byte, v any) []byte {
+	if a, ok := v.(interface{ AppendString([]byte) []byte }); ok {
+		return a.AppendString(dst)
+	}
+	return fmt.Append(dst, v)
 }
 
 // Chan is a bounded FIFO buffer. An env-facing stub channel (left behind
@@ -155,6 +165,28 @@ func (c *Chan) Clone(copyPayload func(any) any) Object {
 	return nc
 }
 
+// CopyFrom overwrites the channel's queue with src's, reusing the
+// receiver's backing array: the in-place form of Clone, for whole-state
+// snapshots that are taken and restored once per explored path. Both
+// channels must instantiate the same declaration. copyPayload
+// duplicates each stored value, as in Clone.
+func (c *Chan) CopyFrom(src *Chan, copyPayload func(any) any) {
+	live := src.q[src.head:]
+	old := c.q
+	if cap(old) < len(live) {
+		c.q = make([]any, len(live))
+	} else {
+		c.q = old[:len(live)]
+		if len(old) > len(live) {
+			clear(old[len(live):])
+		}
+	}
+	for i, v := range live {
+		c.q[i] = copyPayload(v)
+	}
+	c.head = 0
+}
+
 // Fingerprint implements Object.
 func (c *Chan) Fingerprint() string { return string(c.AppendFingerprint(nil)) }
 
@@ -169,7 +201,7 @@ func (c *Chan) AppendFingerprint(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, ' ')
 		}
-		dst = fmt.Append(dst, v)
+		dst = appendPayload(dst, v)
 	}
 	return append(dst, ']')
 }
@@ -230,6 +262,9 @@ func (s *Sem) Clone(copyPayload func(any) any) Object {
 	return &ns
 }
 
+// CopyFrom overwrites the semaphore's count with src's.
+func (s *Sem) CopyFrom(src *Sem) { s.count = src.count }
+
 // Fingerprint implements Object.
 func (s *Sem) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
 
@@ -280,6 +315,14 @@ func (s *Shared) Clone(copyPayload func(any) any) Object {
 	return ns
 }
 
+// CopyFrom overwrites the variable's value with a copy of src's.
+func (s *Shared) CopyFrom(src *Shared, copyPayload func(any) any) {
+	s.v = src.v
+	if src.v != nil {
+		s.v = copyPayload(src.v)
+	}
+}
+
 // Fingerprint implements Object.
 func (s *Shared) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
 
@@ -287,7 +330,7 @@ func (s *Shared) Fingerprint() string { return string(s.AppendFingerprint(nil)) 
 func (s *Shared) AppendFingerprint(dst []byte) []byte {
 	dst = append(dst, s.name...)
 	dst = append(dst, ':')
-	return fmt.Append(dst, s.v)
+	return appendPayload(dst, s.v)
 }
 
 // Build instantiates the objects of a compiled unit, keyed by name. The

@@ -1,7 +1,7 @@
 package explore
 
 // Liveness: non-progress cycle (livelock) detection over the stateful
-// search, a nested-DFS layered on the engine's replay-based DFS.
+// search, a nested-DFS layered on the engine's decision-stack DFS.
 //
 // A livelock is a cycle in the closed system's state graph that
 // executes no progress-labeled visible operation: the system runs
@@ -27,17 +27,20 @@ package explore
 //
 //   - Red (nested) search: when the state cache prunes a revisit, the
 //     cycle may close through states explored on an earlier path — a
-//     cross edge the blue check cannot see. A bounded fork-per-edge DFS
+//     cross edge the blue check cannot see. A bounded copy-per-edge DFS
 //     follows only non-progress transitions from the pruned state,
 //     looking for any on-stack state whose on-path suffix is also
 //     progress-free; reaching one exhibits a lasso whose cycle runs
 //     partly over the blue path and partly over the red extension.
 //
-// Replay-based backtracking makes the live stack cheap to maintain:
-// the engine re-executes a path's unchanged prefix on every backtrack,
-// so entries below the change point stay valid and only the replayed
-// transition's progress bit needs refreshing; truncation at the fresh
-// state's depth drops whatever the backtrack abandoned.
+// Decision-stack backtracking makes the live stack cheap to maintain:
+// a backtrack leaves a path's prefix below the change point unchanged,
+// so the live entries there stay valid whether the engine re-executes
+// that prefix or restores a snapshot above it (restore sets liveDepth
+// to the snapshot's depth and the replay continues from there). Only
+// the transition out of the change point needs its progress bit
+// refreshed, and truncation at the fresh state's depth drops whatever
+// the backtrack abandoned.
 //
 // POR interaction (the cycle proviso): reduction can defer the
 // transition that would close a cycle past the depth the detector
@@ -168,7 +171,7 @@ func (e *engine) leafLivelock(i int, redDecs []Decision, redTrace []interp.Event
 // state: the blue DFS stops here because the state was fully explored
 // on an earlier path, but a non-progress cycle through it may still
 // close into the current path over that earlier territory. A bounded
-// fork-per-edge DFS follows only non-progress transitions from the
+// copy-per-edge DFS follows only non-progress transitions from the
 // pruned state, looking for an on-stack state whose on-path suffix is
 // also progress-free. Toss choices inside the red region always take
 // outcome 0 (recorded, so the witness replays); toss-dependent cycles
@@ -211,7 +214,7 @@ func (e *engine) redSearch(depth int) bool {
 			e.rep.RedStates++
 			nd, nt := len(decs), len(trace)
 			decs = append(decs, Decision{Value: p})
-			fm := m.ForkMachine()
+			fm := e.redFork(m, rd)
 			ev, out := fm.Step(p, ch)
 			trace = append(trace, ev)
 			if out == nil {
@@ -237,6 +240,29 @@ func (e *engine) redSearch(depth int) bool {
 		return false
 	}
 	return dfs(e.sys, 0)
+}
+
+// redPoolDepth bounds the red-search levels that keep a machine between
+// searches; deeper levels fork and drop theirs.
+const redPoolDepth = 64
+
+// redFork returns a copy of m for the red search to step at recursion
+// level rd. One machine per level is live at a time — a level's copy is
+// dead once its subtree returns — so the shallow levels, where nearly
+// all red states are expanded, overwrite a pooled machine instead of
+// forking a fresh one per edge.
+func (e *engine) redFork(m interp.Machine, rd int) interp.Machine {
+	if rd < len(e.redPool) {
+		if fm := e.redPool[rd]; fm.CopyFrom(m) {
+			return fm
+		}
+		return m.ForkMachine()
+	}
+	fm := m.ForkMachine()
+	if rd == len(e.redPool) && rd < redPoolDepth {
+		e.redPool = append(e.redPool, fm)
+	}
+	return fm
 }
 
 // redSeen reports whether the red search already expanded a state with

@@ -254,9 +254,10 @@ var dporDepend = [6][2][2]bool{
 }
 
 // dporBegin resets the per-path last-access vectors (two slots per
-// object). Every path re-executes from the initial state, so the
-// vectors are rebuilt as the path executes; only the slots touched by
-// the previous path need clearing.
+// object). The vectors are rebuilt as the path executes — by dporTrack
+// for the transitions it steps, by dporMark for the entries a restore
+// skips over — so only the slots touched by the previous path need
+// clearing.
 func (e *engine) dporBegin() {
 	if e.opt.POR != PORDynamic {
 		return
@@ -325,14 +326,18 @@ func (e *engine) dporUpdate() {
 	}
 }
 
-// dporTrack records that the transition process p chose at stack index
-// idx is about to execute an access to obj, for later dporUpdate
+// dporTrack records that the transition process p chose at stack entry
+// en (index idx) is about to execute its access, for later dporUpdate
 // lookups. Objectless transitions (VS_assert) are independent of
 // everything and tracked by nothing. Accesses inside the base prefix
 // are not tracked: base decision points come from published work units
 // and are sealed by the publication rule, so a conflict pointing there
-// needs no insertion.
-func (e *engine) dporTrack(idx, p int, obj string) {
+// needs no insertion. The machine must still sit at the decision state;
+// the slots marked are kept on the entry so dporMark can repeat the
+// marking without it.
+func (e *engine) dporTrack(idx, p int, en *entry) {
+	en.dporLo, en.dporHi = 0, 0
+	obj := en.objs[en.cursor]
 	if obj == "" {
 		return
 	}
@@ -346,15 +351,22 @@ func (e *engine) dporTrack(idx, p int, obj string) {
 		return
 	}
 	op, _, _ := e.sys.ProcPendingOp(p)
-	slot := opSlot(op)
-	for s := 0; s < 2; s++ {
-		if slot >= 0 && s != slot {
-			continue
+	// An unknown operation conservatively occupies both slots.
+	en.dporLo, en.dporHi = 2*oi, 2*oi+2
+	if slot := opSlot(op); slot >= 0 {
+		en.dporLo, en.dporHi = 2*oi+slot, 2*oi+slot+1
+	}
+	e.dporMark(idx, en)
+}
+
+// dporMark marks stack index idx as the last access of the slots en's
+// chosen option occupies.
+func (e *engine) dporMark(idx int, en *entry) {
+	for s := en.dporLo; s < en.dporHi; s++ {
+		if e.dporLast[s] < 0 {
+			e.dporTouched = append(e.dporTouched, s)
 		}
-		if e.dporLast[2*oi+s] < 0 {
-			e.dporTouched = append(e.dporTouched, 2*oi+s)
-		}
-		e.dporLast[2*oi+s] = idx
+		e.dporLast[s] = idx
 	}
 }
 

@@ -59,6 +59,25 @@ type entry struct {
 	enObjs    []string
 	backtrack []int
 	statics   []int
+	// dporLast[dporLo:dporHi] are the last-access slots the entry's
+	// chosen option marks (dporTrack records them when the option
+	// executes), so a restore can re-mark the entries below it without
+	// the machine. Empty for an objectless or untracked transition.
+	dporLo, dporHi int
+
+	// snap, when non-nil, is a pooled machine holding the global state
+	// at this scheduling decision point, before any of its options
+	// executed: the next path overwrites the engine's machine from the
+	// deepest one on the stack instead of re-executing the path from
+	// the start (restore.go). snapTrace is the trace length and
+	// snapDepth the scheduling depth at that state.
+	snap      interp.Machine
+	snapTrace int
+	snapDepth int
+	// site is the visible-operation site (coverage bit) of the chosen
+	// option, or -1: what the chooser marks in tossSites when the
+	// option's transition turns out to toss.
+	site int
 }
 
 func (e *entry) choice() int { return e.options[e.cursor] }
@@ -71,7 +90,7 @@ func (e *entry) choice() int { return e.options[e.cursor] }
 type engine struct {
 	// sys is the engine's private machine — the interpreter tier
 	// selected by Options.Engine behind the uniform Machine interface
-	// (transition semantics, fingerprints, state hashes, forking).
+	// (transition semantics, fingerprints, state hashes, state copies).
 	sys interp.Machine
 	opt Options
 
@@ -93,9 +112,12 @@ type engine struct {
 	// state after the base replay (nil otherwise).
 	baseSleep sleepSet
 
-	stack     []*entry
-	replayIdx int
-	trace     []interp.Event
+	stack []*entry
+	// stackSched counts the scheduling entries on the stack, kept in
+	// step by push/pop so schedDepth never walks it.
+	stackSched int
+	replayIdx  int
+	trace      []interp.Event
 	// pendingSleep is the sleep set to attach to the next scheduling
 	// entry (computed when its parent's option was executed).
 	pendingSleep sleepSet
@@ -106,11 +128,27 @@ type engine struct {
 
 	// snapRoot, when the claimed unit carries a snapshot
 	// (Options.SnapshotSpill), is the forked machine pinned at the unit's
-	// decision point: every runPath forks it again instead of replaying
-	// the base prefix from the initial state, and snapTrace seeds the
-	// visible trace with the prefix events. Both nil in replay mode.
+	// decision point: the bottom of the snapshot stack. A path that finds
+	// no snapshot on its own stack overwrites the machine from it instead
+	// of replaying the base prefix from the initial state, and snapTrace
+	// seeds the visible trace with the prefix events. Both nil in replay
+	// mode. snapRoot is shared with other claimers and only ever read.
 	snapRoot  interp.Machine
 	snapTrace []interp.Event
+
+	// The backtracking snapshot pool (restore.go): snapFree holds idle
+	// machines, snapMade counts the machines created (at most
+	// maxSnapshots per engine; the ones not idle hang on stack entries),
+	// and no entry below stack index snapLow holds one.
+	snapFree []interp.Machine
+	snapMade int
+	snapLow  int
+	// tossSites marks the visible-operation sites whose transition has
+	// been seen to execute a VS_toss: a single-option scheduling entry
+	// stopped at one is still worth a snapshot, because the toss entries
+	// its transition pushes backtrack through it. Learned as the search
+	// runs and kept across units — it is a fact about the program.
+	tossSites coverage
 
 	rep     *Report
 	covered coverage
@@ -146,6 +184,8 @@ type engine struct {
 	liveFp    []byte
 	liveDepth int
 	lasso     *lassoSample
+	// redPool holds one machine per shallow red-search level (redFork).
+	redPool []interp.Machine
 
 	// met is the search's shared observability instruments (noMetrics
 	// when disabled — never nil); metCur tracks how much of e.rep has
@@ -193,6 +233,7 @@ type engine struct {
 // search.
 func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *siteTable) *engine {
 	e := &engine{sys: sys, opt: opt, footprint: fps, sites: sites, met: noMetrics}
+	e.tossSites = newCoverage(sites)
 	if opt.Liveness {
 		e.liveStack = statecache.NewStackSet()
 	}
@@ -219,7 +260,7 @@ func (e *engine) reset() {
 	e.baseSleep = nil
 	e.snapRoot = nil
 	e.snapTrace = nil
-	e.stack = e.stack[:0]
+	e.clearStack()
 	if e.liveStack != nil {
 		e.liveStack.Truncate(0)
 	}
@@ -308,12 +349,13 @@ func (e *engine) chooser() interp.Chooser {
 			e.replayIdx++
 			return en.choice(), true
 		}
+		e.noteTossSite()
 		en := e.getEntry()
 		en.isToss = true
 		for i := 0; i <= bound; i++ {
 			en.options = append(en.options, i)
 		}
-		e.stack = append(e.stack, en)
+		e.push(en)
 		e.replayIdx = len(e.stack)
 		return 0, true
 	})
@@ -338,12 +380,42 @@ func (e *engine) getEntry() *entry {
 	return &entry{}
 }
 
-// putEntry recycles a popped entry. Shared entries — whose slices were
-// published into a work unit — are left for the garbage collector.
+// putEntry recycles a popped entry, returning its snapshot machine (if
+// any) to the pool. Shared entries — whose slices were published into a
+// work unit — are left for the garbage collector.
 func (e *engine) putEntry(en *entry) {
+	e.dropSnapshot(en)
 	if !en.shared {
 		e.entPool = append(e.entPool, en)
 	}
+}
+
+// push appends a decision point to the stack.
+func (e *engine) push(en *entry) {
+	e.stack = append(e.stack, en)
+	if !en.isToss {
+		e.stackSched++
+	}
+}
+
+// pop removes and recycles the deepest decision point.
+func (e *engine) pop() {
+	top := e.stack[len(e.stack)-1]
+	e.stack[len(e.stack)-1] = nil
+	e.stack = e.stack[:len(e.stack)-1]
+	if !top.isToss {
+		e.stackSched--
+	}
+	e.putEntry(top)
+}
+
+// clearStack pops everything: a search round ended or a new unit is
+// being loaded.
+func (e *engine) clearStack() {
+	for len(e.stack) > 0 {
+		e.pop()
+	}
+	e.snapLow = 0
 }
 
 // backtrack advances the deepest decision point with options left,
@@ -364,9 +436,7 @@ func (e *engine) backtrack() bool {
 		if top.dynamic && len(top.enabled) > len(top.options) {
 			e.rep.PorDynamicPruned += int64(len(top.enabled) - len(top.options))
 		}
-		e.stack[len(e.stack)-1] = nil
-		e.stack = e.stack[:len(e.stack)-1]
-		e.putEntry(top)
+		e.pop()
 	}
 	return false
 }
@@ -374,9 +444,10 @@ func (e *engine) backtrack() bool {
 // runPathSafe executes one path, converting any panic — an interpreter
 // bug, a replay mismatch, a hostile checkpoint — into an isolated
 // internal-error incident carrying the offending decision prefix. Only
-// the panicking path is lost: every path re-executes from sys.Reset,
-// so a torn interpreter state cannot leak, and the DFS backtracks past
-// the failure and continues.
+// the panicking path is lost: every path starts by overwriting the
+// whole machine — sys.Reset, or CopyFrom a snapshot taken before the
+// failure — so a torn interpreter state cannot leak, and the DFS
+// backtracks past the failure and continues.
 func (e *engine) runPathSafe() {
 	// Registered first so it runs last (after the panic recovery has
 	// accounted the path): flush this path's counter deltas into the
@@ -424,21 +495,14 @@ func panicMessage(r any) string {
 	}
 }
 
-// runPath (re)executes from the initial state through the base prefix
-// and the current stack decisions, then extends the path depth-first
-// until it ends. When the claimed unit carries a snapshot, the base
-// prefix is restored by forking the snapshot instead of re-executing it
-// — the path starts directly at the unit's decision point.
+// runPath executes one path: it brings the machine to the deepest
+// point of the current decisions a snapshot covers, replays the
+// decisions from there, then extends the path depth-first until it
+// ends. The starting point is, in order of preference, the deepest
+// snapshot on the engine's own stack (restore.go), the claimed unit's
+// snapshot (the unit's decision point), or the initial state — from
+// which the base prefix and the whole stack replay.
 func (e *engine) runPath() {
-	if e.snapRoot != nil {
-		e.sys = e.snapRoot.ForkMachine()
-		e.baseIdx = len(e.base)
-		e.trace = append(e.trace[:0], e.snapTrace...)
-	} else {
-		e.sys.Reset()
-		e.baseIdx = 0
-		e.trace = e.trace[:0]
-	}
 	e.replayIdx = 0
 	e.pendingSleep = e.baseSleep
 	e.pathEnded = false
@@ -446,7 +510,18 @@ func (e *engine) runPath() {
 	e.liveDepth = 0
 	e.dporBegin()
 
-	if e.snapRoot == nil {
+	switch {
+	case e.restore():
+	case e.snapRoot != nil:
+		if !e.sys.CopyFrom(e.snapRoot) {
+			e.sys = e.snapRoot.ForkMachine()
+		}
+		e.baseIdx = len(e.base)
+		e.trace = append(e.trace[:0], e.snapTrace...)
+	default:
+		e.sys.Reset()
+		e.baseIdx = 0
+		e.trace = e.trace[:0]
 		if out := e.sys.Init(e.ch); out != nil {
 			e.leafOutcome(out)
 			return
@@ -491,9 +566,9 @@ func (e *engine) runPath() {
 				e.liveDepth++
 			}
 			if e.opt.POR == PORDynamic {
-				e.dporTrack(e.replayIdx-1, p, en.objs[en.cursor])
+				e.dporTrack(e.replayIdx-1, p, en)
 			}
-			e.cover(p)
+			en.site = e.cover(p)
 			ev, out := e.sys.Step(p, e.ch)
 			e.noteReplayStep()
 			e.pushTrace(ev)
@@ -655,23 +730,24 @@ func (e *engine) runPath() {
 			en.options = en.options[:1]
 			en.objs = en.objs[:1]
 		}
-		e.stack = append(e.stack, en)
+		e.push(en)
 		e.replayIdx = len(e.stack)
 
 		p := en.choice()
+		en.site = e.cover(p)
+		e.saveSnapshot(en, depth)
 		e.pendingSleep = childSleep(en)
 		if e.liveStack != nil {
 			e.liveMeta[depth].progressOut = e.sys.ProcProgress(p)
 			e.liveDepth = depth + 1
 		}
 		if e.opt.POR == PORDynamic {
-			e.dporTrack(len(e.stack)-1, p, en.objs[en.cursor])
+			e.dporTrack(len(e.stack)-1, p, en)
 		}
 		e.rep.Transitions++
 		if e.shared != nil {
 			e.shared.transitions.Add(1)
 		}
-		e.cover(p)
 		ev, out := e.sys.Step(p, e.ch)
 		e.pushTrace(ev)
 		if out != nil {
@@ -736,7 +812,7 @@ func (e *engine) prepareUnit(u *workUnit) {
 			e.baseSched++
 		}
 	}
-	e.stack = e.stack[:0]
+	e.clearStack()
 	e.baseSleep = nil
 	e.snapRoot = u.snap
 	e.snapTrace = u.traceSnap
@@ -754,7 +830,7 @@ func (e *engine) prepareUnit(u *workUnit) {
 		for i := range u.stack {
 			en := e.getEntry()
 			entryFromFrame(en, &u.stack[i])
-			e.stack = append(e.stack, en)
+			e.push(en)
 		}
 	case u.cont:
 		// A continuation unit: the prefix reaches a state whose
@@ -773,13 +849,14 @@ func (e *engine) prepareUnit(u *workUnit) {
 			en.objs = u.objs[:u.from+1]
 			en.sleep = u.sleep
 		}
-		e.stack = append(e.stack, en)
+		e.push(en)
 	}
 	// Reaching the unit's subtree restarts a path: one replay, exactly
-	// as the sequential engine counts one per backtrack. Snapshot units
-	// count here too — restoring a fork replaces the prefix
-	// re-execution, so Replays is identical across SnapshotSpill modes
-	// and only ReplaySteps (transitions re-executed) drops.
+	// as the sequential engine counts one per backtrack. Replays counts
+	// path restarts, however the restart reaches its state — replaying
+	// the prefix, or restoring the unit's snapshot — so it is identical
+	// across SnapshotSpill modes; only ReplaySteps (transitions
+	// re-executed) drops.
 	e.rep.Replays++
 }
 
@@ -844,27 +921,23 @@ func (e *engine) residualUnits() []*workUnit {
 }
 
 // cover records the visible-operation site process p is about to
-// execute.
-func (e *engine) cover(p int) {
+// execute and returns it (-1 when p is at none).
+func (e *engine) cover(p int) int {
 	proc, node := e.sys.ProcAt(p)
 	if node < 0 {
-		return
+		return -1
 	}
-	if off, ok := e.sites.offsets[proc]; ok {
-		e.covered.set(off + node)
+	off, ok := e.sites.offsets[proc]
+	if !ok {
+		return -1
 	}
+	e.covered.set(off + node)
+	return off + node
 }
 
-// schedDepth counts scheduling decisions along the current path.
-func (e *engine) schedDepth() int {
-	d := e.baseSched
-	for _, en := range e.stack {
-		if !en.isToss {
-			d++
-		}
-	}
-	return d
-}
+// schedDepth is the number of scheduling decisions along the current
+// path.
+func (e *engine) schedDepth() int { return e.baseSched + e.stackSched }
 
 func (e *engine) deadlockMsg() string {
 	var parts []string

@@ -3,9 +3,13 @@
 // summarized in §2 of the paper).
 //
 // The explorer performs a stateless depth-first search: it stores no
-// visited states; to backtrack it re-executes the run from the initial
-// state, replaying the recorded scheduling and VS_toss decisions. Search
-// is pruned with partial-order methods — persistent sets computed from
+// visited states, and what it keeps of a path is its recorded
+// scheduling and VS_toss decisions. VeriSoft backtracks by re-executing
+// the run from the initial state, because its processes are real ones
+// that cannot be saved; here they are interpreter data, so the engine
+// hangs a bounded number of machine snapshots on its decision stack and
+// backtracks by restoring the deepest one, replaying decisions only
+// from there (restore.go). Search is pruned with partial-order methods — persistent sets computed from
 // static object footprints, plus sleep sets — and it detects deadlocks,
 // assertion violations, runtime errors, and divergences up to a depth
 // bound.
@@ -14,6 +18,8 @@
 //
 //   - engine.go — the stateless DFS core, replaying a decision prefix
 //     and extending paths depth-first (shared by both modes);
+//   - restore.go — the snapshot pool under the decision stack that
+//     lets a path start from its deepest saved state;
 //   - frontier.go — the work-unit abstraction (a schedule/toss prefix
 //     plus its pending sibling choices) behind a sharded work-stealing
 //     deque;
@@ -180,16 +186,20 @@ type Options struct {
 	// every merged counter — independent of worker timing.
 	SpillDepth int
 	// SnapshotSpill makes spilled work units carry a forked deep copy of
-	// the interpreter state at their decision point (parallel engine
-	// only). A worker claiming such a unit forks the snapshot and
-	// resumes at the decision point instead of re-executing the unit's
-	// decision prefix from the initial state, trading memory for replay
-	// work. The explored tree is unchanged: every merged counter and
-	// every incident sample is identical to replay mode — only
-	// ReplaySteps drops, since prefix transitions are no longer
-	// re-executed. Checkpoints still serialize decision prefixes, never
-	// snapshots, so restored units replay; sequential searches (Workers
-	// == 0) never spill and ignore the flag.
+	// the interpreter state at their decision point. An engine claiming
+	// such a unit starts from the snapshot — it is the bottom of the
+	// engine's snapshot stack (restore.go), copied over the engine's
+	// machine whenever no deeper snapshot of its own applies — instead
+	// of re-executing the unit's decision prefix from the initial state,
+	// trading memory for replay work. The explored tree is unchanged:
+	// every merged counter and every incident sample is identical to
+	// replay mode — only the cost counter ReplaySteps drops, since
+	// prefix transitions are no longer re-executed. Checkpoints still
+	// serialize decision prefixes, never snapshots, so restored units
+	// replay. Units are spilled by the parallel engine and by the
+	// sequential priority search; the sequential depth-first search
+	// never spills, so the flag changes nothing there (its backtracking
+	// restores snapshots regardless).
 	SnapshotSpill bool
 	// Fault, if non-nil, is a fault-injection plan fired at the
 	// engine's hook points — currently faultinject.PointExplorePath,
@@ -242,6 +252,10 @@ type Options struct {
 	// testCacheHash, if non-nil, replaces the state cache's fingerprint
 	// hash: the white-box collision-injection hook of the cache tests.
 	testCacheHash func([]byte) uint64
+	// testReplayOnly, if set, keeps the engine from saving backtracking
+	// snapshots, so every path replays from the start of its unit: the
+	// white-box baseline of the restore-vs-replay equivalence tests.
+	testReplayOnly bool
 }
 
 // defaultSpillDepth bounds frontier spilling when Options.SpillDepth is

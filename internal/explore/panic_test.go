@@ -122,6 +122,77 @@ func TestMidPathPanicIsolation(t *testing.T) {
 	}
 }
 
+// TestMidStepPanicThenRestore panics in the middle of a transition —
+// from the chooser, at the k-th VS_toss the search meets for the first
+// time, so the interpreter is abandoned with a visible operation
+// executed and its invisible suffix half run — and lets the search
+// continue by restoring snapshots over the torn machine. The panic must
+// cost exactly one internal-error path, and everything else must equal
+// the replay-only engine's run under the same panic, which recovers
+// through Reset.
+func TestMidStepPanicThenRestore(t *testing.T) {
+	// Two processes on one semaphore, each transition tossing in its
+	// invisible suffix: scheduling and toss entries interleave all the
+	// way down.
+	closed := mustClose(t, `
+sem s = 0;
+proc w() {
+    var i = 0;
+    while (i < 2) {
+        signal(s);
+        var k = VS_toss(2);
+        if (k == 1) {
+            signal(s);
+        }
+        i = i + 1;
+    }
+}
+process w;
+process w;
+`)
+	run := func(replayOnly bool, panicAt int) *Report {
+		opt := Options{MaxIncidents: 1 << 20, testReplayOnly: replayOnly}
+		fresh := 0
+		return driveEngine(t, closed, opt, func(e *engine) {
+			inner := e.ch
+			e.ch = interp.ChooserFunc(func(bound int) (int, bool) {
+				// Count only tosses at the frontier: those happen in the
+				// same order however earlier paths reached their states.
+				if e.baseIdx >= len(e.base) && e.replayIdx >= len(e.stack) && len(e.stack) > 0 {
+					if fresh++; fresh == panicAt {
+						panic("boom mid-step")
+					}
+				}
+				return inner.Choose(bound)
+			})
+		}, func(*engine) {})
+	}
+	clean := run(false, 0)
+	if clean.InternalErrors != 0 || clean.Paths < 100 {
+		t.Fatalf("clean run unusable: %s", clean)
+	}
+	for _, panicAt := range []int{2, 5, 17, 40} {
+		restore, replay := run(false, panicAt), run(true, panicAt)
+		if restore.InternalErrors != 1 {
+			t.Fatalf("panic at toss %d: InternalErrors = %d, want 1", panicAt, restore.InternalErrors)
+		}
+		in := restore.FirstIncident(LeafInternalError)
+		if in == nil || !strings.Contains(in.Msg, "boom mid-step") {
+			t.Fatalf("panic at toss %d: internal-error sample %v does not carry the panic", panicAt, in)
+		}
+		if got, want := restoreDigest(restore), restoreDigest(replay); got != want {
+			t.Errorf("panic at toss %d: restore diverged from replay:\n--- restore ---\n%s--- replay ---\n%s", panicAt, got, want)
+		}
+		if restore.ReplaySteps >= replay.ReplaySteps {
+			t.Errorf("panic at toss %d: restore re-executed %d transitions, replay %d", panicAt, restore.ReplaySteps, replay.ReplaySteps)
+		}
+		// Only the panicking transition's subtree is lost.
+		if restore.Paths >= clean.Paths || restore.Paths < clean.Paths/2 {
+			t.Errorf("panic at toss %d: %d paths, clean run %d", panicAt, restore.Paths, clean.Paths)
+		}
+	}
+}
+
 // TestStaleSnapshotIsolated resumes from snapshots whose units are
 // structurally valid but semantically bogus — a toss decision where a
 // scheduling decision belongs, and a scheduling decision naming a

@@ -14,18 +14,20 @@ import (
 func parallelCases(t testing.TB) map[string]string {
 	t.Helper()
 	return map[string]string{
-		"figure2":          progs.FigureP,
-		"deadlock-prone":   progs.DeadlockProne,
-		"assert-violation": progs.AssertViolation,
+		"figure2":           progs.FigureP,
+		"deadlock-prone":    progs.DeadlockProne,
+		"assert-violation":  progs.AssertViolation,
 		"producer-consumer": progs.ProducerConsumer,
-		"philosophers-3":   progs.Philosophers(3),
+		"philosophers-3":    progs.Philosophers(3),
 	}
 }
 
 // TestParallelMatchesSequential checks the central contract of the
 // parallel engine: for a complete (non-truncated) search, every merged
 // counter — and hence Report.String() — is identical to the sequential
-// search's, regardless of worker count.
+// search's, regardless of worker count. ReplaySteps is a cost counter,
+// not part of the contract: a claimed unit replays its prefix where the
+// sequential search restores a snapshot, so the two legitimately differ.
 func TestParallelMatchesSequential(t *testing.T) {
 	for name, src := range parallelCases(t) {
 		t.Run(name, func(t *testing.T) {
@@ -45,8 +47,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 				if got, want := par.String(), seq.String(); got != want {
 					t.Errorf("workers=%d report mismatch:\n  parallel:   %s\n  sequential: %s", workers, got, want)
 				}
-				if par.ReplaySteps != seq.ReplaySteps {
-					t.Errorf("workers=%d replay steps = %d, sequential = %d", workers, par.ReplaySteps, seq.ReplaySteps)
+				if par.Replays != seq.Replays {
+					t.Errorf("workers=%d replays = %d, sequential = %d", workers, par.Replays, seq.Replays)
 				}
 				if par.OpsCovered != seq.OpsCovered || par.OpsTotal != seq.OpsTotal {
 					t.Errorf("workers=%d coverage = %d/%d, sequential = %d/%d",

@@ -1,0 +1,401 @@
+package explore
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"reclose/internal/cfg"
+	"reclose/internal/interp"
+	"reclose/internal/leaderelect"
+	"reclose/internal/lockserver"
+	"reclose/internal/progs"
+	"reclose/internal/randprog"
+)
+
+// This file holds the contract of restore-based backtracking
+// (restore.go): it changes what a path costs, never what the search
+// finds. The baseline is the same engine with Options.testReplayOnly
+// set, which saves no snapshots and so replays every path from the
+// start of its unit, as every engine did before.
+
+// restoreDigest renders everything restore and replay must agree on:
+// Report.String (Replays included — it counts path restarts, not what
+// they cost), every other counter except ReplaySteps, coverage, and
+// every sample with its rendered trace, decisions and lasso split.
+func restoreDigest(rep *Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", rep)
+	fmt.Fprintf(&b, "terminated=%d sleep=%d cache=%d internal=%d livelocks=%d red=%d/%d incomplete=%t cause=%v\n",
+		rep.Terminated, rep.SleepPrunes, rep.CachePrunes, rep.InternalErrors,
+		rep.Livelocks, rep.RedSearches, rep.RedStates, rep.Incomplete, rep.Cause)
+	fmt.Fprintf(&b, "por backtracks=%d sleep-blocked=%d pruned=%d\n",
+		rep.PorBacktracks, rep.PorSleepBlocked, rep.PorDynamicPruned)
+	fmt.Fprintf(&b, "coverage=%d/%d\n", rep.OpsCovered, rep.OpsTotal)
+	if rep.Workers == 0 {
+		// With workers the watermark samples a shared counter mid-flight.
+		fmt.Fprintf(&b, "first-incident=%d\n", rep.StatesAtFirstIncident)
+	}
+	for _, in := range rep.Samples {
+		fmt.Fprintf(&b, "%sdecisions=%v cycle-start=%d\n", in, in.Decisions, in.CycleStart)
+	}
+	return b.String()
+}
+
+// verdictDigest is what a parallel cached search of a model with cycles
+// (or a depth cut) reproduces from run to run: which kinds of incident
+// exist. Which revisit the shared cache prunes — and with it the leaf
+// counts, and which lassos the red search closes — varies with worker
+// timing.
+func verdictDigest(rep *Report) string {
+	return fmt.Sprintf("deadlock=%t violation=%t trap=%t divergence=%t livelock=%t internal=%t",
+		rep.Deadlocks > 0, rep.Violations > 0, rep.Traps > 0, rep.Divergences > 0, rep.Livelocks > 0, rep.InternalErrors > 0)
+}
+
+// restoreCases are small closed units covering what a restore has to
+// carry: toss entries (the closing transformation's VS_toss), deadlocks,
+// assertion violations, progress labels with and without livelocks, and
+// a few random programs.
+func restoreCases(t *testing.T) map[string]*cfg.Unit {
+	t.Helper()
+	cases := map[string]*cfg.Unit{
+		"figure-p":          mustClose(t, progs.FigureP),
+		"assert-violation":  mustClose(t, progs.AssertViolation),
+		"producer-consumer": mustClose(t, progs.ProducerConsumer),
+		"philosophers-3":    mustClose(t, progs.Philosophers(3)),
+		"pipeline-2-2":      mustClose(t, progs.Pipeline(2, 2)),
+		"lock-greedy":       mustClose(t, lockserver.Source(lockserver.Config{Clients: 2, Rounds: 1, GreedyClient: true})),
+		"leader-seeded":     mustClose(t, leaderelect.Source(leaderelect.Config{Nodes: 3, SeedLivelock: true})),
+	}
+	for _, seed := range []int64{3, 11, 29} {
+		src := randprog.Generate(rand.New(rand.NewSource(seed)), randprog.Config{Processes: 3, MaxStmts: 6, Helpers: 1})
+		cases[fmt.Sprintf("rand-%d", seed)] = mustClose(t, src)
+	}
+	return cases
+}
+
+// TestRestoreMatchesReplay is the equivalence grid: engines {bytecode,
+// slots, ref} × POR {off, static, dynamic} × state cache × liveness ×
+// workers {0, 2} × snapshot-spill. Restore and replay runs of one
+// configuration must produce byte-identical digests (the
+// schedule-independent digests for parallel cached runs, where which
+// duplicate route is pruned varies between any two runs of one
+// engine), and restore
+// must re-execute strictly fewer transitions whenever a sequential
+// search on a copying tier backtracked at all. Sequential
+// configurations additionally cut the search at a checkpoint and resume
+// it: the checkpoints agree on everything but the cost counter, and
+// both resumed searches land on the uninterrupted totals.
+func TestRestoreMatchesReplay(t *testing.T) {
+	engines := []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots, interp.EngineRef}
+	pors := []PORMode{POROff, PORStatic, PORDynamic}
+	sawSaving := map[interp.EngineKind]bool{}
+	for name, u := range restoreCases(t) {
+		t.Run(name, func(t *testing.T) {
+			// On the hand-written loop-free models a parallel cached
+			// search reproduces its leaf counts whatever the worker
+			// timing; on the others only its verdict.
+			loopFree := !strings.Contains(name, "-greedy") && !strings.Contains(name, "-seeded") && !strings.HasPrefix(name, "rand-")
+			for _, eng := range engines {
+				for _, por := range pors {
+					for _, mode := range []struct{ cache, live bool }{{false, false}, {true, false}, {true, true}} {
+						for _, par := range []struct {
+							workers int
+							spill   bool
+						}{{0, false}, {2, false}, {2, true}} {
+							opt := Options{
+								Engine: eng, POR: por, StateCache: mode.cache, Liveness: mode.live,
+								Workers: par.workers, SnapshotSpill: par.spill, SpillDepth: 3,
+								MaxDepth: 40, MaxIncidents: 1 << 20,
+							}
+							label := fmt.Sprintf("engine=%s por=%s cache=%t liveness=%t workers=%d spill=%t",
+								eng, por, mode.cache, mode.live, par.workers, par.spill)
+							replayOpt := opt
+							replayOpt.testReplayOnly = true
+							replay, err := Explore(u, replayOpt)
+							if err != nil {
+								t.Fatalf("%s: replay Explore: %v", label, err)
+							}
+							restore, err := Explore(u, opt)
+							if err != nil {
+								t.Fatalf("%s: restore Explore: %v", label, err)
+							}
+							digest := restoreDigest
+							switch {
+							case par.workers > 0 && mode.cache && !loopFree:
+								digest = verdictDigest
+							case par.workers > 0 && mode.cache:
+								digest = cacheDigest
+							}
+							if got, want := digest(restore), digest(replay); got != want {
+								t.Fatalf("%s: restore diverged from replay:\n--- restore ---\n%s--- replay ---\n%s", label, got, want)
+							}
+							// (A parallel cached run's cost varies with which
+							// worker reaches a state first, in either mode.)
+							if restore.ReplaySteps > replay.ReplaySteps && !(par.workers > 0 && mode.cache) {
+								t.Errorf("%s: restore re-executed %d transitions, replay %d", label, restore.ReplaySteps, replay.ReplaySteps)
+							}
+							if par.workers != 0 {
+								continue
+							}
+							// A sequential search that backtracked past depth
+							// one replayed a multi-step prefix; restoring must
+							// have been cheaper wherever the tier can copy.
+							if eng != interp.EngineRef && replay.ReplaySteps > replay.Replays {
+								if restore.ReplaySteps >= replay.ReplaySteps {
+									t.Errorf("%s: restore saved nothing: %d replay steps, replay mode %d (replays=%d)",
+										label, restore.ReplaySteps, replay.ReplaySteps, replay.Replays)
+								}
+								sawSaving[eng] = true
+							}
+							checkResumeAgrees(t, label, u, opt, restoreDigest(restore))
+						}
+					}
+				}
+			}
+		})
+	}
+	for _, eng := range engines[:2] {
+		if !sawSaving[eng] {
+			t.Errorf("engine %s: no configuration backtracked deep enough to show a saving", eng)
+		}
+	}
+}
+
+// cutOnce runs a sequential search that checkpoints after cut paths and
+// cancels there; it returns the checkpoint (nil when the search finished
+// first).
+func cutOnce(t *testing.T, u *cfg.Unit, opt Options, cut int64) *Snapshot {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var snap *Snapshot
+	opt.CheckpointEveryPaths = cut
+	opt.Checkpoint = func(s *Snapshot) {
+		if snap == nil {
+			snap = s
+			cancel()
+		}
+	}
+	if _, err := ExploreContext(ctx, u, opt); err != nil {
+		t.Fatalf("ExploreContext: %v", err)
+	}
+	return snap
+}
+
+// checkResumeAgrees cuts a sequential search after a few paths in both
+// modes. The two checkpoints must encode to the same bytes once the
+// cost counter is levelled — the decision stack is what a checkpoint
+// holds, and restoring never touches it — and each resumed search must
+// reach the uninterrupted search's totals (want, a restoreDigest). The
+// sequential state cache is rebuilt from empty after a resume, so cached
+// configurations compare the checkpoints only.
+func checkResumeAgrees(t *testing.T, label string, u *cfg.Unit, opt Options, want string) {
+	t.Helper()
+	replayOpt := opt
+	replayOpt.testReplayOnly = true
+	a, b := cutOnce(t, u, opt, 3), cutOnce(t, u, replayOpt, 3)
+	if (a == nil) != (b == nil) {
+		t.Fatalf("%s: only one mode reached the checkpoint", label)
+	}
+	if a == nil {
+		return
+	}
+	a.Counters.ReplaySteps, b.Counters.ReplaySteps = 0, 0
+	ja, err := a.Encode()
+	if err != nil {
+		t.Fatalf("%s: Encode: %v", label, err)
+	}
+	jb, err := b.Encode()
+	if err != nil {
+		t.Fatalf("%s: Encode: %v", label, err)
+	}
+	if string(ja) != string(jb) {
+		t.Fatalf("%s: checkpoints differ:\n--- restore ---\n%s\n--- replay ---\n%s", label, ja, jb)
+	}
+	if opt.StateCache {
+		return
+	}
+	var finals [2]string
+	for i, o := range []Options{opt, replayOpt} {
+		final, err := Resume(u, a, o)
+		if err != nil {
+			t.Fatalf("%s: Resume: %v", label, err)
+		}
+		finals[i] = restoreDigest(final)
+	}
+	if finals[0] != finals[1] {
+		t.Errorf("%s: resumed searches diverged:\n--- restore ---\n%s--- replay ---\n%s", label, finals[0], finals[1])
+	}
+	if got, want := resumeDigest(finals[0]), resumeDigest(want); got != want {
+		t.Errorf("%s: resumed search diverged from the uninterrupted one:\n--- got ---\n%s--- want ---\n%s", label, got, want)
+	}
+}
+
+// resumeDigest reduces a restoreDigest to what a resumed search owes the
+// uninterrupted one (the resume contract of checkpoint_test.go): it
+// drops the replays= field — resuming re-claims units — and the
+// dynamic-POR bookkeeping line.
+func resumeDigest(digest string) string {
+	lines := strings.Split(digest, "\n")
+	out := lines[:0]
+	for i, l := range lines {
+		if i == 0 {
+			if a := strings.Index(l, " replays="); a >= 0 {
+				l = l[:a] + l[a+1+strings.Index(l[a+1:], " "):]
+			}
+		}
+		if !strings.HasPrefix(l, "por ") {
+			out = append(out, l)
+		}
+	}
+	return strings.Join(out, "\n")
+}
+
+// walkSchedDepth is the stack walk schedDepth used to be; the running
+// count must always equal it.
+func (e *engine) walkSchedDepth() int {
+	d := e.baseSched
+	for _, en := range e.stack {
+		if !en.isToss {
+			d++
+		}
+	}
+	return d
+}
+
+// driveEngine runs a sequential search on a hand-built engine, calling
+// setup (if any) once the engine exists and check at every fresh state
+// and after every path, and returns the engine's report. It is
+// runSequential without the queue, checkpoints and metrics, for tests
+// that need to look inside the engine.
+func driveEngine(t *testing.T, u *cfg.Unit, opt Options, setup, check func(e *engine)) *Report {
+	t.Helper()
+	opt = opt.withDefaults()
+	res, err := interp.Resolve(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := newMachine(res, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e *engine
+	opt.testPanicAtState = func([]Decision) bool {
+		check(e)
+		return false
+	}
+	e = newEngine(sys, opt, footprints(u), newSiteTable(u))
+	e.cache = newStateCache(opt)
+	if setup != nil {
+		setup(e)
+	}
+	e.prepareUnit(&workUnit{root: true})
+	for {
+		e.runPathSafe()
+		check(e)
+		if e.stop || !e.backtrack() {
+			break
+		}
+		e.rep.Replays++
+	}
+	return e.rep
+}
+
+// TestSchedDepthMatchesWalk asserts the running scheduling-depth count
+// equal to the stack walk at every fresh state and every path end, over
+// toss-heavy and dynamic-POR searches.
+func TestSchedDepthMatchesWalk(t *testing.T) {
+	checks := 0
+	for name, u := range restoreCases(t) {
+		for _, por := range []PORMode{PORStatic, PORDynamic, POROff} {
+			driveEngine(t, u, Options{POR: por, MaxDepth: 30}, nil, func(e *engine) {
+				checks++
+				if got, want := e.schedDepth(), e.walkSchedDepth(); got != want {
+					t.Fatalf("%s por=%s: schedDepth() = %d, stack walk = %d (stack %d entries)",
+						name, por, got, want, len(e.stack))
+				}
+			})
+		}
+	}
+	if checks == 0 {
+		t.Fatal("no state was checked")
+	}
+}
+
+// deepProgram is two independent processes each signalling its own
+// semaphore n times: with reduction off every state down to depth 2n has
+// two options, so one path holds up to 2n snapshot candidates.
+func deepProgram(n int) string {
+	return fmt.Sprintf(`
+sem a = 0;
+sem b = 0;
+proc pa() {
+    var i;
+    for (i = 0; i < %d; i = i + 1) {
+        signal(a);
+    }
+}
+proc pb() {
+    var i;
+    for (i = 0; i < %d; i = i + 1) {
+        signal(b);
+    }
+}
+process pa;
+process pb;
+`, n, n)
+}
+
+// TestSnapshotCap explores a program deeper than the snapshot pool: the
+// engine must never hold or create more than maxSnapshots machines, no
+// machine may leak from the pool, the shallow entries that gave
+// their snapshots up must still be explored (by replay), and the report
+// must equal the replay-only one.
+func TestSnapshotCap(t *testing.T) {
+	u := mustClose(t, deepProgram(maxSnapshots))
+	opt := Options{POR: POROff, NoSleep: true, MaxStates: 40000, MaxIncidents: 4}
+	peak, evicted := 0, false
+	restore := driveEngine(t, u, opt, nil, func(e *engine) {
+		held := 0
+		for i, en := range e.stack {
+			if en.snap != nil {
+				held++
+				if i < e.snapLow {
+					t.Fatalf("entry %d holds a snapshot below snapLow %d", i, e.snapLow)
+				}
+			}
+		}
+		if held+len(e.snapFree) != e.snapMade {
+			t.Fatalf("pool leaked: %d held + %d free != %d made", held, len(e.snapFree), e.snapMade)
+		}
+		if e.snapMade > maxSnapshots {
+			t.Fatalf("engine created %d snapshot machines, cap %d", e.snapMade, maxSnapshots)
+		}
+		if held > peak {
+			peak = held
+		}
+		if len(e.stack) > maxSnapshots && e.stack[0].snap == nil {
+			evicted = true
+		}
+	})
+	if peak != maxSnapshots {
+		t.Errorf("peak live snapshots = %d, want the cap %d", peak, maxSnapshots)
+	}
+	if !evicted {
+		t.Errorf("the shallowest entry never gave its snapshot up")
+	}
+	opt.testReplayOnly = true
+	replay := driveEngine(t, u, opt, nil, func(*engine) {})
+	if got, want := restoreDigest(restore), restoreDigest(replay); got != want {
+		t.Errorf("capped restore diverged from replay:\n--- restore ---\n%s--- replay ---\n%s", got, want)
+	}
+	if restore.ReplaySteps >= replay.ReplaySteps {
+		t.Errorf("capped restore re-executed %d transitions, replay %d", restore.ReplaySteps, replay.ReplaySteps)
+	}
+	if restore.MaxDepth <= maxSnapshots {
+		t.Fatalf("search reached depth %d, not past the cap %d", restore.MaxDepth, maxSnapshots)
+	}
+}

@@ -1,0 +1,480 @@
+package interp_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"reclose/internal/cfg"
+	"reclose/internal/comm"
+	"reclose/internal/core"
+	"reclose/internal/interp"
+	"reclose/internal/randprog"
+)
+
+// This file tests Machine.CopyFrom, the allocation-free whole-state
+// overwrite restore-based backtracking runs on: after dst.CopyFrom(src)
+// the two machines are indistinguishable and independent.
+
+// copyTiers are the tiers whose CopyFrom copies; the reference tier's
+// always reports false (TestCopyFromRefusals).
+var copyTiers = []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots}
+
+// resolveT compiles u once; machines copy only between instances of one
+// Resolution.
+func resolveT(t testing.TB, u *cfg.Unit) *interp.Resolution {
+	t.Helper()
+	r, err := interp.Resolve(u)
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	return r
+}
+
+// newCopyMachine builds a machine of tier k over r, with incremental
+// hashing on for the bytecode tier so the copied hash state is covered.
+func newCopyMachine(t testing.TB, r *interp.Resolution, k interp.EngineKind) interp.Machine {
+	t.Helper()
+	m, err := r.NewMachine(k)
+	if err != nil {
+		t.Fatalf("NewMachine(%v): %v", k, err)
+	}
+	if k == interp.EngineBytecode {
+		m.(*interp.System).SetStateHashing(true)
+	}
+	return m
+}
+
+// runSchedule resets m and drives it n steps down the schedule seeded by
+// seed. It returns the chooser position, and false when the run ended
+// (abnormal outcome, nothing enabled) before n steps.
+func runSchedule(m interp.Machine, seed int64, n int) (tosses int, ok bool) {
+	rng := rand.New(rand.NewSource(seed))
+	ch := &stepChooser{}
+	m.Reset()
+	if out := m.Init(ch); out != nil {
+		return ch.n, false
+	}
+	for i := 0; i < n; i++ {
+		en := m.AppendEnabled(nil)
+		if len(en) == 0 {
+			return ch.n, false
+		}
+		if _, out := m.Step(en[rng.Intn(len(en))], ch); out != nil {
+			return ch.n, false
+		}
+	}
+	return ch.n, true
+}
+
+// sameState fails the test unless a and b render the same fingerprint
+// and state hash.
+func sameState(t *testing.T, label string, a, b interp.Machine) {
+	t.Helper()
+	if fa, fb := string(a.AppendFingerprint(nil)), string(b.AppendFingerprint(nil)); fa != fb {
+		t.Fatalf("%s: fingerprints differ\n src: %s\n dst: %s", label, fa, fb)
+	}
+	if ha, hb := a.StateHash(), b.StateHash(); ha != hb {
+		t.Fatalf("%s: state hashes differ: src=%#x dst=%#x", label, ha, hb)
+	}
+	if sa, ok := a.(*interp.System); ok && sa.Engine() == interp.EngineBytecode {
+		if h, full := b.StateHash(), b.(*interp.System).RecomputeStateHash(); h != full {
+			t.Fatalf("%s: copied incremental hash %#x != full re-walk %#x", label, h, full)
+		}
+	}
+}
+
+// copyLockstep brings src to the state prefix steps down schedule seed,
+// overwrites dst — whatever state it was left in — with it, and steps
+// the two in lockstep down a second seeded schedule: they must emit
+// identical events, outcomes, fingerprints and hashes, and stepping
+// either must never show in the other. It reports whether the copy was
+// made (CopyFrom may refuse a state holding a stale pointer).
+func copyLockstep(t *testing.T, label string, src, dst interp.Machine, seed int64, prefix, steps int) bool {
+	t.Helper()
+	tosses, _ := runSchedule(src, seed, prefix)
+	if !dst.CopyFrom(src) {
+		return false
+	}
+	sameState(t, label+": after CopyFrom", src, dst)
+
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	chA, chB := &stepChooser{n: tosses}, &stepChooser{n: tosses}
+	for step := 0; step < steps; step++ {
+		enA, enB := src.AppendEnabled(nil), dst.AppendEnabled(nil)
+		if fmt.Sprint(enA) != fmt.Sprint(enB) {
+			t.Fatalf("%s: step %d: enabled src=%v dst=%v", label, step, enA, enB)
+		}
+		if len(enA) == 0 {
+			break
+		}
+		pick := enA[rng.Intn(len(enA))]
+		before := string(dst.AppendFingerprint(nil))
+		evA, oA := src.Step(pick, chA)
+		if got := string(dst.AppendFingerprint(nil)); got != before {
+			t.Fatalf("%s: step %d: stepping src changed dst\nbefore: %s\n after: %s", label, step, before, got)
+		}
+		after := string(src.AppendFingerprint(nil))
+		evB, oB := dst.Step(pick, chB)
+		if got := string(src.AppendFingerprint(nil)); got != after {
+			t.Fatalf("%s: step %d: stepping dst changed src\nbefore: %s\n after: %s", label, step, after, got)
+		}
+		if evA.String() != evB.String() || evA.Stub != evB.Stub || !sameOutcome(oA, oB) {
+			t.Fatalf("%s: step %d: src=(%s,%s) dst=(%s,%s)", label, step, evA, outcomeStr(oA), evB, outcomeStr(oB))
+		}
+		sameState(t, fmt.Sprintf("%s: step %d", label, step), src, dst)
+		if oA != nil {
+			break
+		}
+	}
+	return true
+}
+
+// copySweep runs copyLockstep over every prefix length up to maxPrefix
+// on each copying tier, reusing one src and one dst per tier so every
+// copy lands on a machine dirtied by the previous round — different
+// stack shapes, queue lengths, pinned frames. It returns how many
+// copies were made and how many refused.
+func copySweep(t *testing.T, label string, u *cfg.Unit, seed int64, maxPrefix, steps int) (copied, refused int) {
+	t.Helper()
+	r := resolveT(t, u)
+	for _, k := range copyTiers {
+		src, dst := newCopyMachine(t, r, k), newCopyMachine(t, r, k)
+		// Leave dst somewhere else entirely before the first copy.
+		runSchedule(dst, seed+99, maxPrefix)
+		for prefix := 0; prefix <= maxPrefix; prefix++ {
+			l := fmt.Sprintf("%s/%v/prefix %d", label, k, prefix)
+			if copyLockstep(t, l, src, dst, seed+int64(prefix), prefix, steps) {
+				copied++
+			} else {
+				refused++
+			}
+		}
+	}
+	return copied, refused
+}
+
+// TestCopyFromRandomPrograms is the property test over closed random
+// programs.
+func TestCopyFromRandomPrograms(t *testing.T) {
+	n := 60
+	if testing.Short() {
+		n = 12
+	}
+	for seed := 0; seed < n; seed++ {
+		r := rand.New(rand.NewSource(int64(2000 + seed)))
+		src := randprog.Generate(r, randprog.Config{Processes: 2 + seed%2, Helpers: seed % 3})
+		closed, _, err := core.CloseSource(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		if _, refused := copySweep(t, fmt.Sprintf("seed %d", seed), closed, int64(seed), 8, 40); refused != 0 {
+			t.Fatalf("seed %d: CopyFrom refused %d states of a pointer-free program", seed, refused)
+		}
+	}
+}
+
+// copyCases are the hand-written programs for what the generator never
+// emits: every way a pointer or an array can sit in the state at a
+// visible operation.
+var copyCases = []struct {
+	name, src string
+	// stale marks programs that hold a pointer into a popped frame at
+	// some visible operation, where CopyFrom must refuse.
+	stale bool
+}{
+	{name: "pointer-into-caller-frame", src: `
+chan out[16];
+proc bump(p, n) {
+    send(out, *p);
+    *p = *p + n;
+    send(out, *p);
+    if (n > 0) {
+        bump(p, n - 1);
+    }
+    send(out, *p);
+}
+proc main() {
+    var x = 7;
+    var y = 1;
+    bump(&x, 2);
+    send(out, x);
+    bump(&y, 1);
+    send(out, x + y);
+}
+process main;
+process main;
+`},
+	{name: "arrays", src: `
+chan c[4];
+shared g = 0;
+proc main() {
+    var a[3];
+    var b[2];
+    var i;
+    for (i = 0; i < 3; i = i + 1) {
+        a[i] = i * 10;
+        send(c, a[i]);
+        var q = &a[i];
+        *q = *q + 1;
+        vwrite(g, a[i]);
+        var got;
+        recv(c, got);
+        b[i % 2] = got;
+    }
+    send(c, a);
+    a[0] = 99;
+    recv(c, b);
+    VS_assert(b[0] == 1);
+    vwrite(g, b);
+    b[1] = 5;
+    vread(g, a);
+    VS_assert(a[1] == 11);
+}
+process main;
+`},
+	{name: "pinned-and-stale", stale: true, src: `
+chan out[8];
+proc mk(r) {
+    var local = 42;
+    send(out, local);
+    *r = &local;
+}
+proc main() {
+    var p;
+    var x = 3;
+    mk(&p);
+    send(out, *p);
+    *p = *p + 1;
+    send(out, *p);
+    p = &x;
+    send(out, *p);
+    recv(out, x);
+    send(out, *p);
+}
+process main;
+`},
+	{name: "pointer-in-channel", src: `
+chan c[2];
+chan done[2];
+shared g = 0;
+proc owner() {
+    var x = 5;
+    var a[2];
+    var ack;
+    send(c, &x);
+    send(c, &a[1]);
+    recv(done, ack);
+    vwrite(g, x + a[1]);
+    recv(done, ack);
+    vwrite(g, x + a[1] + ack);
+}
+proc user() {
+    var p;
+    var q;
+    recv(c, p);
+    *p = *p + 1;
+    send(done, *p);
+    recv(c, q);
+    *q = 40;
+    vwrite(g, &q);
+    send(done, *q);
+}
+process owner;
+process user;
+`},
+}
+
+// TestCopyFromHandwritten runs the sweep over the pointer and array
+// cases. The stale-pointer program must be refused somewhere (and
+// copied elsewhere); the others must copy everywhere.
+func TestCopyFromHandwritten(t *testing.T) {
+	for _, tc := range copyCases {
+		t.Run(tc.name, func(t *testing.T) {
+			u, err := core.CompileSource(tc.src)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			copied, refused := 0, 0
+			for seed := int64(0); seed < 4; seed++ {
+				c, r := copySweep(t, tc.name, u, seed, 14, 30)
+				copied, refused = copied+c, refused+r
+			}
+			if copied == 0 {
+				t.Fatalf("no state was copied")
+			}
+			if tc.stale != (refused > 0) {
+				t.Fatalf("refused %d copies (of %d), stale=%v", refused, copied+refused, tc.stale)
+			}
+		})
+	}
+}
+
+// TestForkClonesStalePointers pins the one place the identity map
+// survives: Fork of a state holding a pointer into a popped frame clones
+// the target on demand, and the fork then behaves like the original.
+func TestForkClonesStalePointers(t *testing.T) {
+	u, err := core.CompileSource(copyCases[2].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := resolveT(t, u)
+	for _, k := range copyTiers {
+		sys := newCopyMachine(t, r, k)
+		for prefix := 0; prefix <= 8; prefix++ {
+			tosses, _ := runSchedule(sys, 0, prefix)
+			clone := sys.ForkMachine()
+			label := fmt.Sprintf("%v/prefix %d", k, prefix)
+			sameState(t, label, sys, clone)
+			chA, chB := &stepChooser{n: tosses}, &stepChooser{n: tosses}
+			for step := 0; step < 12; step++ {
+				en := sys.AppendEnabled(nil)
+				if len(en) == 0 {
+					break
+				}
+				evA, oA := sys.Step(en[0], chA)
+				evB, oB := clone.Step(en[0], chB)
+				if evA.String() != evB.String() || !sameOutcome(oA, oB) {
+					t.Fatalf("%s: step %d: orig=(%s,%s) fork=(%s,%s)", label, step, evA, outcomeStr(oA), evB, outcomeStr(oB))
+				}
+				sameState(t, fmt.Sprintf("%s: step %d", label, step), sys, clone)
+			}
+		}
+	}
+}
+
+// TestCopyFromRefusals covers the whole-machine refusals: the reference
+// tier, a machine of another tier, and a machine over another unit.
+func TestCopyFromRefusals(t *testing.T) {
+	u, err := core.CompileSource(copyCases[0].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := resolveT(t, u)
+	bc, slots := newCopyMachine(t, r, interp.EngineBytecode), newCopyMachine(t, r, interp.EngineSlots)
+	ref := newCopyMachine(t, r, interp.EngineRef)
+	other := newCopyMachine(t, resolveT(t, u), interp.EngineBytecode) // same unit, separate compiled code
+	for _, tc := range []struct {
+		name     string
+		dst, src interp.Machine
+	}{
+		{"ref<-ref", ref, ref.ForkMachine()},
+		{"ref<-bytecode", ref, bc},
+		{"bytecode<-ref", bc, ref},
+		{"bytecode<-slots", bc, slots},
+		{"slots<-bytecode", slots, bc},
+		{"bytecode<-other-resolution", bc, other},
+	} {
+		if tc.dst.CopyFrom(tc.src) {
+			t.Errorf("%s: CopyFrom reported true", tc.name)
+		}
+	}
+	if !bc.CopyFrom(bc.ForkMachine()) {
+		t.Errorf("bytecode<-its own fork: CopyFrom reported false")
+	}
+}
+
+// TestCopyFromAllocatesNothing pins the property the explorer's hot path
+// relies on: overwriting a warm machine allocates nothing, pointers
+// included.
+func TestCopyFromAllocatesNothing(t *testing.T) {
+	u, err := core.CompileSource(copyCases[0].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := resolveT(t, u)
+	for _, k := range copyTiers {
+		a, b, dst := newCopyMachine(t, r, k), newCopyMachine(t, r, k), newCopyMachine(t, r, k)
+		runSchedule(a, 1, 3)
+		runSchedule(b, 2, 9)
+		// Warm dst on both shapes, then alternate.
+		dst.CopyFrom(a)
+		dst.CopyFrom(b)
+		if n := testing.AllocsPerRun(100, func() {
+			if !dst.CopyFrom(a) || !dst.CopyFrom(b) {
+				t.Fatal("CopyFrom refused")
+			}
+		}); n != 0 {
+			t.Errorf("%v: CopyFrom allocates %v objects per pair of copies", k, n)
+		}
+	}
+}
+
+// TestPayloadFingerprintBytes pins comm's allocation-free payload
+// rendering to the reflective one it replaced: for every Value kind the
+// bytes a channel and a shared variable append are exactly fmt's.
+func TestPayloadFingerprintBytes(t *testing.T) {
+	cell := &interp.Cell{}
+	arr := interp.ArrayVal(3)
+	arr.Arr[1] = interp.IntVal(-4)
+	arr.Arr[2] = interp.PtrVal(interp.Pointer{Cell: cell, Elem: -1})
+	for _, v := range []interp.Value{
+		interp.Undef,
+		interp.IntVal(0), interp.IntVal(-17), interp.IntVal(1 << 40),
+		interp.True, interp.False,
+		interp.PtrVal(interp.Pointer{Cell: cell, Elem: -1}),
+		interp.PtrVal(interp.Pointer{Cell: cell, Elem: 2}),
+		arr, interp.ArrayVal(0),
+	} {
+		c := comm.NewChan("c", 2, false)
+		if err := c.Send(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(v); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(c.AppendFingerprint(nil)), fmt.Sprintf("c:[%v %v]", v, v); got != want {
+			t.Errorf("chan payload %v renders %q, want %q", v, got, want)
+		}
+		s := comm.NewShared("g", v)
+		if got, want := string(s.AppendFingerprint(nil)), string(fmt.Append([]byte("g:"), v)); got != want {
+			t.Errorf("shared payload %v renders %q, want %q", v, got, want)
+		}
+	}
+}
+
+// TestSendCopiesArrays pins the value semantics of arrays across
+// communication objects on every tier: a message in flight, and a value
+// parked in a shared variable, never alias the sender's variable, so a
+// later element store cannot rewrite them (which is also what lets a
+// state copy, which keeps no such alias, behave like its source).
+func TestSendCopiesArrays(t *testing.T) {
+	u, err := core.CompileSource(`
+chan c[2];
+shared g = 0;
+proc main() {
+    var a[2];
+    var b[2];
+    a[0] = 1;
+    send(c, a);
+    vwrite(g, a);
+    a[0] = 7;
+    recv(c, b);
+    VS_assert(b[0] == 1);
+    vread(g, b);
+    VS_assert(b[0] == 1);
+}
+process main;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range lockstepMachines(t, "send-copies", u) {
+		ch := interp.FixedChooser(0)
+		if out := m.Init(ch); out != nil {
+			t.Fatalf("%s: init: %s", engineNames[i], out)
+		}
+		for step := 0; m.Enabled(0); step++ {
+			ev, out := m.Step(0, ch)
+			if out != nil {
+				t.Fatalf("%s: step %d (%s): %s", engineNames[i], step, ev, out)
+			}
+			if step == 0 && ev.String() != "P0:send(c)=[1 0]" {
+				t.Errorf("%s: send event %s, want the value sent", engineNames[i], ev)
+			}
+		}
+		if !m.AllTerminated() {
+			t.Fatalf("%s: did not terminate", engineNames[i])
+		}
+	}
+}

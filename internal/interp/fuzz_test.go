@@ -9,7 +9,10 @@ import (
 // FuzzBytecodeLockstep feeds arbitrary MiniC source through the full
 // pipeline (parse, check, close) and, when it compiles, drives the
 // bytecode, slot, and reference engines in lockstep — any divergence in
-// events, outcomes, fingerprints, or state hashes fails the fuzz run.
+// events, outcomes, fingerprints, or state hashes fails the fuzz run —
+// and then sweeps CopyFrom over the program's first states on both
+// copying tiers: every copy made must be indistinguishable from, and
+// independent of, its source (copy_test.go).
 // scripts/verify.sh runs this for a short smoke period on every verify.
 func FuzzBytecodeLockstep(f *testing.F) {
 	f.Add(`
@@ -51,6 +54,9 @@ proc main() {
 }
 process main;
 `)
+	for _, tc := range copyCases {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		u, err := core.CompileSource(src)
 		if err != nil {
@@ -61,5 +67,6 @@ process main;
 			t.Skip()
 		}
 		lockstep(t, "fuzz", u, 150)
+		copySweep(t, "fuzz", u, 1, 6, 30)
 	})
 }

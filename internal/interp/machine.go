@@ -56,8 +56,9 @@ func ParseEngine(s string) (EngineKind, error) {
 
 // Machine is the executable-system interface the explorer drives: the
 // transition semantics plus the state identity operations (fingerprint
-// and hash) and deep-copy forking for snapshot-spill work units. Both
-// System (bytecode and slots engines) and RefSystem implement it.
+// and hash) and the two state copies — deep-copy forking, and the
+// in-place overwrite restore-based backtracking runs on. Both System
+// (bytecode and slots engines) and RefSystem implement it.
 type Machine interface {
 	// Transition semantics.
 	Init(ch Chooser) *Outcome
@@ -81,6 +82,11 @@ type Machine interface {
 	AppendFingerprint(dst []byte) []byte
 	StateHash() uint64
 	ForkMachine() Machine
+	// CopyFrom overwrites the receiver's whole state with src's without
+	// allocating, or reports false when it cannot (a machine of another
+	// tier, a state the copy does not cover); the caller then reaches
+	// the state by replay. See System.CopyFrom.
+	CopyFrom(src Machine) bool
 
 	// Instrumentation.
 	SetMetrics(m Metrics)
@@ -237,9 +243,54 @@ func (s *RefSystem) StateHash() uint64 {
 	return Mix64(h, acc)
 }
 
+// CopyFrom reports false: the reference interpreter keeps its cells in
+// name-keyed maps with no positional correspondence to copy over, so
+// its callers always replay.
+func (s *RefSystem) CopyFrom(Machine) bool { return false }
+
+// forker tracks cell identity across one reference-system fork so every
+// pointer in the clone lands on the clone's corresponding cell. (The
+// compiled tiers copy by position instead; fork.go.)
+type forker struct {
+	cellMap map[*Cell]*Cell
+}
+
+// value deep-copies v, remapping pointer targets into the clone.
+func (fk *forker) value(v Value) Value {
+	switch v.Kind {
+	case KPtr:
+		v.Ptr.Cell = fk.cell(v.Ptr.Cell)
+	case KArray:
+		arr := make([]Value, len(v.Arr))
+		for i, e := range v.Arr {
+			arr[i] = fk.value(e)
+		}
+		v.Arr = arr
+	}
+	return v
+}
+
+// cell maps an old cell to its clone. A cell outside the live frames —
+// a stale pointer target kept reachable only through the pointer — is
+// cloned on demand; the clone is registered before its value is copied
+// so pointer cycles terminate.
+func (fk *forker) cell(c *Cell) *Cell {
+	if c == nil {
+		return nil
+	}
+	if nc, ok := fk.cellMap[c]; ok {
+		return nc
+	}
+	nc := &Cell{}
+	fk.cellMap[c] = nc
+	nc.V = fk.value(c.V)
+	return nc
+}
+
 // ForkMachine returns an independent deep copy of the reference
-// system, with pointers remapped onto the clone's cells exactly like
-// System.Fork.
+// system, with pointers remapped onto the clone's cells: the same
+// observable result as System.Fork, through an identity map over the
+// name-keyed cells.
 func (s *RefSystem) ForkMachine() Machine {
 	fk := &forker{cellMap: make(map[*Cell]*Cell)}
 	ns := &RefSystem{

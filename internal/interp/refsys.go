@@ -384,7 +384,9 @@ func (s *RefSystem) execVisible(p *RefProc, ch Chooser) (ev Event, out *Outcome)
 		ev.Object = objName
 		switch op {
 		case "send":
-			v := refEval(ctx, cs.Args[1])
+			// Arrays have value semantics: the queued payload (and the
+			// recorded event) must not alias the sender's variable.
+			v := refEval(ctx, cs.Args[1]).Copy()
 			ev.Value, ev.HasVal = v, true
 			c := obj.(*comm.Chan)
 			ev.Stub = c.EnvFacing()
@@ -410,7 +412,7 @@ func (s *RefSystem) execVisible(p *RefProc, ch Chooser) (ev Event, out *Outcome)
 		case "signal":
 			obj.(*comm.Sem).Signal()
 		case "vwrite":
-			v := refEval(ctx, cs.Args[1])
+			v := refEval(ctx, cs.Args[1]).Copy()
 			ev.Value, ev.HasVal = v, true
 			obj.(*comm.Shared).Write(v)
 		case "vread":

@@ -142,15 +142,19 @@ type System struct {
 
 	// eng names the execution backend; bc non-nil selects the bytecode
 	// dispatch loop (bcexec.go) over the per-node closures, sharing all
-	// other machinery (Fork, fingerprints, Enabled, visible ops).
+	// other machinery (state copies, fingerprints, Enabled, visible ops).
 	eng EngineKind
 	bc  *bcModule
 	// regs is the shared expression register file (bcModule.maxRegs
 	// wide); registers are dead across node boundaries, so one file
 	// serves every frame.
 	regs []Value
-	// pool is the bytecode engine's free list of popped, unpinned frames.
+	// pool is the free list of popped, unpinned frames: filled by the
+	// bytecode engine's returns, Reset and state copies, drawn on by the
+	// bytecode engine's calls and by state copies.
 	pool []*frame
+	// cp is the scratch of a whole-state copy into this system (fork.go).
+	cp copier
 
 	// Incremental state hashing (hash.go), maintained by the bytecode
 	// engine when hashOn: the rolling cell accumulator, per-object
@@ -562,7 +566,12 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 		ev.Object = vis.objName
 		switch vis.op {
 		case opSend:
-			v := s.visArg(p, n, ctx, vis)
+			// Arrays have value semantics: the queued payload (and the
+			// recorded event) must not alias the sender's variable, or a
+			// later element store would rewrite a message in flight —
+			// and a state copy, which cannot keep such an alias, would
+			// behave differently from the state it copied.
+			v := s.visArg(p, n, ctx, vis).Copy()
 			ev.Value, ev.HasVal = v, true
 			c := obj.(*comm.Chan)
 			ev.Stub = c.EnvFacing()
@@ -588,7 +597,7 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 		case opSignal:
 			obj.(*comm.Sem).Signal()
 		case opVwrite:
-			v := s.visArg(p, n, ctx, vis)
+			v := s.visArg(p, n, ctx, vis).Copy()
 			ev.Value, ev.HasVal = v, true
 			obj.(*comm.Shared).Write(boxValue(v))
 		case opVread:

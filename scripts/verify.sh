@@ -24,6 +24,15 @@ go test -count=1 -timeout=10m -race -run 'TestEngineEquivalence|TestDifferential
 # watching the shared frontier heap and per-entry backtrack folds.
 go test -count=1 -timeout=10m -race -run 'TestDPOR|TestPrioritySearch|TestStrictModesUnchanged|TestWideMask' ./internal/explore/
 
+# Restore-based backtracking race leg: the copy routine's property and
+# hand-written pointer/array tests on both copying tiers, and the
+# restore-vs-replay equivalence grid (engines × POR × cache × liveness
+# × workers × snapshot-spill) with the snapshot cap, the running depth
+# count and the mid-step-panic recovery, the race detector watching the
+# shared snapshot-spill machines that several workers copy from at once.
+go test -count=1 -timeout=10m -race -run 'TestCopyFrom|TestForkClonesStalePointers|TestPayloadFingerprintBytes' ./internal/interp/
+go test -count=1 -timeout=10m -race -run 'TestRestoreMatchesReplay|TestSnapshotCap|TestSchedDepthMatchesWalk|TestMidStepPanicThenRestore' ./internal/explore/
+
 # Liveness race leg: the nested-DFS cycle search over the shared
 # state cache (blue stack + red searches under parallel workers) and
 # the two seeded-livelock workload generators, plus the liveness-off
@@ -53,8 +62,9 @@ go test -fuzz=FuzzBytecodeLockstep -fuzztime=5s ./internal/interp/
 go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 
-# Bench smoke: one iteration of the interpreter and snapshot-vs-replay
-# benchmarks (catches bit-rot in the perf harness without paying for a
-# real measurement run), plus a syntax check of the bench driver.
-go test -run '^$' -bench 'BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkLiveness' -benchtime=1x .
+# Bench smoke: one iteration of the interpreter, snapshot-vs-replay,
+# backtracking and liveness benchmarks (catches bit-rot in the perf
+# harness without paying for a real measurement run), plus a syntax
+# check of the bench driver.
+go test -run '^$' -bench 'BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkLiveness' -benchtime=1x .
 sh -n scripts/bench.sh
