@@ -133,9 +133,9 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.IntVar(&c.samples, "samples", 4, "incident samples to print")
 	fs.BoolVar(&c.replay, "replay", false, "replay the first incident step by step after the search")
 	fs.BoolVar(&c.shortest, "shortest", false, "find a minimal-depth incident by iterative deepening instead of a full search")
-	fs.IntVar(&c.workers, "workers", 0, "parallel search workers (0 = sequential, -1 = GOMAXPROCS)")
+	fs.IntVar(&c.workers, "workers", 0, "search workers (0 = the search loop inline in classic depth-first order, -1 = GOMAXPROCS)")
 	fs.IntVar(&c.spillDepth, "spill-depth", 0, "depth above which workers spill sibling subtrees to the shared frontier (0 = default 16)")
-	fs.BoolVar(&c.snapSpill, "snapshot-spill", false, "attach state snapshots to spilled work units so claimers skip prefix replay (parallel engine only)")
+	fs.BoolVar(&c.snapSpill, "snapshot-spill", false, "attach state snapshots to spilled work units so claimers skip prefix replay (-workers > 0 or -search=priority)")
 	fs.IntVar(&c.distWorkers, "dist-workers", 0, "distribute the search across this many worker OS processes (0 = in-process); results merge deterministically, byte-identical to the in-process engine")
 	fs.Int64Var(&c.distSlice, "dist-slice", 0, "per-batch state budget a distributed worker explores before reporting back (0 = default 4096; requires -dist-workers)")
 	fs.DurationVar(&c.distLease, "dist-lease", 0, "lease timeout after which a distributed worker is declared dead and its work reassigned (0 = default 60s; requires -dist-workers)")
@@ -200,8 +200,11 @@ func (c *cli) run() (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	if c.noPOR && c.por != "" && por != explore.POROff {
-		return 1, fmt.Errorf("-no-por contradicts -por=%s", por)
+	if c.noPOR {
+		if c.por != "" && por != explore.POROff {
+			return 1, fmt.Errorf("-no-por contradicts -por=%s", por)
+		}
+		por = explore.POROff
 	}
 	if c.interest != "" && search != explore.SearchPriority {
 		return 1, fmt.Errorf("-interest requires -search=priority")
@@ -250,7 +253,6 @@ func (c *cli) run() (int, error) {
 		Engine:          engine,
 		MaxDepth:        c.depth,
 		MaxStates:       c.maxStates,
-		NoPOR:           c.noPOR,
 		NoSleep:         c.noSleep,
 		POR:             por,
 		Search:          search,

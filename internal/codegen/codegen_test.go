@@ -30,7 +30,7 @@ func roundTrip(t *testing.T, src string) (orig, emitted map[string]bool, text st
 	if err != nil {
 		t.Fatalf("re-compile emitted source: %v\n%s", err, text)
 	}
-	opt := explore.Options{MaxDepth: 300, NoPOR: true, NoSleep: true}
+	opt := explore.Options{MaxDepth: 300, POR: explore.POROff, NoSleep: true}
 	orig, _, err = explore.TraceSet(closed, opt, 0)
 	if err != nil {
 		t.Fatalf("explore original: %v", err)

@@ -103,7 +103,7 @@ func TestEliminateDeadPreservesBehavior(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt := explore.Options{MaxDepth: 120, NoPOR: true, NoSleep: true, MaxStates: 200000}
+			opt := explore.Options{MaxDepth: 120, POR: explore.POROff, NoSleep: true, MaxStates: 200000}
 			before, _, err := explore.TraceSet(closed, opt, 0)
 			if err != nil {
 				t.Fatal(err)

@@ -51,16 +51,10 @@ func (p *Program) Compile() (*cfg.Unit, error) {
 // WireOptions); Interest must be supplied by the caller because a
 // compiled Score function cannot be inverted.
 func EncodeOptions(opt explore.Options, interest []string) WireOptions {
-	por := opt.POR
-	if opt.NoPOR && por == explore.PORStatic {
-		// withDefaults keeps NoPOR and POROff in sync; mirror it here so
-		// the legacy spelling survives the wire.
-		por = explore.POROff
-	}
 	return WireOptions{
 		Engine:        opt.Engine.String(),
 		MaxDepth:      opt.MaxDepth,
-		POR:           por.String(),
+		POR:           opt.POR.String(),
 		NoSleep:       opt.NoSleep,
 		Search:        opt.Search.String(),
 		Interest:      interest,

@@ -13,6 +13,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -136,10 +137,16 @@ var validTypes = map[string]bool{
 // WriteFrame writes one message as a 4-byte big-endian length prefix
 // followed by the JSON payload.
 func WriteFrame(w io.Writer, m *Message) error {
-	data, err := json.Marshal(m)
-	if err != nil {
+	// No HTML escaping: it would rewrite '&', '<' and '>' inside the raw
+	// Snapshot, so a frame would not survive a decode and re-encode
+	// byte for byte.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(m); err != nil {
 		return fmt.Errorf("dist: encode %s frame: %w", m.Type, err)
 	}
+	data := bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
 	if len(data) > MaxFrame {
 		return fmt.Errorf("dist: %s frame is %d bytes, limit %d", m.Type, len(data), MaxFrame)
 	}
@@ -148,7 +155,7 @@ func WriteFrame(w io.Writer, m *Message) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(data)
+	_, err := w.Write(data)
 	return err
 }
 

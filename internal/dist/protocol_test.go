@@ -123,6 +123,16 @@ func FuzzDistProtocol(f *testing.F) {
 	lying := append([]byte(nil), whole...)
 	binary.BigEndian.PutUint32(lying[:4], MaxFrame+1)
 	f.Add(lying)
+	// Raw snapshots a peer may send that re-encoding must not rewrite:
+	// the characters HTML escaping would touch (the first is the input
+	// this target once found), and insignificant whitespace.
+	for _, payload := range []string{
+		`{"type":"result","snapshot":{"&000000":0,"<":">\u2028"}}`,
+		`{"type":"result","snapshot":{ "units" : [ ] }}`,
+	} {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		f.Add(append(frame, payload...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadFrame(bytes.NewReader(data))
@@ -131,6 +141,15 @@ func FuzzDistProtocol(f *testing.F) {
 				t.Fatalf("error %v returned alongside a message", err)
 			}
 			return
+		}
+		if m.Snapshot != nil {
+			// A raw snapshot travels compacted; its whitespace is the one
+			// thing a re-encode may change.
+			var c bytes.Buffer
+			if err := json.Compact(&c, m.Snapshot); err != nil {
+				t.Fatalf("accepted frame carries a malformed snapshot: %v", err)
+			}
+			m.Snapshot = c.Bytes()
 		}
 		var out bytes.Buffer
 		if err := WriteFrame(&out, m); err != nil {
@@ -147,14 +166,13 @@ func FuzzDistProtocol(f *testing.F) {
 }
 
 // TestOptionsRoundTrip checks the option projection both processes
-// must agree on, including the legacy NoPOR spelling mapping onto the
-// "off" wire form.
+// must agree on.
 func TestOptionsRoundTrip(t *testing.T) {
 	cases := []explore.Options{
 		{},
 		{Engine: interp.EngineSlots, MaxDepth: 123, NoSleep: true},
 		{POR: explore.PORDynamic, Search: explore.SearchPriority, MaxIncidents: 7},
-		{NoPOR: true, StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20},
+		{POR: explore.POROff, StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20},
 		{SnapshotSpill: true, SpillDepth: 5, Workers: 3, StopOnViolation: true},
 	}
 	for i, opt := range cases {

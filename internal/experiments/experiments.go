@@ -313,7 +313,7 @@ func E7POR(w io.Writer, cfg Config) {
 		"system", "full states", "persistent", "pers+sleep", "deadlock", "speedup")
 	row := func(name, src string, depth int) {
 		closed, _ := mustClose(src)
-		full := mustExplore(closed, explore.Options{MaxDepth: depth, NoPOR: true, NoSleep: true, MaxStates: 3000000})
+		full := mustExplore(closed, explore.Options{MaxDepth: depth, POR: explore.POROff, NoSleep: true, MaxStates: 3000000})
 		pers := mustExplore(closed, explore.Options{MaxDepth: depth, NoSleep: true})
 		both := mustExplore(closed, explore.Options{MaxDepth: depth})
 		verdict := "n/a"

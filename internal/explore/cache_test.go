@@ -77,7 +77,7 @@ func TestShardedCacheEquivalence(t *testing.T) {
 	for name, src := range cases {
 		t.Run(name, func(t *testing.T) {
 			closed := mustClose(t, src)
-			base := Options{NoPOR: true, NoSleep: true, MaxIncidents: 1 << 20}
+			base := Options{POR: POROff, NoSleep: true, MaxIncidents: 1 << 20}
 
 			stateless, err := Explore(closed, base)
 			if err != nil {
@@ -246,7 +246,7 @@ func TestCacheDepthRevisitRegression(t *testing.T) {
 // soundness.
 func TestCacheEvictionSoundness(t *testing.T) {
 	closed := mustClose(t, progs.Philosophers(3))
-	base := Options{NoPOR: true, NoSleep: true, MaxIncidents: 1 << 20}
+	base := Options{POR: POROff, NoSleep: true, MaxIncidents: 1 << 20}
 	stateless, err := Explore(closed, base)
 	if err != nil {
 		t.Fatalf("stateless Explore: %v", err)
@@ -291,7 +291,7 @@ func TestCacheMetricsAndSnapshotSummary(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		reg := obs.New()
 		opt := Options{
-			NoPOR: true, NoSleep: true,
+			POR: POROff, NoSleep: true,
 			StateCache: true, CacheShards: 8,
 			Workers: workers, Obs: reg,
 		}

@@ -244,26 +244,6 @@ func buildSnapshot(rep *Report, units []*workUnit) *Snapshot {
 	return s
 }
 
-// parSnapshot assembles a checkpoint of a parallel search between
-// rounds: all engine reports are already folded into the accumulator.
-func parSnapshot(a *accum, units []*workUnit, cache *statecache.Cache) *Snapshot {
-	c := a.clone()
-	rep := c.finalize(0, nil)
-	rep.cacheSum = cacheSnap(cache)
-	return buildSnapshot(rep, units)
-}
-
-// seqSnapshot assembles a checkpoint of a sequential search at a path
-// boundary: the accumulator (restored totals) plus the engine's live
-// partial report.
-func seqSnapshot(a *accum, e *engine, units []*workUnit, cache *statecache.Cache) *Snapshot {
-	c := a.clone()
-	c.addEngine(e)
-	rep := c.finalize(0, nil)
-	rep.cacheSum = cacheSnap(cache)
-	return buildSnapshot(rep, units)
-}
-
 // restoredState is a decoded, validated snapshot ready to seed a
 // search: partial counters and samples (with traces rebuilt), the
 // coverage bitmap, and the unexplored work units.

@@ -10,6 +10,7 @@ import (
 	"reclose/internal/core"
 	"reclose/internal/explore"
 	"reclose/internal/interp"
+	"reclose/internal/lockserver"
 	"reclose/internal/progs"
 )
 
@@ -202,47 +203,89 @@ func TestResumeChain(t *testing.T) {
 // TestCheckpointWithoutInterrupt checks that periodic checkpoints of an
 // undisturbed search are pure observation: the final report matches a
 // checkpoint-free run, and every emitted snapshot is internally
-// consistent and itself resumable to the same result.
+// consistent and itself resumable to the same result. A checkpoint
+// pauses the workers where they stand instead of draining them, so it
+// shows in no counter: Replays equals the checkpoint-free run's at
+// every worker count, and with at most one worker — where the order of
+// the search is fixed — so does ReplaySteps. (With more, which worker
+// claims which unit shifts with the pauses, and with it which prefixes
+// are replayed.) The lock server is the case a checkpoint every 64
+// paths used to cost the most: 1 897 drains, each one throwing the
+// engines' stacks and snapshot pools away.
 func TestCheckpointWithoutInterrupt(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
+	cases := []struct {
+		name    string
+		src     string
+		opt     explore.Options
+		every   int64
+		workers []int
+		// resumeStride thins the snapshots that are resumed: every
+		// stride-th one, and the last.
+		resumeStride int
+	}{
+		{"philosophers-3", progs.Philosophers(3), explore.Options{MaxIncidents: 1 << 20}, 7, []int{0, 3}, 1},
+		{"lockserver-c3-r2-d30", lockserver.Source(lockserver.Config{Clients: 3, Rounds: 2}),
+			explore.Options{MaxIncidents: 1 << 20, MaxDepth: 30}, 64, []int{0, 1, 2}, 1000},
 	}
-	base := explore.Options{MaxIncidents: 1 << 20}
-	baseline, err := explore.Explore(closed, base)
-	if err != nil {
-		t.Fatalf("baseline Explore: %v", err)
-	}
-	want := resultDigest(baseline)
-	for _, workers := range []int{0, 3} {
-		opt := base
-		opt.Workers = workers
-		opt.CheckpointEveryPaths = 7
-		var snaps []*explore.Snapshot
-		opt.Checkpoint = func(s *explore.Snapshot) { snaps = append(snaps, s) }
-		rep, err := explore.Explore(closed, opt)
-		if err != nil {
-			t.Fatalf("workers=%d: Explore: %v", workers, err)
-		}
-		if rep.Incomplete {
-			t.Fatalf("workers=%d: checkpointed run did not complete", workers)
-		}
-		if got := resultDigest(rep); got != want {
-			t.Errorf("workers=%d: checkpointed run diverged:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
-		}
-		if len(snaps) == 0 {
-			t.Fatalf("workers=%d: no checkpoints emitted (paths=%d)", workers, rep.Paths)
-		}
-		for i, s := range snaps {
-			final, err := explore.Resume(closed, s, base)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			closed, _, err := core.CloseSource(tc.src)
 			if err != nil {
-				t.Fatalf("workers=%d snapshot %d: Resume: %v", workers, i, err)
+				t.Fatalf("CloseSource: %v", err)
 			}
-			if got := resultDigest(final); got != want {
-				t.Errorf("workers=%d: resume from snapshot %d diverged:\n--- got ---\n%s--- want ---\n%s",
-					workers, i, got, want)
+			baseline, err := explore.Explore(closed, tc.opt)
+			if err != nil {
+				t.Fatalf("baseline Explore: %v", err)
 			}
-		}
+			want := resultDigest(baseline)
+			for _, workers := range tc.workers {
+				opt := tc.opt
+				opt.Workers = workers
+				plain := baseline
+				if workers != 0 {
+					if plain, err = explore.Explore(closed, opt); err != nil {
+						t.Fatalf("workers=%d: checkpoint-free Explore: %v", workers, err)
+					}
+				}
+				opt.CheckpointEveryPaths = tc.every
+				var snaps []*explore.Snapshot
+				opt.Checkpoint = func(s *explore.Snapshot) { snaps = append(snaps, s) }
+				rep, err := explore.Explore(closed, opt)
+				if err != nil {
+					t.Fatalf("workers=%d: Explore: %v", workers, err)
+				}
+				if rep.Incomplete {
+					t.Fatalf("workers=%d: checkpointed run did not complete", workers)
+				}
+				if got := resultDigest(rep); got != want {
+					t.Errorf("workers=%d: checkpointed run diverged:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
+				}
+				if rep.Replays != plain.Replays {
+					t.Errorf("workers=%d: %d checkpoints moved Replays %d -> %d",
+						workers, len(snaps), plain.Replays, rep.Replays)
+				}
+				if workers <= 1 && rep.ReplaySteps != plain.ReplaySteps {
+					t.Errorf("workers=%d: %d checkpoints moved ReplaySteps %d -> %d",
+						workers, len(snaps), plain.ReplaySteps, rep.ReplaySteps)
+				}
+				if len(snaps) == 0 {
+					t.Fatalf("workers=%d: no checkpoints emitted (paths=%d)", workers, rep.Paths)
+				}
+				for i, s := range snaps {
+					if (i+1)%tc.resumeStride != 0 && i != len(snaps)-1 {
+						continue
+					}
+					final, err := explore.Resume(closed, s, tc.opt)
+					if err != nil {
+						t.Fatalf("workers=%d snapshot %d: Resume: %v", workers, i, err)
+					}
+					if got := resultDigest(final); got != want {
+						t.Errorf("workers=%d: resume from snapshot %d diverged:\n--- got ---\n%s--- want ---\n%s",
+							workers, i, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -259,7 +302,7 @@ func TestCancelSnapshotResume(t *testing.T) {
 	// Ablations off: the unreduced space (~1000 states) is large enough
 	// that a cancellation at the 20th leaf always lands mid-search, even
 	// against the sequential engine's 64-state polling granularity.
-	base := explore.Options{MaxIncidents: 1 << 20, NoPOR: true, NoSleep: true}
+	base := explore.Options{MaxIncidents: 1 << 20, POR: explore.POROff, NoSleep: true}
 	baseline, err := explore.Explore(closed, base)
 	if err != nil {
 		t.Fatalf("baseline Explore: %v", err)

@@ -2,12 +2,14 @@ package explore_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"reclose/internal/cfg"
 	"reclose/internal/core"
 	"reclose/internal/explore"
 	"reclose/internal/interp"
+	"reclose/internal/leaderelect"
 )
 
 // livelockSpin is a closed single-process program that spins forever on
@@ -322,6 +324,44 @@ func TestLivelockParallelWorkers(t *testing.T) {
 		}
 		if rep.Livelocks == 0 {
 			t.Errorf("workers=%d: no livelock found: %s", workers, rep)
+		}
+	}
+}
+
+// TestLivelockSamplesAcrossWorkers pins the one sample-retention rule:
+// the MaxIncidents smallest samples under (depth, decisions, message)
+// are kept at every worker count, the inline search included — which
+// used to keep the first MaxIncidents it met instead, here a depth-20
+// lasso where the workers kept the depth-16 one. One worker visits
+// states in the inline search's order, so its sample is the same to the
+// byte; with two, the state cache prunes whichever of two equivalent
+// stems arrives second, so only the lasso's shape is fixed.
+func TestLivelockSamplesAcrossWorkers(t *testing.T) {
+	u, _, err := core.CloseSource(leaderelect.Source(leaderelect.Config{Nodes: 3, SeedLivelock: true}))
+	if err != nil {
+		t.Fatalf("CloseSource: %v", err)
+	}
+	var want *explore.Incident
+	for _, workers := range []int{0, 1, 2} {
+		rep, err := explore.Explore(u, explore.Options{
+			StateCache: true, Liveness: true, MaxIncidents: 1, Workers: workers,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(rep.Samples) != 1 || rep.Samples[0].Kind != explore.LeafLivelock {
+			t.Fatalf("workers=%d: want one livelock sample, got %d: %s", workers, len(rep.Samples), rep)
+		}
+		got := rep.Samples[0]
+		if workers == 0 {
+			want = got
+			continue
+		}
+		if got.Depth != want.Depth || got.Msg != want.Msg || got.CycleStart != want.CycleStart {
+			t.Errorf("workers=%d kept a different sample than workers=0:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
+		}
+		if workers == 1 && !reflect.DeepEqual(got.Decisions, want.Decisions) {
+			t.Errorf("workers=1 sample decisions = %v, workers=0 %v", got.Decisions, want.Decisions)
 		}
 	}
 }

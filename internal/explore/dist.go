@@ -2,7 +2,7 @@ package explore
 
 // Distributed entry points: the pieces internal/dist needs to move work
 // units between processes and fold worker results back through the same
-// deterministic merge the in-process drivers use. The wire format is
+// deterministic merge the in-process driver uses. The wire format is
 // the checkpoint Snapshot — a batch is a snapshot with zero counters
 // and a unit list; a result is the snapshot of the slice's report — so
 // distribution inherits the checkpoint format's versioning, validation,
@@ -36,7 +36,7 @@ func (r *Report) WireSnapshot() *Snapshot {
 }
 
 // Merger folds worker-slice snapshots through the same accumulator the
-// in-process drivers use, so a distributed search's final counters,
+// in-process driver uses, so a distributed search's final counters,
 // coverage, and incident samples are identical to what one process
 // would have produced over the same slices. It is not safe for
 // concurrent use; the coordinator's single event loop owns it.
@@ -64,7 +64,7 @@ func NewMerger(u *cfg.Unit, opt Options) *Merger {
 }
 
 // Root returns the serialized whole-search work unit that seeds a
-// distributed frontier, exactly as the in-process drivers seed theirs.
+// distributed frontier, exactly as the in-process driver seeds its own.
 func (m *Merger) Root() WireUnit {
 	return snapFromUnit(&workUnit{root: true})
 }
@@ -145,7 +145,7 @@ func (m *Merger) Report(pending []WireUnit, cause StopCause, workers int, stats 
 	}
 	if workers > 0 {
 		// The registry's summary line reads the worker-count gauge the
-		// in-process drivers set at run start; a distributed merge sets
+		// in-process driver sets at run start; a distributed merge sets
 		// it to the fleet size.
 		m.met.workers.Set(int64(workers))
 	}

@@ -127,8 +127,8 @@ func TestDPORReduction(t *testing.T) {
 }
 
 // TestStrictModesUnchanged pins the determinism contract's strict side:
-// POR static and off under DFS produce byte-identical reports to the
-// historical NoPOR-flag spellings, and the dynamic-only counters stay
+// POR static under DFS produces a byte-identical report whether spelled
+// out or defaulted, and the dynamic-only counters stay
 // zero there (so snapshots and reports serialize byte-identically to
 // the pre-DPOR format).
 func TestStrictModesUnchanged(t *testing.T) {
@@ -148,14 +148,7 @@ func TestStrictModesUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offLegacy, err := Explore(closed, Options{NoPOR: true, MaxIncidents: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := reportDigest(off), reportDigest(offLegacy); got != want {
-		t.Errorf("POR=off diverged from NoPOR:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	for _, rep := range []*Report{static, staticExplicit, off, offLegacy} {
+	for _, rep := range []*Report{static, staticExplicit, off} {
 		if rep.PorBacktracks != 0 || rep.PorSleepBlocked != 0 || rep.PorDynamicPruned != 0 {
 			t.Errorf("strict mode bumped dynamic-POR counters: backtracks=%d sleepblocked=%d pruned=%d",
 				rep.PorBacktracks, rep.PorSleepBlocked, rep.PorDynamicPruned)

@@ -1,12 +1,9 @@
 package explore
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"reclose/internal/faultinject"
 	"reclose/internal/interp"
@@ -82,11 +79,11 @@ type entry struct {
 
 func (e *entry) choice() int { return e.options[e.cursor] }
 
-// engine is the stateless DFS core shared by the sequential explorer
-// and the parallel workers. A sequential search runs one engine over
-// the whole tree; a parallel worker runs one engine per claimed work
-// unit, replaying the unit's decision prefix (base) before extending
-// the subtree depth-first.
+// engine is the stateless DFS core each worker of a search owns. It
+// explores one claimed work unit at a time — the whole tree as the root
+// unit, or a spilled or restored subtree — reaching the unit's decision
+// point from its snapshot or by replaying its decision prefix (base),
+// then extending the subtree depth-first.
 type engine struct {
 	// sys is the engine's private machine — the interpreter tier
 	// selected by Options.Engine behind the uniform Machine interface
@@ -154,7 +151,7 @@ type engine struct {
 	covered coverage
 	// cache is the search's shared visited-state set (nil without
 	// StateCache): one statecache.Cache per run, shared by every
-	// engine of a parallel search.
+	// engine of the search.
 	cache  *statecache.Cache
 	fpBuf  []byte        // fingerprint/cache-key scratch
 	enBuf  []int         // enabled-process scratch (scheduleOptions)
@@ -194,9 +191,7 @@ type engine struct {
 	met    *exploreMetrics
 	metCur metricsCursor
 
-	ch    interp.Chooser
-	stop  bool
-	cause StopCause
+	ch interp.Chooser
 	// midPath is set when a path was cut at a fresh, not-yet-explored
 	// state (cancellation, timeout, or budget): residualUnits then
 	// emits a continuation unit for that state's subtree.
@@ -205,40 +200,27 @@ type engine struct {
 	// the panic recovery uses it to avoid double-counting a path when
 	// the panic came from the OnLeaf callback.
 	pathEnded bool
-	tick      int
 
-	// Sequential-mode cancellation sources (parallel searches stop via
-	// shared instead).
-	ctx      context.Context
-	deadline time.Time
-	// Restored totals of a resumed sequential search, for the MaxStates
-	// budget and progress snapshots (the engine's own counters restart
-	// at zero; the accumulator adds them to the restored totals).
-	preStates      int64
-	preTransitions int64
-	prePaths       int64
-
-	// Parallel-mode hooks; all nil/zero in sequential mode.
+	// shared is the search's stop and pause flags, budget and live
+	// counters, one per search whatever the worker count.
 	shared *sharedState
-	spill  func(*workUnit)
-	leafMu *sync.Mutex
-
-	// Sequential progress pacing.
-	start        time.Time
-	lastProgress time.Time
+	// spill publishes a unit on the frontier; nil for the inline
+	// depth-first search, which never spills.
+	spill func(*workUnit)
 }
 
-// newEngine builds an engine over its private machine. footprint and
-// sites may be shared (read-only) with other engines of the same
-// search.
-func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *siteTable) *engine {
-	e := &engine{sys: sys, opt: opt, footprint: fps, sites: sites, met: noMetrics}
+// newEngine builds an engine over its private machine. footprint, sites
+// and shared are common to every engine of the search, the first two
+// read-only.
+func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *siteTable, shared *sharedState) *engine {
+	e := &engine{sys: sys, opt: opt, footprint: fps, sites: sites, met: noMetrics, shared: shared}
+	e.rep = &Report{}
+	e.covered = newCoverage(sites)
 	e.tossSites = newCoverage(sites)
 	if opt.Liveness {
 		e.liveStack = statecache.NewStackSet()
 	}
 	e.ch = e.chooser()
-	e.reset()
 	return e
 }
 
@@ -247,82 +229,6 @@ func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *site
 func (e *engine) setMetrics(m *exploreMetrics) {
 	e.met = m
 	e.sys.SetMetrics(m.interp)
-}
-
-// reset prepares the engine for a fresh search (or checkpoint round).
-// The restored pre* totals and cancellation sources survive resets;
-// they belong to the whole search.
-func (e *engine) reset() {
-	e.rep = &Report{}
-	e.covered = newCoverage(e.sites)
-	e.base = nil
-	e.baseSched = 0
-	e.baseSleep = nil
-	e.snapRoot = nil
-	e.snapTrace = nil
-	e.clearStack()
-	if e.liveStack != nil {
-		e.liveStack.Truncate(0)
-	}
-	e.stop = false
-	e.cause = StopNone
-	e.midPath = false
-	e.pathEnded = false
-	e.metCur = metricsCursor{}
-	e.start = time.Now()
-	e.lastProgress = e.start
-}
-
-// halt aborts the search with the given cause: locally, and globally
-// when running under a parallel frontier.
-func (e *engine) halt(c StopCause) {
-	e.stop = true
-	if e.cause == StopNone {
-		e.cause = c
-	}
-	if e.shared != nil {
-		e.shared.requestStop(c)
-	}
-}
-
-// checkStop polls the stop sources that can cut a path at a fresh
-// state: the shared stop flag of a parallel search, and — sequential
-// mode — the context and wall-clock deadline, sampled every 64 states
-// to keep the hot loop cheap.
-func (e *engine) checkStop() bool {
-	if e.stop {
-		return true
-	}
-	if e.shared != nil {
-		if e.shared.stopped() {
-			e.stop = true
-			if e.cause == StopNone {
-				e.cause = e.shared.cause()
-			}
-			return true
-		}
-		return false
-	}
-	if e.ctx == nil && e.deadline.IsZero() {
-		return false
-	}
-	e.tick++
-	if e.tick&63 != 0 {
-		return false
-	}
-	if e.ctx != nil {
-		select {
-		case <-e.ctx.Done():
-			e.halt(StopCancelled)
-			return true
-		default:
-		}
-	}
-	if !e.deadline.IsZero() && time.Now().After(e.deadline) {
-		e.halt(StopTimeout)
-		return true
-	}
-	return false
 }
 
 // chooser returns the Chooser used during path execution: it replays
@@ -409,8 +315,7 @@ func (e *engine) pop() {
 	e.putEntry(top)
 }
 
-// clearStack pops everything: a search round ended or a new unit is
-// being loaded.
+// clearStack pops everything: a new unit is being loaded.
 func (e *engine) clearStack() {
 	for len(e.stack) > 0 {
 		e.pop()
@@ -586,27 +491,17 @@ func (e *engine) runPath() {
 		// uninterrupted run exactly. The MaxStates budget is reserved
 		// with a single add-and-check (rolled back on failure), so the
 		// shared count never overshoots the bound.
-		if e.checkStop() {
+		if e.shared.stopped() {
 			e.midPath = true
 			return
 		}
-		if e.shared != nil {
-			n := e.shared.states.Add(1)
-			if e.shared.maxStates > 0 && n > e.shared.maxStates {
-				e.shared.states.Add(-1)
-				e.halt(StopMaxStates)
-				e.midPath = true
-				return
-			}
-		} else if e.opt.MaxStates > 0 && e.rep.States+e.preStates >= e.opt.MaxStates {
-			e.halt(StopMaxStates)
+		if n := e.shared.states.Add(1); e.shared.maxStates > 0 && n > e.shared.maxStates {
+			e.shared.states.Add(-1)
+			e.shared.requestStop(StopMaxStates)
 			e.midPath = true
 			return
 		}
 		e.rep.States++
-		if e.shared == nil {
-			e.maybeProgress()
-		}
 		if hook := e.opt.testPanicAtState; hook != nil && hook(e.pathDecisions()) {
 			panic("injected test panic")
 		}
@@ -745,9 +640,7 @@ func (e *engine) runPath() {
 			e.dporTrack(len(e.stack)-1, p, en)
 		}
 		e.rep.Transitions++
-		if e.shared != nil {
-			e.shared.transitions.Add(1)
-		}
+		e.shared.transitions.Add(1)
 		ev, out := e.sys.Step(p, e.ch)
 		e.pushTrace(ev)
 		if out != nil {
@@ -771,9 +664,7 @@ func (e *engine) pushTrace(ev interp.Event) {
 // noteReplayStep accounts one re-executed prefix transition.
 func (e *engine) noteReplayStep() {
 	e.rep.ReplaySteps++
-	if e.shared != nil {
-		e.shared.replaySteps.Add(1)
-	}
+	e.shared.replaySteps.Add(1)
 }
 
 // pathDecisions returns a copy of the full decision sequence of the
@@ -852,7 +743,7 @@ func (e *engine) prepareUnit(u *workUnit) {
 		e.push(en)
 	}
 	// Reaching the unit's subtree restarts a path: one replay, exactly
-	// as the sequential engine counts one per backtrack. Replays counts
+	// as a backtrack counts one. Replays counts
 	// path restarts, however the restart reaches its state — replaying
 	// the prefix, or restoring the unit's snapshot — so it is identical
 	// across SnapshotSpill modes; only ReplaySteps (transitions
@@ -883,10 +774,10 @@ func (e *engine) residualUnits() []*workUnit {
 	sleepCtx := e.baseSleep
 	for _, en := range e.stack {
 		if en.cursor+1 < len(en.options) {
-			// The entry's slices are published into the unit — and a
-			// sequential checkpoint continues exploring this same stack
-			// afterwards, so the entry must never reach the pool (a
-			// recycled backing array would clobber the published unit).
+			// The entry's slices are published into the unit — and after
+			// a checkpoint the search continues on this same stack, so
+			// the entry must never reach the pool (a recycled backing
+			// array would clobber the published unit).
 			en.shared = true
 			u := &workUnit{
 				prefix:  append([]Decision(nil), prefix...),
@@ -1184,14 +1075,9 @@ func (e *engine) leafOutcome(out *interp.Outcome) {
 // noteIncident bumps the shared incident counter and the
 // states-at-first-incident watermark.
 func (e *engine) noteIncident() {
-	r := e.rep
-	if e.shared != nil {
-		e.shared.incidents.Add(1)
-		if r.StatesAtFirstIncident == 0 {
-			r.StatesAtFirstIncident = e.shared.states.Load()
-		}
-	} else if r.StatesAtFirstIncident == 0 {
-		r.StatesAtFirstIncident = r.States + e.preStates
+	e.shared.incidents.Add(1)
+	if e.rep.StatesAtFirstIncident == 0 {
+		e.rep.StatesAtFirstIncident = e.shared.states.Load()
 	}
 }
 
@@ -1200,11 +1086,8 @@ func (e *engine) leaf(kind LeafKind, msg string) {
 	e.pathEnded = true
 	r := e.rep
 	r.Paths++
-	if e.shared != nil {
-		n := e.shared.paths.Add(1)
-		if e.shared.ckptEveryPaths > 0 && n%e.shared.ckptEveryPaths == 0 {
-			e.shared.requestStop(stopCheckpoint)
-		}
+	if n, every := e.shared.paths.Add(1), e.shared.ckptEveryPaths; every > 0 && n%every == 0 {
+		e.shared.requestPause()
 	}
 	switch kind {
 	case LeafTerminated:
@@ -1242,78 +1125,49 @@ func (e *engine) leaf(kind LeafKind, msg string) {
 	// the mutex held and deadlocking the other workers.
 	if e.opt.OnLeaf != nil && kind != LeafInternalError {
 		func() {
-			if e.leafMu != nil {
-				e.leafMu.Lock()
-				defer e.leafMu.Unlock()
-			}
+			e.shared.leafMu.Lock()
+			defer e.shared.leafMu.Unlock()
 			e.opt.OnLeaf(kind, e.trace)
 		}()
 	}
 	if e.opt.StopOnViolation && (kind == LeafViolation || kind == LeafTrap) {
-		e.halt(StopViolation)
+		e.shared.requestStop(StopViolation)
 	}
 	if e.opt.StopOnIncident && interesting && kind != LeafInternalError {
-		e.halt(StopIncident)
+		e.shared.requestStop(StopIncident)
 	}
 }
 
-// recordSample stores an incident sample, bounded by MaxIncidents. The
-// sequential engine keeps the first MaxIncidents in discovery order
-// (legacy behavior); a parallel engine keeps the MaxIncidents smallest
-// under sampleLess so the merged selection is independent of work
-// distribution.
+// recordSample stores an incident sample, keeping the MaxIncidents
+// smallest under sampleLess so the merged selection is independent of
+// worker count and work distribution. Depth orders first, so a full set
+// rejects a deeper sample before anything is copied.
 func (e *engine) recordSample(kind LeafKind, msg string) {
 	r := e.rep
+	depth := e.schedDepth()
 	full := len(r.Samples) >= e.opt.MaxIncidents
-	if full && e.shared == nil {
+	if full && depth > r.Samples[len(r.Samples)-1].Depth {
 		return
 	}
-	in := &Incident{
-		Kind: kind, Msg: msg, Depth: e.schedDepth(),
-		Trace:     append([]interp.Event(nil), e.trace...),
-		Decisions: e.pathDecisions(),
-	}
+	in := &Incident{Kind: kind, Msg: msg, Depth: depth}
 	if e.lasso != nil {
 		// A livelock witness replays the whole lasso: the path's
 		// decisions extended by the red search's, with the stem/cycle
 		// split recorded (cycle.go).
 		in.Decisions = e.lasso.decisions
 		in.CycleStart = e.lasso.cycleStart
+	} else {
+		in.Decisions = e.pathDecisions()
 	}
 	if full {
-		// Parallel bounded insert: replace the largest sample if the
-		// new one orders before it.
-		last := r.Samples[len(r.Samples)-1]
-		if !sampleLess(in, last) {
+		if !sampleLess(in, r.Samples[len(r.Samples)-1]) {
 			return
 		}
-		r.Samples[len(r.Samples)-1] = in
-	} else {
-		r.Samples = append(r.Samples, in)
+		r.Samples = r.Samples[:len(r.Samples)-1]
 	}
+	in.Trace = append([]interp.Event(nil), e.trace...)
+	r.Samples = append(r.Samples, in)
 	sortSamples(r.Samples)
-}
-
-// maybeProgress delivers the sequential engine's periodic progress
-// callback, checked every 4096 states to keep the hot loop cheap.
-func (e *engine) maybeProgress() {
-	if e.opt.Progress == nil || e.rep.States&4095 != 0 {
-		return
-	}
-	now := time.Now()
-	if now.Sub(e.lastProgress) < e.opt.ProgressEvery {
-		return
-	}
-	e.lastProgress = now
-	e.opt.Progress(Stats{
-		States:      e.rep.States + e.preStates,
-		Transitions: e.rep.Transitions + e.preTransitions,
-		ReplaySteps: e.rep.ReplaySteps,
-		Paths:       e.rep.Paths + e.prePaths,
-		Incidents:   e.rep.Incidents(),
-		Workers:     0,
-		Elapsed:     now.Sub(e.start),
-	})
 }
 
 // appendSleepKey folds the pending sleep set into a cache key whose

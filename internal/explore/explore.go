@@ -14,28 +14,31 @@
 // assertion violations, runtime errors, and divergences up to a depth
 // bound.
 //
-// The engine is layered:
+// There is one search driver (worker.go) over these layers:
 //
-//   - engine.go — the stateless DFS core, replaying a decision prefix
-//     and extending paths depth-first (shared by both modes);
+//   - engine.go — the stateless DFS core, reaching a work unit's
+//     decision point and extending paths depth-first from it;
 //   - restore.go — the snapshot pool under the decision stack that
 //     lets a path start from its deepest saved state;
-//   - frontier.go — the work-unit abstraction (a schedule/toss prefix
-//     plus its pending sibling choices) behind a sharded work-stealing
-//     deque;
-//   - worker.go — N workers, each owning a private interp.System,
-//     claiming prefixes, DFS-ing their subtrees, and spilling
-//     unexplored sibling subtrees back to the frontier;
-//   - stats.go — atomic counters and periodic progress callbacks;
-//   - merge.go — deterministic combination of per-worker partial
+//   - frontier.go — the work unit (a schedule/toss prefix plus its
+//     pending sibling choices) and the pool of them: a work-stealing
+//     deque per worker, or one score-ordered heap in priority mode;
+//   - worker.go — the driver and its workers, each owning a private
+//     machine and engine, claiming units, DFS-ing their subtrees, and
+//     spilling unexplored sibling subtrees back to the frontier;
+//   - stats.go — the state every engine of a search shares (stop and
+//     pause flags, budget, live counters) and progress callbacks;
+//   - merge.go — deterministic combination of per-engine partial
 //     reports into one Report.
 //
-// Options.Workers selects the mode: 0 preserves the classic sequential
-// exploration order exactly; N >= 1 runs the parallel engine. Because
-// stateless DFS explores independent schedule-prefix subtrees with
-// deterministic replay, the parallel counters (states, transitions,
-// paths, replays) of a complete search are identical to the sequential
-// ones regardless of worker count or scheduling.
+// Options.Workers sets how the worker loop runs, not which loop: 0 runs
+// the single worker inline on the caller's goroutine and never spills a
+// depth-first search, so the whole tree is one root unit explored in
+// the classic sequential order exactly; N >= 1 runs N workers on their
+// own goroutines. Because stateless DFS explores independent
+// schedule-prefix subtrees with deterministic replay, the counters
+// (states, transitions, paths, replays) of a complete search are
+// identical at every worker count, whatever the scheduling.
 package explore
 
 import (
@@ -84,10 +87,6 @@ type Options struct {
 	// same incident multiset as the static oracle but explores a
 	// different (smaller) tree. See dpor.go and DESIGN.md §14.
 	POR PORMode
-	// NoPOR disables persistent-set reduction (all enabled processes are
-	// scheduled at every state). Equivalent to POR == POROff; kept for
-	// compatibility, withDefaults keeps the two in sync.
-	NoPOR bool
 	// NoSleep disables sleep sets.
 	NoSleep bool
 	// Liveness enables non-progress cycle (livelock) detection: a
@@ -103,16 +102,16 @@ type Options struct {
 	// detector) and SnapshotSpill is disabled so spilled units rebuild
 	// the live stack by replay. Static persistent sets and sleep sets
 	// stay active and can hide cycles only closable under a pruned
-	// interleaving; run with NoPOR/NoSleep for the exhaustive graph.
+	// interleaving; run with POROff/NoSleep for the exhaustive graph.
 	// See cycle.go and docs/DESIGN.md.
 	Liveness bool
 	// Search selects the frontier discipline: SearchDFS (default) is
 	// the classic LIFO depth-first order; SearchPriority explores the
 	// best-scored pending subtree first, under Score (DefaultScore when
 	// nil). Priority search relaxes strict order determinism to the
-	// same-incident-multiset contract and, uniquely, makes the
-	// sequential driver spill shallow sibling subtrees into its queue
-	// so there is something to prioritize.
+	// same-incident-multiset contract and, uniquely, makes the inline
+	// worker of Workers: 0 spill shallow sibling subtrees too, so the
+	// heap has something to prioritize.
 	Search SearchMode
 	// Score ranks frontier units in priority mode; nil means
 	// DefaultScore. InterestScore builds one from a set of interesting
@@ -157,13 +156,15 @@ type Options struct {
 	// degrades, soundness does not) but must never answer true for an
 	// unvisited one.
 	CacheVisit func(hash uint64, key []byte, depth int) bool
-	// MaxIncidents bounds the recorded incident samples per kind;
-	// counters are exact regardless. Default 16.
+	// MaxIncidents bounds the recorded incident samples: the search keeps
+	// the MaxIncidents smallest under (depth, decision sequence, message),
+	// the same ones at every worker count; counters are exact
+	// regardless. Default 16.
 	MaxIncidents int
 	// OnLeaf, if non-nil, is invoked at the end of every explored path
 	// with the leaf kind and the visible trace of the path. The trace
-	// slice is reused; copy it to retain. With Workers > 0 the callback
-	// is serialized under a mutex but invoked in nondeterministic order.
+	// slice is reused; copy it to retain. The callback is serialized under
+	// a mutex; with Workers > 1 it is invoked in nondeterministic order.
 	OnLeaf func(kind LeafKind, trace []interp.Event)
 	// StopOnViolation aborts the search at the first assertion violation
 	// or runtime error.
@@ -172,16 +173,17 @@ type Options struct {
 	// runtime error, or divergence (used by ShortestWitness).
 	StopOnIncident bool
 
-	// Workers selects the exploration engine: 0 runs the classic
-	// sequential depth-first search, preserving today's exact
-	// exploration order; N >= 1 runs the parallel work-stealing engine
-	// with N workers; a negative value uses runtime.GOMAXPROCS(0)
-	// workers.
+	// Workers sets how the search's worker loop runs: 0 runs one worker
+	// inline on the caller's goroutine — no goroutine of the search
+	// executes transitions — without spilling a depth-first search, which
+	// preserves the classic sequential exploration order exactly; N >= 1
+	// runs N work-stealing workers on their own goroutines; a negative
+	// value uses runtime.GOMAXPROCS(0) workers.
 	Workers int
 	// SpillDepth is the scheduling depth above which workers spill
-	// unexplored sibling subtrees back to the shared frontier (parallel
-	// engine only); deeper siblings are explored in-worker by ordinary
-	// backtracking. 0 means the default (16). Spilling is unconditional
+	// unexplored sibling subtrees back to the shared frontier (Workers >
+	// 0, or priority search); deeper siblings are explored in-worker by
+	// ordinary backtracking. 0 means the default (16). Spilling is unconditional
 	// below the bound, which keeps the set of work units — and hence
 	// every merged counter — independent of worker timing.
 	SpillDepth int
@@ -196,10 +198,10 @@ type Options struct {
 	// replay mode — only the cost counter ReplaySteps drops, since
 	// prefix transitions are no longer re-executed. Checkpoints still
 	// serialize decision prefixes, never snapshots, so restored units
-	// replay. Units are spilled by the parallel engine and by the
-	// sequential priority search; the sequential depth-first search
-	// never spills, so the flag changes nothing there (its backtracking
-	// restores snapshots regardless).
+	// replay. Units are spilled with Workers > 0 and by priority search;
+	// a depth-first search at Workers: 0 never spills, so the flag
+	// changes nothing there (its backtracking restores snapshots
+	// regardless).
 	SnapshotSpill bool
 	// Fault, if non-nil, is a fault-injection plan fired at the
 	// engine's hook points — currently faultinject.PointExplorePath,
@@ -233,9 +235,14 @@ type Options struct {
 	// Checkpoint, if non-nil, receives periodic snapshots of the
 	// running search: the unexplored frontier (as decision-prefix work
 	// units) plus the merged partial counters and incident samples. A
-	// snapshot can be persisted and later passed to Resume. With
-	// Workers > 0 each checkpoint briefly drains the workers to a path
-	// boundary so the snapshot is exact.
+	// snapshot can be persisted and later passed to Resume. A checkpoint
+	// is a read: every worker pauses at its next path boundary, the
+	// snapshot is taken off their stacks and the frontier as they stand,
+	// the callback runs on the goroutine that called Explore, and the
+	// same workers continue. With Workers <= 1 no Report counter differs
+	// from an uncheckpointed run; with more, only ReplaySteps can (which
+	// worker claims which unit shifts, and with it which prefixes
+	// replay).
 	Checkpoint func(*Snapshot)
 	// CheckpointEvery is the wall-clock period between checkpoints; 0
 	// disables time-based checkpointing.
@@ -277,14 +284,6 @@ func (opt Options) withDefaults() Options {
 	}
 	if opt.Workers < 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	// NoPOR and POR == POROff are the same switch; engine code reads
-	// only POR.
-	if opt.NoPOR {
-		opt.POR = POROff
-	}
-	if opt.POR == POROff {
-		opt.NoPOR = true
 	}
 	if opt.ProgressEvery <= 0 {
 		opt.ProgressEvery = time.Second
@@ -370,9 +369,6 @@ const (
 	StopCancelled                  // context cancelled (ExploreContext)
 	StopViolation                  // Options.StopOnViolation fired
 	StopIncident                   // Options.StopOnIncident fired
-	// stopCheckpoint is an internal round boundary of the parallel
-	// engine (periodic checkpoint drain); it never appears in a Report.
-	stopCheckpoint
 )
 
 // String names the stop cause.
@@ -390,8 +386,6 @@ func (c StopCause) String() string {
 		return "stop-on-violation"
 	case StopIncident:
 		return "stop-on-incident"
-	case stopCheckpoint:
-		return "checkpoint"
 	}
 	return "unknown"
 }
@@ -449,7 +443,7 @@ type Report struct {
 
 	// StatesAtFirstIncident is the number of states visited when the
 	// first deadlock, violation, trap, or divergence was found (0 if
-	// none was found). In parallel runs it is a snapshot of the shared
+	// none was found). With Workers > 1 it is a snapshot of the shared
 	// state counter and therefore approximate.
 	StatesAtFirstIncident int64
 
@@ -492,10 +486,11 @@ type Report struct {
 	OpsCovered int
 	OpsTotal   int
 
-	// Workers is the number of parallel workers that produced the
-	// report (0 for a sequential search).
+	// Workers is the Options.Workers value (defaults resolved) the
+	// report was produced under: 0 for the inline search.
 	Workers int
-	// WorkerStats carries per-worker utilization of a parallel run.
+	// WorkerStats carries per-worker utilization (one entry at Workers:
+	// 0, for the inline worker).
 	WorkerStats []WorkerStat
 
 	Samples []*Incident
@@ -548,23 +543,19 @@ func (r *Report) FirstIncident(kind LeafKind) *Incident {
 }
 
 // Explore runs the search to completion (or truncation) and returns the
-// report. Options.Workers selects between the sequential engine (0) and
-// the parallel work-stealing engine (>= 1).
+// report.
 func Explore(u *cfg.Unit, opt Options) (*Report, error) {
 	return ExploreContext(context.Background(), u, opt)
 }
 
 // ExploreContext is Explore under a context: cancelling ctx stops the
-// search gracefully. Workers drain at path boundaries, their partial
-// results merge exactly, and the Report comes back marked Incomplete
-// with Cause StopCancelled — never an error, never a torn merge. The
-// same applies to Options.Timeout and the MaxStates budget.
+// search gracefully. Workers return at path boundaries or at a fresh
+// state they have not counted, their partial results merge exactly, and
+// the Report comes back marked Incomplete with Cause StopCancelled —
+// never an error, never a torn merge. The same applies to
+// Options.Timeout and the MaxStates budget.
 func ExploreContext(ctx context.Context, u *cfg.Unit, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
-	if opt.Workers > 0 {
-		return runParallel(ctx, u, opt, nil)
-	}
-	return runSequential(ctx, u, opt, nil)
+	return search(ctx, u, opt.withDefaults(), nil)
 }
 
 // Resume continues a search from a checkpoint snapshot previously
@@ -586,163 +577,11 @@ func Resume(u *cfg.Unit, snap *Snapshot, opt Options) (*Report, error) {
 // ResumeContext is Resume under a context; a resumed search can itself
 // be cancelled, timed out, and checkpointed again.
 func ResumeContext(ctx context.Context, u *cfg.Unit, snap *Snapshot, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	restored, err := restoreSnapshot(u, snap)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Workers > 0 {
-		return runParallel(ctx, u, opt, restored)
-	}
-	return runSequential(ctx, u, opt, restored)
-}
-
-// Explorer drives a sequential search over one system. It is a thin
-// wrapper over the sequential driver; parallel searches go through
-// Explore with Options.Workers set.
-type Explorer struct {
-	u   *cfg.Unit
-	opt Options
-}
-
-// New returns a sequential explorer over a closed unit.
-func New(u *cfg.Unit, opt Options) (*Explorer, error) {
-	if _, err := interp.NewMachine(u, opt.Engine); err != nil {
-		return nil, err
-	}
-	return &Explorer{u: u, opt: opt.withDefaults()}, nil
-}
-
-// Run executes the depth-first search.
-func (x *Explorer) Run() *Report {
-	rep, err := runSequential(context.Background(), x.u, x.opt, nil)
-	if err != nil {
-		// New already validated the unit; a failure here is a bug.
-		panic(err)
-	}
-	return rep
-}
-
-// runSequential is the sequential driver: it processes a LIFO stack of
-// work units — the whole tree as one root unit, or a restored frontier
-// — on a single engine, emitting checkpoints at path boundaries and
-// stopping gracefully on cancellation, timeout, or budget exhaustion.
-func runSequential(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredState) (*Report, error) {
-	res, err := interp.Resolve(u)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := newMachine(res, opt)
-	if err != nil {
-		return nil, err
-	}
-	sites := newSiteTable(u)
-	e := newEngine(sys, opt, footprints(u), sites)
-	cache := newStateCache(opt)
-	e.cache = cache
-	e.ctx = ctx
-	if opt.Timeout > 0 {
-		e.deadline = time.Now().Add(opt.Timeout)
-	}
-	met := newExploreMetrics(opt.Obs)
-	met.workers.Set(0)
-	met.emitRunStart(opt, restored != nil)
-	met.noteEngine(opt, res)
-	e.setMetrics(met)
-	start := time.Now()
-
-	acc := newAccum(opt, sites, len(u.Processes))
-	q := &seqQueue{priority: opt.Search == SearchPriority, met: met}
-	q.push(&workUnit{root: true})
-	if restored != nil {
-		acc.addRestored(restored)
-		met.addRestored(restored.rep)
-		met.emitResume(restored)
-		q.reset(restored.units)
-		e.preStates = restored.rep.States
-		e.preTransitions = restored.rep.Transitions
-		e.prePaths = restored.rep.Paths
-	}
-	if opt.Search == SearchPriority {
-		// Priority mode makes the sequential engine spill shallow
-		// sibling subtrees into the queue (DFS mode never spills:
-		// backtracking preserves the classic order exactly), so the
-		// heap has units to prioritize.
-		e.spill = func(u *workUnit) { q.push(u) }
-	}
-
-	var nextCkpt time.Time
-	if opt.Checkpoint != nil && opt.CheckpointEvery > 0 {
-		nextCkpt = time.Now().Add(opt.CheckpointEvery)
-	}
-	var nextCkptPaths int64
-	if opt.Checkpoint != nil && opt.CheckpointEveryPaths > 0 {
-		nextCkptPaths = acc.rep.Paths + opt.CheckpointEveryPaths
-	}
-
-	for q.len() > 0 && !e.stop {
-		unit := q.pop()
-		// Claim-splitting, sequential flavor: explore options[from]
-		// now, its remaining siblings right after — preserving exact
-		// DFS order (in priority mode the split re-enters the heap at
-		// the unit's score).
-		if unit.rest() {
-			q.push(unit.split())
-		}
-		e.prepareUnit(unit)
-		for {
-			e.runPathSafe()
-			if e.stop {
-				break
-			}
-			// A checkpoint at a path boundary is a pure read: the DFS
-			// stack plus the pending units are exactly the unexplored
-			// remainder, and the search continues untouched.
-			if opt.Checkpoint != nil {
-				paths := acc.rep.Paths + e.rep.Paths
-				due := nextCkptPaths > 0 && paths >= nextCkptPaths
-				if !due && !nextCkpt.IsZero() && time.Now().After(nextCkpt) {
-					due = true
-				}
-				if due {
-					units := append(q.snapshot(), e.residualUnits()...)
-					snap := seqSnapshot(acc, e, units, cache)
-					met.emitCheckpoint(snap)
-					opt.Checkpoint(snap)
-					if nextCkptPaths > 0 {
-						nextCkptPaths = paths + opt.CheckpointEveryPaths
-					}
-					if !nextCkpt.IsZero() {
-						nextCkpt = time.Now().Add(opt.CheckpointEvery)
-					}
-				}
-			}
-			if !e.backtrack() {
-				break
-			}
-			e.rep.Replays++
-		}
-	}
-	// Counters bumped between paths (backtrack fold-ins, final pops)
-	// have no later path boundary to flush them; flush once more.
-	met.flushReport(e.rep, &e.metCur)
-
-	stopped := e.stop
-	cause := e.cause
-	leftover := append(q.snapshot(), e.residualUnits()...)
-	acc.addEngine(e)
-	rep := acc.finalize(0, nil)
-	rep.cacheSum = cacheSnap(cache)
-	met.noteCacheStats(opt.Obs, cache)
-	if stopped && cause != StopNone {
-		rep.Incomplete = true
-		rep.Truncated = true
-		rep.Cause = cause
-		rep.pending = leftover
-		met.emitTruncation(cause, rep)
-	}
-	met.emitRunStop(rep, time.Since(start))
-	return rep, nil
+	return search(ctx, u, opt.withDefaults(), restored)
 }
 
 // newMachine instantiates one machine of the configured engine over the
@@ -766,8 +605,7 @@ func newMachine(res *interp.Resolution, opt Options) (interp.Machine, error) {
 }
 
 // newStateCache builds the search's shared visited-state set, or nil
-// when StateCache is off. Both drivers construct exactly one cache per
-// run and attach it to every engine. An external CacheVisit supplants
+// when StateCache is off: one cache per run, attached to every engine. An external CacheVisit supplants
 // the in-process cache entirely: the engine still hashes states, but
 // membership lives wherever the callback says it does.
 func newStateCache(opt Options) *statecache.Cache {
@@ -779,14 +617,6 @@ func newStateCache(opt Options) *statecache.Cache {
 		MaxBytes: opt.MaxCacheBytes,
 		Hash:     opt.testCacheHash,
 	})
-}
-
-// copyUnits clones a unit slice (the units themselves are immutable).
-func copyUnits(units []*workUnit) []*workUnit {
-	if len(units) == 0 {
-		return nil
-	}
-	return append([]*workUnit(nil), units...)
 }
 
 // footprintTable precomputes the queries the persistent-set heuristic
@@ -989,7 +819,7 @@ func (c coverage) count() int {
 
 // sortSamples orders incident samples for presentation: shallowest
 // first, ties broken by the lexicographic order of their decision
-// sequences (which is exactly sequential DFS discovery order), so the
+// sequences (which is exactly depth-first discovery order), so the
 // ordering is stable regardless of worker count or scheduling.
 func sortSamples(s []*Incident) {
 	sort.SliceStable(s, func(i, j int) bool { return sampleLess(s[i], s[j]) })

@@ -103,7 +103,7 @@ func TestPORSameIncidents(t *testing.T) {
 		if err != nil {
 			t.Fatalf("CloseSource: %v", err)
 		}
-		full, err := explore.Explore(closed, explore.Options{NoPOR: true, NoSleep: true})
+		full, err := explore.Explore(closed, explore.Options{POR: explore.POROff, NoSleep: true})
 		if err != nil {
 			t.Fatalf("Explore full: %v", err)
 		}

@@ -8,7 +8,7 @@ import (
 	"reclose/internal/interp"
 )
 
-// workUnit is the unit of parallel work: a decision prefix reaching a
+// workUnit is the unit of search work: a decision prefix reaching a
 // scheduling point, the sibling options pending at that point, and the
 // index of the first option this unit covers. A worker claiming a unit
 // with several remaining options splits it — it pushes back a unit for
@@ -99,8 +99,8 @@ func (h unitHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h unitHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *unitHeap) Push(x any)        { *h = append(*h, x.(*workUnit)) }
+func (h unitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *unitHeap) Push(x any)   { *h = append(*h, x.(*workUnit)) }
 func (h *unitHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -109,57 +109,6 @@ func (h *unitHeap) Pop() any {
 	*h = old[:n-1]
 	return u
 }
-
-// seqQueue is the sequential driver's pending-unit store: a LIFO
-// stack in DFS mode (preserving the classic exploration order
-// exactly), a score-ordered max-heap in priority mode. Single-owner —
-// no locking.
-type seqQueue struct {
-	priority bool
-	units    unitHeap
-	seq      int64
-	met      *exploreMetrics
-}
-
-func (q *seqQueue) push(u *workUnit) {
-	if q.priority {
-		u.seq = q.seq
-		q.seq++
-		heap.Push(&q.units, u)
-		q.met.observePriority(u.score)
-		return
-	}
-	q.units = append(q.units, u)
-}
-
-func (q *seqQueue) pop() *workUnit {
-	if q.priority {
-		return heap.Pop(&q.units).(*workUnit)
-	}
-	n := len(q.units)
-	u := q.units[n-1]
-	q.units[n-1] = nil
-	q.units = q.units[:n-1]
-	return u
-}
-
-// reset replaces the queue's contents (restored snapshots).
-func (q *seqQueue) reset(units []*workUnit) {
-	q.units = nil
-	if q.priority {
-		for _, u := range units {
-			q.push(u)
-		}
-		return
-	}
-	q.units = append(q.units, units...)
-}
-
-func (q *seqQueue) len() int { return len(q.units) }
-
-// snapshot copies the pending units (checkpoints; the units themselves
-// are immutable).
-func (q *seqQueue) snapshot() []*workUnit { return copyUnits(q.units) }
 
 // decisionArena allocates the decision-prefix slices that spilled work
 // units publish to the frontier. Spill prefixes are immutable once
@@ -197,13 +146,14 @@ type frontierShard struct {
 	_     [64]byte
 }
 
-// frontier is the shared work pool. In DFS mode it is one shard per
-// worker: a worker pushes and pops its own shard LIFO (preserving
-// depth-first locality) and steals the oldest unit (FIFO) from sibling
-// shards when its own is empty — stolen units are the shallowest, i.e.
-// the largest subtrees. In priority mode every worker shares one
-// score-ordered max-heap instead: the globally most promising unit is
-// always claimed next, at the cost of one lock.
+// frontier is the search's work pool, at every worker count. In DFS
+// mode it is one shard per worker: a worker pushes and pops its own
+// shard LIFO (preserving depth-first locality — with a single worker
+// that is exactly the classic depth-first order) and steals the oldest
+// unit (FIFO) from sibling shards when its own is empty — stolen units
+// are the shallowest, i.e. the largest subtrees. In priority mode every
+// worker shares one score-ordered max-heap instead: the globally most
+// promising unit is always claimed next, at the cost of one lock.
 type frontier struct {
 	shards []frontierShard
 
@@ -224,7 +174,7 @@ type frontier struct {
 
 	priority bool
 
-	stop *atomic.Bool // the search's global stop flag
+	shared *sharedState // the search's stop and pause flags
 
 	// met carries the search's shared instruments (noMetrics when
 	// disabled): spill-queue and in-flight high-water gauges, steal
@@ -235,8 +185,8 @@ type frontier struct {
 	cond *sync.Cond
 }
 
-func newFrontier(shards int, priority bool, stop *atomic.Bool, met *exploreMetrics) *frontier {
-	f := &frontier{shards: make([]frontierShard, shards), priority: priority, stop: stop, met: met}
+func newFrontier(shards int, priority bool, shared *sharedState, met *exploreMetrics) *frontier {
+	f := &frontier{shards: make([]frontierShard, shards), priority: priority, shared: shared, met: met}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
@@ -267,18 +217,19 @@ func (f *frontier) push(worker int, u *workUnit) {
 }
 
 // claim blocks until a unit is available and returns it, or returns nil
-// when the search is over (no units queued or in flight) or has been
-// stopped. The caller must call done exactly once per claimed unit.
+// when the search is over (no units queued or in flight), is stopping,
+// or is pausing for a checkpoint. The caller must call done exactly
+// once per claimed unit.
 func (f *frontier) claim(worker int) *workUnit {
 	for {
-		if f.stop.Load() {
+		if f.shared.yielding() {
 			return nil
 		}
 		if u := f.take(worker); u != nil {
 			return u
 		}
 		f.mu.Lock()
-		for f.queued.Load() == 0 && f.inflight.Load() > 0 && !f.stop.Load() {
+		for f.queued.Load() == 0 && f.inflight.Load() > 0 && !f.shared.yielding() {
 			f.cond.Wait()
 		}
 		f.mu.Unlock()
@@ -340,32 +291,23 @@ func (f *frontier) done() {
 	}
 }
 
-// drain removes and returns every unit still queued on some shard,
-// retiring them from the in-flight count. It is called after all
-// workers have exited (no concurrent claims): the result is the
-// unclaimed part of the frontier at stop time, and afterwards the
-// frontier is empty and ready to be reseeded for another round.
-func (f *frontier) drain() []*workUnit {
-	var out []*workUnit
-	if f.priority {
-		f.pmu.Lock()
-		out = append(out, f.prio...)
-		f.prio = nil
-		f.pmu.Unlock()
-	}
+// contents copies the units still queued (the units themselves are
+// immutable), leaving the frontier as it is. It is called while no
+// worker runs: the result is the unclaimed part of the search.
+func (f *frontier) contents() []*workUnit {
+	f.pmu.Lock()
+	out := append([]*workUnit(nil), f.prio...)
+	f.pmu.Unlock()
 	for i := range f.shards {
 		s := &f.shards[i]
 		s.mu.Lock()
 		out = append(out, s.units...)
-		s.units = nil
 		s.mu.Unlock()
 	}
-	f.queued.Add(-int64(len(out)))
-	f.inflight.Add(-int64(len(out)))
 	return out
 }
 
-// wake broadcasts to all sleeping workers (termination or stop).
+// wake broadcasts to all sleeping workers (termination, stop or pause).
 func (f *frontier) wake() {
 	f.mu.Lock()
 	f.cond.Broadcast()

@@ -1,12 +1,12 @@
 package explore
 
-// accum accumulates partial results — per-round engine reports, restored
+// accum accumulates partial results — per-engine reports, restored
 // snapshot counters — into one Report. Every counter is a plain sum,
 // coverage bitmaps are ORed, and incident samples are re-sorted under
 // the same deterministic order each engine maintained locally — so for a
 // complete (non-truncated) search the merged report is identical
-// regardless of worker count, scheduling, or how many checkpoint rounds
-// the search was cut into.
+// regardless of worker count, scheduling, or how many times the search was
+// checkpointed and resumed.
 type accum struct {
 	opt     Options
 	sites   *siteTable

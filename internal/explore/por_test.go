@@ -15,7 +15,7 @@ import (
 // the reductions shrink the state count strictly.
 func TestPhilosophersDeadlock(t *testing.T) {
 	unit := core.MustCompileSource(progs.Philosophers(3))
-	full, err := explore.Explore(unit, explore.Options{NoPOR: true, NoSleep: true})
+	full, err := explore.Explore(unit, explore.Options{POR: explore.POROff, NoSleep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPipelineAssertHolds(t *testing.T) {
 	unit := core.MustCompileSource(progs.Pipeline(3, 2))
 	for _, opt := range []explore.Options{
 		{},
-		{NoPOR: true, NoSleep: true},
+		{POR: explore.POROff, NoSleep: true},
 		{NoSleep: true},
 	} {
 		rep, err := explore.Explore(unit, opt)
@@ -87,7 +87,7 @@ process b;
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := explore.Explore(unit, explore.Options{NoPOR: true, NoSleep: true})
+	full, err := explore.Explore(unit, explore.Options{POR: explore.POROff, NoSleep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +106,11 @@ process b;
 // revisits.
 func TestStateCacheAblation(t *testing.T) {
 	unit := core.MustCompileSource(progs.Pipeline(2, 2))
-	plain, err := explore.Explore(unit, explore.Options{NoPOR: true, NoSleep: true})
+	plain, err := explore.Explore(unit, explore.Options{POR: explore.POROff, NoSleep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := explore.Explore(unit, explore.Options{NoPOR: true, NoSleep: true, StateCache: true})
+	cached, err := explore.Explore(unit, explore.Options{POR: explore.POROff, NoSleep: true, StateCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTraceHelpers(t *testing.T) {
 // report.
 func TestMaxStatesTruncation(t *testing.T) {
 	unit := core.MustCompileSource(progs.Philosophers(4))
-	rep, err := explore.Explore(unit, explore.Options{NoPOR: true, NoSleep: true, MaxStates: 100})
+	rep, err := explore.Explore(unit, explore.Options{POR: explore.POROff, NoSleep: true, MaxStates: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

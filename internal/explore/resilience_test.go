@@ -96,7 +96,7 @@ func TestTimeoutPartialReport(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CloseSource: %v", err)
 	}
-	base := explore.Options{MaxIncidents: 1 << 20, NoPOR: true, NoSleep: true}
+	base := explore.Options{MaxIncidents: 1 << 20, POR: explore.POROff, NoSleep: true}
 	baseline, err := explore.Explore(closed, base)
 	if err != nil {
 		t.Fatalf("baseline Explore: %v", err)
@@ -151,7 +151,7 @@ func TestPreCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{0, 2} {
-		opt := explore.Options{Workers: workers, NoPOR: true, NoSleep: true}
+		opt := explore.Options{Workers: workers, POR: explore.POROff, NoSleep: true}
 		rep, err := explore.ExploreContext(ctx, closed, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: ExploreContext: %v", workers, err)

@@ -268,9 +268,9 @@ func (e *engine) walkSchedDepth() int {
 
 // driveEngine runs a sequential search on a hand-built engine, calling
 // setup (if any) once the engine exists and check at every fresh state
-// and after every path, and returns the engine's report. It is
-// runSequential without the queue, checkpoints and metrics, for tests
-// that need to look inside the engine.
+// and after every path, and returns the engine's report. It is the
+// worker loop on one root unit without the frontier, checkpoints and
+// metrics, for tests that need to look inside the engine.
 func driveEngine(t *testing.T, u *cfg.Unit, opt Options, setup, check func(e *engine)) *Report {
 	t.Helper()
 	opt = opt.withDefaults()
@@ -287,7 +287,7 @@ func driveEngine(t *testing.T, u *cfg.Unit, opt Options, setup, check func(e *en
 		check(e)
 		return false
 	}
-	e = newEngine(sys, opt, footprints(u), newSiteTable(u))
+	e = newEngine(sys, opt, footprints(u), newSiteTable(u), &sharedState{maxStates: opt.MaxStates})
 	e.cache = newStateCache(opt)
 	if setup != nil {
 		setup(e)
@@ -296,7 +296,7 @@ func driveEngine(t *testing.T, u *cfg.Unit, opt Options, setup, check func(e *en
 	for {
 		e.runPathSafe()
 		check(e)
-		if e.stop || !e.backtrack() {
+		if e.shared.stopped() || !e.backtrack() {
 			break
 		}
 		e.rep.Replays++

@@ -15,15 +15,18 @@ type Stats struct {
 	Paths       int64
 	Incidents   int64
 	// FrontierUnits is the number of work units currently queued on the
-	// frontier (0 for a sequential search).
+	// frontier.
 	FrontierUnits int64
 	Workers       int
 	Elapsed       time.Duration
 }
 
-// sharedState holds the atomic counters shared by all workers of a
-// parallel search: the source of progress snapshots, the MaxStates
-// bound, and the global stop flag with its cause.
+// sharedState is what the engines of one search share, at every worker
+// count: the atomic counters behind progress snapshots, the MaxStates
+// budget and the checkpoint cadence, and the two flags that send workers
+// back to the driver — stop (the search is being cut; honoured at the
+// next fresh state) and pause (a checkpoint is due; honoured at the next
+// path boundary, with every stack left as it stands).
 type sharedState struct {
 	states      atomic.Int64
 	transitions atomic.Int64
@@ -32,22 +35,29 @@ type sharedState struct {
 	incidents   atomic.Int64
 
 	maxStates int64 // 0 = unbounded
-	// ckptEveryPaths, when > 0, requests a checkpoint stop every time
+	// ckptEveryPaths, when > 0, requests a checkpoint pause every time
 	// the shared path counter crosses a multiple of it.
 	ckptEveryPaths int64
 	stop           atomic.Bool
+	pause          atomic.Bool
 	// causeVal records why the stop flag was raised (StopCause); the
 	// first requester wins. It is written before stop flips so a
 	// worker that observes the flag always reads a non-zero cause.
 	causeVal atomic.Int32
-	// wake, if non-nil, is invoked once when the stop flag flips, so
-	// workers sleeping on the frontier observe it.
+	// wake, if non-nil, is invoked when either flag flips, so workers
+	// sleeping on the frontier observe it.
 	wake func()
+	// leafMu serializes Options.OnLeaf across workers.
+	leafMu sync.Mutex
 }
 
 func (s *sharedState) stopped() bool { return s.stop.Load() }
 
 func (s *sharedState) cause() StopCause { return StopCause(s.causeVal.Load()) }
+
+// yielding reports whether workers should return to the driver: the
+// search is stopping, or pausing for a checkpoint.
+func (s *sharedState) yielding() bool { return s.stop.Load() || s.pause.Load() }
 
 // requestStop raises the stop flag with the given cause; only the first
 // cause sticks.
@@ -60,12 +70,17 @@ func (s *sharedState) requestStop(c StopCause) {
 	}
 }
 
-// resetStop re-arms the stop flag between checkpoint rounds. It must
-// only be called while no workers or watchers are running.
-func (s *sharedState) resetStop() {
-	s.stop.Store(false)
-	s.causeVal.Store(int32(StopNone))
+// requestPause asks every worker to return at its next path boundary so
+// the driver can read a checkpoint off them.
+func (s *sharedState) requestPause() {
+	if s.pause.CompareAndSwap(false, true) && s.wake != nil {
+		s.wake()
+	}
 }
+
+// clearPause re-arms the pause flag after a checkpoint. It must only be
+// called while no workers are running.
+func (s *sharedState) clearPause() { s.pause.Store(false) }
 
 func (s *sharedState) snapshot(workers int, f *frontier, start time.Time) Stats {
 	return Stats{
@@ -80,7 +95,8 @@ func (s *sharedState) snapshot(workers int, f *frontier, start time.Time) Stats 
 	}
 }
 
-// WorkerStat reports one worker's share of a parallel search.
+// WorkerStat reports one worker's share of a search (the inline worker
+// of Workers: 0 is worker 0).
 type WorkerStat struct {
 	Units  int64 // work units claimed
 	States int64 // global states this worker visited
@@ -90,8 +106,8 @@ type WorkerStat struct {
 	Utilization float64
 }
 
-// startProgress launches the progress ticker of a parallel search and
-// returns a function that stops it (delivering one final snapshot).
+// startProgress launches the search's progress ticker and returns a
+// function that stops it (delivering one final snapshot).
 func startProgress(opt Options, shared *sharedState, f *frontier, start time.Time) (stop func()) {
 	if opt.Progress == nil {
 		return func() {}

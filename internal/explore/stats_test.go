@@ -35,7 +35,7 @@ func TestRequestStopFirstCauseWins(t *testing.T) {
 // proves the protocol is data-race-free.
 func TestRequestStopConcurrent(t *testing.T) {
 	s := &sharedState{}
-	causes := []StopCause{StopTimeout, StopCancelled, StopMaxStates, stopCheckpoint}
+	causes := []StopCause{StopTimeout, StopCancelled, StopMaxStates, StopIncident}
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -60,19 +60,32 @@ func TestRequestStopConcurrent(t *testing.T) {
 	}
 }
 
-// TestResetStop checks the between-rounds re-arm: after resetStop the
-// state accepts a fresh cause, which is how checkpoint rounds continue
-// the search after snapshotting.
-func TestResetStop(t *testing.T) {
-	s := &sharedState{}
-	s.requestStop(stopCheckpoint)
-	s.resetStop()
-	if s.stopped() || s.cause() != StopNone {
-		t.Fatalf("after reset: stopped=%v cause=%v", s.stopped(), s.cause())
+// TestClearPause checks the checkpoint pause protocol: a pause wakes the
+// frontier once and makes workers yield without stopping the search, and
+// after clearPause the state accepts a fresh pause — which is how the
+// search continues after each checkpoint.
+func TestClearPause(t *testing.T) {
+	var woke atomic.Int64
+	s := &sharedState{wake: func() { woke.Add(1) }}
+	s.requestPause()
+	s.requestPause()
+	if !s.yielding() || s.stopped() || s.cause() != StopNone {
+		t.Fatalf("after pause: yielding=%v stopped=%v cause=%v", s.yielding(), s.stopped(), s.cause())
+	}
+	if got := woke.Load(); got != 1 {
+		t.Errorf("wake fired %d times, want 1", got)
+	}
+	s.clearPause()
+	if s.yielding() {
+		t.Fatal("still yielding after clearPause")
+	}
+	s.requestPause()
+	if !s.yielding() {
+		t.Error("pause did not re-arm")
 	}
 	s.requestStop(StopTimeout)
 	if s.cause() != StopTimeout {
-		t.Errorf("cause after re-arm = %v, want %v", s.cause(), StopTimeout)
+		t.Errorf("cause after a stop during a pause = %v, want %v", s.cause(), StopTimeout)
 	}
 }
 
@@ -85,8 +98,7 @@ func TestSharedSnapshot(t *testing.T) {
 	s.replaySteps.Store(8)
 	s.paths.Store(7)
 	s.incidents.Store(2)
-	var stop atomic.Bool
-	f := newFrontier(2, false, &stop, noMetrics)
+	f := newFrontier(2, false, s, noMetrics)
 	f.push(0, &workUnit{root: true})
 	f.push(1, &workUnit{root: true})
 
@@ -121,8 +133,7 @@ func TestStartProgressFinalDelivery(t *testing.T) {
 		},
 	}
 	s := &sharedState{}
-	var stopFlag atomic.Bool
-	f := newFrontier(2, false, &stopFlag, noMetrics)
+	f := newFrontier(2, false, s, noMetrics)
 	stop := startProgress(opt, s, f, time.Now())
 	s.states.Store(42)
 	stop()

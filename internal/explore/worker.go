@@ -7,49 +7,42 @@ import (
 
 	"reclose/internal/cfg"
 	"reclose/internal/interp"
+	"reclose/internal/statecache"
 )
 
-// worker is one parallel search worker: a private interpreter system
-// plus a DFS engine, claiming work units from the shared frontier.
+// worker is one search worker: a private machine plus a DFS engine,
+// claiming work units from the frontier.
 type worker struct {
 	id  int
 	eng *engine
 	f   *frontier
+	// cancelled is the search context's Done channel, polled at path
+	// boundaries (see run).
+	cancelled <-chan struct{}
 
+	// inUnit says the engine holds a claimed unit that is not retired:
+	// its stack is the unit's unexplored remainder. A worker that returns
+	// to the driver with it set continues the unit when run again.
+	inUnit bool
 	units  int64
-	states int64
-	paths  int64
 	busy   time.Duration
-	// residual collects the unexplored remainders of the units this
-	// worker had in flight when a round stopped; the driver reseeds or
-	// snapshots them.
-	residual []*workUnit
 }
 
-// runParallel executes a parallel work-stealing search in rounds: each
-// round seeds the frontier from the pending unit list, runs the workers
-// until the frontier is exhausted or a stop cause fires, then drains
-// everything left — unclaimed units plus each worker's in-flight
-// remainder — back into the pending list. A checkpoint stop snapshots
-// the list and continues with the next round; cancellation, timeout, or
-// a budget stop finalizes the partial report with the list attached.
-// Draining to path boundaries is what makes checkpoints and partial
-// reports exact: no counter is ever sampled mid-merge.
-func runParallel(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredState) (*Report, error) {
-	shared := &sharedState{maxStates: opt.MaxStates}
-	if opt.Checkpoint != nil {
-		shared.ckptEveryPaths = opt.CheckpointEveryPaths
-	}
-	met := newExploreMetrics(opt.Obs)
-	met.workers.Set(int64(opt.Workers))
-	met.emitRunStart(opt, restored != nil)
-	f := newFrontier(opt.Workers, opt.Search == SearchPriority, &shared.stop, met)
-	shared.wake = f.wake
-
-	fps := footprints(u)
-	sites := newSiteTable(u)
-	var leafMu sync.Mutex
-
+// search is the one search driver. max(1, Workers) engines share one
+// frontier and one sharedState; Workers: 0 runs the single worker's loop
+// inline on the caller's goroutine — and, under SearchDFS, without
+// spilling, so the whole tree stays one root unit explored by plain
+// backtracking in the classic order.
+//
+// Workers run until the frontier is exhausted or a flag sends them back:
+// stop (cancellation, timeout, budget, stop-on-incident) ends the
+// search, pause means a checkpoint is due. Either way every engine comes
+// back at a path boundary, or cut at a fresh state it has not counted,
+// with its stack, snapshot pool and claimed unit as they stood, so what
+// is left of the search can be read off the engines and the frontier
+// without disturbing them: a checkpoint is that read, after which the
+// same workers are started again.
+func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredState) (*Report, error) {
 	// Resolve the unit once — slot assignment and code compilation are
 	// immutable — and instantiate one private machine per worker from
 	// the shared Resolution.
@@ -57,34 +50,48 @@ func runParallel(ctx context.Context, u *cfg.Unit, opt Options, restored *restor
 	if err != nil {
 		return nil, err
 	}
-	// One shared visited-state set for the whole search (nil without
-	// StateCache): its sharded mutexes are the only locks the state
-	// loop touches, and checkpoint rounds keep it — the cache survives
-	// engine resets because pruning decisions are per-state facts, not
-	// per-round ones.
+	shared := &sharedState{maxStates: opt.MaxStates}
+	if opt.Checkpoint != nil {
+		shared.ckptEveryPaths = opt.CheckpointEveryPaths
+	}
+	met := newExploreMetrics(opt.Obs)
+	met.workers.Set(int64(opt.Workers))
+	met.emitRunStart(opt, restored != nil)
+	f := newFrontier(max(1, opt.Workers), opt.Search == SearchPriority, shared, met)
+	shared.wake = f.wake
+
+	fps := footprints(u)
+	sites := newSiteTable(u)
+	// One visited-state set for the whole search (nil without
+	// StateCache): its sharded mutexes are the only locks the state loop
+	// touches.
 	cache := newStateCache(opt)
-	workers := make([]*worker, opt.Workers)
+	workers := make([]*worker, len(f.shards))
 	for i := range workers {
 		m, err := newMachine(res, opt)
 		if err != nil {
 			return nil, err
 		}
-		eng := newEngine(m, opt, fps, sites)
-		eng.shared = shared
-		eng.leafMu = &leafMu
+		eng := newEngine(m, opt, fps, sites, shared)
 		eng.cache = cache
 		eng.setMetrics(met)
-		workers[i] = &worker{id: i, eng: eng, f: f}
+		if opt.Workers > 0 || opt.Search == SearchPriority {
+			// The inline depth-first search never spills: backtracking
+			// alone preserves the classic order. Priority search spills at
+			// every worker count, so the heap has units to rank.
+			eng.spill = func(u *workUnit) { f.push(i, u) }
+		}
+		workers[i] = &worker{id: i, eng: eng, f: f, cancelled: ctx.Done()}
 	}
 	met.noteEngine(opt, res)
 
 	acc := newAccum(opt, sites, len(u.Processes))
-	pending := []*workUnit{{root: true}}
+	seed := []*workUnit{{root: true}}
 	if restored != nil {
 		acc.addRestored(restored)
 		met.addRestored(restored.rep)
 		met.emitResume(restored)
-		pending = copyUnits(restored.units)
+		seed = restored.units
 		// Preload the shared counters with the restored totals so the
 		// MaxStates budget, the path-based checkpoint cadence, and
 		// progress snapshots all see whole-search numbers. The final
@@ -96,103 +103,60 @@ func runParallel(ctx context.Context, u *cfg.Unit, opt Options, restored *restor
 		shared.paths.Store(restored.rep.Paths)
 		shared.incidents.Store(restored.rep.Incidents())
 	}
-
-	var deadline time.Time
-	if opt.Timeout > 0 {
-		deadline = time.Now().Add(opt.Timeout)
-	}
-	var nextCkpt time.Time
-	if opt.Checkpoint != nil && opt.CheckpointEvery > 0 {
-		nextCkpt = time.Now().Add(opt.CheckpointEvery)
+	for i, un := range seed {
+		f.push(i, un)
 	}
 
 	start := time.Now()
 	stopProgress := startProgress(opt, shared, f, start)
-
-	cause := StopNone
-rounds:
+	stopWatch := startWatch(ctx, opt, shared)
 	for {
-		// Pre-round gate. One-shot signals (a cancelled context, an
-		// expired deadline) are re-checked here because the stop flag is
-		// re-armed between checkpoint rounds and their edge could land
-		// while a round was draining.
-		switch {
-		case len(pending) == 0:
-			break rounds // frontier exhausted: the search is complete
-		case ctx.Err() != nil:
-			cause = StopCancelled
-			break rounds
-		case !deadline.IsZero() && !time.Now().Before(deadline):
-			cause = StopTimeout
-			break rounds
-		}
-
-		for i, un := range pending {
-			f.push(i, un)
-		}
-		pending = nil
-
-		stopWatch := startWatch(ctx, deadline, nextCkpt, shared)
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			go func(w *worker) {
-				defer wg.Done()
-				w.run()
-			}(w)
-		}
-		wg.Wait()
-		stopWatch()
-
-		roundCause := shared.cause() // StopNone when the round completed
-		pending = f.drain()
-		for _, w := range workers {
-			pending = append(pending, w.residual...)
-			w.residual = nil
-			w.states += w.eng.rep.States
-			w.paths += w.eng.rep.Paths
-			acc.addEngine(w.eng)
-			w.eng.reset()
-		}
-
-		switch roundCause {
-		case StopNone:
-			// Completed round; the gate above ends the loop.
-		case stopCheckpoint:
-			if opt.Checkpoint != nil {
-				snap := parSnapshot(acc, pending, cache)
-				met.emitCheckpoint(snap)
-				opt.Checkpoint(snap)
+		if opt.Workers == 0 {
+			workers[0].run()
+		} else {
+			var wg sync.WaitGroup
+			for _, w := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					w.run()
+				}()
 			}
-			if !nextCkpt.IsZero() {
-				nextCkpt = time.Now().Add(opt.CheckpointEvery)
-			}
-			shared.resetStop()
-		default:
-			cause = roundCause
-			break rounds
+			wg.Wait()
 		}
+		if shared.stopped() || !shared.pause.Load() {
+			break
+		}
+		snap := checkpoint(acc, f, workers, cache)
+		met.emitCheckpoint(snap)
+		opt.Checkpoint(snap)
+		shared.clearPause()
 	}
+	stopWatch()
 	stopProgress()
 
 	wall := time.Since(start)
 	stats := make([]WorkerStat, len(workers))
 	for i, w := range workers {
-		util := 0.0
+		e := w.eng
+		// Counters bumped between paths (backtrack fold-ins, final pops)
+		// have no later path boundary to flush them.
+		met.flushReport(e.rep, &e.metCur)
+		acc.addEngine(e)
+		stats[i] = WorkerStat{Units: w.units, States: e.rep.States, Paths: e.rep.Paths, Busy: w.busy}
 		if wall > 0 {
-			util = float64(w.busy) / float64(wall)
-		}
-		stats[i] = WorkerStat{
-			Units:       w.units,
-			States:      w.states,
-			Paths:       w.paths,
-			Busy:        w.busy,
-			Utilization: util,
+			stats[i].Utilization = float64(w.busy) / float64(wall)
 		}
 	}
 	rep := acc.finalize(opt.Workers, stats)
 	rep.cacheSum = cacheSnap(cache)
 	met.noteCacheStats(opt.Obs, cache)
+	cause, pending := shared.cause(), remainder(f, workers)
+	if (cause == StopCancelled || cause == StopTimeout) && len(pending) == 0 {
+		// The cancellation or timeout landed after the last path: it cut
+		// nothing, and the search is complete.
+		cause = StopNone
+	}
 	if cause != StopNone {
 		rep.Incomplete = true
 		rep.Truncated = true
@@ -205,35 +169,64 @@ rounds:
 	return rep, nil
 }
 
-// startWatch launches the round watcher, which forwards the one-shot
-// stop sources — context cancellation, the wall-clock deadline, the
-// periodic checkpoint timer — into the shared stop flag while workers
-// run. The returned function stops it.
-func startWatch(ctx context.Context, deadline, nextCkpt time.Time, shared *sharedState) (stop func()) {
+// remainder lists the unexplored part of a search whose workers have all
+// returned: the unclaimed frontier, then what each engine has left of
+// the unit it holds (nothing for an engine between units).
+func remainder(f *frontier, workers []*worker) []*workUnit {
+	units := f.contents()
+	for _, w := range workers {
+		units = append(units, w.eng.residualUnits()...)
+	}
+	return units
+}
+
+// checkpoint assembles a snapshot of a paused search: the accumulator
+// (restored totals) plus every engine's live partial report, and the
+// remainder. Nothing it reads is changed.
+func checkpoint(a *accum, f *frontier, workers []*worker, cache *statecache.Cache) *Snapshot {
+	c := a.clone()
+	for _, w := range workers {
+		c.addEngine(w.eng)
+	}
+	rep := c.finalize(0, nil)
+	rep.cacheSum = cacheSnap(cache)
+	return buildSnapshot(rep, remainder(f, workers))
+}
+
+// startWatch launches the search's watcher, which forwards the timed and
+// external sources — context cancellation, Options.Timeout, the
+// Options.CheckpointEvery ticker — into the shared flags. The returned
+// function stops it.
+func startWatch(ctx context.Context, opt Options, shared *sharedState) (stop func()) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var deadlineC, ckptC <-chan time.Time
-		if !deadline.IsZero() {
-			t := time.NewTimer(time.Until(deadline))
+		var timeout, tick <-chan time.Time
+		if opt.Timeout > 0 {
+			t := time.NewTimer(opt.Timeout)
 			defer t.Stop()
-			deadlineC = t.C
+			timeout = t.C
 		}
-		if !nextCkpt.IsZero() {
-			t := time.NewTimer(time.Until(nextCkpt))
+		if opt.Checkpoint != nil && opt.CheckpointEvery > 0 {
+			t := time.NewTicker(opt.CheckpointEvery)
 			defer t.Stop()
-			ckptC = t.C
+			tick = t.C
 		}
-		select {
-		case <-done:
-		case <-ctx.Done():
-			shared.requestStop(StopCancelled)
-		case <-deadlineC:
-			shared.requestStop(StopTimeout)
-		case <-ckptC:
-			shared.requestStop(stopCheckpoint)
+		for {
+			select {
+			case <-done:
+				return
+			case <-ctx.Done():
+				shared.requestStop(StopCancelled)
+				return
+			case <-timeout:
+				shared.requestStop(StopTimeout)
+				return
+			case <-tick:
+				shared.requestPause()
+			}
 		}
 	}()
 	return func() {
@@ -242,56 +235,57 @@ func startWatch(ctx context.Context, deadline, nextCkpt time.Time, shared *share
 	}
 }
 
-// run is the worker loop: claim a unit, explore its subtree, retire it.
-// When the round stops mid-unit, the unexplored remainder of the unit is
-// kept on the worker for the driver to reseed or snapshot.
+// run is the worker loop: claim a unit, explore its subtree path by
+// path, retire it. It returns when the search is over or a flag is up;
+// the engine keeps whatever unit it was exploring, and running the
+// worker again continues from there.
 func (w *worker) run() {
 	e := w.eng
-	e.spill = func(u *workUnit) { w.f.push(w.id, u) }
+	t0 := time.Now() // start of the current stretch of work on a unit
 	for {
-		u := w.f.claim(w.id)
-		if u == nil {
-			return
+		// The watcher forwards a cancellation too, but only once it gets
+		// to run; a cancel issued on this goroutine — from OnLeaf or
+		// Checkpoint — must not cost a scheduler time slice of search.
+		select {
+		case <-w.cancelled:
+			e.shared.requestStop(StopCancelled)
+		default:
 		}
-		t0 := time.Now()
-		w.process(u)
-		w.busy += time.Since(t0)
-		w.units++
-		if e.stop {
-			w.residual = append(w.residual, e.residualUnits()...)
+		if e.shared.yielding() {
+			break
+		}
+		switch {
+		case !w.inUnit:
+			u := w.f.claim(w.id)
+			if u == nil {
+				return
+			}
+			t0 = time.Now()
+			// Claim-splitting: hand the remaining sibling options straight
+			// back — for other workers to start on, and so that every
+			// sibling subtree is exactly one unit — and explore
+			// options[from] only.
+			if u.rest() {
+				w.f.push(w.id, u.split())
+			}
+			e.prepareUnit(u)
+			w.inUnit = true
+			w.units++
+		case e.backtrack():
+			e.rep.Replays++
+		default:
+			// Fold-ins and pruning bumps land between paths (in
+			// backtrack), so a flush per unit keeps the instruments caught
+			// up with e.rep.
+			e.met.flushReport(e.rep, &e.metCur)
+			w.busy += time.Since(t0)
+			w.inUnit = false
 			w.f.done()
-			return
+			continue
 		}
-		w.f.done()
-	}
-}
-
-// process explores the subtree of one claimed work unit: it splits off
-// the unit's remaining sibling options, replays the unit's prefix
-// statelessly, and DFS-es the subtree of its own option, spilling
-// shallow sibling subtrees back to the frontier as it goes. Panics are
-// isolated per path; a stop is honored at the next path boundary (or
-// mid-path at a fresh state, leaving a continuation unit behind).
-func (w *worker) process(u *workUnit) {
-	e := w.eng
-	// Fold-ins and pruning bumps land between paths (in backtrack), so a
-	// final flush per unit keeps the instruments caught up with e.rep.
-	defer func() { e.met.flushReport(e.rep, &e.metCur) }()
-
-	// Claim-splitting: hand the remaining sibling options straight back
-	// so other workers can start on them while we replay.
-	if u.rest() {
-		w.f.push(w.id, u.split())
-	}
-	e.prepareUnit(u)
-	for {
 		e.runPathSafe()
-		if e.stop || e.checkStop() {
-			return
-		}
-		if !e.backtrack() {
-			return
-		}
-		e.rep.Replays++
+	}
+	if w.inUnit {
+		w.busy += time.Since(t0)
 	}
 }

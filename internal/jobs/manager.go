@@ -843,6 +843,10 @@ func (m *Manager) exploreOptions(j *Job, snap *explore.Snapshot) (explore.Option
 	if err != nil {
 		return explore.Options{}, nil, err
 	}
+	if j.Req.NoPOR {
+		// The legacy spelling; Validate has rejected a contradicting por.
+		por = explore.POROff
+	}
 	search, err := explore.ParseSearch(j.Req.Search)
 	if err != nil {
 		return explore.Options{}, nil, err
@@ -850,7 +854,6 @@ func (m *Manager) exploreOptions(j *Job, snap *explore.Snapshot) (explore.Option
 	opt := explore.Options{
 		Engine:       engine,
 		MaxDepth:     j.Req.MaxDepth,
-		NoPOR:        j.Req.NoPOR,
 		NoSleep:      j.Req.NoSleep,
 		POR:          por,
 		Search:       search,

@@ -103,7 +103,7 @@ func TestTheorem6Inclusion(t *testing.T) {
 			}
 			// Trace-set comparison requires all interleavings on both
 			// sides: disable partial-order reduction.
-			full := explore.Options{MaxDepth: 200, NoPOR: true, NoSleep: true}
+			full := explore.Options{MaxDepth: 200, POR: explore.POROff, NoSleep: true}
 			open, _, err := explore.TraceLists(naive, full, info.SystemProcs)
 			if err != nil {
 				t.Fatalf("TraceLists(naive): %v", err)

@@ -99,7 +99,7 @@ func TestPropertyTheorem6(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: compose: %v\n%s", seed, err, src)
 		}
-		full := explore.Options{MaxDepth: maxDepth, MaxStates: maxStates, NoPOR: true, NoSleep: true}
+		full := explore.Options{MaxDepth: maxDepth, MaxStates: maxStates, POR: explore.POROff, NoSleep: true}
 		open, openRep, err := explore.TraceLists(naive, full, info.SystemProcs)
 		if err != nil {
 			t.Fatalf("seed %d: explore naive: %v\n%s", seed, err, src)

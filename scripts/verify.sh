@@ -1,12 +1,8 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, full tests, a race-detector leg over
-# the packages with real concurrency (the parallel exploration engine,
-# its checkpoint/resume tests, the interpreter it runs on, and the
-# observability instruments all of them share), an explicit race-mode
-# pass of the three-way engine differential (bytecode vs slots vs ref
-# must stay byte-identical even under the race scheduler's timings),
-# and a short fuzz smoke over the front end, the checkpoint decoder,
-# and the bytecode/slots lockstep oracle (5s per target).
+# Tier-1 verification: build, vet, full tests, race-detector legs over
+# the packages with real concurrency, and a short fuzz smoke over the
+# front end, the checkpoint decoder, the bytecode/slots lockstep oracle,
+# the job request parser and the dist frame codec (5s per target).
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
@@ -15,29 +11,32 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test -count=1 -timeout=10m ./...
+
+# Exploration race leg: every test of the search driver, the interpreter
+# it runs on, and the observability instruments and state cache all of
+# them share. It covers, with the race detector watching:
+#   - the three-way engine differential (bytecode vs slots vs ref must
+#     stay byte-identical even under the race scheduler's timings);
+#   - dynamic POR: the backtrack-set search and the priority frontier
+#     must find exactly the static oracle's incident set across workers
+#     × spill × cache shards (shared frontier heap, per-entry backtrack
+#     folds);
+#   - restore-based backtracking: the copy routine's property and
+#     hand-written pointer/array tests on both copying tiers, the
+#     restore-vs-replay equivalence grid (engines × POR × cache ×
+#     liveness × workers × snapshot-spill), the snapshot cap, the running
+#     depth count and the mid-step-panic recovery (shared snapshot-spill
+#     machines that several workers copy from at once);
+#   - checkpoints as pauses: workers stopped and restarted in place
+#     1 897 times on the lock server, at 0, 1 and 2 workers;
+#   - liveness: the nested-DFS cycle search over the shared state cache
+#     (blue stack + red searches under parallel workers) and the
+#     liveness-off byte-identity contract.
 go test -count=1 -timeout=10m -race ./internal/explore/... ./internal/interp/... ./internal/obs/... ./internal/statecache/...
-go test -count=1 -timeout=10m -race -run 'TestEngineEquivalence|TestDifferential' ./internal/explore/ ./internal/interp/
 
-# Dynamic-POR equivalence leg: the backtrack-set search and the
-# priority frontier must find exactly the static oracle's incident set
-# across workers × spill × cache shards, with the race detector
-# watching the shared frontier heap and per-entry backtrack folds.
-go test -count=1 -timeout=10m -race -run 'TestDPOR|TestPrioritySearch|TestStrictModesUnchanged|TestWideMask' ./internal/explore/
-
-# Restore-based backtracking race leg: the copy routine's property and
-# hand-written pointer/array tests on both copying tiers, and the
-# restore-vs-replay equivalence grid (engines × POR × cache × liveness
-# × workers × snapshot-spill) with the snapshot cap, the running depth
-# count and the mid-step-panic recovery, the race detector watching the
-# shared snapshot-spill machines that several workers copy from at once.
-go test -count=1 -timeout=10m -race -run 'TestCopyFrom|TestForkClonesStalePointers|TestPayloadFingerprintBytes' ./internal/interp/
-go test -count=1 -timeout=10m -race -run 'TestRestoreMatchesReplay|TestSnapshotCap|TestSchedDepthMatchesWalk|TestMidStepPanicThenRestore' ./internal/explore/
-
-# Liveness race leg: the nested-DFS cycle search over the shared
-# state cache (blue stack + red searches under parallel workers) and
-# the two seeded-livelock workload generators, plus the liveness-off
-# byte-identity contract the feature must not disturb.
-go test -count=1 -timeout=10m -race -run 'TestLivelock|TestSeededLivelock|TestCleanElection|TestCleanServer|TestGreedy' ./internal/explore/ ./internal/leaderelect/ ./internal/lockserver/
+# The two seeded-livelock workload generators under the race detector:
+# nothing above runs their tests.
+go test -count=1 -timeout=10m -race ./internal/leaderelect/ ./internal/lockserver/
 
 # Distributed-exploration race leg: coordinator/worker subprocesses,
 # the equivalence grid against the in-process engine (workers × spill
@@ -63,8 +62,8 @@ go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 
 # Bench smoke: one iteration of the interpreter, snapshot-vs-replay,
-# backtracking and liveness benchmarks (catches bit-rot in the perf
+# backtracking, checkpoint-cadence and liveness benchmarks (catches bit-rot in the perf
 # harness without paying for a real measurement run), plus a syntax
 # check of the bench driver.
-go test -run '^$' -bench 'BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkLiveness' -benchtime=1x .
+go test -run '^$' -bench 'BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x .
 sh -n scripts/bench.sh
