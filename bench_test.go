@@ -16,6 +16,7 @@ import (
 	"reclose/internal/cfg"
 	"reclose/internal/codegen"
 	"reclose/internal/core"
+	"reclose/internal/dataflow"
 	"reclose/internal/explore"
 	"reclose/internal/fiveess"
 	"reclose/internal/interp"
@@ -584,21 +585,29 @@ func BenchmarkCheckpointCadence(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyze measures the dataflow analysis alone.
+// BenchmarkAnalyze measures the dataflow analysis alone (Step 2: facts,
+// taint passes, interprocedural fixpoint), per shape. The ns/node metric
+// staying flat from N=5000 to N=20000 is the linearity claim for the
+// analysis; BenchmarkClosingScaling has the same for Steps 2–5 together.
 func BenchmarkAnalyze(b *testing.B) {
-	for _, n := range []int{1000, 5000} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			unit, err := core.CompileSource(synth.Program(synth.Branchy, n))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Close(unit); err != nil {
+	for _, shape := range []synth.Shape{synth.StraightLine, synth.Branchy, synth.Loopy, synth.ManyProcs} {
+		for _, n := range []int{5000, 20000} {
+			b.Run(fmt.Sprintf("%s/N=%d", shape, n), func(b *testing.B) {
+				unit, err := core.CompileSource(synth.Program(shape, n))
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				nodes, _ := unit.Size()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := dataflow.Analyze(unit).Err(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/node")
+			})
+		}
 	}
 }
 

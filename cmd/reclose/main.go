@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"reclose/internal/cfg"
 	"reclose/internal/codegen"
@@ -24,92 +25,102 @@ import (
 	"reclose/internal/dataflow"
 )
 
-var (
-	dumpCFG      = flag.Bool("dump-cfg", false, "print the control-flow graphs of the open program and exit")
-	dumpAnalysis = flag.Bool("dump-analysis", false, "print the per-node V_I analysis and exit")
-	statsOnly    = flag.Bool("stats", false, "print only the transformation statistics")
-	quiet        = flag.Bool("q", false, "suppress the closed-program listing")
-	dot          = flag.Bool("dot", false, "emit Graphviz DOT instead of the plain listing")
-	emit         = flag.Bool("emit", false, "emit the closed program as re-parseable MiniC source (trampoline encoding)")
-	partition    = flag.Bool("partition", false, "partition comparison-only env inputs (S7 extension) before closing")
-)
-
 func main() {
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: reclose [flags] file.mc (use - for stdin)\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if err := run(); err != nil {
-		fmt.Fprintf(os.Stderr, "reclose: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() error {
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+// realMain is the whole command with its streams as parameters, so tests
+// drive it in-process. It returns the exit code: 0 success, 1 error, 2
+// usage.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reclose", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		dumpCFG      = fs.Bool("dump-cfg", false, "print the control-flow graphs of the open program and exit")
+		dumpAnalysis = fs.Bool("dump-analysis", false, "print the per-node V_I analysis and exit")
+		statsOnly    = fs.Bool("stats", false, "print only the transformation statistics")
+		quiet        = fs.Bool("q", false, "suppress the closed-program listing")
+		dot          = fs.Bool("dot", false, "emit Graphviz DOT instead of the plain listing")
+		emit         = fs.Bool("emit", false, "emit the closed program as re-parseable MiniC source (trampoline encoding)")
+		partition    = fs.Bool("partition", false, "partition comparison-only env inputs (S7 extension) before closing")
+	)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: reclose [flags] file.mc (use - for stdin)\n")
+		fs.PrintDefaults()
 	}
-	src, err := readSource(flag.Arg(0))
-	if err != nil {
-		return err
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	unit, err := core.CompileSource(string(src))
-	if err != nil {
-		return err
-	}
-
-	if *dumpCFG {
-		if *dot {
-			fmt.Print(unit.Dot())
-		} else {
-			fmt.Print(unit.String())
-		}
-		return nil
-	}
-	if *dumpAnalysis {
-		res := dataflow.Analyze(unit)
-		for _, name := range unit.Order {
-			fmt.Print(res.Proc(name).String())
-		}
-		printInterface(res)
-		return nil
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
 	}
 
-	var closed *cfg.Unit
-	var st *core.Stats
-	if *partition {
-		var pst *core.PartitionStats
-		closed, st, pst, err = core.ClosePartitioned(unit)
+	run := func() error {
+		src, err := readSource(fs.Arg(0))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("partitioning: %s\n", pst)
-	} else {
-		closed, st, err = core.Close(unit)
+		unit, err := core.CompileSource(string(src))
 		if err != nil {
 			return err
 		}
-	}
-	if !*statsOnly && !*quiet {
-		switch {
-		case *emit:
-			src, err := codegen.Emit(closed)
+
+		if *dumpCFG {
+			if *dot {
+				fmt.Fprint(stdout, unit.Dot())
+			} else {
+				fmt.Fprint(stdout, unit.String())
+			}
+			return nil
+		}
+		if *dumpAnalysis {
+			res := dataflow.Analyze(unit)
+			for _, name := range unit.Order {
+				fmt.Fprint(stdout, res.Proc(name).String())
+			}
+			printInterface(stdout, res)
+			return nil
+		}
+
+		var closed *cfg.Unit
+		var st *core.Stats
+		if *partition {
+			var pst *core.PartitionStats
+			closed, st, pst, err = core.ClosePartitioned(unit)
 			if err != nil {
 				return err
 			}
-			fmt.Print(src)
-		case *dot:
-			fmt.Print(closed.Dot())
-		default:
-			fmt.Print(closedHeader(closed))
-			fmt.Print(closed.String())
+			fmt.Fprintf(stdout, "partitioning: %s\n", pst)
+		} else {
+			closed, st, err = core.Close(unit)
+			if err != nil {
+				return err
+			}
 		}
+		if !*statsOnly && !*quiet {
+			switch {
+			case *emit:
+				src, err := codegen.Emit(closed)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(stdout, src)
+			case *dot:
+				fmt.Fprint(stdout, closed.Dot())
+			default:
+				fmt.Fprint(stdout, closedHeader(closed))
+				fmt.Fprint(stdout, closed.String())
+			}
+		}
+		fmt.Fprintf(stdout, "closing: %s\n", st)
+		return nil
 	}
-	fmt.Printf("closing: %s\n", st)
-	return nil
+	if err := run(); err != nil {
+		fmt.Fprintf(stderr, "reclose: %v\n", err)
+		return 1
+	}
+	return 0
 }
 
 func readSource(path string) ([]byte, error) {
@@ -135,27 +146,27 @@ func closedHeader(u *cfg.Unit) string {
 	return out
 }
 
-func printInterface(res *dataflow.Result) {
-	fmt.Println("effective environment interface:")
+// printInterface prints the effective environment interface: parameters
+// in declaration order, objects by name.
+func printInterface(w io.Writer, res *dataflow.Result) {
+	fmt.Fprintln(w, "effective environment interface:")
 	for _, name := range res.Unit.Order {
-		idx := res.EnvParams[name]
-		if len(idx) == 0 {
-			continue
-		}
-		g := res.Unit.Procs[name]
 		var params []string
-		for i := range idx {
-			if i < len(g.Params) {
-				params = append(params, g.Params[i])
+		for i, p := range res.Unit.Procs[name].Params {
+			if res.EnvParams[name][i] {
+				params = append(params, p)
 			}
 		}
-		fmt.Printf("  %s: env params %v\n", name, params)
+		if len(params) > 0 {
+			fmt.Fprintf(w, "  %s: env params %v\n", name, params)
+		}
 	}
 	var tainted []string
 	for o := range res.TaintedObjs {
 		tainted = append(tainted, o)
 	}
+	sort.Strings(tainted)
 	if len(tainted) > 0 {
-		fmt.Printf("  objects carrying env data: %v\n", tainted)
+		fmt.Fprintf(w, "  objects carrying env data: %v\n", tainted)
 	}
 }

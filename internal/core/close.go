@@ -271,11 +271,14 @@ func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
 			case 1:
 				cg.Connect(nn, newNode[succ[0]], a.Label)
 			default:
-				key := fmt.Sprint(succ)
-				if t, ok := tossMemo[key]; opt.ShareTossSwitches && ok {
-					st.TossShared++
-					cg.Connect(nn, t, a.Label)
-					break
+				var key string
+				if opt.ShareTossSwitches {
+					key = fmt.Sprint(succ)
+					if t, ok := tossMemo[key]; ok {
+						st.TossShared++
+						cg.Connect(nn, t, a.Label)
+						break
+					}
 				}
 				t := cg.NewNode(cfg.NTossSwitch, n.Pos)
 				t.TossBound = len(succ) - 1
@@ -285,7 +288,9 @@ func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
 				for i, id := range succ {
 					cg.Connect(t, newNode[id], cfg.Label{Kind: cfg.LToss, K: i})
 				}
-				tossMemo[key] = t
+				if opt.ShareTossSwitches {
+					tossMemo[key] = t
+				}
 			}
 		}
 		// A preserved non-terminal node all of whose arcs diverged
@@ -324,6 +329,9 @@ func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
 // are cut (they diverge invisibly and are dropped by the
 // transformation). The count is capped to avoid pathological blowup.
 func countSimplePaths(a *cfg.Arc, marked []bool) int {
+	if marked[a.To.ID] {
+		return 1
+	}
 	const pathCap = 1 << 16
 	onStack := make(map[int]bool)
 	var walk func(n *cfg.Node) int
@@ -353,6 +361,9 @@ func countSimplePaths(a *cfg.Arc, marked []bool) int {
 // through unmarked nodes exclusively, in ascending node-ID order
 // (Point 2 of Step 4).
 func succSet(g *cfg.Graph, a *cfg.Arc, marked []bool) []int {
+	if marked[a.To.ID] {
+		return []int{a.To.ID}
+	}
 	seen := make(map[int]bool)
 	var out []int
 	var visit func(n *cfg.Node)

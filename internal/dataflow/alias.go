@@ -82,6 +82,12 @@ func AnalyzeAliases(g *cfg.Graph) *PointsTo {
 		})
 	}
 
+	// Every points-to set grows from some &x, directly or by copying:
+	// without one there is nothing to propagate.
+	if len(pt.AddrTaken) == 0 {
+		return pt
+	}
+
 	// Iterate the inclusion constraints to a fixpoint. The constraint
 	// set is small (one per assignment/call), so a simple round-robin
 	// loop suffices.

@@ -2,22 +2,11 @@ package dataflow
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
-	"reclose/internal/ast"
 	"reclose/internal/cfg"
-	"reclose/internal/sem"
-	"reclose/internal/token"
 )
-
-// Def is one definition site of a variable.
-type Def struct {
-	ID     int
-	Node   int    // defining node ID, or -1 for the entry pseudo-definition
-	Var    string // variable defined
-	Strong bool   // strong defs kill other defs of the same variable
-	Env    bool   // the defined value is provided by the environment E_S
-}
 
 // DUArc is one arc of the define-use graph Ğ_j: the statement at node
 // From defines Var, and the statement at node To may use that value
@@ -30,16 +19,9 @@ type DUArc struct {
 
 // ProcResult is the analysis result for one procedure.
 type ProcResult struct {
-	Proc    string
-	Graph   *cfg.Graph
-	Aliases *PointsTo
+	Proc  string
+	Graph *cfg.Graph
 
-	// Uses[n] is V(n): the variables whose value may be read by node n.
-	Uses []VarSet
-	// Defs[n] lists the definitions generated at node n.
-	Defs [][]*Def
-	// DU is the define-use graph Ğ_j.
-	DU []DUArc
 	// EnvUse[n] reports n ∈ N_Es: node n uses a value defined by the
 	// environment.
 	EnvUse []bool
@@ -48,19 +30,22 @@ type ProcResult struct {
 	NI []bool
 	// VI[n] is V_I(n): the variables used in n that are defined by E_S
 	// or labeling a define-use arc into n from a node in N_I. Nodes not
-	// in N_I have an empty set.
+	// in N_I have an empty (nil) set.
 	VI []VarSet
 	// DerefEnvPointer records nodes that store through a pointer whose
 	// value is environment-dependent; the transformation rejects these
 	// (see DESIGN.md: environment inputs are scalar values).
 	DerefEnvPointer []int
+
+	facts *procFacts
+	ctx   *procContext // final once Analyze has returned
 }
 
 // HasTaint reports whether any node of the procedure has a non-empty
 // V_I set.
 func (r *ProcResult) HasTaint() bool {
-	for _, v := range r.VI {
-		if len(v) > 0 {
+	for _, ni := range r.NI {
+		if ni {
 			return true
 		}
 	}
@@ -78,346 +63,60 @@ func (r *ProcResult) String() string {
 		} else if r.NI[n.ID] {
 			mark = "I"
 		}
-		fmt.Fprintf(&b, "  n%-3d [%s] uses=%v VI=%v\n", n.ID, mark, r.Uses[n.ID].Sorted(), r.VI[n.ID].Sorted())
+		uses := make([]string, 0, len(r.facts.nodes[n.ID].uses))
+		for _, v := range r.facts.nodes[n.ID].uses {
+			uses = append(uses, r.facts.vars[v])
+		}
+		sort.Strings(uses)
+		fmt.Fprintf(&b, "  n%-3d [%s] uses=%v VI=%v\n", n.ID, mark, uses, r.VI[n.ID].Sorted())
 	}
 	return b.String()
 }
 
-// procContext carries the interprocedural facts a single-procedure
-// analysis depends on.
-type procContext struct {
-	unit *cfg.Unit
-	// envParams is the current (possibly enlarged) set of env parameter
-	// indices per procedure.
-	envParams map[string]map[int]bool
-	// envTainted marks procedures that may write environment-dependent
-	// values through pointer arguments (or anywhere).
-	envTainted map[string]bool
-	// taintedObjs marks channels and shared variables through which some
-	// process may send or write an environment-dependent value. The
-	// paper matches procedure outputs to procedure inputs (o = i, §3);
-	// data-carrying communication objects are those connections, so a
-	// receive from a tainted object defines its target with an
-	// environment-dependent value.
-	taintedObjs map[string]bool
-}
-
-// analyzeProc runs the full per-procedure analysis of Step 2 of the
-// algorithm for graph g under the given interprocedural context.
-func analyzeProc(g *cfg.Graph, ctx *procContext) *ProcResult {
-	pt := AnalyzeAliases(g)
-	r := &ProcResult{
-		Proc:    g.ProcName,
-		Graph:   g,
-		Aliases: pt,
-		Uses:    make([]VarSet, len(g.Nodes)),
-		Defs:    make([][]*Def, len(g.Nodes)),
-		EnvUse:  make([]bool, len(g.Nodes)),
-		NI:      make([]bool, len(g.Nodes)),
-		VI:      make([]VarSet, len(g.Nodes)),
-	}
-
-	var defs []*Def
-	newDef := func(node int, v string, strong, env bool) *Def {
-		d := &Def{ID: len(defs), Node: node, Var: v, Strong: strong, Env: env}
-		defs = append(defs, d)
-		return d
-	}
-
-	// Entry pseudo-definitions: every parameter is defined before the
-	// start node executes — by the environment for env parameters, by
-	// the calling procedure otherwise.
-	entryDefs := make([]*Def, 0, len(g.Params))
-	for i, p := range g.Params {
-		entryDefs = append(entryDefs, newDef(-1, p, true, ctx.envParams[g.ProcName][i]))
-	}
-
-	arrays := ctx.unit.Arrays[g.ProcName]
-	for _, n := range g.Nodes {
-		uses := NewVarSet()
-		switch n.Kind {
-		case cfg.NAssign:
-			lhs, rhs := assignParts(n.Stmt)
-			if rhs != nil {
-				addExprUses(rhs, pt, uses)
-			}
-			if vs, ok := n.Stmt.(*ast.VarStmt); ok && vs.Size != nil {
-				addExprUses(vs.Size, pt, uses)
-			}
-			switch lhs := lhs.(type) {
-			case *ast.Ident:
-				strong := !arrays[lhs.Name]
-				r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, lhs.Name, strong, false))
-			case *ast.IndexExpr:
-				addExprUses(lhs.Index, pt, uses)
-				r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, lhs.X.Name, false, false))
-			case *ast.UnaryExpr: // *p = rhs
-				if id, ok := lhs.X.(*ast.Ident); ok {
-					uses.Add(id.Name)
-					targets := pt.PointsToSet(id.Name)
-					strong := len(targets) == 1
-					for _, t := range targets.Sorted() {
-						r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, t, strong && !arrays[t], false))
-					}
-				}
-			}
-		case cfg.NCond:
-			addExprUses(n.Cond, pt, uses)
-		case cfg.NCall:
-			cs := n.CallStmt()
-			name := cs.Name.Name
-			if b, ok := sem.Builtins[name]; ok {
-				for i := 0; i < len(cs.Args); i++ {
-					if b.HasObj && i == 0 {
+// DefUse materialises the define-use graph Ğ_j. The transformation never
+// needs it (N_I and V_I come straight from the taint pass); it exists
+// for measurement, debugging and the tests that check the taint pass
+// against the paper's definition. Each definition made by a node of G_j
+// (not by the environment) is followed forward until it is strongly
+// redefined, so the cost is the size of the regions the definitions
+// reach — and Ğ_j itself is quadratic in G_j for branchy or loopy code.
+func (r *ProcResult) DefUse() []DUArc {
+	f, g := r.facts, r.Graph
+	var arcs []DUArc
+	seen := make([]int, len(g.Nodes)) // seen[n] == walk: n already visited by this walk
+	var stack []*cfg.Node
+	walk := 0
+	for m := range f.nodes {
+		if r.ctx.envObj(f.nodes[m].outObj) {
+			continue
+		}
+		for _, d := range f.nodes[m].defs {
+			walk++
+			stack = append(stack[:0], g.Nodes[m])
+			for len(stack) > 0 {
+				n := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, a := range n.Out {
+					t := a.To.ID
+					if seen[t] == walk {
 						continue
 					}
-					if i == b.OutArg {
-						out := cs.Args[i].(*ast.Ident)
-						// recv on an env-facing channel yields a value
-						// provided by the environment; so does recv/vread
-						// on an object some process may fill with
-						// env-dependent data.
-						env := false
-						if b.HasObj {
-							if obj, ok := cs.Args[0].(*ast.Ident); ok &&
-								(ctx.unit.EnvChans[obj.Name] || ctx.taintedObjs[obj.Name]) {
-								env = true
-							}
+					seen[t] = walk
+					killed := false
+					for _, td := range f.nodes[t].defs {
+						killed = killed || td.strong && td.v == d.v
+					}
+					for _, u := range f.nodes[t].uses {
+						if u == d.v {
+							arcs = append(arcs, DUArc{From: m, To: t, Var: f.vars[d.v]})
 						}
-						r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, out.Name, !arrays[out.Name], env))
-						continue
 					}
-					addExprUses(cs.Args[i], pt, uses)
-				}
-			} else {
-				var argNames []string
-				for _, a := range cs.Args {
-					if id, ok := a.(*ast.Ident); ok {
-						uses.Add(id.Name)
-						argNames = append(argNames, id.Name)
-					} else {
-						addExprUses(a, pt, uses)
-					}
-				}
-				// The callee may read and write every variable reachable
-				// through pointers from the arguments.
-				reach := pt.Closure(argNames)
-				uses.AddAll(reach)
-				calleeEnv := ctx.envTainted[name]
-				for _, v := range reach.Sorted() {
-					r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, v, false, false))
-					if calleeEnv {
-						r.Defs[n.ID] = append(r.Defs[n.ID], newDef(n.ID, v, false, true))
-					}
-				}
-			}
-		}
-		r.Uses[n.ID] = uses
-	}
-
-	// Reaching definitions over bitsets.
-	nd := len(defs)
-	words := (nd + 63) / 64
-	type bits []uint64
-	newBits := func() bits { return make(bits, words) }
-	or := func(dst, src bits) bool {
-		changed := false
-		for i := range dst {
-			if dst[i]|src[i] != dst[i] {
-				dst[i] |= src[i]
-				changed = true
-			}
-		}
-		return changed
-	}
-
-	defsByVar := make(map[string][]*Def)
-	for _, d := range defs {
-		defsByVar[d.Var] = append(defsByVar[d.Var], d)
-	}
-
-	gen := make([]bits, len(g.Nodes))
-	kill := make([]bits, len(g.Nodes))
-	for _, n := range g.Nodes {
-		gen[n.ID] = newBits()
-		kill[n.ID] = newBits()
-		for _, d := range r.Defs[n.ID] {
-			gen[n.ID][d.ID/64] |= 1 << (d.ID % 64)
-			if d.Strong {
-				for _, other := range defsByVar[d.Var] {
-					if other.ID != d.ID {
-						kill[n.ID][other.ID/64] |= 1 << (other.ID % 64)
+					if !killed {
+						stack = append(stack, a.To)
 					}
 				}
 			}
 		}
 	}
-
-	in := make([]bits, len(g.Nodes))
-	out := make([]bits, len(g.Nodes))
-	for i := range g.Nodes {
-		in[i] = newBits()
-		out[i] = newBits()
-	}
-	// The entry pseudo-definitions flow into the start node.
-	entryIn := newBits()
-	for _, d := range entryDefs {
-		entryIn[d.ID/64] |= 1 << (d.ID % 64)
-	}
-
-	// Worklist iteration in reverse-postorder-ish (node creation order is
-	// roughly topological for structured code, so plain order converges
-	// quickly).
-	workQ := make([]int, 0, len(g.Nodes))
-	inQ := make([]bool, len(g.Nodes))
-	push := func(id int) {
-		if !inQ[id] {
-			inQ[id] = true
-			workQ = append(workQ, id)
-		}
-	}
-	for _, n := range g.Nodes {
-		push(n.ID)
-	}
-	for len(workQ) > 0 {
-		id := workQ[0]
-		workQ = workQ[1:]
-		inQ[id] = false
-		n := g.Nodes[id]
-		if n == g.Entry {
-			or(in[id], entryIn)
-		}
-		for _, a := range n.In {
-			or(in[id], out[a.From.ID])
-		}
-		// out = gen ∪ (in − kill)
-		changed := false
-		for w := 0; w < words; w++ {
-			nv := gen[id][w] | (in[id][w] &^ kill[id][w])
-			if nv != out[id][w] {
-				out[id][w] = nv
-				changed = true
-			}
-		}
-		if changed {
-			for _, a := range n.Out {
-				push(a.To.ID)
-			}
-		}
-	}
-
-	// Build the define-use graph and the env-use marking.
-	duInto := make([][]int, len(g.Nodes)) // DU arc indices by To
-	envReach := make([]VarSet, len(g.Nodes))
-	for _, n := range g.Nodes {
-		id := n.ID
-		envReach[id] = NewVarSet()
-		if len(r.Uses[id]) == 0 {
-			continue
-		}
-		for _, v := range r.Uses[id].Sorted() {
-			for _, d := range defsByVar[v] {
-				if in[id][d.ID/64]&(1<<(d.ID%64)) == 0 {
-					continue
-				}
-				if d.Env {
-					r.EnvUse[id] = true
-					envReach[id].Add(v)
-				}
-				if d.Node >= 0 && !d.Env {
-					arcIdx := len(r.DU)
-					r.DU = append(r.DU, DUArc{From: d.Node, To: id, Var: v})
-					duInto[id] = append(duInto[id], arcIdx)
-				}
-			}
-		}
-	}
-
-	// N_I: nodes reachable from N_Es by define-use arcs.
-	duFrom := make([][]int, len(g.Nodes))
-	for i, a := range r.DU {
-		duFrom[a.From] = append(duFrom[a.From], i)
-	}
-	var stack []int
-	for id := range g.Nodes {
-		if r.EnvUse[id] {
-			r.NI[id] = true
-			stack = append(stack, id)
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ai := range duFrom[id] {
-			to := r.DU[ai].To
-			if !r.NI[to] {
-				r.NI[to] = true
-				stack = append(stack, to)
-			}
-		}
-	}
-
-	// V_I(n).
-	for id := range g.Nodes {
-		vi := NewVarSet()
-		if r.NI[id] {
-			vi.AddAll(envReach[id])
-			for _, ai := range duInto[id] {
-				a := r.DU[ai]
-				if r.NI[a.From] {
-					vi.Add(a.Var)
-				}
-			}
-		}
-		r.VI[id] = vi
-	}
-
-	// Detect stores through environment-dependent pointers (unsupported:
-	// env inputs are scalar values; see DESIGN.md).
-	for _, n := range g.Nodes {
-		if n.Kind != cfg.NAssign {
-			continue
-		}
-		lhs, _ := assignParts(n.Stmt)
-		if u, ok := lhs.(*ast.UnaryExpr); ok && u.Op == token.MUL {
-			if id, ok := u.X.(*ast.Ident); ok && r.VI[n.ID].Has(id.Name) {
-				r.DerefEnvPointer = append(r.DerefEnvPointer, n.ID)
-			}
-		}
-	}
-
-	return r
-}
-
-// addExprUses adds to dst the variables whose values are read by e:
-// identifiers (except under &), arrays, pointers, and for *p the
-// may-point-to set of p.
-func addExprUses(e ast.Expr, pt *PointsTo, dst VarSet) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		dst.Add(e.Name)
-	case *ast.IntLit, *ast.BoolLit, *ast.UndefLit:
-	case *ast.TossExpr:
-		addExprUses(e.Bound, pt, dst)
-	case *ast.IndexExpr:
-		dst.Add(e.X.Name)
-		addExprUses(e.Index, pt, dst)
-	case *ast.UnaryExpr:
-		switch e.Op {
-		case token.AND:
-			// &x reads no value.
-		case token.MUL:
-			if id, ok := e.X.(*ast.Ident); ok {
-				dst.Add(id.Name)
-				dst.AddAll(pt.PointsToSet(id.Name))
-			} else {
-				addExprUses(e.X, pt, dst)
-			}
-		default:
-			addExprUses(e.X, pt, dst)
-		}
-	case *ast.BinaryExpr:
-		addExprUses(e.X, pt, dst)
-		addExprUses(e.Y, pt, dst)
-	}
+	return arcs
 }

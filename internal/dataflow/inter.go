@@ -6,7 +6,6 @@ import (
 
 	"reclose/internal/ast"
 	"reclose/internal/cfg"
-	"reclose/internal/sem"
 )
 
 // Result is the whole-program analysis result.
@@ -24,9 +23,13 @@ type Result struct {
 	// TaintedObjs marks channels and shared variables that may carry
 	// environment-dependent data between processes.
 	TaintedObjs map[string]bool
-	// Iterations is the number of per-procedure analyses the worklist
-	// performed before reaching the fixpoint.
+	// Iterations is the number of per-procedure taint passes the
+	// worklist performed before reaching the fixpoint. (The context-free
+	// facts of a procedure are built once, whatever this count.)
 	Iterations int
+
+	factsBuilt int // procedures whose facts were built
+	work       int // see procContext.work
 }
 
 // Proc returns the per-procedure result.
@@ -53,8 +56,9 @@ func (r *Result) Err() error {
 }
 
 // Analyze runs the whole-program analysis of Step 2 of the algorithm on
-// a compiled unit: per-procedure alias analysis, define-use graphs, and
-// V_I sets, iterated with interprocedural propagation of environment
+// a compiled unit: the context-free facts of every procedure (aliases,
+// uses, definitions) once, then the N_I and V_I sets by a taint pass per
+// procedure, iterated with interprocedural propagation of environment
 // inputs until a fixpoint is reached.
 //
 // Three facts flow across procedure boundaries, all monotonically:
@@ -71,9 +75,11 @@ func (r *Result) Err() error {
 //     variables reachable through pointers from the call's arguments may
 //     be written with environment-dependent values at the call site.
 //
-// The fixpoint is computed with a worklist: a procedure is re-analyzed
-// only when one of the facts it depends on grows. Termination: the sets
-// only grow and are bounded by the program size.
+// The fixpoint is computed with a worklist: a procedure's taint pass is
+// re-run only when one of the facts it depends on grows. The worklist
+// starts callers-first (reverse postorder of the call graph from the
+// process roots), so fact 1 reaches a callee before its first pass.
+// Termination: the sets only grow and are bounded by the program size.
 func Analyze(u *cfg.Unit) *Result {
 	ctx := &procContext{
 		unit:        u,
@@ -88,104 +94,108 @@ func Analyze(u *cfg.Unit) *Result {
 		}
 		ctx.envParams[proc] = cp
 	}
-
-	// Static dependency maps: who calls whom, and who reads which
-	// object (recv/vread out-arguments).
-	callers := make(map[string][]string) // callee -> callers
-	readers := make(map[string][]string) // object -> procs receiving from it
-	for _, name := range u.Order {
-		for _, n := range u.Procs[name].Nodes {
-			if n.Kind != cfg.NCall {
-				continue
-			}
-			cs := n.CallStmt()
-			if b, ok := sem.Builtins[cs.Name.Name]; ok {
-				if b.OutArg >= 0 && b.HasObj && len(cs.Args) > 0 {
-					if obj, ok := cs.Args[0].(*ast.Ident); ok {
-						readers[obj.Name] = append(readers[obj.Name], name)
-					}
-				}
-				continue
-			}
-			callers[cs.Name.Name] = append(callers[cs.Name.Name], name)
-		}
-	}
-
 	res := &Result{Unit: u, Procs: make(map[string]*ProcResult, len(u.Order))}
 
-	inQ := make(map[string]bool, len(u.Order))
-	var queue []string
-	push := func(name string) {
-		if _, exists := u.Procs[name]; exists && !inQ[name] {
-			inQ[name] = true
-			queue = append(queue, name)
+	// Static dependency maps: who calls whom with something to clobber
+	// (only those call sites read fact 3), and who reads which object
+	// (recv/vread out-arguments).
+	facts := make([]*procFacts, len(u.Order))
+	index := make(map[string]int, len(u.Order))
+	callers := make(map[string][]int) // callee -> callers
+	readers := make(map[string][]int) // object -> procs receiving from it
+	for i, name := range u.Order {
+		f := buildFacts(u.Procs[name], u.Arrays[name])
+		facts[i], index[name] = f, i
+		res.factsBuilt++
+		ctx.work += len(f.nodes)
+		for id := range f.nodes {
+			switch nf := &f.nodes[id]; {
+			case nf.outObj != "":
+				readers[nf.outObj] = append(readers[nf.outObj], i)
+			case len(nf.defs) > 0 && nf.callee != "":
+				callers[nf.callee] = append(callers[nf.callee], i)
+			}
 		}
 	}
-	for _, name := range u.Order {
-		push(name)
+
+	roots := make([]int, len(u.Processes))
+	for i, name := range u.Processes {
+		roots[i] = index[name]
+	}
+	queue := reversePostorder(len(facts), roots, func(v, i int) int {
+		if calls := facts[v].calls; i < len(calls) {
+			if callee, ok := index[calls[i].CallStmt().Name.Name]; ok {
+				return callee
+			}
+			return v // no such procedure: an arc to itself is never followed
+		}
+		return -1
+	})
+	inQ := make([]bool, len(facts))
+	for i := range inQ {
+		inQ[i] = true
+	}
+	push := func(procs ...int) {
+		for _, i := range procs {
+			if !inQ[i] {
+				inQ[i] = true
+				queue = append(queue, int32(i))
+			}
+		}
 	}
 
 	for len(queue) > 0 {
-		name := queue[0]
+		i := int(queue[0])
 		queue = queue[1:]
-		inQ[name] = false
+		inQ[i] = false
 		res.Iterations++
 
-		pr := analyzeProc(u.Procs[name], ctx)
+		name, f := u.Order[i], facts[i]
+		pr := f.solve(ctx)
 		res.Procs[name] = pr
 
-		// Fact 1: env-dependent arguments taint callee parameters.
-		for _, n := range pr.Graph.Nodes {
-			if n.Kind != cfg.NCall {
-				continue
-			}
+		// Fact 2: env-dependent data entering an object taints it.
+		for _, n := range f.sends {
 			cs := n.CallStmt()
-			if _, isBuiltin := sem.Builtins[cs.Name.Name]; isBuiltin {
-				// Fact 2: env-dependent data entering an object taints it.
-				if cs.Name.Name == "send" || cs.Name.Name == "vwrite" {
-					obj, ok := cs.Args[0].(*ast.Ident)
-					if !ok || ctx.taintedObjs[obj.Name] {
-						continue
-					}
-					if id, ok := cs.Args[1].(*ast.Ident); ok && pr.VI[n.ID].Has(id.Name) {
-						ctx.taintedObjs[obj.Name] = true
-						for _, r := range readers[obj.Name] {
-							push(r)
-						}
-					}
-				}
-
+			obj, ok := cs.Args[0].(*ast.Ident)
+			if !ok || ctx.taintedObjs[obj.Name] {
 				continue
 			}
+			if id, ok := cs.Args[1].(*ast.Ident); ok && pr.VI[n.ID].Has(id.Name) {
+				ctx.taintedObjs[obj.Name] = true
+				push(readers[obj.Name]...)
+			}
+		}
+		// Fact 1: env-dependent arguments taint callee parameters.
+		for _, n := range f.calls {
+			cs := n.CallStmt()
 			callee := cs.Name.Name
-			for i, a := range cs.Args {
+			for k, a := range cs.Args {
 				id, ok := a.(*ast.Ident)
-				if !ok {
+				if !ok || !pr.VI[n.ID].Has(id.Name) || ctx.envParams[callee][k] {
 					continue
 				}
-				if pr.VI[n.ID].Has(id.Name) && !ctx.envParams[callee][i] {
-					if ctx.envParams[callee] == nil {
-						ctx.envParams[callee] = make(map[int]bool)
-					}
-					ctx.envParams[callee][i] = true
-					push(callee)
+				if ctx.envParams[callee] == nil {
+					ctx.envParams[callee] = make(map[int]bool)
+				}
+				ctx.envParams[callee][k] = true
+				if j, ok := index[callee]; ok {
+					push(j)
 				}
 			}
 		}
-
 		// Fact 3: a procedure that computes with env values may write env
 		// values through pointer arguments; its callers must account for
 		// that.
 		if !ctx.envTainted[name] && (pr.HasTaint() || len(ctx.envParams[name]) > 0) {
 			ctx.envTainted[name] = true
-			for _, c := range callers[name] {
-				push(c)
-			}
+			push(callers[name]...)
 		}
 	}
 
 	res.EnvParams = ctx.envParams
 	res.EnvTainted = ctx.envTainted
 	res.TaintedObjs = ctx.taintedObjs
+	res.work = ctx.work
 	return res
 }

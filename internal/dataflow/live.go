@@ -3,7 +3,6 @@ package dataflow
 import (
 	"reclose/internal/ast"
 	"reclose/internal/cfg"
-	"reclose/internal/sem"
 )
 
 // Liveness is the result of the backward live-variable analysis for one
@@ -24,7 +23,7 @@ type Liveness struct {
 // arguments through pointers, are live at the call; so are all pointees
 // of any address-taken variable at pointer stores (conservative).
 func AnalyzeLiveness(g *cfg.Graph, arrays map[string]bool) *Liveness {
-	pt := AnalyzeAliases(g)
+	f := buildFacts(g, arrays)
 	lv := &Liveness{
 		Graph: g,
 		In:    make([]VarSet, len(g.Nodes)),
@@ -33,75 +32,16 @@ func AnalyzeLiveness(g *cfg.Graph, arrays map[string]bool) *Liveness {
 
 	use := make([]VarSet, len(g.Nodes))
 	defStrong := make([][]string, len(g.Nodes)) // strongly-defined (killed) vars
-	for _, n := range g.Nodes {
-		u := NewVarSet()
-		var kills []string
-		switch n.Kind {
-		case cfg.NAssign:
-			lhs, rhs := assignParts(n.Stmt)
-			if rhs != nil {
-				addExprUses(rhs, pt, u)
-			}
-			if vs, ok := n.Stmt.(*ast.VarStmt); ok && vs.Size != nil {
-				addExprUses(vs.Size, pt, u)
-			}
-			switch lhs := lhs.(type) {
-			case *ast.Ident:
-				if !arrays[lhs.Name] {
-					kills = append(kills, lhs.Name)
-				}
-			case *ast.IndexExpr:
-				// Weak: the rest of the array stays live.
-				addExprUses(lhs.Index, pt, u)
-			case *ast.UnaryExpr:
-				if id, ok := lhs.X.(*ast.Ident); ok {
-					u.Add(id.Name)
-					targets := pt.PointsToSet(id.Name)
-					if len(targets) == 1 {
-						for t := range targets {
-							if !arrays[t] {
-								kills = append(kills, t)
-							}
-						}
-					}
-				}
-			}
-		case cfg.NCond:
-			addExprUses(n.Cond, pt, u)
-		case cfg.NCall:
-			cs := n.CallStmt()
-			if b, ok := sem.Builtins[cs.Name.Name]; ok {
-				for i := 0; i < len(cs.Args); i++ {
-					if b.HasObj && i == 0 {
-						continue
-					}
-					if i == b.OutArg {
-						out := cs.Args[i].(*ast.Ident)
-						if !arrays[out.Name] {
-							kills = append(kills, out.Name)
-						}
-						continue
-					}
-					addExprUses(cs.Args[i], pt, u)
-				}
-			} else {
-				var argNames []string
-				for _, a := range cs.Args {
-					if id, ok := a.(*ast.Ident); ok {
-						u.Add(id.Name)
-						argNames = append(argNames, id.Name)
-					} else {
-						addExprUses(a, pt, u)
-					}
-				}
-				// The callee may read anything reachable through the
-				// arguments; nothing reachable is killed (the callee's
-				// writes are weak from here).
-				u.AddAll(pt.Closure(argNames))
+	for id := range f.nodes {
+		use[id] = NewVarSet()
+		for _, v := range f.nodes[id].uses {
+			use[id].Add(f.vars[v])
+		}
+		for _, d := range f.nodes[id].defs {
+			if d.strong {
+				defStrong[id] = append(defStrong[id], f.vars[d.v])
 			}
 		}
-		use[n.ID] = u
-		defStrong[n.ID] = kills
 	}
 
 	// Backward fixpoint: In = use ∪ (Out − def); Out = ∪ In(succ).

@@ -1,9 +1,10 @@
 // Package dataflow implements the static analyses the closing algorithm
 // of Figure 1 consumes: a may-alias (points-to) analysis, per-node
-// def/use sets, reaching definitions, the define-use graph Ğ_j of each
-// procedure, the computation of the environment-dependent sets V_I(n)
-// (Step 2 of the algorithm), and the interprocedural fixpoint that
-// propagates environment inputs across procedure boundaries.
+// use/def facts built once per procedure, the computation of N_I and the
+// environment-dependent sets V_I(n) (Step 2 of the algorithm) as a sparse
+// forward taint pass, the interprocedural fixpoint that propagates
+// environment inputs across procedure boundaries, the define-use graph
+// Ğ_j of a procedure on demand, and backward liveness.
 package dataflow
 
 import "sort"

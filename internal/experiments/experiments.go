@@ -112,21 +112,33 @@ func E2Fig3(w io.Writer, cfg Config) {
 	fmt.Fprintf(w, "open in closed: %t; closed in open: %t  (paper: sets are equal — optimal)\n", fwd, bwd)
 }
 
-// E3Linear measures the transformation of Figure 1 against program
-// size. The paper's claim is that the algorithm is "essentially linear
-// in the size of G_j and Ğ_j" — it *takes as input* both the
-// control-flow graph and the define-use graph, so the measurement times
-// Steps 3–5 given a precomputed analysis, and normalizes by |G| + |Ğ|.
-// The analysis itself (Step 2, standard reaching definitions) is timed
-// separately for context.
+// E3Linear measures the algorithm of Figure 1 against program size. The
+// paper's claim is that it is "essentially linear in the size of G_j and
+// Ğ_j"; Ğ_j is itself quadratic in G_j for branchy and loopy code, and
+// the implementation never builds it (Step 2 is a sparse taint pass,
+// DESIGN.md §2), so the measurement normalizes Steps 2–5 together by |G|
+// alone. |Ğ| and the time to materialise it on demand are shown for
+// scale.
 func E3Linear(w io.Writer, cfg Config) {
-	header(w, "E3", "the transformation is essentially linear in |G| + |G~|")
+	header(w, "E3", "closing is essentially linear in |G|; G~ is never built")
 	sizes := []int{200, 1000, 5000, 20000}
 	if cfg.Quick {
 		sizes = []int{200, 1000, 4000}
 	}
-	fmt.Fprintf(w, "%-10s %8s %8s %8s %12s %13s %12s\n",
-		"shape", "stmts", "|G|", "|G~|", "analyze(ms)", "transform(ms)", "ns/(G+G~)")
+	// Minimum of five: the host's noise only ever adds time.
+	minOf5 := func(f func()) float64 {
+		best := time.Duration(1 << 62)
+		for r := 0; r < 5; r++ {
+			start := time.Now()
+			f()
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return float64(best.Nanoseconds())
+	}
+	fmt.Fprintf(w, "%-10s %8s %8s %12s %13s %9s %9s %13s\n",
+		"shape", "stmts", "|G|", "analyze(ms)", "transform(ms)", "ns/|G|", "|G~|", "build G~(ms)")
 	for _, shape := range []synth.Shape{synth.StraightLine, synth.Branchy, synth.Loopy, synth.ManyProcs} {
 		for _, n := range sizes {
 			src := synth.Program(shape, n)
@@ -136,30 +148,28 @@ func E3Linear(w io.Writer, cfg Config) {
 			}
 			nodes, _ := unit.Size()
 
-			start := time.Now()
-			res := dataflow.Analyze(unit)
-			analyzeMS := float64(time.Since(start).Microseconds()) / 1000
-			duArcs := 0
-			for _, name := range unit.Order {
-				duArcs += len(res.Proc(name).DU)
-			}
-
-			start = time.Now()
-			const reps = 5
-			for r := 0; r < reps; r++ {
+			var res *dataflow.Result
+			analyzeNS := minOf5(func() { res = dataflow.Analyze(unit) })
+			transformNS := minOf5(func() {
 				if _, _, err := core.CloseAnalyzed(unit, res); err != nil {
 					panic(err)
 				}
+			})
+
+			start := time.Now()
+			duArcs := 0
+			for _, name := range unit.Order {
+				duArcs += len(res.Proc(name).DefUse())
 			}
-			transformNS := float64(time.Since(start).Nanoseconds()) / reps
-			fmt.Fprintf(w, "%-10s %8d %8d %8d %12.2f %13.3f %12.1f\n",
-				shape, n, nodes, duArcs, analyzeMS, transformNS/1e6,
-				transformNS/float64(nodes+duArcs))
+			defUseMS := float64(time.Since(start).Microseconds()) / 1000
+			fmt.Fprintf(w, "%-10s %8d %8d %12.2f %13.3f %9.1f %9d %13.2f\n",
+				shape, n, nodes, analyzeNS/1e6, transformNS/1e6,
+				(analyzeNS+transformNS)/float64(nodes), duArcs, defUseMS)
 		}
 	}
-	fmt.Fprintln(w, "(ns/(G+G~) roughly flat per shape => the transformation is linear in its inputs,")
-	fmt.Fprintln(w, " matching the single-traversal claim; Step 2's dataflow analysis is superlinear,")
-	fmt.Fprintln(w, " as standard reaching-definitions solvers are)")
+	fmt.Fprintln(w, "(ns/|G| roughly flat per shape as programs grow 100x => Steps 2-5 together are linear")
+	fmt.Fprintln(w, " in the control-flow graph; |G~| grows quadratically for branchy and loopy code, and")
+	fmt.Fprintln(w, " only the last column pays for it)")
 }
 
 // E4Domain measures naive-vs-closed state-space size against the input

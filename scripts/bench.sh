@@ -1,7 +1,8 @@
 #!/bin/sh
-# Exploration benchmark harness: runs the interpreter and exploration
-# benchmarks with memory statistics, 5 repetitions each (benchstat
-# wants multiple samples), and records the results twice —
+# Benchmark harness: runs the closing (dataflow analysis, transformation,
+# 5ESS case study), interpreter and exploration benchmarks with memory
+# statistics, 5 repetitions each (benchstat wants multiple samples), and
+# records the results twice —
 # BENCH_explore.txt is the raw benchstat-compatible text, and
 # BENCH_explore.json is a structured digest produced by
 # scripts/benchjson (env header + per-line metrics + the raw lines).
@@ -14,7 +15,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN='BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkCheckpointCadence|BenchmarkParallelExplore|BenchmarkFiveESSExplore|BenchmarkEngineCompare|BenchmarkShardedCache|BenchmarkDPOR|BenchmarkLiveness|BenchmarkDistExplore'
+PATTERN='BenchmarkAnalyze|BenchmarkClosingScaling|BenchmarkFiveESSClose|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkCheckpointCadence|BenchmarkParallelExplore|BenchmarkFiveESSExplore|BenchmarkEngineCompare|BenchmarkShardedCache|BenchmarkDPOR|BenchmarkLiveness|BenchmarkDistExplore'
 
 go test -run '^$' -bench "$PATTERN" -benchmem \
 	-count="$COUNT" -benchtime="$BENCHTIME" -timeout=60m . \

@@ -61,9 +61,9 @@ go test -fuzz=FuzzBytecodeLockstep -fuzztime=5s ./internal/interp/
 go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 
-# Bench smoke: one iteration of the interpreter, snapshot-vs-replay,
-# backtracking, checkpoint-cadence and liveness benchmarks (catches bit-rot in the perf
-# harness without paying for a real measurement run), plus a syntax
-# check of the bench driver.
-go test -run '^$' -bench 'BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x .
+# Bench smoke: one iteration of the dataflow-analysis, interpreter,
+# snapshot-vs-replay, backtracking, checkpoint-cadence and liveness
+# benchmarks (catches bit-rot in the perf harness without paying for a
+# real measurement run), plus a syntax check of the bench driver.
+go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x .
 sh -n scripts/bench.sh
