@@ -560,6 +560,54 @@ func BenchmarkBacktrack(b *testing.B) {
 	}
 }
 
+// BenchmarkStateKey measures what the stateful search does between two
+// states of a backtrack — restore a snapshot, step one process, take the
+// state's key — on the lock server's 13-component state. "full" is a
+// bytecode machine with hashing off, which renders every component of
+// every key; "assembled" is the hashing machine, whose copy carries the
+// key segments and whose key re-renders the stepped process only.
+func BenchmarkStateKey(b *testing.B) {
+	closed := mustCloseB(b, lockserver.Source(lockserver.Config{Clients: 4, Rounds: 2}))
+	res, err := interp.Resolve(closed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, hashing := range []bool{false, true} {
+		name := "full"
+		if hashing {
+			name = "assembled"
+		}
+		b.Run("lock-c4-r2/"+name, func(b *testing.B) {
+			snap, m := res.NewBytecodeSystem(), res.NewBytecodeSystem()
+			snap.SetStateHashing(hashing)
+			ch := interp.FixedChooser(0)
+			if out := snap.Init(ch); out != nil {
+				b.Fatal(out)
+			}
+			for i := 0; i < 6; i++ { // a few transitions in: queues and frames populated
+				if _, out := snap.Step(snap.EnabledProcs()[0], ch); out != nil {
+					b.Fatal(out)
+				}
+			}
+			snap.AppendFingerprint(nil)
+			en := snap.EnabledProcs()
+			var key []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !m.CopyFrom(snap) {
+					b.Fatal("CopyFrom refused")
+				}
+				if _, out := m.Step(en[i%len(en)], ch); out != nil {
+					b.Fatal(out)
+				}
+				key = m.AppendFingerprint(key[:0])
+			}
+			b.ReportMetric(float64(len(key)), "keybytes")
+		})
+	}
+}
+
 // BenchmarkCheckpointCadence measures a complete search that checkpoints
 // every 64 paths (verisoftd's default cadence; 1 897 checkpoints on this
 // lock server), with the snapshots dropped. A checkpoint is a read of

@@ -19,7 +19,7 @@ import (
 
 var (
 	quick = flag.Bool("quick", false, "reduced scales for a fast run")
-	only  = flag.String("only", "", "run a single experiment (E1..E10)")
+	only  = flag.String("only", "", "run a single experiment (E1..E11, E15)")
 )
 
 func main() {
@@ -43,11 +43,12 @@ func main() {
 		"E9":  func() { experiments.E9Partitioning(w, cfg) },
 		"E10": func() { experiments.E10Optimizations(w, cfg) },
 		"E11": func() { experiments.E11Resilience(w, cfg) },
+		"E15": func() { experiments.E15Liveness(w, cfg) },
 	}
 	if *only != "" {
 		run, ok := runners[*only]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want E1..E10)\n", *only)
+			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (want E1..E11, E15)\n", *only)
 			os.Exit(2)
 		}
 		run()

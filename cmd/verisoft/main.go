@@ -439,6 +439,12 @@ func (c *cli) run() (int, error) {
 	// same source -metrics-out persists — so the three views (CLI,
 	// metrics file, Report) always agree.
 	fmt.Fprintln(c.stdout, explore.RegistrySummary(reg, elapsed))
+	if rep.RedCut > 0 {
+		// "No livelock" is not backed where a red search ran out of
+		// budget: say so next to the verdict.
+		fmt.Fprintf(c.stdout, "liveness: incomplete (%d of %d red searches cut at %d states)\n",
+			rep.RedCut, rep.RedSearches, explore.RedStateBudget)
+	}
 	for i, in := range rep.Samples {
 		if i >= c.samples {
 			break

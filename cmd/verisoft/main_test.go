@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -324,5 +325,32 @@ func TestCLILiveness(t *testing.T) {
 	code = realMain([]string{"-depth", "40", "-max-states", "50000", prog}, &out, &errb)
 	if strings.Contains(out.String(), "livelock") {
 		t.Errorf("liveness-off output mentions livelocks (code %d):\n%s", code, out.String())
+	}
+}
+
+// TestCLILivenessSaysWhenIncomplete pins the completeness line: a run
+// whose red search ran out of budget (the program of explore's
+// TestRedSearchBudgetIsCounted) still exits 0 — exit codes are the
+// benchmark's — but says beside the summary that "no livelocks" holds
+// only up to the budget; a run that cut nothing prints no such line.
+func TestCLILivenessSaysWhenIncomplete(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("chan start[1];\nproc gate() {\n    var t = VS_toss(1);\n    t = 0;\n    progress send(start, t);\n}\nprocess gate;\n")
+	for i := 0; i < 4; i++ {
+		fmt.Fprintf(&src, "chan w%d[8];\nproc worker%d() { var i; for (i = 0; i < 8; i = i + 1) { send(w%d, i); } }\nprocess worker%d;\n", i, i, i, i)
+	}
+	var out, errb bytes.Buffer
+	if code := realMain([]string{"-liveness", "-state-cache", writeProg(t, src.String())}, &out, &errb); code != 0 {
+		t.Fatalf("exit code = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	if want := "liveness: incomplete (1 of 1 red searches cut at 4096 states)"; !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, out.String())
+	}
+
+	out.Reset()
+	prog := writeProg(t, leaderelect.Source(leaderelect.Config{Nodes: 3, SeedLivelock: true}))
+	realMain([]string{"-liveness", "-state-cache", "-depth", "120", prog}, &out, &errb)
+	if strings.Contains(out.String(), "liveness: incomplete") {
+		t.Errorf("a run that cut no red search says it is incomplete:\n%s", out.String())
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"reclose/internal/dataflow"
 	"reclose/internal/explore"
 	"reclose/internal/fiveess"
+	"reclose/internal/leaderelect"
 	"reclose/internal/mgenv"
 	"reclose/internal/progs"
 	"reclose/internal/synth"
@@ -112,6 +113,20 @@ func E2Fig3(w io.Writer, cfg Config) {
 	fmt.Fprintf(w, "open in closed: %t; closed in open: %t  (paper: sets are equal — optimal)\n", fwd, bwd)
 }
 
+// minOf5 is the shortest of five runs of f, in nanoseconds: the host's
+// noise only ever adds time.
+func minOf5(f func()) float64 {
+	best := time.Duration(1 << 62)
+	for r := 0; r < 5; r++ {
+		start := time.Now()
+		f()
+		if d := time.Since(start); d < best {
+			best = d
+		}
+	}
+	return float64(best.Nanoseconds())
+}
+
 // E3Linear measures the algorithm of Figure 1 against program size. The
 // paper's claim is that it is "essentially linear in the size of G_j and
 // Ğ_j"; Ğ_j is itself quadratic in G_j for branchy and loopy code, and
@@ -124,18 +139,6 @@ func E3Linear(w io.Writer, cfg Config) {
 	sizes := []int{200, 1000, 5000, 20000}
 	if cfg.Quick {
 		sizes = []int{200, 1000, 4000}
-	}
-	// Minimum of five: the host's noise only ever adds time.
-	minOf5 := func(f func()) float64 {
-		best := time.Duration(1 << 62)
-		for r := 0; r < 5; r++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return float64(best.Nanoseconds())
 	}
 	fmt.Fprintf(w, "%-10s %8s %8s %12s %13s %9s %9s %13s\n",
 		"shape", "stmts", "|G|", "analyze(ms)", "transform(ms)", "ns/|G|", "|G~|", "build G~(ms)")
@@ -573,6 +576,39 @@ func E11Resilience(w io.Writer, _ Config) {
 	fmt.Fprintln(w, " uninterrupted baseline's states/transitions/paths/incidents)")
 }
 
+// E15Liveness measures non-progress cycle detection on the 3-node
+// leader election: what -liveness costs when nothing is wrong, and what
+// finding the seeded livelock costs with and without the state cache
+// (the red search runs only at cache-pruned states). The counts are
+// exact; the times are the shortest of five batches of twenty runs.
+func E15Liveness(w io.Writer, _ Config) {
+	header(w, "E15", "liveness: the toll on a clean search, the cost of detection")
+	clean, _ := mustClose(leaderelect.Source(leaderelect.Config{Nodes: 3}))
+	seeded, _ := mustClose(leaderelect.Source(leaderelect.Config{Nodes: 3, SeedLivelock: true}))
+	fmt.Fprintf(w, "%-16s %9s %7s %9s %12s %10s %7s\n",
+		"configuration", "time(us)", "states", "livelocks", "red-searches", "red-states", "red-cut")
+	for _, c := range []struct {
+		name string
+		unit *cfg.Unit
+		opt  explore.Options
+	}{
+		{"clean  off", clean, explore.Options{MaxDepth: 200}},
+		{"clean  on", clean, explore.Options{MaxDepth: 200, Liveness: true}},
+		{"seeded on", seeded, explore.Options{MaxDepth: 120, Liveness: true}},
+		{"seeded on+cache", seeded, explore.Options{MaxDepth: 120, Liveness: true, StateCache: true}},
+	} {
+		var rep *explore.Report
+		const reps = 20 // a search is 0.2–1.3 ms: too short to time alone
+		ns := minOf5(func() {
+			for i := 0; i < reps; i++ {
+				rep = mustExplore(c.unit, c.opt)
+			}
+		})
+		fmt.Fprintf(w, "%-16s %9.0f %7d %9d %12d %10d %7d\n",
+			c.name, ns/reps/1e3, rep.States, rep.Livelocks, rep.RedSearches, rep.RedStates, rep.RedCut)
+	}
+}
+
 // RunAll executes every experiment in order.
 func RunAll(w io.Writer, cfg Config) {
 	E1Fig2(w, cfg)
@@ -586,4 +622,5 @@ func RunAll(w io.Writer, cfg Config) {
 	E9Partitioning(w, cfg)
 	E10Optimizations(w, cfg)
 	E11Resilience(w, cfg)
+	E15Liveness(w, cfg)
 }

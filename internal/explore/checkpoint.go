@@ -105,6 +105,7 @@ type snapCounters struct {
 	Livelocks   int64 `json:"livelocks,omitempty"`
 	RedSearches int64 `json:"red_searches,omitempty"`
 	RedStates   int64 `json:"red_states,omitempty"`
+	RedCut      int64 `json:"red_cut,omitempty"`
 }
 
 // snapDecision is one recorded decision.
@@ -225,6 +226,7 @@ func buildSnapshot(rep *Report, units []*workUnit) *Snapshot {
 			Livelocks:             rep.Livelocks,
 			RedSearches:           rep.RedSearches,
 			RedStates:             rep.RedStates,
+			RedCut:                rep.RedCut,
 		},
 		Coverage: hex.EncodeToString(covBytes(rep.cov)),
 		Cache:    rep.cacheSum,
@@ -301,6 +303,7 @@ func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
 		Livelocks:             c.Livelocks,
 		RedSearches:           c.RedSearches,
 		RedStates:             c.RedStates,
+		RedCut:                c.RedCut,
 	}
 	for i, si := range snap.Samples {
 		kind, ok := leafKindFromString(si.Kind)

@@ -18,7 +18,9 @@ package explore
 //
 //   - Blue (on-stack) check: the engine keeps the full fingerprint of
 //     every state on the current path in a statecache.StackSet. A fresh
-//     state whose fingerprint already sits on the stack closes a cycle;
+//     state's fingerprint and hash are taken once (runPath) and serve
+//     this check and the cache visit after it. A fresh state whose
+//     fingerprint already sits on the stack closes a cycle;
 //     if the segment between the two occurrences contains no progress
 //     transition (an O(1) query over per-depth progress counters), the
 //     path itself is a lasso — stem = decisions up to the first
@@ -31,7 +33,9 @@ package explore
 //     follows only non-progress transitions from the pruned state,
 //     looking for any on-stack state whose on-path suffix is also
 //     progress-free; reaching one exhibits a lasso whose cycle runs
-//     partly over the blue path and partly over the red extension.
+//     partly over the blue path and partly over the red extension. A
+//     search the bound stops is counted (Report.RedCut): the verdict
+//     says how many there were.
 //
 // Decision-stack backtracking makes the live stack cheap to maintain:
 // a backtrack leaves a path's prefix below the change point unchanged,
@@ -54,7 +58,6 @@ package explore
 // rebuild their stem (and with it the live stack) by replay.
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -84,11 +87,12 @@ type lassoSample struct {
 	cycleStart int
 }
 
-// redStateBudget bounds the states one red search may expand. The red
+// RedStateBudget bounds the states one red search may expand. The red
 // search is launched per cache-pruned state; the budget keeps a dense
 // pruned frontier from turning detection quadratic. A cycle beyond the
-// budget is missed (detection under-approximates), never misreported.
-const redStateBudget = 4096
+// budget is missed (detection under-approximates), never misreported;
+// Report.RedCut counts the searches it stopped.
+const RedStateBudget = 4096
 
 // liveNoteReplay records or refreshes the live-stack entry for the
 // state a replayed scheduling transition leaves from: p is the chosen
@@ -97,8 +101,8 @@ const redStateBudget = 4096
 // still sits at the state.
 func (e *engine) liveNoteReplay(p, depth, decIdx int) {
 	if depth >= e.liveStack.Len() {
-		e.liveFp = e.sys.AppendFingerprint(e.liveFp[:0])
-		e.liveStack.Push(depth, e.sys.StateHash(), e.liveFp)
+		e.fpBuf = e.sys.AppendFingerprint(e.fpBuf[:0])
+		e.liveStack.Push(depth, e.sys.StateHash(), e.fpBuf)
 		e.liveMetaSet(depth, decIdx)
 	}
 	e.liveMeta[depth].progressOut = e.sys.ProcProgress(p)
@@ -127,14 +131,13 @@ func (e *engine) progCountAt(depth int) int {
 	return m.progCount
 }
 
-// liveCheck runs the on-stack (blue) cycle test at a fresh state and
-// records the state on the live stack. It reports true when the path
-// ended in a livelock leaf.
-func (e *engine) liveCheck(depth int) bool {
+// liveCheck runs the on-stack (blue) cycle test at a fresh state —
+// fingerprint e.fpBuf, state hash h, the identity the cache visit reads
+// next — and records the state on the live stack. It reports true when
+// the path ended in a livelock leaf.
+func (e *engine) liveCheck(depth int, h uint64) bool {
 	e.liveStack.Truncate(depth)
-	e.liveFp = e.sys.AppendFingerprint(e.liveFp[:0])
-	h := e.sys.StateHash()
-	if i, ok := e.liveStack.Lookup(h, e.liveFp); ok {
+	if i, ok := e.liveStack.Lookup(h, e.fpBuf); ok {
 		if e.progCountAt(depth)-e.liveMeta[i].progCount == 0 {
 			e.leafLivelock(i, nil, nil)
 			return true
@@ -143,7 +146,7 @@ func (e *engine) liveCheck(depth int) bool {
 		// state cache the revisit prunes right after; without one the
 		// depth bound cuts the unrolling.
 	}
-	e.liveStack.Push(depth, h, e.liveFp)
+	e.liveStack.Push(depth, h, e.fpBuf)
 	e.liveMetaSet(depth, len(e.base)+len(e.stack))
 	return false
 }
@@ -176,7 +179,11 @@ func (e *engine) leafLivelock(i int, redDecs []Decision, redTrace []interp.Event
 // also progress-free. Toss choices inside the red region always take
 // outcome 0 (recorded, so the witness replays); toss-dependent cycles
 // beyond that are missed, never misreported. Reports true when the
-// path ended in a livelock leaf.
+// path ended in a livelock leaf; a search that ends without one because
+// RedStateBudget ran out is counted in Report.RedCut. A red state
+// allocates nothing: its key goes into the engine's key scratch (free
+// once the cache has answered) and is copied only by the seen set, and
+// the seen set, enabled lists and stepped machines outlive the search.
 func (e *engine) redSearch(depth int) bool {
 	// progCount is monotone along the stack, so the on-stack states
 	// whose suffix to here is progress-free form exactly the suffix
@@ -190,8 +197,8 @@ func (e *engine) redSearch(depth int) bool {
 		return false
 	}
 	e.rep.RedSearches++
-	budget := redStateBudget
-	seen := make(map[uint64][][]byte)
+	budget, cut := RedStateBudget, false
+	e.redSeen.Reset()
 	var decs []Decision
 	var trace []interp.Event
 	ch := interp.ChooserFunc(func(bound int) (int, bool) {
@@ -203,8 +210,13 @@ func (e *engine) redSearch(depth int) bool {
 		if rd >= remaining {
 			return false
 		}
-		for _, p := range m.AppendEnabled(nil) {
+		if rd == len(e.redEn) {
+			e.redEn = append(e.redEn, nil)
+		}
+		e.redEn[rd] = m.AppendEnabled(e.redEn[rd][:0])
+		for _, p := range e.redEn[rd] {
 			if budget <= 0 {
+				cut = true
 				return false
 			}
 			if m.ProcProgress(p) {
@@ -218,17 +230,16 @@ func (e *engine) redSearch(depth int) bool {
 			ev, out := fm.Step(p, ch)
 			trace = append(trace, ev)
 			if out == nil {
-				fp := fm.AppendFingerprint(nil)
+				e.fpBuf = fm.AppendFingerprint(e.fpBuf[:0])
 				h := fm.StateHash()
-				if i, ok := e.liveStack.Lookup(h, fp); ok && i >= minIdx {
+				if i, ok := e.liveStack.Lookup(h, e.fpBuf); ok && i >= minIdx {
 					e.leafLivelock(i, decs, trace)
 					return true
 				}
-				if !redSeen(seen, h, fp) {
-					seen[h] = append(seen[h], fp)
-					if dfs(fm, rd+1) {
-						return true
-					}
+				// The set is per search: red reachability is judged against
+				// the current blue stack, which differs per path.
+				if !e.redSeen.VisitPrehashed(h, e.fpBuf, 0) && dfs(fm, rd+1) {
+					return true
 				}
 			}
 			// An abnormal outcome inside the red region ends that red
@@ -239,7 +250,13 @@ func (e *engine) redSearch(depth int) bool {
 		}
 		return false
 	}
-	return dfs(e.sys, 0)
+	if dfs(e.sys, 0) {
+		return true
+	}
+	if cut {
+		e.rep.RedCut++
+	}
+	return false
 }
 
 // redPoolDepth bounds the red-search levels that keep a machine between
@@ -263,17 +280,4 @@ func (e *engine) redFork(m interp.Machine, rd int) interp.Machine {
 		e.redPool = append(e.redPool, fm)
 	}
 	return fm
-}
-
-// redSeen reports whether the red search already expanded a state with
-// this fingerprint (hash prefilter, byte-exact confirm). The set is
-// per-invocation: red reachability is judged against the current blue
-// stack, which differs per path, so red visits cannot be shared.
-func redSeen(seen map[uint64][][]byte, h uint64, fp []byte) bool {
-	for _, k := range seen[h] {
-		if bytes.Equal(k, fp) {
-			return true
-		}
-	}
-	return false
 }

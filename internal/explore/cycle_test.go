@@ -383,3 +383,70 @@ func TestLivelockEngines(t *testing.T) {
 		}
 	}
 }
+
+// redCutProgram makes one red search run out of budget and nothing else
+// expensive. The gate's toss is thrown away, so both outcomes start the
+// system in one state and the second is pruned by the cache at depth 0;
+// the red search launched there follows the four workers' unlabeled
+// (hence non-progress) sends through all their interleavings — 9^4
+// states, no cycle among them — while the blue search, under persistent
+// sets, walked a single one.
+const redCutProgram = `
+chan w0[8];
+chan w1[8];
+chan w2[8];
+chan w3[8];
+chan start[1];
+
+proc gate() {
+    var t = VS_toss(1);
+    t = 0;
+    progress send(start, t);
+}
+proc worker0() { var i; for (i = 0; i < 8; i = i + 1) { send(w0, i); } }
+proc worker1() { var i; for (i = 0; i < 8; i = i + 1) { send(w1, i); } }
+proc worker2() { var i; for (i = 0; i < 8; i = i + 1) { send(w2, i); } }
+proc worker3() { var i; for (i = 0; i < 8; i = i + 1) { send(w3, i); } }
+
+process gate;
+process worker0;
+process worker1;
+process worker2;
+process worker3;
+`
+
+// TestRedSearchBudgetIsCounted pins verdict completeness: a red search
+// that stops at RedStateBudget is counted in Report.RedCut (and only
+// such a search is), through the report merge and a checkpoint's
+// counters.
+func TestRedSearchBudgetIsCounted(t *testing.T) {
+	u := compileClosed(t, redCutProgram)
+	opt := explore.Options{Liveness: true, StateCache: true}
+	rep, err := explore.Explore(u, opt)
+	if err != nil {
+		t.Fatalf("Explore: %v", err)
+	}
+	if rep.Livelocks != 0 || rep.RedCut != 1 || rep.RedSearches < 1 || rep.RedStates < explore.RedStateBudget {
+		t.Fatalf("want no livelock and one of the red searches cut, got livelocks=%d cut=%d searches=%d states=%d",
+			rep.Livelocks, rep.RedCut, rep.RedSearches, rep.RedStates)
+	}
+
+	// Red searches that end inside the budget cut nothing.
+	full, err := explore.Explore(compileClosed(t, livelockCrossPath), explore.Options{Liveness: true, StateCache: true, MaxDepth: 40})
+	if err != nil {
+		t.Fatalf("Explore: %v", err)
+	}
+	if full.RedSearches == 0 || full.RedCut != 0 {
+		t.Fatalf("cross-path program: searches=%d cut=%d, want some and none", full.RedSearches, full.RedCut)
+	}
+
+	var snap *explore.Snapshot
+	opt.CheckpointEveryPaths = 1
+	opt.Checkpoint = func(s *explore.Snapshot) { snap = s }
+	if _, err := explore.Explore(u, opt); err != nil {
+		t.Fatalf("Explore with checkpoints: %v", err)
+	}
+	if snap == nil || snap.Counters.RedCut != 1 {
+		t.Fatalf("last checkpoint does not carry the cut: %+v", snap)
+	}
+}

@@ -178,11 +178,13 @@ type engine struct {
 	// recordSample.
 	liveStack *statecache.StackSet
 	liveMeta  []liveMeta
-	liveFp    []byte
 	liveDepth int
 	lasso     *lassoSample
-	// redPool holds one machine per shallow red-search level (redFork).
+	// The red search's storage, kept across searches: one machine per
+	// shallow level (redFork), one enabled list per level, the seen set.
 	redPool []interp.Machine
+	redEn   [][]int
+	redSeen *statecache.Cache
 
 	// met is the search's shared observability instruments (noMetrics
 	// when disabled — never nil); metCur tracks how much of e.rep has
@@ -219,6 +221,7 @@ func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *site
 	e.tossSites = newCoverage(sites)
 	if opt.Liveness {
 		e.liveStack = statecache.NewStackSet()
+		e.redSeen = statecache.New(statecache.Config{Shards: 1})
 	}
 	e.ch = e.chooser()
 	return e
@@ -528,20 +531,27 @@ func (e *engine) runPath() {
 			e.leaf(LeafDepth, "depth bound reached")
 			return
 		}
+		cached := e.cache != nil || e.opt.CacheVisit != nil
+		var h uint64
+		if cached || e.liveStack != nil {
+			// The state's identity, taken once: the blue stack, the cache
+			// and the red search all read this fingerprint and this hash.
+			e.fpBuf = e.sys.AppendFingerprint(e.fpBuf[:0])
+			h = e.sys.StateHash()
+		}
 		// The blue (on-stack) cycle test runs before the cache: an
 		// on-path revisit is a cycle the cache would otherwise prune
 		// into silence (cycle.go).
-		if e.liveStack != nil && e.liveCheck(depth) {
+		if e.liveStack != nil && e.liveCheck(depth, h) {
 			return
 		}
-		if e.cache != nil || e.opt.CacheVisit != nil {
+		if cached {
 			// The cache key is the full fingerprint plus the sleep-set
 			// context: what gets expanded from here is a function of
 			// both, so only a visit with an identical key covers this
 			// one. Visit prunes only revisits at an equal or deeper
 			// depth than a stored visit (a shallower revisit re-expands
 			// — its subtree is cut later by the depth bound).
-			e.fpBuf = e.sys.AppendFingerprint(e.fpBuf[:0])
 			fpLen := len(e.fpBuf)
 			if !e.opt.NoSleep {
 				e.fpBuf = e.appendSleepKey(e.fpBuf)
@@ -556,7 +566,6 @@ func (e *engine) runPath() {
 				// be a pure function of the key bytes (the engines'
 				// hash/fingerprint agreement is pinned by the three-way
 				// differential oracle).
-				h := e.sys.StateHash()
 				if len(e.fpBuf) > fpLen {
 					h = interp.Mix64(h, statecache.FNV1a(e.fpBuf[fpLen:]))
 				}

@@ -459,10 +459,13 @@ type Report struct {
 	// with progress labels): Livelocks counts paths ending in a
 	// detected non-progress cycle; RedSearches counts nested (red)
 	// searches launched at cache-pruned states, RedStates the states
-	// they expanded (cycle.go).
+	// they expanded, RedCut the searches that found no cycle before
+	// running out of RedStateBudget — each a place where the verdict
+	// "no livelock" is not backed (cycle.go).
 	Livelocks   int64
 	RedSearches int64
 	RedStates   int64
+	RedCut      int64
 	// Dynamic-POR counters (zero outside POR == PORDynamic):
 	// PorBacktracks counts backtrack points inserted at earlier
 	// decision points when a dependent transition executed;

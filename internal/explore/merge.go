@@ -53,6 +53,7 @@ func (a *accum) add(r *Report) {
 	t.Livelocks += r.Livelocks
 	t.RedSearches += r.RedSearches
 	t.RedStates += r.RedStates
+	t.RedCut += r.RedCut
 	t.PorBacktracks += r.PorBacktracks
 	t.PorSleepBlocked += r.PorSleepBlocked
 	t.PorDynamicPruned += r.PorDynamicPruned

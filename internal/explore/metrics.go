@@ -49,19 +49,24 @@ const (
 	MetricFrontierPriority = "explore.frontier.priority"
 
 	// Liveness counters (Options.Liveness runs only; mirror the
-	// Report's Livelocks/RedSearches/RedStates fields exactly).
+	// Report's Livelocks/RedSearches/RedStates/RedCut fields exactly).
 	MetricLivelocks   = "explore.livelocks"
 	MetricRedSearches = "explore.liveness.red_searches"
 	MetricRedStates   = "explore.liveness.red_states"
+	MetricRedCut      = "explore.liveness.red_budget_exhausted"
 
 	MetricInterpForks  = "interp.forks"
 	MetricInterpFrames = "interp.frames"
 	// Bytecode-engine instruments: instructions dispatched, StateHash
 	// answers served from the incremental rolling hash vs full
-	// recomputation walks, and the one-time bytecode compile cost.
+	// recomputation walks, fingerprints assembled from key segments and
+	// the process segments rendered for them, and the one-time bytecode
+	// compile cost.
 	MetricInterpInstrs       = "interp.instrs"
 	MetricInterpHashIncr     = "interp.hash.incremental"
 	MetricInterpHashFull     = "interp.hash.full"
+	MetricInterpKeys         = "interp.key.assembled"
+	MetricInterpKeySegments  = "interp.key.segments_rendered"
 	MetricInterpCompileNanos = "interp.bytecode.compile_ns"
 
 	// State-cache metrics (StateCache runs only): counters mirror
@@ -120,6 +125,7 @@ type exploreMetrics struct {
 	livelocks   *obs.Counter
 	redSearches *obs.Counter
 	redStates   *obs.Counter
+	redCut      *obs.Counter
 
 	pathDepth        *obs.Histogram
 	unitPrefixLen    *obs.Histogram
@@ -169,6 +175,7 @@ func newExploreMetrics(reg *obs.Registry) *exploreMetrics {
 		livelocks:   reg.Counter(MetricLivelocks),
 		redSearches: reg.Counter(MetricRedSearches),
 		redStates:   reg.Counter(MetricRedStates),
+		redCut:      reg.Counter(MetricRedCut),
 
 		pathDepth:        reg.Histogram(MetricPathDepth),
 		unitPrefixLen:    reg.Histogram(MetricUnitPrefixLen),
@@ -180,6 +187,8 @@ func newExploreMetrics(reg *obs.Registry) *exploreMetrics {
 			Instrs:   reg.Counter(MetricInterpInstrs),
 			HashIncr: reg.Counter(MetricInterpHashIncr),
 			HashFull: reg.Counter(MetricInterpHashFull),
+			Keys:     reg.Counter(MetricInterpKeys),
+			Segs:     reg.Counter(MetricInterpKeySegments),
 		},
 		reg:  reg,
 		sink: reg.Sink(),
@@ -200,25 +209,28 @@ func (m *exploreMetrics) noteEngine(opt Options, res *interp.Resolution) {
 	}
 }
 
+// nMirrored is the number of Report counters the registry mirrors:
+// mirrored lists them, and mirrors their instruments, in one order.
+const nMirrored = 13
+
+func (r *Report) mirrored() [nMirrored]int64 {
+	return [...]int64{r.States, r.Transitions, r.Paths, r.Replays, r.ReplaySteps, r.Incidents(),
+		r.PorBacktracks, r.PorSleepBlocked, r.PorDynamicPruned,
+		r.Livelocks, r.RedSearches, r.RedStates, r.RedCut}
+}
+
+func (m *exploreMetrics) mirrors() [nMirrored]*obs.Counter {
+	return [...]*obs.Counter{m.states, m.transitions, m.paths, m.replays, m.replaySteps, m.incidents,
+		m.porBacktracks, m.porSleepBlocked, m.porDynamicPruned,
+		m.livelocks, m.redSearches, m.redStates, m.redCut}
+}
+
 // metricsCursor tracks, per engine, how much of the engine's partial
 // report has already been flushed into the registry. Flushing deltas at
 // path boundaries keeps the hot state loop free of atomic traffic while
 // registry totals remain exactly the sums the report accumulator
 // computes.
-type metricsCursor struct {
-	states           int64
-	transitions      int64
-	paths            int64
-	replays          int64
-	replaySteps      int64
-	incidents        int64
-	porBacktracks    int64
-	porSleepBlocked  int64
-	porDynamicPruned int64
-	livelocks        int64
-	redSearches      int64
-	redStates        int64
-}
+type metricsCursor [nMirrored]int64
 
 // flushReport adds the not-yet-flushed part of a partial report,
 // advancing the cursor. Safe to call with the disabled instance.
@@ -226,32 +238,14 @@ func (m *exploreMetrics) flushReport(r *Report, cur *metricsCursor) {
 	if !m.on {
 		return
 	}
-	m.states.Add(r.States - cur.states)
-	m.transitions.Add(r.Transitions - cur.transitions)
-	m.paths.Add(r.Paths - cur.paths)
-	m.replays.Add(r.Replays - cur.replays)
-	m.replaySteps.Add(r.ReplaySteps - cur.replaySteps)
-	inc := r.Incidents()
-	m.incidents.Add(inc - cur.incidents)
-	m.porBacktracks.Add(r.PorBacktracks - cur.porBacktracks)
-	m.porSleepBlocked.Add(r.PorSleepBlocked - cur.porSleepBlocked)
-	m.porDynamicPruned.Add(r.PorDynamicPruned - cur.porDynamicPruned)
-	m.livelocks.Add(r.Livelocks - cur.livelocks)
-	m.redSearches.Add(r.RedSearches - cur.redSearches)
-	m.redStates.Add(r.RedStates - cur.redStates)
+	now := r.mirrored()
+	for i, c := range m.mirrors() {
+		if d := now[i] - cur[i]; d != 0 { // most do not move on most paths
+			c.Add(d)
+		}
+	}
+	*cur = now
 	m.depthMax.SetMax(int64(r.MaxDepth))
-	cur.states = r.States
-	cur.transitions = r.Transitions
-	cur.paths = r.Paths
-	cur.replays = r.Replays
-	cur.replaySteps = r.ReplaySteps
-	cur.incidents = inc
-	cur.porBacktracks = r.PorBacktracks
-	cur.porSleepBlocked = r.PorSleepBlocked
-	cur.porDynamicPruned = r.PorDynamicPruned
-	cur.livelocks = r.Livelocks
-	cur.redSearches = r.RedSearches
-	cur.redStates = r.RedStates
 }
 
 // observePriority records one priority-frontier push (priority mode
@@ -274,19 +268,8 @@ func (m *exploreMetrics) addRestored(r *Report) {
 	if !m.on {
 		return
 	}
-	m.states.Add(r.States)
-	m.transitions.Add(r.Transitions)
-	m.paths.Add(r.Paths)
-	m.replays.Add(r.Replays)
-	m.replaySteps.Add(r.ReplaySteps)
-	m.incidents.Add(r.Incidents())
-	m.porBacktracks.Add(r.PorBacktracks)
-	m.porSleepBlocked.Add(r.PorSleepBlocked)
-	m.porDynamicPruned.Add(r.PorDynamicPruned)
-	m.livelocks.Add(r.Livelocks)
-	m.redSearches.Add(r.RedSearches)
-	m.redStates.Add(r.RedStates)
-	m.depthMax.SetMax(int64(r.MaxDepth))
+	var zero metricsCursor
+	m.flushReport(r, &zero)
 	m.resumes.Inc()
 }
 

@@ -28,9 +28,9 @@ import (
 func restoreDigest(rep *Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", rep)
-	fmt.Fprintf(&b, "terminated=%d sleep=%d cache=%d internal=%d livelocks=%d red=%d/%d incomplete=%t cause=%v\n",
+	fmt.Fprintf(&b, "terminated=%d sleep=%d cache=%d internal=%d livelocks=%d red=%d/%d cut=%d incomplete=%t cause=%v\n",
 		rep.Terminated, rep.SleepPrunes, rep.CachePrunes, rep.InternalErrors,
-		rep.Livelocks, rep.RedSearches, rep.RedStates, rep.Incomplete, rep.Cause)
+		rep.Livelocks, rep.RedSearches, rep.RedStates, rep.RedCut, rep.Incomplete, rep.Cause)
 	fmt.Fprintf(&b, "por backtracks=%d sleep-blocked=%d pruned=%d\n",
 		rep.PorBacktracks, rep.PorSleepBlocked, rep.PorDynamicPruned)
 	fmt.Fprintf(&b, "coverage=%d/%d\n", rep.OpsCovered, rep.OpsTotal)

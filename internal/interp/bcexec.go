@@ -329,8 +329,14 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 				trapf("store through %s, want pointer", kindName(pv.Kind))
 			}
 			storePtr(pv.Ptr, regs[i.B])
-			if s.hashOn {
-				s.noteWrite(pv.Ptr.Cell)
+			if c := pv.Ptr.Cell; s.hashOn && c.hkey != 0 {
+				s.noteWrite(c)
+				if fi, _ := p.locate(c); fi < 0 {
+					// Another process's live cell: Step clears only p's bit.
+					for _, q := range s.Procs {
+						q.segOK = false
+					}
+				}
 			}
 
 		case opVarSize:

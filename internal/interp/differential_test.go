@@ -19,6 +19,9 @@ import (
 // predicates, events, outcomes, byte-exact state fingerprints, and the
 // canonical state hash (with the bytecode engine's incremental hash
 // additionally checked against its own full re-walk at every step).
+// The bytecode machine's fingerprint is the one it assembles from key
+// segments; keyseg_test.go drives the same three tiers down schedules
+// that also copy, fork and reset between the steps.
 
 // stepChooser returns deterministic toss outcomes as a function of its
 // own call count, so two independent instances replay the same sequence

@@ -96,6 +96,9 @@ func (s *System) copyState(src *System, cloneStale bool) bool {
 	for i, sp := range src.Procs {
 		dp := s.Procs[i]
 		dp.cur, dp.status = sp.cur, sp.status
+		if dp.segOK = sp.segOK; sp.segOK { // the key segment goes with its process
+			dp.seg = append(dp.seg[:0], sp.seg...)
+		}
 		for k := len(dp.stack) - 1; k >= len(sp.stack); k-- {
 			s.putFrame(dp.stack[k])
 			dp.stack[k] = nil
@@ -140,11 +143,32 @@ func (s *System) copyState(src *System, cloneStale bool) bool {
 	}
 
 	s.hashOn, s.acc = src.hashOn, src.acc
-	s.objHash = append(s.objHash[:0], src.objHash...)
+	if src.hashOn {
+		copy(s.objHash, src.objHash)
+		for i, seg := range src.objSeg {
+			s.objSeg[i] = append(s.objSeg[i][:0], seg...)
+		}
+	}
 	s.MaxInvisible = src.MaxInvisible
 	ok := !cp.failed
 	*cp = copier{}
 	return ok
+}
+
+// locate returns the (frame, slot) position of c in p's live frames
+// (an address-range test per frame), or (-1, -1) when it is in none.
+func (p *Proc) locate(c *Cell) (fi, slot int) {
+	addr := uintptr(unsafe.Pointer(c))
+	for fi, f := range p.stack {
+		if len(f.cells) == 0 {
+			continue
+		}
+		base := uintptr(unsafe.Pointer(&f.cells[0]))
+		if addr >= base && addr < base+uintptr(len(f.cells))*unsafe.Sizeof(Cell{}) {
+			return fi, int((addr - base) / unsafe.Sizeof(Cell{}))
+		}
+	}
+	return -1, -1
 }
 
 // takeFrame returns a frame from the pool, or a fresh one; the caller
@@ -237,16 +261,9 @@ func (cp *copier) cell(c *Cell) *Cell {
 	if c == nil {
 		return nil
 	}
-	addr := uintptr(unsafe.Pointer(c))
 	for pi, p := range cp.src.Procs {
-		for fi, f := range p.stack {
-			if len(f.cells) == 0 {
-				continue
-			}
-			base := uintptr(unsafe.Pointer(&f.cells[0]))
-			if addr >= base && addr < base+uintptr(len(f.cells))*unsafe.Sizeof(Cell{}) {
-				return &cp.dst.Procs[pi].stack[fi].cells[(addr-base)/unsafe.Sizeof(Cell{})]
-			}
+		if fi, i := p.locate(c); fi >= 0 {
+			return &cp.dst.Procs[pi].stack[fi].cells[i]
 		}
 	}
 	if !cp.cloneStale {

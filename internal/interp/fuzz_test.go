@@ -12,7 +12,10 @@ import (
 // events, outcomes, fingerprints, or state hashes fails the fuzz run —
 // and then sweeps CopyFrom over the program's first states on both
 // copying tiers: every copy made must be indistinguishable from, and
-// independent of, its source (copy_test.go).
+// independent of, its source (copy_test.go) — and runs the key-segment
+// schedule (keyseg_test.go): steps interleaved with copies into a stale
+// machine, forks and resets, the assembled key compared with the full
+// render after every operation.
 // scripts/verify.sh runs this for a short smoke period on every verify.
 func FuzzBytecodeLockstep(f *testing.F) {
 	f.Add(`
@@ -57,6 +60,9 @@ process main;
 	for _, tc := range copyCases {
 		f.Add(tc.src)
 	}
+	for _, tc := range keyCases {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		u, err := core.CompileSource(src)
 		if err != nil {
@@ -68,5 +74,6 @@ process main;
 		}
 		lockstep(t, "fuzz", u, 150)
 		copySweep(t, "fuzz", u, 1, 6, 30)
+		keySchedule(t, "fuzz", u, 1, 60)
 	})
 }

@@ -1,9 +1,11 @@
 package interp
 
-// Incremental state hashing: a rolling 64-bit hash of the canonical
-// global state, maintained on every cell write and comm-object
-// mutation instead of re-walking all slots and objects at every
-// visible operation.
+// Incremental state identity: the canonical global state's 64-bit
+// hash and its fingerprint bytes, both kept with the components they
+// describe and updated as those change, instead of re-walking all slots
+// and objects at every visible operation.
+//
+// The hash first.
 //
 // The scheme is component-based so updates commute with execution
 // order: every live cell contributes mix64(position key, value hash)
@@ -25,11 +27,24 @@ package interp
 // later writes through stale pointers skip the accumulator, matching
 // the fingerprint, which never renders stale storage.
 //
+// The fingerprint is kept the same way, as key segments: each object's
+// is the text rehashObj renders to hash it, each Proc carries its own
+// and a valid bit (segOK), and AppendFingerprint concatenates them,
+// rendering only the processes whose bit is clear. A process's segment
+// reads that process's status, stack, control point and cells only, so
+// the bit is cleared by Step and Init for each process they run, by
+// rebuildHash (Reset, SetStateHashing) for all, and for every process by
+// a store through a pointer to a live cell (hkey != 0) outside the
+// running process's frames — its owner did not run (opStorePtr). copyState copies segments and bits with the state
+// they describe, so a restored or forked machine is as current as its
+// source. The bytes are the full walk's (keyseg_test.go, one test per
+// rule).
+//
 // The incremental path is only maintained by the bytecode engine
 // (SetStateHashing); the slot and reference engines recompute the same
-// function from scratch (RecomputeStateHash), which keeps shard
-// routing — and therefore eviction behavior and merged reports —
-// byte-identical across engines.
+// hash from scratch (RecomputeStateHash) and render every fingerprint
+// in full, which keeps keys, shard routing — and therefore eviction
+// behavior and merged reports — byte-identical across engines.
 
 const hashSeed = 0x9e3779b97f4a7c15
 
@@ -150,10 +165,13 @@ func (s *System) foldProcOut(p *Proc) {
 	}
 }
 
-// rehashObj refreshes one object's hash after a mutating visible op.
+// rehashObj refreshes one object's hash after a mutating visible op,
+// keeping the text it hashed (plus the fingerprint's ';') as the
+// object's key segment.
 func (s *System) rehashObj(i int) {
-	s.objFpBuf = s.objs[i].AppendFingerprint(s.objFpBuf[:0])
-	s.objHash[i] = fnvBytes(s.objFpBuf)
+	seg := s.objs[i].AppendFingerprint(s.objSeg[i][:0])
+	s.objHash[i] = fnvBytes(seg)
+	s.objSeg[i] = append(seg, ';')
 }
 
 // SetStateHashing turns incremental hashing on or off. Turning it on
@@ -169,16 +187,15 @@ func (s *System) SetStateHashing(on bool) {
 }
 
 // rebuildHash recomputes the incremental state from scratch: cell
-// keys and contributions for every live frame, and all object hashes.
+// keys and contributions for every live frame, all object hashes and
+// segments; every process segment is left to be rendered.
 func (s *System) rebuildHash() {
 	s.acc = 0
-	if s.objHash == nil || len(s.objHash) != len(s.objs) {
-		s.objHash = make([]uint64, len(s.objs))
-	}
 	for i := range s.objs {
 		s.rehashObj(i)
 	}
 	for _, p := range s.Procs {
+		p.segOK = false
 		if p.status != Running {
 			continue
 		}

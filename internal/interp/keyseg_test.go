@@ -1,0 +1,397 @@
+package interp_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"reclose/internal/cfg"
+	"reclose/internal/core"
+	"reclose/internal/interp"
+	"reclose/internal/obs"
+	"reclose/internal/randprog"
+)
+
+// This file tests that a hashing bytecode machine's fingerprint — put
+// together from the key segments its processes and objects carry,
+// re-rendering only the invalid ones — is byte for byte the full render
+// of the slots and reference tiers, whatever was done to the machine
+// since its segments were last rendered.
+
+// keyRig is one logical machine state held three ways: cur is the
+// hashing bytecode machine under test, slots and ref the oracles that
+// render every key in full. spare is a second hashing bytecode machine
+// left wherever earlier operations dropped it: the receiver of the next
+// CopyFrom, whose own segments are all valid and all wrong.
+type keyRig struct {
+	t          *testing.T
+	label      string
+	cur, spare interp.Machine
+	slots, ref interp.Machine
+	chs        [3]*stepChooser
+}
+
+func newKeyRig(t *testing.T, label string, u *cfg.Unit) *keyRig {
+	t.Helper()
+	r := resolveT(t, u)
+	ref, err := interp.NewMachine(u, interp.EngineRef)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	k := &keyRig{t: t, label: label,
+		cur:   newCopyMachine(t, r, interp.EngineBytecode),
+		spare: newCopyMachine(t, r, interp.EngineBytecode),
+		slots: newCopyMachine(t, r, interp.EngineSlots),
+		ref:   ref,
+	}
+	return k
+}
+
+func (k *keyRig) each(f func(i int, m interp.Machine)) {
+	for i, m := range []interp.Machine{k.cur, k.slots, k.ref} {
+		f(i, m)
+	}
+}
+
+// check compares the assembled key with both full renders, twice: the
+// second assembly renders nothing and must say the same.
+func (k *keyRig) check(op string) {
+	k.t.Helper()
+	want := string(k.slots.AppendFingerprint(nil))
+	if r := string(k.ref.AppendFingerprint(nil)); r != want {
+		k.t.Fatalf("%s: after %s: the oracles disagree\nslots: %s\n  ref: %s", k.label, op, want, r)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if got := string(k.cur.AppendFingerprint(nil)); got != want {
+			k.t.Fatalf("%s: after %s (assembly %d): assembled key differs from the full render\n got: %s\nwant: %s",
+				k.label, op, pass, got, want)
+		}
+	}
+	if h, full := k.cur.StateHash(), k.cur.(*interp.System).RecomputeStateHash(); h != full {
+		k.t.Fatalf("%s: after %s: incremental hash %#x != full re-walk %#x", k.label, op, h, full)
+	}
+}
+
+// reset takes all three to the initial state, checking the key between
+// Reset and Init too. It reports false when Init ends the run.
+func (k *keyRig) reset() bool {
+	k.t.Helper()
+	k.each(func(i int, m interp.Machine) { m.Reset() })
+	k.check("Reset")
+	ok := true
+	k.each(func(i int, m interp.Machine) {
+		k.chs[i] = &stepChooser{}
+		if m.Init(k.chs[i]) != nil {
+			ok = false
+		}
+	})
+	if ok {
+		k.check("Init")
+	}
+	return ok
+}
+
+// step runs process p on all three and reports false on an abnormal
+// outcome (after which the machines are only fit for reset).
+func (k *keyRig) step(p int) bool {
+	k.t.Helper()
+	ok := true
+	k.each(func(i int, m interp.Machine) {
+		if _, out := m.Step(p, k.chs[i]); out != nil {
+			ok = false
+		}
+	})
+	if ok {
+		k.check(fmt.Sprintf("Step(%d)", p))
+	}
+	return ok
+}
+
+// copyOver overwrites the spare machine with the current one and goes
+// on with the copy, when the state can be copied.
+func (k *keyRig) copyOver() {
+	k.t.Helper()
+	if k.spare.CopyFrom(k.cur) {
+		k.cur, k.spare = k.spare, k.cur
+		k.check("CopyFrom into a stale machine")
+	}
+}
+
+// fork goes on with a fork of the current machine.
+func (k *keyRig) fork() {
+	k.t.Helper()
+	k.cur, k.spare = k.cur.ForkMachine(), k.cur
+	k.check("ForkMachine")
+}
+
+// keySchedule drives a rig down a seeded schedule that interleaves
+// steps with copies into the stale machine, forks and resets, checking
+// the key after every operation.
+func keySchedule(t *testing.T, label string, u *cfg.Unit, seed int64, ops int) {
+	t.Helper()
+	k := newKeyRig(t, label, u)
+	rng := rand.New(rand.NewSource(seed))
+	live := false
+	for i := 0; i < ops; i++ {
+		en := k.cur.AppendEnabled(nil)
+		switch r := rng.Intn(16); {
+		case !live || len(en) == 0 || r == 0:
+			if live = k.reset(); !live {
+				return // Init itself ends the run: nothing to schedule
+			}
+		case r <= 3:
+			k.copyOver()
+		case r == 4:
+			k.fork()
+		default:
+			live = k.step(en[rng.Intn(len(en))])
+		}
+	}
+}
+
+// keyCases are the programs of the schedule test beyond copyCases: a
+// process that writes through a pointer it received into another
+// process's live frame, into that process's frame after the callee that
+// owned the cell returned, and into its own frames at two depths.
+var keyCases = []struct{ name, src string }{
+	{name: "store-into-another-process", src: `
+chan c[2];
+chan back[2];
+proc owner() {
+    var x = 5;
+    var ack;
+    send(c, &x);
+    recv(back, ack);
+    send(back, x);
+    recv(back, ack);
+    send(back, x + ack);
+}
+proc writer() {
+    var p;
+    var i;
+    recv(c, p);
+    for (i = 0; i < 3; i = i + 1) {
+        *p = *p + 10;
+        send(back, i);
+    }
+}
+process owner;
+process writer;
+`},
+	{name: "store-into-a-popped-frame-of-another-process", src: `
+chan c[2];
+chan out[4];
+proc lend() {
+    var local = 1;
+    send(c, &local);
+}
+proc owner() {
+    var x = 2;
+    lend();
+    send(out, x);
+    send(out, x + 1);
+}
+proc late() {
+    var q;
+    var v;
+    recv(c, q);
+    recv(out, v);
+    *q = 77;
+    send(out, *q);
+}
+process owner;
+process late;
+`},
+	{name: "own-frames", src: `
+chan out[8];
+proc bump(p, n) {
+    *p = *p + n;
+    send(out, *p);
+    if (n > 0) {
+        bump(p, n - 1);
+    }
+}
+proc main() {
+    var x = 1;
+    var a[2];
+    var q = &a[1];
+    *q = 4;
+    bump(&x, 2);
+    send(out, x + a[1]);
+}
+process main;
+process main;
+`},
+}
+
+// TestKeySegmentsMatchFullRender runs the schedule over random
+// programs and over every hand-written pointer program.
+func TestKeySegmentsMatchFullRender(t *testing.T) {
+	n := 60
+	if testing.Short() {
+		n = 12
+	}
+	for seed := 0; seed < n; seed++ {
+		r := rand.New(rand.NewSource(int64(3000 + seed)))
+		src := randprog.Generate(r, randprog.Config{Processes: 2 + seed%2, Helpers: seed % 3})
+		closed, _, err := core.CloseSource(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		keySchedule(t, fmt.Sprintf("seed %d", seed), closed, int64(seed), 120)
+	}
+	progs := append([]struct{ name, src string }(nil), keyCases...)
+	for _, tc := range copyCases {
+		progs = append(progs, struct{ name, src string }{tc.name, tc.src})
+	}
+	for _, tc := range progs {
+		t.Run(tc.name, func(t *testing.T) {
+			u, err := core.CompileSource(tc.src)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			for seed := int64(0); seed < 8; seed++ {
+				keySchedule(t, tc.name, u, seed, 150)
+			}
+		})
+	}
+}
+
+// compileKeyCase compiles keyCases[i] into a fresh rig at the initial
+// state.
+func compileKeyCase(t *testing.T, i int) *keyRig {
+	t.Helper()
+	u, err := core.CompileSource(keyCases[i].src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	k := newKeyRig(t, keyCases[i].name, u)
+	if !k.reset() {
+		t.Fatal("Init ended the run")
+	}
+	return k
+}
+
+// The tests below pin one invalidation rule each: every one renders the
+// key (so all segments are valid), does the one thing the rule is
+// about, and renders again. Taking the rule out of the interpreter
+// makes exactly that check fail.
+
+// Rule: Step invalidates the process it runs.
+func TestKeyRuleStep(t *testing.T) {
+	k := compileKeyCase(t, 2)
+	if !k.step(0) || !k.step(1) || !k.step(0) {
+		t.Fatal("run ended early")
+	}
+}
+
+// Rule: Reset invalidates every process, and so does Init — the key is
+// rendered between the two, so each is on its own.
+func TestKeyRuleResetInit(t *testing.T) {
+	k := compileKeyCase(t, 2)
+	if !k.step(0) || !k.step(1) {
+		t.Fatal("run ended early")
+	}
+	if !k.reset() {
+		t.Fatal("Init ended the run")
+	}
+}
+
+// Rule: switching hashing on invalidates every process. While it is off
+// a store into another process goes unrecorded, so the owner's segment
+// from before would be stale.
+func TestKeyRuleHashingSwitchedOn(t *testing.T) {
+	k := compileKeyCase(t, 0)
+	if !k.step(0) {
+		t.Fatal("run ended early")
+	}
+	k.cur.(*interp.System).SetStateHashing(false)
+	if !k.step(1) {
+		t.Fatal("run ended early")
+	}
+	k.cur.(*interp.System).SetStateHashing(true)
+	k.check("SetStateHashing(true)")
+}
+
+// Rule: a store through a pointer into a live frame of another process
+// invalidates that process, which did not run.
+func TestKeyRuleStoreIntoAnotherProcess(t *testing.T) {
+	k := compileKeyCase(t, 0)
+	// owner sends &x and blocks; each writer step then adds 10 to the
+	// owner's x in its invisible part.
+	for _, p := range []int{0, 1, 1} {
+		if !k.step(p) {
+			t.Fatal("run ended early")
+		}
+	}
+}
+
+// A store into a frame its process has popped changes no key, and must
+// not disturb the ones that hold.
+func TestKeyStoreIntoPoppedFrame(t *testing.T) {
+	k := compileKeyCase(t, 1)
+	for _, p := range []int{0, 1, 0, 1, 1} {
+		if !k.step(p) {
+			t.Fatal("run ended early")
+		}
+	}
+}
+
+// Rule: a copy carries the segments of the state it copies. The
+// receiver's own are valid and describe another state; keeping them
+// would render that state's key.
+func TestKeyRuleCopyCarriesSegments(t *testing.T) {
+	k := compileKeyCase(t, 2)
+	if !k.step(0) {
+		t.Fatal("run ended early")
+	}
+	// Leave the spare elsewhere, with every segment rendered.
+	runSchedule(k.spare, 7, 4)
+	k.spare.AppendFingerprint(nil)
+	k.copyOver()
+	if !k.step(1) {
+		t.Fatal("run ended early")
+	}
+	k.fork()
+	if !k.step(0) {
+		t.Fatal("run ended early")
+	}
+}
+
+// TestKeySegmentWork counts the work instead of timing it: a key after
+// a step re-renders the stepped process and nothing else — stores
+// through pointers into the process's own frames included — and a
+// restored or forked machine renders nothing until it steps.
+func TestKeySegmentWork(t *testing.T) {
+	k := compileKeyCase(t, 2)
+	var keys, segs obs.Counter
+	met := interp.Metrics{Keys: &keys, Segs: &segs}
+	k.cur.SetMetrics(met)
+	k.spare.SetMetrics(met)
+	rendered := func(op string, want int64) {
+		t.Helper()
+		s0, k0 := segs.Load(), keys.Load()
+		k.cur.AppendFingerprint(nil)
+		if got := segs.Load() - s0; got != want || keys.Load()-k0 != 1 {
+			t.Fatalf("key after %s rendered %d segments in %d assemblies, want %d in 1", op, got, keys.Load()-k0, want)
+		}
+	}
+	rendered("an assembly", 0)
+	for i := 0; i < 6; i++ {
+		p := i % 2
+		if _, out := k.cur.Step(p, k.chs[0]); out != nil {
+			t.Fatalf("step %d: %s", i, out)
+		}
+		rendered("a step with own-frame pointer stores", 1)
+		if i%2 == 0 {
+			if !k.spare.CopyFrom(k.cur) {
+				t.Fatal("CopyFrom refused")
+			}
+			k.cur, k.spare = k.spare, k.cur
+			rendered("CopyFrom", 0)
+		} else {
+			k.cur = k.cur.ForkMachine()
+			rendered("ForkMachine", 0)
+		}
+	}
+}

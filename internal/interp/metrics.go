@@ -19,6 +19,10 @@ type Metrics struct {
 	// rolling hash; HashFull counts full recomputation walks.
 	HashIncr *obs.Counter
 	HashFull *obs.Counter
+	// Keys counts fingerprints assembled from key segments, Segs the
+	// process segments re-rendered for them (hash.go).
+	Keys *obs.Counter
+	Segs *obs.Counter
 }
 
 // SetMetrics attaches instrument counters to the system. Forked systems

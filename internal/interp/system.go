@@ -61,6 +61,11 @@ type Proc struct {
 	stack  []*frame
 	cur    *cfg.Node
 	status Status
+
+	// seg is the process's part of the state fingerprint as last
+	// rendered, current while segOK (hash.go says who clears the bit).
+	seg   []byte
+	segOK bool
 }
 
 // Status returns the process's lifecycle state.
@@ -156,12 +161,13 @@ type System struct {
 	// cp is the scratch of a whole-state copy into this system (fork.go).
 	cp copier
 
-	// Incremental state hashing (hash.go), maintained by the bytecode
+	// Incremental state identity (hash.go), maintained by the bytecode
 	// engine when hashOn: the rolling cell accumulator, per-object
-	// hashes, and a scratch buffer for object fingerprints.
+	// hashes and key segments, and the full hash walk's scratch buffer.
 	hashOn   bool
 	acc      uint64
 	objHash  []uint64
+	objSeg   [][]byte
 	objFpBuf []byte
 	// nd batches dispatched-instruction counts between metric flushes.
 	nd int64
@@ -223,6 +229,7 @@ func (r *Resolution) NewSystem() *System {
 	for i, name := range r.objNames {
 		s.objs[i] = objs[name]
 	}
+	s.objHash, s.objSeg = make([]uint64, len(s.objs)), make([][]byte, len(s.objs))
 	s.Reset()
 	return s
 }
@@ -299,6 +306,7 @@ func (s *System) Object(name string) comm.Object {
 // s0 of the paper. It must be called once after Reset.
 func (s *System) Init(ch Chooser) *Outcome {
 	for _, p := range s.Procs {
+		p.segOK = false
 		if out := s.advance(p, ch); out != nil {
 			return out
 		}
@@ -518,6 +526,7 @@ func (s *System) Deadlocked() bool {
 // non-nil outcome. The caller must only step enabled processes.
 func (s *System) Step(i int, ch Chooser) (Event, *Outcome) {
 	p := s.Procs[i]
+	p.segOK = false
 	ev, out := s.execVisible(p, ch)
 	if out != nil {
 		return ev, out
@@ -658,45 +667,67 @@ func (s *System) Fingerprint() string { return string(s.AppendFingerprint(nil)) 
 // happens and the output is byte-identical to the reference
 // interpreter's (RefSystem.AppendFingerprint).
 func (s *System) AppendFingerprint(dst []byte) []byte {
+	if s.hashOn { // concatenate the key segments (hash.go)
+		s.met.Keys.Inc()
+		for _, seg := range s.objSeg {
+			dst = append(dst, seg...)
+		}
+		for _, p := range s.Procs {
+			if !p.segOK {
+				s.met.Segs.Inc()
+				p.seg, p.segOK = p.appendFingerprint(p.seg[:0]), true
+			}
+			dst = append(dst, p.seg...)
+		}
+		return dst
+	}
 	for _, o := range s.objs {
 		dst = o.AppendFingerprint(dst)
 		dst = append(dst, ';')
 	}
 	for _, p := range s.Procs {
-		dst = append(dst, '|', 'P')
-		dst = strconv.AppendInt(dst, int64(p.Index), 10)
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(p.status), 10)
-		if p.status != Running {
-			continue
+		dst = p.appendFingerprint(dst)
+	}
+	return dst
+}
+
+// appendFingerprint appends the process's part of the fingerprint. It
+// reads nothing outside the process: a pointer is labeled by its
+// position in p's own live frames, or not at all.
+func (p *Proc) appendFingerprint(dst []byte) []byte {
+	dst = append(dst, '|', 'P')
+	dst = strconv.AppendInt(dst, int64(p.Index), 10)
+	dst = append(dst, ':')
+	dst = strconv.AppendInt(dst, int64(p.status), 10)
+	if p.status != Running {
+		return dst
+	}
+	for fi, f := range p.stack {
+		dst = append(dst, '/')
+		dst = append(dst, f.code.name...)
+		if fi == len(p.stack)-1 {
+			dst = append(dst, '@', 'n')
+			dst = strconv.AppendInt(dst, int64(p.cur.ID), 10)
+		} else {
+			dst = append(dst, '@', 'c')
+			dst = strconv.AppendInt(dst, int64(p.stack[fi+1].callNode), 10)
 		}
-		for fi, f := range p.stack {
-			dst = append(dst, '/')
-			dst = append(dst, f.code.name...)
-			if fi == len(p.stack)-1 {
-				dst = append(dst, '@', 'n')
-				dst = strconv.AppendInt(dst, int64(p.cur.ID), 10)
-			} else {
-				dst = append(dst, '@', 'c')
-				dst = strconv.AppendInt(dst, int64(p.stack[fi+1].callNode), 10)
-			}
-			st := f.code.slots
-			for _, slot := range st.Sorted {
-				v := f.cells[slot].V
-				dst = append(dst, ',')
-				dst = append(dst, st.Names[slot]...)
-				dst = append(dst, '=')
-				if v.Kind == KPtr {
-					dst = append(dst, '&')
-					dst = appendCellLabel(dst, p, v.Ptr.Cell)
-					if v.Ptr.Elem >= 0 {
-						dst = append(dst, '[')
-						dst = strconv.AppendInt(dst, int64(v.Ptr.Elem), 10)
-						dst = append(dst, ']')
-					}
-				} else {
-					dst = v.AppendString(dst)
+		st := f.code.slots
+		for _, slot := range st.Sorted {
+			v := f.cells[slot].V
+			dst = append(dst, ',')
+			dst = append(dst, st.Names[slot]...)
+			dst = append(dst, '=')
+			if v.Kind == KPtr {
+				dst = append(dst, '&')
+				dst = appendCellLabel(dst, p, v.Ptr.Cell)
+				if v.Ptr.Elem >= 0 {
+					dst = append(dst, '[')
+					dst = strconv.AppendInt(dst, int64(v.Ptr.Elem), 10)
+					dst = append(dst, ']')
 				}
+			} else {
+				dst = v.AppendString(dst)
 			}
 		}
 	}
@@ -709,15 +740,11 @@ func (s *System) AppendFingerprint(dst []byte) []byte {
 // or another process — gets no label, matching the reference's behavior
 // for cells missing from its label map.
 func appendCellLabel(dst []byte, p *Proc, c *Cell) []byte {
-	for fi, f := range p.stack {
-		for i := range f.cells {
-			if &f.cells[i] == c {
-				dst = append(dst, 'f')
-				dst = strconv.AppendInt(dst, int64(fi), 10)
-				dst = append(dst, '.')
-				return append(dst, f.code.slots.Names[i]...)
-			}
-		}
+	if fi, i := p.locate(c); fi >= 0 {
+		dst = append(dst, 'f')
+		dst = strconv.AppendInt(dst, int64(fi), 10)
+		dst = append(dst, '.')
+		dst = append(dst, p.stack[fi].code.slots.Names[i]...)
 	}
 	return dst
 }

@@ -251,7 +251,11 @@ type Result struct {
 	Divergences int64 `json:"divergences"`
 	// Livelocks counts non-progress cycles; zero (and absent from the
 	// JSON) unless the request set "liveness".
-	Livelocks      int64 `json:"livelocks,omitempty"`
+	Livelocks int64 `json:"livelocks,omitempty"`
+	// RedCut counts the liveness red searches that ran out of budget
+	// before finding a cycle or exhausting their region: nonzero means
+	// "no livelock" holds only up to that bound.
+	RedCut         int64 `json:"liveness_red_searches_cut,omitempty"`
 	DepthHits      int64 `json:"depth_hits"`
 	SleepPrunes    int64 `json:"sleep_prunes"`
 	CachePrunes    int64 `json:"cache_prunes"`
@@ -282,6 +286,7 @@ func resultFromReport(rep *explore.Report) *Result {
 		Traps:          rep.Traps,
 		Divergences:    rep.Divergences,
 		Livelocks:      rep.Livelocks,
+		RedCut:         rep.RedCut,
 		DepthHits:      rep.DepthHits,
 		SleepPrunes:    rep.SleepPrunes,
 		CachePrunes:    rep.CachePrunes,

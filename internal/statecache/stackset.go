@@ -18,20 +18,22 @@ import "bytes"
 // concurrent use.
 type StackSet struct {
 	entries []stackEntry
-	// index maps fingerprint hash to the depths holding that hash.
-	// Truncation removes dead depths eagerly, so every index hit
-	// refers to a live entry.
-	index map[uint64][]int32
+	// index maps a fingerprint hash to the deepest entry holding it;
+	// shallower ones follow through next. Entries are pushed and
+	// truncated at the deep end only, so that entry is always the one
+	// to unlink.
+	index map[uint64]int32
 }
 
 type stackEntry struct {
 	hash uint64
+	next int32  // next shallower depth with this hash, or -1
 	key  []byte // private copy; buffer reused across overwrites
 }
 
 // NewStackSet returns an empty stack set.
 func NewStackSet() *StackSet {
-	return &StackSet{index: make(map[uint64][]int32)}
+	return &StackSet{index: make(map[uint64]int32)}
 }
 
 // Len returns the number of states currently on the stack.
@@ -40,19 +42,10 @@ func (s *StackSet) Len() int { return len(s.entries) }
 // Truncate discards every entry at depth >= n.
 func (s *StackSet) Truncate(n int) {
 	for i := len(s.entries) - 1; i >= n; i-- {
-		e := &s.entries[i]
-		chain := s.index[e.hash]
-		for j, d := range chain {
-			if int(d) == i {
-				chain[j] = chain[len(chain)-1]
-				chain = chain[:len(chain)-1]
-				break
-			}
-		}
-		if len(chain) == 0 {
+		if e := &s.entries[i]; e.next < 0 {
 			delete(s.index, e.hash)
 		} else {
-			s.index[e.hash] = chain
+			s.index[e.hash] = e.next
 		}
 	}
 	if n < len(s.entries) {
@@ -75,19 +68,26 @@ func (s *StackSet) Push(depth int, hash uint64, key []byte) {
 		// pushes allocation-free.
 		buf = s.entries[:depth+1][depth].key[:0]
 	}
-	s.entries = append(s.entries, stackEntry{hash: hash, key: append(buf, key...)})
-	s.index[hash] = append(s.index[hash], int32(depth))
+	next, ok := s.index[hash]
+	if !ok {
+		next = -1
+	}
+	s.entries = append(s.entries, stackEntry{hash: hash, next: next, key: append(buf, key...)})
+	s.index[hash] = int32(depth)
 }
 
-// Lookup reports the depth of the on-stack state with the given
-// fingerprint, or ok == false if the state is not on the stack.
+// Lookup reports the depth of the shallowest on-stack state with the
+// given fingerprint, or ok == false if the state is not on the stack.
 func (s *StackSet) Lookup(hash uint64, key []byte) (depth int, ok bool) {
-	for _, d := range s.index[hash] {
-		if bytes.Equal(s.entries[d].key, key) {
-			return int(d), true
+	d, found := s.index[hash]
+	for found && d >= 0 {
+		e := &s.entries[d]
+		if bytes.Equal(e.key, key) {
+			depth, ok = int(d), true
 		}
+		d = e.next
 	}
-	return 0, false
+	return depth, ok
 }
 
 // Key returns the stored fingerprint at the given depth. The returned

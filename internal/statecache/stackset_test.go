@@ -42,6 +42,37 @@ func TestStackSetHashCollision(t *testing.T) {
 	}
 }
 
+// TestStackSetRepeatedState pins which occurrence Lookup names when a
+// state sits on the stack more than once (a cycle with progress is
+// pushed again): the shallowest, whatever was truncated in between, and
+// a steady push/truncate cycle allocates nothing.
+func TestStackSetRepeatedState(t *testing.T) {
+	s := NewStackSet()
+	for d, k := range []string{"a", "b", "a", "c", "a"} {
+		s.Push(d, uint64(k[0]), []byte(k))
+	}
+	if d, ok := s.Lookup('a', []byte("a")); !ok || d != 0 {
+		t.Errorf("Lookup(a) = %d, %t; want 0, true", d, ok)
+	}
+	s.Truncate(3)
+	s.Push(3, 'a', []byte("a"))
+	if d, ok := s.Lookup('a', []byte("a")); !ok || d != 0 {
+		t.Errorf("after re-push: Lookup(a) = %d, %t; want 0, true", d, ok)
+	}
+	s.Truncate(0)
+	if _, ok := s.Lookup('a', []byte("a")); ok || s.Len() != 0 {
+		t.Error("emptied set still finds a")
+	}
+	s.Push(0, 'a', []byte("a"))
+	if n := testing.AllocsPerRun(100, func() {
+		s.Push(1, 'b', []byte("b"))
+		s.Push(2, 'a', []byte("a"))
+		s.Truncate(1)
+	}); n != 0 {
+		t.Errorf("steady push/truncate allocates %v times", n)
+	}
+}
+
 func TestStackSetTruncate(t *testing.T) {
 	s := NewStackSet()
 	s.Push(0, 1, []byte("a"))

@@ -23,6 +23,17 @@
 // Eviction is sound by construction — the cache is a pruning memo, not
 // ground truth — forgetting an entry merely means a future revisit
 // re-explores a subtree that was already covered.
+//
+// Storage. A shard is a ring of pointer-free slots: the clock hand
+// sweeps it, a LIFO free list hands out evicted positions. Slots with
+// one hash form a chain through their next fields under a map from the
+// hash to the chain's first slot. Key bytes are carved from chunks the
+// shard owns (4 KiB doubling to 64 KiB); an evicted slot keeps its piece
+// and the next key stored at that position reuses it when it fits, so a
+// bounded cache at its budget stores a state without allocating.
+// MaxBytes charges a key's length plus entryOverhead however the bytes
+// are held, so the evictions a given budget causes do not depend on the
+// storage.
 package statecache
 
 import (
@@ -41,8 +52,16 @@ const maxShards = 1 << 16
 
 // entryOverhead approximates the per-entry bookkeeping cost charged
 // against the byte budget beyond the fingerprint bytes themselves: the
-// slot record, its index-bucket element, and map overhead.
+// slot record, its index entry, and unused chunk space.
 const entryOverhead = 96
+
+// Key bytes are carved from blocks that double from minChunk, so a
+// search of a few hundred states does not zero a megabyte, to chunkSize,
+// small enough for 16-bit offsets (a longer key gets a block of its own).
+const (
+	minChunk  = 1 << 12
+	chunkSize = 1 << 16
+)
 
 // Config configures a Cache.
 type Config struct {
@@ -72,11 +91,16 @@ type Stats struct {
 	Shards       int
 }
 
-// slot is one cache entry on a shard's clock ring.
+// slot is one cache entry on a shard's clock ring. Its key is
+// chunks[chunk][off:off+klen], in a piece of kcap bytes it keeps dead.
 type slot struct {
-	key   []byte
 	hash  uint64
+	chunk int32
+	klen  int32
+	kcap  int32
 	depth int32
+	next  int32 // next live slot with this hash, or -1
+	off   uint16
 	ref   bool // second-chance reference bit
 	live  bool
 }
@@ -84,13 +108,15 @@ type slot struct {
 // shard is one stripe: a hash index over a slot ring with its own
 // mutex, byte budget, and counters.
 type shard struct {
-	mu    sync.Mutex
-	index map[uint64][]int32 // hash -> live slot positions
-	slots []slot
-	free  []int32
-	hand  int
-	bytes int64
-	live  int64
+	mu     sync.Mutex
+	index  map[uint64]int32 // hash -> first live slot of its chain
+	slots  []slot
+	free   []int32
+	chunks [][]byte
+	fill   int // bytes carved from the last chunk
+	hand   int
+	bytes  int64
+	live   int64
 
 	hits         int64
 	misses       int64
@@ -129,7 +155,7 @@ func New(cfg Config) *Cache {
 		}
 	}
 	for i := range c.shards {
-		c.shards[i].index = make(map[uint64][]int32)
+		c.shards[i].index = make(map[uint64]int32)
 	}
 	return c
 }
@@ -172,45 +198,43 @@ func (c *Cache) Visit(key []byte, depth int) bool {
 func (c *Cache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	for _, pos := range s.index[h] {
+	pos, tail, skipped := s.find(h, key)
+	s.collisions += skipped
+	if pos >= 0 {
 		sl := &s.slots[pos]
-		if !bytes.Equal(sl.key, key) {
-			s.collisions++
-			continue
-		}
-		if int32(depth) >= sl.depth {
-			sl.ref = true
-			s.hits++
-			return true
-		}
-		// Strictly shallower revisit: the earlier, deeper visit saw a
-		// smaller depth budget, so its subtree may have been truncated.
-		// Re-expand and remember the new shallowest depth.
-		sl.depth = int32(depth)
 		sl.ref = true
-		s.misses++
-		s.reexpansions++
-		return false
+		pruned := int32(depth) >= sl.depth
+		if pruned {
+			s.hits++
+		} else {
+			// Strictly shallower revisit: the earlier, deeper visit saw a
+			// smaller depth budget, so its subtree may have been truncated.
+			// Re-expand and remember the new shallowest depth.
+			sl.depth = int32(depth)
+			s.misses++
+			s.reexpansions++
+		}
+		s.mu.Unlock()
+		return pruned
 	}
 
 	s.misses++
 	cost := int64(len(key)) + entryOverhead
-	if c.maxPer > 0 {
-		for s.bytes+cost > c.maxPer {
-			if !s.evictOne() {
-				break
-			}
+	if c.maxPer > 0 && s.bytes+cost > c.maxPer {
+		for s.bytes+cost > c.maxPer && s.evictOne() {
 		}
 		if s.bytes+cost > c.maxPer {
 			// Even an empty shard cannot hold this entry; skip the
 			// insert — the state is still expanded, only a future
 			// revisit loses its prune.
+			s.mu.Unlock()
 			return false
 		}
+		if tail >= 0 {
+			// A victim may have been on this key's chain.
+			_, tail, _ = s.find(h, key)
+		}
 	}
-	var pos int32
 	if n := len(s.free); n > 0 {
 		pos = s.free[n-1]
 		s.free = s.free[:n-1]
@@ -219,16 +243,65 @@ func (c *Cache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 		pos = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[pos]
-	sl.key = append([]byte(nil), key...)
-	sl.hash = h
-	sl.depth = int32(depth)
-	sl.ref = false
-	sl.live = true
-	s.index[h] = append(s.index[h], pos)
+	if int(sl.kcap) < len(key) {
+		sl.chunk, sl.off = s.carve(len(key))
+		sl.kcap = int32(len(key))
+	}
+	sl.klen = int32(len(key))
+	copy(s.key(sl), key)
+	sl.hash, sl.depth, sl.next, sl.ref, sl.live = h, int32(depth), -1, false, true
+	if tail < 0 {
+		s.index[h] = pos
+	} else {
+		s.slots[tail].next = pos
+	}
 	s.bytes += cost
 	s.live++
 	s.inserts++
+	s.mu.Unlock()
 	return false
+}
+
+// find walks the chain of hash h for the slot holding key and returns
+// its position and how many other slots it passed, or pos -1 and the
+// chain's last slot (-1 if none), where a new entry links in. Called
+// with the shard mutex held.
+func (s *shard) find(h uint64, key []byte) (pos, tail int32, skipped int64) {
+	tail = -1
+	pos, ok := s.index[h]
+	if !ok {
+		return -1, -1, 0
+	}
+	for pos >= 0 {
+		sl := &s.slots[pos]
+		if bytes.Equal(s.key(sl), key) {
+			return pos, tail, skipped
+		}
+		skipped++
+		tail, pos = pos, sl.next
+	}
+	return -1, tail, skipped
+}
+
+func (s *shard) key(sl *slot) []byte {
+	return s.chunks[sl.chunk][sl.off : int(sl.off)+int(sl.klen)]
+}
+
+// carve reserves n bytes of chunk space and returns their position.
+func (s *shard) carve(n int) (chunk int32, off uint16) {
+	last := len(s.chunks) - 1
+	if last < 0 || s.fill+n > len(s.chunks[last]) {
+		size := minChunk
+		if last >= 0 {
+			size = min(2*len(s.chunks[last]), chunkSize)
+		}
+		s.chunks = append(s.chunks, make([]byte, max(n, size)))
+		last++
+		s.fill = 0
+	}
+	off = uint16(s.fill)
+	s.fill += n
+	return int32(last), off
 }
 
 // LookupPrehashed reports whether the state identified by key would be
@@ -243,14 +316,26 @@ func (c *Cache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 func (c *Cache) LookupPrehashed(h uint64, key []byte, depth int) bool {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, pos := range s.index[h] {
-		sl := &s.slots[pos]
-		if bytes.Equal(sl.key, key) && int32(depth) >= sl.depth {
-			return true
+	pos, _, _ := s.find(h, key)
+	found := pos >= 0 && int32(depth) >= s.slots[pos].depth
+	s.mu.Unlock()
+	return found
+}
+
+// Reset forgets every entry and keeps the storage; the event counters
+// run on. The liveness red search empties its seen set this way.
+func (c *Cache) Reset() {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		clear(s.index)
+		if n := len(s.chunks); n > 1 { // keep the largest block
+			s.chunks[0], s.chunks = s.chunks[n-1], s.chunks[:1]
 		}
+		s.slots, s.free = s.slots[:0], s.free[:0]
+		s.fill, s.hand, s.bytes, s.live = 0, 0, 0, 0
+		s.mu.Unlock()
 	}
-	return false
 }
 
 // evictOne advances the clock hand to the next unreferenced live slot
@@ -285,25 +370,33 @@ func (s *shard) evictOne() bool {
 	return false
 }
 
-// remove unlinks a live slot from the index and returns it to the free
+// remove unlinks a live slot from its chain and returns it to the free
 // list. Called with the shard mutex held.
 func (s *shard) remove(pos int32, sl *slot) {
-	bucket := s.index[sl.hash]
-	for i, p := range bucket {
-		if p == pos {
-			bucket[i] = bucket[len(bucket)-1]
-			bucket = bucket[:len(bucket)-1]
-			break
-		}
-	}
-	if len(bucket) == 0 {
+	if head := s.index[sl.hash]; head == pos && sl.next < 0 {
 		delete(s.index, sl.hash)
 	} else {
-		s.index[sl.hash] = bucket
+		// The chain's last slot takes the removed one's place, as in a
+		// bucket slice: scans pass the candidates (Collisions) they did.
+		prev, last, lastPrev := int32(-1), head, int32(-1)
+		for n := s.slots[last].next; n >= 0; n = s.slots[last].next {
+			if n == pos {
+				prev = last
+			}
+			lastPrev, last = last, n
+		}
+		s.slots[lastPrev].next = -1
+		if last != pos {
+			s.slots[last].next = sl.next
+			if prev < 0 {
+				s.index[sl.hash] = last
+			} else {
+				s.slots[prev].next = last
+			}
+		}
 	}
-	s.bytes -= int64(len(sl.key)) + entryOverhead
+	s.bytes -= int64(sl.klen) + entryOverhead
 	s.live--
-	sl.key = nil
 	sl.live = false
 	s.free = append(s.free, pos)
 }

@@ -2,7 +2,8 @@
 # Tier-1 verification: build, vet, full tests, race-detector legs over
 # the packages with real concurrency, and a short fuzz smoke over the
 # front end, the checkpoint decoder, the bytecode/slots lockstep oracle,
-# the job request parser and the dist frame codec (5s per target).
+# the job request parser and the dist frame codec (5s per target; the
+# lockstep target also runs the key-segment schedule of keyseg_test.go).
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
@@ -62,8 +63,8 @@ go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 
 # Bench smoke: one iteration of the dataflow-analysis, interpreter,
-# snapshot-vs-replay, backtracking, checkpoint-cadence and liveness
-# benchmarks (catches bit-rot in the perf harness without paying for a
+# snapshot-vs-replay, backtracking, state-key, checkpoint-cadence and
+# liveness benchmarks (catches bit-rot in the perf harness without paying for a
 # real measurement run), plus a syntax check of the bench driver.
-go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x .
+go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkStateKey|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x .
 sh -n scripts/bench.sh
