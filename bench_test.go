@@ -280,33 +280,6 @@ func BenchmarkDPOR(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCompare measures the interpreter tiers head-to-head on
-// the bounded 5ESS exploration workload: the bytecode engine (flat
-// per-unit bytecode, register dispatch, pooled frames) against the
-// closure-per-node slot engine it replaced as the default. Same unit,
-// same options, byte-identical reports — only ns/op and allocs/op
-// differ. The ref tier is deliberately absent: it is an oracle, not a
-// contender, and BenchmarkInterpreter already tracks it.
-func BenchmarkEngineCompare(b *testing.B) {
-	for _, scale := range []string{"small", "medium"} {
-		closed := mustCloseB(b, fiveess.Source(fiveess.Scale(scale)))
-		for _, eng := range []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots} {
-			b.Run(fmt.Sprintf("%s/%s", eng, scale), func(b *testing.B) {
-				var trans int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rep := exploreB(b, closed, explore.Options{
-						Engine: eng, MaxDepth: 500, MaxStates: 20000,
-					})
-					trans = rep.Transitions
-				}
-				b.ReportMetric(float64(trans), "transitions")
-			})
-		}
-	}
-}
-
 // BenchmarkParallelExplore measures the layered work-stealing engine on
 // the 5ESS medium workload at increasing worker counts. workers=1 is
 // the parallel engine's own baseline (one worker paying the frontier
@@ -412,13 +385,12 @@ func BenchmarkParse(b *testing.B) {
 }
 
 // BenchmarkInterpreter measures raw interpretation speed on a
-// deterministic recursive workload. The slot row drives the
-// slot-resolved interpreter directly (variables pre-resolved to dense
-// frame indices at compile time); the stringmap row drives the
-// reference interpreter, which looks every variable up in a per-frame
-// map — the before/after of the slot-resolution optimization. The
-// explore row keeps the historical measurement through the full
-// exploration engine.
+// deterministic recursive workload. The bytecode row drives the
+// compiled machine directly (variables pre-resolved to dense frame
+// indices, flat bytecode); the stringmap row drives the reference
+// interpreter, which walks the AST and looks every variable up in a
+// per-frame map. The explore row keeps the historical measurement
+// through the full exploration engine.
 func BenchmarkInterpreter(b *testing.B) {
 	src := `
 chan out[2];
@@ -446,7 +418,7 @@ process main;
 	}
 	ch := interp.ChooserFunc(func(bound int) (int, bool) { return 0, true })
 
-	b.Run("slot", func(b *testing.B) {
+	b.Run("bytecode", func(b *testing.B) {
 		sys, err := interp.NewSystem(unit)
 		if err != nil {
 			b.Fatal(err)
@@ -563,7 +535,7 @@ func BenchmarkBacktrack(b *testing.B) {
 // BenchmarkStateKey measures what the stateful search does between two
 // states of a backtrack — restore a snapshot, step one process, take the
 // state's key — on the lock server's 13-component state. "full" is a
-// bytecode machine with hashing off, which renders every component of
+// machine with hashing off, which renders every component of
 // every key; "assembled" is the hashing machine, whose copy carries the
 // key segments and whose key re-renders the stepped process only.
 func BenchmarkStateKey(b *testing.B) {
@@ -578,7 +550,7 @@ func BenchmarkStateKey(b *testing.B) {
 			name = "assembled"
 		}
 		b.Run("lock-c4-r2/"+name, func(b *testing.B) {
-			snap, m := res.NewBytecodeSystem(), res.NewBytecodeSystem()
+			snap, m := res.NewSystem(), res.NewSystem()
 			snap.SetStateHashing(hashing)
 			ch := interp.FixedChooser(0)
 			if out := snap.Init(ch); out != nil {

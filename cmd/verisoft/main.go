@@ -116,7 +116,7 @@ func newCLI(stdout, stderr io.Writer) *cli {
 		fmt.Fprintf(stderr, "usage: verisoft [flags] file.mc (use - for stdin)\n")
 		fs.PrintDefaults()
 	}
-	fs.StringVar(&c.engine, "engine", "bytecode", "interpreter tier: bytecode (flat bytecode + incremental hashing), slots (closure-compiled), or ref (reference oracle)")
+	fs.StringVar(&c.engine, "engine", "bytecode", "interpreter: bytecode (the compiled machine: flat bytecode + incremental hashing) or ref (reference oracle)")
 	fs.IntVar(&c.depth, "depth", 0, "depth bound on explored paths (0 = default 1e6)")
 	fs.Int64Var(&c.maxStates, "max-states", 0, "abort after visiting this many global states (0 = unlimited)")
 	fs.IntVar(&c.naive, "naive", 0, "close naively with an explicit most general environment over domain [0,D) instead of transforming")

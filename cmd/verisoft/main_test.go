@@ -179,6 +179,55 @@ func TestCLIUsageErrors(t *testing.T) {
 	}
 }
 
+// TestCLIEngineFlag pins -engine's two spellings: the reference oracle
+// reports the default engine's counters, and anything else — the
+// deleted closure tier's name like any other — is refused by name
+// before a search starts.
+func TestCLIEngineFlag(t *testing.T) {
+	prog := writeProg(t, progs.Philosophers(3))
+	var def, errb bytes.Buffer
+	if code := realMain([]string{prog}, &def, &errb); code != 3 {
+		t.Fatalf("default run: exit = %d, want 3\nstderr:\n%s", code, errb.String())
+	}
+	want := summaryRE.FindStringSubmatch(def.String())
+	if want == nil {
+		t.Fatalf("no summary: line in output:\n%s", def.String())
+	}
+	for _, tc := range []struct {
+		engine string
+		code   int
+		stdout string // substring of stdout, when the run starts
+		stderr string // the whole of stderr, when it does not
+	}{
+		{engine: "bytecode", code: 3, stdout: "(engine bytecode)"},
+		{engine: "ref", code: 3, stdout: "(engine ref)"},
+		{engine: "slots", code: 1, stderr: "verisoft: unknown engine \"slots\" (want bytecode or ref)\n"},
+		{engine: "valves", code: 1, stderr: "verisoft: unknown engine \"valves\" (want bytecode or ref)\n"},
+	} {
+		var out, errb bytes.Buffer
+		if code := realMain([]string{"-engine", tc.engine, prog}, &out, &errb); code != tc.code {
+			t.Errorf("-engine %s: exit = %d, want %d\nstderr:\n%s", tc.engine, code, tc.code, errb.String())
+			continue
+		}
+		if tc.code == 1 {
+			if errb.String() != tc.stderr || out.Len() != 0 {
+				t.Errorf("-engine %s: stderr %q, stdout %q; want stderr %q and no output", tc.engine, errb.String(), out.String(), tc.stderr)
+			}
+			continue
+		}
+		if !strings.Contains(out.String(), tc.stdout) {
+			t.Errorf("-engine %s: stdout does not say %q:\n%s", tc.engine, tc.stdout, out.String())
+		}
+		got := summaryRE.FindStringSubmatch(out.String())
+		if got == nil {
+			t.Fatalf("-engine %s: no summary: line in output:\n%s", tc.engine, out.String())
+		}
+		if g, w := strings.Join(got[1:6], " "), strings.Join(want[1:6], " "); g != w {
+			t.Errorf("-engine %s: summary counters %s, the default engine's %s", tc.engine, g, w)
+		}
+	}
+}
+
 // TestCLICacheFlags runs a cached parallel search with an explicit
 // shard count and memory budget and checks the cache section lands in
 // the metrics file: the shard gauge honors -cache-shards and the

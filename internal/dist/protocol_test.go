@@ -170,7 +170,7 @@ func FuzzDistProtocol(f *testing.F) {
 func TestOptionsRoundTrip(t *testing.T) {
 	cases := []explore.Options{
 		{},
-		{Engine: interp.EngineSlots, MaxDepth: 123, NoSleep: true},
+		{Engine: interp.EngineRef, MaxDepth: 123, NoSleep: true},
 		{POR: explore.PORDynamic, Search: explore.SearchPriority, MaxIncidents: 7},
 		{POR: explore.POROff, StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20},
 		{SnapshotSpill: true, SpillDepth: 5, Workers: 3, StopOnViolation: true},
@@ -195,8 +195,10 @@ func TestOptionsRoundTrip(t *testing.T) {
 			t.Errorf("case %d: options drifted across the wire:\n sent %+v\n back %+v", i, w, again)
 		}
 	}
-	if _, err := DecodeOptions(WireOptions{Engine: "valves"}); err == nil {
-		t.Errorf("DecodeOptions accepted an unknown engine")
+	for _, engine := range []string{"valves", "slots"} { // never one; the tier deleted in PR 17
+		if _, err := DecodeOptions(WireOptions{Engine: engine}); err == nil {
+			t.Errorf("DecodeOptions accepted the unknown engine %q", engine)
+		}
 	}
 	w := EncodeOptions(explore.Options{Search: explore.SearchPriority}, []string{"ch"})
 	got, err := DecodeOptions(w)

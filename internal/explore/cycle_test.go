@@ -366,12 +366,12 @@ func TestLivelockSamplesAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestLivelockEngines checks detection across interpreter tiers; the
+// TestLivelockEngines checks detection on both interpreters; the
 // fingerprints that drive the on-stack check must agree between the
-// bytecode, slots, and reference machines.
+// compiled and the reference machine.
 func TestLivelockEngines(t *testing.T) {
 	u := compileClosed(t, livelockSpin)
-	for _, eng := range []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots, interp.EngineRef} {
+	for _, eng := range []interp.EngineKind{interp.EngineBytecode, interp.EngineRef} {
 		rep, err := explore.Explore(u, explore.Options{
 			Liveness: true, Engine: eng, MaxDepth: 40,
 		})

@@ -85,8 +85,8 @@ func (e *entry) choice() int { return e.options[e.cursor] }
 // point from its snapshot or by replaying its decision prefix (base),
 // then extending the subtree depth-first.
 type engine struct {
-	// sys is the engine's private machine — the interpreter tier
-	// selected by Options.Engine behind the uniform Machine interface
+	// sys is the engine's private machine — the interpreter selected
+	// by Options.Engine behind the uniform Machine interface
 	// (transition semantics, fingerprints, state hashes, state copies).
 	sys interp.Machine
 	opt Options
@@ -559,12 +559,12 @@ func (e *engine) runPath() {
 			var pruned bool
 			if e.opt.testCacheHash == nil {
 				// Route by the machine's state hash — incremental on the
-				// bytecode engine, a full walk elsewhere — folding in the
-				// sleep-key suffix when one was appended. Membership is
-				// still the byte-exact key compare inside the cache; the
-				// hash only picks the shard and bucket, so it must merely
-				// be a pure function of the key bytes (the engines'
-				// hash/fingerprint agreement is pinned by the three-way
+				// compiled machine, a full walk on the reference —
+				// folding in the sleep-key suffix when one was appended.
+				// Membership is still the byte-exact key compare inside
+				// the cache; the hash only picks the shard and bucket, so
+				// it must merely be a pure function of the key bytes (the
+				// engines' hash/fingerprint agreement is pinned by the
 				// differential oracle).
 				if len(e.fpBuf) > fpLen {
 					h = interp.Mix64(h, statecache.FNV1a(e.fpBuf[fpLen:]))

@@ -11,7 +11,7 @@ import (
 )
 
 // reportDigest renders everything a complete search must reproduce
-// regardless of which interpreter tier executed it: every leaf counter,
+// regardless of which interpreter executed it: every leaf counter,
 // coverage, and the full ordered sample list including decision
 // sequences. Replays/ReplaySteps are excluded — they vary with worker
 // scheduling and SnapshotSpill by design, not with the engine.
@@ -29,8 +29,8 @@ func reportDigest(rep *Report) string {
 	return b.String()
 }
 
-// TestEngineEquivalence is the cross-engine contract of the bytecode
-// tier: over engines {bytecode, slots, ref} × workers {0, 2, 4} ×
+// TestEngineEquivalence is the cross-engine contract of the compiled
+// machine: over engines {bytecode, ref} × workers {0, 2, 4} ×
 // SnapshotSpill × StateCache, the merged reports are byte-identical
 // per configuration (full digest where the configuration is
 // deterministic; the schedule-independent digest for parallel cached
@@ -38,7 +38,7 @@ func reportDigest(rep *Report) string {
 // with arrival order — engines must still agree on every counter and
 // the incident multiset).
 func TestEngineEquivalence(t *testing.T) {
-	engines := []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots, interp.EngineRef}
+	engines := []interp.EngineKind{interp.EngineBytecode, interp.EngineRef}
 	cases := map[string]string{
 		"pipeline-2-2":   progs.Pipeline(2, 2),
 		"philosophers-3": progs.Philosophers(3),
@@ -93,7 +93,7 @@ func TestEngineEquivalence(t *testing.T) {
 // cached bytecode search answers every StateHash query from the rolling
 // hash (no full recomputation on the hot path), dispatches a nonzero
 // instruction count, and records the one-time bytecode compile cost;
-// the slots engine answers the same queries by full walks.
+// the reference answers the same queries by full walks.
 func TestEngineHashMetrics(t *testing.T) {
 	closed := mustClose(t, progs.Pipeline(2, 2))
 
@@ -124,16 +124,16 @@ func TestEngineHashMetrics(t *testing.T) {
 	}
 
 	reg = obs.New()
-	if _, err := Explore(closed, Options{Engine: interp.EngineSlots, StateCache: true, Obs: reg}); err != nil {
-		t.Fatalf("slots Explore: %v", err)
+	if _, err := Explore(closed, Options{Engine: interp.EngineRef, StateCache: true, Obs: reg}); err != nil {
+		t.Fatalf("ref Explore: %v", err)
 	}
 	if got := reg.Counter(MetricInterpHashIncr).Load(); got != 0 {
-		t.Errorf("slots run claims %d incremental hash answers", got)
+		t.Errorf("ref run claims %d incremental hash answers", got)
 	}
 	if got := reg.Counter(MetricInterpHashFull).Load(); got == 0 {
-		t.Error("cached slots run performed no full hash walks")
+		t.Error("cached ref run performed no full hash walks")
 	}
-	if got := reg.Label("engine"); got != "slots" {
-		t.Errorf("registry engine label = %q, want %q", got, "slots")
+	if got := reg.Label("engine"); got != "ref" {
+		t.Errorf("registry engine label = %q, want %q", got, "ref")
 	}
 }

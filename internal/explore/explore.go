@@ -60,12 +60,12 @@ import (
 
 // Options configure a search.
 type Options struct {
-	// Engine selects the interpreter tier executing transitions: the
-	// zero value is interp.EngineBytecode (flat bytecode with
-	// incremental state hashing, the fast default); EngineSlots and
-	// EngineRef run the closure-compiled and reference interpreters,
-	// kept as differential oracles and ablation baselines. All three
-	// produce byte-identical reports.
+	// Engine selects the interpreter executing transitions: the zero
+	// value is interp.EngineBytecode, the compiled machine (flat
+	// bytecode with incremental state hashing); EngineRef runs the
+	// reference interpreter, kept as the differential oracle — it
+	// cannot copy its state, so the search replays on it. Both produce
+	// byte-identical reports.
 	Engine interp.EngineKind
 	// MaxDepth bounds the number of transitions along one path; 0 means
 	// the default (1,000,000).
@@ -588,19 +588,19 @@ func ResumeContext(ctx context.Context, u *cfg.Unit, snap *Snapshot, opt Options
 }
 
 // newMachine instantiates one machine of the configured engine over the
-// shared resolution and, on the bytecode tier, switches on incremental
-// state hashing when the search will query StateHash for cache routing
-// (StateCache on, no test hash override). The other tiers answer
-// StateHash by a full recomputation of the same function, so routing —
-// and with it eviction behavior and merged reports — is identical
-// across engines.
+// shared resolution and, on the compiled machine, switches on
+// incremental state hashing when the search will query StateHash for
+// cache routing (StateCache on, no test hash override). The reference
+// answers StateHash by a full recomputation of the same function, so
+// routing — and with it eviction behavior and merged reports — is
+// identical on both.
 func newMachine(res *interp.Resolution, opt Options) (interp.Machine, error) {
 	m, err := res.NewMachine(opt.Engine)
 	if err != nil {
 		return nil, err
 	}
 	if (opt.StateCache || opt.Liveness) && opt.testCacheHash == nil {
-		if s, ok := m.(*interp.System); ok && s.Engine() == interp.EngineBytecode {
+		if s, ok := m.(*interp.System); ok {
 			s.SetStateHashing(true)
 		}
 	}

@@ -195,10 +195,11 @@ func newExploreMetrics(reg *obs.Registry) *exploreMetrics {
 	}
 }
 
-// noteEngine publishes which interpreter tier the search runs on: the
-// registry's "engine" label (carried into the metrics JSON), and — on
-// the bytecode tier — the one-time compile cost gauge. Called after the
-// machines are built, so the lazily compiled module's time is visible.
+// noteEngine publishes which interpreter the search runs on: the
+// registry's "engine" label (carried into the metrics JSON), and —
+// unless it is the reference, which compiles nothing — the one-time
+// bytecode compile cost gauge. Called after the machines are built, so
+// the lazily compiled module's time is visible.
 func (m *exploreMetrics) noteEngine(opt Options, res *interp.Resolution) {
 	if !m.on {
 		return

@@ -20,11 +20,11 @@ import "reclose/internal/interp"
 // and any entry without a snapshot — a toss entry (its enclosing
 // transition is re-executed from the scheduling entry below, with the
 // chooser replaying the toss), an entry whose snapshot was given up, an
-// entry rebuilt from a work unit, every entry of the reference tier
-// (whose CopyFrom reports false) — is reached by replaying from the
-// nearest snapshot below it, or from the initial state when there is
-// none, exactly as every entry was before. Soundness never depends on a
-// snapshot existing.
+// entry rebuilt from a work unit, every entry of the reference
+// interpreter (whose CopyFrom reports false) — is reached by replaying
+// from the nearest snapshot below it, or from the initial state when
+// there is none, exactly as every entry was before. Soundness never
+// depends on a snapshot existing.
 //
 // The pool is bounded by maxSnapshots machines per engine: when they
 // are all in use the shallowest holder gives its snapshot up to the new
@@ -54,8 +54,8 @@ func (e *engine) saveSnapshot(en *entry, depth int) {
 		return
 	}
 	if !m.CopyFrom(e.sys) {
-		// The tier, or this particular state, cannot be copied in place:
-		// the entry replays.
+		// The machine (the reference), or this particular state, cannot
+		// be copied in place: the entry replays.
 		e.snapFree = append(e.snapFree, m)
 		return
 	}

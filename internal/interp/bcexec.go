@@ -7,21 +7,21 @@ import (
 )
 
 // This file is the bytecode dispatch loop. It executes the flat
-// instruction array compiled in bytecode.go against the same state
-// layout the slot engine uses (Proc, frame, Cell), so Fork,
-// fingerprinting, Enabled, and the visible-operation machinery in
-// system.go are shared verbatim between the two engines.
+// instruction array compiled in bytecode.go against the System's state
+// (Proc, frame, Cell); system.go holds the visible operations, Enabled
+// and the fingerprint, fork.go the state copies.
 //
-// The loop runs in two modes sharing one switch: bcAdvance executes a
+// The loop runs in two modes sharing one switch: advance executes a
 // transition's invisible suffix (entered at the current node's block,
 // stopped by opVisible / opReturn / opExit), and runFragment evaluates
 // one visible operand (entered at a fragment pc, stopped by opVisEnd).
 // Ops that only occur in one mode are simply never reached in the
 // other.
 
-// bcAdvance is the bytecode twin of advance: it executes invisible
-// operations of p until the next visible operation or termination.
-func (s *System) bcAdvance(p *Proc, ch Chooser) (out *Outcome) {
+// advance executes invisible operations of p until the process reaches
+// its next visible operation or terminates: the invisible suffix of a
+// transition.
+func (s *System) advance(p *Proc, ch Chooser) (out *Outcome) {
 	defer catchOutcome(p.Index, &out)
 	defer s.flushDispatch()
 	if p.status != Running {
@@ -67,9 +67,10 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 		nd++
 		switch i.Op {
 		case opStep:
-			// One block per node: entering a block is one iteration of
-			// the closure advance loop, so the divergence budget is
-			// charged here, before the node's code runs.
+			// One block per node: entering a block is one invisible
+			// operation of the reference's advance loop (refsys.go), so
+			// the divergence budget is charged here, before the node's
+			// code runs.
 			n := top.code.g.Nodes[i.A]
 			p.cur = n
 			steps++
@@ -112,6 +113,9 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			tbl := &mod.toss[i.A]
 			k := tossOutcome(ch, tbl.bound)
 			if k < 0 || k >= len(tbl.targets) {
+				// A chooser replaying recorded decisions can feed an
+				// out-of-range outcome (a stale or corrupted checkpoint);
+				// trap instead of indexing off the table.
 				trapf("VS_toss outcome %d out of range [0,%d]", k, len(tbl.targets)-1)
 			}
 			t := tbl.targets[k]
@@ -121,8 +125,8 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			pc = t
 
 		case opCallCheck:
-			// Depth check and frame metric precede argument evaluation,
-			// matching enterCall's trap order.
+			// The depth check precedes argument evaluation, the
+			// reference's trap order (RefSystem.enterCall).
 			site := &mod.sites[i.A]
 			if len(p.stack) >= maxCallDepth {
 				trapf("call stack overflow in %s", site.callee.name)
@@ -162,8 +166,8 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 				s.foldFrameOut(f)
 			}
 			if pc < 0 {
-				// The closure engine's fell-off check fires on the frame
-				// captured at iteration start — the callee after a pop.
+				// The reference's fell-off check names the frame it took at
+				// the start of the iteration — the callee, after a pop.
 				trapf("control fell off the graph (proc %s)", f.code.name)
 			}
 			s.putFrame(f)

@@ -9,19 +9,18 @@ import (
 	"reclose/internal/token"
 )
 
-// This file implements the bytecode tier of the interpreter: the
-// one-time compilation of a Resolution's per-node programs into one
-// flat []Instr array for the whole unit, executed by the
-// register-addressed dispatch loop in bcexec.go. The slot engine
-// (closure-per-node, resolve.go) and the reference interpreter
-// (refsys.go) are kept as differential oracles; all three must agree on
-// every observable, including the byte-exact trap messages, which is
-// why the compiler mirrors the evaluation and check order of the
-// closures instruction for instruction.
+// This file is the bytecode compiler: the one-time compilation of a
+// Resolution's nodes into one flat []Instr array for the whole unit,
+// executed by the register-addressed dispatch loop in bcexec.go. The
+// reference interpreter (refeval.go, refsys.go) is the specification
+// and the differential oracle: the two must agree on every observable,
+// including the byte-exact trap messages, which is why the compiler
+// follows the reference's evaluation and check order instruction for
+// instruction.
 //
 // Layout: every CFG node becomes one basic block starting with opStep
 // (which moves the process's control point and charges the divergence
-// budget exactly like one iteration of the closure advance loop).
+// budget exactly like one iteration of the reference's advance loop).
 // Expressions compile with a stack discipline — expr(e, dst) leaves the
 // value in register dst and may scribble on registers above dst — so a
 // statement never needs more than a handful of registers and one
@@ -127,8 +126,7 @@ type bcModule struct {
 
 // ensureBytecode compiles the resolution's bytecode module on first
 // use. The module is immutable after compilation and shared by every
-// bytecode System built over the resolution, exactly like the closure
-// programs.
+// System built over the resolution, like the rest of it.
 func (r *Resolution) ensureBytecode() *bcModule {
 	r.bcOnce.Do(func() {
 		start := time.Now()
@@ -247,7 +245,7 @@ func (c *bcCompiler) note(reg int32) {
 }
 
 // jumpTo emits the transfer to a successor node, or the fell-off trap
-// when the arc is missing (the closure engine's nil-successor check).
+// when the arc is missing (the reference's nil-successor check).
 func (c *bcCompiler) jumpTo(succ *cfg.Node) {
 	if succ == nil {
 		c.emit(Instr{Op: opFellOff})
@@ -330,10 +328,9 @@ func (c *bcCompiler) tossPatchLater(tableIdx int) {
 }
 
 func (c *bcCompiler) compileUserCall(n *cfg.Node, prog *nodeProg) {
-	call := prog.call
 	cs := n.CallStmt()
 	site := bcCallSite{
-		callee:   call.callee,
+		callee:   prog.callee,
 		nArgs:    int32(len(cs.Args)),
 		retPC:    -1,
 		callNode: int32(n.ID),
@@ -378,8 +375,8 @@ func (c *bcCompiler) compileVisFrags(n *cfg.Node, prog *nodeProg) {
 
 // store compiles an assignment target consuming the value in register
 // 0 (the fragment convention: execVisible parks the incoming value
-// there); scratch registers start at 1. Check order matches
-// compileStore's closures exactly.
+// there); scratch registers start at 1. Check order is refAssignTo's
+// (refeval.go).
 func (c *bcCompiler) store(lhs ast.Expr) {
 	c.note(0)
 	switch lhs := lhs.(type) {
@@ -404,9 +401,9 @@ func (c *bcCompiler) trapMsg(msg string) {
 	c.emit(Instr{Op: opTrapMsg, A: c.name(msg)})
 }
 
-// compileAssign compiles an NAssign node's statement. Evaluation order
-// matches the closures: the RHS first (store(ctx, rhs(ctx))), then the
-// target's own subexpressions and checks.
+// compileAssign compiles an NAssign node's statement in the order of
+// the reference's execAssign: the RHS first, then the target's own
+// subexpressions and checks.
 func (c *bcCompiler) compileAssign(n *cfg.Node) {
 	switch st := n.Stmt.(type) {
 	case *ast.AssignStmt:

@@ -16,9 +16,14 @@ import (
 // overwrite restore-based backtracking runs on: after dst.CopyFrom(src)
 // the two machines are indistinguishable and independent.
 
-// copyTiers are the tiers whose CopyFrom copies; the reference tier's
-// always reports false (TestCopyFromRefusals).
-var copyTiers = []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots}
+// copyModes are the two ways the explorer runs the compiled machine,
+// whose CopyFrom copies: with incremental state hashing (cached and
+// liveness searches) and without (the stateless search). The
+// reference's always reports false (TestCopyFromRefusals).
+var copyModes = []struct {
+	name    string
+	hashing bool
+}{{"hashing", true}, {"full-render", false}}
 
 // resolveT compiles u once; machines copy only between instances of one
 // Resolution.
@@ -31,17 +36,11 @@ func resolveT(t testing.TB, u *cfg.Unit) *interp.Resolution {
 	return r
 }
 
-// newCopyMachine builds a machine of tier k over r, with incremental
-// hashing on for the bytecode tier so the copied hash state is covered.
-func newCopyMachine(t testing.TB, r *interp.Resolution, k interp.EngineKind) interp.Machine {
-	t.Helper()
-	m, err := r.NewMachine(k)
-	if err != nil {
-		t.Fatalf("NewMachine(%v): %v", k, err)
-	}
-	if k == interp.EngineBytecode {
-		m.(*interp.System).SetStateHashing(true)
-	}
+// newCopyMachine builds a compiled machine over r, with incremental
+// hashing on when asked so the copied hash state is covered.
+func newCopyMachine(r *interp.Resolution, hashing bool) *interp.System {
+	m := r.NewSystem()
+	m.SetStateHashing(hashing)
 	return m
 }
 
@@ -77,8 +76,10 @@ func sameState(t *testing.T, label string, a, b interp.Machine) {
 	if ha, hb := a.StateHash(), b.StateHash(); ha != hb {
 		t.Fatalf("%s: state hashes differ: src=%#x dst=%#x", label, ha, hb)
 	}
-	if sa, ok := a.(*interp.System); ok && sa.Engine() == interp.EngineBytecode {
-		if h, full := b.StateHash(), b.(*interp.System).RecomputeStateHash(); h != full {
+	// On a hashing machine this holds the copied rolling hash to the
+	// full re-walk (with hashing off both sides are the walk).
+	if sb, ok := b.(*interp.System); ok {
+		if h, full := sb.StateHash(), sb.RecomputeStateHash(); h != full {
 			t.Fatalf("%s: copied incremental hash %#x != full re-walk %#x", label, h, full)
 		}
 	}
@@ -131,19 +132,19 @@ func copyLockstep(t *testing.T, label string, src, dst interp.Machine, seed int6
 }
 
 // copySweep runs copyLockstep over every prefix length up to maxPrefix
-// on each copying tier, reusing one src and one dst per tier so every
+// with hashing on and off, reusing one src and one dst for each so every
 // copy lands on a machine dirtied by the previous round — different
 // stack shapes, queue lengths, pinned frames. It returns how many
 // copies were made and how many refused.
 func copySweep(t *testing.T, label string, u *cfg.Unit, seed int64, maxPrefix, steps int) (copied, refused int) {
 	t.Helper()
 	r := resolveT(t, u)
-	for _, k := range copyTiers {
-		src, dst := newCopyMachine(t, r, k), newCopyMachine(t, r, k)
+	for _, k := range copyModes {
+		src, dst := newCopyMachine(r, k.hashing), newCopyMachine(r, k.hashing)
 		// Leave dst somewhere else entirely before the first copy.
 		runSchedule(dst, seed+99, maxPrefix)
 		for prefix := 0; prefix <= maxPrefix; prefix++ {
-			l := fmt.Sprintf("%s/%v/prefix %d", label, k, prefix)
+			l := fmt.Sprintf("%s/%s/prefix %d", label, k.name, prefix)
 			if copyLockstep(t, l, src, dst, seed+int64(prefix), prefix, steps) {
 				copied++
 			} else {
@@ -319,12 +320,12 @@ func TestForkClonesStalePointers(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := resolveT(t, u)
-	for _, k := range copyTiers {
-		sys := newCopyMachine(t, r, k)
+	for _, k := range copyModes {
+		sys := newCopyMachine(r, k.hashing)
 		for prefix := 0; prefix <= 8; prefix++ {
 			tosses, _ := runSchedule(sys, 0, prefix)
 			clone := sys.ForkMachine()
-			label := fmt.Sprintf("%v/prefix %d", k, prefix)
+			label := fmt.Sprintf("%s/prefix %d", k.name, prefix)
 			sameState(t, label, sys, clone)
 			chA, chB := &stepChooser{n: tosses}, &stepChooser{n: tosses}
 			for step := 0; step < 12; step++ {
@@ -344,16 +345,19 @@ func TestForkClonesStalePointers(t *testing.T) {
 }
 
 // TestCopyFromRefusals covers the whole-machine refusals: the reference
-// tier, a machine of another tier, and a machine over another unit.
+// interpreter on either side, and a machine over other compiled code.
 func TestCopyFromRefusals(t *testing.T) {
 	u, err := core.CompileSource(copyCases[0].src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := resolveT(t, u)
-	bc, slots := newCopyMachine(t, r, interp.EngineBytecode), newCopyMachine(t, r, interp.EngineSlots)
-	ref := newCopyMachine(t, r, interp.EngineRef)
-	other := newCopyMachine(t, resolveT(t, u), interp.EngineBytecode) // same unit, separate compiled code
+	bc := newCopyMachine(r, true)
+	ref, err := r.NewMachine(interp.EngineRef)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := newCopyMachine(resolveT(t, u), true) // same unit, separate compiled code
 	for _, tc := range []struct {
 		name     string
 		dst, src interp.Machine
@@ -361,8 +365,6 @@ func TestCopyFromRefusals(t *testing.T) {
 		{"ref<-ref", ref, ref.ForkMachine()},
 		{"ref<-bytecode", ref, bc},
 		{"bytecode<-ref", bc, ref},
-		{"bytecode<-slots", bc, slots},
-		{"slots<-bytecode", slots, bc},
 		{"bytecode<-other-resolution", bc, other},
 	} {
 		if tc.dst.CopyFrom(tc.src) {
@@ -383,8 +385,8 @@ func TestCopyFromAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := resolveT(t, u)
-	for _, k := range copyTiers {
-		a, b, dst := newCopyMachine(t, r, k), newCopyMachine(t, r, k), newCopyMachine(t, r, k)
+	for _, k := range copyModes {
+		a, b, dst := newCopyMachine(r, k.hashing), newCopyMachine(r, k.hashing), newCopyMachine(r, k.hashing)
 		runSchedule(a, 1, 3)
 		runSchedule(b, 2, 9)
 		// Warm dst on both shapes, then alternate.
@@ -395,7 +397,7 @@ func TestCopyFromAllocatesNothing(t *testing.T) {
 				t.Fatal("CopyFrom refused")
 			}
 		}); n != 0 {
-			t.Errorf("%v: CopyFrom allocates %v objects per pair of copies", k, n)
+			t.Errorf("%s: CopyFrom allocates %v objects per pair of copies", k.name, n)
 		}
 	}
 }
@@ -434,7 +436,7 @@ func TestPayloadFingerprintBytes(t *testing.T) {
 }
 
 // TestSendCopiesArrays pins the value semantics of arrays across
-// communication objects on every tier: a message in flight, and a value
+// communication objects on every machine: a message in flight, and a value
 // parked in a shared variable, never alias the sender's variable, so a
 // later element store cannot rewrite them (which is also what lets a
 // state copy, which keeps no such alias, behave like its source).

@@ -11,17 +11,18 @@ import (
 	"reclose/internal/randprog"
 )
 
-// This file holds the three-way differential oracle for the
-// interpreter tiers: the bytecode engine (with incremental state
-// hashing on), the slot-resolved closure engine, and the reference
+// This file holds the differential oracle for the interpreters: the
+// compiled machine with incremental state hashing on (cached and
+// liveness searches), the compiled machine with it off (the stateless
+// search, every fingerprint and hash a full walk), and the reference
 // string-map interpreter are driven in lockstep over the same unit and
 // must agree on every observable — enabled sets, termination/deadlock
 // predicates, events, outcomes, byte-exact state fingerprints, and the
-// canonical state hash (with the bytecode engine's incremental hash
-// additionally checked against its own full re-walk at every step).
-// The bytecode machine's fingerprint is the one it assembles from key
-// segments; keyseg_test.go drives the same three tiers down schedules
-// that also copy, fork and reset between the steps.
+// canonical state hash (with the incremental hash additionally checked
+// against its own full re-walk at every step). The hashing machine's
+// fingerprint is the one it assembles from key segments; keyseg_test.go
+// drives the same three machines down schedules that also copy, fork
+// and reset between the steps.
 
 // stepChooser returns deterministic toss outcomes as a function of its
 // own call count, so two independent instances replay the same sequence
@@ -54,17 +55,18 @@ func outcomeStr(o *interp.Outcome) string {
 	return o.String()
 }
 
-// engineNames labels the lockstep machines; index 0 (bytecode, with
-// incremental hashing enabled) is the baseline the others are compared
-// against.
-var engineNames = []string{"bytecode", "slots", "ref"}
+// engineNames labels the lockstep machines; index 0 (the compiled
+// machine with incremental hashing enabled) is the baseline the others
+// are compared against.
+var engineNames = []string{"bytecode", "bytecode-full-render", "ref"}
 
-// lockstepMachines builds one machine per engine tier over u, with
-// incremental state hashing enabled on the bytecode instance.
+// lockstepMachines builds the three machines over u: two compiled ones,
+// incremental state hashing enabled on the first only, and the
+// reference.
 func lockstepMachines(t *testing.T, label string, u *cfg.Unit) []interp.Machine {
 	t.Helper()
 	ms := make([]interp.Machine, 0, 3)
-	for _, k := range []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots, interp.EngineRef} {
+	for _, k := range []interp.EngineKind{interp.EngineBytecode, interp.EngineBytecode, interp.EngineRef} {
 		m, err := interp.NewMachine(u, k)
 		if err != nil {
 			t.Fatalf("%s: NewMachine(%v): %v", label, k, err)
@@ -75,8 +77,8 @@ func lockstepMachines(t *testing.T, label string, u *cfg.Unit) []interp.Machine 
 	return ms
 }
 
-// lockstep drives all three interpreter tiers over u with an identical
-// schedule and asserts agreement at every step.
+// lockstep drives the three machines over u with an identical schedule
+// and asserts agreement at every step.
 func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) {
 	t.Helper()
 	ms := lockstepMachines(t, label, u)
@@ -348,17 +350,16 @@ process main;
 	}
 }
 
-// TestForkMatchesOriginal forks mid-execution — on every engine tier —
-// and checks that the clone renders the same fingerprint and state
-// hash and then behaves identically to the original under the same
-// schedule. The bytecode instance runs with incremental hashing on, so
-// this also covers the hash state surviving a Fork.
+// TestForkMatchesOriginal forks mid-execution — each of the lockstep
+// machines — and checks that the clone renders the same fingerprint and
+// state hash and then behaves identically to the original under the
+// same schedule. The first runs with incremental hashing on, so this
+// also covers the hash state surviving a Fork.
 func TestForkMatchesOriginal(t *testing.T) {
 	n := 60
 	if testing.Short() {
 		n = 15
 	}
-	engines := []interp.EngineKind{interp.EngineBytecode, interp.EngineSlots, interp.EngineRef}
 	for seed := 0; seed < n; seed++ {
 		r := rand.New(rand.NewSource(int64(1000 + seed)))
 		src := randprog.Generate(r, randprog.Config{Processes: 2, Helpers: seed % 2})
@@ -366,15 +367,8 @@ func TestForkMatchesOriginal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
-		for _, k := range engines {
-			label := fmt.Sprintf("seed %d/%v", seed, k)
-			sys, err := interp.NewMachine(closed, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bc, ok := sys.(*interp.System); ok && k == interp.EngineBytecode {
-				bc.SetStateHashing(true)
-			}
+		for i, sys := range lockstepMachines(t, fmt.Sprintf("seed %d", seed), closed) {
+			label := fmt.Sprintf("seed %d/%s", seed, engineNames[i])
 			ch := &stepChooser{}
 			if out := sys.Init(ch); out != nil {
 				continue

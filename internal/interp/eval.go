@@ -39,11 +39,10 @@ type frame struct {
 	callNode int // caller's call-node ID; -1 in the top frame
 	// retPC is the bytecode resume point in the caller after this frame
 	// returns; -1 means control falls off the caller's graph (a trap).
-	// Unused by the slot engine.
 	retPC int32
-	// pinned marks a frame whose cells were address-taken; the bytecode
-	// engine's frame pool must not recycle it (stale pointers may still
-	// read its cells after the pop).
+	// pinned marks a frame whose cells were address-taken; the frame
+	// pool must not recycle it (stale pointers may still read its cells
+	// after the pop).
 	pinned bool
 }
 
@@ -57,14 +56,6 @@ func newCells(n int) []Cell {
 	}
 	return cells
 }
-
-// evalCtx carries what compiled expression evaluation needs.
-type evalCtx struct {
-	frame   *frame
-	chooser Chooser
-}
-
-func (ctx *evalCtx) toss(bound int) int { return tossOutcome(ctx.chooser, bound) }
 
 // tossOutcome validates and resolves one VS_toss against the chooser;
 // shared by the compiled and the reference evaluators.

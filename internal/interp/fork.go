@@ -6,9 +6,9 @@ import (
 	"reclose/internal/comm"
 )
 
-// This file is the one state-copy implementation of the compiled
-// tiers. copyState overwrites a System with another System's whole
-// mutable state in place; CopyFrom is that routine behind the Machine
+// This file is the compiled machine's one state-copy implementation.
+// copyState overwrites a System with another System's whole mutable
+// state in place; CopyFrom is that routine behind the Machine
 // interface (the explorer's restore-based backtracking: snapshots are
 // taken and restored once per explored path, so the copy must not
 // allocate), and Fork is the same routine run into a blank System.
@@ -29,17 +29,16 @@ import (
 // CopyFrom overwrites the receiver's whole state — communication
 // objects, process stacks, stores, control points, incremental-hash
 // bookkeeping — with src's, reusing the receiver's storage. It reports
-// false ("cannot; replay instead") when src is not a System of the same
-// engine over the same Resolution, or when src holds a pointer whose
-// target lies outside every live frame; the receiver's state is then
-// unspecified, fit only for Reset or another CopyFrom. src is only
-// read, so any number of machines may copy from one source
-// concurrently. On success both machines render byte-identical
+// false ("cannot; replay instead") when src is not a System over the
+// same Resolution, or when src holds a pointer whose target lies
+// outside every live frame; the receiver's state is then unspecified,
+// fit only for Reset or another CopyFrom. src is only read, so any
+// number of machines may copy from one source concurrently. On success both machines render byte-identical
 // fingerprints and state hashes, and mutations of either never show in
 // the other.
 func (s *System) CopyFrom(src Machine) bool {
 	ss, ok := src.(*System)
-	if !ok || ss.res != s.res || ss.eng != s.eng {
+	if !ok || ss.res != s.res {
 		return false
 	}
 	return s.copyState(ss, false)
@@ -59,12 +58,7 @@ func (s *System) CopyFrom(src Machine) bool {
 // overwrites an existing machine with CopyFrom.
 func (s *System) Fork() *System {
 	s.met.Forks.Inc()
-	var ns *System
-	if s.bc != nil {
-		ns = s.res.NewBytecodeSystem()
-	} else {
-		ns = s.res.NewSystem()
-	}
+	ns := s.res.NewSystem()
 	ns.met = s.met
 	ns.copyState(s, true)
 	return ns
@@ -83,7 +77,7 @@ type copier struct {
 }
 
 // copyState overwrites s with src's state; see CopyFrom. Both systems
-// run the same engine over the same Resolution.
+// are instances of one Resolution.
 func (s *System) copyState(src *System, cloneStale bool) bool {
 	cp := &s.cp
 	*cp = copier{dst: s, src: src, cloneStale: cloneStale}

@@ -8,14 +8,15 @@ import (
 
 // FuzzBytecodeLockstep feeds arbitrary MiniC source through the full
 // pipeline (parse, check, close) and, when it compiles, drives the
-// bytecode, slot, and reference engines in lockstep — any divergence in
-// events, outcomes, fingerprints, or state hashes fails the fuzz run —
-// and then sweeps CopyFrom over the program's first states on both
-// copying tiers: every copy made must be indistinguishable from, and
-// independent of, its source (copy_test.go) — and runs the key-segment
-// schedule (keyseg_test.go): steps interleaved with copies into a stale
-// machine, forks and resets, the assembled key compared with the full
-// render after every operation.
+// compiled machine — once with incremental state hashing, once
+// rendering in full — and the reference interpreter in lockstep: any
+// divergence in events, outcomes, fingerprints, or state hashes fails
+// the fuzz run. It then sweeps CopyFrom over the program's first states
+// with hashing on and off — every copy made must be indistinguishable
+// from, and independent of, its source (copy_test.go) — and runs the
+// key-segment schedule (keyseg_test.go): steps interleaved with copies
+// into a stale machine, forks and resets, the assembled key compared
+// with the full render after every operation.
 // scripts/verify.sh runs this for a short smoke period on every verify.
 func FuzzBytecodeLockstep(f *testing.F) {
 	f.Add(`

@@ -35,16 +35,18 @@ package interp
 // the bit is cleared by Step and Init for each process they run, by
 // rebuildHash (Reset, SetStateHashing) for all, and for every process by
 // a store through a pointer to a live cell (hkey != 0) outside the
-// running process's frames — its owner did not run (opStorePtr). copyState copies segments and bits with the state
-// they describe, so a restored or forked machine is as current as its
-// source. The bytes are the full walk's (keyseg_test.go, one test per
-// rule).
+// running process's frames — its owner did not run (opStorePtr).
+// copyState copies segments and bits with the state they describe, so a
+// restored or forked machine is as current as its source. The bytes are
+// the full walk's (keyseg_test.go, one test per rule).
 //
-// The incremental path is only maintained by the bytecode engine
-// (SetStateHashing); the slot and reference engines recompute the same
-// hash from scratch (RecomputeStateHash) and render every fingerprint
-// in full, which keeps keys, shard routing — and therefore eviction
-// behavior and merged reports — byte-identical across engines.
+// The incremental path is maintained only while hashing is switched on
+// (SetStateHashing; the explorer does it for cached and liveness
+// searches). A System with hashing off and the reference interpreter
+// compute the same hash from scratch (RecomputeStateHash,
+// RefSystem.StateHash) and render every fingerprint in full, which
+// keeps keys, shard routing — and therefore eviction behavior and
+// merged reports — byte-identical between them.
 
 const hashSeed = 0x9e3779b97f4a7c15
 
@@ -175,10 +177,8 @@ func (s *System) rehashObj(i int) {
 }
 
 // SetStateHashing turns incremental hashing on or off. Turning it on
-// (re)builds the accumulator and object hashes from the current state;
-// only the bytecode engine maintains them afterwards, so enabling it
-// on a slot-engine System is a misuse the differential tests would
-// catch. Forked systems inherit the setting and the rolling state.
+// (re)builds the accumulator and object hashes from the current state.
+// Forked systems inherit the setting and the rolling state.
 func (s *System) SetStateHashing(on bool) {
 	s.hashOn = on
 	if on {
@@ -249,7 +249,7 @@ func (s *System) StateHash() uint64 {
 
 // RecomputeStateHash computes StateHash's function by walking the full
 // state. The incremental path must agree with it exactly after every
-// visible operation — the three-way differential test checks that.
+// visible operation — the differential test checks that.
 func (s *System) RecomputeStateHash() uint64 {
 	s.met.HashFull.Inc()
 	h := uint64(hashSeed)

@@ -12,22 +12,23 @@ import (
 	"reclose/internal/randprog"
 )
 
-// This file tests that a hashing bytecode machine's fingerprint — put
-// together from the key segments its processes and objects carry,
-// re-rendering only the invalid ones — is byte for byte the full render
-// of the slots and reference tiers, whatever was done to the machine
-// since its segments were last rendered.
+// This file tests that a hashing machine's fingerprint — put together
+// from the key segments its processes and objects carry, re-rendering
+// only the invalid ones — is byte for byte the full render of a machine
+// with hashing off and of the reference, whatever was done to the
+// machine since its segments were last rendered.
 
 // keyRig is one logical machine state held three ways: cur is the
-// hashing bytecode machine under test, slots and ref the oracles that
-// render every key in full. spare is a second hashing bytecode machine
-// left wherever earlier operations dropped it: the receiver of the next
-// CopyFrom, whose own segments are all valid and all wrong.
+// hashing machine under test, full (a compiled machine with hashing
+// off, as the stateless search runs it) and ref the oracles that render
+// every key in full. spare is a second hashing machine left wherever
+// earlier operations dropped it: the receiver of the next CopyFrom,
+// whose own segments are all valid and all wrong.
 type keyRig struct {
 	t          *testing.T
 	label      string
 	cur, spare interp.Machine
-	slots, ref interp.Machine
+	full, ref  interp.Machine
 	chs        [3]*stepChooser
 }
 
@@ -39,16 +40,16 @@ func newKeyRig(t *testing.T, label string, u *cfg.Unit) *keyRig {
 		t.Fatalf("%s: %v", label, err)
 	}
 	k := &keyRig{t: t, label: label,
-		cur:   newCopyMachine(t, r, interp.EngineBytecode),
-		spare: newCopyMachine(t, r, interp.EngineBytecode),
-		slots: newCopyMachine(t, r, interp.EngineSlots),
+		cur:   newCopyMachine(r, true),
+		spare: newCopyMachine(r, true),
+		full:  newCopyMachine(r, false),
 		ref:   ref,
 	}
 	return k
 }
 
 func (k *keyRig) each(f func(i int, m interp.Machine)) {
-	for i, m := range []interp.Machine{k.cur, k.slots, k.ref} {
+	for i, m := range []interp.Machine{k.cur, k.full, k.ref} {
 		f(i, m)
 	}
 }
@@ -57,9 +58,9 @@ func (k *keyRig) each(f func(i int, m interp.Machine)) {
 // second assembly renders nothing and must say the same.
 func (k *keyRig) check(op string) {
 	k.t.Helper()
-	want := string(k.slots.AppendFingerprint(nil))
+	want := string(k.full.AppendFingerprint(nil))
 	if r := string(k.ref.AppendFingerprint(nil)); r != want {
-		k.t.Fatalf("%s: after %s: the oracles disagree\nslots: %s\n  ref: %s", k.label, op, want, r)
+		k.t.Fatalf("%s: after %s: the oracles disagree\nfull: %s\n ref: %s", k.label, op, want, r)
 	}
 	for pass := 0; pass < 2; pass++ {
 		if got := string(k.cur.AppendFingerprint(nil)); got != want {

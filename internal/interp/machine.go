@@ -7,24 +7,21 @@ import (
 	"reclose/internal/comm"
 )
 
-// EngineKind selects one of the three interpreter tiers. The zero
-// value is the bytecode engine — the default everywhere an engine is
-// not named explicitly (explore.Options, the -engine flag).
+// EngineKind selects the interpreter: the compiled machine or the
+// reference. The zero value is the compiled one — the default
+// everywhere an engine is not named explicitly (explore.Options, the
+// -engine flag).
 type EngineKind int
 
-// Engine tiers, fastest first. All three implement identical
-// observable semantics — events, outcomes, fingerprints, state hashes
-// — which the three-way differential oracle enforces; the slower tiers
-// exist as oracles and ablation baselines.
+// The two interpreters. They implement identical observable semantics
+// — events, outcomes, fingerprints, state hashes — which the
+// differential oracle enforces.
 const (
-	// EngineBytecode executes flat per-unit bytecode (bytecode.go,
+	// EngineBytecode is System: flat per-unit bytecode (bytecode.go,
 	// bcexec.go) with incremental state hashing.
 	EngineBytecode EngineKind = iota
-	// EngineSlots executes the closure-per-node slot programs
-	// (resolve.go), the PR 3 tier.
-	EngineSlots
-	// EngineRef executes the original string-map reference
-	// interpreter (refsys.go).
+	// EngineRef is RefSystem, the string-map reference interpreter
+	// (refsys.go): the specification, kept as the oracle.
 	EngineRef
 )
 
@@ -33,8 +30,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case EngineBytecode:
 		return "bytecode"
-	case EngineSlots:
-		return "slots"
 	case EngineRef:
 		return "ref"
 	}
@@ -46,19 +41,17 @@ func ParseEngine(s string) (EngineKind, error) {
 	switch s {
 	case "", "bytecode":
 		return EngineBytecode, nil
-	case "slots":
-		return EngineSlots, nil
 	case "ref":
 		return EngineRef, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want bytecode, slots, or ref)", s)
+	return 0, fmt.Errorf("unknown engine %q (want bytecode or ref)", s)
 }
 
 // Machine is the executable-system interface the explorer drives: the
 // transition semantics plus the state identity operations (fingerprint
 // and hash) and the two state copies — deep-copy forking, and the
-// in-place overwrite restore-based backtracking runs on. Both System
-// (bytecode and slots engines) and RefSystem implement it.
+// in-place overwrite restore-based backtracking runs on. System and
+// RefSystem implement it.
 type Machine interface {
 	// Transition semantics.
 	Init(ch Chooser) *Outcome
@@ -83,9 +76,10 @@ type Machine interface {
 	StateHash() uint64
 	ForkMachine() Machine
 	// CopyFrom overwrites the receiver's whole state with src's without
-	// allocating, or reports false when it cannot (a machine of another
-	// tier, a state the copy does not cover); the caller then reaches
-	// the state by replay. See System.CopyFrom.
+	// allocating, or reports false when it cannot (the reference, a
+	// machine over other compiled code, a state the copy does not
+	// cover); the caller then reaches the state by replay. See
+	// System.CopyFrom.
 	CopyFrom(src Machine) bool
 
 	// Instrumentation.
@@ -112,8 +106,6 @@ func NewMachine(u *cfg.Unit, k EngineKind) (Machine, error) {
 func (r *Resolution) NewMachine(k EngineKind) (Machine, error) {
 	switch k {
 	case EngineBytecode:
-		return r.NewBytecodeSystem(), nil
-	case EngineSlots:
 		return r.NewSystem(), nil
 	case EngineRef:
 		return NewRefSystem(r.unit)
@@ -121,27 +113,17 @@ func (r *Resolution) NewMachine(k EngineKind) (Machine, error) {
 	return nil, fmt.Errorf("unknown engine %v", k)
 }
 
-// NewBytecodeSystem instantiates a System executing the resolution's
-// bytecode module (compiled on first use, shared by every instance).
-func (r *Resolution) NewBytecodeSystem() *System {
-	mod := r.ensureBytecode()
-	s := r.NewSystem()
-	s.eng = EngineBytecode
-	s.bc = mod
-	n := mod.maxRegs
-	if n < 1 {
-		n = 1 // fragment convention: register 0 always exists
-	}
-	s.regs = make([]Value, n)
-	return s
-}
+// Held for benchmark/probe.go, which builders may not edit: its
+// per-layer row `interp.step_ns.slots` timed the closure tier this
+// package no longer has and now reads the one compiled machine under a
+// second name. Both forwarders go when that row does (ROADMAP 3a).
+const EngineSlots = EngineBytecode
+
+func (r *Resolution) NewBytecodeSystem() *System { return r.NewSystem() }
 
 // BytecodeCompileNanos returns the wall time spent compiling the
 // resolution's bytecode module, or 0 if it has not been compiled.
 func (r *Resolution) BytecodeCompileNanos() int64 { return r.bcCompileNanos }
-
-// Engine returns the tier this system executes.
-func (s *System) Engine() EngineKind { return s.eng }
 
 // System's Machine adapters.
 
@@ -202,15 +184,17 @@ func (s *RefSystem) AppendEnabled(dst []int) []int {
 	return dst
 }
 
-// SetMetrics is a no-op: the reference interpreter is an oracle, not a
-// measured engine.
-func (s *RefSystem) SetMetrics(Metrics) {}
+// SetMetrics attaches the instruments. The reference interpreter is an
+// oracle, not a measured engine: of them only HashFull applies — every
+// StateHash is a full walk.
+func (s *RefSystem) SetMetrics(m Metrics) { s.met = m }
 
 // StateHash recomputes the canonical state hash by a full walk; it
 // must equal System.StateHash for any state with an equal fingerprint,
 // so cache routing — and with it eviction behavior and merged reports
 // — is identical across engines.
 func (s *RefSystem) StateHash() uint64 {
+	s.met.HashFull.Inc()
 	h := uint64(hashSeed)
 	buf := make([]byte, 0, 64)
 	for _, name := range s.objSeq {
@@ -250,7 +234,7 @@ func (s *RefSystem) CopyFrom(Machine) bool { return false }
 
 // forker tracks cell identity across one reference-system fork so every
 // pointer in the clone lands on the clone's corresponding cell. (The
-// compiled tiers copy by position instead; fork.go.)
+// compiled machine copies by position instead; fork.go.)
 type forker struct {
 	cellMap map[*Cell]*Cell
 }
@@ -299,6 +283,7 @@ func (s *RefSystem) ForkMachine() Machine {
 		graphs:       s.graphs,
 		MaxInvisible: s.MaxInvisible,
 		allProgress:  s.allProgress,
+		met:          s.met,
 	}
 	type framePair struct{ old, new *refFrame }
 	var pairs []framePair

@@ -12,8 +12,8 @@ type Metrics struct {
 	// Frames counts slot-frame allocations: process root frames on
 	// Reset plus one frame per user procedure call.
 	Frames *obs.Counter
-	// Instrs counts bytecode instructions dispatched (bytecode engine
-	// only; batched per basic block, flushed at step boundaries).
+	// Instrs counts bytecode instructions dispatched (batched per basic
+	// block, flushed at step boundaries).
 	Instrs *obs.Counter
 	// HashIncr counts StateHash calls answered from the incremental
 	// rolling hash; HashFull counts full recomputation walks.

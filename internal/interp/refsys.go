@@ -32,6 +32,8 @@ type RefSystem struct {
 	// MaxInvisible bounds the invisible operations inside one
 	// transition; exceeding it reports divergence.
 	MaxInvisible int
+
+	met Metrics // SetMetrics; only HashFull is counted
 }
 
 // refGraphInfo caches per-procedure data the reference interpreter

@@ -8,32 +8,23 @@ import (
 	"reclose/internal/ast"
 	"reclose/internal/cfg"
 	"reclose/internal/sem"
-	"reclose/internal/token"
 )
 
-// This file implements the one-time resolution pass of the slot-based
-// interpreter: per unit, every procedure graph is compiled once into a
-// slot table (dense variable numbering, cfg.BuildSlotTable) plus a
-// per-node program — precomputed successors, expression closures that
-// index a []Cell frame directly, and visible-operation descriptors with
-// the target object resolved to a dense index. Execution then never
-// hashes a variable name, walks an AST, or consults the builtin table.
+// This file is the one-time resolution pass of the compiled
+// interpreter: per unit, every procedure graph gets a slot table (dense
+// variable numbering, cfg.BuildSlotTable) and per-node metadata —
+// precomputed successors, toss tables, linked callees, and
+// visible-operation descriptors with the target object resolved to a
+// dense index. Enabled, PendingOp and execVisible read the metadata
+// directly; the bytecode compiler (bytecode.go) lowers it, with the
+// nodes' expressions, into the instructions every System executes.
+// Execution then never hashes a variable name, walks an AST, or
+// consults the builtin table.
 //
-// The compiled closures reproduce the reference interpreter's runtime
-// behavior exactly, including every trap message: the differential
-// oracle test (differential_test.go) holds the two implementations to
-// byte-identical events, outcomes, and fingerprints.
-
-// cexpr is a compiled expression: evaluated against a frame, it returns
-// the expression's value or raises a trap/needToss panic.
-type cexpr func(ctx *evalCtx) Value
-
-// execFn is a compiled invisible statement (NAssign).
-type execFn func(ctx *evalCtx)
-
-// storeFn is a compiled assignment target: it stores v into the
-// location the target denotes.
-type storeFn func(ctx *evalCtx, v Value)
+// The reference interpreter (refeval.go, refsys.go) is the
+// specification: the differential oracle (differential_test.go) holds
+// the compiled machine to byte-identical events, outcomes — every trap
+// message included — and fingerprints.
 
 // builtinOp enumerates the visible operations, replacing per-step
 // string dispatch.
@@ -49,7 +40,9 @@ const (
 	opVread
 )
 
-// visOp describes a compiled visible operation (builtin call node).
+// visOp describes a visible operation (builtin call node). Its operands
+// — value sent, written or asserted; recv/vread destination — are
+// bytecode fragments (bcVisFrag).
 type visOp struct {
 	op      builtinOp
 	opName  string
@@ -59,8 +52,6 @@ type visOp struct {
 	// builtin's signature; a mismatched operation is permanently
 	// disabled, like the reference interpreter's Enabled dispatch.
 	kindOK bool
-	arg    cexpr   // value operand: send/vwrite payload, VS_assert condition
-	dst    storeFn // destination operand: recv/vread target
 	// violation is the precomputed VS_assert violation message (the
 	// reference formats it with ast.FormatExpr on every failure).
 	violation string
@@ -69,28 +60,19 @@ type visOp struct {
 	progress bool
 }
 
-// callOp describes a compiled user-procedure call.
-type callOp struct {
-	callee *procCode
-	args   []cexpr
-	nodeID int
-}
-
-// nodeProg is the compiled form of one CFG node.
+// nodeProg is the resolved form of one CFG node.
 type nodeProg struct {
 	kind cfg.NodeKind
 	// succ is the target of the node's unique LAlways arc (nil if
 	// absent — control then falls off the graph, a trap).
 	succ *cfg.Node
-	exec execFn // NAssign
-	cond cexpr  // NCond
 	// onTrue/onFalse are the precomputed branch targets (nil when no
 	// arc matches, which traps at runtime like the reference pickArc).
 	onTrue, onFalse *cfg.Node
 	tossBound       int
 	tossSucc        []*cfg.Node // indexed by toss outcome
 	vis             *visOp      // builtin call
-	call            *callOp     // user call
+	callee          *procCode   // user call
 	// fail, when set, raises the node's compile-detected runtime error
 	// (unknown procedure, arity mismatch, malformed node) with the same
 	// trap the reference interpreter raises on reaching the node.
@@ -186,30 +168,26 @@ func Resolve(u *cfg.Unit) (*Resolution, error) {
 		r.objNames = append(r.objNames, sp.Name)
 		r.objIdx[sp.Name] = i
 	}
-	// Two passes: slot tables first so call compilation can link
-	// callees, then the node programs.
+	// Two passes: slot tables first so calls can link their callees,
+	// then the node metadata.
 	for name, g := range u.Procs {
 		r.procs[name] = &procCode{name: name, nameH: fnvString(name), g: g, slots: cfg.BuildSlotTable(g)}
 	}
 	for _, pc := range r.procs {
-		r.compileProc(pc)
+		r.resolveProc(pc)
 	}
 	return r, nil
 }
 
-func (r *Resolution) compileProc(pc *procCode) {
+func (r *Resolution) resolveProc(pc *procCode) {
 	pc.nodes = make([]nodeProg, len(pc.g.Nodes))
 	for _, n := range pc.g.Nodes {
 		p := &pc.nodes[n.ID]
 		p.kind = n.Kind
 		switch n.Kind {
-		case cfg.NStart:
-			p.succ = n.Succ()
-		case cfg.NAssign:
-			p.exec = pc.compileAssign(n)
+		case cfg.NStart, cfg.NAssign:
 			p.succ = n.Succ()
 		case cfg.NCond:
-			p.cond = pc.compileExpr(n.Cond)
 			p.onTrue = pickArcStatic(n, true)
 			p.onFalse = pickArcStatic(n, false)
 		case cfg.NTossSwitch:
@@ -223,9 +201,9 @@ func (r *Resolution) compileProc(pc *procCode) {
 				}
 			}
 		case cfg.NCall:
-			r.compileCall(pc, n, p)
+			r.resolveCall(pc, n, p)
 		case cfg.NReturn, cfg.NExit:
-			// Handled structurally by advance.
+			// Nothing to precompute.
 		default:
 			kind := n.Kind
 			p.fail = func() { trapf("unknown node kind %v", kind) }
@@ -233,7 +211,7 @@ func (r *Resolution) compileProc(pc *procCode) {
 	}
 }
 
-func (r *Resolution) compileCall(pc *procCode, n *cfg.Node, p *nodeProg) {
+func (r *Resolution) resolveCall(pc *procCode, n *cfg.Node, p *nodeProg) {
 	cs := n.CallStmt()
 	if cs == nil {
 		id := n.ID
@@ -242,7 +220,7 @@ func (r *Resolution) compileCall(pc *procCode, n *cfg.Node, p *nodeProg) {
 	}
 	name := cs.Name.Name
 	if b, ok := sem.Builtins[name]; ok {
-		p.vis = r.compileVisible(pc, n, cs, b)
+		p.vis = r.resolveVisible(pc, n, cs, b)
 		p.succ = n.Succ()
 		return
 	}
@@ -256,23 +234,18 @@ func (r *Resolution) compileCall(pc *procCode, n *cfg.Node, p *nodeProg) {
 		p.fail = func() { trapf("call to %s with %d args, want %d", name, nargs, want) }
 		return
 	}
-	args := make([]cexpr, len(cs.Args))
-	for i, a := range cs.Args {
-		args[i] = pc.compileExpr(a)
-	}
-	p.call = &callOp{callee: callee, args: args, nodeID: n.ID}
+	p.callee = callee
 	p.succ = n.Succ()
 }
 
-// compileVisible builds the descriptor of a builtin call node. Semantic
+// resolveVisible builds the descriptor of a builtin call node. Semantic
 // analysis guarantees arity and an identifier object argument; the
 // descriptor assumes both.
-func (r *Resolution) compileVisible(pc *procCode, n *cfg.Node, cs *ast.CallStmt, b sem.Builtin) *visOp {
+func (r *Resolution) resolveVisible(pc *procCode, n *cfg.Node, cs *ast.CallStmt, b sem.Builtin) *visOp {
 	name := cs.Name.Name
 	vis := &visOp{opName: name, objIdx: -1, progress: cs.Progress || r.allProgress}
 	if name == "VS_assert" {
 		vis.op = opAssert
-		vis.arg = pc.compileExpr(cs.Args[0])
 		vis.violation = fmt.Sprintf("VS_assert(%s) at node n%d of %s",
 			ast.FormatExpr(cs.Args[0]), n.ID, pc.name)
 		return vis
@@ -295,12 +268,6 @@ func (r *Resolution) compileVisible(pc *procCode, n *cfg.Node, cs *ast.CallStmt,
 	if i, ok := r.objIdx[vis.objName]; ok {
 		vis.objIdx = i
 		vis.kindOK = r.objSpecs[i].Kind == b.ObjKind
-	}
-	switch vis.op {
-	case opSend, opVwrite:
-		vis.arg = pc.compileExpr(cs.Args[1])
-	case opRecv, opVread:
-		vis.dst = pc.compileStore(cs.Args[1])
 	}
 	return vis
 }
@@ -338,235 +305,4 @@ func pickTossArc(n *cfg.Node, k int) *cfg.Node {
 		}
 	}
 	return nil
-}
-
-func (pc *procCode) compileExpr(e ast.Expr) cexpr {
-	switch e := e.(type) {
-	case *ast.Ident:
-		slot := pc.slot(e.Name)
-		return func(ctx *evalCtx) Value { return ctx.frame.cells[slot].V }
-	case *ast.IntLit:
-		v := IntVal(e.Value)
-		return func(ctx *evalCtx) Value { return v }
-	case *ast.BoolLit:
-		v := BoolVal(e.Value)
-		return func(ctx *evalCtx) Value { return v }
-	case *ast.UndefLit:
-		return func(ctx *evalCtx) Value { return Undef }
-	case *ast.TossExpr:
-		bound := pc.compileExpr(e.Bound)
-		return func(ctx *evalCtx) Value {
-			b := bound(ctx)
-			if b.Kind != KInt {
-				trapf("VS_toss bound is %s, want int", kindName(b.Kind))
-			}
-			return IntVal(int64(ctx.toss(int(b.I))))
-		}
-	case *ast.IndexExpr:
-		slot := pc.slot(e.X.Name)
-		name := e.X.Name
-		idx := pc.compileExpr(e.Index)
-		return func(ctx *evalCtx) Value {
-			return indexValue(ctx.frame.cells[slot].V, idx(ctx), name)
-		}
-	case *ast.UnaryExpr:
-		return pc.compileUnary(e)
-	case *ast.BinaryExpr:
-		return pc.compileBinary(e)
-	}
-	return func(ctx *evalCtx) Value { trapf("cannot evaluate expression"); return Undef }
-}
-
-func (pc *procCode) compileUnary(e *ast.UnaryExpr) cexpr {
-	switch e.Op {
-	case token.AND: // address-of
-		switch x := e.X.(type) {
-		case *ast.Ident:
-			slot := pc.slot(x.Name)
-			return func(ctx *evalCtx) Value {
-				return PtrVal(Pointer{Cell: &ctx.frame.cells[slot], Elem: -1})
-			}
-		case *ast.IndexExpr:
-			slot := pc.slot(x.X.Name)
-			name := x.X.Name
-			idx := pc.compileExpr(x.Index)
-			return func(ctx *evalCtx) Value {
-				c := &ctx.frame.cells[slot]
-				iv := idx(ctx)
-				if c.V.Kind != KArray {
-					trapf("%s is %s, not an array", name, kindName(c.V.Kind))
-				}
-				if iv.Kind != KInt || iv.I < 0 || iv.I >= int64(len(c.V.Arr)) {
-					trapf("&%s[...]: bad index", name)
-				}
-				return PtrVal(Pointer{Cell: c, Elem: int(iv.I)})
-			}
-		}
-		return func(ctx *evalCtx) Value { trapf("cannot take the address of this expression"); return Undef }
-	case token.MUL: // dereference
-		x := pc.compileExpr(e.X)
-		return func(ctx *evalCtx) Value {
-			p := x(ctx)
-			if p.IsUndef() {
-				trapf("dereference of undef pointer")
-			}
-			if p.Kind != KPtr {
-				trapf("dereference of %s, want pointer", kindName(p.Kind))
-			}
-			return loadPtr(p.Ptr)
-		}
-	case token.SUB:
-		x := pc.compileExpr(e.X)
-		return func(ctx *evalCtx) Value {
-			v := x(ctx)
-			if v.IsUndef() {
-				return Undef
-			}
-			if v.Kind != KInt {
-				trapf("unary - on %s", kindName(v.Kind))
-			}
-			return IntVal(-v.I)
-		}
-	case token.NOT:
-		x := pc.compileExpr(e.X)
-		return func(ctx *evalCtx) Value {
-			v := x(ctx)
-			if v.IsUndef() {
-				return Undef
-			}
-			if v.Kind != KBool {
-				trapf("! on %s", kindName(v.Kind))
-			}
-			return BoolVal(!v.B)
-		}
-	}
-	op := e.Op
-	return func(ctx *evalCtx) Value { trapf("bad unary operator %s", op); return Undef }
-}
-
-func (pc *procCode) compileBinary(e *ast.BinaryExpr) cexpr {
-	op := e.Op
-	x := pc.compileExpr(e.X)
-	y := pc.compileExpr(e.Y)
-	switch op {
-	case token.LAND, token.LOR:
-		isAnd := op == token.LAND
-		return func(ctx *evalCtx) Value {
-			xv := x(ctx)
-			if xv.IsUndef() {
-				return Undef
-			}
-			if xv.Kind != KBool {
-				trapf("%s on %s", op, kindName(xv.Kind))
-			}
-			if isAnd && !xv.B {
-				return False
-			}
-			if !isAnd && xv.B {
-				return True
-			}
-			yv := y(ctx)
-			if yv.IsUndef() {
-				return Undef
-			}
-			if yv.Kind != KBool {
-				trapf("%s on %s", op, kindName(yv.Kind))
-			}
-			return BoolVal(yv.B)
-		}
-	case token.EQL, token.NEQ:
-		neq := op == token.NEQ
-		return func(ctx *evalCtx) Value {
-			xv, yv := x(ctx), y(ctx)
-			if xv.IsUndef() || yv.IsUndef() {
-				return Undef
-			}
-			if xv.Kind != yv.Kind {
-				trapf("comparison of %s and %s", kindName(xv.Kind), kindName(yv.Kind))
-			}
-			eq := xv.Equal(yv)
-			if neq {
-				eq = !eq
-			}
-			return BoolVal(eq)
-		}
-	}
-	return func(ctx *evalCtx) Value {
-		xv, yv := x(ctx), y(ctx)
-		if xv.IsUndef() || yv.IsUndef() {
-			return Undef
-		}
-		if xv.Kind != KInt || yv.Kind != KInt {
-			trapf("%s on %s and %s", op, kindName(xv.Kind), kindName(yv.Kind))
-		}
-		return intBinOp(op, xv.I, yv.I)
-	}
-}
-
-func (pc *procCode) compileStore(lhs ast.Expr) storeFn {
-	switch lhs := lhs.(type) {
-	case *ast.Ident:
-		slot := pc.slot(lhs.Name)
-		return func(ctx *evalCtx, v Value) { ctx.frame.cells[slot].V = v.Copy() }
-	case *ast.IndexExpr:
-		slot := pc.slot(lhs.X.Name)
-		name := lhs.X.Name
-		idx := pc.compileExpr(lhs.Index)
-		return func(ctx *evalCtx, v Value) {
-			c := &ctx.frame.cells[slot]
-			iv := idx(ctx)
-			if c.V.Kind != KArray {
-				trapf("%s is %s, not an array", name, kindName(c.V.Kind))
-			}
-			if iv.IsUndef() || iv.Kind != KInt || iv.I < 0 || iv.I >= int64(len(c.V.Arr)) {
-				trapf("bad array index in assignment to %s", name)
-			}
-			c.V.Arr[iv.I] = v.Copy()
-		}
-	case *ast.UnaryExpr:
-		if lhs.Op != token.MUL {
-			return func(ctx *evalCtx, v Value) { trapf("bad assignment target") }
-		}
-		x := pc.compileExpr(lhs.X)
-		return func(ctx *evalCtx, v Value) {
-			p := x(ctx)
-			if p.IsUndef() {
-				trapf("store through undef pointer")
-			}
-			if p.Kind != KPtr {
-				trapf("store through %s, want pointer", kindName(p.Kind))
-			}
-			storePtr(p.Ptr, v)
-		}
-	}
-	return func(ctx *evalCtx, v Value) { trapf("bad assignment target") }
-}
-
-func (pc *procCode) compileAssign(n *cfg.Node) execFn {
-	switch st := n.Stmt.(type) {
-	case *ast.AssignStmt:
-		rhs := pc.compileExpr(st.RHS)
-		store := pc.compileStore(st.LHS)
-		return func(ctx *evalCtx) { store(ctx, rhs(ctx)) }
-	case *ast.VarStmt:
-		slot := pc.slot(st.Name.Name)
-		name := st.Name.Name
-		switch {
-		case st.Size != nil:
-			size := pc.compileExpr(st.Size)
-			return func(ctx *evalCtx) {
-				sz := size(ctx)
-				if sz.Kind != KInt || sz.I < 0 || sz.I > 1<<20 {
-					trapf("bad array size for %s", name)
-				}
-				ctx.frame.cells[slot].V = ArrayVal(int(sz.I))
-			}
-		case st.Init != nil:
-			init := pc.compileExpr(st.Init)
-			return func(ctx *evalCtx) { ctx.frame.cells[slot].V = init(ctx).Copy() }
-		default:
-			return func(ctx *evalCtx) { ctx.frame.cells[slot].V = IntVal(0) }
-		}
-	}
-	return func(ctx *evalCtx) { trapf("bad assign node") }
 }

@@ -132,10 +132,10 @@ func (e Event) String() string {
 }
 
 // System is an executable instance of a closed unit: the communication
-// objects plus one Proc per process declaration. Execution runs over
-// the unit's compiled Resolution (resolve.go): per-node programs with
-// precomputed successors and expression closures indexing dense slot
-// frames, so the per-step cost carries no map lookups or AST walks.
+// objects plus one Proc per process declaration. It executes the
+// bytecode module of the unit's Resolution (resolve.go, bytecode.go)
+// over dense slot frames, so the per-step cost carries no map lookups
+// or AST walks.
 type System struct {
 	Unit  *cfg.Unit
 	Procs []*Proc
@@ -145,25 +145,23 @@ type System struct {
 	// order (sorted names); visOp.objIdx indexes into it.
 	objs []comm.Object
 
-	// eng names the execution backend; bc non-nil selects the bytecode
-	// dispatch loop (bcexec.go) over the per-node closures, sharing all
-	// other machinery (state copies, fingerprints, Enabled, visible ops).
-	eng EngineKind
-	bc  *bcModule
+	// bc is the resolution's bytecode module, run by the dispatch loop
+	// in bcexec.go.
+	bc *bcModule
 	// regs is the shared expression register file (bcModule.maxRegs
 	// wide); registers are dead across node boundaries, so one file
 	// serves every frame.
 	regs []Value
-	// pool is the free list of popped, unpinned frames: filled by the
-	// bytecode engine's returns, Reset and state copies, drawn on by the
-	// bytecode engine's calls and by state copies.
+	// pool is the free list of popped, unpinned frames: filled by
+	// returns, Reset and state copies, drawn on by calls and by state
+	// copies.
 	pool []*frame
 	// cp is the scratch of a whole-state copy into this system (fork.go).
 	cp copier
 
-	// Incremental state identity (hash.go), maintained by the bytecode
-	// engine when hashOn: the rolling cell accumulator, per-object
-	// hashes and key segments, and the full hash walk's scratch buffer.
+	// Incremental state identity (hash.go), maintained while hashOn: the
+	// rolling cell accumulator, per-object hashes and key segments, and
+	// the full hash walk's scratch buffer.
 	hashOn   bool
 	acc      uint64
 	objHash  []uint64
@@ -180,15 +178,6 @@ type System struct {
 	// met carries the optional instrument counters (SetMetrics); the
 	// zero value is fully disabled.
 	met Metrics
-
-	// ectx is the scratch evaluation context reused by advance and
-	// execVisible. Passing a stack-allocated context into the compiled
-	// expression closures makes it escape on every visible operation;
-	// one per-System context removes that allocation. Safe because
-	// expression evaluation never re-enters advance or execVisible (a
-	// visible operation is a CFG node, not an expression), so the
-	// scratch is never live twice.
-	ectx evalCtx
 }
 
 // DefaultMaxInvisible is the default divergence bound.
@@ -215,13 +204,17 @@ func NewSystem(u *cfg.Unit) (*System, error) {
 	return r.NewSystem(), nil
 }
 
-// NewSystem instantiates a fresh System over the shared compiled code.
-// The returned System is independent of any other instance.
+// NewSystem instantiates a fresh System over the shared compiled code
+// (the bytecode module is compiled on first use). The returned System is
+// independent of any other instance.
 func (r *Resolution) NewSystem() *System {
+	mod := r.ensureBytecode()
 	s := &System{
-		Unit:         r.unit,
-		res:          r,
-		eng:          EngineSlots,
+		Unit: r.unit,
+		res:  r,
+		bc:   mod,
+		// Fragment convention: register 0 always exists.
+		regs:         make([]Value, max(mod.maxRegs, 1)),
 		MaxInvisible: DefaultMaxInvisible,
 	}
 	objs := comm.Build(r.unit.Objects, func(i int64) any { return IntVal(i) })
@@ -328,117 +321,6 @@ func catchOutcome(proc int, out **Outcome) {
 	default:
 		panic(r)
 	}
-}
-
-// advance executes invisible operations of p until the process reaches
-// its next visible operation or terminates. It implements the invisible
-// suffix of a transition.
-func (s *System) advance(p *Proc, ch Chooser) (out *Outcome) {
-	if s.bc != nil {
-		return s.bcAdvance(p, ch)
-	}
-	defer catchOutcome(p.Index, &out)
-	steps := 0
-	ctx := &s.ectx
-	ctx.chooser = ch
-	for {
-		if p.status != Running {
-			return nil
-		}
-		n := p.cur
-		top := p.stack[len(p.stack)-1]
-		ctx.frame = top
-		steps++
-		if steps > s.MaxInvisible {
-			return &Outcome{Kind: OutDivergence, Proc: p.Index,
-				Msg: fmt.Sprintf("more than %d invisible operations in one transition (proc %s, node n%d)",
-					s.MaxInvisible, top.code.name, n.ID)}
-		}
-
-		prog := &top.code.nodes[n.ID]
-		if prog.fail != nil {
-			prog.fail()
-		}
-		switch prog.kind {
-		case cfg.NStart:
-			p.cur = prog.succ
-		case cfg.NAssign:
-			prog.exec(ctx)
-			p.cur = prog.succ
-		case cfg.NCond:
-			v := prog.cond(ctx)
-			if v.IsUndef() {
-				trapf("branch on undef (proc %s, node n%d)", top.code.name, n.ID)
-			}
-			if v.Kind != KBool {
-				trapf("branch on %s, want bool", kindName(v.Kind))
-			}
-			next := prog.onFalse
-			if v.B {
-				next = prog.onTrue
-			}
-			if next == nil {
-				trapf("no matching arc out of node n%d", n.ID)
-			}
-			p.cur = next
-		case cfg.NTossSwitch:
-			k := ctx.toss(prog.tossBound)
-			if k < 0 || k >= len(prog.tossSucc) {
-				// A chooser replaying recorded decisions can feed an
-				// out-of-range outcome (a stale or corrupted checkpoint);
-				// trap instead of indexing off the arc table.
-				trapf("VS_toss outcome %d out of range [0,%d]", k, len(prog.tossSucc)-1)
-			}
-			next := prog.tossSucc[k]
-			if next == nil {
-				trapf("no matching arc out of node n%d", n.ID)
-			}
-			p.cur = next
-		case cfg.NCall:
-			if prog.vis != nil {
-				// Reached the next visible operation: the transition's
-				// invisible suffix ends just before it.
-				return nil
-			}
-			s.enterCall(p, ctx, prog.call)
-		case cfg.NReturn:
-			if len(p.stack) == 1 {
-				// Termination statements in top-level procedures block
-				// forever (§4): the process is done.
-				p.status = Terminated
-				return nil
-			}
-			callID := top.callNode
-			p.stack = p.stack[:len(p.stack)-1]
-			caller := p.stack[len(p.stack)-1]
-			p.cur = caller.code.nodes[callID].succ
-		case cfg.NExit:
-			p.status = Terminated
-			return nil
-		default:
-			trapf("unknown node kind %v", prog.kind)
-		}
-		if p.status == Running && p.cur == nil {
-			trapf("control fell off the graph (proc %s)", top.code.name)
-		}
-	}
-}
-
-// enterCall pushes a frame for a user procedure call. Parameters are
-// fresh variables initialized with copies of the argument values (§4):
-// the slot table puts parameter i at slot i.
-func (s *System) enterCall(p *Proc, ctx *evalCtx, c *callOp) {
-	if len(p.stack) >= maxCallDepth {
-		trapf("call stack overflow in %s", c.callee.name)
-	}
-	s.met.Frames.Inc()
-	nf := &frame{code: c.callee, cells: newCells(c.callee.nSlots()), callNode: c.nodeID}
-	for i, a := range c.args {
-		v := a(ctx) // ctx.frame is still the caller's frame here
-		nf.cells[i].V = v.Copy()
-	}
-	p.stack = append(p.stack, nf)
-	p.cur = c.callee.g.Entry
 }
 
 // Enabled reports whether process i's pending visible operation can
@@ -548,13 +430,14 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 	if vis == nil {
 		trapf("process %d is not at a visible operation", p.Index)
 	}
-	ctx := &s.ectx
-	ctx.frame, ctx.chooser = top, ch
+	// The operands are bytecode fragments; a destination fragment takes
+	// the incoming value in register 0.
+	frag := top.code.bc.vis[n.ID]
 	ev = Event{Proc: p.Index, Op: vis.opName}
 
 	switch vis.op {
 	case opAssert:
-		v := s.visArg(p, n, ctx, vis)
+		v := s.runFragment(p, frag.argPC, ch)
 		ev.Value, ev.HasVal = v, true
 		switch v.Kind {
 		case KBool:
@@ -580,7 +463,7 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 			// later element store would rewrite a message in flight —
 			// and a state copy, which cannot keep such an alias, would
 			// behave differently from the state it copied.
-			v := s.visArg(p, n, ctx, vis).Copy()
+			v := s.runFragment(p, frag.argPC, ch).Copy()
 			ev.Value, ev.HasVal = v, true
 			c := obj.(*comm.Chan)
 			ev.Stub = c.EnvFacing()
@@ -598,7 +481,8 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 				v = raw.(Value)
 			}
 			ev.Value, ev.HasVal, ev.Stub = v, true, stub
-			s.visDst(p, n, ctx, vis, v)
+			s.regs[0] = v
+			s.runFragment(p, frag.dstPC, ch)
 		case opWait:
 			if err := obj.(*comm.Sem).Wait(); err != nil {
 				trapf("%v", err)
@@ -606,13 +490,14 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 		case opSignal:
 			obj.(*comm.Sem).Signal()
 		case opVwrite:
-			v := s.visArg(p, n, ctx, vis).Copy()
+			v := s.runFragment(p, frag.argPC, ch).Copy()
 			ev.Value, ev.HasVal = v, true
 			obj.(*comm.Shared).Write(boxValue(v))
 		case opVread:
 			v := obj.(*comm.Shared).Read().(Value)
 			ev.Value, ev.HasVal = v, true
-			s.visDst(p, n, ctx, vis, v)
+			s.regs[0] = v
+			s.runFragment(p, frag.dstPC, ch)
 		default:
 			trapf("unknown builtin %s", vis.opName)
 		}
@@ -624,28 +509,6 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 	}
 	p.cur = prog.succ
 	return ev, nil
-}
-
-// visArg evaluates the value operand of the visible operation at node
-// n: via the compiled bytecode fragment on the bytecode engine, via the
-// expression closure otherwise.
-func (s *System) visArg(p *Proc, n *cfg.Node, ctx *evalCtx, vis *visOp) Value {
-	if s.bc != nil {
-		return s.runFragment(p, ctx.frame.code.bc.vis[n.ID].argPC, ctx.chooser)
-	}
-	return vis.arg(ctx)
-}
-
-// visDst stores v into the destination operand (recv/vread) of the
-// visible operation at node n. The fragment convention parks the value
-// in register 0.
-func (s *System) visDst(p *Proc, n *cfg.Node, ctx *evalCtx, vis *visOp, v Value) {
-	if s.bc != nil {
-		s.regs[0] = v
-		s.runFragment(p, ctx.frame.code.bc.vis[n.ID].dstPC, ctx.chooser)
-		return
-	}
-	vis.dst(ctx, v)
 }
 
 // Fingerprint returns a deterministic string identifying the current

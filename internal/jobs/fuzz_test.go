@@ -5,6 +5,7 @@ import (
 	"unicode/utf8"
 
 	"reclose/internal/explore"
+	"reclose/internal/interp"
 )
 
 // FuzzJobRequest hammers the job-submission JSON decoder: whatever the
@@ -25,6 +26,8 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(`{"source":"x","priority":-1}`))
 	f.Add([]byte(`{"source":"x","close":"bogus"}`))
 	f.Add([]byte{0xff, 0xfe, '{', '}'})
+	f.Add([]byte(`{"source":"x","engine":"ref"}`))
+	f.Add([]byte(`{"source":"x","engine":"slots"}`)) // the tier deleted in PR 17: refused like any unknown name
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseRequest(data)
 		if err != nil {
@@ -60,6 +63,9 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if _, err := explore.ParseSearch(req.Search); err != nil {
 			t.Fatalf("accepted unparseable search %q", req.Search)
+		}
+		if _, err := interp.ParseEngine(req.Engine); err != nil {
+			t.Fatalf("accepted unparseable engine %q", req.Engine)
 		}
 	})
 }

@@ -121,6 +121,8 @@ func TestHTTPBadRequests(t *testing.T) {
 		`{}`,
 		`{"source":"x","priority":99}`,
 		`{"source":"x","close":"naive"}`,
+		`{"source":"x","engine":"slots"}`, // the deleted tier is no engine
+		`{"source":"x","engine":"valves"}`,
 	} {
 		resp, _ := postJob(t, srv, body)
 		if resp.StatusCode != http.StatusBadRequest {

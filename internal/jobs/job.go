@@ -83,8 +83,8 @@ type Request struct {
 	// strictly lower priority.
 	Priority int `json:"priority,omitempty"`
 
-	// Engine selects the interpreter tier ("bytecode", "slots", "ref";
-	// default bytecode).
+	// Engine selects the interpreter ("bytecode", the compiled machine
+	// and the default, or "ref", the reference oracle).
 	Engine string `json:"engine,omitempty"`
 	// MaxDepth bounds path depth (0 = explore default).
 	MaxDepth int `json:"max_depth,omitempty"`

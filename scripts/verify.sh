@@ -1,9 +1,10 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, full tests, race-detector legs over
 # the packages with real concurrency, and a short fuzz smoke over the
-# front end, the checkpoint decoder, the bytecode/slots lockstep oracle,
-# the job request parser and the dist frame codec (5s per target; the
-# lockstep target also runs the key-segment schedule of keyseg_test.go).
+# front end, the checkpoint decoder, the compiled-machine/reference
+# lockstep oracle, the job request parser and the dist frame codec (5s
+# per target; the lockstep target also runs the CopyFrom sweep of
+# copy_test.go and the key-segment schedule of keyseg_test.go).
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
@@ -16,14 +17,16 @@ go test -count=1 -timeout=10m ./...
 # Exploration race leg: every test of the search driver, the interpreter
 # it runs on, and the observability instruments and state cache all of
 # them share. It covers, with the race detector watching:
-#   - the three-way engine differential (bytecode vs slots vs ref must
-#     stay byte-identical even under the race scheduler's timings);
+#   - the engine differential (the compiled machine, with incremental
+#     state hashing and rendering in full, against the reference
+#     interpreter: byte-identical even under the race scheduler's
+#     timings) and the bytecode-vs-ref report equivalence grid;
 #   - dynamic POR: the backtrack-set search and the priority frontier
 #     must find exactly the static oracle's incident set across workers
 #     × spill × cache shards (shared frontier heap, per-entry backtrack
 #     folds);
 #   - restore-based backtracking: the copy routine's property and
-#     hand-written pointer/array tests on both copying tiers, the
+#     hand-written pointer/array tests with hashing on and off, the
 #     restore-vs-replay equivalence grid (engines × POR × cache ×
 #     liveness × workers × snapshot-spill), the snapshot cap, the running
 #     depth count and the mid-step-panic recovery (shared snapshot-spill
