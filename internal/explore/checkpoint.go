@@ -114,7 +114,8 @@ type snapDecision struct {
 	Value int  `json:"value"`
 }
 
-// snapUnit is one serialized work unit. Sleep keys are process indices
+// snapUnit is one serialized work unit. Objects go by name: the engine's
+// indices are translated at this boundary. Sleep keys are process indices
 // rendered as decimal strings (JSON object keys must be strings). The
 // in-memory snapshot of a SnapshotSpill unit (workUnit.snap) is
 // deliberately not serialized: the decision prefix alone reconstructs
@@ -202,7 +203,7 @@ func buildSnapshot(rep *Report, units []*workUnit) *Snapshot {
 	s := &Snapshot{
 		Version:   SnapshotVersion,
 		Processes: rep.procs,
-		SiteBits:  rep.bits,
+		SiteBits:  rep.sites.bits,
 		Counters: snapCounters{
 			States:                rep.States,
 			Transitions:           rep.Transitions,
@@ -241,7 +242,7 @@ func buildSnapshot(rep *Report, units []*workUnit) *Snapshot {
 		})
 	}
 	for _, u := range units {
-		s.Units = append(s.Units, snapFromUnit(u))
+		s.Units = append(s.Units, rep.sites.snapFromUnit(u))
 	}
 	return s
 }
@@ -258,7 +259,8 @@ type restoredState struct {
 // restoreSnapshot validates a snapshot against the unit it is about to
 // resume and converts it back into engine structures. Structural
 // problems (wrong version, wrong program identity, malformed units)
-// fail here with an error; semantically stale decision prefixes are
+// fail here with an error, as does a unit naming an object or process
+// the program does not have; semantically stale decision prefixes are
 // caught later, at replay time, where the per-path recovery isolates
 // them into internal-error incidents.
 func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
@@ -333,7 +335,7 @@ func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
 
 	units := make([]*workUnit, 0, len(snap.Units))
 	for i, su := range snap.Units {
-		wu, err := unitFromSnap(&su)
+		wu, err := sites.unitFromSnap(&su, len(u.Processes))
 		if err != nil {
 			return nil, fmt.Errorf("explore: snapshot unit %d: %w", i, err)
 		}
@@ -343,12 +345,12 @@ func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
 }
 
 // snapFromUnit serializes one work unit.
-func snapFromUnit(u *workUnit) snapUnit {
+func (t *siteTable) snapFromUnit(u *workUnit) snapUnit {
 	su := snapUnit{
 		Prefix:  snapFromDecisions(u.prefix),
 		Options: u.options,
-		Objs:    u.objs,
-		Sleep:   snapFromSleep(u.sleep),
+		Objs:    t.objNames(u.objs),
+		Sleep:   t.snapFromSleep(u.sleep),
 		From:    u.from,
 		Root:    u.root,
 		Toss:    u.toss,
@@ -360,11 +362,11 @@ func snapFromUnit(u *workUnit) snapUnit {
 		su.Stack = append(su.Stack, snapFrame{
 			Toss:      f.toss,
 			Options:   f.options,
-			Objs:      f.objs,
+			Objs:      t.objNames(f.objs),
 			Cursor:    f.cursor,
-			Sleep:     snapFromSleep(f.sleep),
+			Sleep:     t.snapFromSleep(f.sleep),
 			Enabled:   f.enabled,
-			EnObjs:    f.enObjs,
+			EnObjs:    t.objNames(f.enObjs),
 			Backtrack: f.backtrack,
 			Statics:   f.statics,
 			Sealed:    f.sealed,
@@ -376,99 +378,122 @@ func snapFromUnit(u *workUnit) snapUnit {
 
 // snapFromSleep renders a sleep set as a JSON-friendly map (object keys
 // must be strings).
-func snapFromSleep(s sleepSet) map[string]string {
+func (t *siteTable) snapFromSleep(s sleepSet) map[string]string {
 	if len(s) == 0 {
 		return nil
 	}
 	out := make(map[string]string, len(s))
 	for _, se := range s {
-		out[strconv.Itoa(se.proc)] = se.obj
+		out[strconv.Itoa(se.proc)] = t.name(se.obj)
 	}
 	return out
 }
 
-// sleepFromSnap parses a serialized sleep set, restoring the by-process
-// order invariant (JSON map iteration is unordered).
-func sleepFromSnap(m map[string]string) (sleepSet, error) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	s := make(sleepSet, 0, len(m))
-	for k, obj := range m {
-		p, err := strconv.Atoi(k)
-		if err != nil {
-			return nil, fmt.Errorf("bad sleep key %q", k)
+// unitFromSnap deserializes one work unit of a program with procs
+// processes, turning object names back into indices. It rejects a
+// malformed or stale unit — the engine indexes these slices, and arrays
+// with these values, unchecked — naming the first field found wrong.
+func (t *siteTable) unitFromSnap(su *snapUnit, procs int) (*workUnit, error) {
+	var err error
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf(format, args...)
 		}
-		s = append(s, sleepEntry{proc: p, obj: obj})
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i].proc < s[j].proc })
-	return s, nil
-}
+	num := interp.Numbering{Objects: t.objs}
+	obj := func(field string, i any, name string) int32 { // "" is VS_assert's none
+		o := num.Object(name)
+		if o < 0 && name != "" {
+			fail("%s[%v]: the program declares no object %q", field, i, name)
+		}
+		return o
+	}
+	objs := func(field string, names []string) []int32 {
+		if len(names) == 0 {
+			return nil
+		}
+		out := make([]int32, len(names))
+		for i, name := range names {
+			out[i] = obj(field, i, name)
+		}
+		return out
+	}
+	procList := func(field string, ps []int) []int {
+		for i, p := range ps {
+			if p < 0 || p >= procs {
+				fail("%s[%d]: process %d out of range [0, %d)", field, i, p, procs)
+			}
+		}
+		return ps
+	}
+	// JSON map iteration is unordered: restore the by-process order.
+	sleep := func(m map[string]string) sleepSet {
+		if len(m) == 0 {
+			return nil
+		}
+		s := make(sleepSet, 0, len(m))
+		for k, name := range m {
+			p, aerr := strconv.Atoi(k)
+			if aerr != nil || p < 0 || p >= procs {
+				fail("sleep: key %q is not a process in [0, %d)", k, procs)
+			}
+			s = append(s, sleepEntry{proc: p, obj: obj("sleep", k, name)})
+		}
+		sort.Slice(s, func(i, j int) bool { return s[i].proc < s[j].proc })
+		return s
+	}
+	// shape checks one decision point: a cursor inside its options and,
+	// at a scheduling point, process-valued options with an object each.
+	shape := func(what string, cursor int, toss bool, options []int, nobjs int) {
+		if cursor < 0 || cursor >= len(options) {
+			fail("%s %d out of range (have %d options)", what, cursor, len(options))
+		}
+		if !toss {
+			procList("options", options)
+			if nobjs != len(options) {
+				fail("have %d objs for %d options", nobjs, len(options))
+			}
+		}
+	}
 
-// unitFromSnap deserializes one work unit, rejecting structurally
-// malformed ones (the engine indexes into these slices unchecked).
-func unitFromSnap(su *snapUnit) (*workUnit, error) {
 	u := &workUnit{
 		prefix:  decisionsFromSnap(su.Prefix),
 		options: su.Options,
-		objs:    su.Objs,
+		objs:    objs("objs", su.Objs),
+		sleep:   sleep(su.Sleep),
 		from:    su.From,
 		root:    su.Root,
 		toss:    su.Toss,
 		cont:    su.Cont,
 		score:   su.Score,
 	}
-	sleep, err := sleepFromSnap(su.Sleep)
-	if err != nil {
-		return nil, err
-	}
-	u.sleep = sleep
-	if len(su.Stack) > 0 {
-		u.stack = make([]stackFrame, 0, len(su.Stack))
-		for i := range su.Stack {
-			sf := &su.Stack[i]
-			fsleep, err := sleepFromSnap(sf.Sleep)
-			if err != nil {
-				return nil, fmt.Errorf("frame %d: %w", i, err)
-			}
-			if sf.Cursor < 0 || sf.Cursor >= len(sf.Options) {
-				return nil, fmt.Errorf("frame %d: cursor %d out of range (have %d options)",
-					i, sf.Cursor, len(sf.Options))
-			}
-			if !sf.Toss && len(sf.Objs) != len(sf.Options) {
-				return nil, fmt.Errorf("frame %d: have %d objs for %d options",
-					i, len(sf.Objs), len(sf.Options))
-			}
-			if len(sf.EnObjs) != len(sf.Enabled) {
-				return nil, fmt.Errorf("frame %d: have %d enabled objs for %d enabled procs",
-					i, len(sf.EnObjs), len(sf.Enabled))
-			}
-			u.stack = append(u.stack, stackFrame{
-				toss:      sf.Toss,
-				options:   sf.Options,
-				objs:      sf.Objs,
-				cursor:    sf.Cursor,
-				sleep:     fsleep,
-				enabled:   sf.Enabled,
-				enObjs:    sf.EnObjs,
-				backtrack: sf.Backtrack,
-				statics:   sf.Statics,
-				sealed:    sf.Sealed,
-				dynamic:   sf.Dynamic,
-			})
+	for i := range su.Stack {
+		sf := &su.Stack[i]
+		shape("cursor", sf.Cursor, sf.Toss, sf.Options, len(sf.Objs))
+		if len(sf.EnObjs) != len(sf.Enabled) {
+			fail("have %d enabled objs for %d enabled procs", len(sf.EnObjs), len(sf.Enabled))
 		}
-		return u, nil
+		u.stack = append(u.stack, stackFrame{
+			toss:      sf.Toss,
+			options:   sf.Options,
+			objs:      objs("objs", sf.Objs),
+			cursor:    sf.Cursor,
+			sleep:     sleep(sf.Sleep),
+			enabled:   procList("enabled", sf.Enabled),
+			enObjs:    objs("en_objs", sf.EnObjs),
+			backtrack: procList("backtrack", sf.Backtrack),
+			statics:   procList("statics", sf.Statics),
+			sealed:    sf.Sealed,
+			dynamic:   sf.Dynamic,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("frame %d: %w", i, err)
+		}
 	}
-	if u.root || u.cont {
-		return u, nil
+	if len(u.stack) == 0 && !u.root && !u.cont {
+		shape("option index", u.from, u.toss, u.options, len(u.objs))
 	}
-	if u.from < 0 || u.from >= len(u.options) {
-		return nil, fmt.Errorf("option index %d out of range (have %d options)", u.from, len(u.options))
-	}
-	if !u.toss && len(u.objs) != len(u.options) {
-		return nil, fmt.Errorf("have %d objs for %d options", len(u.objs), len(u.options))
-	}
-	return u, nil
+	return u, err
 }
 
 func snapFromDecisions(dec []Decision) []snapDecision {

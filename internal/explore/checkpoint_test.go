@@ -3,6 +3,7 @@ package explore_test
 import (
 	"context"
 	"fmt"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -379,6 +380,84 @@ func TestSnapshotValidation(t *testing.T) {
 	}
 	if _, err := explore.Resume(other, snap, explore.Options{}); err == nil {
 		t.Error("Resume accepted a snapshot from a different program")
+	}
+}
+
+// TestStaleCheckpointRefused pins the checkpoint boundary of the integer
+// numbering: the engine indexes arrays with object and process indices,
+// so a unit naming an object the program does not declare, or a process
+// it does not have, is refused by Resume — and by the distributed merge,
+// which decodes the same units — with an error that names the unit and
+// the field, while the checkpoint it was made from still resumes to the
+// uninterrupted totals.
+func TestStaleCheckpointRefused(t *testing.T) {
+	src := progs.Philosophers(3)
+	closed, _, err := core.CloseSource(src)
+	if err != nil {
+		t.Fatalf("CloseSource: %v", err)
+	}
+	for _, por := range []explore.PORMode{explore.PORStatic, explore.PORDynamic} {
+		opt := explore.Options{POR: por, MaxIncidents: 1 << 20}
+		full, err := explore.Explore(closed, opt)
+		if err != nil {
+			t.Fatalf("Explore: %v", err)
+		}
+		snap := interruptOnce(t, src, opt, 3)
+		if snap == nil {
+			t.Fatalf("por=%s: no checkpoint", por)
+		}
+		good, err := snap.Encode()
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		resumed, err := explore.Resume(closed, snap, opt)
+		if err != nil {
+			t.Fatalf("por=%s: the good checkpoint does not resume: %v", por, err)
+		}
+		if got, want := resultDigest(resumed), resultDigest(full); got != want {
+			t.Errorf("por=%s: resumed totals diverged:\n--- got ---\n%s--- want ---\n%s", por, got, want)
+		}
+
+		cases := []struct{ name, pattern, repl, want string }{
+			{"undeclared objs name", `("objs": \[\s*)"fork\d"`, `${1}"spoon"`, `objs[0]: the program declares no object "spoon"`},
+			{"option out of range", `("options": \[\s*)\d`, `${1}7`, `options[0]: process 7 out of range [0, 3)`},
+		}
+		if por == explore.PORStatic {
+			cases = append(cases, []struct{ name, pattern, repl, want string }{
+				{"sleep key out of range", `("sleep": \{\s*)"\d"`, `${1}"99"`, `sleep: key "99" is not a process in [0, 3)`},
+				{"undeclared sleep object", `("sleep": \{\s*"\d": )"fork\d"`, `${1}"spoon"`, `the program declares no object "spoon"`},
+			}...)
+		} else { // the stack-continuation unit's frames
+			cases = append(cases, []struct{ name, pattern, repl, want string }{
+				{"undeclared en_objs name", `("en_objs": \[\s*)"fork\d"`, `${1}"spoon"`, `frame 0: en_objs[0]: the program declares no object "spoon"`},
+				{"negative enabled", `("enabled": \[\s*)\d`, `${1}-1`, `frame 0: enabled[0]: process -1 out of range [0, 3)`},
+				{"backtrack out of range", `("backtrack": \[\s*)\d`, `${1}3`, `backtrack[0]: process 3 out of range [0, 3)`},
+			}...)
+		}
+		for _, c := range cases {
+			re := regexp.MustCompile(c.pattern)
+			loc := re.FindIndex(good)
+			if loc == nil {
+				t.Errorf("por=%s %s: the checkpoint has nothing matching %s", por, c.name, c.pattern)
+				continue
+			}
+			// Mutate the first match only: one stale field in one unit.
+			bad := append(append(append([]byte(nil), good[:loc[0]]...), re.ReplaceAll(good[loc[0]:loc[1]], []byte(c.repl))...), good[loc[1]:]...)
+			stale, err := explore.DecodeSnapshot(bad)
+			if err != nil {
+				t.Errorf("por=%s %s: DecodeSnapshot: %v", por, c.name, err)
+				continue
+			}
+			_, err = explore.Resume(closed, stale, opt)
+			if err == nil || !strings.Contains(err.Error(), "snapshot unit ") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("por=%s %s: Resume error = %v, want one naming the unit and %q", por, c.name, err, c.want)
+			}
+			// The same units arrive at the distributed merge as WireUnits.
+			_, err = explore.NewMerger(closed, opt).Report(stale.Units, explore.StopNone, 1, nil)
+			if err == nil || !strings.Contains(err.Error(), "pending unit ") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("por=%s %s: Merger.Report error = %v, want one naming the unit and %q", por, c.name, err, c.want)
+			}
+		}
 	}
 }
 

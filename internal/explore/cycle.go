@@ -95,17 +95,17 @@ type lassoSample struct {
 const RedStateBudget = 4096
 
 // liveNoteReplay records or refreshes the live-stack entry for the
-// state a replayed scheduling transition leaves from: p is the chosen
-// process, depth the state's scheduling depth, decIdx the decisions
-// consumed to reach it. Called before the Step, while the machine
-// still sits at the state.
-func (e *engine) liveNoteReplay(p, depth, decIdx int) {
+// state a replayed scheduling transition leaves from: pd is the chosen
+// process's row there, depth the state's scheduling depth, decIdx the
+// decisions consumed to reach it. Called before the Step, while the
+// machine still sits at the state.
+func (e *engine) liveNoteReplay(pd interp.Pending, depth, decIdx int) {
 	if depth >= e.liveStack.Len() {
 		e.fpBuf = e.sys.AppendFingerprint(e.fpBuf[:0])
 		e.liveStack.Push(depth, e.sys.StateHash(), e.fpBuf)
 		e.liveMetaSet(depth, decIdx)
 	}
-	e.liveMeta[depth].progressOut = e.sys.ProcProgress(p)
+	e.liveMeta[depth].progressOut = pd.Flags&interp.PendProgress != 0
 }
 
 // liveMetaSet initializes the meta entry for a newly recorded state.
@@ -183,7 +183,7 @@ func (e *engine) leafLivelock(i int, redDecs []Decision, redTrace []interp.Event
 // RedStateBudget ran out is counted in Report.RedCut. A red state
 // allocates nothing: its key goes into the engine's key scratch (free
 // once the cache has answered) and is copied only by the seen set, and
-// the seen set, enabled lists and stepped machines outlive the search.
+// the seen set, pending tables and stepped machines outlive the search.
 func (e *engine) redSearch(depth int) bool {
 	// progCount is monotone along the stack, so the on-stack states
 	// whose suffix to here is progress-free form exactly the suffix
@@ -210,16 +210,19 @@ func (e *engine) redSearch(depth int) bool {
 		if rd >= remaining {
 			return false
 		}
-		if rd == len(e.redEn) {
-			e.redEn = append(e.redEn, nil)
+		if rd == len(e.redPend) {
+			e.redPend = append(e.redPend, nil)
 		}
-		e.redEn[rd] = m.AppendEnabled(e.redEn[rd][:0])
-		for _, p := range e.redEn[rd] {
+		e.redPend[rd] = m.AppendPending(e.redPend[rd][:0])
+		for p, pd := range e.redPend[rd] {
+			if pd.Flags&interp.PendEnabled == 0 {
+				continue
+			}
 			if budget <= 0 {
 				cut = true
 				return false
 			}
-			if m.ProcProgress(p) {
+			if pd.Flags&interp.PendProgress != 0 {
 				continue
 			}
 			budget--

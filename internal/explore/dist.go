@@ -66,7 +66,7 @@ func NewMerger(u *cfg.Unit, opt Options) *Merger {
 // Root returns the serialized whole-search work unit that seeds a
 // distributed frontier, exactly as the in-process driver seeds its own.
 func (m *Merger) Root() WireUnit {
-	return snapFromUnit(&workUnit{root: true})
+	return m.sites.snapFromUnit(&workUnit{root: true})
 }
 
 // NewBatch packages a set of frontier units as a batch snapshot for one
@@ -137,7 +137,7 @@ func (m *Merger) Checkpoint(pending []WireUnit) *Snapshot {
 func (m *Merger) Report(pending []WireUnit, cause StopCause, workers int, stats []WorkerStat) (*Report, error) {
 	units := make([]*workUnit, 0, len(pending))
 	for i := range pending {
-		wu, err := unitFromSnap(&pending[i])
+		wu, err := m.sites.unitFromSnap(&pending[i], len(m.u.Processes))
 		if err != nil {
 			return nil, fmt.Errorf("explore: pending unit %d: %w", i, err)
 		}

@@ -11,18 +11,23 @@ import (
 	"reclose/internal/progs"
 )
 
+// wireSites names the objects of wireUnits: a unit holds indices into
+// these names, and on the wire they are the names.
+var wireSites = &siteTable{objs: []string{"a", "b", "ch", "lock", "x"}}
+
 // wireUnits builds one work unit of every shape the frontier produces:
 // a root unit, a plain sibling-range unit with a sleep set and a
 // priority score, a toss unit, a continuation unit, and a dynamic-POR
 // stack-continuation unit whose frames carry backtrack sets and seals.
 func wireUnits() map[string]*workUnit {
+	const a, b, ch, lock, x = 0, 1, 2, 3, 4
 	return map[string]*workUnit{
 		"root": {root: true},
 		"siblings": {
 			prefix:  []Decision{{Value: 1}, {Toss: true, Value: 0}, {Value: 2}},
 			options: []int{0, 2, 3},
-			objs:    []string{"", "ch", "lock"},
-			sleep:   sleepSet{{proc: 0, obj: "ch"}, {proc: 2, obj: "lock"}},
+			objs:    []int32{-1, ch, lock},
+			sleep:   sleepSet{{proc: 0, obj: ch}, {proc: 2, obj: lock}},
 			from:    1,
 			score:   3.5,
 		},
@@ -43,10 +48,10 @@ func wireUnits() map[string]*workUnit {
 			stack: []stackFrame{
 				{
 					options:   []int{0, 2},
-					objs:      []string{"a", "b"},
+					objs:      []int32{a, b},
 					cursor:    1,
 					enabled:   []int{0, 1, 2},
-					enObjs:    []string{"a", "x", "b"},
+					enObjs:    []int32{a, x, b},
 					backtrack: []int{0, 2},
 					statics:   []int{0},
 					dynamic:   true,
@@ -55,7 +60,7 @@ func wireUnits() map[string]*workUnit {
 					toss:    true,
 					options: []int{0, 1},
 					cursor:  0,
-					sleep:   sleepSet{{proc: 1, obj: "x"}},
+					sleep:   sleepSet{{proc: 1, obj: x}},
 					sealed:  true,
 				},
 			},
@@ -73,7 +78,7 @@ func wireUnits() map[string]*workUnit {
 func TestWireUnitRoundTrip(t *testing.T) {
 	for name, u := range wireUnits() {
 		t.Run(name, func(t *testing.T) {
-			su := snapFromUnit(u)
+			su := wireSites.snapFromUnit(u)
 			data, err := json.Marshal(su)
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
@@ -82,7 +87,7 @@ func TestWireUnitRoundTrip(t *testing.T) {
 			if err := json.Unmarshal(data, &back); err != nil {
 				t.Fatalf("unmarshal: %v", err)
 			}
-			got, err := unitFromSnap(&back)
+			got, err := wireSites.unitFromSnap(&back, 4)
 			if err != nil {
 				t.Fatalf("unitFromSnap: %v", err)
 			}
@@ -98,7 +103,7 @@ func TestWireUnitRoundTrip(t *testing.T) {
 // snapshots stay byte-identical to the pre-fix format), and a nonzero
 // score appears and round-trips exactly.
 func TestWireUnitScoreFormat(t *testing.T) {
-	plain := snapFromUnit(&workUnit{prefix: []Decision{{Value: 1}}, cont: true})
+	plain := wireSites.snapFromUnit(&workUnit{prefix: []Decision{{Value: 1}}, cont: true})
 	data, err := json.Marshal(plain)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -106,7 +111,7 @@ func TestWireUnitScoreFormat(t *testing.T) {
 	if strings.Contains(string(data), "score") {
 		t.Errorf("zero-score unit encodes a score key: %s", data)
 	}
-	scored := snapFromUnit(&workUnit{prefix: []Decision{{Value: 1}}, cont: true, score: 2.75})
+	scored := wireSites.snapFromUnit(&workUnit{prefix: []Decision{{Value: 1}}, cont: true, score: 2.75})
 	data, err = json.Marshal(scored)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)

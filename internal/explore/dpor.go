@@ -16,9 +16,10 @@ import (
 // Static POR (the default) pre-expands a persistent set at every
 // state, computed from the static object footprints. Dynamic POR
 // instead expands a single enabled transition and discovers the need
-// for alternatives while executing: the engine tracks, per object, the
-// stack index of the last transition that accessed it; at every new
-// state, each running process whose *pending* operation targets an
+// for alternatives while executing: the engine tracks, per object index
+// and side (interp.Pending's Obj and Slot), the stack index of the last
+// transition that accessed it; at every new state, each row of the
+// pending table whose *pending* operation targets an
 // object last accessed by a *different* process makes the earlier
 // decision point gain a backtrack point — that process if it was
 // enabled there, otherwise every process enabled there. (Pending, not
@@ -230,16 +231,8 @@ func objClassOf(spec cfg.ObjectSpec) objClass {
 // signal, vread) — and the engine tracks the last access per slot, so
 // the last *dependent* access is found even when a skippable access of
 // the other slot came later (a pending send must point at the last
-// send, not at a more recent recv the class says to ignore).
-func opSlot(op string) int {
-	switch op {
-	case "send", "wait", "vwrite":
-		return 0
-	case "recv", "signal", "vread":
-		return 1
-	}
-	return -1 // unknown: conservatively occupies / consults both slots
-}
+// send, not at a more recent recv the class says to ignore). The slot
+// of a pending operation is interp.Pending.Slot.
 
 // dporDepend[class][pendingSlot][lastSlot] reports whether a pending
 // operation of pendingSlot conflicts with a past access of lastSlot on
@@ -290,30 +283,21 @@ func (e *engine) dporBegin() {
 // entries persist across sibling paths, so every replay insertion
 // would be a dedup no-op.
 //
-// Pending operations on objects outside the static footprint universe
-// are skipped here: they carry no tracked last access, and the
-// executed side of any such conflict sealed the stack at execution
-// time (dporTrack).
+// A pending operation on an object the unit does not declare (Obj -1,
+// like VS_assert) is skipped: it is never enabled, so the object is
+// never accessed and there is no earlier decision to revisit.
 func (e *engine) dporUpdate() {
-	for p, n := 0, e.sys.NumProcs(); p < n; p++ {
-		if e.sys.ProcStatus(p) != interp.Running {
+	for p, pd := range e.pend {
+		oi := int(pd.Obj)
+		if oi < 0 {
 			continue
 		}
-		op, obj, _ := e.sys.ProcPendingOp(p)
-		if obj == "" {
-			continue
-		}
-		oi, ok := e.footprint.objIndex[obj]
-		if !ok {
-			continue
-		}
-		dep := &dporDepend[e.footprint.class[oi]]
-		slot := opSlot(op)
+		dep := &dporDepend[e.footprint.class[oi]][pd.Slot]
 		// The last dependent access: the newer of the two slots among
 		// those the class declares conflicting with the pending slot.
 		last := -1
 		for ls := 0; ls < 2; ls++ {
-			if (slot < 0 || dep[slot][ls]) && e.dporLast[2*oi+ls] > last {
+			if dep[ls] && e.dporLast[2*oi+ls] > last {
 				last = e.dporLast[2*oi+ls]
 			}
 		}
@@ -332,31 +316,16 @@ func (e *engine) dporUpdate() {
 // everything and tracked by nothing. Accesses inside the base prefix
 // are not tracked: base decision points come from published work units
 // and are sealed by the publication rule, so a conflict pointing there
-// needs no insertion. The machine must still sit at the decision state;
-// the slots marked are kept on the entry so dporMark can repeat the
+// needs no insertion. pd is the process's row at the decision state;
+// the slot marked is kept on the entry so dporMark can repeat the
 // marking without it.
-func (e *engine) dporTrack(idx, p int, en *entry) {
+func (e *engine) dporTrack(idx int, pd interp.Pending, en *entry) {
 	en.dporLo, en.dporHi = 0, 0
-	obj := en.objs[en.cursor]
-	if obj == "" {
-		return
+	if pd.Obj >= 0 {
+		en.dporLo = 2*int(pd.Obj) + int(pd.Slot)
+		en.dporHi = en.dporLo + 1
+		e.dporMark(idx, en)
 	}
-	oi, ok := e.footprint.objIndex[obj]
-	if !ok {
-		// An object outside the static footprint universe cannot be
-		// tracked; conservatively seal the whole stack — including the
-		// entry that chose this access — so every conflict against it
-		// is covered statically.
-		e.sealStack()
-		return
-	}
-	op, _, _ := e.sys.ProcPendingOp(p)
-	// An unknown operation conservatively occupies both slots.
-	en.dporLo, en.dporHi = 2*oi, 2*oi+2
-	if slot := opSlot(op); slot >= 0 {
-		en.dporLo, en.dporHi = 2*oi+slot, 2*oi+slot+1
-	}
-	e.dporMark(idx, en)
 }
 
 // dporMark marks stack index idx as the last access of the slots en's
@@ -425,21 +394,24 @@ func (e *engine) foldBacktracks(en *entry) bool {
 	sort.Ints(en.backtrack)
 	for _, q := range en.backtrack {
 		en.options = append(en.options, q)
-		en.objs = append(en.objs, en.objOf(q))
+		en.objs = append(en.objs, objOf(en.enabled, en.enObjs, q))
 	}
 	en.backtrack = en.backtrack[:0]
+	if en.site >= 0 {
+		e.growWaste[en.site] = -1 // it grew: saveSnapshot's lesson
+	}
 	return en.cursor < len(en.options)
 }
 
-// objOf returns the object process q's pending operation targets at
-// this decision point, from the recorded enabled/enObjs pair.
-func (en *entry) objOf(q int) string {
-	for i, p := range en.enabled {
+// objOf returns the object process q's pending operation targets at a
+// decision point, from its recorded enabled/enObjs pair.
+func objOf(enabled []int, enObjs []int32, q int) int32 {
+	for i, p := range enabled {
 		if p == q {
-			return en.enObjs[i]
+			return enObjs[i]
 		}
 	}
-	return ""
+	return -1
 }
 
 // sealEntry makes a dynamically-expanded entry statically complete:
@@ -468,7 +440,7 @@ outer:
 			continue
 		}
 		en.options = append(en.options, q)
-		en.objs = append(en.objs, en.objOf(q))
+		en.objs = append(en.objs, objOf(en.enabled, en.enObjs, q))
 	}
 }
 
@@ -493,7 +465,7 @@ func (e *engine) scheduleDynamic(en *entry, enabled []int) {
 	sleep := e.pendingSleep
 	si := 0
 	for _, p := range enabled {
-		_, obj, _ := e.sys.ProcPendingOp(p)
+		obj := e.pend[p].Obj
 		en.enabled = append(en.enabled, p)
 		en.enObjs = append(en.enObjs, obj)
 		asleep := false
@@ -523,11 +495,11 @@ func (e *engine) scheduleDynamic(en *entry, enabled []int) {
 type stackFrame struct {
 	toss      bool
 	options   []int
-	objs      []string
+	objs      []int32
 	cursor    int
 	sleep     sleepSet
 	enabled   []int
-	enObjs    []string
+	enObjs    []int32
 	backtrack []int
 	statics   []int
 	sealed    bool
@@ -539,11 +511,11 @@ func frameFromEntry(en *entry) stackFrame {
 	return stackFrame{
 		toss:      en.isToss,
 		options:   append([]int(nil), en.options...),
-		objs:      append([]string(nil), en.objs...),
+		objs:      append([]int32(nil), en.objs...),
 		cursor:    en.cursor,
-		sleep:     en.sleep,
+		sleep:     en.sleep.clone(),
 		enabled:   append([]int(nil), en.enabled...),
-		enObjs:    append([]string(nil), en.enObjs...),
+		enObjs:    append([]int32(nil), en.enObjs...),
 		backtrack: append([]int(nil), en.backtrack...),
 		statics:   append([]int(nil), en.statics...),
 		sealed:    en.sealed,
@@ -591,7 +563,7 @@ func (e *engine) stackResidual() *workUnit {
 		// continuation unit expresses it exactly.
 		return &workUnit{
 			prefix: append([]Decision(nil), e.base...),
-			sleep:  e.pendingSleep,
+			sleep:  e.pendingSleep.clone(),
 			cont:   true,
 		}
 	}
@@ -622,7 +594,7 @@ func advanceFrames(frames []stackFrame) []stackFrame {
 			sort.Ints(f.backtrack)
 			for _, q := range f.backtrack {
 				f.options = append(f.options, q)
-				f.objs = append(f.objs, frameObjOf(f, q))
+				f.objs = append(f.objs, objOf(f.enabled, f.enObjs, q))
 			}
 			f.backtrack = nil
 			if f.cursor < len(f.options) {
@@ -634,40 +606,29 @@ func advanceFrames(frames []stackFrame) []stackFrame {
 	return nil
 }
 
-func frameObjOf(f *stackFrame, q int) string {
-	for i, p := range f.enabled {
-		if p == q {
-			return f.enObjs[i]
-		}
-	}
-	return ""
-}
-
 // unitScore scores a unit spilled at the current decision state, where
 // the machine can still resolve option sites for novelty: Depth is the
 // decision depth, Siblings the options the unit covers (from from on),
 // NewSites the options at not-yet-covered visible-operation sites.
 func (e *engine) unitScore(depth int, en *entry, from int) float64 {
 	info := UnitInfo{Depth: depth, Toss: en.isToss, Siblings: len(en.options) - from}
+	var objs []int32
 	if !en.isToss {
-		info.Objs = en.objs[from:]
+		objs = en.objs[from:]
 		for _, p := range en.options[from:] {
-			proc, node := e.sys.ProcAt(p)
-			if node < 0 {
-				continue
-			}
-			if off, ok := e.sites.offsets[proc]; ok && !e.covered.get(off+node) {
+			if site := int(e.pend[p].Site); site >= 0 && !e.covered.get(site) {
 				info.NewSites++
 			}
 		}
 	}
-	return e.score(info)
+	return e.score(info, objs)
 }
 
 // shapeScore scores a residual or continuation unit on shape alone
 // (the engine is no longer at the unit's decision state).
 func (e *engine) shapeScore(u *workUnit) float64 {
 	info := UnitInfo{Depth: len(u.prefix), Toss: u.toss}
+	var objs []int32
 	switch {
 	case len(u.stack) > 0:
 		for i := range u.stack {
@@ -679,16 +640,17 @@ func (e *engine) shapeScore(u *workUnit) float64 {
 	default:
 		info.Siblings = len(u.options) - u.from
 		if !u.toss {
-			info.Objs = u.objs[u.from:]
+			objs = u.objs[u.from:]
 		}
 	}
-	return e.score(info)
+	return e.score(info, objs)
 }
 
-// score applies the configured scoring function (DefaultScore when
-// none is set).
-func (e *engine) score(info UnitInfo) float64 {
+// score applies the configured scoring function, spelling the unit's
+// objects out for it (DefaultScore, when none is set, reads no names).
+func (e *engine) score(info UnitInfo, objs []int32) float64 {
 	if e.opt.Score != nil {
+		info.Objs = e.sites.objNames(objs)
 		return e.opt.Score(info)
 	}
 	return DefaultScore(info)

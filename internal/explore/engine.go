@@ -2,7 +2,7 @@ package explore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"reclose/internal/faultinject"
@@ -31,10 +31,17 @@ type entry struct {
 	options []int
 	cursor  int
 	// Scheduling entries record, per option, the object its pending
-	// visible operation targets ("" for VS_assert), for sleep-set
-	// updates, plus the sleep set inherited at this state.
-	objs  []string
+	// visible operation targets (index in the unit's numbering, -1 for
+	// VS_assert), for sleep-set updates; the sleep set inherited at this
+	// state; the storage of the one the current option's subtree inherits
+	// (childSleep; sleep.go says who may read it); and the state's pending
+	// table, so that replaying an option does not read the state again
+	// (empty on an entry rebuilt from a work unit until a path first comes
+	// through its state).
+	objs  []int32
 	sleep sleepSet
+	child sleepSet
+	pend  []interp.Pending
 	// shared marks an entry whose options/objs backing arrays escaped
 	// into a work unit (a spill, or a unit-restored decision point);
 	// the entry pool must not recycle them — a claimer may still be
@@ -53,7 +60,7 @@ type entry struct {
 	dynamic   bool
 	sealed    bool
 	enabled   []int
-	enObjs    []string
+	enObjs    []int32
 	backtrack []int
 	statics   []int
 	// dporLast[dporLo:dporHi] are the last-access slots the entry's
@@ -71,6 +78,9 @@ type entry struct {
 	snap      interp.Machine
 	snapTrace int
 	snapDepth int
+	// snapUsed records that a path has started from snap; snapGrow that
+	// snap was taken only because the entry might grow (restore.go).
+	snapUsed, snapGrow bool
 	// site is the visible-operation site (coverage bit) of the chosen
 	// option, or -1: what the chooser marks in tossSites when the
 	// option's transition turns out to toss.
@@ -146,15 +156,22 @@ type engine struct {
 	// its transition pushes backtrack through it. Learned as the search
 	// runs and kept across units — it is a fact about the program.
 	tossSites coverage
+	// growWaste counts per site the snapshots taken only because a
+	// dynamic entry might grow by a folded-in backtrack point, and wasted;
+	// -1 once an entry there has grown (saveSnapshot).
+	growWaste []int8
 
 	rep     *Report
 	covered coverage
 	// cache is the search's shared visited-state set (nil without
 	// StateCache): one statecache.Cache per run, shared by every
 	// engine of the search.
-	cache  *statecache.Cache
+	cache *statecache.Cache
+	// pend is the pending table of the fresh state the machine is in
+	// (observe): all the scheduling layer reads of it.
+	pend   []interp.Pending
 	fpBuf  []byte        // fingerprint/cache-key scratch
-	enBuf  []int         // enabled-process scratch (scheduleOptions)
+	enBuf  []int         // the fresh state's enabled processes (scanEnabled)
 	inS    []bool        // closure-membership scratch (persistentSet)
 	inList []int         // closure-member list scratch (persistentSet)
 	setBuf []int         // persistent-set result scratch (consumed by scheduleOptions before the next call)
@@ -181,9 +198,9 @@ type engine struct {
 	liveDepth int
 	lasso     *lassoSample
 	// The red search's storage, kept across searches: one machine per
-	// shallow level (redFork), one enabled list per level, the seen set.
+	// shallow level (redFork), one pending table per level, the seen set.
 	redPool []interp.Machine
-	redEn   [][]int
+	redPend [][]interp.Pending
 	redSeen *statecache.Cache
 
 	// met is the search's shared observability instruments (noMetrics
@@ -219,6 +236,7 @@ func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *site
 	e.rep = &Report{}
 	e.covered = newCoverage(sites)
 	e.tossSites = newCoverage(sites)
+	e.growWaste = make([]int8, sites.bits)
 	if opt.Liveness {
 		e.liveStack = statecache.NewStackSet()
 		e.redSeen = statecache.New(statecache.Config{Shards: 1})
@@ -279,6 +297,8 @@ func (e *engine) getEntry() *entry {
 		*en = entry{
 			options:   en.options[:0],
 			objs:      en.objs[:0],
+			child:     en.child[:0],
+			pend:      en.pend[:0],
 			enabled:   en.enabled[:0],
 			enObjs:    en.enObjs[:0],
 			backtrack: en.backtrack[:0],
@@ -444,12 +464,14 @@ func (e *engine) runPath() {
 			if d.Toss {
 				panic(&ReplayMismatchError{Want: "scheduling decision in prefix", Got: d.String()})
 			}
+			e.observe()
+			pd := e.pend[d.Value]
 			if e.liveStack != nil {
-				e.liveNoteReplay(d.Value, e.liveDepth, e.baseIdx)
+				e.liveNoteReplay(pd, e.liveDepth, e.baseIdx)
 				e.liveDepth++
 			}
 			e.baseIdx++
-			e.cover(d.Value)
+			e.cover(pd)
 			ev, out := e.sys.Step(d.Value, e.ch)
 			e.noteReplayStep()
 			e.pushTrace(ev)
@@ -468,15 +490,19 @@ func (e *engine) runPath() {
 			}
 			e.replayIdx++
 			p := en.choice()
-			e.pendingSleep = childSleep(en)
+			if len(en.pend) == 0 {
+				en.pend = e.sys.AppendPending(en.pend)
+			}
+			pd := en.pend[p]
+			e.pendingSleep = en.childSleep()
 			if e.liveStack != nil {
-				e.liveNoteReplay(p, e.liveDepth, len(e.base)+e.replayIdx-1)
+				e.liveNoteReplay(pd, e.liveDepth, len(e.base)+e.replayIdx-1)
 				e.liveDepth++
 			}
 			if e.opt.POR == PORDynamic {
-				e.dporTrack(e.replayIdx-1, p, en)
+				e.dporTrack(e.replayIdx-1, pd, en)
 			}
-			en.site = e.cover(p)
+			en.site = e.cover(pd)
 			ev, out := e.sys.Step(p, e.ch)
 			e.noteReplayStep()
 			e.pushTrace(ev)
@@ -512,6 +538,7 @@ func (e *engine) runPath() {
 		if depth > e.rep.MaxDepth {
 			e.rep.MaxDepth = depth
 		}
+		e.observe()
 		if e.opt.POR == PORDynamic {
 			// The FG backtrack-set update runs at every new state —
 			// leaf states included (a deadlocked process's pending
@@ -519,12 +546,12 @@ func (e *engine) runPath() {
 			e.dporUpdate()
 		}
 
-		if e.sys.AllTerminated() {
-			e.leaf(LeafTerminated, "all processes terminated")
-			return
-		}
-		if e.sys.Deadlocked() {
-			e.leaf(LeafDeadlock, e.deadlockMsg())
+		if stuck := e.scanEnabled(); len(e.enBuf) == 0 {
+			if stuck {
+				e.leaf(LeafDeadlock, e.deadlockMsg())
+			} else {
+				e.leaf(LeafTerminated, "all processes terminated")
+			}
 			return
 		}
 		if depth >= e.opt.MaxDepth {
@@ -604,6 +631,7 @@ func (e *engine) runPath() {
 			return
 		}
 		en.sleep = e.pendingSleep
+		en.pend = append(en.pend, e.pend...)
 		if e.spill != nil && len(en.options) > 1 && depth < e.opt.SpillDepth {
 			// Spill the unexplored sibling subtrees to the frontier and
 			// keep only the first option locally. The spilled unit
@@ -615,7 +643,7 @@ func (e *engine) runPath() {
 				prefix:  e.appendPathDecisions(e.dec.alloc(len(e.base) + len(e.stack))),
 				options: en.options,
 				objs:    en.objs,
-				sleep:   e.pendingSleep,
+				sleep:   e.pendingSleep.clone(),
 				from:    1,
 			}
 			if e.opt.Search == SearchPriority {
@@ -638,15 +666,16 @@ func (e *engine) runPath() {
 		e.replayIdx = len(e.stack)
 
 		p := en.choice()
-		en.site = e.cover(p)
+		pd := e.pend[p]
+		en.site = e.cover(pd)
 		e.saveSnapshot(en, depth)
-		e.pendingSleep = childSleep(en)
+		e.pendingSleep = en.childSleep()
 		if e.liveStack != nil {
-			e.liveMeta[depth].progressOut = e.sys.ProcProgress(p)
+			e.liveMeta[depth].progressOut = pd.Flags&interp.PendProgress != 0
 			e.liveDepth = depth + 1
 		}
 		if e.opt.POR == PORDynamic {
-			e.dporTrack(len(e.stack)-1, p, en)
+			e.dporTrack(len(e.stack)-1, pd, en)
 		}
 		e.rep.Transitions++
 		e.shared.transitions.Add(1)
@@ -795,10 +824,10 @@ func (e *engine) residualUnits() []*workUnit {
 				toss:    en.isToss,
 			}
 			if en.isToss {
-				u.sleep = sleepCtx
+				u.sleep = sleepCtx.clone()
 			} else {
 				u.objs = en.objs
-				u.sleep = en.sleep
+				u.sleep = en.sleep.clone()
 			}
 			if e.opt.Search == SearchPriority {
 				u.score = e.shapeScore(u)
@@ -806,12 +835,12 @@ func (e *engine) residualUnits() []*workUnit {
 			units = append(units, u)
 		}
 		if !en.isToss {
-			sleepCtx = childSleep(en)
+			sleepCtx = en.childSleep()
 		}
 		prefix = append(prefix, Decision{Toss: en.isToss, Value: en.choice()})
 	}
 	if e.midPath {
-		u := &workUnit{prefix: prefix, sleep: e.pendingSleep, cont: true}
+		u := &workUnit{prefix: prefix, sleep: e.pendingSleep.clone(), cont: true}
 		if e.opt.Search == SearchPriority {
 			u.score = e.shapeScore(u)
 		}
@@ -820,19 +849,36 @@ func (e *engine) residualUnits() []*workUnit {
 	return units
 }
 
-// cover records the visible-operation site process p is about to
-// execute and returns it (-1 when p is at none).
-func (e *engine) cover(p int) int {
-	proc, node := e.sys.ProcAt(p)
-	if node < 0 {
-		return -1
+// observe reads the machine's pending table: the one look the search
+// takes at a state. An entry pushed there keeps a copy (entry.pend).
+func (e *engine) observe() { e.pend = e.sys.AppendPending(e.pend[:0]) }
+
+// scanEnabled lists the state's enabled processes in e.enBuf, ascending.
+// With none the path ends — in a deadlock if stuck: a process other than
+// a daemon is still running (a daemon models the most general
+// environment; one blocked forever after the system is done is
+// quiescence).
+func (e *engine) scanEnabled() (stuck bool) {
+	enabled := e.enBuf[:0]
+	for p, pd := range e.pend {
+		if pd.Flags&interp.PendEnabled != 0 {
+			enabled = append(enabled, p)
+		} else if pd.Flags&(interp.PendRunning|interp.PendDaemon) == interp.PendRunning {
+			stuck = true
+		}
 	}
-	off, ok := e.sites.offsets[proc]
-	if !ok {
-		return -1
+	e.enBuf = enabled
+	return stuck
+}
+
+// cover records the visible-operation site of pd, the row of the
+// process about to execute, and returns it (-1 when it is at none).
+func (e *engine) cover(pd interp.Pending) int {
+	site := int(pd.Site)
+	if site >= 0 {
+		e.covered.set(site)
 	}
-	e.covered.set(off + node)
-	return off + node
+	return site
 }
 
 // schedDepth is the number of scheduling decisions along the current
@@ -860,7 +906,6 @@ func (e *engine) deadlockMsg() string {
 // dpor.go). Both the candidate set and the sleep set are ordered by
 // process index, so the sleep filter is a two-pointer scan.
 func (e *engine) scheduleOptions(en *entry, depth int) {
-	e.enBuf = e.sys.AppendEnabled(e.enBuf[:0])
 	enabled := e.enBuf
 	dynamic := e.opt.POR == PORDynamic
 	if dynamic && !(e.spill != nil && depth < e.opt.SpillDepth) {
@@ -886,8 +931,7 @@ func (e *engine) scheduleOptions(en *entry, depth int) {
 			}
 		}
 		en.options = append(en.options, p)
-		_, obj, _ := e.sys.ProcPendingOp(p)
-		en.objs = append(en.objs, obj)
+		en.objs = append(en.objs, e.pend[p].Obj)
 	}
 	if dynamic {
 		en.sealed = true
@@ -911,34 +955,19 @@ func (e *engine) persistentSet(enabled []int) []int {
 		return enabled
 	}
 	t := e.footprint
-	n := e.sys.NumProcs()
-	pw := t.procWords
-	if cap(e.runBuf) < pw {
-		e.runBuf = make([]uint64, pw)
-	}
-	running := e.runBuf[:pw]
-	for i := range running {
-		running[i] = 0
-	}
-	for q := 0; q < n; q++ {
-		if e.sys.ProcStatus(q) == interp.Running {
+	n, pw := len(e.pend), t.procWords
+	running := append(e.runBuf[:0], make([]uint64, pw)...)
+	for q, pd := range e.pend {
+		if pd.Flags&interp.PendRunning != 0 {
 			running[q>>6] |= 1 << uint(q&63)
 		}
 	}
+	e.runBuf = running
 	for _, p := range enabled {
-		_, obj, _ := e.sys.ProcPendingOp(p)
-		if obj == "" {
-			e.oneBuf[0] = p
-			return e.oneBuf[:1]
-		}
-		oi, ok := t.objIndex[obj]
-		if !ok {
-			// Object outside the static universe: cannot prove privacy.
-			continue
-		}
+		// An operation without an object (VS_assert) is private to p.
 		private := true
-		base := oi * pw
-		for w := 0; w < pw; w++ {
+		base := int(e.pend[p].Obj) * pw
+		for w := 0; base >= 0 && w < pw; w++ {
 			m := t.objProcs[base+w] & running[w]
 			if w == p>>6 {
 				m &^= 1 << uint(p&63)
@@ -954,13 +983,8 @@ func (e *engine) persistentSet(enabled []int) []int {
 		}
 	}
 
-	if cap(e.inS) < n {
-		e.inS = make([]bool, n)
-	}
-	inS := e.inS[:n]
-	for i := range inS {
-		inS[i] = false
-	}
+	e.inS = append(e.inS[:0], make([]bool, n)...)
+	inS := e.inS
 	members := e.inList[:0]
 	inS[enabled[0]] = true
 	members = append(members, enabled[0])
@@ -1000,69 +1024,39 @@ func (e *engine) persistentSet(enabled []int) []int {
 // transitions are dependent iff they target the same object). The
 // inherited set and the explored options are both ordered by process
 // index and disjoint (a sleeping process is never offered as an
-// option), so a linear merge yields the child set already sorted. A
-// counting pass sizes the single allocation exactly — and skips it
-// entirely when the child set is empty (nil and empty are treated
-// alike by every consumer).
+// option), so a linear merge yields the child set already sorted. The
+// result lives in en.child — overwritten by the next call, which
+// computes the same set until en's cursor moves (sleep.go).
 //
 // Dynamic-POR entries can break the ordering premise: backtrack points
 // fold in after earlier options, so the explored prefix may read
-// [2, 0, 1]. The sorted-check below routes those through an explicit
-// sort, preserving the sleepSet by-process invariant.
-func childSleep(en *entry) sleepSet {
+// [2, 0, 1]. Appending is then followed by an insertion sort, which
+// restores the sleepSet by-process invariant.
+func (en *entry) childSleep() sleepSet {
 	chosenObj := en.objs[en.cursor]
 	chosenP := en.options[en.cursor]
-	keep := func(p int, obj string) bool {
-		return (obj != chosenObj || obj == "") && p != chosenP
-	}
-	n := 0
-	for _, se := range en.sleep {
-		if keep(se.proc, se.obj) {
-			n++
-		}
-	}
-	sorted := true
-	for i := 0; i < en.cursor; i++ {
-		if keep(en.options[i], en.objs[i]) {
-			n++
-		}
-		if i > 0 && en.options[i-1] > en.options[i] {
-			sorted = false
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make(sleepSet, 0, n)
-	if !sorted {
-		for _, se := range en.sleep {
-			if keep(se.proc, se.obj) {
-				out = append(out, se)
-			}
-		}
-		for i := 0; i < en.cursor; i++ {
-			if keep(en.options[i], en.objs[i]) {
-				out = append(out, sleepEntry{proc: en.options[i], obj: en.objs[i]})
-			}
-		}
-		sort.Slice(out, func(a, b int) bool { return out[a].proc < out[b].proc })
-		return out
-	}
-	i, j := 0, 0
-	for i < len(en.sleep) || j < en.cursor {
-		var p int
-		var obj string
-		if j >= en.cursor || (i < len(en.sleep) && en.sleep[i].proc < en.options[j]) {
-			p, obj = en.sleep[i].proc, en.sleep[i].obj
-			i++
-		} else {
-			p, obj = en.options[j], en.objs[j]
-			j++
-		}
-		if keep(p, obj) {
+	out := slices.Grow(en.child[:0], len(en.sleep)+en.cursor)
+	add := func(p int, obj int32) {
+		if (obj != chosenObj || obj < 0) && p != chosenP {
 			out = append(out, sleepEntry{proc: p, obj: obj})
 		}
 	}
+	i, j := 0, 0
+	for i < len(en.sleep) || j < en.cursor {
+		if j >= en.cursor || (i < len(en.sleep) && en.sleep[i].proc < en.options[j]) {
+			add(en.sleep[i].proc, en.sleep[i].obj)
+			i++
+		} else {
+			add(en.options[j], en.objs[j])
+			j++
+		}
+	}
+	for k := 1; k < len(out); k++ {
+		for m := k; m > 0 && out[m-1].proc > out[m].proc; m-- {
+			out[m-1], out[m] = out[m], out[m-1]
+		}
+	}
+	en.child = out
 	return out
 }
 
@@ -1194,9 +1188,10 @@ func (e *engine) appendSleepKey(dst []byte) []byte {
 	}
 	fpLen := len(dst)
 	// A sleepSet is already ordered by process index — the canonical
-	// order falls out of the representation.
+	// order falls out of the representation. The object goes in by name:
+	// a key's bytes and length are what -cache-mem charges and evicts by.
 	for _, se := range sleep {
-		p, obj := se.proc, se.obj
+		p, obj := se.proc, e.sites.name(se.obj)
 		dst = append(dst, byte(p), byte(p>>8))
 		dst = append(dst, byte(len(obj)), byte(len(obj)>>8))
 		dst = append(dst, obj...)

@@ -431,6 +431,11 @@ type Report struct {
 	MaxDepth    int   // deepest path seen
 	Truncated   bool  // search stopped early (equal to Incomplete; kept for compatibility)
 
+	// Backtracking snapshots (restore.go) saved, paths started from one,
+	// and snapshots dropped with no path started from them: like
+	// ReplaySteps a cost, not a finding, and in no checkpoint.
+	SnapshotsSaved, SnapshotsRestored, SnapshotsUnused int64
+
 	// Incomplete reports that the search ended before covering the
 	// whole state space — cancelled, timed out, budget-exhausted, or
 	// stopped on an incident. The counters are still internally
@@ -500,11 +505,11 @@ type Report struct {
 
 	// pending is the unexplored remainder of an Incomplete search (work
 	// units: unclaimed frontier plus residual subtrees of in-flight
-	// paths); cov and procs carry what Snapshot needs to serialize.
+	// paths); cov, procs and sites carry what Snapshot needs to serialize.
 	pending []*workUnit
 	cov     coverage
 	procs   int
-	bits    int
+	sites   *siteTable
 	// cacheSum summarizes the shared state cache at the end of the run
 	// (nil without StateCache); Snapshot carries it as information
 	// only — the cache itself is never serialized.
@@ -624,18 +629,17 @@ func newStateCache(opt Options) *statecache.Cache {
 
 // footprintTable precomputes the queries the persistent-set heuristic
 // and dynamic POR make against the static object footprints, so the
-// per-state loop runs on bitmasks instead of map lookups: a dense
-// object index (shared with dpor's last-access vector), per-object
+// per-state loop runs on bitmasks instead of map lookups: per-object
 // masks of the processes that can ever touch the object, and the
-// pairwise footprint-overlap matrix. Multi-word masks cover units with
-// more than 64 processes — there is no map-based fallback path.
-// Immutable, shared read-only by every worker of a parallel search.
+// pairwise footprint-overlap matrix. Objects go by their index in the
+// unit's numbering (interp.Numbering), as in the pending table and
+// dpor's last-access vector. Multi-word masks cover units with more
+// than 64 processes — there is no map-based fallback path. Immutable,
+// shared read-only by every worker of a parallel search.
 type footprintTable struct {
 	n int
-	// objIndex assigns every statically-known object a dense index, in
-	// sorted name order (deterministic); numObjs is the universe size.
-	objIndex map[string]int
-	numObjs  int
+	// numObjs is the number of declared objects.
+	numObjs int
 	// procWords is the word count of one process bitmask
 	// ((n+63)/64); objProcs holds numObjs*procWords words — for object
 	// index oi, words [oi*procWords, (oi+1)*procWords) are the mask of
@@ -644,7 +648,7 @@ type footprintTable struct {
 	objProcs  []uint64
 	overlap   []bool // n*n pairwise footprint overlap
 	// class holds each object's dynamic-POR conflict class (objClass,
-	// indexed by objIndex): it decides which operation pairs on the
+	// by object index): it decides which operation pairs on the
 	// object are dependent-and-possibly-co-enabled, i.e. which pending
 	// operations demand a backtrack point at a past access (dpor.go).
 	class []uint8
@@ -667,22 +671,8 @@ func footprints(u *cfg.Unit) *footprintTable {
 			t.overlap[i*t.n+j] = overlapSets(sets[i], sets[j])
 		}
 	}
-	var names []string
-	seen := make(map[string]bool)
-	for _, fp := range sets {
-		for o := range fp {
-			if !seen[o] {
-				seen[o] = true
-				names = append(names, o)
-			}
-		}
-	}
-	sort.Strings(names)
-	t.numObjs = len(names)
-	t.objIndex = make(map[string]int, len(names))
-	for i, o := range names {
-		t.objIndex[o] = i
-	}
+	num := interp.NumberUnit(u)
+	t.numObjs = len(num.Objects)
 	t.procWords = (t.n + 63) / 64
 	if t.procWords == 0 {
 		t.procWords = 1
@@ -690,20 +680,15 @@ func footprints(u *cfg.Unit) *footprintTable {
 	t.objProcs = make([]uint64, t.numObjs*t.procWords)
 	for i, fp := range sets {
 		for o := range fp {
-			oi := t.objIndex[o]
-			t.objProcs[oi*t.procWords+(i>>6)] |= 1 << uint(i&63)
+			// A name the unit does not declare is never operated on.
+			if oi := int(num.Object(o)); oi >= 0 {
+				t.objProcs[oi*t.procWords+(i>>6)] |= 1 << uint(i&63)
+			}
 		}
 	}
 	t.class = make([]uint8, t.numObjs)
-	for i := range t.class {
-		t.class[i] = uint8(classOther)
-	}
 	for _, spec := range u.Objects {
-		oi, ok := t.objIndex[spec.Name]
-		if !ok {
-			continue
-		}
-		t.class[oi] = uint8(objClassOf(spec))
+		t.class[num.Object(spec.Name)] = uint8(objClassOf(spec))
 	}
 	return t
 }
@@ -767,29 +752,46 @@ func footprintSets(u *cfg.Unit) []map[string]bool {
 	return out
 }
 
-// siteTable indexes every CFG node of the unit into one flat coverage
-// bitmap: per-worker coverage is a bitmap ORed together by the merge
-// layer. Node IDs are dense per graph, so a site's index is its graph's
-// offset plus its node ID.
+// siteTable is the explorer's copy of the unit's numbering
+// (interp.Numbering). Every CFG node has one bit in a flat coverage
+// bitmap — per-worker coverage is a bitmap ORed together by the merge
+// layer — at the index the pending table reports as its site; objs
+// names the declared objects by index, for where an index is spelled
+// out (checkpoints, cache keys, UnitInfo).
 type siteTable struct {
-	offsets map[string]int // proc name -> first bitmap index of its nodes
-	bits    int            // total bitmap width (all nodes)
-	total   int            // visible-operation sites (builtin call nodes)
+	bits  int      // total bitmap width (all nodes)
+	total int      // visible-operation sites (builtin call nodes)
+	objs  []string // declared object names, in index order
 }
 
 func newSiteTable(u *cfg.Unit) *siteTable {
-	t := &siteTable{offsets: make(map[string]int, len(u.Order))}
+	num := interp.NumberUnit(u)
+	t := &siteTable{bits: num.SiteBits, objs: num.Objects}
 	for _, name := range u.Order {
-		g := u.Procs[name]
-		t.offsets[name] = t.bits
-		t.bits += len(g.Nodes)
-		for _, n := range g.Nodes {
+		for _, n := range u.Procs[name].Nodes {
 			if n.Kind == cfg.NCall && sem.IsBuiltin(n.CallStmt().Name.Name) {
 				t.total++
 			}
 		}
 	}
 	return t
+}
+
+// name spells out an object index ("" for -1, VS_assert's none),
+// objNames a list of them.
+func (t *siteTable) name(o int32) string {
+	if o < 0 {
+		return ""
+	}
+	return t.objs[o]
+}
+
+func (t *siteTable) objNames(objs []int32) []string {
+	names := make([]string, len(objs))
+	for i, o := range objs {
+		names[i] = t.name(o)
+	}
+	return names
 }
 
 // coverage is a bitmap over the unit's CFG nodes; only visible-operation

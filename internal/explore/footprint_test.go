@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"reclose/internal/fiveess"
+	"reclose/internal/interp"
 	"reclose/internal/progs"
 )
 
@@ -76,20 +77,20 @@ func TestFootprintTableMatchesSets(t *testing.T) {
 				}
 			}
 			// Every (object, process) membership bit agrees with the sets,
-			// and the object index covers exactly the union of the sets.
-			union := make(map[string]bool)
+			// and the unit's object numbering — what the table is indexed
+			// by — covers the union of the sets.
+			num := interp.NumberUnit(u)
+			if len(num.Objects) != tab.numObjs {
+				t.Fatalf("table has %d objects, the numbering %d", tab.numObjs, len(num.Objects))
+			}
 			for _, fp := range sets {
 				for o := range fp {
-					union[o] = true
+					if num.Object(o) < 0 {
+						t.Errorf("footprint object %q has no index", o)
+					}
 				}
 			}
-			if len(union) != tab.numObjs {
-				t.Fatalf("objIndex has %d objects, footprint union %d", tab.numObjs, len(union))
-			}
-			for o, oi := range tab.objIndex {
-				if !union[o] {
-					t.Errorf("objIndex contains %q, absent from every footprint", o)
-				}
+			for oi, o := range num.Objects {
 				for p := 0; p < tab.n; p++ {
 					bit := tab.objProcs[oi*tab.procWords+(p>>6)]&(1<<uint(p&63)) != 0
 					if bit != sets[p][o] {

@@ -21,7 +21,7 @@ import (
 type workUnit struct {
 	prefix  []Decision
 	options []int
-	objs    []string
+	objs    []int32 // per option, the object index (see entry.objs)
 	sleep   sleepSet
 	from    int
 	root    bool // the initial unit: empty prefix, whole tree

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"regexp"
 	"testing"
 
 	"reclose/internal/core"
@@ -96,6 +97,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(bytes.ReplaceAll(real1, []byte(`"from": 1`), []byte(`"from": 77`)))          // option index out of range
 	f.Add(bytes.ReplaceAll(real1, []byte(`"processes": 3`), []byte(`"processes": 8`))) // program mismatch
 	f.Add(bytes.ReplaceAll(real1, []byte(`"coverage"`), []byte(`"coverage!"`)))
+	// Names and indices the program does not have: the engine indexes
+	// arrays with both, so the decoder must refuse them.
+	f.Add(bytes.ReplaceAll(real1, []byte(`"fork1"`), []byte(`"spoon1"`)))                     // undeclared object in objs and sleep
+	f.Add(bytes.ReplaceAll(real1, []byte(`"1": "fork1"`), []byte(`"99": "fork1"`)))           // sleep key past the processes
+	f.Add(regexp.MustCompile(`("enabled": \[\s*)0`).ReplaceAll(dynamic, []byte("${1}-1")))    // negative enabled process
+	f.Add(regexp.MustCompile(`("backtrack": \[\s*)\d`).ReplaceAll(dynamic, []byte("${1}64"))) // backtrack point past the processes
+	f.Add(bytes.ReplaceAll(dynamic, []byte(`"fork0"`), []byte(`""`)))                         // an object operation turned objectless
 	// Minimal hand-built shapes.
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1}`))

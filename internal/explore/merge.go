@@ -39,6 +39,9 @@ func (a *accum) add(r *Report) {
 	t.Paths += r.Paths
 	t.Replays += r.Replays
 	t.ReplaySteps += r.ReplaySteps
+	t.SnapshotsSaved += r.SnapshotsSaved
+	t.SnapshotsRestored += r.SnapshotsRestored
+	t.SnapshotsUnused += r.SnapshotsUnused
 	if r.MaxDepth > t.MaxDepth {
 		t.MaxDepth = r.MaxDepth
 	}
@@ -97,7 +100,7 @@ func (a *accum) finalize(workers int, stats []WorkerStat) *Report {
 	rep.Samples = samples
 	rep.cov = a.covered
 	rep.procs = a.procs
-	rep.bits = a.sites.bits
+	rep.sites = a.sites
 	return &rep
 }
 

@@ -22,6 +22,11 @@ const (
 	MetricReplays     = "explore.replays"
 	MetricReplaySteps = "explore.replay_steps"
 	MetricIncidents   = "explore.incidents"
+	// Backtracking snapshots saved, paths started from one, snapshots
+	// dropped unused: cost counters, like explore.replay_steps.
+	MetricSnapshotsSaved    = "explore.snapshots.saved"
+	MetricSnapshotsRestored = "explore.snapshots.restored"
+	MetricSnapshotsUnused   = "explore.snapshots.unused"
 
 	MetricUnitsClaimed   = "explore.units.claimed"
 	MetricUnitsSpilled   = "explore.units.spilled"
@@ -104,6 +109,8 @@ type exploreMetrics struct {
 	replays     *obs.Counter
 	replaySteps *obs.Counter
 	incidents   *obs.Counter
+	// snapshots saved, restored from, dropped unused
+	snapSaved, snapRestored, snapUnused *obs.Counter
 
 	unitsClaimed   *obs.Counter
 	unitsSpilled   *obs.Counter
@@ -154,6 +161,10 @@ func newExploreMetrics(reg *obs.Registry) *exploreMetrics {
 		replays:     reg.Counter(MetricReplays),
 		replaySteps: reg.Counter(MetricReplaySteps),
 		incidents:   reg.Counter(MetricIncidents),
+
+		snapSaved:    reg.Counter(MetricSnapshotsSaved),
+		snapRestored: reg.Counter(MetricSnapshotsRestored),
+		snapUnused:   reg.Counter(MetricSnapshotsUnused),
 
 		unitsClaimed:   reg.Counter(MetricUnitsClaimed),
 		unitsSpilled:   reg.Counter(MetricUnitsSpilled),
@@ -212,18 +223,20 @@ func (m *exploreMetrics) noteEngine(opt Options, res *interp.Resolution) {
 
 // nMirrored is the number of Report counters the registry mirrors:
 // mirrored lists them, and mirrors their instruments, in one order.
-const nMirrored = 13
+const nMirrored = 16
 
 func (r *Report) mirrored() [nMirrored]int64 {
 	return [...]int64{r.States, r.Transitions, r.Paths, r.Replays, r.ReplaySteps, r.Incidents(),
 		r.PorBacktracks, r.PorSleepBlocked, r.PorDynamicPruned,
-		r.Livelocks, r.RedSearches, r.RedStates, r.RedCut}
+		r.Livelocks, r.RedSearches, r.RedStates, r.RedCut,
+		r.SnapshotsSaved, r.SnapshotsRestored, r.SnapshotsUnused}
 }
 
 func (m *exploreMetrics) mirrors() [nMirrored]*obs.Counter {
 	return [...]*obs.Counter{m.states, m.transitions, m.paths, m.replays, m.replaySteps, m.incidents,
 		m.porBacktracks, m.porSleepBlocked, m.porDynamicPruned,
-		m.livelocks, m.redSearches, m.redStates, m.redCut}
+		m.livelocks, m.redSearches, m.redStates, m.redCut,
+		m.snapSaved, m.snapRestored, m.snapUnused}
 }
 
 // metricsCursor tracks, per engine, how much of the engine's partial

@@ -7,7 +7,8 @@ import "reclose/internal/interp"
 // VeriSoft's search is stateless because it drives real processes that
 // cannot be saved: every path re-executes from the initial state. This
 // engine's processes are interpreter data, so it saves them. When a
-// scheduling entry that can be backtracked to is pushed at a fresh
+// scheduling entry the search expects to come back to (saveSnapshot's
+// rule, part of it learned as the search runs) is pushed at a fresh
 // state, the machine's state at that decision point — before any of the
 // entry's options executed — is copied into a pooled snapshot machine
 // hung on the entry. The next path overwrites the engine's machine from
@@ -24,7 +25,8 @@ import "reclose/internal/interp"
 // interpreter (whose CopyFrom reports false) — is reached by replaying
 // from the nearest snapshot below it, or from the initial state when
 // there is none, exactly as every entry was before. Soundness never
-// depends on a snapshot existing.
+// depends on a snapshot existing; Report.Snapshots* count what the
+// accelerator saved, was used for, and wasted.
 //
 // The pool is bounded by maxSnapshots machines per engine: when they
 // are all in use the shallowest holder gives its snapshot up to the new
@@ -39,14 +41,27 @@ import "reclose/internal/interp"
 // from the deepest covered entry.
 const maxSnapshots = 128
 
+// snapGrowWaste: the snapshots a site may waste on entries that never grow.
+const snapGrowWaste = 8
+
 // saveSnapshot hangs a copy of the machine's current state on en, the
 // scheduling entry just pushed at a fresh state at scheduling depth
 // depth. Entries the search will not return to are skipped: a single
-// option, no way to grow, and a transition not known to toss.
+// option, a transition not known to toss, and no prospect of growing. A
+// dynamic entry with unscheduled enabled processes grows when a
+// backtrack point folds in; whether one will is learned per site (the
+// first option's), as tossSites learns tossing: a site where an entry
+// ever grew is always saved at, any other until it has wasted
+// snapGrowWaste snapshots. Growing without one costs a replay.
 func (e *engine) saveSnapshot(en *entry, depth int) {
-	canGrow := en.dynamic && len(en.enabled) > 1 // backtrack points fold in later
 	tosses := en.site >= 0 && e.tossSites.get(en.site)
-	if (len(en.options) < 2 && !canGrow && !tosses) || e.opt.testReplayOnly {
+	growOnly := len(en.options) < 2 && !tosses // only growing would bring the search back
+	if growOnly {
+		if canGrow := en.dynamic && len(en.enabled) > 1; !canGrow || en.site >= 0 && e.growWaste[en.site] >= snapGrowWaste {
+			return
+		}
+	}
+	if e.opt.testReplayOnly {
 		return
 	}
 	m := e.snapMachine()
@@ -60,6 +75,8 @@ func (e *engine) saveSnapshot(en *entry, depth int) {
 		return
 	}
 	en.snap, en.snapTrace, en.snapDepth = m, len(e.trace), depth
+	en.snapUsed, en.snapGrow = false, growOnly
+	e.rep.SnapshotsSaved++
 	if idx := len(e.stack) - 1; idx < e.snapLow {
 		e.snapLow = idx
 	}
@@ -69,24 +86,21 @@ func (e *engine) saveSnapshot(en *entry, depth int) {
 // one while the pool is below its bound, and otherwise the one held by
 // the shallowest entry on the stack, which falls back to replay.
 func (e *engine) snapMachine() interp.Machine {
-	if k := len(e.snapFree); k > 0 {
-		m := e.snapFree[k-1]
-		e.snapFree = e.snapFree[:k-1]
-		return m
-	}
-	if e.snapMade < maxSnapshots {
+	if len(e.snapFree) == 0 && e.snapMade < maxSnapshots {
 		e.snapMade++
 		return e.sys.ForkMachine()
 	}
-	for i := e.snapLow; i < len(e.stack); i++ {
-		if en := e.stack[i]; en.snap != nil {
-			m := en.snap
-			en.snap = nil
-			e.snapLow = i + 1
-			return m
-		}
+	for i := e.snapLow; len(e.snapFree) == 0 && i < len(e.stack); i++ {
+		e.dropSnapshot(e.stack[i])
+		e.snapLow = i + 1
 	}
-	return nil
+	k := len(e.snapFree)
+	if k == 0 {
+		return nil
+	}
+	m := e.snapFree[k-1]
+	e.snapFree = e.snapFree[:k-1]
+	return m
 }
 
 // noteTossSite records that the transition in flight executes a
@@ -107,10 +121,17 @@ func (e *engine) noteTossSite() {
 
 // dropSnapshot returns en's snapshot machine, if any, to the pool.
 func (e *engine) dropSnapshot(en *entry) {
-	if en.snap != nil {
-		e.snapFree = append(e.snapFree, en.snap)
-		en.snap = nil
+	if en.snap == nil {
+		return
 	}
+	if !en.snapUsed {
+		e.rep.SnapshotsUnused++
+		if w := e.growWaste; en.snapGrow && en.site >= 0 && w[en.site] >= 0 && w[en.site] < snapGrowWaste {
+			w[en.site]++
+		}
+	}
+	e.snapFree = append(e.snapFree, en.snap)
+	en.snap = nil
 }
 
 // restore starts a path from the deepest snapshot on the stack: it
@@ -132,6 +153,8 @@ func (e *engine) restore() bool {
 		return false
 	}
 	en := e.stack[k]
+	en.snapUsed = true
+	e.rep.SnapshotsRestored++
 	e.baseIdx = len(e.base)
 	e.trace = e.trace[:en.snapTrace]
 	e.replayIdx = k

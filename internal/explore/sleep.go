@@ -1,20 +1,23 @@
 package explore
 
 // sleepEntry records one sleeping process and the object its delayed
-// transition targets ("" for VS_assert, which targets no object).
+// transition targets (interp.Numbering index; -1 for VS_assert).
 type sleepEntry struct {
 	proc int
-	obj  string
+	obj  int32
 }
 
 // sleepSet is a sleep set ordered by ascending process index; nil is
-// the empty set. The flat sorted form replaces a map[int]string on the
-// exploration hot path: sets are tiny (bounded by the process count),
-// so childSleep's linear merge and scheduleOptions' two-pointer scan
-// beat a map allocation per transition — and appendSleepKey reads its
-// canonical order straight off the slice instead of sorting per state.
-// Like the map it replaces, a published sleepSet is immutable: every
-// derivation allocates a fresh slice.
+// the empty set. Sets are tiny (bounded by the process count), so
+// childSleep's linear merge and scheduleOptions' two-pointer scan run
+// on the flat sorted form, and appendSleepKey reads its canonical order
+// straight off the slice.
+//
+// The set a state inherits lives in storage its parent entry owns
+// (entry.child): the child entry's sleep field and pendingSleep only
+// read it, and it stands for as long as the parent's cursor does, which
+// is as long as anything above the parent is on the stack. A set that
+// leaves the engine in a work unit is a clone, and immutable.
 type sleepSet []sleepEntry
 
 // has reports whether process p is asleep.
@@ -26,3 +29,6 @@ func (s sleepSet) has(p int) bool {
 	}
 	return false
 }
+
+// clone returns a copy fit for publication (nil for the empty set).
+func (s sleepSet) clone() sleepSet { return append(sleepSet(nil), s...) }

@@ -17,7 +17,8 @@ import (
 // search, every fingerprint and hash a full walk), and the reference
 // string-map interpreter are driven in lockstep over the same unit and
 // must agree on every observable — enabled sets, termination/deadlock
-// predicates, events, outcomes, byte-exact state fingerprints, and the
+// predicates, pending tables (pending_test.go), events, outcomes,
+// byte-exact state fingerprints, and the
 // canonical state hash (with the incremental hash additionally checked
 // against its own full re-walk at every step). The hashing machine's
 // fingerprint is the one it assembles from key segments; keyseg_test.go
@@ -126,6 +127,7 @@ func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) {
 				t.Fatalf("%s: step %d: Deadlocked %s=%v %s=%v", label, step, engineNames[i], got, engineNames[0], want)
 			}
 		}
+		checkPending(t, fmt.Sprintf("%s: step %d", label, step), u, ms, nil)
 		en0 := ms[0].AppendEnabled(nil)
 		for i := 1; i < len(ms); i++ {
 			if en := ms[i].AppendEnabled(nil); fmt.Sprint(en) != fmt.Sprint(en0) {

@@ -89,7 +89,7 @@ func (s *System) copyState(src *System, cloneStale bool) bool {
 	// nothing in the state being replaced survives to read through it.
 	for i, sp := range src.Procs {
 		dp := s.Procs[i]
-		dp.cur, dp.status = sp.cur, sp.status
+		dp.cur, dp.status, dp.vis = sp.cur, sp.status, sp.vis
 		if dp.segOK = sp.segOK; sp.segOK { // the key segment goes with its process
 			dp.seg = append(dp.seg[:0], sp.seg...)
 		}

@@ -27,6 +27,7 @@ import (
 type keyRig struct {
 	t          *testing.T
 	label      string
+	u          *cfg.Unit
 	cur, spare interp.Machine
 	full, ref  interp.Machine
 	chs        [3]*stepChooser
@@ -39,7 +40,7 @@ func newKeyRig(t *testing.T, label string, u *cfg.Unit) *keyRig {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	k := &keyRig{t: t, label: label,
+	k := &keyRig{t: t, label: label, u: u,
 		cur:   newCopyMachine(r, true),
 		spare: newCopyMachine(r, true),
 		full:  newCopyMachine(r, false),
@@ -55,7 +56,8 @@ func (k *keyRig) each(f func(i int, m interp.Machine)) {
 }
 
 // check compares the assembled key with both full renders, twice: the
-// second assembly renders nothing and must say the same.
+// second assembly renders nothing and must say the same. It also holds
+// the three pending tables to each other (pending_test.go).
 func (k *keyRig) check(op string) {
 	k.t.Helper()
 	want := string(k.full.AppendFingerprint(nil))
@@ -71,6 +73,8 @@ func (k *keyRig) check(op string) {
 	if h, full := k.cur.StateHash(), k.cur.(*interp.System).RecomputeStateHash(); h != full {
 		k.t.Fatalf("%s: after %s: incremental hash %#x != full re-walk %#x", k.label, op, h, full)
 	}
+	// The pending table travels with the state the same way.
+	checkPending(k.t, k.label+": after "+op, k.u, []interp.Machine{k.cur, k.full, k.ref}, nil)
 }
 
 // reset takes all three to the initial state, checking the key between

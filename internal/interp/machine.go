@@ -52,18 +52,24 @@ func ParseEngine(s string) (EngineKind, error) {
 // and hash) and the two state copies — deep-copy forking, and the
 // in-place overwrite restore-based backtracking runs on. System and
 // RefSystem implement it.
+//
+// Per state the search calls Init/Step/Reset, AppendPending and the
+// identity and copy methods. The per-process questions are for
+// observers — tests, explore.Replay, incident messages, cmd/simulate,
+// the benchmark's probe — and the pending table holds every answer.
 type Machine interface {
 	// Transition semantics.
 	Init(ch Chooser) *Outcome
 	Step(i int, ch Chooser) (Event, *Outcome)
 	Reset()
+	AppendPending(dst []Pending) []Pending // the state's pending table (pending.go)
+
+	// Observation only.
+	NumProcs() int
 	Enabled(i int) bool
 	AppendEnabled(dst []int) []int
 	AllTerminated() bool
 	Deadlocked() bool
-
-	// Process observation.
-	NumProcs() int
 	ProcStatus(i int) Status
 	ProcAt(i int) (proc string, node int)
 	ProcPendingOp(i int) (op, object string, ok bool)
@@ -197,7 +203,7 @@ func (s *RefSystem) StateHash() uint64 {
 	s.met.HashFull.Inc()
 	h := uint64(hashSeed)
 	buf := make([]byte, 0, 64)
-	for _, name := range s.objSeq {
+	for _, name := range s.num.Objects {
 		buf = s.objects[name].AppendFingerprint(buf[:0])
 		h = Mix64(h, fnvBytes(buf))
 	}
@@ -279,7 +285,7 @@ func (s *RefSystem) ForkMachine() Machine {
 	fk := &forker{cellMap: make(map[*Cell]*Cell)}
 	ns := &RefSystem{
 		Unit:         s.Unit,
-		objSeq:       s.objSeq,
+		num:          s.num,
 		graphs:       s.graphs,
 		MaxInvisible: s.MaxInvisible,
 		allProgress:  s.allProgress,

@@ -2,7 +2,6 @@ package interp
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"reclose/internal/ast"
@@ -23,7 +22,7 @@ type RefSystem struct {
 	Procs []*RefProc
 
 	objects map[string]comm.Object
-	objSeq  []string // deterministic object order
+	num     *Numbering // num.Objects is the deterministic object order
 	graphs  map[string]*refGraphInfo
 	// allProgress mirrors Resolution.allProgress: no `progress` labels
 	// in the unit means every visible operation counts as progress.
@@ -100,6 +99,7 @@ func NewRefSystem(u *cfg.Unit) (*RefSystem, error) {
 	}
 	s := &RefSystem{
 		Unit:         u,
+		num:          NumberUnit(u),
 		graphs:       make(map[string]*refGraphInfo, len(u.Procs)),
 		MaxInvisible: DefaultMaxInvisible,
 		allProgress:  !HasProgressLabels(u),
@@ -107,10 +107,6 @@ func NewRefSystem(u *cfg.Unit) (*RefSystem, error) {
 	for name, g := range u.Procs {
 		s.graphs[name] = &refGraphInfo{g: g, slots: cfg.BuildSlotTable(g)}
 	}
-	for _, sp := range u.Objects {
-		s.objSeq = append(s.objSeq, sp.Name)
-	}
-	sort.Strings(s.objSeq)
 	s.Reset()
 	return s, nil
 }
@@ -440,7 +436,7 @@ func (s *RefSystem) Fingerprint() string { return string(s.AppendFingerprint(nil
 // auto-created value 0 — so the output matches System.AppendFingerprint
 // byte for byte.
 func (s *RefSystem) AppendFingerprint(dst []byte) []byte {
-	for _, name := range s.objSeq {
+	for _, name := range s.num.Objects {
 		dst = s.objects[name].AppendFingerprint(dst)
 		dst = append(dst, ';')
 	}

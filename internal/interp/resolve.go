@@ -46,7 +46,6 @@ const (
 type visOp struct {
 	op      builtinOp
 	opName  string
-	objIdx  int    // dense object index; -1 for VS_assert or an unknown object
 	objName string // "" for VS_assert
 	// kindOK records that the target object's declared kind matches the
 	// builtin's signature; a mismatched operation is permanently
@@ -55,9 +54,11 @@ type visOp struct {
 	// violation is the precomputed VS_assert violation message (the
 	// reference formats it with ast.FormatExpr on every failure).
 	violation string
-	// progress mirrors the source `progress` label for liveness
-	// checking (ast.CallStmt.Progress).
-	progress bool
+	// pend is the operation's row of the pending table (pending.go) but
+	// for the two bits that are not the node's, enabled and daemon: the
+	// object's dense index (-1 for VS_assert or an unknown object), the
+	// site, the slot, and the source's `progress` label.
+	pend Pending
 }
 
 // nodeProg is the resolved form of one CFG node.
@@ -106,11 +107,12 @@ func (pc *procCode) slot(name string) int {
 // parallel explorer resolves a unit once and instantiates one System
 // per worker from the same Resolution.
 type Resolution struct {
-	unit     *cfg.Unit
-	procs    map[string]*procCode
-	objNames []string // sorted object names; the dense object order
-	objIdx   map[string]int
-	objSpecs []cfg.ObjectSpec // aligned with objNames
+	unit  *cfg.Unit
+	procs map[string]*procCode
+	// num numbers the objects and sites; objSpecs is aligned with
+	// num.Objects, the dense object order of every System.
+	num      *Numbering
+	objSpecs []cfg.ObjectSpec
 	// allProgress is set when the unit declares no `progress` labels:
 	// every visible operation then counts as progress for liveness
 	// checking, so unlabeled programs only report cycles that execute
@@ -159,15 +161,11 @@ func Resolve(u *cfg.Unit) (*Resolution, error) {
 	r := &Resolution{
 		unit:        u,
 		procs:       make(map[string]*procCode, len(u.Procs)),
-		objIdx:      make(map[string]int, len(u.Objects)),
+		num:         NumberUnit(u),
 		allProgress: !HasProgressLabels(u),
 	}
 	r.objSpecs = append([]cfg.ObjectSpec(nil), u.Objects...)
 	sort.Slice(r.objSpecs, func(i, j int) bool { return r.objSpecs[i].Name < r.objSpecs[j].Name })
-	for i, sp := range r.objSpecs {
-		r.objNames = append(r.objNames, sp.Name)
-		r.objIdx[sp.Name] = i
-	}
 	// Two passes: slot tables first so calls can link their callees,
 	// then the node metadata.
 	for name, g := range u.Procs {
@@ -243,7 +241,10 @@ func (r *Resolution) resolveCall(pc *procCode, n *cfg.Node, p *nodeProg) {
 // descriptor assumes both.
 func (r *Resolution) resolveVisible(pc *procCode, n *cfg.Node, cs *ast.CallStmt, b sem.Builtin) *visOp {
 	name := cs.Name.Name
-	vis := &visOp{opName: name, objIdx: -1, progress: cs.Progress || r.allProgress}
+	vis := &visOp{opName: name, pend: Pending{Obj: -1, Site: r.num.site(pc.name, n.ID), Slot: -1, Flags: PendRunning}}
+	if cs.Progress || r.allProgress {
+		vis.pend.Flags |= PendProgress
+	}
 	if name == "VS_assert" {
 		vis.op = opAssert
 		vis.violation = fmt.Sprintf("VS_assert(%s) at node n%d of %s",
@@ -264,10 +265,11 @@ func (r *Resolution) resolveVisible(pc *procCode, n *cfg.Node, cs *ast.CallStmt,
 	case "vread":
 		vis.op = opVread
 	}
+	// opSend..opVread alternate produce/acquire and consume/release.
+	vis.pend.Slot = int8(vis.op-opSend) & 1
 	vis.objName = cs.Args[0].(*ast.Ident).Name
-	if i, ok := r.objIdx[vis.objName]; ok {
-		vis.objIdx = i
-		vis.kindOK = r.objSpecs[i].Kind == b.ObjKind
+	if vis.pend.Obj = r.num.Object(vis.objName); vis.pend.Obj >= 0 {
+		vis.kindOK = r.objSpecs[vis.pend.Obj].Kind == b.ObjKind
 	}
 	return vis
 }

@@ -61,6 +61,12 @@ type Proc struct {
 	stack  []*frame
 	cur    *cfg.Node
 	status Status
+	// vis is the visible operation the process is stopped at, nil when it
+	// is at none: a function of cur and status, looked up by whoever moved
+	// the process (settle), so that reading a state walks no CFG. own is
+	// the Pending bit that is the process's: PendDaemon.
+	vis *visOp
+	own uint8
 
 	// seg is the process's part of the state fingerprint as last
 	// rendered, current while segOK (hash.go says who clears the bit).
@@ -84,28 +90,25 @@ func (p *Proc) At() (proc string, node int) {
 // execute: the builtin name and the object it targets ("" for
 // VS_assert). It returns ok == false if the process is terminated.
 func (p *Proc) PendingOp() (op, object string, ok bool) {
-	vis := p.pendingVis()
-	if vis == nil {
+	if p.vis == nil {
 		return "", "", false
 	}
-	return vis.opName, vis.objName, true
+	return p.vis.opName, p.vis.objName, true
 }
 
 // PendingProgress reports whether the process's pending visible
 // operation carries a `progress` label. A terminated or mid-invisible
 // process has no pending operation and reports false.
 func (p *Proc) PendingProgress() bool {
-	vis := p.pendingVis()
-	return vis != nil && vis.progress
+	return p.vis != nil && p.vis.pend.Flags&PendProgress != 0
 }
 
-// pendingVis returns the compiled visible operation the process is
-// stopped at, or nil.
-func (p *Proc) pendingVis() *visOp {
-	if p.status != Running || p.cur == nil || p.cur.Kind != cfg.NCall {
-		return nil
+// settle looks up the visible operation p has come to rest at.
+func (p *Proc) settle() {
+	p.vis = nil
+	if p.status == Running && p.cur != nil && p.cur.Kind == cfg.NCall {
+		p.vis = p.stack[len(p.stack)-1].code.nodes[p.cur.ID].vis
 	}
-	return p.stack[len(p.stack)-1].code.nodes[p.cur.ID].vis
 }
 
 // Event is one visible operation in an execution trace.
@@ -142,7 +145,7 @@ type System struct {
 
 	res *Resolution
 	// objs holds the communication objects in the resolution's dense
-	// order (sorted names); visOp.objIdx indexes into it.
+	// order (Numbering.Objects); a visOp's pend.Obj indexes into it.
 	objs []comm.Object
 
 	// bc is the resolution's bytecode module, run by the dispatch loop
@@ -218,8 +221,8 @@ func (r *Resolution) NewSystem() *System {
 		MaxInvisible: DefaultMaxInvisible,
 	}
 	objs := comm.Build(r.unit.Objects, func(i int64) any { return IntVal(i) })
-	s.objs = make([]comm.Object, len(r.objNames))
-	for i, name := range r.objNames {
+	s.objs = make([]comm.Object, len(r.num.Objects))
+	for i, name := range r.num.Objects {
 		s.objs[i] = objs[name]
 	}
 	s.objHash, s.objSeg = make([]uint64, len(s.objs)), make([][]byte, len(s.objs))
@@ -263,6 +266,9 @@ func (s *System) Reset() {
 			}
 		} else {
 			p = &Proc{Index: i, TopProc: top}
+			if s.Unit.Daemons[i] {
+				p.own = PendDaemon
+			}
 			s.Procs = append(s.Procs, p)
 		}
 		var fr *frame
@@ -279,6 +285,7 @@ func (s *System) Reset() {
 		p.stack = append(p.stack[:0], fr)
 		p.cur = pc.g.Entry
 		p.status = Running
+		p.settle()
 	}
 	s.met.Frames.Add(int64(fresh))
 	if s.hashOn {
@@ -288,7 +295,7 @@ func (s *System) Reset() {
 
 // Object returns the named communication object.
 func (s *System) Object(name string) comm.Object {
-	if i, ok := s.res.objIdx[name]; ok {
+	if i := s.res.num.Object(name); i >= 0 {
 		return s.objs[i]
 	}
 	return nil
@@ -300,7 +307,9 @@ func (s *System) Object(name string) comm.Object {
 func (s *System) Init(ch Chooser) *Outcome {
 	for _, p := range s.Procs {
 		p.segOK = false
-		if out := s.advance(p, ch); out != nil {
+		out := s.advance(p, ch)
+		p.settle()
+		if out != nil {
 			return out
 		}
 	}
@@ -326,20 +335,23 @@ func catchOutcome(proc int, out **Outcome) {
 // Enabled reports whether process i's pending visible operation can
 // execute without blocking.
 func (s *System) Enabled(i int) bool {
-	vis := s.Procs[i].pendingVis()
-	if vis == nil {
-		return false
-	}
+	vis := s.Procs[i].vis
+	return vis != nil && s.canRun(vis)
+}
+
+// canRun reports whether the visible operation vis can execute without
+// blocking in the current state of its object.
+func (s *System) canRun(vis *visOp) bool {
 	if vis.op == opAssert {
 		return true
 	}
-	if vis.objIdx < 0 || !vis.kindOK {
+	if vis.pend.Obj < 0 || !vis.kindOK {
 		// Unknown object or kind-mismatched operation: permanently
 		// disabled (the reference dispatches to Object.Enabled, which
 		// returns false for an operation the object does not support).
 		return false
 	}
-	obj := s.objs[vis.objIdx]
+	obj := s.objs[vis.pend.Obj]
 	switch vis.op {
 	case opSend:
 		return obj.(*comm.Chan).CanSend()
@@ -373,33 +385,27 @@ func (s *System) EnabledProcs() []int { return s.AppendEnabled(nil) }
 // environment (package mgenv); a daemon blocked forever after the system
 // is done is quiescence, not deadlock.
 func (s *System) AllTerminated() bool {
-	for i, p := range s.Procs {
-		if p.status != Running {
-			continue
-		}
-		if !s.Unit.Daemons[i] || s.Enabled(i) {
-			return false
-		}
-	}
-	return true
+	enabled, stuck := s.quiet()
+	return !enabled && !stuck
 }
 
 // Deadlocked reports whether the system is in a deadlock: at least one
 // non-daemon process is still running and no process is enabled.
 func (s *System) Deadlocked() bool {
-	running := false
-	for i, p := range s.Procs {
-		if p.status != Running {
-			continue
+	enabled, stuck := s.quiet()
+	return !enabled && stuck
+}
+
+// quiet looks for an enabled process and, finding none, reports whether
+// a process other than a daemon is still running.
+func (s *System) quiet() (enabled, stuck bool) {
+	for _, p := range s.Procs {
+		if p.vis != nil && s.canRun(p.vis) {
+			return true, false
 		}
-		if s.Enabled(i) {
-			return false
-		}
-		if !s.Unit.Daemons[i] {
-			running = true
-		}
+		stuck = stuck || p.status == Running && p.own == 0
 	}
-	return running
+	return false, stuck
 }
 
 // Step executes one transition of process i: its pending visible
@@ -410,26 +416,24 @@ func (s *System) Step(i int, ch Chooser) (Event, *Outcome) {
 	p := s.Procs[i]
 	p.segOK = false
 	ev, out := s.execVisible(p, ch)
-	if out != nil {
-		return ev, out
+	if out == nil {
+		out = s.advance(p, ch)
 	}
-	return ev, s.advance(p, ch)
+	p.settle()
+	return ev, out
 }
 
 // execVisible performs the visible operation p is stopped at and moves
 // control past it.
 func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 	defer catchOutcome(p.Index, &out)
-	n := p.cur
-	if n == nil || n.Kind != cfg.NCall {
-		trapf("process %d is not at a visible operation", p.Index)
-	}
-	top := p.stack[len(p.stack)-1]
-	prog := &top.code.nodes[n.ID]
-	vis := prog.vis
+	vis := p.vis
 	if vis == nil {
 		trapf("process %d is not at a visible operation", p.Index)
 	}
+	n := p.cur
+	top := p.stack[len(p.stack)-1]
+	prog := &top.code.nodes[n.ID]
 	// The operands are bytecode fragments; a destination fragment takes
 	// the incoming value in register 0.
 	frag := top.code.bc.vis[n.ID]
@@ -454,7 +458,7 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 			trapf("VS_assert on %s, want bool", kindName(v.Kind))
 		}
 	default:
-		obj := s.objs[vis.objIdx]
+		obj := s.objs[vis.pend.Obj]
 		ev.Object = vis.objName
 		switch vis.op {
 		case opSend:
@@ -504,7 +508,7 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 		// Refresh the mutated object's incremental hash (vread is the
 		// only object op that leaves its object untouched).
 		if s.hashOn && vis.op != opVread {
-			s.rehashObj(vis.objIdx)
+			s.rehashObj(int(vis.pend.Obj))
 		}
 	}
 	p.cur = prog.succ
