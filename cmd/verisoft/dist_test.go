@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"reclose/internal/progs"
@@ -64,23 +67,76 @@ func TestCLIDistWorkers(t *testing.T) {
 	if !bytes.Contains(out.Bytes(), []byte("W0:")) || !bytes.Contains(out.Bytes(), []byte("W1:")) {
 		t.Errorf("dist output missing per-worker stat lines:\n%s", out.String())
 	}
+	if bytes.Contains(out.Bytes(), []byte("state cache:")) {
+		t.Errorf("an uncached dist run printed a state-cache line:\n%s", out.String())
+	}
+
+	// With -state-cache each worker process keeps its own cache, which
+	// is not what the flag means under -workers: the run says so, right
+	// after the prepared-system line and in the dist_start event, and
+	// still finds the incidents.
+	privateRE := regexp.MustCompile(`(?m)^prepared system: .*\nstate cache: private to each of 2 worker processes$`)
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	out.Reset()
+	errb.Reset()
+	code = realMain([]string{"-dist-workers", "2", "-dist-slice", "16", "-state-cache", "-trace-out", trace, prog}, &out, &errb)
+	if code != 3 {
+		t.Fatalf("cached dist exit code = %d, want 3\nstderr:\n%s\nstdout:\n%s", code, errb.String(), out.String())
+	}
+	if !privateRE.Match(out.Bytes()) {
+		t.Errorf("cached dist output does not say the cache is private, after prepared system:\n%s", out.String())
+	}
+	if got := summaryRE.FindStringSubmatch(out.String()); got == nil || got[4] != seq[4] {
+		t.Errorf("cached dist summary %v, want the sequential run's %s incidents", got, seq[4])
+	}
+	events, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(events), `"cache":"private"`) || strings.Contains(string(events), "cache_partitioned") {
+		t.Errorf("dist_start event does not carry cache: \"private\":\n%s", events)
+	}
+
+	// One worker process has the only cache there is: nothing to say.
+	out.Reset()
+	errb.Reset()
+	if code := realMain([]string{"-dist-workers", "1", "-state-cache", prog}, &out, &errb); code != 3 {
+		t.Fatalf("one-worker cached dist exit code = %d, want 3\nstderr:\n%s", code, errb.String())
+	}
+	if bytes.Contains(out.Bytes(), []byte("state cache:")) {
+		t.Errorf("a one-worker cached run printed a state-cache line:\n%s", out.String())
+	}
 }
 
-// TestCLIDistFlagValidation pins the flag interactions: dist tuning
-// flags require -dist-workers, and dist mode rejects the modes it
-// cannot serve.
+// TestCLIDistFlagValidation pins the flag interactions: a flag that
+// says "requires" is refused without what it requires — the dist tuning
+// flags without -dist-workers, the cache tuning flags without
+// -state-cache — and dist mode rejects the modes it cannot serve. Each
+// is exit 1 with a message naming the flag, before any search.
 func TestCLIDistFlagValidation(t *testing.T) {
 	prog := writeProg(t, progs.DeadlockProne)
-	for _, args := range [][]string{
-		{"-dist-slice", "64", prog},
-		{"-dist-lease", "1s", prog},
-		{"-dist-workers", "2", "-shortest", prog},
-		{"-dist-workers", "2", "-resume", "nope.ckpt", prog},
-		{"-dist-workers", "-1", prog},
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the stderr message
+	}{
+		{[]string{"-dist-slice", "64", prog}, "require -dist-workers"},
+		{[]string{"-dist-lease", "1s", prog}, "require -dist-workers"},
+		{[]string{"-cache-shards", "4", prog}, "require -state-cache"},
+		{[]string{"-cache-mem", "1048576", prog}, "require -state-cache"},
+		{[]string{"-dist-workers", "2", "-cache-mem", "1048576", prog}, "require -state-cache"},
+		{[]string{"-dist-workers", "2", "-shortest", prog}, "-dist-workers does not compose"},
+		{[]string{"-dist-workers", "2", "-resume", "nope.ckpt", prog}, "-dist-workers does not compose"},
+		{[]string{"-dist-workers", "-1", prog}, "-dist-workers must be >= 0"},
 	} {
 		var out, errb bytes.Buffer
-		if code := realMain(args, &out, &errb); code != 1 {
-			t.Errorf("%v: exit code = %d, want 1\nstderr:\n%s", args, code, errb.String())
+		if code := realMain(tc.args, &out, &errb); code != 1 {
+			t.Errorf("%v: exit code = %d, want 1\nstderr:\n%s", tc.args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stderr %q does not say %q", tc.args, errb.String(), tc.want)
+		}
+		if strings.Contains(out.String(), "prepared system:") {
+			t.Errorf("%v: the run got as far as preparing the system:\n%s", tc.args, out.String())
 		}
 	}
 }

@@ -127,7 +127,7 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.StringVar(&c.interest, "interest", "", "comma-separated object names the priority search should steer toward (requires -search=priority)")
 	fs.BoolVar(&c.stateCache, "state-cache", false, "enable the state-hashing ablation")
 	fs.IntVar(&c.cacheShards, "cache-shards", 0, "lock shards in the state cache, rounded up to a power of two (0 = default 16; requires -state-cache)")
-	fs.Int64Var(&c.cacheMem, "cache-mem", 0, "approximate state-cache memory budget in bytes; over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
+	fs.Int64Var(&c.cacheMem, "cache-mem", 0, "approximate state-cache memory budget in bytes, per worker process under -dist-workers; over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
 	fs.BoolVar(&c.stopFirst, "stop-on-violation", false, "stop at the first assertion violation or runtime error")
 	fs.BoolVar(&c.liveness, "liveness", false, "detect non-progress cycles (livelock) with a nested DFS; progress is declared with the MiniC `progress` label, defaulting to every visible op (forces -por=static)")
 	fs.IntVar(&c.samples, "samples", 4, "incident samples to print")
@@ -136,7 +136,7 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.IntVar(&c.workers, "workers", 0, "search workers (0 = the search loop inline in classic depth-first order, -1 = GOMAXPROCS)")
 	fs.IntVar(&c.spillDepth, "spill-depth", 0, "depth above which workers spill sibling subtrees to the shared frontier (0 = default 16)")
 	fs.BoolVar(&c.snapSpill, "snapshot-spill", false, "attach state snapshots to spilled work units so claimers skip prefix replay (-workers > 0 or -search=priority)")
-	fs.IntVar(&c.distWorkers, "dist-workers", 0, "distribute the search across this many worker OS processes (0 = in-process); results merge deterministically, byte-identical to the in-process engine")
+	fs.IntVar(&c.distWorkers, "dist-workers", 0, "distribute the search across this many worker OS processes (0 = in-process); results merge deterministically, byte-identical to the in-process engine (with -state-cache each process keeps its own cache: same incidents, schedule-dependent counters)")
 	fs.Int64Var(&c.distSlice, "dist-slice", 0, "per-batch state budget a distributed worker explores before reporting back (0 = default 4096; requires -dist-workers)")
 	fs.DurationVar(&c.distLease, "dist-lease", 0, "lease timeout after which a distributed worker is declared dead and its work reassigned (0 = default 60s; requires -dist-workers)")
 	fs.BoolVar(&c.workerMode, "worker-mode", false, "run as a distributed exploration worker speaking the frame protocol on stdin/stdout (spawned by a -dist-workers coordinator, not for interactive use)")
@@ -172,10 +172,7 @@ func (c *cli) run() (int, error) {
 		// Worker mode never touches argv sources or flags beyond this
 		// point: the coordinator ships everything (program, options,
 		// fault plan) in the hello frame.
-		err := dist.WorkerMain(os.Stdin, os.Stdout, func(format string, args ...any) {
-			fmt.Fprintf(c.stderr, "verisoft worker: "+format+"\n", args...)
-		})
-		if err != nil {
+		if err := dist.WorkerMain(os.Stdin, os.Stdout); err != nil {
 			return 1, err
 		}
 		return 0, nil
@@ -218,12 +215,20 @@ func (c *cli) run() (int, error) {
 	if (c.distSlice != 0 || c.distLease != 0) && c.distWorkers == 0 {
 		return 1, fmt.Errorf("-dist-slice and -dist-lease require -dist-workers")
 	}
+	if (c.cacheShards != 0 || c.cacheMem != 0) && !c.stateCache {
+		return 1, fmt.Errorf("-cache-shards and -cache-mem require -state-cache")
+	}
 
 	unit, how, err := c.prepare(string(src))
 	if err != nil {
 		return 1, err
 	}
 	fmt.Fprintf(c.stdout, "prepared system: %s (engine %s)\n", how, engine)
+	if c.stateCache && c.distWorkers > 1 {
+		// Not the one shared cache of -workers N: pruning, and so every
+		// counter, depends on which process meets a state first.
+		fmt.Fprintf(c.stdout, "state cache: private to each of %d worker processes\n", c.distWorkers)
+	}
 
 	if c.pprofAddr != "" {
 		// Opt-in profiling listener; failures are reported but never

@@ -133,10 +133,7 @@ func (d *daemon) run() (int, error) {
 		// attempt, speaking the frame protocol on stdin/stdout; the
 		// coordinator (another verisoftd, or a test harness) ships the
 		// program, options, and fault plan in the hello frame.
-		err := dist.WorkerMain(os.Stdin, os.Stdout, func(format string, args ...any) {
-			fmt.Fprintf(d.stderr, "verisoftd worker: "+format+"\n", args...)
-		})
-		if err != nil {
+		if err := dist.WorkerMain(os.Stdin, os.Stdout); err != nil {
 			return 1, err
 		}
 		return 0, nil

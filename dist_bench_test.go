@@ -16,10 +16,7 @@ import (
 // coordinator/worker subprocesses without shelling out to go build.
 func TestMain(m *testing.M) {
 	if os.Getenv("RECLOSE_DIST_WORKER") == "1" {
-		err := dist.WorkerMain(os.Stdin, os.Stdout, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "bench worker: "+format+"\n", args...)
-		})
-		if err != nil {
+		if err := dist.WorkerMain(os.Stdin, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "bench worker: %v\n", err)
 			os.Exit(1)
 		}

@@ -107,13 +107,6 @@ type event struct {
 	err  error
 }
 
-// route remembers where a forwarded cache query came from.
-type route struct {
-	origin    int
-	originSeq uint64
-	owner     int
-}
-
 // coordinator is the single-goroutine event loop owning the frontier,
 // leases, and merge. Single ownership is the exactly-once argument:
 // lease revocation and result merging are serialized, so a result for
@@ -136,10 +129,6 @@ type coordinator struct {
 	leases    map[uint64]*lease
 	nextBatch uint64
 
-	fwd     map[uint64]route
-	nextFwd uint64
-
-	cacheMode bool
 	// stopCause, once set, stops assignment; killNow additionally
 	// abandons outstanding leases (their units go to pending).
 	stopCause explore.StopCause
@@ -166,27 +155,25 @@ func Run(ctx context.Context, prog Program, opt explore.Options, cfg Config) (*e
 		return nil, err
 	}
 	c := &coordinator{
-		cfg:       cfg,
-		prog:      prog,
-		opt:       opt,
-		met:       newDistMetrics(opt.Obs),
-		plan:      opt.Fault,
-		merge:     explore.NewMerger(unit, opt),
-		procs:     make([]*procState, cfg.Workers),
-		respawns:  make([]int, cfg.Workers),
-		stats:     make([]explore.WorkerStat, cfg.Workers),
-		events:    make(chan event, 4*cfg.Workers),
-		leases:    make(map[uint64]*lease),
-		fwd:       make(map[uint64]route),
-		cacheMode: opt.StateCache && cfg.Workers > 1,
-		start:     time.Now(),
+		cfg:      cfg,
+		prog:     prog,
+		opt:      opt,
+		met:      newDistMetrics(opt.Obs),
+		plan:     opt.Fault,
+		merge:    explore.NewMerger(unit, opt),
+		procs:    make([]*procState, cfg.Workers),
+		respawns: make([]int, cfg.Workers),
+		stats:    make([]explore.WorkerStat, cfg.Workers),
+		events:   make(chan event, 4*cfg.Workers),
+		leases:   make(map[uint64]*lease),
+		start:    time.Now(),
 	}
 	if err := c.seed(); err != nil {
 		return nil, err
 	}
 	defer c.killAll()
 
-	c.met.emitStart(cfg.Workers, c.cacheMode)
+	c.met.emitStart(cfg.Workers, opt.StateCache)
 	for slot := 0; slot < cfg.Workers; slot++ {
 		if err := c.spawn(slot, true); err != nil {
 			return nil, err
@@ -198,9 +185,8 @@ func Run(ctx context.Context, prog Program, opt explore.Options, cfg Config) (*e
 	return c.finish()
 }
 
-// seed initializes (or, after a restart, re-initializes) the merge and
-// frontier: from the resume snapshot when one was given, else from the
-// root unit.
+// seed initializes the merge and frontier: from the resume snapshot
+// when one was given, else from the root unit.
 func (c *coordinator) seed() error {
 	if c.cfg.Resume == nil {
 		c.frontier = []explore.WireUnit{c.merge.Root()}
@@ -250,8 +236,6 @@ func (c *coordinator) spawn(slot int, armFaults bool) error {
 		Version: ProtocolVersion,
 		Program: c.prog,
 		Options: EncodeOptions(c.opt, c.cfg.Interest),
-		Workers: c.cfg.Workers,
-		Slot:    slot,
 	}
 	if armFaults && c.cfg.FaultRules != "" {
 		hello.FaultSeed = c.cfg.FaultSeed
@@ -414,13 +398,9 @@ func (c *coordinator) handle(ev event) error {
 		p.idle = true
 	case MsgResult:
 		return c.handleResult(ev.slot, ev.msg)
-	case MsgCacheQuery:
-		c.routeQuery(ev.slot, ev.msg)
-	case MsgCacheReply:
-		c.routeReply(ev.msg)
 	case MsgError:
 		// A clean error frame is the worker refusing the work, not
-		// dying from it: handshake and executor failures (bad program,
+		// dying from it: handshake and batch failures (bad program,
 		// engine construction, snapshot decode) are deterministic, so
 		// reassigning the batch would only repeat them through the
 		// respawn budget. Fail the run with the worker's message, as
@@ -500,7 +480,9 @@ func (c *coordinator) pendingUnits() []explore.WireUnit {
 
 // abandon stops the run now: outstanding leases are revoked into the
 // frontier (their results, if any arrive, will be dropped), and the
-// cause is recorded for the final report.
+// cause is recorded for the final report. A set stopCause ends
+// assignment, so a worker whose result is dropped here never runs
+// another batch on the cache that result filled.
 func (c *coordinator) abandon(cause explore.StopCause) {
 	if c.stopCause == explore.StopNone {
 		c.stopCause = cause
@@ -513,12 +495,10 @@ func (c *coordinator) abandon(cause explore.StopCause) {
 }
 
 // workerDeath is the recovery path for a dead or misbehaving worker:
-// its leases return to the frontier and the slot respawns. In
-// cache-partitioned mode the whole run restarts instead — the dead
-// worker's cache range may have answered "visited" for states whose
-// exploration died with it, so partial results are not trustworthy to
-// keep (the restart is the sound recovery, exactly like a resumed
-// cached checkpoint starting with an empty cache).
+// the process is killed, its leases return to the frontier and the slot
+// respawns. Killing it is what keeps a cached run sound: the process's
+// state cache holds states of the slice whose result is being dropped,
+// and must not outlive it (DESIGN.md §15).
 func (c *coordinator) workerDeath(slot int, reason string) error {
 	p := c.procs[slot]
 	if p == nil || !p.alive {
@@ -545,47 +525,14 @@ func (c *coordinator) workerDeath(slot int, reason string) error {
 		c.met.leases.Add(-1)
 	}
 	c.met.emitDeath(slot, reassigned, reason)
-	c.failRoutes(slot)
 
 	c.respawns[slot]++
 	if c.respawns[slot] > c.cfg.MaxRespawns {
 		return fmt.Errorf("dist: worker %d exceeded %d respawns (last death: %s)",
 			slot, c.cfg.MaxRespawns, reason)
 	}
-	if c.cacheMode {
-		return c.restartAll()
-	}
 	c.met.emitRespawn(slot)
 	return c.spawn(slot, false)
-}
-
-// restartAll is the cache-partitioned death recovery: kill every
-// worker, reset the merge, reseed the root. Respawned workers start
-// with empty caches, so the restarted search is exactly a cached
-// search from scratch — sound by the resume-with-empty-cache rule.
-func (c *coordinator) restartAll() error {
-	c.met.emitRestart()
-	c.cfg.Logf("dist: cache-partitioned mode: restarting all %d workers", c.cfg.Workers)
-	c.killAll()
-	for id := range c.leases {
-		delete(c.leases, id)
-		c.met.leases.Add(-1)
-	}
-	for seq := range c.fwd {
-		delete(c.fwd, seq)
-	}
-	c.merge.Reset()
-	if err := c.seed(); err != nil {
-		return err
-	}
-	c.lastCkpt = 0
-	for slot := 0; slot < c.cfg.Workers; slot++ {
-		c.met.emitRespawn(slot)
-		if err := c.spawn(slot, false); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // expireLeases declares workers with overdue leases dead.
@@ -597,59 +544,6 @@ func (c *coordinator) expireLeases() error {
 		}
 	}
 	return nil
-}
-
-// routeQuery forwards a membership query to the owner of its hash
-// range; any failure along the route answers a sound "not visited".
-func (c *coordinator) routeQuery(origin int, m *Message) {
-	owner := Owner(m.Hash, c.cfg.Workers)
-	op := c.procs[owner]
-	if owner == origin || op == nil || !op.alive {
-		c.replyMiss(origin, m.Seq)
-		return
-	}
-	c.nextFwd++
-	seq := c.nextFwd
-	c.fwd[seq] = route{origin: origin, originSeq: m.Seq, owner: owner}
-	q := &Message{Type: MsgCacheQuery, Seq: seq, Hash: m.Hash, Key: m.Key, Depth: m.Depth}
-	if err := c.send(op, q); err != nil {
-		delete(c.fwd, seq)
-		c.replyMiss(origin, m.Seq)
-	}
-}
-
-// routeReply relays an owner's answer back to the querying worker.
-func (c *coordinator) routeReply(m *Message) {
-	r, ok := c.fwd[m.Seq]
-	if !ok {
-		return
-	}
-	delete(c.fwd, m.Seq)
-	c.met.noteCacheQuery(m.Pruned)
-	if p := c.procs[r.origin]; p != nil && p.alive {
-		c.send(p, &Message{Type: MsgCacheReply, Seq: r.originSeq, Pruned: m.Pruned})
-	}
-}
-
-// failRoutes answers every query routed to or from a dead slot with a
-// miss, so no worker stays blocked on it.
-func (c *coordinator) failRoutes(slot int) {
-	for seq, r := range c.fwd {
-		if r.owner != slot && r.origin != slot {
-			continue
-		}
-		delete(c.fwd, seq)
-		if r.origin != slot {
-			c.replyMiss(r.origin, r.originSeq)
-		}
-	}
-}
-
-func (c *coordinator) replyMiss(origin int, seq uint64) {
-	c.met.noteCacheQuery(false)
-	if p := c.procs[origin]; p != nil && p.alive {
-		c.send(p, &Message{Type: MsgCacheReply, Seq: seq, Pruned: false})
-	}
 }
 
 // finish shuts workers down and assembles the final report.
@@ -690,34 +584,39 @@ func (c *coordinator) finish() (*explore.Report, error) {
 	return rep, nil
 }
 
-// waitAll reaps every worker process, escalating to SIGKILL after the
-// grace period.
+// waitAll reaps every live worker process, escalating to SIGKILL after
+// the grace period. Only this goroutine touches procState: the reaper
+// works from its own list, and the escalation kills every process on
+// it without asking which have exited (killing a reaped process is a
+// harmless error).
 func (c *coordinator) waitAll(grace time.Duration) {
-	deadline := time.After(grace)
+	var live []*procState
+	for _, p := range c.procs {
+		if p != nil && p.alive {
+			live = append(live, p)
+		}
+	}
 	done := make(chan struct{})
 	go func() {
-		for _, p := range c.procs {
-			if p != nil && p.cmd != nil && p.alive {
-				p.cmd.Wait()
-				p.alive = false
-			}
+		defer close(done)
+		for _, p := range live {
+			p.cmd.Wait()
 		}
-		close(done)
 	}()
 	select {
 	case <-done:
-	case <-deadline:
-		for _, p := range c.procs {
-			if p != nil && p.alive {
-				p.cmd.Process.Kill()
-			}
+	case <-time.After(grace):
+		for _, p := range live {
+			p.cmd.Process.Kill()
 		}
 		<-done
 	}
+	for _, p := range live {
+		p.alive = false
+	}
 }
 
-// killAll hard-kills every live worker (final cleanup and the restart
-// path).
+// killAll hard-kills every live worker (final cleanup).
 func (c *coordinator) killAll() {
 	for _, p := range c.procs {
 		if p == nil || !p.alive {

@@ -19,11 +19,14 @@ import (
 // test executable with RECLOSE_DIST_WORKER=1 and the process becomes a
 // real protocol worker over its stdin/stdout — the tests below
 // exercise actual multi-process runs, not an in-process simulation.
+// RECLOSE_DIST_WORKER=deaf is a worker that ignores the end of its
+// session, shutdown frame included: it stays up until it is killed.
 func TestMain(m *testing.M) {
-	if os.Getenv("RECLOSE_DIST_WORKER") == "1" {
-		err := WorkerMain(os.Stdin, os.Stdout, func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "worker: "+format+"\n", args...)
-		})
+	if mode := os.Getenv("RECLOSE_DIST_WORKER"); mode != "" {
+		err := WorkerMain(os.Stdin, os.Stdout)
+		if mode == "deaf" {
+			time.Sleep(time.Minute)
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "worker:", err)
 			os.Exit(1)
@@ -90,26 +93,6 @@ func distDigest(rep *explore.Report) string {
 	return b.String()
 }
 
-// cacheDigest is the weaker contract cached configurations are held to
-// (which duplicate route gets pruned is schedule-dependent): terminal
-// and incident leaf counters plus the incident multiset without
-// decision sequences.
-func cacheDigest(rep *explore.Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "terminated=%d deadlocks=%d violations=%d traps=%d divergences=%d\n",
-		rep.Terminated, rep.Deadlocks, rep.Violations, rep.Traps, rep.Divergences)
-	lines := make([]string, 0, len(rep.Samples))
-	for _, in := range rep.Samples {
-		lines = append(lines, fmt.Sprintf("%s depth=%d msg=%q", in.Kind, in.Depth, in.Msg))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // incidentSet renders the distinct incidents of a report — what no
 // sound pruning or search order may ever change.
 func incidentSet(rep *explore.Report) string {
@@ -152,10 +135,12 @@ func mustRun(t *testing.T, prog Program, opt explore.Options, cfg Config) *explo
 // deterministic merge — produces results indistinguishable from the
 // in-process engine at any worker count. Strict (uncached) configs
 // must match the sequential oracle on every counter and every incident
-// decision sequence; cache-partitioned configs are held to the cached
-// contract (terminal/incident counters and incident multiset equal to
-// a sequential cached run, distinct incident set equal to the
-// stateless run).
+// decision sequence. Cached configs run one private cache per worker
+// process: at one worker that is the sequential cached search cut into
+// slices, so every counter matches it; at more, which worker meets a
+// state first depends on the schedule, and the contract is what no
+// sound pruning may change — the stateless oracle's distinct incident
+// set — plus evidence that the caches do prune and never cost states.
 func TestDistEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process equivalence grid is not short")
@@ -167,8 +152,7 @@ func TestDistEquivalence(t *testing.T) {
 	cachedOpt := base
 	cachedOpt.StateCache = true
 	cachedOpt.CacheShards = 1
-	seqCached := mustOracle(t, prog, cachedOpt)
-	cachedWant := cacheDigest(seqCached)
+	cachedWant := distDigest(mustOracle(t, prog, cachedOpt))
 	incidentWant := incidentSet(stateless)
 
 	for _, workers := range []int{1, 2, 4} {
@@ -196,15 +180,21 @@ func TestDistEquivalence(t *testing.T) {
 				if rep.Incomplete {
 					t.Fatalf("distributed run reported incomplete: cause %v", rep.Cause)
 				}
-				if got := cacheDigest(rep); got != cachedWant {
-					t.Errorf("distributed cache digest diverged from sequential cached oracle:\n got:\n%s\nwant:\n%s", got, cachedWant)
+				if workers == 1 {
+					if got := distDigest(rep); got != cachedWant {
+						t.Errorf("one-worker cached digest diverged from sequential cached oracle:\n got:\n%s\nwant:\n%s", got, cachedWant)
+					}
 				}
 				if got := incidentSet(rep); got != incidentWant {
 					t.Errorf("distributed incident set diverged from stateless oracle:\n got:\n%s\nwant:\n%s", got, incidentWant)
 				}
 				if rep.CachePrunes == 0 {
-					t.Errorf("cache-partitioned run never pruned; the partition is not being exercised")
+					t.Errorf("cached run never pruned; the workers' caches are not being visited")
 				}
+				if rep.States > stateless.States {
+					t.Errorf("cached run visited %d states, the stateless search %d", rep.States, stateless.States)
+				}
+				t.Logf("states=%d cache-prunes=%d (stateless search: %d states)", rep.States, rep.CachePrunes, stateless.States)
 			})
 		}
 	}
@@ -353,20 +343,16 @@ func TestWorkerCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestWorkerCrashRecoveryCached covers the cache-partitioned death
-// path: a dead range owner invalidates other workers' prunes, so the
-// coordinator restarts the whole run — and the restarted run must
-// still land on the cached contract.
+// TestWorkerCrashRecoveryCached kills a worker of a cached run: the
+// death is the ordinary one — leases back to the frontier, the slot
+// respawned with an empty cache, nothing merged is thrown away — and
+// the run still reports the stateless oracle's incident set.
 func TestWorkerCrashRecoveryCached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker subprocesses")
 	}
 	prog, base := fiveessSmall()
-	stateless := mustOracle(t, prog, base)
-	cachedOpt := base
-	cachedOpt.StateCache = true
-	cachedOpt.CacheShards = 1
-	want := cacheDigest(mustOracle(t, prog, cachedOpt))
+	want := incidentSet(mustOracle(t, prog, base))
 
 	reg := obs.New()
 	opt := base
@@ -378,16 +364,75 @@ func TestWorkerCrashRecoveryCached(t *testing.T) {
 	cfg.Logf = t.Logf
 	rep := mustRun(t, prog, opt, cfg)
 	if rep.Incomplete {
-		t.Fatalf("restarted cached run reported incomplete: cause %v", rep.Cause)
+		t.Fatalf("cached crash-recovery run reported incomplete: cause %v", rep.Cause)
 	}
-	if got := cacheDigest(rep); got != want {
-		t.Errorf("restarted cached run diverged from sequential cached oracle:\n got:\n%s\nwant:\n%s", got, want)
+	if got := incidentSet(rep); got != want {
+		t.Errorf("cached crash-recovery run incident set diverged:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	if got, wantSet := incidentSet(rep), incidentSet(stateless); got != wantSet {
-		t.Errorf("restarted cached run incident set diverged:\n got:\n%s\nwant:\n%s", got, wantSet)
+	deaths := reg.Counter(MetricWorkerDeaths).Load()
+	respawns := reg.Counter(MetricWorkerRespawns).Load()
+	if deaths == 0 {
+		t.Errorf("fault schedule never killed a worker; the recovery path was not exercised")
 	}
-	if reg.Counter(MetricRestarts).Load() == 0 {
-		t.Errorf("cached worker death did not trigger a full restart")
+	if deaths != respawns {
+		t.Errorf("deaths=%d respawns=%d; a cached run's death must respawn the one slot, like an uncached run's", deaths, respawns)
+	}
+	for _, name := range reg.CounterNames() {
+		if name == "dist.restarts" {
+			t.Errorf("a dist.restarts counter exists; a cached run has no restart-everything recovery")
+		}
+	}
+}
+
+// TestShutdownGraceExpires shuts down a fleet of one worker that exits
+// on the shutdown frame and one that ignores it, so the grace period
+// really expires: the reaper has already seen the first exit and is
+// waiting on the second when the coordinator has to decide whom to
+// kill. Both must end up reaped; under -race this is the test that
+// watches waitAll.
+func TestShutdownGraceExpires(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses")
+	}
+	c := &coordinator{
+		cfg:    workerConfig(2).withDefaults(),
+		prog:   Program{Source: progs.Philosophers(3)},
+		procs:  make([]*procState, 2),
+		events: make(chan event, 8), // two ready frames, two read errors
+	}
+	defer c.killAll()
+	for slot, mode := range []string{"1", "deaf"} {
+		// A -race build sleeps a second on its way out unless told not
+		// to, which would keep the first worker up past the grace period.
+		c.cfg.Env = []string{"RECLOSE_DIST_WORKER=" + mode, "GORACE=atexit_sleep_ms=0"}
+		if err := c.spawn(slot, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range c.procs {
+		if ev := <-c.events; ev.err != nil || ev.msg.Type != MsgReady {
+			t.Fatalf("worker %d did not come up: %+v", ev.slot, ev)
+		}
+	}
+	for _, p := range c.procs {
+		if err := c.send(p, &Message{Type: MsgShutdown}); err != nil {
+			t.Fatal(err)
+		}
+		p.stdin.Close()
+	}
+	const grace = 300 * time.Millisecond
+	start := time.Now()
+	c.waitAll(grace)
+	if took := time.Since(start); took < grace {
+		t.Errorf("waitAll returned after %v; the deaf worker did not outlive the %v grace period", took, grace)
+	}
+	for _, p := range c.procs {
+		if p.alive || p.cmd.ProcessState == nil {
+			t.Errorf("worker %d: alive=%v reaped=%v after waitAll", p.slot, p.alive, p.cmd.ProcessState != nil)
+		}
+	}
+	if st := c.procs[1].cmd.ProcessState; st != nil && st.Exited() {
+		t.Errorf("the deaf worker exited on its own (%v); it was meant to be killed", st)
 	}
 }
 
@@ -431,41 +476,5 @@ func TestDistWorkerStats(t *testing.T) {
 	if states != rep.States || paths != rep.Paths {
 		t.Errorf("worker stats sum to states=%d paths=%d, report says %d/%d",
 			states, paths, rep.States, rep.Paths)
-	}
-}
-
-// TestOwnerPartition pins the range-routing function both sides of the
-// protocol must agree on: total (every hash lands in [0, workers)),
-// deterministic, covering every slot, and degenerate at workers=1.
-func TestOwnerPartition(t *testing.T) {
-	if Owner(0, 1) != 0 || Owner(^uint64(0), 1) != 0 {
-		t.Fatalf("workers=1 must own everything")
-	}
-	for _, workers := range []int{1, 2, 3, 4, 7, 16} {
-		hit := make([]bool, workers)
-		for i := 0; i < 1<<14; i++ {
-			h := uint64(i) * 0x9e3779b97f4a7c15
-			o := Owner(h, workers)
-			if o < 0 || o >= workers {
-				t.Fatalf("Owner(%#x, %d) = %d out of range", h, workers, o)
-			}
-			if o != Owner(h, workers) {
-				t.Fatalf("Owner not deterministic")
-			}
-			hit[o] = true
-		}
-		for slot, ok := range hit {
-			if !ok {
-				t.Errorf("workers=%d: slot %d owns no hashes in the probe set", workers, slot)
-			}
-		}
-	}
-	// Range boundaries: the low and high extremes belong to the first
-	// and last slots.
-	if Owner(0, 8) != 0 {
-		t.Errorf("hash 0 must belong to slot 0")
-	}
-	if Owner(^uint64(0), 8) != 7 {
-		t.Errorf("hash max must belong to the last slot")
 	}
 }

@@ -6,17 +6,14 @@ import (
 
 // Metric names registered on the coordinator's registry. Worker
 // processes have no route to this registry; everything observable
-// about them flows through the coordinator (batches, deaths, cache
-// queries are coordinator-routed), so the counters live here.
+// about them flows through the coordinator (batches, results, deaths),
+// so the counters live here.
 const (
 	MetricBatches         = "dist.batches"
 	MetricUnitsLeased     = "dist.units.leased"
 	MetricUnitsReassigned = "dist.units.reassigned"
 	MetricWorkerDeaths    = "dist.worker.deaths"
 	MetricWorkerRespawns  = "dist.worker.respawns"
-	MetricRestarts        = "dist.restarts"
-	MetricCacheQueries    = "dist.cache.remote.queries"
-	MetricCacheHits       = "dist.cache.remote.hits"
 	MetricLeases          = "dist.leases.outstanding" // gauge
 )
 
@@ -29,9 +26,6 @@ type distMetrics struct {
 	reassigned *obs.Counter
 	deaths     *obs.Counter
 	respawns   *obs.Counter
-	restarts   *obs.Counter
-	cacheQ     *obs.Counter
-	cacheHit   *obs.Counter
 	leases     *obs.Gauge
 	sink       *obs.Sink
 }
@@ -43,18 +37,21 @@ func newDistMetrics(reg *obs.Registry) *distMetrics {
 		reassigned: reg.Counter(MetricUnitsReassigned),
 		deaths:     reg.Counter(MetricWorkerDeaths),
 		respawns:   reg.Counter(MetricWorkerRespawns),
-		restarts:   reg.Counter(MetricRestarts),
-		cacheQ:     reg.Counter(MetricCacheQueries),
-		cacheHit:   reg.Counter(MetricCacheHits),
 		leases:     reg.Gauge(MetricLeases),
 		sink:       reg.Sink(),
 	}
 }
 
-func (m *distMetrics) emitStart(workers int, cacheMode bool) {
+// emitStart records the fleet size and where the state cache lives:
+// "off", or "private" — one per worker process, nothing shared.
+func (m *distMetrics) emitStart(workers int, stateCache bool) {
+	cache := "off"
+	if stateCache {
+		cache = "private"
+	}
 	m.sink.Emit("dist_start",
 		obs.F("workers", workers),
-		obs.F("cache_partitioned", cacheMode))
+		obs.F("cache", cache))
 }
 
 func (m *distMetrics) emitBatch(slot int, id uint64, units int, budget int64) {
@@ -87,18 +84,6 @@ func (m *distMetrics) emitRespawn(slot int) {
 	m.sink.Emit("dist_worker_respawn", obs.F("slot", slot))
 }
 
-func (m *distMetrics) emitRestart() {
-	m.restarts.Inc()
-	m.sink.Emit("dist_restart")
-}
-
 func (m *distMetrics) emitStop(states, paths int64) {
 	m.sink.Emit("dist_stop", obs.F("states", states), obs.F("paths", paths))
-}
-
-func (m *distMetrics) noteCacheQuery(pruned bool) {
-	m.cacheQ.Inc()
-	if pruned {
-		m.cacheHit.Inc()
-	}
 }

@@ -5,11 +5,10 @@
 // folds the returned slice reports through explore.Merger — the same
 // deterministic merge the in-process drivers use — so final counters
 // and incident multisets match the in-process engine at any worker
-// count. The state cache is partitioned by fingerprint hash range:
-// each worker owns a range and answers membership for it; foreign
-// lookups route through the coordinator to the owner, and any failed
-// or timed-out lookup degrades to "not visited" — pruning weakens,
-// soundness never does. See DESIGN.md §15.
+// count. A state cache, when the options ask for one, is private to
+// each worker process and lives as long as the process: nothing about
+// it crosses the wire, and a cached run at more than one worker keeps
+// the incident set, not the counters. See DESIGN.md §15.
 package dist
 
 import (
@@ -23,7 +22,7 @@ import (
 // ProtocolVersion is carried in every hello; a worker rejects any
 // other version, so a coordinator never drives a worker built from a
 // different wire format.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // MaxFrame bounds one frame's payload (64 MiB). A length prefix past
 // the bound is rejected before any allocation, so a corrupt or
@@ -33,7 +32,7 @@ const MaxFrame = 64 << 20
 // Message types.
 const (
 	// MsgHello is the coordinator's first frame to a fresh worker:
-	// program, options, cache-routing table, fault plan.
+	// program, options, fault plan.
 	MsgHello = "hello"
 	// MsgReady is the worker's reply to hello: compiled and waiting.
 	MsgReady = "ready"
@@ -42,15 +41,10 @@ const (
 	// MsgResult returns a finished slice: the report snapshot (its
 	// Units are the batch's unexplored remainder) plus cause/complete.
 	MsgResult = "result"
-	// MsgCacheQuery asks whether a state was visited; sent worker →
-	// coordinator (who routes it to the owner) and coordinator → owner.
-	MsgCacheQuery = "cache_query"
-	// MsgCacheReply answers a cache query along the reverse route.
-	MsgCacheReply = "cache_reply"
-	// MsgShutdown asks a worker to drain and exit 0.
+	// MsgShutdown ends the session: the worker exits 0.
 	MsgShutdown = "shutdown"
-	// MsgError reports a fatal worker-side failure (compile error,
-	// malformed batch); the coordinator treats the worker as dead.
+	// MsgError reports a worker refusing its work (compile error,
+	// malformed batch); the coordinator fails the run with the message.
 	MsgError = "error"
 )
 
@@ -60,10 +54,6 @@ type Hello struct {
 	Version int         `json:"version"`
 	Program Program     `json:"program"`
 	Options WireOptions `json:"options"`
-	// Workers and Slot are the cache routing table: fingerprint hash
-	// ranges are split across Workers slots and this worker owns Slot.
-	Workers int `json:"workers"`
-	Slot    int `json:"slot"`
 	// FaultSeed/FaultRules arm a faultinject.Plan inside the worker
 	// (dist.worker.* points); empty rules mean no plan.
 	FaultSeed  int64  `json:"fault_seed,omitempty"`
@@ -113,16 +103,6 @@ type Message struct {
 	Cause     int             `json:"cause,omitempty"`
 	Complete  bool            `json:"complete,omitempty"`
 
-	// MsgCacheQuery / MsgCacheReply. Key is the raw fingerprint bytes
-	// (JSON base64 via []byte); Hash is the 64-bit routing hash, exact
-	// across Go JSON round-trips only because it is re-encoded from an
-	// integer literal — both ends are this codec.
-	Seq    uint64 `json:"seq,omitempty"`
-	Hash   uint64 `json:"hash,omitempty"`
-	Key    []byte `json:"key,omitempty"`
-	Depth  int    `json:"depth,omitempty"`
-	Pruned bool   `json:"pruned,omitempty"`
-
 	// MsgError.
 	Err string `json:"err,omitempty"`
 }
@@ -131,7 +111,7 @@ type Message struct {
 // a silently-ignored frame.
 var validTypes = map[string]bool{
 	MsgHello: true, MsgReady: true, MsgBatch: true, MsgResult: true,
-	MsgCacheQuery: true, MsgCacheReply: true, MsgShutdown: true, MsgError: true,
+	MsgShutdown: true, MsgError: true,
 }
 
 // WriteFrame writes one message as a 4-byte big-endian length prefix

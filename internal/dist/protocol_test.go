@@ -25,7 +25,6 @@ func sampleMessages() []*Message {
 				Interest: []string{"ch", "lock"}, StateCache: true, CacheShards: 8,
 				MaxIncidents: 1 << 20,
 			},
-			Workers: 4, Slot: 2,
 			FaultSeed:  42,
 			FaultRules: `[{"point":"dist.worker.batch","action":"panic","count":1}]`,
 		}},
@@ -34,8 +33,6 @@ func sampleMessages() []*Message {
 			Snapshot: json.RawMessage(`{"version":3,"processes":2,"site_bits":6,"units":[{"root":true}]}`)},
 		{Type: MsgResult, Batch: 7, Complete: true, Cause: int(explore.StopMaxStates),
 			Snapshot: json.RawMessage(`{"version":3,"processes":2,"site_bits":6,"states":12}`)},
-		{Type: MsgCacheQuery, Seq: 99, Hash: 0xdeadbeefcafe, Key: []byte{1, 2, 3, 0xff}, Depth: 17},
-		{Type: MsgCacheReply, Seq: 99, Pruned: true},
 		{Type: MsgShutdown},
 		{Type: MsgError, Err: "dist: batch 7: malformed snapshot"},
 	}
@@ -67,6 +64,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// v1CacheFrames are well-formed protocol-version-1 frames of the two
+// types version 2 dropped with the cross-process cache lookups. A
+// version-2 reader must refuse them as unknown types, not skip them: a
+// version-1 peer would be waiting for the answer.
+var v1CacheFrames = []string{
+	`{"type":"cache_query","seq":99,"hash":244837814094590,"key":"AQID/w==","depth":17}`,
+	`{"type":"cache_reply","seq":99,"pruned":true}`,
+}
+
+// rawFrame length-prefixes a payload as it stands.
+func rawFrame(payload string) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+}
+
 // TestFrameErrors pins the decode failure modes the fuzz target
 // explores: every malformed input is an error, never a panic, and a
 // partial frame is not a clean EOF (the coordinator must tell a
@@ -96,6 +107,12 @@ func TestFrameErrors(t *testing.T) {
 				t.Fatalf("malformed input reported clean EOF")
 			}
 		})
+	}
+	for _, payload := range v1CacheFrames {
+		_, err := ReadFrame(bytes.NewReader(rawFrame(payload)))
+		if err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+			t.Errorf("version-1 frame %s: got %v, want an unknown-frame-type error", payload, err)
+		}
 	}
 	big := &Message{Type: MsgError, Err: strings.Repeat("x", MaxFrame)}
 	if err := WriteFrame(io.Discard, big); err == nil {
@@ -130,8 +147,11 @@ func FuzzDistProtocol(f *testing.F) {
 		`{"type":"result","snapshot":{"&000000":0,"<":">\u2028"}}`,
 		`{"type":"result","snapshot":{ "units" : [ ] }}`,
 	} {
-		frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-		f.Add(append(frame, payload...))
+		f.Add(rawFrame(payload))
+	}
+	// Frames only a version-1 peer sends: refused, like any unknown type.
+	for _, payload := range v1CacheFrames {
+		f.Add(rawFrame(payload))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -141,6 +161,9 @@ func FuzzDistProtocol(f *testing.F) {
 				t.Fatalf("error %v returned alongside a message", err)
 			}
 			return
+		}
+		if strings.HasPrefix(m.Type, "cache_") {
+			t.Fatalf("ReadFrame accepted a version-1 %q frame", m.Type)
 		}
 		if m.Snapshot != nil {
 			// A raw snapshot travels compacted; its whitespace is the one

@@ -1,84 +1,77 @@
 package dist
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"os"
-	"sync"
-	"time"
 
 	"reclose/internal/cfg"
 	"reclose/internal/explore"
 	"reclose/internal/faultinject"
+	"reclose/internal/statecache"
 )
 
-// queryTimeout bounds one blocking remote cache lookup; expiry
-// degrades the answer to "not visited" (sound, weaker pruning) rather
-// than wedging the slice.
-const queryTimeout = 10 * time.Second
-
-// worker is one worker process's half of the protocol: a frame reader
-// on the main goroutine (so membership queries from other workers are
-// answered even mid-slice), a slice executor goroutine, and a
-// mutex-guarded frame writer shared by both.
+// worker is one worker process's half of the protocol: what the hello
+// frame built, kept for every batch the session runs.
 type worker struct {
-	in   io.Reader
-	out  io.Writer
-	logf func(format string, args ...any)
+	in  io.Reader
+	out io.Writer
 
-	hello  *Hello
-	unit   *cfg.Unit
-	opt    explore.Options
-	router *cacheRouter
-	plan   *faultinject.Plan
-
-	wmu sync.Mutex // serializes WriteFrame on out
-
-	qmu     sync.Mutex
-	qseq    uint64
-	pending map[uint64]chan bool
-	dead    bool
-
-	cancel  context.CancelFunc
-	ctx     context.Context
-	batchCh chan *Message
-	execWG  sync.WaitGroup
-
-	emu     sync.Mutex
-	execErr error
+	unit *cfg.Unit
+	// opt carries the process's one state cache (Options.Cache) when the
+	// coordinator asked for state caching: every slice visits it, so a
+	// state explored in one batch prunes its revisit in a later one. Its
+	// Fault is the plan the hello armed, nil for none.
+	opt explore.Options
 }
 
-// WorkerMain runs the worker side of the protocol over in/out until
-// shutdown (nil), coordinator disconnect, or a fatal error. It is the
-// body of `verisoft -worker-mode`; logf (usually stderr) receives
-// diagnostics only — stdout carries nothing but frames.
-func WorkerMain(in io.Reader, out io.Writer, logf func(format string, args ...any)) error {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	w := &worker{
-		in:      in,
-		out:     out,
-		logf:    logf,
-		pending: make(map[uint64]chan bool),
-		batchCh: make(chan *Message, 16),
-	}
-	w.ctx, w.cancel = context.WithCancel(context.Background())
-	defer w.cancel()
-
+// WorkerMain runs the worker side of the protocol over in/out: read a
+// frame, run the batch, write the result, until a shutdown frame (nil)
+// or an error. It is the body of `verisoft -worker-mode`; out carries
+// nothing but frames. A failure the coordinator can act on — a hello or
+// a batch this worker cannot serve — is answered with one error frame
+// before it is returned; a broken connection or a frame the protocol
+// does not allow here is only returned.
+func WorkerMain(in io.Reader, out io.Writer) error {
+	w := &worker{in: in, out: out}
 	if err := w.handshake(); err != nil {
-		w.write(&Message{Type: MsgError, Err: err.Error()})
-		return err
+		return w.refuse(err)
 	}
-	w.execWG.Add(1)
-	go w.executor()
-	return w.readLoop()
+	for {
+		m, err := ReadFrame(in)
+		if err == io.EOF {
+			return fmt.Errorf("dist: coordinator closed the connection without a shutdown frame")
+		}
+		if err != nil {
+			return err
+		}
+		switch m.Type {
+		case MsgBatch:
+			res, err := w.runBatch(m)
+			if err != nil {
+				return w.refuse(fmt.Errorf("dist: batch %d: %w", m.Batch, err))
+			}
+			if err := WriteFrame(out, res); err != nil {
+				return err
+			}
+		case MsgShutdown:
+			return nil
+		default:
+			return fmt.Errorf("dist: unexpected %q frame from coordinator", m.Type)
+		}
+	}
 }
 
-// handshake consumes the hello frame and builds the search
-// environment: compiled unit, decoded options, cache router, fault
-// plan.
+// refuse tells the coordinator why this worker cannot go on and returns
+// err. The write is best effort: the caller exits with err either way.
+func (w *worker) refuse(err error) error {
+	_ = WriteFrame(w.out, &Message{Type: MsgError, Err: err.Error()})
+	return err
+}
+
+// handshake consumes the hello frame, builds the search environment —
+// compiled unit, decoded options, the process's state cache, fault
+// plan — and answers ready.
 func (w *worker) handshake() error {
 	m, err := ReadFrame(w.in)
 	if err != nil {
@@ -90,9 +83,6 @@ func (w *worker) handshake() error {
 	h := m.Hello
 	if h.Version != ProtocolVersion {
 		return fmt.Errorf("dist: protocol version %d, want %d", h.Version, ProtocolVersion)
-	}
-	if h.Workers < 1 || h.Slot < 0 || h.Slot >= h.Workers {
-		return fmt.Errorf("dist: bad routing table (slot %d of %d)", h.Slot, h.Workers)
 	}
 	unit, err := h.Program.Compile()
 	if err != nil {
@@ -107,184 +97,47 @@ func (w *worker) handshake() error {
 		if err != nil {
 			return fmt.Errorf("dist: fault rules: %w", err)
 		}
-		w.plan = plan
 		opt.Fault = plan
 	}
 	if opt.StateCache {
-		w.router = newCacheRouter(h.Slot, h.Workers, opt.CacheShards, opt.MaxCacheBytes, w.remoteQuery)
-		opt.CacheVisit = w.router.visit
+		opt.Cache = statecache.New(statecache.Config{Shards: opt.CacheShards, MaxBytes: opt.MaxCacheBytes})
 	}
-	w.hello = h
 	w.unit = unit
 	w.opt = opt
-	return w.write(&Message{Type: MsgReady, PID: os.Getpid()})
+	return WriteFrame(w.out, &Message{Type: MsgReady, PID: os.Getpid()})
 }
 
-// readLoop demultiplexes incoming frames until shutdown or
-// disconnect. Batches queue for the executor; cache queries are
-// answered inline against the authoritative local range; cache
-// replies release a blocked remote lookup.
-func (w *worker) readLoop() error {
-	for {
-		m, err := ReadFrame(w.in)
-		if err != nil {
-			w.disconnect()
-			if err == io.EOF {
-				// Coordinator gone without a shutdown frame: abnormal,
-				// but nothing useful remains to report to it.
-				return w.takeExecErr(fmt.Errorf("dist: coordinator closed the connection"))
-			}
-			return w.takeExecErr(err)
-		}
-		switch m.Type {
-		case MsgBatch:
-			w.batchCh <- m
-		case MsgCacheQuery:
-			pruned := false
-			if w.router != nil {
-				pruned = w.router.answer(m.Hash, m.Key, m.Depth)
-			}
-			if err := w.write(&Message{Type: MsgCacheReply, Seq: m.Seq, Pruned: pruned}); err != nil {
-				w.disconnect()
-				return w.takeExecErr(err)
-			}
-		case MsgCacheReply:
-			w.qmu.Lock()
-			ch := w.pending[m.Seq]
-			delete(w.pending, m.Seq)
-			w.qmu.Unlock()
-			if ch != nil {
-				ch <- m.Pruned
-			}
-		case MsgShutdown:
-			close(w.batchCh)
-			w.execWG.Wait()
-			return w.takeExecErr(nil)
-		default:
-			w.disconnect()
-			return w.takeExecErr(fmt.Errorf("dist: unexpected %q frame from coordinator", m.Type))
-		}
+// runBatch explores one leased batch as a bounded Resume slice and
+// packs its report as the result frame. A fault-plan panic at
+// dist.worker.batch or dist.worker.result is deliberately NOT
+// recovered — it crashes the process, which is the worker-death
+// scenario the coordinator's lease machinery exists for.
+func (w *worker) runBatch(m *Message) (*Message, error) {
+	w.opt.Fault.Fire(faultinject.PointDistWorkerBatch)
+	snap, err := explore.DecodeSnapshot(m.Snapshot)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// executor drains leased batches: each is a bounded Resume slice whose
-// report ships back whole. A fault-plan panic at dist.worker.batch or
-// dist.worker.result is deliberately NOT recovered — it crashes the
-// process, which is the worker-death scenario the coordinator's lease
-// machinery exists for.
-func (w *worker) executor() {
-	defer w.execWG.Done()
-	for m := range w.batchCh {
-		w.plan.Fire(faultinject.PointDistWorkerBatch)
-		snap, err := explore.DecodeSnapshot(m.Snapshot)
-		if err != nil {
-			w.fail(fmt.Errorf("dist: batch %d: %w", m.Batch, err))
-			return
-		}
-		opt := w.opt
-		opt.MaxStates = m.MaxStates
-		rep, err := explore.ResumeContext(w.ctx, w.unit, snap, opt)
-		if err != nil {
-			w.fail(fmt.Errorf("dist: batch %d: %w", m.Batch, err))
-			return
-		}
-		ws := rep.WireSnapshot()
-		if ws == nil {
-			w.fail(fmt.Errorf("dist: batch %d produced no snapshot", m.Batch))
-			return
-		}
-		data, err := ws.Encode()
-		if err != nil {
-			w.fail(fmt.Errorf("dist: batch %d: encode result: %w", m.Batch, err))
-			return
-		}
-		w.plan.Fire(faultinject.PointDistWorkerResult)
-		res := &Message{
-			Type:     MsgResult,
-			Batch:    m.Batch,
-			Snapshot: data,
-			Cause:    int(rep.Cause),
-			Complete: !rep.Incomplete,
-		}
-		if err := w.write(res); err != nil {
-			w.fail(err)
-			return
-		}
+	opt := w.opt
+	opt.MaxStates = m.MaxStates
+	rep, err := explore.Resume(w.unit, snap, opt)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// remoteQuery is the router's blocking path to a foreign range owner,
-// relayed by the coordinator. ok=false on any failure (write error,
-// disconnect, timeout): the caller degrades to a miss.
-func (w *worker) remoteQuery(hash uint64, key []byte, depth int) (bool, bool) {
-	w.qmu.Lock()
-	if w.dead {
-		w.qmu.Unlock()
-		return false, false
+	ws := rep.WireSnapshot()
+	if ws == nil {
+		return nil, fmt.Errorf("slice produced no snapshot")
 	}
-	w.qseq++
-	seq := w.qseq
-	ch := make(chan bool, 1)
-	w.pending[seq] = ch
-	w.qmu.Unlock()
-
-	q := &Message{Type: MsgCacheQuery, Seq: seq, Hash: hash, Key: key, Depth: depth}
-	if err := w.write(q); err != nil {
-		w.qmu.Lock()
-		delete(w.pending, seq)
-		w.qmu.Unlock()
-		return false, false
+	data, err := ws.Encode()
+	if err != nil {
+		return nil, fmt.Errorf("encode result: %w", err)
 	}
-	select {
-	case pruned := <-ch:
-		return pruned, true
-	case <-time.After(queryTimeout):
-		w.qmu.Lock()
-		delete(w.pending, seq)
-		w.qmu.Unlock()
-		return false, false
-	}
-}
-
-// disconnect marks the session dead, releases every blocked remote
-// lookup with a sound "not visited", and cancels the running slice.
-func (w *worker) disconnect() {
-	w.qmu.Lock()
-	w.dead = true
-	for seq, ch := range w.pending {
-		delete(w.pending, seq)
-		ch <- false
-	}
-	w.qmu.Unlock()
-	w.cancel()
-	close(w.batchCh)
-	w.execWG.Wait()
-}
-
-// fail records the executor's fatal error and reports it to the
-// coordinator; the reader returns it once the session ends.
-func (w *worker) fail(err error) {
-	w.logf("dist worker: %v", err)
-	w.emu.Lock()
-	if w.execErr == nil {
-		w.execErr = err
-	}
-	w.emu.Unlock()
-	w.write(&Message{Type: MsgError, Err: err.Error()})
-}
-
-// takeExecErr prefers the executor's recorded error over the reader's.
-func (w *worker) takeExecErr(readerErr error) error {
-	w.emu.Lock()
-	defer w.emu.Unlock()
-	if w.execErr != nil {
-		return w.execErr
-	}
-	return readerErr
-}
-
-func (w *worker) write(m *Message) error {
-	w.wmu.Lock()
-	defer w.wmu.Unlock()
-	return WriteFrame(w.out, m)
+	w.opt.Fault.Fire(faultinject.PointDistWorkerResult)
+	return &Message{
+		Type:     MsgResult,
+		Batch:    m.Batch,
+		Snapshot: data,
+		Cause:    int(rep.Cause),
+		Complete: !rep.Incomplete,
+	}, nil
 }

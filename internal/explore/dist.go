@@ -42,7 +42,6 @@ func (r *Report) WireSnapshot() *Snapshot {
 // concurrent use; the coordinator's single event loop owns it.
 type Merger struct {
 	u     *cfg.Unit
-	opt   Options
 	sites *siteTable
 	acc   *accum
 	met   *exploreMetrics
@@ -56,7 +55,6 @@ func NewMerger(u *cfg.Unit, opt Options) *Merger {
 	sites := newSiteTable(u)
 	return &Merger{
 		u:     u,
-		opt:   opt,
 		sites: sites,
 		acc:   newAccum(opt, sites, len(u.Processes)),
 		met:   newExploreMetrics(opt.Obs),
@@ -108,14 +106,6 @@ func (m *Merger) States() int64 {
 // input for CheckpointEveryPaths cadence.
 func (m *Merger) Paths() int64 {
 	return m.acc.rep.Paths
-}
-
-// Reset discards everything merged so far. The coordinator uses it when
-// a worker death forces a full restart of a cache-partitioned search
-// (a dead worker's cache range may have justified other workers'
-// prunes, so partial results are unsound to keep).
-func (m *Merger) Reset() {
-	m.acc = newAccum(m.opt, m.sites, len(m.u.Processes))
 }
 
 // Checkpoint renders the merged-so-far state plus the given frontier as

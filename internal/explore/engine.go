@@ -558,7 +558,7 @@ func (e *engine) runPath() {
 			e.leaf(LeafDepth, "depth bound reached")
 			return
 		}
-		cached := e.cache != nil || e.opt.CacheVisit != nil
+		cached := e.cache != nil
 		var h uint64
 		if cached || e.liveStack != nil {
 			// The state's identity, taken once: the blue stack, the cache
@@ -596,11 +596,7 @@ func (e *engine) runPath() {
 				if len(e.fpBuf) > fpLen {
 					h = interp.Mix64(h, statecache.FNV1a(e.fpBuf[fpLen:]))
 				}
-				if e.opt.CacheVisit != nil {
-					pruned = e.opt.CacheVisit(h, e.fpBuf, depth)
-				} else {
-					pruned = e.cache.VisitPrehashed(h, e.fpBuf, depth)
-				}
+				pruned = e.cache.VisitPrehashed(h, e.fpBuf, depth)
 			} else {
 				pruned = e.cache.Visit(e.fpBuf, depth)
 			}

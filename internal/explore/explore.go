@@ -144,18 +144,17 @@ type Options struct {
 	// clock-wise (second chance). Eviction only degrades pruning — a
 	// forgotten state is re-explored on revisit — never soundness.
 	MaxCacheBytes int64
-	// CacheVisit, when non-nil together with StateCache, replaces the
-	// run-local visited-state set with an external one: the engine
-	// computes the routing hash and full fingerprint key exactly as it
-	// would for the in-process cache, then asks CacheVisit whether the
-	// state was already visited (true = prune). The distributed layer
-	// uses this to route membership to the worker that owns the
-	// fingerprint's hash range. The callback may be invoked from
-	// multiple worker goroutines; it must be safe for concurrent use
-	// and, like eviction, may answer false for a visited state (pruning
-	// degrades, soundness does not) but must never answer true for an
-	// unvisited one.
-	CacheVisit func(hash uint64, key []byte, depth int) bool
+	// Cache, when non-nil together with StateCache, is the visited-state
+	// set the search uses instead of building its own from CacheShards
+	// and MaxCacheBytes. It exists for a caller that runs one search —
+	// one program, one option set — as a sequence of Resume slices and
+	// passes the same cache to each, so that a state visited in one
+	// slice prunes its revisit in a later one: a distributed worker
+	// process (internal/dist). A cache entry claims that its state's
+	// subtree is covered by the slices so far and the unexplored
+	// remainders they reported, so the caller must keep every such
+	// slice's report, or drop the cache along with a report it drops.
+	Cache *statecache.Cache
 	// MaxIncidents bounds the recorded incident samples: the search keeps
 	// the MaxIncidents smallest under (depth, decision sequence, message),
 	// the same ones at every worker count; counters are exact
@@ -612,13 +611,15 @@ func newMachine(res *interp.Resolution, opt Options) (interp.Machine, error) {
 	return m, nil
 }
 
-// newStateCache builds the search's shared visited-state set, or nil
-// when StateCache is off: one cache per run, attached to every engine. An external CacheVisit supplants
-// the in-process cache entirely: the engine still hashes states, but
-// membership lives wherever the callback says it does.
+// newStateCache returns the search's shared visited-state set, attached
+// to every engine, or nil when StateCache is off: Options.Cache when
+// the caller supplied one, else a cache built for this run.
 func newStateCache(opt Options) *statecache.Cache {
-	if !opt.StateCache || opt.CacheVisit != nil {
+	if !opt.StateCache {
 		return nil
+	}
+	if opt.Cache != nil {
+		return opt.Cache
 	}
 	return statecache.New(statecache.Config{
 		Shards:   opt.CacheShards,

@@ -43,9 +43,11 @@ go test -count=1 -timeout=10m -race ./internal/explore/... ./internal/interp/...
 go test -count=1 -timeout=10m -race ./internal/leaderelect/ ./internal/lockserver/
 
 # Distributed-exploration race leg: coordinator/worker subprocesses,
-# the equivalence grid against the in-process engine (workers × spill
-# × cache shards), and the worker-crash lease-recovery tests, all with
-# the race detector watching the coordinator's event loop.
+# the equivalence grid against the in-process engine (workers × spill,
+# and workers × cache shards with one private cache per worker process),
+# the worker-crash lease-recovery tests, the worker's one loop driven
+# in-process over pipes, and a shutdown whose grace period expires, all
+# with the race detector watching the coordinator's event loop.
 go test -count=1 -timeout=10m -race ./internal/dist/
 
 # Job-server race leg: the daemon's queue/retry/journal machinery plus
@@ -72,3 +74,7 @@ go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 # of the bench driver.
 go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkSchedule|BenchmarkStateKey|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x . ./internal/explore
 sh -n scripts/bench.sh
+
+# Not a gate: non-test Go lines per package and in total, the number
+# the simplicity entries in CHANGES.md quote.
+scripts/loc.sh
