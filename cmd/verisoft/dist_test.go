@@ -96,6 +96,13 @@ func TestCLIDistWorkers(t *testing.T) {
 	if !strings.Contains(string(events), `"cache":"private"`) || strings.Contains(string(events), "cache_partitioned") {
 		t.Errorf("dist_start event does not carry cache: \"private\":\n%s", events)
 	}
+	// The search is the one driver's, so the trace has its events around
+	// the transport's.
+	for _, ev := range []string{"dist_start", "run_start", "dist_batch", "dist_result", "run_stop"} {
+		if !strings.Contains(string(events), `"ev":"`+ev+`"`) {
+			t.Errorf("the trace of a distributed run has no %s event:\n%s", ev, events)
+		}
+	}
 
 	// One worker process has the only cache there is: nothing to say.
 	out.Reset()
@@ -105,6 +112,55 @@ func TestCLIDistWorkers(t *testing.T) {
 	}
 	if bytes.Contains(out.Bytes(), []byte("state cache:")) {
 		t.Errorf("a one-worker cached run printed a state-cache line:\n%s", out.String())
+	}
+}
+
+// TestCLIDistDriverFlags checks that the flags the search driver serves
+// mean under -dist-workers what they mean without it: -resume finishes a
+// cut search, -progress reports, -checkpoint-every is a wall-clock
+// period.
+func TestCLIDistDriverFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses")
+	}
+	prog := writeProg(t, progs.Philosophers(3))
+	full := []string{"-no-por", "-no-sleep"}
+	run := func(wantCode int, args ...string) (stdout, stderr string) {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if code := realMain(append(append(full, args...), prog), &out, &errb); code != wantCode {
+			t.Fatalf("%v: exit code = %d, want %d\nstderr:\n%s\nstdout:\n%s", args, code, wantCode, errb.String(), out.String())
+		}
+		return out.String(), errb.String()
+	}
+	out, _ := run(3)
+	want := summaryRE.FindStringSubmatch(out)
+	if want == nil {
+		t.Fatalf("no summary: line in the uninterrupted run's output:\n%s", out)
+	}
+
+	// Cut in-process by a state budget, finished by two worker processes.
+	ckpt := filepath.Join(t.TempDir(), "cut.ckpt")
+	run(3, "-max-states", "300", "-checkpoint", ckpt) // the cut has a deadlock already
+	out, stderr := run(3, "-dist-workers", "2", "-dist-slice", "64", "-resume", ckpt, "-progress", "10ms")
+	got := summaryRE.FindStringSubmatch(out)
+	if got == nil || !strings.Contains(out, "resuming: ") {
+		t.Fatalf("the resumed distributed run printed no resuming: or summary: line:\n%s", out)
+	}
+	for i, field := range []string{"states", "transitions", "paths", "incidents"} {
+		if got[i+1] != want[i+1] {
+			t.Errorf("cut + distributed resume: summary %s = %s, the uninterrupted run has %s", field, got[i+1], want[i+1])
+		}
+	}
+	if !strings.Contains(stderr, "progress: states="+want[1]+" ") {
+		t.Errorf("-dist-workers 2 -progress 10ms did not end on a progress: line with the final count:\n%s", stderr)
+	}
+
+	// A run that completes inside the period writes no checkpoint.
+	never := filepath.Join(t.TempDir(), "never.ckpt")
+	run(3, "-dist-workers", "2", "-dist-slice", "64", "-checkpoint", never, "-checkpoint-every", "1h")
+	if _, err := os.Stat(never); !os.IsNotExist(err) {
+		t.Errorf("-checkpoint-every 1h wrote a checkpoint during a run of milliseconds (stat: %v)", err)
 	}
 }
 
@@ -125,7 +181,6 @@ func TestCLIDistFlagValidation(t *testing.T) {
 		{[]string{"-cache-mem", "1048576", prog}, "require -state-cache"},
 		{[]string{"-dist-workers", "2", "-cache-mem", "1048576", prog}, "require -state-cache"},
 		{[]string{"-dist-workers", "2", "-shortest", prog}, "-dist-workers does not compose"},
-		{[]string{"-dist-workers", "2", "-resume", "nope.ckpt", prog}, "-dist-workers does not compose"},
 		{[]string{"-dist-workers", "-1", prog}, "-dist-workers must be >= 0"},
 	} {
 		var out, errb bytes.Buffer

@@ -44,8 +44,6 @@ import (
 	"time"
 
 	"reclose/internal/atomicio"
-	"reclose/internal/cfg"
-	"reclose/internal/core"
 	"reclose/internal/dist"
 	"reclose/internal/explore"
 	"reclose/internal/interp"
@@ -206,8 +204,8 @@ func (c *cli) run() (int, error) {
 	if c.interest != "" && search != explore.SearchPriority {
 		return 1, fmt.Errorf("-interest requires -search=priority")
 	}
-	if c.distWorkers > 0 && (c.shortest || c.resumeFrm != "") {
-		return 1, fmt.Errorf("-dist-workers does not compose with -shortest or -resume")
+	if c.distWorkers > 0 && c.shortest {
+		return 1, fmt.Errorf("-dist-workers does not compose with -shortest")
 	}
 	if c.distWorkers < 0 {
 		return 1, fmt.Errorf("-dist-workers must be >= 0")
@@ -219,7 +217,11 @@ func (c *cli) run() (int, error) {
 		return 1, fmt.Errorf("-cache-shards and -cache-mem require -state-cache")
 	}
 
-	unit, how, err := c.prepare(string(src))
+	closeMode := "auto"
+	if c.naive > 0 {
+		closeMode = "naive"
+	}
+	unit, how, err := mgenv.Prepare(string(src), closeMode, c.naive)
 	if err != nil {
 		return 1, err
 	}
@@ -359,55 +361,42 @@ func (c *cli) run() (int, error) {
 		} else {
 			fmt.Fprintln(c.stdout, "no incident within the depth limit")
 		}
-	case c.resumeFrm != "":
-		data, err := os.ReadFile(c.resumeFrm)
-		if err != nil {
-			return 1, err
-		}
-		snap, err := explore.DecodeSnapshot(data)
-		if err != nil {
-			return 1, err
-		}
-		fmt.Fprintf(c.stdout, "resuming: %d work units, %d states already explored\n",
-			len(snap.Units), snap.Counters.States)
-		rep, err = explore.ResumeContext(ctx, unit, snap, opt)
-		if err != nil {
-			return 1, err
-		}
-	case c.distWorkers > 0:
-		exe, err := os.Executable()
-		if err != nil {
-			return 1, fmt.Errorf("dist-workers: locating own binary: %w", err)
-		}
-		prog := dist.Program{Source: string(src)}
-		if c.naive > 0 {
-			prog.Close = "naive"
-			prog.NaiveDomain = c.naive
-		}
-		if c.ckptFile != "" && c.ckptEvery > 0 {
-			// The distributed coordinator checkpoints on completed-path
-			// cadence rather than wall time; roughly one slice budget of
-			// paths between snapshots keeps a comparable rhythm.
-			opt.CheckpointEveryPaths = c.distSlice
-			if opt.CheckpointEveryPaths <= 0 {
-				opt.CheckpointEveryPaths = 4096
-			}
-		}
-		rep, err = dist.Run(ctx, prog, opt, dist.Config{
-			Workers:      c.distWorkers,
-			Command:      []string{exe, "-worker-mode"},
-			SliceStates:  c.distSlice,
-			LeaseTimeout: c.distLease,
-			Interest:     interest,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(c.stderr, format+"\n", args...)
-			},
-		})
-		if err != nil {
-			return 1, err
-		}
 	default:
-		rep, err = explore.ExploreContext(ctx, unit, opt)
+		var snap *explore.Snapshot
+		if c.resumeFrm != "" {
+			data, err := os.ReadFile(c.resumeFrm)
+			if err != nil {
+				return 1, err
+			}
+			snap, err = explore.DecodeSnapshot(data)
+			if err != nil {
+				return 1, err
+			}
+			fmt.Fprintf(c.stdout, "resuming: %d work units, %d states already explored\n",
+				len(snap.Units), snap.Counters.States)
+		}
+		switch {
+		case c.distWorkers > 0:
+			var exe string
+			if exe, err = os.Executable(); err != nil {
+				return 1, fmt.Errorf("dist-workers: locating own binary: %w", err)
+			}
+			rep, err = dist.Run(ctx, dist.Program{Source: string(src), Close: closeMode, NaiveDomain: c.naive}, opt, dist.Config{
+				Workers:      c.distWorkers,
+				Command:      []string{exe, "-worker-mode"},
+				SliceStates:  c.distSlice,
+				LeaseTimeout: c.distLease,
+				Resume:       snap,
+				Interest:     interest,
+				Logf: func(format string, args ...any) {
+					fmt.Fprintf(c.stderr, format+"\n", args...)
+				},
+			})
+		case snap != nil:
+			rep, err = explore.ResumeContext(ctx, unit, snap, opt)
+		default:
+			rep, err = explore.ExploreContext(ctx, unit, opt)
+		}
 		if err != nil {
 			return 1, err
 		}
@@ -528,30 +517,6 @@ func writeSnapshot(path string, s *explore.Snapshot) error {
 		return err
 	}
 	return atomicio.WriteFile(path, data, 0o644)
-}
-
-// prepare closes the program if it is open.
-func (c *cli) prepare(src string) (*cfg.Unit, string, error) {
-	unit, err := core.CompileSource(src)
-	if err != nil {
-		return nil, "", err
-	}
-	if !unit.IsOpen() {
-		return unit, "already closed", nil
-	}
-	if c.naive > 0 {
-		composed, info, err := mgenv.ComposeSource(src, c.naive)
-		if err != nil {
-			return nil, "", err
-		}
-		return composed, fmt.Sprintf("naively closed with most general environment, domain %d (%d env processes)",
-			c.naive, len(info.EnvProcs)), nil
-	}
-	closed, st, err := core.Close(unit)
-	if err != nil {
-		return nil, "", err
-	}
-	return closed, fmt.Sprintf("automatically closed (%s)", st), nil
 }
 
 func readSource(path string) ([]byte, error) {

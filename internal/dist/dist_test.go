@@ -4,19 +4,23 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
 	"sort"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"reclose/internal/explore"
 	"reclose/internal/fiveess"
+	"reclose/internal/interp"
 	"reclose/internal/obs"
 	"reclose/internal/progs"
 )
 
-// TestMain doubles as the worker binary: the coordinator respawns the
-// test executable with RECLOSE_DIST_WORKER=1 and the process becomes a
+// TestMain doubles as the worker binary: Run respawns the test
+// executable with RECLOSE_DIST_WORKER=1 and the process becomes a
 // real protocol worker over its stdin/stdout — the tests below
 // exercise actual multi-process runs, not an in-process simulation.
 // RECLOSE_DIST_WORKER=deaf is a worker that ignores the end of its
@@ -43,7 +47,6 @@ func workerConfig(workers int) Config {
 		Command:     []string{os.Args[0]},
 		Env:         []string{"RECLOSE_DIST_WORKER=1"},
 		SliceStates: 512,
-		BatchUnits:  8,
 	}
 }
 
@@ -267,12 +270,12 @@ func TestDistMaxStatesResume(t *testing.T) {
 }
 
 // TestWorkerCrashRecovery kills real worker processes mid-batch and
-// asserts the lease machinery recovers without losing or duplicating
+// asserts the search recovers without losing or duplicating
 // work: the final report is identical to an undisturbed distributed
 // run and to the in-process oracle. Three seeded schedules cover the
 // failure surface: a panic before the slice runs (the batch dies
 // unstarted), a panic after the slice computes but before the result
-// ships (the nastier half of exactly-once — the coordinator must not
+// ships (the nastier half of exactly-once — the search must not
 // count the lost result AND must re-explore its units), and a hang
 // that the lease timeout resolves by SIGKILLing the worker.
 func TestWorkerCrashRecovery(t *testing.T) {
@@ -387,52 +390,121 @@ func TestWorkerCrashRecoveryCached(t *testing.T) {
 // TestShutdownGraceExpires shuts down a fleet of one worker that exits
 // on the shutdown frame and one that ignores it, so the grace period
 // really expires: the reaper has already seen the first exit and is
-// waiting on the second when the coordinator has to decide whom to
-// kill. Both must end up reaped; under -race this is the test that
-// watches waitAll.
+// waiting on the second when waitAll has to decide whom to kill. Both
+// must end up reaped; under -race this is the test that watches waitAll.
 func TestShutdownGraceExpires(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
-	c := &coordinator{
-		cfg:    workerConfig(2).withDefaults(),
-		prog:   Program{Source: progs.Philosophers(3)},
-		procs:  make([]*procState, 2),
-		events: make(chan event, 8), // two ready frames, two read errors
+	f := &fleet{
+		cfg:   workerConfig(2).withDefaults(),
+		hello: Hello{Version: ProtocolVersion, Program: Program{Source: progs.Philosophers(3)}},
+		procs: make([]*proc, 2),
 	}
-	defer c.killAll()
+	defer f.killAll()
+	cmds := make([]*exec.Cmd, len(f.procs))
 	for slot, mode := range []string{"1", "deaf"} {
 		// A -race build sleeps a second on its way out unless told not
 		// to, which would keep the first worker up past the grace period.
-		c.cfg.Env = []string{"RECLOSE_DIST_WORKER=" + mode, "GORACE=atexit_sleep_ms=0"}
-		if err := c.spawn(slot, false); err != nil {
+		f.cfg.Env = []string{"RECLOSE_DIST_WORKER=" + mode, "GORACE=atexit_sleep_ms=0"}
+		p := &proc{fleet: f, slot: slot}
+		f.procs[slot] = p
+		if err := p.spawn(false); err != nil {
 			t.Fatal(err)
 		}
+		cmds[slot] = p.cmd
 	}
-	for range c.procs {
-		if ev := <-c.events; ev.err != nil || ev.msg.Type != MsgReady {
-			t.Fatalf("worker %d did not come up: %+v", ev.slot, ev)
+	for _, p := range f.procs {
+		if m, err := ReadFrame(p.stdout); err != nil || m.Type != MsgReady {
+			t.Fatalf("worker %d did not come up: %+v, %v", p.slot, m, err)
 		}
 	}
-	for _, p := range c.procs {
-		if err := c.send(p, &Message{Type: MsgShutdown}); err != nil {
+	for _, p := range f.procs {
+		if err := WriteFrame(p.stdin, &Message{Type: MsgShutdown}); err != nil {
 			t.Fatal(err)
 		}
 		p.stdin.Close()
 	}
 	const grace = 300 * time.Millisecond
 	start := time.Now()
-	c.waitAll(grace)
+	f.waitAll(grace)
 	if took := time.Since(start); took < grace {
 		t.Errorf("waitAll returned after %v; the deaf worker did not outlive the %v grace period", took, grace)
 	}
-	for _, p := range c.procs {
-		if p.alive || p.cmd.ProcessState == nil {
-			t.Errorf("worker %d: alive=%v reaped=%v after waitAll", p.slot, p.alive, p.cmd.ProcessState != nil)
+	for slot, p := range f.procs {
+		if p.cmd != nil || cmds[slot].ProcessState == nil {
+			t.Errorf("worker %d: still in its slot=%v reaped=%v after waitAll", slot, p.cmd != nil, cmds[slot].ProcessState != nil)
 		}
 	}
-	if st := c.procs[1].cmd.ProcessState; st != nil && st.Exited() {
+	if st := cmds[1].ProcessState; st != nil && st.Exited() {
 		t.Errorf("the deaf worker exited on its own (%v); it was meant to be killed", st)
+	}
+}
+
+// TestRunLeavesNothingBehind checks what a long-lived caller — verisoftd
+// calls Run once per distributed attempt — needs of every way Run can
+// end: no goroutine it started is alive and no child process is left,
+// running or unreaped.
+func TestRunLeavesNothingBehind(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses")
+	}
+	prog, opt := fiveessSmall()
+	badEngine := opt
+	badEngine.Engine = interp.EngineKind(99) // the workers cannot decode it: an error frame
+	for _, tc := range []struct {
+		name    string
+		opt     explore.Options
+		rules   string
+		cancel  time.Duration // cancel the run this long after it starts
+		wantErr string
+	}{
+		{name: "complete", opt: opt},
+		{name: "cancelled-mid-batch", opt: opt, cancel: 500 * time.Millisecond,
+			rules: `[{"point":"dist.worker.batch","action":"sleep","sleep_ms":20000,"after":2}]`},
+		{name: "worker-death", opt: opt,
+			rules: `[{"point":"dist.worker.result","action":"panic","count":1}]`},
+		{name: "error-frame", opt: badEngine, wantErr: "EngineKind(99)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel > 0 {
+				time.AfterFunc(tc.cancel, cancel)
+			}
+			cfg := workerConfig(2)
+			cfg.FaultRules = tc.rules
+			rep, err := Run(ctx, prog, tc.opt, cfg)
+			switch {
+			case tc.wantErr != "":
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("Run = (%v, %v), want an error naming %s", rep, err, tc.wantErr)
+				}
+			case err != nil:
+				t.Fatalf("Run: %v", err)
+			case tc.cancel > 0:
+				if !rep.Incomplete || rep.Cause != explore.StopCancelled {
+					t.Errorf("Incomplete=%v Cause=%v, want a cancelled run", rep.Incomplete, rep.Cause)
+				}
+			case rep.Incomplete:
+				t.Errorf("run reported incomplete: cause %v", rep.Cause)
+			}
+			// Every child was waited for: the process has none left.
+			var ws syscall.WaitStatus
+			if pid, err := syscall.Wait4(-1, &ws, syscall.WNOHANG, nil); err != syscall.ECHILD {
+				t.Errorf("Wait4 = (%d, %v) after Run returned, want ECHILD: a worker process is still there", pid, err)
+			}
+			// The timers' and the context's callbacks may be on their way
+			// out; nothing else is allowed to be.
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 100 {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines before Run, %d after:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
 	}
 }
 

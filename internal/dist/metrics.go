@@ -4,10 +4,10 @@ import (
 	"reclose/internal/obs"
 )
 
-// Metric names registered on the coordinator's registry. Worker
-// processes have no route to this registry; everything observable
-// about them flows through the coordinator (batches, results, deaths),
-// so the counters live here.
+// Metric names registered on the run's registry (Options.Obs). Worker
+// processes have no route to it; everything observable about them is
+// what Slice sees (batches, results, deaths), so the counters live
+// here.
 const (
 	MetricBatches         = "dist.batches"
 	MetricUnitsLeased     = "dist.units.leased"
@@ -17,7 +17,7 @@ const (
 	MetricLeases          = "dist.leases.outstanding" // gauge
 )
 
-// distMetrics bundles the coordinator's instruments; every field is
+// distMetrics bundles the fleet's instruments; every field is
 // nil — and every call free — when the registry is nil (the obs
 // nil-receiver contract).
 type distMetrics struct {
@@ -66,7 +66,6 @@ func (m *distMetrics) emitBatch(slot int, id uint64, units int, budget int64) {
 }
 
 func (m *distMetrics) emitResult(slot int, id uint64) {
-	m.leases.Add(-1)
 	m.sink.Emit("dist_result", obs.F("slot", slot), obs.F("batch", id))
 }
 
@@ -82,8 +81,4 @@ func (m *distMetrics) emitDeath(slot int, reassigned int, reason string) {
 func (m *distMetrics) emitRespawn(slot int) {
 	m.respawns.Inc()
 	m.sink.Emit("dist_worker_respawn", obs.F("slot", slot))
-}
-
-func (m *distMetrics) emitStop(states, paths int64) {
-	m.sink.Emit("dist_stop", obs.F("states", states), obs.F("paths", paths))
 }

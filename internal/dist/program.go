@@ -1,10 +1,10 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 
 	"reclose/internal/cfg"
-	"reclose/internal/core"
 	"reclose/internal/explore"
 	"reclose/internal/interp"
 	"reclose/internal/mgenv"
@@ -12,9 +12,8 @@ import (
 
 // Program is the portable description of what to explore: the MiniC
 // source plus the closing mode, compiled identically on both sides of
-// the wire (the coordinator validates every result snapshot against
-// its own compilation, so a skew would fail loudly, not merge
-// garbage).
+// the wire (the search validates every result snapshot against its
+// own compilation, so a skew would fail loudly, not merge garbage).
 type Program struct {
 	Source string `json:"source"`
 	// Close selects how an open program is closed: "auto" (default,
@@ -24,26 +23,13 @@ type Program struct {
 	NaiveDomain int    `json:"naive_domain,omitempty"`
 }
 
-// Compile builds the closed unit, mirroring the CLI and job-server
-// pipelines.
+// Compile builds the closed unit (mgenv.Prepare).
 func (p *Program) Compile() (*cfg.Unit, error) {
-	unit, err := core.CompileSource(p.Source)
-	if err != nil {
-		return nil, err
+	unit, _, err := mgenv.Prepare(p.Source, p.Close, p.NaiveDomain)
+	if errors.Is(err, mgenv.ErrOpen) {
+		err = fmt.Errorf("dist: %w", err)
 	}
-	if !unit.IsOpen() {
-		return unit, nil
-	}
-	switch p.Close {
-	case "none":
-		return nil, fmt.Errorf("dist: program is open and close mode is none")
-	case "naive":
-		composed, _, err := mgenv.ComposeSource(p.Source, p.NaiveDomain)
-		return composed, err
-	default:
-		closed, _, err := core.Close(unit)
-		return closed, err
-	}
+	return unit, err
 }
 
 // EncodeOptions projects the serializable subset of an option set onto

@@ -1,14 +1,15 @@
-// Package dist distributes a state-space search across worker OS
-// processes. The coordinator owns the frontier of serialized work
-// units (explore.WireUnit), leases batches to workers over a
-// length-prefixed JSON protocol on the worker's stdin/stdout, and
-// folds the returned slice reports through explore.Merger — the same
-// deterministic merge the in-process drivers use — so final counters
-// and incident multisets match the in-process engine at any worker
-// count. A state cache, when the options ask for one, is private to
-// each worker process and lives as long as the process: nothing about
-// it crosses the wire, and a cached run at more than one worker keeps
-// the incident set, not the counters. See DESIGN.md §15.
+// Package dist runs a state-space search on worker OS processes. The
+// search is explore's one driver with a slice worker per process
+// (explore.Distribute); this package is the transport under it: a
+// length-prefixed JSON protocol on the worker's stdin/stdout, the
+// process side of it (WorkerMain: a loop over explore.Resume), and Slice,
+// which ships one batch of work units to a process and brings back the
+// slice's report snapshot, or kills and respawns the process. Final
+// counters and incident multisets match the in-process search at any
+// worker count. A state cache, when the options ask for one, is private
+// to each worker process and lives as long as the process: nothing about
+// it crosses the wire, and a cached run at more than one worker keeps the
+// incident set, not the counters. See DESIGN.md §15.
 package dist
 
 import (
@@ -36,7 +37,7 @@ const (
 	MsgHello = "hello"
 	// MsgReady is the worker's reply to hello: compiled and waiting.
 	MsgReady = "ready"
-	// MsgBatch leases a batch of work units to a worker.
+	// MsgBatch hands a batch of work units to a worker.
 	MsgBatch = "batch"
 	// MsgResult returns a finished slice: the report snapshot (its
 	// Units are the batch's unexplored remainder) plus cause/complete.
@@ -92,7 +93,7 @@ type Message struct {
 	// MsgReady.
 	PID int `json:"pid,omitempty"`
 
-	// MsgBatch / MsgResult: lease id and snapshot. A batch snapshot
+	// MsgBatch / MsgResult: batch number and snapshot. A batch snapshot
 	// carries zero counters plus the leased units and MaxStates is the
 	// slice's state budget; a result snapshot carries the slice's
 	// counter deltas plus leftover units, with Cause/Complete saying

@@ -107,11 +107,10 @@ func (w *worker) handshake() error {
 	return WriteFrame(w.out, &Message{Type: MsgReady, PID: os.Getpid()})
 }
 
-// runBatch explores one leased batch as a bounded Resume slice and
-// packs its report as the result frame. A fault-plan panic at
-// dist.worker.batch or dist.worker.result is deliberately NOT
-// recovered — it crashes the process, which is the worker-death
-// scenario the coordinator's lease machinery exists for.
+// runBatch explores one batch as a bounded Resume slice and packs its
+// report as the result frame. A fault-plan panic at dist.worker.batch
+// or dist.worker.result is deliberately NOT recovered — it crashes the
+// process, which is the worker death proc.Slice recovers from.
 func (w *worker) runBatch(m *Message) (*Message, error) {
 	w.opt.Fault.Fire(faultinject.PointDistWorkerBatch)
 	snap, err := explore.DecodeSnapshot(m.Snapshot)

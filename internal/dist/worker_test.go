@@ -2,11 +2,14 @@ package dist
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
+	"reclose/internal/cfg"
 	"reclose/internal/explore"
+	"reclose/internal/interp"
 	"reclose/internal/progs"
 )
 
@@ -76,19 +79,16 @@ func helloFrame(src string, opt explore.Options) *Message {
 	}}
 }
 
-// rootBatch is the batch a coordinator's first lease carries.
-func rootBatch(t *testing.T, src string, opt explore.Options, id uint64) (*Message, *explore.Merger) {
+// rootBatch is the first batch of a search: the root unit, no counters.
+func rootBatch(t *testing.T, src string, id uint64) (*Message, *cfg.Unit) {
 	t.Helper()
 	unit, err := (&Program{Source: src}).Compile()
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	merge := explore.NewMerger(unit, opt)
-	data, err := merge.NewBatch([]explore.WireUnit{merge.Root()}).Encode()
-	if err != nil {
-		t.Fatalf("encode batch: %v", err)
-	}
-	return &Message{Type: MsgBatch, Batch: id, Snapshot: data}, merge
+	data := fmt.Sprintf(`{"version":%d,"processes":%d,"site_bits":%d,"units":[{"root":true}]}`,
+		explore.SnapshotVersion, len(unit.Processes), interp.NumberUnit(unit).SiteBits)
+	return &Message{Type: MsgBatch, Batch: id, Snapshot: json.RawMessage(data)}, unit
 }
 
 func mustDecodeResult(t *testing.T, m *Message) *explore.Snapshot {
@@ -111,18 +111,16 @@ func TestWorkerMainSession(t *testing.T) {
 	if m := s.recv(MsgReady); m.PID == 0 {
 		t.Errorf("ready frame carries no pid")
 	}
-	batch, merge := rootBatch(t, src, opt, 7)
+	batch, unit := rootBatch(t, src, 7)
 	s.send(batch)
 	res := s.recv(MsgResult)
 	if res.Batch != 7 || !res.Complete {
 		t.Errorf("result frame: batch %d complete=%v, want batch 7 complete", res.Batch, res.Complete)
 	}
-	if err := merge.Add(mustDecodeResult(t, res)); err != nil {
-		t.Fatalf("merging the result: %v", err)
-	}
-	rep, err := merge.Report(nil, explore.StopNone, 1, nil)
+	// The result leaves no unit over: resumed, it is the whole report.
+	rep, err := explore.Resume(unit, mustDecodeResult(t, res), opt)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("the result does not restore: %v", err)
 	}
 	if got, want := distDigest(rep), distDigest(mustOracle(t, Program{Source: src}, opt)); got != want {
 		t.Errorf("session result diverged from the in-process search:\n got:\n%s\nwant:\n%s", got, want)
@@ -200,7 +198,7 @@ func TestWorkerMainBrokenSession(t *testing.T) {
 	})
 }
 
-// TestWorkerMainSharesCacheAcrossBatches leases the root unit to one
+// TestWorkerMainSharesCacheAcrossBatches hands the root unit to one
 // worker twice. The process keeps one state cache for the session, so
 // the second slice finds the root already visited and prunes there; a
 // cache per slice would explore it all again.
@@ -211,7 +209,7 @@ func TestWorkerMainSharesCacheAcrossBatches(t *testing.T) {
 	s.send(helloFrame(src, opt))
 	s.recv(MsgReady)
 
-	batch, _ := rootBatch(t, src, opt, 1)
+	batch, _ := rootBatch(t, src, 1)
 	s.send(batch)
 	first := mustDecodeResult(t, s.recv(MsgResult)).Counters
 	if want := mustOracle(t, Program{Source: src}, opt); first.States != want.States || first.CachePrunes != want.CachePrunes {

@@ -194,7 +194,7 @@ func E4Domain(w io.Writer, cfg Config) {
 		naive, _ := mustNaive(src, d)
 		nrep := mustExplore(naive, explore.Options{MaxDepth: depth, MaxStates: cap})
 		mark := ""
-		if nrep.Truncated {
+		if nrep.Incomplete {
 			mark = ">"
 		}
 		fmt.Fprintf(w, "%-10d %13s %13d %10s\n", d,
@@ -330,12 +330,12 @@ func E7POR(w io.Writer, cfg Config) {
 		pers := mustExplore(closed, explore.Options{MaxDepth: depth, NoSleep: true})
 		both := mustExplore(closed, explore.Options{MaxDepth: depth})
 		verdict := "n/a"
-		if !full.Truncated {
+		if !full.Incomplete {
 			ok := (full.Deadlocks > 0) == (both.Deadlocks > 0) && (full.Violations > 0) == (both.Violations > 0)
 			verdict = fmt.Sprintf("%t", ok)
 		}
 		mark := ""
-		if full.Truncated {
+		if full.Incomplete {
 			mark = ">"
 		}
 		fmt.Fprintf(w, "%-18s %12s %12d %12d %9s %9s\n",

@@ -251,9 +251,8 @@ func buildSnapshot(rep *Report, units []*workUnit) *Snapshot {
 // search: partial counters and samples (with traces rebuilt), the
 // coverage bitmap, and the unexplored work units.
 type restoredState struct {
-	rep     *Report
-	covered coverage
-	units   []*workUnit
+	partial
+	units []*workUnit
 }
 
 // restoreSnapshot validates a snapshot against the unit it is about to
@@ -341,7 +340,7 @@ func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
 		}
 		units = append(units, wu)
 	}
-	return &restoredState{rep: rep, covered: covered, units: units}, nil
+	return &restoredState{partial: partial{rep: rep, covered: covered}, units: units}, nil
 }
 
 // snapFromUnit serializes one work unit.

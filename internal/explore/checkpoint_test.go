@@ -452,13 +452,21 @@ func TestStaleCheckpointRefused(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), "snapshot unit ") || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("por=%s %s: Resume error = %v, want one naming the unit and %q", por, c.name, err, c.want)
 			}
-			// The same units arrive at the distributed merge as WireUnits.
-			_, err = explore.NewMerger(closed, opt).Report(stale.Units, explore.StopNone, 1, nil)
-			if err == nil || !strings.Contains(err.Error(), "pending unit ") || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("por=%s %s: Merger.Report error = %v, want one naming the unit and %q", por, c.name, err, c.want)
+			// The same units arrive at the distributed driver as what a
+			// slice left over: it refuses the result, and the search fails.
+			_, err = explore.Distribute(context.Background(), closed, nil, opt, []explore.Slicer{fixedSlicer{stale}}, 64)
+			if err == nil || !strings.Contains(err.Error(), "slice result: ") || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("por=%s %s: Distribute error = %v, want one naming the slice result and %q", por, c.name, err, c.want)
 			}
 		}
 	}
+}
+
+// fixedSlicer answers every slice with the same result.
+type fixedSlicer struct{ result *explore.Snapshot }
+
+func (s fixedSlicer) Slice(context.Context, *explore.Snapshot, int64) (*explore.Snapshot, explore.StopCause, error) {
+	return s.result, explore.StopNone, nil
 }
 
 // TestMaxStatesResumeEquivalence pins the reserve-then-credit budget

@@ -1,30 +1,72 @@
 package explore
 
-// Distributed entry points: the pieces internal/dist needs to move work
-// units between processes and fold worker results back through the same
-// deterministic merge the in-process driver uses. The wire format is
-// the checkpoint Snapshot — a batch is a snapshot with zero counters
-// and a unit list; a result is the snapshot of the slice's report — so
-// distribution inherits the checkpoint format's versioning, validation,
-// and fuzz coverage for free.
+// Distribution: the search driver with workers that explore nothing
+// themselves. A slice worker claims units from the frontier like any
+// worker and has its Slicer explore them somewhere else — another process
+// (internal/dist), or this one in a test — as one bounded slice. The wire
+// format is the checkpoint Snapshot: a batch is a snapshot with zero
+// counters and a unit list, a result is the snapshot of the slice's
+// report, so distribution inherits the checkpoint format's versioning,
+// validation and fuzz coverage, and everything the driver does for an
+// engine — budget, stop, pause-in-place checkpoints, progress, events —
+// it does for a slice worker.
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
+	"time"
 
 	"reclose/internal/cfg"
 )
 
-// WireUnit is the serialized form of one work unit — exactly the
-// encoding checkpoints use — exported as an opaque value so the
-// distributed layer can hold, batch, and re-ship units without this
-// package exposing frontier internals. Units round-trip bit-for-bit:
-// decision prefixes, priority scores, and the full dynamic-POR stack
-// (backtrack sets, seals) survive the wire.
-type WireUnit = snapUnit
+// Slicer explores batches of work units on behalf of one slice worker,
+// one at a time.
+type Slicer interface {
+	// Slice resumes batch — a snapshot of zero counters and the units to
+	// explore — under a budget of that many states (Resume with MaxStates:
+	// budget and the search's options), and returns the slice report's
+	// WireSnapshot, whose Units are what the slice left unexplored, with
+	// the report's Cause. When ctx ends there is nothing left to wait for.
+	// ErrSliceLost says no result will come and the batch is as it was;
+	// any other error ends the search.
+	Slice(ctx context.Context, batch *Snapshot, budget int64) (result *Snapshot, cause StopCause, err error)
+}
+
+// ErrSliceLost is a Slicer's report of a slice that produced nothing: its
+// units go back on the frontier unchanged.
+var ErrSliceLost = errors.New("explore: slice lost")
+
+// batchUnits caps the units of one batch.
+const batchUnits = 16
+
+// Distribute runs the search of u under opt with one slice worker per
+// Slicer in place of engines, from the resume snapshot if there is one.
+// A slice's budget is sliceStates states, or what is left of MaxStates.
+// opt.Workers and what else only an engine reads are the Slicers'
+// business; the report's Workers is their number. The report obeys the
+// contracts of an in-process search, with the allowance a resumed one
+// has: Replays and ReplaySteps count the unit prefixes slices re-replay.
+func Distribute(ctx context.Context, u *cfg.Unit, resume *Snapshot, opt Options, slicers []Slicer, sliceStates int64) (*Report, error) {
+	if len(slicers) == 0 || sliceStates <= 0 {
+		return nil, fmt.Errorf("explore: Distribute needs a Slicer and a positive slice budget (have %d, %d)", len(slicers), sliceStates)
+	}
+	var restored *restoredState
+	if resume != nil {
+		var err error
+		if restored, err = restoreSnapshot(u, resume); err != nil {
+			return nil, err
+		}
+	}
+	opt = opt.withDefaults()
+	opt.Workers = len(slicers)
+	return search(ctx, u, opt, restored, &distribution{slicers: slicers, sliceStates: sliceStates})
+}
 
 // WireSnapshot serializes a finalized report plus its pending units as
 // a Snapshot. Unlike Report.Snapshot it also works for a complete
-// report — the Units list is simply empty — which is what a worker
+// report — the Units list is simply empty — which is what a Slicer
 // returns for a slice it finished. It returns nil for reports that did
 // not come out of this package's merge layer (no program identity
 // attached), e.g. a zero Report.
@@ -35,117 +77,143 @@ func (r *Report) WireSnapshot() *Snapshot {
 	return buildSnapshot(r, r.pending)
 }
 
-// Merger folds worker-slice snapshots through the same accumulator the
-// in-process driver uses, so a distributed search's final counters,
-// coverage, and incident samples are identical to what one process
-// would have produced over the same slices. It is not safe for
-// concurrent use; the coordinator's single event loop owns it.
-type Merger struct {
+// distribution is what the slice workers of one search share.
+type distribution struct {
+	slicers     []Slicer
+	sliceStates int64
+
+	// ctx ends the slices in flight when the search stops.
+	ctx   context.Context
 	u     *cfg.Unit
 	sites *siteTable
-	acc   *accum
 	met   *exploreMetrics
 }
 
-// NewMerger builds a merger for one program under one option set. The
-// options must match the ones the workers run (MaxIncidents bounds the
-// merged sample list; Obs receives the merged totals).
-func NewMerger(u *cfg.Unit, opt Options) *Merger {
-	opt = opt.withDefaults()
-	sites := newSiteTable(u)
-	return &Merger{
-		u:     u,
-		sites: sites,
-		acc:   newAccum(opt, sites, len(u.Processes)),
-		met:   newExploreMetrics(opt.Obs),
+// start makes slice workers of the search's workers, and shared.abort
+// what ends their slices.
+func (d *distribution) start(ctx context.Context, u *cfg.Unit, sites *siteTable, shared *sharedState, met *exploreMetrics, workers []*worker) {
+	d.ctx, shared.abort = context.WithCancel(ctx)
+	d.u, d.sites, d.met = u, sites, met
+	for i, w := range workers {
+		w.slicer, w.dist = d.slicers[i], d
+		w.partial = partial{rep: &Report{}, covered: newCoverage(sites)}
 	}
 }
 
-// Root returns the serialized whole-search work unit that seeds a
-// distributed frontier, exactly as the in-process driver seeds its own.
-func (m *Merger) Root() WireUnit {
-	return m.sites.snapFromUnit(&workUnit{root: true})
-}
-
-// NewBatch packages a set of frontier units as a batch snapshot for one
-// worker slice: program identity for validation on the far side, zero
-// counters (the result's counters are then a pure delta), and the
-// units.
-func (m *Merger) NewBatch(units []WireUnit) *Snapshot {
-	return &Snapshot{
-		Version:   SnapshotVersion,
-		Processes: len(m.u.Processes),
-		SiteBits:  m.sites.bits,
-		Units:     append([]WireUnit(nil), units...),
-	}
-}
-
-// Add validates a worker-result snapshot against the program and folds
-// its counters, coverage, and incident samples into the merge. The
-// snapshot's Units — the slice's unexplored remainder — are NOT
-// consumed here; the coordinator returns them to its frontier. Add
-// rebuilds incident traces by replay, so merged samples are as complete
-// as an in-process run's.
-func (m *Merger) Add(snap *Snapshot) error {
-	rs, err := restoreSnapshot(m.u, snap)
-	if err != nil {
-		return err
-	}
-	m.acc.addRestored(rs)
-	m.met.addRestored(rs.rep)
-	return nil
-}
-
-// States reports the states merged so far — the coordinator's input for
-// global MaxStates budgeting.
-func (m *Merger) States() int64 {
-	return m.acc.rep.States
-}
-
-// Paths reports the completed paths merged so far — the coordinator's
-// input for CheckpointEveryPaths cadence.
-func (m *Merger) Paths() int64 {
-	return m.acc.rep.Paths
-}
-
-// Checkpoint renders the merged-so-far state plus the given frontier as
-// a resumable snapshot — an exact cut: leased-but-unmerged slices must
-// be included in pending by the caller, and their partial progress is
-// simply re-explored on resume.
-func (m *Merger) Checkpoint(pending []WireUnit) *Snapshot {
-	c := m.acc.clone()
-	rep := c.finalize(0, nil)
-	s := buildSnapshot(rep, nil)
-	s.Units = append([]WireUnit(nil), pending...)
-	return s
-}
-
-// Report finalizes the merge. A non-empty pending list or a non-None
-// cause marks the report Incomplete, with pending carried so Snapshot
-// and WireSnapshot work on it; workers/stats land in the report like a
-// parallel run's.
-func (m *Merger) Report(pending []WireUnit, cause StopCause, workers int, stats []WorkerStat) (*Report, error) {
-	units := make([]*workUnit, 0, len(pending))
-	for i := range pending {
-		wu, err := m.sites.unitFromSnap(&pending[i], len(m.u.Processes))
-		if err != nil {
-			return nil, fmt.Errorf("explore: pending unit %d: %w", i, err)
+// ship is the slice worker's loop: claim a batch of units, reserve its
+// state budget, have the Slicer explore it, fold the result into the
+// worker's partial report, push what the slice left over and retire the
+// batch. The claim is the lease: a result is merged if Slice returned it,
+// the units are put back if it returned an error, and it returns once.
+// The worker yields between slices, so a pause waits for the one in
+// flight, and a stop ends it through the slices' context.
+func (w *worker) ship() {
+	d := w.dist
+	for {
+		select {
+		case <-w.cancelled:
+			w.shared.requestStop(StopCancelled)
+		default:
 		}
-		units = append(units, wu)
+		batch := w.claimBatch()
+		if batch == nil {
+			return
+		}
+		budget, spent := w.shared.reserve(d.sliceStates)
+		if budget == 0 {
+			// The slices in flight hold what is left of MaxStates and go
+			// on with what they credit; with none, the search is cut.
+			w.requeue(batch)
+			if spent {
+				w.shared.requestStop(StopMaxStates)
+			}
+			return
+		}
+		w.units += int64(len(batch))
+		t0 := time.Now()
+		result, cause, err := w.slicer.Slice(d.ctx, d.batch(batch), budget)
+		w.busy += time.Since(t0)
+		var rs *restoredState
+		if err == nil {
+			// Validated before anything of it counts: a result the merge
+			// refuses is as deterministic as a refused batch.
+			if rs, err = restoreSnapshot(d.u, result); err != nil {
+				err = fmt.Errorf("explore: slice result: %w", err)
+			}
+		}
+		if err != nil {
+			w.shared.credit(budget, 0)
+			w.requeue(batch)
+			if !errors.Is(err, ErrSliceLost) {
+				w.shared.fail(err)
+				return
+			}
+			continue
+		}
+		w.fold(rs.partial)
+		d.met.addRestored(rs.rep)
+		w.shared.transitions.Add(rs.rep.Transitions)
+		w.shared.replaySteps.Add(rs.rep.ReplaySteps)
+		w.shared.incidents.Add(rs.rep.Incidents())
+		w.shared.notePaths(rs.rep.Paths)
+		for _, u := range rs.units {
+			w.f.push(w.id, u)
+		}
+		w.shared.credit(budget, rs.rep.States)
+		w.retire(batch)
+		if cause == StopViolation || cause == StopIncident {
+			w.shared.requestStop(cause)
+		}
 	}
-	if workers > 0 {
-		// The registry's summary line reads the worker-count gauge the
-		// in-process driver sets at run start; a distributed merge sets
-		// it to the fleet size.
-		m.met.workers.Set(int64(workers))
+}
+
+// claimBatch claims up to batchUnits units — blocking for the first, as
+// the frontier hands them out: a worker's newest first — and lists them
+// oldest first, the order a checkpoint lists a frontier in and Resume
+// seeds one from. It returns nil when claim does.
+func (w *worker) claimBatch() []*workUnit {
+	u := w.f.claim(w.id)
+	if u == nil {
+		return nil
 	}
-	rep := m.acc.finalize(workers, stats)
-	if len(units) > 0 || cause != StopNone {
-		rep.Incomplete = true
-		rep.Truncated = true
-		rep.Cause = cause
-		rep.pending = units
-		m.met.emitTruncation(cause, rep)
+	batch := []*workUnit{u}
+	for len(batch) < batchUnits {
+		if u = w.f.take(w.id); u == nil {
+			break
+		}
+		batch = append(batch, u)
 	}
-	return rep, nil
+	slices.Reverse(batch)
+	return batch
+}
+
+// requeue puts a claimed batch back on the frontier as it was.
+func (w *worker) requeue(batch []*workUnit) {
+	for _, u := range batch {
+		w.f.push(w.id, u)
+	}
+	w.retire(batch)
+}
+
+// retire retires the claims of a batch.
+func (w *worker) retire(batch []*workUnit) {
+	for range batch {
+		w.f.done()
+	}
+}
+
+// batch packages units as the snapshot a slice resumes: program identity
+// for validation on the far side, zero counters (the result's counters
+// are then a pure delta), and the units.
+func (d *distribution) batch(units []*workUnit) *Snapshot {
+	s := &Snapshot{
+		Version:   SnapshotVersion,
+		Processes: len(d.u.Processes),
+		SiteBits:  d.sites.bits,
+		Units:     make([]snapUnit, len(units)),
+	}
+	for i, u := range units {
+		s.Units[i] = d.sites.snapFromUnit(u)
+	}
+	return s
 }

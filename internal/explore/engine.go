@@ -161,8 +161,9 @@ type engine struct {
 	// -1 once an entry there has grown (saveSnapshot).
 	growWaste []int8
 
-	rep     *Report
-	covered coverage
+	// partial is the engine's share of the result: the counters and
+	// samples of the paths it ran (rep) and the sites they covered.
+	partial
 	// cache is the search's shared visited-state set (nil without
 	// StateCache): one statecache.Cache per run, shared by every
 	// engine of the search.
@@ -233,8 +234,7 @@ type engine struct {
 // read-only.
 func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *siteTable, shared *sharedState) *engine {
 	e := &engine{sys: sys, opt: opt, footprint: fps, sites: sites, met: noMetrics, shared: shared}
-	e.rep = &Report{}
-	e.covered = newCoverage(sites)
+	e.partial = partial{rep: &Report{}, covered: newCoverage(sites)}
 	e.tossSites = newCoverage(sites)
 	e.growWaste = make([]int8, sites.bits)
 	if opt.Liveness {
@@ -1085,9 +1085,7 @@ func (e *engine) leaf(kind LeafKind, msg string) {
 	e.pathEnded = true
 	r := e.rep
 	r.Paths++
-	if n, every := e.shared.paths.Add(1), e.shared.ckptEveryPaths; every > 0 && n%every == 0 {
-		e.shared.requestPause()
-	}
+	e.shared.notePaths(1)
 	switch kind {
 	case LeafTerminated:
 		r.Terminated++

@@ -71,7 +71,7 @@ type Options struct {
 	// the default (1,000,000).
 	MaxDepth int
 	// MaxStates aborts the whole search after visiting this many global
-	// states; 0 means unlimited. The report is then marked Truncated.
+	// states; 0 means unlimited. The report is then marked Incomplete.
 	// The budget is reserved before a state is credited (with Workers >
 	// 0, one atomic add-and-check on the shared counter), so the final
 	// state count never overshoots the bound and a run resumed after a
@@ -428,7 +428,6 @@ type Report struct {
 	Replays     int64 // prefix re-executions (backtracks and work-unit claims)
 	ReplaySteps int64 // transitions re-executed while replaying prefixes
 	MaxDepth    int   // deepest path seen
-	Truncated   bool  // search stopped early (equal to Incomplete; kept for compatibility)
 
 	// Backtracking snapshots (restore.go) saved, paths started from one,
 	// and snapshots dropped with no path started from them: like
@@ -520,7 +519,7 @@ func (r *Report) String() string {
 	return fmt.Sprintf(
 		"states=%d transitions=%d paths=%d replays=%d maxdepth=%d deadlocks=%d violations=%d traps=%d divergences=%d depth-hits=%d truncated=%t",
 		r.States, r.Transitions, r.Paths, r.Replays, r.MaxDepth,
-		r.Deadlocks, r.Violations, r.Traps, r.Divergences, r.DepthHits, r.Truncated)
+		r.Deadlocks, r.Violations, r.Traps, r.Divergences, r.DepthHits, r.Incomplete)
 }
 
 // Incidents returns the total number of deadlocks, violations, traps,
@@ -562,7 +561,7 @@ func Explore(u *cfg.Unit, opt Options) (*Report, error) {
 // never an error, never a torn merge. The same applies to
 // Options.Timeout and the MaxStates budget.
 func ExploreContext(ctx context.Context, u *cfg.Unit, opt Options) (*Report, error) {
-	return search(ctx, u, opt.withDefaults(), nil)
+	return search(ctx, u, opt.withDefaults(), nil, nil)
 }
 
 // Resume continues a search from a checkpoint snapshot previously
@@ -588,7 +587,7 @@ func ResumeContext(ctx context.Context, u *cfg.Unit, snap *Snapshot, opt Options
 	if err != nil {
 		return nil, err
 	}
-	return search(ctx, u, opt.withDefaults(), restored)
+	return search(ctx, u, opt.withDefaults(), restored, nil)
 }
 
 // newMachine instantiates one machine of the configured engine over the

@@ -166,11 +166,9 @@ type frontier struct {
 
 	// inflight counts units pushed but not yet fully processed; the
 	// search is complete when it reaches zero. queued counts units
-	// currently sitting in some shard. units counts every push, for
-	// progress reporting.
+	// currently sitting in some shard.
 	inflight atomic.Int64
 	queued   atomic.Int64
-	units    atomic.Int64
 
 	priority bool
 
@@ -196,7 +194,6 @@ func newFrontier(shards int, priority bool, shared *sharedState, met *exploreMet
 // claim's wait loop, so a wakeup cannot be lost.
 func (f *frontier) push(worker int, u *workUnit) {
 	f.met.frontierInflight.SetMax(f.inflight.Add(1))
-	f.units.Add(1)
 	if f.priority {
 		f.pmu.Lock()
 		u.seq = f.pseq

@@ -1,39 +1,49 @@
 package explore
 
-// accum accumulates partial results — per-engine reports, restored
-// snapshot counters — into one Report. Every counter is a plain sum,
-// coverage bitmaps are ORed, and incident samples are re-sorted under
-// the same deterministic order each engine maintained locally — so for a
-// complete (non-truncated) search the merged report is identical
-// regardless of worker count, scheduling, or how many times the search was
-// checkpointed and resumed.
-type accum struct {
-	opt     Options
-	sites   *siteTable
-	procs   int
-	rep     Report
+// partial is one share of a search's result — an engine's, a slice
+// worker's, a restored snapshot's, the accumulator's own: counters and
+// incident samples in rep, and the sites covered.
+type partial struct {
+	rep     *Report
 	covered coverage
-	samples []*Incident
+}
+
+// fold adds q to p. Every counter is a plain sum, coverage bitmaps are
+// ORed, and incident samples are pooled (finalize re-sorts them under the
+// same deterministic order each engine maintained locally) — so for a
+// complete search the merged report is identical regardless of worker
+// count, scheduling, or how many times the search was checkpointed and
+// resumed.
+func (p partial) fold(q partial) {
+	p.rep.add(q.rep)
+	p.covered.or(q.covered)
+	p.rep.Samples = append(p.rep.Samples, q.rep.Samples...)
+}
+
+// accum accumulates the partial results of one search — its workers', a
+// restored snapshot's — into one Report.
+type accum struct {
+	opt   Options
+	sites *siteTable
+	procs int
+	partial
 }
 
 func newAccum(opt Options, sites *siteTable, procs int) *accum {
-	return &accum{opt: opt, sites: sites, procs: procs, covered: newCoverage(sites)}
+	return &accum{opt: opt, sites: sites, procs: procs,
+		partial: partial{rep: &Report{}, covered: newCoverage(sites)}}
 }
 
 // clone returns an independent copy, used to assemble mid-run snapshots
 // without disturbing the live accumulator.
 func (a *accum) clone() *accum {
-	b := &accum{opt: a.opt, sites: a.sites, procs: a.procs, rep: a.rep}
-	b.covered = newCoverage(a.sites)
-	b.covered.or(a.covered)
-	b.samples = append([]*Incident(nil), a.samples...)
+	b := newAccum(a.opt, a.sites, a.procs)
+	b.fold(a.partial)
 	return b
 }
 
-// add sums a partial report's counters (not its samples) into the
-// accumulator.
-func (a *accum) add(r *Report) {
-	t := &a.rep
+// add sums a partial report's counters (not its samples) into t.
+func (t *Report) add(r *Report) {
 	t.States += r.States
 	t.Transitions += r.Transitions
 	t.Paths += r.Paths
@@ -67,31 +77,16 @@ func (a *accum) add(r *Report) {
 	}
 }
 
-// addEngine folds one engine's partial report, coverage, and samples in.
-func (a *accum) addEngine(e *engine) {
-	a.add(e.rep)
-	a.covered.or(e.covered)
-	a.samples = append(a.samples, e.rep.Samples...)
-}
-
-// addRestored folds a restored snapshot's counters, coverage, and
-// samples in.
-func (a *accum) addRestored(rs *restoredState) {
-	a.add(rs.rep)
-	a.covered.or(rs.covered)
-	a.samples = append(a.samples, rs.rep.Samples...)
-}
-
 // finalize produces the merged Report. Each engine kept its MaxIncidents
 // best samples under sampleLess, so the global best MaxIncidents are all
 // present in the union.
 func (a *accum) finalize(workers int, stats []WorkerStat) *Report {
-	rep := a.rep
+	rep := *a.rep
 	rep.Workers = workers
 	rep.WorkerStats = stats
 	rep.OpsCovered = a.covered.count()
 	rep.OpsTotal = a.sites.total
-	samples := append([]*Incident(nil), a.samples...)
+	samples := append([]*Incident(nil), a.rep.Samples...)
 	sortSamples(samples)
 	samples = dedupeSamples(samples)
 	if len(samples) > a.opt.MaxIncidents {

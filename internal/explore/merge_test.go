@@ -71,7 +71,7 @@ func TestAccumAdd(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			a := newAccum(Options{MaxIncidents: 4}, sites, procs)
 			for i := range c.in {
-				a.add(&c.in[i])
+				a.rep.add(&c.in[i])
 			}
 			got := a.rep
 			if got.States != c.want.States || got.Transitions != c.want.Transitions ||
@@ -144,7 +144,7 @@ func TestFinalizeTruncatesSamples(t *testing.T) {
 	sites, procs := testSites(t)
 	a := newAccum(Options{MaxIncidents: 2}, sites, procs)
 	for i := 0; i < 5; i++ {
-		a.samples = append(a.samples, &Incident{
+		a.rep.Samples = append(a.rep.Samples, &Incident{
 			Kind:      LeafDeadlock,
 			Msg:       fmt.Sprintf("incident %d", i),
 			Depth:     10 - i,
@@ -170,23 +170,23 @@ func TestFinalizeTruncatesSamples(t *testing.T) {
 func TestAccumCloneIndependent(t *testing.T) {
 	sites, procs := testSites(t)
 	a := newAccum(Options{MaxIncidents: 4}, sites, procs)
-	a.add(&Report{States: 5})
-	a.samples = append(a.samples, &Incident{Kind: LeafDeadlock, Msg: "one"})
+	a.rep.add(&Report{States: 5})
+	a.rep.Samples = append(a.rep.Samples, &Incident{Kind: LeafDeadlock, Msg: "one"})
 	if len(a.covered) == 0 {
 		t.Fatal("expected a non-empty coverage bitmap")
 	}
 	a.covered[0] = 0b1
 
 	c := a.clone()
-	a.add(&Report{States: 7})
-	a.samples = append(a.samples, &Incident{Kind: LeafDeadlock, Msg: "two"})
+	a.rep.add(&Report{States: 7})
+	a.rep.Samples = append(a.rep.Samples, &Incident{Kind: LeafDeadlock, Msg: "two"})
 	a.covered[0] = 0b11
 
 	if c.rep.States != 5 {
 		t.Errorf("clone states = %d, want 5", c.rep.States)
 	}
-	if len(c.samples) != 1 {
-		t.Errorf("clone has %d samples, want 1", len(c.samples))
+	if len(c.rep.Samples) != 1 {
+		t.Errorf("clone has %d samples, want 1", len(c.rep.Samples))
 	}
 	if c.covered[0] != 0b1 {
 		t.Errorf("clone coverage = %b, want 1", c.covered[0])
@@ -194,7 +194,7 @@ func TestAccumCloneIndependent(t *testing.T) {
 }
 
 // TestMaxStatesTruncationFlags checks the truncation contract of a
-// budget-cut search at both engines: Incomplete and Truncated are set,
+// budget-cut search at both engines: Incomplete is set,
 // the cause names the budget, and the pending snapshot is non-empty.
 func TestMaxStatesTruncationFlags(t *testing.T) {
 	closed, _, err := core.CloseSource(progs.Philosophers(3))
@@ -207,8 +207,8 @@ func TestMaxStatesTruncationFlags(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Explore: %v", err)
 			}
-			if !rep.Incomplete || !rep.Truncated {
-				t.Errorf("flags = incomplete:%v truncated:%v, want both true", rep.Incomplete, rep.Truncated)
+			if !rep.Incomplete {
+				t.Errorf("a budget-cut report is not Incomplete: %s", rep)
 			}
 			if rep.Cause != StopMaxStates {
 				t.Errorf("cause = %v, want %v", rep.Cause, StopMaxStates)
@@ -220,7 +220,7 @@ func TestMaxStatesTruncationFlags(t *testing.T) {
 			if err != nil {
 				t.Fatalf("full Explore: %v", err)
 			}
-			if full.Incomplete || full.Truncated || full.Cause != StopNone {
+			if full.Incomplete || full.Cause != StopNone {
 				t.Errorf("complete search flagged truncated: %+v", full)
 			}
 		})

@@ -303,7 +303,7 @@ func TestParallelTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	if !rep.Truncated {
+	if !rep.Incomplete {
 		t.Errorf("report not marked truncated: %s", rep)
 	}
 	if rep.States < 50 {

@@ -159,7 +159,7 @@ func TestMaxStatesTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Truncated {
+	if !rep.Incomplete {
 		t.Error("report not marked truncated")
 	}
 	if rep.States > 100 {
@@ -177,7 +177,7 @@ func TestStopOnViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Violations != 1 || !rep.Truncated {
+	if rep.Violations != 1 || !rep.Incomplete {
 		t.Errorf("want exactly one violation and truncation: %s", rep)
 	}
 }

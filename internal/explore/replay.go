@@ -134,7 +134,7 @@ func ShortestWitness(u *cfg.Unit, opt Options) (*Incident, *Report, error) {
 		if len(rep.Samples) > 0 {
 			return rep.Samples[0], rep, nil
 		}
-		if rep.DepthHits == 0 && !rep.Truncated {
+		if rep.DepthHits == 0 && !rep.Incomplete {
 			// The whole state space fits within d: nothing to find.
 			return nil, rep, nil
 		}

@@ -65,7 +65,7 @@ func TestMaxStatesPartialReport(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: Explore: %v", workers, err)
 		}
-		if !rep.Incomplete || !rep.Truncated {
+		if !rep.Incomplete {
 			t.Fatalf("workers=%d: budget-cut report not Incomplete: %s", workers, rep)
 		}
 		if rep.Cause != explore.StopMaxStates {

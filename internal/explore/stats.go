@@ -35,6 +35,11 @@ type sharedState struct {
 	incidents   atomic.Int64
 
 	maxStates int64 // 0 = unbounded
+	// reserved, under budgetMu, is the part of states that slices in
+	// flight hold and have not explored yet (reserve, credit). An engine
+	// reserves the one state it is at, with an atomic add.
+	budgetMu sync.Mutex
+	reserved int64
 	// ckptEveryPaths, when > 0, requests a checkpoint pause every time
 	// the shared path counter crosses a multiple of it.
 	ckptEveryPaths int64
@@ -45,8 +50,12 @@ type sharedState struct {
 	// worker that observes the flag always reads a non-zero cause.
 	causeVal atomic.Int32
 	// wake, if non-nil, is invoked when either flag flips, so workers
-	// sleeping on the frontier observe it.
-	wake func()
+	// sleeping on the frontier observe it; abort, if non-nil, when stop
+	// does: it ends the slices in flight (dist.go).
+	wake, abort func()
+	// failure is the error that ended the search (fail), nil for none.
+	failure  error
+	failOnce sync.Once
 	// leafMu serializes Options.OnLeaf across workers.
 	leafMu sync.Mutex
 }
@@ -67,6 +76,52 @@ func (s *sharedState) requestStop(c StopCause) {
 		if s.wake != nil {
 			s.wake()
 		}
+		if s.abort != nil {
+			s.abort()
+		}
+	}
+}
+
+// fail stops the search on an error it cannot go on from; search returns
+// the first one instead of a report.
+func (s *sharedState) fail(err error) {
+	s.failOnce.Do(func() { s.failure = err })
+	s.requestStop(StopCancelled)
+}
+
+// reserve takes up to n states out of the MaxStates budget for a slice
+// about to run elsewhere, counting them before they are explored as an
+// engine does with the one state it is at, and returns how many it got
+// (n when there is no budget). At zero, spent says whether the budget is
+// used up or only held by slices still in flight, which credit what they
+// leave over.
+func (s *sharedState) reserve(n int64) (got int64, spent bool) {
+	s.budgetMu.Lock()
+	defer s.budgetMu.Unlock()
+	if s.maxStates > 0 {
+		n = min(n, s.maxStates-s.states.Load())
+	}
+	if n <= 0 {
+		return 0, s.reserved == 0
+	}
+	s.states.Add(n)
+	s.reserved += n
+	return n, false
+}
+
+// credit ends a reservation of got states of which used were explored.
+func (s *sharedState) credit(got, used int64) {
+	s.budgetMu.Lock()
+	s.states.Add(used - got)
+	s.reserved -= got
+	s.budgetMu.Unlock()
+}
+
+// notePaths counts n more completed paths and requests a checkpoint
+// pause when the count crosses a multiple of the path cadence.
+func (s *sharedState) notePaths(n int64) {
+	if total, every := s.paths.Add(n), s.ckptEveryPaths; every > 0 && total/every != (total-n)/every {
+		s.requestPause()
 	}
 }
 
@@ -83,8 +138,10 @@ func (s *sharedState) requestPause() {
 func (s *sharedState) clearPause() { s.pause.Store(false) }
 
 func (s *sharedState) snapshot(workers int, f *frontier, start time.Time) Stats {
+	s.budgetMu.Lock()
+	defer s.budgetMu.Unlock()
 	return Stats{
-		States:        s.states.Load(),
+		States:        s.states.Load() - s.reserved,
 		Transitions:   s.transitions.Load(),
 		ReplaySteps:   s.replaySteps.Load(),
 		Paths:         s.paths.Load(),

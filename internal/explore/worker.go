@@ -10,85 +10,100 @@ import (
 	"reclose/internal/statecache"
 )
 
-// worker is one search worker: a private machine plus a DFS engine,
-// claiming work units from the frontier.
+// worker is one search worker, claiming work units from the frontier. It
+// comes in two kinds, which differ in the loop they run and nowhere else:
+// an engine worker explores the units it claims on a private machine; a
+// slice worker (dist.go) has a Slicer explore them somewhere else.
 type worker struct {
-	id  int
-	eng *engine
-	f   *frontier
-	// cancelled is the search context's Done channel, polled at path
-	// boundaries (see run).
+	id     int
+	f      *frontier
+	shared *sharedState
+	// cancelled is the search context's Done channel, polled between
+	// paths and between slices.
 	cancelled <-chan struct{}
 
+	// partial is the worker's share of the result so far: its engine's, or
+	// the slice results a slice worker has folded in.
+	partial
+	// left is what the worker held unexplored when it last returned to the
+	// driver: the rest of the unit its engine is in. A slice worker comes
+	// back between slices, holding nothing.
+	left []*workUnit
+
+	eng *engine // the engine worker's DFS core over its private machine
 	// inUnit says the engine holds a claimed unit that is not retired:
 	// its stack is the unit's unexplored remainder. A worker that returns
 	// to the driver with it set continues the unit when run again.
 	inUnit bool
-	units  int64
-	busy   time.Duration
+
+	// A slice worker's transport, and what the slice workers of the
+	// search share.
+	slicer Slicer
+	dist   *distribution
+
+	units int64
+	busy  time.Duration
 }
 
-// search is the one search driver. max(1, Workers) engines share one
+// run is the worker's loop, until the search is over or a flag is up.
+func (w *worker) run() {
+	if w.eng != nil {
+		w.explore()
+	} else {
+		w.ship()
+	}
+}
+
+// search is the one search driver. max(1, Workers) workers share one
 // frontier and one sharedState; Workers: 0 runs the single worker's loop
 // inline on the caller's goroutine — and, under SearchDFS, without
 // spilling, so the whole tree stays one root unit explored by plain
-// backtracking in the classic order.
+// backtracking in the classic order. With a distribution the workers are
+// slice workers, one per Slicer, instead of engines.
 //
 // Workers run until the frontier is exhausted or a flag sends them back:
 // stop (cancellation, timeout, budget, stop-on-incident) ends the
 // search, pause means a checkpoint is due. Either way every engine comes
 // back at a path boundary, or cut at a fresh state it has not counted,
-// with its stack, snapshot pool and claimed unit as they stood, so what
-// is left of the search can be read off the engines and the frontier
-// without disturbing them: a checkpoint is that read, after which the
-// same workers are started again.
-func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredState) (*Report, error) {
-	// Resolve the unit once — slot assignment and code compilation are
-	// immutable — and instantiate one private machine per worker from
-	// the shared Resolution.
-	res, err := interp.Resolve(u)
-	if err != nil {
-		return nil, err
-	}
+// with its stack, snapshot pool and claimed unit as they stood — and
+// every slice worker between slices — so what is left of the search can
+// be read off the workers and the frontier without disturbing them: a
+// checkpoint is that read, after which the same workers are started
+// again.
+func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredState, dist *distribution) (*Report, error) {
 	shared := &sharedState{maxStates: opt.MaxStates}
 	if opt.Checkpoint != nil {
 		shared.ckptEveryPaths = opt.CheckpointEveryPaths
 	}
 	met := newExploreMetrics(opt.Obs)
 	met.workers.Set(int64(opt.Workers))
-	met.emitRunStart(opt, restored != nil)
 	f := newFrontier(max(1, opt.Workers), opt.Search == SearchPriority, shared, met)
 	shared.wake = f.wake
-
-	fps := footprints(u)
 	sites := newSiteTable(u)
-	// One visited-state set for the whole search (nil without
-	// StateCache): its sharded mutexes are the only locks the state loop
-	// touches.
-	cache := newStateCache(opt)
+
+	// One visited-state set for the whole search (nil without StateCache,
+	// and when the exploring is done elsewhere): its sharded mutexes are
+	// the only locks the state loop touches.
+	var cache *statecache.Cache
 	workers := make([]*worker, len(f.shards))
 	for i := range workers {
-		m, err := newMachine(res, opt)
-		if err != nil {
+		workers[i] = &worker{id: i, f: f, shared: shared, cancelled: ctx.Done()}
+	}
+	if dist != nil {
+		dist.start(ctx, u, sites, shared, met, workers)
+		defer shared.abort() // releases the slices' context
+	} else {
+		cache = newStateCache(opt)
+		if err := startEngines(u, opt, sites, cache, met, workers); err != nil {
 			return nil, err
 		}
-		eng := newEngine(m, opt, fps, sites, shared)
-		eng.cache = cache
-		eng.setMetrics(met)
-		if opt.Workers > 0 || opt.Search == SearchPriority {
-			// The inline depth-first search never spills: backtracking
-			// alone preserves the classic order. Priority search spills at
-			// every worker count, so the heap has units to rank.
-			eng.spill = func(u *workUnit) { f.push(i, u) }
-		}
-		workers[i] = &worker{id: i, eng: eng, f: f, cancelled: ctx.Done()}
 	}
-	met.noteEngine(opt, res)
+	met.emitRunStart(opt, restored != nil)
 
 	acc := newAccum(opt, sites, len(u.Processes))
 	seed := []*workUnit{{root: true}}
 	if restored != nil {
-		acc.addRestored(restored)
+		acc.fold(restored.partial)
 		met.addRestored(restored.rep)
 		met.emitResume(restored)
 		seed = restored.units
@@ -134,16 +149,15 @@ func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredSta
 	}
 	stopWatch()
 	stopProgress()
+	if shared.failure != nil {
+		return nil, shared.failure
+	}
 
 	wall := time.Since(start)
 	stats := make([]WorkerStat, len(workers))
 	for i, w := range workers {
-		e := w.eng
-		// Counters bumped between paths (backtrack fold-ins, final pops)
-		// have no later path boundary to flush them.
-		met.flushReport(e.rep, &e.metCur)
-		acc.addEngine(e)
-		stats[i] = WorkerStat{Units: w.units, States: e.rep.States, Paths: e.rep.Paths, Busy: w.busy}
+		acc.fold(w.partial)
+		stats[i] = WorkerStat{Units: w.units, States: w.rep.States, Paths: w.rep.Paths, Busy: w.busy}
 		if wall > 0 {
 			stats[i].Utilization = float64(w.busy) / float64(wall)
 		}
@@ -159,7 +173,6 @@ func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredSta
 	}
 	if cause != StopNone {
 		rep.Incomplete = true
-		rep.Truncated = true
 		rep.Cause = cause
 		rep.pending = pending
 		met.emitTruncation(cause, rep)
@@ -169,24 +182,54 @@ func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredSta
 	return rep, nil
 }
 
+// startEngines makes engine workers of the search's workers. The unit is
+// resolved once — slot assignment and code compilation are immutable —
+// and each worker gets a private machine instantiated from the shared
+// Resolution.
+func startEngines(u *cfg.Unit, opt Options, sites *siteTable, cache *statecache.Cache, met *exploreMetrics, workers []*worker) error {
+	res, err := interp.Resolve(u)
+	if err != nil {
+		return err
+	}
+	fps := footprints(u)
+	for i, w := range workers {
+		m, err := newMachine(res, opt)
+		if err != nil {
+			return err
+		}
+		eng := newEngine(m, opt, fps, sites, w.shared)
+		eng.cache = cache
+		eng.setMetrics(met)
+		if opt.Workers > 0 || opt.Search == SearchPriority {
+			// The inline depth-first search never spills: backtracking
+			// alone preserves the classic order. Priority search spills at
+			// every worker count, so the heap has units to rank.
+			eng.spill = func(u *workUnit) { w.f.push(i, u) }
+		}
+		w.eng, w.partial = eng, eng.partial
+	}
+	met.noteEngine(opt, res)
+	return nil
+}
+
 // remainder lists the unexplored part of a search whose workers have all
-// returned: the unclaimed frontier, then what each engine has left of
-// the unit it holds (nothing for an engine between units).
+// returned: the unclaimed frontier, then what each worker came back
+// holding.
 func remainder(f *frontier, workers []*worker) []*workUnit {
 	units := f.contents()
 	for _, w := range workers {
-		units = append(units, w.eng.residualUnits()...)
+		units = append(units, w.left...)
 	}
 	return units
 }
 
 // checkpoint assembles a snapshot of a paused search: the accumulator
-// (restored totals) plus every engine's live partial report, and the
+// (restored totals) plus every worker's live partial report, and the
 // remainder. Nothing it reads is changed.
 func checkpoint(a *accum, f *frontier, workers []*worker, cache *statecache.Cache) *Snapshot {
 	c := a.clone()
 	for _, w := range workers {
-		c.addEngine(w.eng)
+		c.fold(w.partial)
 	}
 	rep := c.finalize(0, nil)
 	rep.cacheSum = cacheSnap(cache)
@@ -235,13 +278,14 @@ func startWatch(ctx context.Context, opt Options, shared *sharedState) (stop fun
 	}
 }
 
-// run is the worker loop: claim a unit, explore its subtree path by
-// path, retire it. It returns when the search is over or a flag is up;
-// the engine keeps whatever unit it was exploring, and running the
+// explore is the engine worker's loop: claim a unit, explore its subtree
+// path by path, retire it. It returns when the search is over or a flag
+// is up; the engine keeps whatever unit it was exploring, and running the
 // worker again continues from there.
-func (w *worker) run() {
+func (w *worker) explore() {
 	e := w.eng
 	t0 := time.Now() // start of the current stretch of work on a unit
+loop:
 	for {
 		// The watcher forwards a cancellation too, but only once it gets
 		// to run; a cancel issued on this goroutine — from OnLeaf or
@@ -258,7 +302,7 @@ func (w *worker) run() {
 		case !w.inUnit:
 			u := w.f.claim(w.id)
 			if u == nil {
-				return
+				break loop
 			}
 			t0 = time.Now()
 			// Claim-splitting: hand the remaining sibling options straight
@@ -288,4 +332,8 @@ func (w *worker) run() {
 	if w.inUnit {
 		w.busy += time.Since(t0)
 	}
+	// Counters bumped between paths (backtrack fold-ins, final pops) have
+	// no later path boundary to flush them.
+	e.met.flushReport(e.rep, &e.metCur)
+	w.left = e.residualUnits()
 }

@@ -49,18 +49,18 @@ const (
 	// rules simulate a full or failing disk.
 	PointJournalWrite Point = "jobs.journal.write"
 	// PointDistWorkerBatch fires in a distributed worker process as it
-	// starts a leased batch, outside the per-path recovery: panic rules
-	// kill the whole worker process mid-lease, which is exactly the
-	// death the coordinator's lease reassignment must survive.
+	// starts a batch, outside the per-path recovery: panic rules kill
+	// the whole worker process mid-batch, which is exactly the death
+	// the search must survive by putting the batch's units back.
 	PointDistWorkerBatch Point = "dist.worker.batch"
 	// PointDistWorkerResult fires in a distributed worker just before
 	// it sends a finished slice result: a panic here loses a computed
 	// result after the work was done — the nastier half of the
 	// exactly-once contract.
 	PointDistWorkerResult Point = "dist.worker.result"
-	// PointDistDeath fires on the coordinator as it handles a worker
-	// death, before reassigning the leased units: sleep rules widen the
-	// reassignment window, error rules simulate respawn failure.
+	// PointDistDeath fires in the process running the search as it
+	// handles a worker death, before the slot is respawned: sleep rules
+	// widen that window, error rules simulate respawn failure.
 	PointDistDeath Point = "dist.coordinator.death"
 )
 

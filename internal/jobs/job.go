@@ -9,11 +9,11 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"unicode/utf8"
 
 	"reclose/internal/cfg"
-	"reclose/internal/core"
 	"reclose/internal/explore"
 	"reclose/internal/interp"
 	"reclose/internal/mgenv"
@@ -206,23 +206,11 @@ func (r *Request) validate() error {
 // compile builds the closed unit a request describes. Compile and
 // closing errors are permanent: the job fails without retry.
 func (r *Request) compile() (*cfg.Unit, error) {
-	unit, err := core.CompileSource(r.Source)
-	if err != nil {
-		return nil, err
+	unit, _, err := mgenv.Prepare(r.Source, r.Close, r.NaiveDomain)
+	if errors.Is(err, mgenv.ErrOpen) {
+		err = fmt.Errorf("jobs: %w", err)
 	}
-	if !unit.IsOpen() {
-		return unit, nil
-	}
-	switch r.Close {
-	case "none":
-		return nil, fmt.Errorf("jobs: program is open and close mode is none")
-	case "naive":
-		composed, _, err := mgenv.ComposeSource(r.Source, r.NaiveDomain)
-		return composed, err
-	default:
-		closed, _, err := core.Close(unit)
-		return closed, err
-	}
+	return unit, err
 }
 
 // IncidentSummary is one recorded incident in a job result.

@@ -86,7 +86,7 @@ func TestSeededLivelockWithoutLivenessSilent(t *testing.T) {
 	if rep.Livelocks != 0 {
 		t.Fatalf("livelocks with liveness off: %s", rep)
 	}
-	if rep.DepthHits == 0 && !rep.Truncated {
+	if rep.DepthHits == 0 && !rep.Incomplete {
 		t.Errorf("deferral paths should hit the depth bound: %s", rep)
 	}
 }

@@ -25,7 +25,9 @@
 package mgenv
 
 import (
+	"errors"
 	"fmt"
+	"sort"
 
 	"reclose/internal/ast"
 	"reclose/internal/cfg"
@@ -74,6 +76,43 @@ func ComposeSource(src string, domain int) (*cfg.Unit, *Info, error) {
 		unit.Daemons[i] = true
 	}
 	return unit, cinfo, nil
+}
+
+// ErrOpen is Prepare's refusal of an open program under close mode
+// "none".
+var ErrOpen = errors.New("program is open and close mode is none")
+
+// Prepare is the compile-then-close pipeline in front of every search
+// (verisoft, a verisoftd job, a distributed worker): it compiles MiniC
+// source and, if the program is open, closes it as mode says — "naive"
+// composes the most general environment over [0, domain), "none" refuses
+// with ErrOpen, anything else ("", "auto") is the paper's transformation.
+// how describes what was done, in the words of verisoft's "prepared
+// system:" line.
+func Prepare(src, mode string, domain int) (unit *cfg.Unit, how string, err error) {
+	unit, err = core.CompileSource(src)
+	if err != nil {
+		return nil, "", err
+	}
+	if !unit.IsOpen() {
+		return unit, "already closed", nil
+	}
+	switch mode {
+	case "none":
+		return nil, "", ErrOpen
+	case "naive":
+		composed, info, err := ComposeSource(src, domain)
+		if err != nil {
+			return nil, "", err
+		}
+		return composed, fmt.Sprintf("naively closed with most general environment, domain %d (%d env processes)",
+			domain, len(info.EnvProcs)), nil
+	}
+	closed, st, err := core.Close(unit)
+	if err != nil {
+		return nil, "", err
+	}
+	return closed, fmt.Sprintf("automatically closed (%s)", st), nil
 }
 
 // chanDirection classifies how the system uses an env-facing channel.
@@ -204,11 +243,7 @@ func sortedKeys(m map[string]chanDirection) []string {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }
 

@@ -112,7 +112,7 @@ func TestPropertyTheorem6(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: explore closed: %v\n%s", seed, err, src)
 		}
-		if closedRep.Truncated {
+		if closedRep.Incomplete {
 			// Cannot conclude anything if the closed search was cut off.
 			continue
 		}

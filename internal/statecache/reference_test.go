@@ -112,17 +112,6 @@ func (c *refCache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 	return false
 }
 
-func (c *refCache) LookupPrehashed(h uint64, key []byte, depth int) bool {
-	s := &c.shards[h&c.mask]
-	for _, pos := range s.index[h] {
-		sl := &s.slots[pos]
-		if bytes.Equal(sl.key, key) && int32(depth) >= sl.depth {
-			return true
-		}
-	}
-	return false
-}
-
 func (s *refShard) evictOne() bool {
 	n := len(s.slots)
 	if n == 0 || s.live == 0 {
@@ -225,9 +214,6 @@ func compareWithReference(t *testing.T, label string, cfg Config, seed int64, st
 	for i := 0; i < steps; i++ {
 		k, depth := key(), rng.Intn(6)
 		h := ref.hash(k)
-		if probe := key(); c.LookupPrehashed(ref.hash(probe), probe, depth) != ref.LookupPrehashed(ref.hash(probe), probe, depth) {
-			t.Fatalf("%s: step %d: Lookup(%q, %d) differs from the reference", label, i, probe, depth)
-		}
 		got, want := c.VisitPrehashed(h, k, depth), ref.VisitPrehashed(h, k, depth)
 		if got != want {
 			t.Fatalf("%s: step %d: Visit(%q, %d) = %v, reference %v", label, i, k, depth, got, want)

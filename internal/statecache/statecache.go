@@ -304,24 +304,6 @@ func (s *shard) carve(n int) (chunk int32, off uint16) {
 	return int32(last), off
 }
 
-// LookupPrehashed reports whether the state identified by key would be
-// pruned at the given depth — an entry with an identical key at a
-// recorded depth at most depth exists — WITHOUT mutating the cache: no
-// insert, no depth lowering, no reference bit, no counter. It is the
-// membership probe behind read-through layers (the distributed cache
-// router memoizes positive answers from remote owners); because
-// "visited" is monotone, a stale positive can never arise, and a
-// negative simply falls through to the authoritative Visit at the
-// owner.
-func (c *Cache) LookupPrehashed(h uint64, key []byte, depth int) bool {
-	s := &c.shards[h&c.mask]
-	s.mu.Lock()
-	pos, _, _ := s.find(h, key)
-	found := pos >= 0 && int32(depth) >= s.slots[pos].depth
-	s.mu.Unlock()
-	return found
-}
-
 // Reset forgets every entry and keeps the storage; the event counters
 // run on. The liveness red search empties its seen set this way.
 func (c *Cache) Reset() {

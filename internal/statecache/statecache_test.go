@@ -217,44 +217,3 @@ func TestConcurrentVisits(t *testing.T) {
 		}
 	}
 }
-
-// TestLookupPrehashedDoesNotMutate pins the read-only probe's contract:
-// it answers exactly what Visit would answer, honors the depth rule,
-// and changes nothing — no insert, no depth lowering, no counters.
-func TestLookupPrehashedDoesNotMutate(t *testing.T) {
-	c := New(Config{Shards: 1})
-	key := []byte("state-a")
-	h := FNV1a(key)
-
-	if c.LookupPrehashed(h, key, 3) {
-		t.Fatal("lookup of an absent key answered visited")
-	}
-	if st := c.Stats(); st.Entries != 0 || st.Misses != 0 || st.Hits != 0 {
-		t.Fatalf("lookup mutated the cache: %+v", st)
-	}
-
-	c.VisitPrehashed(h, key, 3)
-	if !c.LookupPrehashed(h, key, 3) {
-		t.Fatal("equal-depth lookup of a visited key answered unvisited")
-	}
-	if !c.LookupPrehashed(h, key, 5) {
-		t.Fatal("deeper lookup of a visited key answered unvisited")
-	}
-	// A strictly shallower probe is not covered (Visit would re-expand)
-	// and must not lower the recorded depth.
-	if c.LookupPrehashed(h, key, 1) {
-		t.Fatal("shallower lookup answered visited")
-	}
-	if !c.LookupPrehashed(h, key, 3) {
-		t.Fatal("shallower lookup lowered the recorded depth")
-	}
-	// Same-hash different-key probe is exact membership, not hash match.
-	other := []byte("state-b")
-	if c.LookupPrehashed(h, other, 9) {
-		t.Fatal("lookup matched a different key on the same hash")
-	}
-	st := c.Stats()
-	if st.Hits != 0 || st.Misses != 1 || st.Inserts != 1 {
-		t.Fatalf("lookups changed counters: %+v", st)
-	}
-}

@@ -16,7 +16,7 @@ cd "$(dirname "$0")/.."
 
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1s}"
-PATTERN='BenchmarkAnalyze|BenchmarkClosingScaling|BenchmarkFiveESSClose|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkSchedule|BenchmarkStateKey|BenchmarkCheckpointCadence|BenchmarkParallelExplore|BenchmarkFiveESSExplore|BenchmarkShardedCache|BenchmarkDPOR|BenchmarkLiveness|BenchmarkDistExplore'
+PATTERN='BenchmarkAnalyze|BenchmarkClosingScaling|BenchmarkFiveESSClose|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkSchedule|BenchmarkStateKey|BenchmarkCheckpointCadence|BenchmarkParallelExplore|BenchmarkFiveESSExplore|BenchmarkShardedCache|BenchmarkDPOR|BenchmarkLiveness'
 
 go test -run '^$' -bench "$PATTERN" -benchmem \
 	-count="$COUNT" -benchtime="$BENCHTIME" -timeout=60m . ./internal/explore \

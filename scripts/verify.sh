@@ -42,12 +42,16 @@ go test -count=1 -timeout=10m -race ./internal/explore/... ./internal/interp/...
 # nothing above runs their tests.
 go test -count=1 -timeout=10m -race ./internal/leaderelect/ ./internal/lockserver/
 
-# Distributed-exploration race leg: coordinator/worker subprocesses,
-# the equivalence grid against the in-process engine (workers × spill,
-# and workers × cache shards with one private cache per worker process),
-# the worker-crash lease-recovery tests, the worker's one loop driven
-# in-process over pipes, and a shutdown whose grace period expires, all
-# with the race detector watching the coordinator's event loop.
+# Distributed-exploration race leg: real worker subprocesses under the
+# search driver's slice workers (the driver itself, over an in-process
+# transport, is in the explore leg above) — the equivalence grid against
+# the in-process engine (workers × spill, and workers × cache shards with
+# one private cache per worker process), the worker-crash recovery tests
+# (panics, a lease that runs out), the worker's one loop driven
+# in-process over pipes, a shutdown whose grace period expires, and a
+# check that Run leaves no goroutine and no child behind, all with the
+# race detector watching each slice worker's goroutine, its timers and
+# the reaper.
 go test -count=1 -timeout=10m -race ./internal/dist/
 
 # Job-server race leg: the daemon's queue/retry/journal machinery plus
