@@ -501,12 +501,15 @@ func BenchmarkForkVsReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkBacktrack measures a complete sequential search on the two
-// shapes restore-based backtracking meets: a wide, toss-heavy tree
-// (5ESS medium to depth 28) and a narrow deadlocking one (seven
-// philosophers). replaysteps is the per-run total of re-executed
-// transitions — about one per backtrack when every path restores a
-// snapshot — and allocs/op shows the snapshots come from the pool.
+// BenchmarkBacktrack measures the four sequential searches of the
+// benchmark's explore_stateless workload, in process: a wide,
+// toss-heavy tree (5ESS medium to depth 28), the same model under
+// dynamic POR, a deep one cut by its state budget (5ESS large to depth
+// 500) and a narrow deadlocking one (seven philosophers). replaysteps
+// is the per-run total of re-executed transitions — one per backtrack
+// when every path begins by an undo — and allocs/op shows the trail and
+// the frames it holds are reused. scripts/profile.sh profiles these
+// rows.
 func BenchmarkBacktrack(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -514,6 +517,8 @@ func BenchmarkBacktrack(b *testing.B) {
 		opt  explore.Options
 	}{
 		{"5ess-medium-d28", fiveess.Source(fiveess.Scale("medium")), explore.Options{MaxDepth: 28}},
+		{"5ess-medium-dynamic-d40", fiveess.Source(fiveess.Scale("medium")), explore.Options{MaxDepth: 40, POR: explore.PORDynamic}},
+		{"5ess-large-d500-s200000", fiveess.Source(fiveess.Scale("large")), explore.Options{MaxDepth: 500, MaxStates: 200000}},
 		{"phil-7", progs.Philosophers(7), explore.Options{}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
@@ -533,11 +538,11 @@ func BenchmarkBacktrack(b *testing.B) {
 }
 
 // BenchmarkStateKey measures what the stateful search does between two
-// states of a backtrack — restore a snapshot, step one process, take the
+// states of a backtrack — undo to a mark, step one process, take the
 // state's key — on the lock server's 13-component state. "full" is a
 // machine with hashing off, which renders every component of
-// every key; "assembled" is the hashing machine, whose copy carries the
-// key segments and whose key re-renders the stepped process only.
+// every key; "assembled" is the hashing machine, whose undo puts back
+// the key segments and whose key re-renders the stepped process only.
 func BenchmarkStateKey(b *testing.B) {
 	closed := mustCloseB(b, lockserver.Source(lockserver.Config{Clients: 4, Rounds: 2}))
 	res, err := interp.Resolve(closed)
@@ -550,25 +555,26 @@ func BenchmarkStateKey(b *testing.B) {
 			name = "assembled"
 		}
 		b.Run("lock-c4-r2/"+name, func(b *testing.B) {
-			snap, m := res.NewSystem(), res.NewSystem()
-			snap.SetStateHashing(hashing)
+			m := res.NewSystem()
+			m.SetStateHashing(hashing)
 			ch := interp.FixedChooser(0)
-			if out := snap.Init(ch); out != nil {
+			if out := m.Init(ch); out != nil {
 				b.Fatal(out)
 			}
 			for i := 0; i < 6; i++ { // a few transitions in: queues and frames populated
-				if _, out := snap.Step(snap.EnabledProcs()[0], ch); out != nil {
+				if _, out := m.Step(m.EnabledProcs()[0], ch); out != nil {
 					b.Fatal(out)
 				}
 			}
-			snap.AppendFingerprint(nil)
-			en := snap.EnabledProcs()
+			m.AppendFingerprint(nil)
+			en := m.EnabledProcs()
+			mk := m.Mark()
 			var key []byte
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if !m.CopyFrom(snap) {
-					b.Fatal("CopyFrom refused")
+				if _, ok := m.Undo(mk); !ok {
+					b.Fatal("mark dead")
 				}
 				if _, out := m.Step(en[i%len(en)], ch); out != nil {
 					b.Fatal(out)

@@ -103,6 +103,9 @@ func TestCLIDistWorkers(t *testing.T) {
 			t.Errorf("the trace of a distributed run has no %s event:\n%s", ev, events)
 		}
 	}
+	if !strings.Contains(string(events), `"ev":"run_start","mode":"distributed"`) {
+		t.Errorf("run_start does not say the run is distributed:\n%s", events)
+	}
 
 	// One worker process has the only cache there is: nothing to say.
 	out.Reset()

@@ -140,6 +140,26 @@ func (c *Chan) Recv() (v any, stub bool, err error) {
 	return v, false, nil
 }
 
+// Unsend takes back the newest message: the inverse of a Send that
+// enqueued one (a stub's Send and Recv change nothing and have none).
+func (c *Chan) Unsend() {
+	n := len(c.q) - 1
+	c.q[n] = nil
+	c.q = c.q[:n]
+}
+
+// Unrecv puts v back at the front of the queue: the inverse of the Recv
+// that returned it.
+func (c *Chan) Unrecv(v any) {
+	if c.head == 0 { // no drained slot in front: shift the queue to open one
+		c.q = append(c.q, nil)
+		copy(c.q[1:], c.q)
+		c.head = 1
+	}
+	c.head--
+	c.q[c.head] = v
+}
+
 // Len returns the current queue length.
 func (c *Chan) Len() int { return len(c.q) - c.head }
 
@@ -249,6 +269,9 @@ func (s *Sem) Wait() error {
 
 // Signal increments the count.
 func (s *Sem) Signal() { s.count++ }
+
+// Unsignal is the inverse of Signal (of Wait, it is Signal).
+func (s *Sem) Unsignal() { s.count-- }
 
 // Count returns the current count.
 func (s *Sem) Count() int64 { return s.count }

@@ -1,6 +1,7 @@
 package comm_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"reclose/internal/ast"
@@ -172,5 +173,47 @@ func TestEnablednessHistoryOnly(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("enabledness depends on values: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestChanInverses walks random send/recv sequences on a small channel,
+// recording each operation's inverse, and unwinds them newest first: the
+// queue must pass back through every state it was in, wherever the
+// forward operations left its window in the backing array.
+func TestChanInverses(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c := comm.NewChan("c", 3, false)
+		states := []string{c.Fingerprint()}
+		var inverse []func()
+		for i := 0; i < 40; i++ {
+			if c.CanSend() && (!c.CanRecv() || rng.Intn(2) == 0) {
+				if err := c.Send(i); err != nil {
+					t.Fatal(err)
+				}
+				inverse = append(inverse, c.Unsend)
+			} else {
+				v, _, err := c.Recv()
+				if err != nil {
+					t.Fatal(err)
+				}
+				inverse = append(inverse, func() { c.Unrecv(v) })
+			}
+			states = append(states, c.Fingerprint())
+			// Unwind part of the way now and then, and go on from there.
+			for len(inverse) > 0 && rng.Intn(3) == 0 {
+				inverse[len(inverse)-1]()
+				inverse, states = inverse[:len(inverse)-1], states[:len(states)-1]
+				if got, want := c.Fingerprint(), states[len(states)-1]; got != want {
+					t.Fatalf("seed %d, op %d: unwound to %s, was %s", seed, i, got, want)
+				}
+			}
+		}
+	}
+	s := comm.NewSem("s", 1)
+	s.Signal()
+	s.Unsignal()
+	if s.Count() != 1 {
+		t.Errorf("Unsignal left count %d", s.Count())
 	}
 }

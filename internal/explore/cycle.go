@@ -29,8 +29,8 @@ package explore
 //
 //   - Red (nested) search: when the state cache prunes a revisit, the
 //     cycle may close through states explored on an earlier path — a
-//     cross edge the blue check cannot see. A bounded copy-per-edge DFS
-//     follows only non-progress transitions from the pruned state,
+//     cross edge the blue check cannot see. A bounded DFS, undone edge
+//     by edge, follows only non-progress transitions from the pruned state,
 //     looking for any on-stack state whose on-path suffix is also
 //     progress-free; reaching one exhibits a lasso whose cycle runs
 //     partly over the blue path and partly over the red extension. A
@@ -40,8 +40,8 @@ package explore
 // Decision-stack backtracking makes the live stack cheap to maintain:
 // a backtrack leaves a path's prefix below the change point unchanged,
 // so the live entries there stay valid whether the engine re-executes
-// that prefix or restores a snapshot above it (restore sets liveDepth
-// to the snapshot's depth and the replay continues from there). Only
+// that prefix or undoes to a mark above it (restore sets liveDepth
+// to the mark's depth and the replay continues from there). Only
 // the transition out of the change point needs its progress bit
 // refreshed, and truncation at the fresh state's depth drops whatever
 // the backtrack abandoned.
@@ -173,17 +173,22 @@ func (e *engine) leafLivelock(i int, redDecs []Decision, redTrace []interp.Event
 // redSearch runs the nested (red) half of the search at a cache-pruned
 // state: the blue DFS stops here because the state was fully explored
 // on an earlier path, but a non-progress cycle through it may still
-// close into the current path over that earlier territory. A bounded
-// copy-per-edge DFS follows only non-progress transitions from the
-// pruned state, looking for an on-stack state whose on-path suffix is
-// also progress-free. Toss choices inside the red region always take
+// close into the current path over that earlier territory. A bounded DFS
+// follows only non-progress transitions from the pruned state, looking
+// for an on-stack state whose on-path suffix is also progress-free. It
+// steps the engine's own machine and undoes each edge, which leaves the
+// machine in the red state only when a livelock leaf ends the path (the
+// next path's undo to an entry's mark unwinds that too); a machine whose
+// marks are dead (the reference) steps a fork per edge instead. Toss
+// choices inside the red region always take
 // outcome 0 (recorded, so the witness replays); toss-dependent cycles
 // beyond that are missed, never misreported. Reports true when the
 // path ended in a livelock leaf; a search that ends without one because
-// RedStateBudget ran out is counted in Report.RedCut. A red state
+// RedStateBudget ran out — or the machine dropped its trail under it —
+// is counted in Report.RedCut. A red state
 // allocates nothing: its key goes into the engine's key scratch (free
 // once the cache has answered) and is copied only by the seen set, and
-// the seen set, pending tables and stepped machines outlive the search.
+// the seen set and pending tables outlive the search.
 func (e *engine) redSearch(depth int) bool {
 	// progCount is monotone along the stack, so the on-stack states
 	// whose suffix to here is progress-free form exactly the suffix
@@ -229,7 +234,10 @@ func (e *engine) redSearch(depth int) bool {
 			e.rep.RedStates++
 			nd, nt := len(decs), len(trace)
 			decs = append(decs, Decision{Value: p})
-			fm := e.redFork(m, rd)
+			mk, fm := e.takeMark(), m
+			if mk == (interp.Mark{}) {
+				fm = m.ForkMachine()
+			}
 			ev, out := fm.Step(p, ch)
 			trace = append(trace, ev)
 			if out == nil {
@@ -250,6 +258,11 @@ func (e *engine) redSearch(depth int) bool {
 			// search, which reported (or will report) the incident.
 			decs = decs[:nd]
 			trace = trace[:nt]
+			if _, ok := m.Undo(mk); fm == m && !ok {
+				// The machine dropped its log under the search and is not
+				// back at this level's state: the search cannot go on.
+				budget, cut = 0, true
+			}
 		}
 		return false
 	}
@@ -260,27 +273,4 @@ func (e *engine) redSearch(depth int) bool {
 		e.rep.RedCut++
 	}
 	return false
-}
-
-// redPoolDepth bounds the red-search levels that keep a machine between
-// searches; deeper levels fork and drop theirs.
-const redPoolDepth = 64
-
-// redFork returns a copy of m for the red search to step at recursion
-// level rd. One machine per level is live at a time — a level's copy is
-// dead once its subtree returns — so the shallow levels, where nearly
-// all red states are expanded, overwrite a pooled machine instead of
-// forking a fresh one per edge.
-func (e *engine) redFork(m interp.Machine, rd int) interp.Machine {
-	if rd < len(e.redPool) {
-		if fm := e.redPool[rd]; fm.CopyFrom(m) {
-			return fm
-		}
-		return m.ForkMachine()
-	}
-	fm := m.ForkMachine()
-	if rd == len(e.redPool) && rd < redPoolDepth {
-		e.redPool = append(e.redPool, fm)
-	}
-	return fm
 }

@@ -397,9 +397,6 @@ func (e *engine) foldBacktracks(en *entry) bool {
 		en.objs = append(en.objs, objOf(en.enabled, en.enObjs, q))
 	}
 	en.backtrack = en.backtrack[:0]
-	if en.site >= 0 {
-		e.growWaste[en.site] = -1 // it grew: saveSnapshot's lesson
-	}
 	return en.cursor < len(en.options)
 }
 

@@ -69,22 +69,14 @@ type entry struct {
 	// the machine. Empty for an objectless or untracked transition.
 	dporLo, dporHi int
 
-	// snap, when non-nil, is a pooled machine holding the global state
-	// at this scheduling decision point, before any of its options
-	// executed: the next path overwrites the engine's machine from the
-	// deepest one on the stack instead of re-executing the path from
-	// the start (restore.go). snapTrace is the trace length and
-	// snapDepth the scheduling depth at that state.
-	snap      interp.Machine
-	snapTrace int
-	snapDepth int
-	// snapUsed records that a path has started from snap; snapGrow that
-	// snap was taken only because the entry might grow (restore.go).
-	snapUsed, snapGrow bool
-	// site is the visible-operation site (coverage bit) of the chosen
-	// option, or -1: what the chooser marks in tossSites when the
-	// option's transition turns out to toss.
-	site int
+	// mark is the machine's state at this scheduling decision point,
+	// before any of its options executed: the next path undoes the
+	// machine to the deepest live one on the stack instead of
+	// re-executing the path from the start (restore.go). markTrace is
+	// the trace length and markDepth the scheduling depth at that state.
+	mark      interp.Mark
+	markTrace int
+	markDepth int
 }
 
 func (e *entry) choice() int { return e.options[e.cursor] }
@@ -135,31 +127,18 @@ type engine struct {
 
 	// snapRoot, when the claimed unit carries a snapshot
 	// (Options.SnapshotSpill), is the forked machine pinned at the unit's
-	// decision point: the bottom of the snapshot stack. A path that finds
-	// no snapshot on its own stack overwrites the machine from it instead
-	// of replaying the base prefix from the initial state, and snapTrace
-	// seeds the visible trace with the prefix events. Both nil in replay
-	// mode. snapRoot is shared with other claimers and only ever read.
+	// decision point. A path that finds no live mark on its stack
+	// overwrites the machine from it instead of replaying the base prefix
+	// from the initial state, and snapTrace seeds the visible trace with
+	// the prefix events. Both nil in replay mode. snapRoot is shared with
+	// other claimers and only ever read.
 	snapRoot  interp.Machine
 	snapTrace []interp.Event
 
-	// The backtracking snapshot pool (restore.go): snapFree holds idle
-	// machines, snapMade counts the machines created (at most
-	// maxSnapshots per engine; the ones not idle hang on stack entries),
-	// and no entry below stack index snapLow holds one.
-	snapFree []interp.Machine
-	snapMade int
-	snapLow  int
-	// tossSites marks the visible-operation sites whose transition has
-	// been seen to execute a VS_toss: a single-option scheduling entry
-	// stopped at one is still worth a snapshot, because the toss entries
-	// its transition pushes backtrack through it. Learned as the search
-	// runs and kept across units — it is a fact about the program.
-	tossSites coverage
-	// growWaste counts per site the snapshots taken only because a
-	// dynamic entry might grow by a folded-in backtrack point, and wasted;
-	// -1 once an entry there has grown (saveSnapshot).
-	growWaste []int8
+	// trail is a mark on the machine's current trail, which an entry's
+	// mark has to share to be alive; the dead mark when none on the stack
+	// is (restore.go).
+	trail interp.Mark
 
 	// partial is the engine's share of the result: the counters and
 	// samples of the paths it ran (rep) and the sites they covered.
@@ -191,16 +170,15 @@ type engine struct {
 	// progress labels; cycle.go). liveStack holds the fingerprints of
 	// the states on the current path — nil when detection is off, which
 	// is the per-state on/off test; liveMeta is its per-depth progress
-	// bookkeeping; liveDepth counts scheduling steps during prefix
-	// replay; lasso carries a pending livelock witness into
-	// recordSample.
+	// bookkeeping; lasso carries a pending livelock witness into
+	// recordSample. liveDepth is the scheduling depth the replay has
+	// reached, kept with detection off too: a mark records it.
 	liveStack *statecache.StackSet
 	liveMeta  []liveMeta
 	liveDepth int
 	lasso     *lassoSample
-	// The red search's storage, kept across searches: one machine per
-	// shallow level (redFork), one pending table per level, the seen set.
-	redPool []interp.Machine
+	// The red search's storage, kept across searches: one pending table
+	// per level, the seen set.
 	redPend [][]interp.Pending
 	redSeen *statecache.Cache
 
@@ -235,8 +213,6 @@ type engine struct {
 func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *siteTable, shared *sharedState) *engine {
 	e := &engine{sys: sys, opt: opt, footprint: fps, sites: sites, met: noMetrics, shared: shared}
 	e.partial = partial{rep: &Report{}, covered: newCoverage(sites)}
-	e.tossSites = newCoverage(sites)
-	e.growWaste = make([]int8, sites.bits)
 	if opt.Liveness {
 		e.liveStack = statecache.NewStackSet()
 		e.redSeen = statecache.New(statecache.Config{Shards: 1})
@@ -276,7 +252,6 @@ func (e *engine) chooser() interp.Chooser {
 			e.replayIdx++
 			return en.choice(), true
 		}
-		e.noteTossSite()
 		en := e.getEntry()
 		en.isToss = true
 		for i := 0; i <= bound; i++ {
@@ -309,11 +284,9 @@ func (e *engine) getEntry() *entry {
 	return &entry{}
 }
 
-// putEntry recycles a popped entry, returning its snapshot machine (if
-// any) to the pool. Shared entries — whose slices were published into a
-// work unit — are left for the garbage collector.
+// putEntry recycles a popped entry. Shared entries — whose slices were
+// published into a work unit — are left for the garbage collector.
 func (e *engine) putEntry(en *entry) {
-	e.dropSnapshot(en)
 	if !en.shared {
 		e.entPool = append(e.entPool, en)
 	}
@@ -343,7 +316,6 @@ func (e *engine) clearStack() {
 	for len(e.stack) > 0 {
 		e.pop()
 	}
-	e.snapLow = 0
 }
 
 // backtrack advances the deepest decision point with options left,
@@ -372,10 +344,10 @@ func (e *engine) backtrack() bool {
 // runPathSafe executes one path, converting any panic — an interpreter
 // bug, a replay mismatch, a hostile checkpoint — into an isolated
 // internal-error incident carrying the offending decision prefix. Only
-// the panicking path is lost: every path starts by overwriting the
-// whole machine — sys.Reset, or CopyFrom a snapshot taken before the
-// failure — so a torn interpreter state cannot leak, and the DFS
-// backtracks past the failure and continues.
+// the panicking path is lost: the recovery abandons every mark on the
+// stack, so the next path starts by overwriting the whole machine —
+// sys.Reset, or CopyFrom the unit's snapshot — and a torn interpreter
+// state cannot leak; the DFS backtracks past the failure and continues.
 func (e *engine) runPathSafe() {
 	// Registered first so it runs last (after the panic recovery has
 	// accounted the path): flush this path's counter deltas into the
@@ -386,6 +358,7 @@ func (e *engine) runPathSafe() {
 		if r == nil {
 			return
 		}
+		e.trail = interp.Mark{} // no mark is to be trusted: the next path resets the machine
 		msg := panicMessage(r)
 		if e.pathEnded {
 			// The path's leaf was already accounted (the panic came
@@ -424,12 +397,12 @@ func panicMessage(r any) string {
 }
 
 // runPath executes one path: it brings the machine to the deepest
-// point of the current decisions a snapshot covers, replays the
-// decisions from there, then extends the path depth-first until it
-// ends. The starting point is, in order of preference, the deepest
-// snapshot on the engine's own stack (restore.go), the claimed unit's
-// snapshot (the unit's decision point), or the initial state — from
-// which the base prefix and the whole stack replay.
+// point of the current decisions it can, replays the decisions from
+// there, then extends the path depth-first until it ends. The starting
+// point is, in order of preference, the deepest live mark on the
+// engine's own stack (restore.go), the claimed unit's snapshot (the
+// unit's decision point), or the initial state — from which the base
+// prefix and the whole stack replay.
 func (e *engine) runPath() {
 	e.replayIdx = 0
 	e.pendingSleep = e.baseSleep
@@ -445,6 +418,7 @@ func (e *engine) runPath() {
 			e.sys = e.snapRoot.ForkMachine()
 		}
 		e.baseIdx = len(e.base)
+		e.liveDepth = e.baseSched
 		e.trace = append(e.trace[:0], e.snapTrace...)
 	default:
 		e.sys.Reset()
@@ -468,8 +442,8 @@ func (e *engine) runPath() {
 			pd := e.pend[d.Value]
 			if e.liveStack != nil {
 				e.liveNoteReplay(pd, e.liveDepth, e.baseIdx)
-				e.liveDepth++
 			}
+			e.liveDepth++
 			e.baseIdx++
 			e.cover(pd)
 			ev, out := e.sys.Step(d.Value, e.ch)
@@ -495,14 +469,19 @@ func (e *engine) runPath() {
 			}
 			pd := en.pend[p]
 			e.pendingSleep = en.childSleep()
+			if !en.mark.SameTrail(e.trail) {
+				// An entry rebuilt from a work unit or a checkpoint, or one
+				// whose mark died with the log: the search comes back here.
+				e.markEntry(en, e.liveDepth)
+			}
 			if e.liveStack != nil {
 				e.liveNoteReplay(pd, e.liveDepth, len(e.base)+e.replayIdx-1)
-				e.liveDepth++
 			}
+			e.liveDepth++
 			if e.opt.POR == PORDynamic {
 				e.dporTrack(e.replayIdx-1, pd, en)
 			}
-			en.site = e.cover(pd)
+			e.cover(pd)
 			ev, out := e.sys.Step(p, e.ch)
 			e.noteReplayStep()
 			e.pushTrace(ev)
@@ -663,13 +642,13 @@ func (e *engine) runPath() {
 
 		p := en.choice()
 		pd := e.pend[p]
-		en.site = e.cover(pd)
-		e.saveSnapshot(en, depth)
+		e.cover(pd)
+		e.markEntry(en, depth)
 		e.pendingSleep = en.childSleep()
 		if e.liveStack != nil {
 			e.liveMeta[depth].progressOut = pd.Flags&interp.PendProgress != 0
-			e.liveDepth = depth + 1
 		}
+		e.liveDepth = depth + 1
 		if e.opt.POR == PORDynamic {
 			e.dporTrack(len(e.stack)-1, pd, en)
 		}
@@ -868,13 +847,11 @@ func (e *engine) scanEnabled() (stuck bool) {
 }
 
 // cover records the visible-operation site of pd, the row of the
-// process about to execute, and returns it (-1 when it is at none).
-func (e *engine) cover(pd interp.Pending) int {
-	site := int(pd.Site)
-	if site >= 0 {
+// process about to execute (-1 when it is at none).
+func (e *engine) cover(pd interp.Pending) {
+	if site := int(pd.Site); site >= 0 {
 		e.covered.set(site)
 	}
-	return site
 }
 
 // schedDepth is the number of scheduling decisions along the current

@@ -258,9 +258,10 @@ type Options struct {
 	// testCacheHash, if non-nil, replaces the state cache's fingerprint
 	// hash: the white-box collision-injection hook of the cache tests.
 	testCacheHash func([]byte) uint64
-	// testReplayOnly, if set, keeps the engine from saving backtracking
-	// snapshots, so every path replays from the start of its unit: the
-	// white-box baseline of the restore-vs-replay equivalence tests.
+	// testReplayOnly, if set, keeps the engine from marking its machine,
+	// so every path replays from the start of its unit and the red search
+	// steps copies: the white-box baseline of the restore-vs-replay
+	// equivalence tests.
 	testReplayOnly bool
 }
 
@@ -429,10 +430,11 @@ type Report struct {
 	ReplaySteps int64 // transitions re-executed while replaying prefixes
 	MaxDepth    int   // deepest path seen
 
-	// Backtracking snapshots (restore.go) saved, paths started from one,
-	// and snapshots dropped with no path started from them: like
+	// Backtracking by undoing (restore.go): paths begun by undoing the
+	// machine to a mark, the trail entries undone for them, and the times
+	// the machine dropped a trail that had outgrown its bound. Like
 	// ReplaySteps a cost, not a finding, and in no checkpoint.
-	SnapshotsSaved, SnapshotsRestored, SnapshotsUnused int64
+	TrailRestores, TrailUndone, TrailDrops int64
 
 	// Incomplete reports that the search ended before covering the
 	// whole state space — cancelled, timed out, budget-exhausted, or

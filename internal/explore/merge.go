@@ -49,9 +49,9 @@ func (t *Report) add(r *Report) {
 	t.Paths += r.Paths
 	t.Replays += r.Replays
 	t.ReplaySteps += r.ReplaySteps
-	t.SnapshotsSaved += r.SnapshotsSaved
-	t.SnapshotsRestored += r.SnapshotsRestored
-	t.SnapshotsUnused += r.SnapshotsUnused
+	t.TrailRestores += r.TrailRestores
+	t.TrailUndone += r.TrailUndone
+	t.TrailDrops += r.TrailDrops
 	if r.MaxDepth > t.MaxDepth {
 		t.MaxDepth = r.MaxDepth
 	}

@@ -22,11 +22,11 @@ const (
 	MetricReplays     = "explore.replays"
 	MetricReplaySteps = "explore.replay_steps"
 	MetricIncidents   = "explore.incidents"
-	// Backtracking snapshots saved, paths started from one, snapshots
-	// dropped unused: cost counters, like explore.replay_steps.
-	MetricSnapshotsSaved    = "explore.snapshots.saved"
-	MetricSnapshotsRestored = "explore.snapshots.restored"
-	MetricSnapshotsUnused   = "explore.snapshots.unused"
+	// Paths begun by an undo, trail entries undone, trails dropped at
+	// their bound: cost counters, like explore.replay_steps.
+	MetricTrailRestores = "explore.trail.restores"
+	MetricTrailUndone   = "explore.trail.undone"
+	MetricTrailDrops    = "explore.trail.drops"
 
 	MetricUnitsClaimed   = "explore.units.claimed"
 	MetricUnitsSpilled   = "explore.units.spilled"
@@ -109,8 +109,8 @@ type exploreMetrics struct {
 	replays     *obs.Counter
 	replaySteps *obs.Counter
 	incidents   *obs.Counter
-	// snapshots saved, restored from, dropped unused
-	snapSaved, snapRestored, snapUnused *obs.Counter
+	// paths begun by an undo, trail entries undone, trails dropped
+	trailRestores, trailUndone, trailDrops *obs.Counter
 
 	unitsClaimed   *obs.Counter
 	unitsSpilled   *obs.Counter
@@ -162,9 +162,9 @@ func newExploreMetrics(reg *obs.Registry) *exploreMetrics {
 		replaySteps: reg.Counter(MetricReplaySteps),
 		incidents:   reg.Counter(MetricIncidents),
 
-		snapSaved:    reg.Counter(MetricSnapshotsSaved),
-		snapRestored: reg.Counter(MetricSnapshotsRestored),
-		snapUnused:   reg.Counter(MetricSnapshotsUnused),
+		trailRestores: reg.Counter(MetricTrailRestores),
+		trailUndone:   reg.Counter(MetricTrailUndone),
+		trailDrops:    reg.Counter(MetricTrailDrops),
 
 		unitsClaimed:   reg.Counter(MetricUnitsClaimed),
 		unitsSpilled:   reg.Counter(MetricUnitsSpilled),
@@ -229,14 +229,14 @@ func (r *Report) mirrored() [nMirrored]int64 {
 	return [...]int64{r.States, r.Transitions, r.Paths, r.Replays, r.ReplaySteps, r.Incidents(),
 		r.PorBacktracks, r.PorSleepBlocked, r.PorDynamicPruned,
 		r.Livelocks, r.RedSearches, r.RedStates, r.RedCut,
-		r.SnapshotsSaved, r.SnapshotsRestored, r.SnapshotsUnused}
+		r.TrailRestores, r.TrailUndone, r.TrailDrops}
 }
 
 func (m *exploreMetrics) mirrors() [nMirrored]*obs.Counter {
 	return [...]*obs.Counter{m.states, m.transitions, m.paths, m.replays, m.replaySteps, m.incidents,
 		m.porBacktracks, m.porSleepBlocked, m.porDynamicPruned,
 		m.livelocks, m.redSearches, m.redStates, m.redCut,
-		m.snapSaved, m.snapRestored, m.snapUnused}
+		m.trailRestores, m.trailUndone, m.trailDrops}
 }
 
 // metricsCursor tracks, per engine, how much of the engine's partial
@@ -305,13 +305,17 @@ func (m *exploreMetrics) noteClaim(u *workUnit) {
 	}
 }
 
-// emitRunStart records the run-start event.
-func (m *exploreMetrics) emitRunStart(opt Options, resumed bool) {
+// emitRunStart records the run-start event. distributed says the
+// workers are slice workers (dist.go): worker processes do the exploring.
+func (m *exploreMetrics) emitRunStart(opt Options, resumed, distributed bool) {
 	if m.sink == nil {
 		return
 	}
 	mode := "sequential"
-	if opt.Workers > 0 {
+	switch {
+	case distributed:
+		mode = "distributed"
+	case opt.Workers > 0:
 		mode = "parallel"
 	}
 	m.sink.Emit("run_start",

@@ -28,9 +28,9 @@ func checkRegistryMatches(t *testing.T, reg *obs.Registry, rep *explore.Report) 
 		{explore.MetricPorBacktracks, rep.PorBacktracks},
 		{explore.MetricPorSleepBlocked, rep.PorSleepBlocked},
 		{explore.MetricPorDynamicPruned, rep.PorDynamicPruned},
-		{explore.MetricSnapshotsSaved, rep.SnapshotsSaved},
-		{explore.MetricSnapshotsRestored, rep.SnapshotsRestored},
-		{explore.MetricSnapshotsUnused, rep.SnapshotsUnused},
+		{explore.MetricTrailRestores, rep.TrailRestores},
+		{explore.MetricTrailUndone, rep.TrailUndone},
+		{explore.MetricTrailDrops, rep.TrailDrops},
 	} {
 		if got := reg.Counter(c.metric).Load(); got != c.want {
 			t.Errorf("%s = %d, report says %d", c.metric, got, c.want)

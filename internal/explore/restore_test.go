@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"reclose/internal/cfg"
+	"reclose/internal/fiveess"
 	"reclose/internal/interp"
 	"reclose/internal/leaderelect"
 	"reclose/internal/lockserver"
@@ -15,10 +16,10 @@ import (
 	"reclose/internal/randprog"
 )
 
-// This file holds the contract of restore-based backtracking
+// This file holds the contract of backtracking by undoing
 // (restore.go): it changes what a path costs, never what the search
 // finds. The baseline is the same engine with Options.testReplayOnly
-// set, which saves no snapshots and so replays every path from the
+// set, which takes no marks and so replays every path from the
 // start of its unit, as every engine did before.
 
 // restoreDigest renders everything restore and replay must agree on:
@@ -323,77 +324,141 @@ func TestSchedDepthMatchesWalk(t *testing.T) {
 	}
 }
 
-// deepProgram is two independent processes each signalling its own
-// semaphore n times: with reduction off every state down to depth 2n has
-// two options, so one path holds up to 2n snapshot candidates.
-func deepProgram(n int) string {
+// heavyProgram is two independent processes each signalling its own
+// semaphore n times and storing 2*spin times in between: with reduction
+// off every state down to depth 2n has two options, and every transition
+// logs 2*spin trail entries.
+func heavyProgram(n, spin int) string {
 	return fmt.Sprintf(`
 sem a = 0;
 sem b = 0;
 proc pa() {
     var i;
-    for (i = 0; i < %d; i = i + 1) {
+    var j;
+    var x;
+    for (i = 0; i < %[1]d; i = i + 1) {
         signal(a);
+        for (j = 0; j < %[2]d; j = j + 1) { x = x + 1; }
     }
 }
 proc pb() {
     var i;
-    for (i = 0; i < %d; i = i + 1) {
+    var j;
+    var x;
+    for (i = 0; i < %[1]d; i = i + 1) {
         signal(b);
+        for (j = 0; j < %[2]d; j = j + 1) { x = x + 1; }
     }
 }
 process pa;
 process pb;
-`, n, n)
+`, n, spin)
 }
 
-// TestSnapshotCap explores a program deeper than the snapshot pool: the
-// engine must never hold or create more than maxSnapshots machines, no
-// machine may leak from the pool, the shallow entries that gave
-// their snapshots up must still be explored (by replay), and the report
-// must equal the replay-only one.
-func TestSnapshotCap(t *testing.T) {
-	u := mustClose(t, deepProgram(maxSnapshots))
-	opt := Options{POR: POROff, NoSleep: true, MaxStates: 40000, MaxIncidents: 4}
-	peak, evicted := 0, false
-	restore := driveEngine(t, u, opt, nil, func(e *engine) {
-		held := 0
-		for i, en := range e.stack {
-			if en.snap != nil {
-				held++
-				if i < e.snapLow {
-					t.Fatalf("entry %d holds a snapshot below snapLow %d", i, e.snapLow)
-				}
-			}
-		}
-		if held+len(e.snapFree) != e.snapMade {
-			t.Fatalf("pool leaked: %d held + %d free != %d made", held, len(e.snapFree), e.snapMade)
-		}
-		if e.snapMade > maxSnapshots {
-			t.Fatalf("engine created %d snapshot machines, cap %d", e.snapMade, maxSnapshots)
-		}
-		if held > peak {
-			peak = held
-		}
-		if len(e.stack) > maxSnapshots && e.stack[0].snap == nil {
-			evicted = true
-		}
-	})
-	if peak != maxSnapshots {
-		t.Errorf("peak live snapshots = %d, want the cap %d", peak, maxSnapshots)
-	}
-	if !evicted {
-		t.Errorf("the shallowest entry never gave its snapshot up")
+// TestTrailCap explores a program whose paths log more than the machine
+// keeps (interp's maxTrail, 65 536 entries; a path here logs 108 000):
+// the machine drops its log on the way down, the entries above that
+// point — their marks dead — are still explored, by one replay each time
+// the search comes back to them, the deeper ones still by undoing, and
+// the report equals the replay-only one.
+func TestTrailCap(t *testing.T) {
+	u := mustClose(t, heavyProgram(3, 9000))
+	opt := Options{POR: POROff, NoSleep: true, MaxIncidents: 4}
+	restore, err := Explore(u, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
 	opt.testReplayOnly = true
-	replay := driveEngine(t, u, opt, nil, func(*engine) {})
+	replay, err := Explore(u, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got, want := restoreDigest(restore), restoreDigest(replay); got != want {
 		t.Errorf("capped restore diverged from replay:\n--- restore ---\n%s--- replay ---\n%s", got, want)
+	}
+	if restore.TrailDrops == 0 || replay.TrailDrops != 0 {
+		t.Errorf("TrailDrops = %d (replay-only %d), want the log dropped", restore.TrailDrops, replay.TrailDrops)
+	}
+	if restore.TrailRestores == 0 || restore.TrailRestores >= restore.Replays {
+		t.Errorf("%d of %d paths began by an undo, want some and not all", restore.TrailRestores, restore.Replays)
 	}
 	if restore.ReplaySteps >= replay.ReplaySteps {
 		t.Errorf("capped restore re-executed %d transitions, replay %d", restore.ReplaySteps, replay.ReplaySteps)
 	}
-	if restore.MaxDepth <= maxSnapshots {
-		t.Fatalf("search reached depth %d, not past the cap %d", restore.MaxDepth, maxSnapshots)
+}
+
+// TestResumedStackIsMarked resumes a dynamic-POR checkpoint, whose unit
+// carries the whole decision stack. The rebuilt entries hold no mark, so
+// the first path replays the stack — and marks every entry it passes:
+// from then on a return to any of them is an undo, one re-executed
+// transition like any backtrack. (While only an entry pushed at a fresh
+// state could be restored to, every return to a rebuilt one replayed its
+// prefix: 27 054 re-executed transitions for this resume's 26 739
+// restarts, now 26 775.)
+func TestResumedStackIsMarked(t *testing.T) {
+	u := mustClose(t, fiveess.Source(fiveess.Scale("medium")))
+	opt := Options{POR: PORDynamic, MaxDepth: 40, MaxIncidents: 4}
+	snap := cutOnce(t, u, opt, 20000)
+	if snap == nil || len(snap.Units) != 1 || len(snap.Units[0].Stack) < 20 {
+		t.Fatalf("want a checkpoint of one deep stack-continuation unit, got %+v", snap)
+	}
+	depth := int64(len(snap.Units[0].Stack))
+	restore, err := Resume(u, snap, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.testReplayOnly = true
+	replay, err := Resume(u, snap, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := restoreDigest(restore), restoreDigest(replay); got != want {
+		t.Fatalf("resumed searches diverged:\n--- restore ---\n%s--- replay ---\n%s", got, want)
+	}
+	resumed := restore.Replays - snap.Counters.Replays // path restarts since the checkpoint
+	steps := restore.ReplaySteps - snap.Counters.ReplaySteps
+	if restore.TrailRestores != resumed-1 || steps > resumed+depth {
+		t.Errorf("resumed search: %d restarts, %d by undo, %d transitions re-executed; want all but the first by undo and at most %d (the stack once, then one each)",
+			resumed, restore.TrailRestores, steps, resumed+depth)
+	}
+}
+
+// TestPanicKillsMarks panics at a fresh state in the middle of a path,
+// with a mark outstanding on every entry of the stack: the recovery
+// abandons them all, so exactly one later path — the next — starts from
+// Reset instead of an undo, and the search's findings equal the
+// replay-only engine's under the same panic.
+func TestPanicKillsMarks(t *testing.T) {
+	u := mustClose(t, progs.Philosophers(3))
+	for _, por := range []PORMode{PORStatic, PORDynamic, POROff} {
+		run := func(replayOnly, panics bool) *Report {
+			fired := false
+			opt := Options{POR: por, MaxIncidents: 1 << 20, testReplayOnly: replayOnly}
+			opt.testPanicAtState = func(dec []Decision) bool {
+				if panics && !fired && len(dec) == 5 {
+					fired = true
+					return true
+				}
+				return false
+			}
+			rep, err := Explore(u, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		}
+		if clean := run(false, false); clean.TrailRestores != clean.Replays {
+			t.Fatalf("por=%s: clean run: %d of %d restarts by undo", por, clean.TrailRestores, clean.Replays)
+		}
+		restore, replay := run(false, true), run(true, true)
+		if restore.InternalErrors != 1 {
+			t.Fatalf("por=%s: InternalErrors = %d, want 1", por, restore.InternalErrors)
+		}
+		if got, want := restoreDigest(restore), restoreDigest(replay); got != want {
+			t.Errorf("por=%s: restore diverged from replay:\n--- restore ---\n%s--- replay ---\n%s", por, got, want)
+		}
+		if restore.TrailRestores != restore.Replays-1 {
+			t.Errorf("por=%s: %d of %d restarts by undo, want all but the one after the panic", por, restore.TrailRestores, restore.Replays)
+		}
 	}
 }

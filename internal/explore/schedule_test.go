@@ -12,41 +12,42 @@ import (
 	"reclose/internal/progs"
 )
 
-// TestSnapshotCounters pins the backtracking-snapshot cost counters on
-// the 5ESS medium model, read where a user reads them — the registry:
-// under static POR every snapshot saved is started from again (none is
-// wasted), and under dynamic POR the learned rule of saveSnapshot keeps
-// the share dropped unused — 81 % when every entry that could grow was
-// saved — under two thirds, without giving up a restore.
-func TestSnapshotCounters(t *testing.T) {
+// TestTrailCounters pins the backtracking cost counters on the 5ESS
+// medium model, read where a user reads them — the registry: every
+// scheduling entry holds a mark, so every backtrack of a sequential
+// search on the compiled machine begins by an undo and re-executes one
+// transition, under static and under dynamic POR, and nothing here comes
+// near the trail's bound.
+func TestTrailCounters(t *testing.T) {
 	u := mustClose(t, fiveess.Source(fiveess.Scale("medium")))
-	counters := func(opt Options) (saved, restored, unused int64, rep *Report) {
+	counters := func(opt Options) (restores, undone, drops int64, rep *Report) {
 		t.Helper()
 		opt.Obs = obs.New()
 		rep, err := Explore(u, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		saved = opt.Obs.Counter(MetricSnapshotsSaved).Load()
-		restored = opt.Obs.Counter(MetricSnapshotsRestored).Load()
-		unused = opt.Obs.Counter(MetricSnapshotsUnused).Load()
-		if saved != rep.SnapshotsSaved || restored != rep.SnapshotsRestored || unused != rep.SnapshotsUnused {
-			t.Errorf("registry %d/%d/%d, report %d/%d/%d", saved, restored, unused,
-				rep.SnapshotsSaved, rep.SnapshotsRestored, rep.SnapshotsUnused)
+		restores = opt.Obs.Counter(MetricTrailRestores).Load()
+		undone = opt.Obs.Counter(MetricTrailUndone).Load()
+		drops = opt.Obs.Counter(MetricTrailDrops).Load()
+		if restores != rep.TrailRestores || undone != rep.TrailUndone || drops != rep.TrailDrops {
+			t.Errorf("registry %d/%d/%d, report %d/%d/%d", restores, undone, drops,
+				rep.TrailRestores, rep.TrailUndone, rep.TrailDrops)
 		}
-		return saved, restored, unused, rep
+		return restores, undone, drops, rep
 	}
-	if saved, restored, unused, _ := counters(Options{MaxDepth: 28}); saved != 89128 || restored != 138928 || unused != 0 {
-		t.Errorf("static d28: saved/restored/unused = %d/%d/%d, want 89128/138928/0", saved, restored, unused)
+	restores, undone, drops, rep := counters(Options{MaxDepth: 28})
+	if restores != 138929 || restores != rep.Replays || rep.ReplaySteps != rep.Replays || drops != 0 {
+		t.Errorf("static d28: %d restores, %d replay steps for %d replays, %d drops, want 138929 of each and no drop",
+			restores, rep.ReplaySteps, rep.Replays, drops)
 	}
-	saved, restored, unused, rep := counters(Options{MaxDepth: 40, POR: PORDynamic})
-	if float64(unused) > 0.65*float64(saved) {
-		t.Errorf("dynamic d40: %d of %d snapshots dropped unused, want at most 65%%", unused, saved)
+	if undone < restores {
+		t.Errorf("static d28: %d entries undone by %d restores", undone, restores)
 	}
-	// Every backtrack but the few at sites that had stopped being saved
-	// starts from a snapshot, one re-executed transition each.
-	if restored != rep.Replays || rep.ReplaySteps > rep.Replays+rep.Replays/100 {
-		t.Errorf("dynamic d40: %d restores, %d replay steps for %d replays", restored, rep.ReplaySteps, rep.Replays)
+	restores, _, drops, rep = counters(Options{MaxDepth: 40, POR: PORDynamic})
+	if restores != 46738 || restores != rep.Replays || rep.ReplaySteps > 46740 || drops != 0 {
+		t.Errorf("dynamic d40: %d restores, %d replay steps for %d replays, %d drops, want 46738 restores, at most 46740 steps, no drop",
+			restores, rep.ReplaySteps, rep.Replays, drops)
 	}
 }
 
@@ -65,6 +66,8 @@ func TestSearchAllocations(t *testing.T) {
 		max       float64
 	}{
 		{"5ess-medium-d28", fiveess.Source(fiveess.Scale("medium")), Options{MaxDepth: 28}, 0.3},
+		// The deepest paths and longest trail of the benchmark's searches.
+		{"5ess-large-d500-s200000", fiveess.Source(fiveess.Scale("large")), Options{MaxDepth: 500, MaxStates: 200000}, 0.3},
 		{"phil-7", progs.Philosophers(7), Options{}, 0.15},
 	} {
 		u := mustClose(t, c.src)
@@ -84,7 +87,7 @@ func TestSearchAllocations(t *testing.T) {
 }
 
 // BenchmarkSchedule measures what the search does between two states of
-// a backtrack besides executing the transition: restore a snapshot, step
+// a backtrack besides executing the transition: undo to a mark, step
 // one process, read the new state's pending table, list its enabled
 // processes, take their persistent set and compute the sleep set the
 // first option's subtree inherits. The loop must not allocate.
@@ -102,29 +105,30 @@ func BenchmarkSchedule(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			snap, m := res.NewSystem(), res.NewSystem()
+			m := res.NewSystem()
 			e := newEngine(m, Options{}.withDefaults(), footprints(u), newSiteTable(u), &sharedState{})
 			ch := interp.FixedChooser(0)
-			if out := snap.Init(ch); out != nil {
+			if out := m.Init(ch); out != nil {
 				b.Fatal(out)
 			}
 			for i := 0; i < 6; i++ { // a few transitions in: several processes enabled
-				if _, out := snap.Step(snap.EnabledProcs()[0], ch); out != nil {
+				if _, out := m.Step(m.EnabledProcs()[0], ch); out != nil {
 					b.Fatal(out)
 				}
 			}
-			p := snap.EnabledProcs()[0]
+			p := m.EnabledProcs()[0]
 			// The inherited sleep set: every enabled process but p, as if
 			// each had been explored at the parent.
 			var inherited sleepSet
-			for _, q := range snap.EnabledProcs()[1:] {
-				inherited = append(inherited, sleepEntry{proc: q, obj: snap.AppendPending(nil)[q].Obj})
+			for _, q := range m.EnabledProcs()[1:] {
+				inherited = append(inherited, sleepEntry{proc: q, obj: m.AppendPending(nil)[q].Obj})
 			}
 			en := e.getEntry()
+			mk := m.Mark()
 			sink := 0
 			step := func() {
-				if !m.CopyFrom(snap) {
-					b.Fatal("snapshot refused")
+				if _, ok := m.Undo(mk); !ok {
+					b.Fatal("mark dead")
 				}
 				if _, out := m.Step(p, ch); out != nil {
 					b.Fatal(out)

@@ -65,7 +65,7 @@ func (w *worker) run() {
 // stop (cancellation, timeout, budget, stop-on-incident) ends the
 // search, pause means a checkpoint is due. Either way every engine comes
 // back at a path boundary, or cut at a fresh state it has not counted,
-// with its stack, snapshot pool and claimed unit as they stood — and
+// with its stack, its machine's trail and claimed unit as they stood — and
 // every slice worker between slices — so what is left of the search can
 // be read off the workers and the frontier without disturbing them: a
 // checkpoint is that read, after which the same workers are started
@@ -98,7 +98,7 @@ func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredSta
 			return nil, err
 		}
 	}
-	met.emitRunStart(opt, restored != nil)
+	met.emitRunStart(opt, restored != nil, dist != nil)
 
 	acc := newAccum(opt, sites, len(u.Processes))
 	seed := []*workUnit{{root: true}}

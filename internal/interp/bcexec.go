@@ -141,6 +141,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			for j := 0; j < int(site.nArgs); j++ {
 				nf.cells[j].V = regs[j].Copy()
 			}
+			s.logRef(uPush, refUndo{p: p, f: nf})
 			p.stack = append(p.stack, nf)
 			if s.hashOn {
 				s.foldFrameIn(p, len(p.stack)-1, nf)
@@ -151,14 +152,12 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 		case opReturn:
 			if len(p.stack) == 1 {
 				// Top-level return: the process is done (§4).
-				p.status = Terminated
-				if s.hashOn {
-					s.foldProcOut(p)
-				}
+				s.terminate(p)
 				s.nd += nd
 				return Value{}, nil
 			}
 			f := top
+			s.logRef(uPop, refUndo{p: p, f: f})
 			p.stack = p.stack[:len(p.stack)-1]
 			top = p.stack[len(p.stack)-1]
 			pc = f.retPC
@@ -170,13 +169,12 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 				// the start of the iteration — the callee, after a pop.
 				trapf("control fell off the graph (proc %s)", f.code.name)
 			}
-			s.putFrame(f)
+			if !s.tr.on { // else the trail entry holds it, to put it back
+				s.putFrame(f)
+			}
 
 		case opExit:
-			p.status = Terminated
-			if s.hashOn {
-				s.foldProcOut(p)
-			}
+			s.terminate(p)
 			s.nd += nd
 			return Value{}, nil
 
@@ -196,7 +194,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			regs[i.A] = indexValue(top.cells[i.B].V, regs[i.C], mod.names[i.D])
 
 		case opAddrSlot:
-			top.pinned = true
+			s.pin(top)
 			regs[i.A] = PtrVal(Pointer{Cell: &top.cells[i.B], Elem: -1})
 
 		case opAddrElem:
@@ -208,7 +206,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if iv.Kind != KInt || iv.I < 0 || iv.I >= int64(len(c.V.Arr)) {
 				trapf("&%s[...]: bad index", mod.names[i.D])
 			}
-			top.pinned = true
+			s.pin(top)
 			regs[i.A] = PtrVal(Pointer{Cell: c, Elem: int(iv.I)})
 
 		case opDeref:
@@ -305,6 +303,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 
 		case opStoreSlot:
 			c := &top.cells[i.A]
+			s.logCell(c, &c.V)
 			c.V = regs[i.B].Copy()
 			if s.hashOn {
 				s.noteWrite(c)
@@ -319,6 +318,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if iv.Kind != KInt || iv.I < 0 || iv.I >= int64(len(c.V.Arr)) {
 				trapf("bad array index in assignment to %s", mod.names[i.D])
 			}
+			s.logCell(c, &c.V.Arr[iv.I])
 			c.V.Arr[iv.I] = regs[i.C].Copy()
 			if s.hashOn {
 				s.noteWrite(c)
@@ -332,11 +332,13 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if pv.Kind != KPtr {
 				trapf("store through %s, want pointer", kindName(pv.Kind))
 			}
+			s.logStore(pv.Ptr)
 			storePtr(pv.Ptr, regs[i.B])
 			if c := pv.Ptr.Cell; s.hashOn && c.hkey != 0 {
 				s.noteWrite(c)
 				if fi, _ := p.locate(c); fi < 0 {
 					// Another process's live cell: Step clears only p's bit.
+					s.logRef(uSegs, refUndo{})
 					for _, q := range s.Procs {
 						q.segOK = false
 					}
@@ -349,6 +351,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 				trapf("bad array size for %s", mod.names[i.D])
 			}
 			c := &top.cells[i.A]
+			s.logCell(c, &c.V)
 			c.V = ArrayVal(int(sz.I))
 			if s.hashOn {
 				s.noteWrite(c)
@@ -356,6 +359,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 
 		case opVarZero:
 			c := &top.cells[i.A]
+			s.logCell(c, &c.V)
 			c.V = IntVal(0)
 			if s.hashOn {
 				s.noteWrite(c)
@@ -377,7 +381,26 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 	}
 }
 
-// framePoolCap bounds the per-System free list of recycled frames.
+// terminate ends p: the fingerprint renders no frame of a terminated
+// process, so its cells leave the accumulator.
+func (s *System) terminate(p *Proc) {
+	p.status = Terminated
+	if s.hashOn {
+		s.logRef(uTerm, refUndo{p: p})
+		s.foldProcOut(p)
+	}
+}
+
+// pin marks f address-taken.
+func (s *System) pin(f *frame) {
+	if !f.pinned {
+		s.logRef(uPin, refUndo{f: f})
+		f.pinned = true
+	}
+}
+
+// framePoolCap bounds the frames returns, Reset and state copies put on
+// the per-System free list (the undo of a call is not held to it).
 const framePoolCap = 64
 
 // getFrame returns a frame for code, recycling a previously popped,

@@ -79,6 +79,7 @@ type copier struct {
 // copyState overwrites s with src's state; see CopyFrom. Both systems
 // are instances of one Resolution.
 func (s *System) copyState(src *System, cloneStale bool) bool {
+	s.dropTrail()
 	cp := &s.cp
 	*cp = copier{dst: s, src: src, cloneStale: cloneStale}
 

@@ -16,7 +16,10 @@ import (
 // from, and independent of, its source (copy_test.go) — and runs the
 // key-segment schedule (keyseg_test.go): steps interleaved with copies
 // into a stale machine, forks and resets, the assembled key compared
-// with the full render after every operation.
+// with the full render after every operation — and the undo sweep
+// (trail_test.go): at every state of a schedule a mark, an excursion of a
+// few transitions and an Undo that must leave the machine where one that
+// never left is.
 // scripts/verify.sh runs this for a short smoke period on every verify.
 func FuzzBytecodeLockstep(f *testing.F) {
 	f.Add(`
@@ -64,6 +67,9 @@ process main;
 	for _, tc := range keyCases {
 		f.Add(tc.src)
 	}
+	for _, tc := range undoCases {
+		f.Add(tc.src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		u, err := core.CompileSource(src)
 		if err != nil {
@@ -76,5 +82,6 @@ process main;
 		lockstep(t, "fuzz", u, 150)
 		copySweep(t, "fuzz", u, 1, 6, 30)
 		keySchedule(t, "fuzz", u, 1, 60)
+		undoSweep(t, "fuzz", u, 1, 30, 1000)
 	})
 }

@@ -180,6 +180,7 @@ func (s *System) rehashObj(i int) {
 // (re)builds the accumulator and object hashes from the current state.
 // Forked systems inherit the setting and the rolling state.
 func (s *System) SetStateHashing(on bool) {
+	s.dropTrail() // the log's contributions are the other setting's
 	s.hashOn = on
 	if on {
 		s.rebuildHash()

@@ -48,13 +48,14 @@ func ParseEngine(s string) (EngineKind, error) {
 }
 
 // Machine is the executable-system interface the explorer drives: the
-// transition semantics plus the state identity operations (fingerprint
-// and hash) and the two state copies — deep-copy forking, and the
-// in-place overwrite restore-based backtracking runs on. System and
+// transition semantics, the state identity operations (fingerprint and
+// hash), the write trail backtracking runs on (Mark, Undo) and the two
+// state copies for a state that has to outlive the machine that reached
+// it — deep-copy forking and the in-place overwrite. System and
 // RefSystem implement it.
 //
-// Per state the search calls Init/Step/Reset, AppendPending and the
-// identity and copy methods. The per-process questions are for
+// Per state the search calls Init/Step/Reset, AppendPending, Mark and
+// the identity methods, per path Undo. The per-process questions are for
 // observers — tests, explore.Replay, incident messages, cmd/simulate,
 // the benchmark's probe — and the pending table holds every answer.
 type Machine interface {
@@ -76,6 +77,13 @@ type Machine interface {
 	// ProcProgress reports whether process i's pending visible
 	// operation carries a `progress` label (liveness checking).
 	ProcProgress(i int) bool
+
+	// Backtracking (trail.go). Mark names the current state; Undo takes
+	// the machine back to a marked state and reports how many log entries
+	// it undid, or false for a dead mark — the only kind the reference
+	// gives out. The caller then reaches the state by replay.
+	Mark() Mark
+	Undo(m Mark) (popped int, ok bool)
 
 	// State identity and snapshotting.
 	AppendFingerprint(dst []byte) []byte
@@ -237,6 +245,12 @@ func (s *RefSystem) StateHash() uint64 {
 // name-keyed maps with no positional correspondence to copy over, so
 // its callers always replay.
 func (s *RefSystem) CopyFrom(Machine) bool { return false }
+
+// Mark returns the dead mark and Undo reports false: the reference
+// keeps no trail, so its callers always replay.
+func (s *RefSystem) Mark() Mark { return Mark{} }
+
+func (s *RefSystem) Undo(Mark) (int, bool) { return 0, false }
 
 // forker tracks cell identity across one reference-system fork so every
 // pointer in the clone lands on the clone's corresponding cell. (The

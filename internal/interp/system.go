@@ -161,6 +161,8 @@ type System struct {
 	pool []*frame
 	// cp is the scratch of a whole-state copy into this system (fork.go).
 	cp copier
+	// tr is the write trail Mark and Undo work on (trail.go).
+	tr trail
 
 	// Incremental state identity (hash.go), maintained while hashOn: the
 	// rolling cell accumulator, per-object hashes and key segments, and
@@ -244,6 +246,7 @@ func (s *System) Resolution() *Resolution { return s.res }
 // is abandoned to the garbage collector and replaced. The processes
 // still need their initial invisible prefixes run; use Init.
 func (s *System) Reset() {
+	s.dropTrail()
 	for _, o := range s.objs {
 		o.Reset()
 	}
@@ -306,6 +309,7 @@ func (s *System) Object(name string) comm.Object {
 // s0 of the paper. It must be called once after Reset.
 func (s *System) Init(ch Chooser) *Outcome {
 	for _, p := range s.Procs {
+		s.logStep(p)
 		p.segOK = false
 		out := s.advance(p, ch)
 		p.settle()
@@ -414,6 +418,7 @@ func (s *System) quiet() (enabled, stuck bool) {
 // non-nil outcome. The caller must only step enabled processes.
 func (s *System) Step(i int, ch Chooser) (Event, *Outcome) {
 	p := s.Procs[i]
+	s.logStep(p)
 	p.segOK = false
 	ev, out := s.execVisible(p, ch)
 	if out == nil {
@@ -474,6 +479,9 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 			if err := c.Send(boxValue(v)); err != nil {
 				trapf("%v", err)
 			}
+			if !ev.Stub {
+				s.logObj(vis, nil)
+			}
 		case opRecv:
 			c := obj.(*comm.Chan)
 			raw, stub, err := c.Recv()
@@ -483,6 +491,7 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 			v := Undef
 			if !stub {
 				v = raw.(Value)
+				s.logObj(vis, raw) // before the destination store, which may trap
 			}
 			ev.Value, ev.HasVal, ev.Stub = v, true, stub
 			s.regs[0] = v
@@ -491,12 +500,16 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 			if err := obj.(*comm.Sem).Wait(); err != nil {
 				trapf("%v", err)
 			}
+			s.logObj(vis, nil)
 		case opSignal:
+			s.logObj(vis, nil)
 			obj.(*comm.Sem).Signal()
 		case opVwrite:
 			v := s.runFragment(p, frag.argPC, ch).Copy()
 			ev.Value, ev.HasVal = v, true
-			obj.(*comm.Shared).Write(boxValue(v))
+			sh := obj.(*comm.Shared)
+			s.logObj(vis, sh.Read())
+			sh.Write(boxValue(v))
 		case opVread:
 			v := obj.(*comm.Shared).Read().(Value)
 			ev.Value, ev.HasVal = v, true

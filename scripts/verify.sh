@@ -4,7 +4,8 @@
 # front end, the checkpoint decoder, the compiled-machine/reference
 # lockstep oracle, the job request parser and the dist frame codec (5s
 # per target; the lockstep target also runs the CopyFrom sweep of
-# copy_test.go and the key-segment schedule of keyseg_test.go).
+# copy_test.go, the key-segment schedule of keyseg_test.go and the undo
+# sweep of trail_test.go).
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
@@ -25,11 +26,11 @@ go test -count=1 -timeout=10m ./...
 #     must find exactly the static oracle's incident set across workers
 #     × spill × cache shards (shared frontier heap, per-entry backtrack
 #     folds);
-#   - restore-based backtracking: the copy routine's property and
-#     hand-written pointer/array tests with hashing on and off, the
-#     restore-vs-replay equivalence grid (engines × POR × cache ×
-#     liveness × workers × snapshot-spill), the snapshot cap, the running
-#     depth count and the mid-step-panic recovery (shared snapshot-spill
+#   - backtracking by undoing: the write trail's and the copy routine's
+#     property and hand-written pointer/array tests with hashing on and
+#     off, the restore-vs-replay equivalence grid (engines × POR × cache ×
+#     liveness × workers × snapshot-spill), the trail's bound, the running
+#     depth count and the panic recoveries (shared snapshot-spill
 #     machines that several workers copy from at once);
 #   - checkpoints as pauses: workers stopped and restarted in place
 #     1 897 times on the lock server, at 0, 1 and 2 workers;
