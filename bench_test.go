@@ -26,6 +26,7 @@ import (
 	"reclose/internal/obs"
 	"reclose/internal/parser"
 	"reclose/internal/progs"
+	"reclose/internal/statecache"
 	"reclose/internal/synth"
 )
 
@@ -537,26 +538,65 @@ func BenchmarkBacktrack(b *testing.B) {
 	}
 }
 
+// BenchmarkStateful measures the six fixed items of the benchmark's
+// explore_stateful workload, in process and with the CLI's options: the
+// lock server cached, unbounded and under an 8 MiB budget that evicts,
+// 5ESS medium cached to depth 30, and three liveness searches over the
+// cache. B/op is what the stored states weigh; scripts/profile.sh
+// BenchmarkStateful profiles these rows.
+func BenchmarkStateful(b *testing.B) {
+	lock := lockserver.Source(lockserver.Config{Clients: 4, Rounds: 2})
+	for _, c := range []struct {
+		name string
+		src  string
+		opt  explore.Options
+	}{
+		{"lock-c4-r2.cache", lock, explore.Options{StateCache: true}},
+		{"5ess-medium.cache.d30", fiveess.Source(fiveess.Scale("medium")), explore.Options{StateCache: true, MaxDepth: 30}},
+		{"lock-c4-r2.cache-mem8MiB.s200000", lock, explore.Options{StateCache: true, MaxCacheBytes: 8 << 20, MaxStates: 200000}},
+		{"lock-c3-r2-greedy.cache.liveness.d200", lockserver.Source(lockserver.Config{Clients: 3, Rounds: 2, GreedyClient: true}),
+			explore.Options{StateCache: true, Liveness: true, MaxDepth: 200}},
+		{"leader-n6-seeded.cache.liveness", leaderelect.Source(leaderelect.Config{Nodes: 6, SeedLivelock: true}),
+			explore.Options{StateCache: true, Liveness: true}},
+		{"leader-n6.cache.liveness", leaderelect.Source(leaderelect.Config{Nodes: 6}),
+			explore.Options{StateCache: true, Liveness: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			closed := mustCloseB(b, c.src)
+			c.opt.MaxIncidents = 4
+			var trans int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				trans = exploreB(b, closed, c.opt).Transitions
+			}
+			b.ReportMetric(float64(trans), "transitions")
+		})
+	}
+}
+
 // BenchmarkStateKey measures what the stateful search does between two
 // states of a backtrack — undo to a mark, step one process, take the
 // state's key — on the lock server's 13-component state. "full" is a
 // machine with hashing off, which renders every component of
-// every key; "assembled" is the hashing machine, whose undo puts back
-// the key segments and whose key re-renders the stepped process only.
+// every key; "assembled" is the hashing machine's fingerprint, whose
+// undo puts back the key segments and which re-renders the stepped
+// process only; "ids" is the key a search stores, one segment-table id
+// per component, which looks up what "assembled" renders.
 func BenchmarkStateKey(b *testing.B) {
 	closed := mustCloseB(b, lockserver.Source(lockserver.Config{Clients: 4, Rounds: 2}))
 	res, err := interp.Resolve(closed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, hashing := range []bool{false, true} {
-		name := "full"
-		if hashing {
-			name = "assembled"
-		}
-		b.Run("lock-c4-r2/"+name, func(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		hashing bool
+		tab     interp.SegmentTable
+	}{{"full", false, nil}, {"assembled", true, nil}, {"ids", true, new(statecache.Segments)}} {
+		b.Run("lock-c4-r2/"+c.name, func(b *testing.B) {
 			m := res.NewSystem()
-			m.SetStateHashing(hashing)
+			m.SetStateHashing(c.hashing)
 			ch := interp.FixedChooser(0)
 			if out := m.Init(ch); out != nil {
 				b.Fatal(out)
@@ -566,7 +606,7 @@ func BenchmarkStateKey(b *testing.B) {
 					b.Fatal(out)
 				}
 			}
-			m.AppendFingerprint(nil)
+			m.AppendKey(nil, c.tab)
 			en := m.EnabledProcs()
 			mk := m.Mark()
 			var key []byte
@@ -579,7 +619,7 @@ func BenchmarkStateKey(b *testing.B) {
 				if _, out := m.Step(en[i%len(en)], ch); out != nil {
 					b.Fatal(out)
 				}
-				key = m.AppendFingerprint(key[:0])
+				key, _ = m.AppendKey(key[:0], c.tab)
 			}
 			b.ReportMetric(float64(len(key)), "keybytes")
 		})

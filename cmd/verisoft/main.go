@@ -125,7 +125,7 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.StringVar(&c.interest, "interest", "", "comma-separated object names the priority search should steer toward (requires -search=priority)")
 	fs.BoolVar(&c.stateCache, "state-cache", false, "enable the state-hashing ablation")
 	fs.IntVar(&c.cacheShards, "cache-shards", 0, "lock shards in the state cache, rounded up to a power of two (0 = default 16; requires -state-cache)")
-	fs.Int64Var(&c.cacheMem, "cache-mem", 0, "approximate state-cache memory budget in bytes, per worker process under -dist-workers; over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
+	fs.Int64Var(&c.cacheMem, "cache-mem", 0, "state-cache budget in bytes, per worker process under -dist-workers, charged per entry the rendered state fingerprint's length plus 96 — more than the entry occupies (the cache: line's resident); over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
 	fs.BoolVar(&c.stopFirst, "stop-on-violation", false, "stop at the first assertion violation or runtime error")
 	fs.BoolVar(&c.liveness, "liveness", false, "detect non-progress cycles (livelock) with a nested DFS; progress is declared with the MiniC `progress` label, defaulting to every visible op (forces -por=static)")
 	fs.IntVar(&c.samples, "samples", 4, "incident samples to print")
@@ -404,6 +404,9 @@ func (c *cli) run() (int, error) {
 	elapsed := time.Since(start)
 
 	fmt.Fprintf(c.stdout, "search: %s\n", rep)
+	if s := rep.CacheSummary(); s != "" {
+		fmt.Fprintf(c.stdout, "cache: %s\n", s)
+	}
 	if rep.Incomplete {
 		fmt.Fprintf(c.stdout, "incomplete: search stopped early (%s); counters cover the explored part only\n", rep.Cause)
 	}

@@ -56,6 +56,9 @@ type snapCache struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
+	// What the entries hold (Report.CacheSummary): the machine's
+	// business, so in no snapshot.
+	stored, segments, segmentBytes int64
 }
 
 // cacheSnap summarizes a state cache for snapshots and final reports;
@@ -72,6 +75,7 @@ func cacheSnap(c *statecache.Cache) *snapCache {
 		Hits:      st.Hits,
 		Misses:    st.Misses,
 		Evictions: st.Evictions,
+		stored:    st.Stored, segments: st.Segments, segmentBytes: st.SegmentBytes,
 	}
 }
 

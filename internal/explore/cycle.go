@@ -16,11 +16,11 @@ package explore
 // The search has the two classic halves of nested DFS, adapted to the
 // stateless engine:
 //
-//   - Blue (on-stack) check: the engine keeps the full fingerprint of
-//     every state on the current path in a statecache.StackSet. A fresh
-//     state's fingerprint and hash are taken once (runPath) and serve
-//     this check and the cache visit after it. A fresh state whose
-//     fingerprint already sits on the stack closes a cycle;
+//   - Blue (on-stack) check: the engine keeps the key of every state
+//     on the current path in a statecache.StackSet. A fresh state's key
+//     and hash are taken once (runPath) and serve this check and the
+//     cache visit after it. A fresh state whose key already sits on the
+//     stack closes a cycle;
 //     if the segment between the two occurrences contains no progress
 //     transition (an O(1) query over per-depth progress counters), the
 //     path itself is a lasso — stem = decisions up to the first
@@ -101,7 +101,7 @@ const RedStateBudget = 4096
 // machine still sits at the state.
 func (e *engine) liveNoteReplay(pd interp.Pending, depth, decIdx int) {
 	if depth >= e.liveStack.Len() {
-		e.fpBuf = e.sys.AppendFingerprint(e.fpBuf[:0])
+		e.fpBuf, _ = e.sys.AppendKey(e.fpBuf[:0], e.segs)
 		e.liveStack.Push(depth, e.sys.StateHash(), e.fpBuf)
 		e.liveMetaSet(depth, decIdx)
 	}
@@ -132,7 +132,7 @@ func (e *engine) progCountAt(depth int) int {
 }
 
 // liveCheck runs the on-stack (blue) cycle test at a fresh state —
-// fingerprint e.fpBuf, state hash h, the identity the cache visit reads
+// key e.fpBuf, state hash h, the identity the cache visit reads
 // next — and records the state on the live stack. It reports true when
 // the path ended in a livelock leaf.
 func (e *engine) liveCheck(depth int, h uint64) bool {
@@ -241,7 +241,8 @@ func (e *engine) redSearch(depth int) bool {
 			ev, out := fm.Step(p, ch)
 			trace = append(trace, ev)
 			if out == nil {
-				e.fpBuf = fm.AppendFingerprint(e.fpBuf[:0])
+				var fpLen int
+				e.fpBuf, fpLen = fm.AppendKey(e.fpBuf[:0], e.segs)
 				h := fm.StateHash()
 				if i, ok := e.liveStack.Lookup(h, e.fpBuf); ok && i >= minIdx {
 					e.leafLivelock(i, decs, trace)
@@ -249,7 +250,7 @@ func (e *engine) redSearch(depth int) bool {
 				}
 				// The set is per search: red reachability is judged against
 				// the current blue stack, which differs per path.
-				if !e.redSeen.VisitPrehashed(h, e.fpBuf, 0) && dfs(fm, rd+1) {
+				if !e.redSeen.VisitCharged(h, e.fpBuf, fpLen, 0) && dfs(fm, rd+1) {
 					return true
 				}
 			}

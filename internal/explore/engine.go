@@ -147,10 +147,13 @@ type engine struct {
 	// StateCache): one statecache.Cache per run, shared by every
 	// engine of the search.
 	cache *statecache.Cache
+	// segs is the search's segment table, which the machine writes its
+	// keys under; under nil a key is the fingerprint.
+	segs interp.SegmentTable
 	// pend is the pending table of the fresh state the machine is in
 	// (observe): all the scheduling layer reads of it.
 	pend   []interp.Pending
-	fpBuf  []byte        // fingerprint/cache-key scratch
+	fpBuf  []byte        // state-key scratch
 	enBuf  []int         // the fresh state's enabled processes (scanEnabled)
 	inS    []bool        // closure-membership scratch (persistentSet)
 	inList []int         // closure-member list scratch (persistentSet)
@@ -539,10 +542,12 @@ func (e *engine) runPath() {
 		}
 		cached := e.cache != nil
 		var h uint64
+		var fpLen int
 		if cached || e.liveStack != nil {
 			// The state's identity, taken once: the blue stack, the cache
-			// and the red search all read this fingerprint and this hash.
-			e.fpBuf = e.sys.AppendFingerprint(e.fpBuf[:0])
+			// and the red search all read this key and this hash; fpLen is
+			// the fingerprint's length.
+			e.fpBuf, fpLen = e.sys.AppendKey(e.fpBuf[:0], e.segs)
 			h = e.sys.StateHash()
 		}
 		// The blue (on-stack) cycle test runs before the cache: an
@@ -552,15 +557,15 @@ func (e *engine) runPath() {
 			return
 		}
 		if cached {
-			// The cache key is the full fingerprint plus the sleep-set
+			// The cache key is the state's key plus the sleep-set
 			// context: what gets expanded from here is a function of
 			// both, so only a visit with an identical key covers this
 			// one. Visit prunes only revisits at an equal or deeper
 			// depth than a stored visit (a shallower revisit re-expands
 			// — its subtree is cut later by the depth bound).
-			fpLen := len(e.fpBuf)
+			keyLen := len(e.fpBuf)
 			if !e.opt.NoSleep {
-				e.fpBuf = e.appendSleepKey(e.fpBuf)
+				e.fpBuf = e.appendSleepKey(e.fpBuf, fpLen)
 			}
 			var pruned bool
 			if e.opt.testCacheHash == nil {
@@ -572,10 +577,12 @@ func (e *engine) runPath() {
 				// it must merely be a pure function of the key bytes (the
 				// engines' hash/fingerprint agreement is pinned by the
 				// differential oracle).
-				if len(e.fpBuf) > fpLen {
-					h = interp.Mix64(h, statecache.FNV1a(e.fpBuf[fpLen:]))
+				if len(e.fpBuf) > keyLen {
+					h = interp.Mix64(h, statecache.FNV1a(e.fpBuf[keyLen:]))
 				}
-				pruned = e.cache.VisitPrehashed(h, e.fpBuf, depth)
+				// The budget is charged the fingerprint and the suffix,
+				// however short the machine's key for them is.
+				pruned = e.cache.VisitCharged(h, e.fpBuf, fpLen+len(e.fpBuf)-keyLen, depth)
 			} else {
 				pruned = e.cache.Visit(e.fpBuf, depth)
 			}
@@ -1145,22 +1152,21 @@ func (e *engine) recordSample(kind LeafKind, msg string) {
 }
 
 // appendSleepKey folds the pending sleep set into a cache key whose
-// prefix (of length fpLen = len(dst) on entry) is the state
-// fingerprint. The transitions expanded from a state exclude its
-// sleeping processes, so two visits cover each other only when both
-// the state and the sleep context match. The encoding is canonical
-// (entries sorted by process index, every field length-delimited, the
-// fingerprint length trailing) so equal (state, sleep) pairs — and
-// only those — produce equal keys.
-func (e *engine) appendSleepKey(dst []byte) []byte {
+// prefix is the key of a state with a fingerprint of fpLen bytes. The
+// transitions expanded from a state exclude its sleeping processes, so
+// two visits cover each other only when both the state and the sleep
+// context match. The encoding is canonical (entries sorted by process
+// index, every field length-delimited, the fingerprint length trailing)
+// so equal (state, sleep) pairs — and only those — produce equal keys.
+func (e *engine) appendSleepKey(dst []byte, fpLen int) []byte {
 	sleep := e.pendingSleep
 	if len(sleep) == 0 {
 		return dst
 	}
-	fpLen := len(dst)
 	// A sleepSet is already ordered by process index — the canonical
-	// order falls out of the representation. The object goes in by name:
-	// a key's bytes and length are what -cache-mem charges and evicts by.
+	// order falls out of the representation. The object goes in by name
+	// and the trailing field is the fingerprint's length, not the key's:
+	// the suffix is hashed into the routing and charged to -cache-mem.
 	for _, se := range sleep {
 		p, obj := se.proc, e.sites.name(se.obj)
 		dst = append(dst, byte(p), byte(p>>8))

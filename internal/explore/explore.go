@@ -524,6 +524,19 @@ func (r *Report) String() string {
 		r.Deadlocks, r.Violations, r.Traps, r.Divergences, r.DepthHits, r.Incomplete)
 }
 
+// CacheSummary renders what the search's state cache did and weighs, ""
+// without one (or when worker processes kept their own): charged is what
+// MaxCacheBytes bounds, the rendered fingerprints; resident the key bytes
+// actually held, the segment table's text included.
+func (r *Report) CacheSummary() string {
+	c := r.cacheSum
+	if c == nil {
+		return ""
+	}
+	return fmt.Sprintf("entries=%d hits=%d misses=%d evictions=%d charged=%dB resident=%dB segments=%d",
+		c.Entries, c.Hits, c.Misses, c.Evictions, c.Bytes, c.stored+c.segmentBytes, c.segments)
+}
+
 // Incidents returns the total number of deadlocks, violations, traps,
 // divergences, livelocks, and internal errors.
 func (r *Report) Incidents() int64 {

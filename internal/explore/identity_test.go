@@ -8,6 +8,7 @@ import (
 	"reclose/internal/fiveess"
 	"reclose/internal/lockserver"
 	"reclose/internal/obs"
+	"reclose/internal/statecache"
 )
 
 // This file pins what a state's identity costs and what the state
@@ -96,5 +97,27 @@ func TestBoundedCachePinned(t *testing.T) {
 		if got := reg.Counter(c.metric).Load(); got != c.want {
 			t.Errorf("%s = %d, want %d", c.metric, got, c.want)
 		}
+	}
+}
+
+// TestBoundedCacheHoldsWhatItCarves runs the same item on a cache of the
+// test's own and reads what its shards carved. At the budget a key goes
+// where an evicted one of its size was, so the shards hold little more
+// than the live keys: when an evicted slot kept its piece and a longer
+// key carved another, this run carved 17.8 MB for 6.4 MB of live keys
+// under its 8 MiB budget. The counts are TestBoundedCachePinned's.
+func TestBoundedCacheHoldsWhatItCarves(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores 200 000 states")
+	}
+	cache := statecache.New(statecache.Config{MaxBytes: 8 << 20})
+	rep, _ := exploreCounted(t, lockserver.Source(lockserver.Config{Clients: 4, Rounds: 2}),
+		explore.Options{StateCache: true, Cache: cache, MaxStates: 200000})
+	st := cache.Stats()
+	if rep.Transitions != 113830 || st.Evictions != 109355 {
+		t.Errorf("%d transitions, %d evictions, want 113830, 109355", rep.Transitions, st.Evictions)
+	}
+	if limit := st.Stored*5/4 + int64(st.Shards)<<16; st.Carved > limit {
+		t.Errorf("%d bytes carved for %d bytes of live keys, want at most %d", st.Carved, st.Stored, limit)
 	}
 }

@@ -79,7 +79,10 @@ const (
 	// once at the end of a run — the cache keeps its own sharded
 	// tallies during the search, so the hot path carries no extra
 	// registry traffic. Per-shard occupancy appears as
-	// explore.cache.shard.<i>.entries gauges.
+	// explore.cache.shard.<i>.entries gauges. explore.cache.bytes is what
+	// the entries are charged (rendered fingerprints, MaxCacheBytes's
+	// denomination); stored_bytes, segments and segment_bytes are what
+	// they hold, which depends on the machine.
 	MetricCacheHits       = "explore.cache.hits"
 	MetricCacheMisses     = "explore.cache.misses"
 	MetricCacheInserts    = "explore.cache.inserts"
@@ -88,6 +91,9 @@ const (
 	MetricCacheCollisions = "explore.cache.collisions"
 	MetricCacheEntries    = "explore.cache.entries"
 	MetricCacheBytes      = "explore.cache.bytes"
+	MetricCacheStored     = "explore.cache.stored_bytes"
+	MetricCacheSegments   = "explore.cache.segments"
+	MetricCacheSegBytes   = "explore.cache.segment_bytes"
 	MetricCacheShards     = "explore.cache.shards"
 )
 
@@ -445,6 +451,9 @@ func (m *exploreMetrics) noteCacheStats(reg *obs.Registry, c *statecache.Cache) 
 	reg.Counter(MetricCacheCollisions).Add(st.Collisions)
 	reg.Gauge(MetricCacheEntries).Set(st.Entries)
 	reg.Gauge(MetricCacheBytes).Set(st.Bytes)
+	reg.Gauge(MetricCacheStored).Set(st.Stored)
+	reg.Gauge(MetricCacheSegments).Set(st.Segments)
+	reg.Gauge(MetricCacheSegBytes).Set(st.SegmentBytes)
 	reg.Gauge(MetricCacheShards).Set(int64(st.Shards))
 	if occ := c.ShardOccupancy(); len(occ) <= cacheShardGaugeLimit {
 		for i, n := range occ {

@@ -192,13 +192,22 @@ func startEngines(u *cfg.Unit, opt Options, sites *siteTable, cache *statecache.
 		return err
 	}
 	fps := footprints(u)
+	// One segment table for the search — machines are copied between its
+	// engines, ids and all — and the cache's own when there is one: a
+	// cache the caller supplied outlives the search.
+	var segs interp.SegmentTable
+	if cache != nil {
+		segs = cache.Segments()
+	} else if opt.Liveness {
+		segs = new(statecache.Segments)
+	}
 	for i, w := range workers {
 		m, err := newMachine(res, opt)
 		if err != nil {
 			return err
 		}
 		eng := newEngine(m, opt, fps, sites, w.shared)
-		eng.cache = cache
+		eng.cache, eng.segs = cache, segs
 		eng.setMetrics(met)
 		if opt.Workers > 0 || opt.Search == SearchPriority {
 			// The inline depth-first search never spills: backtracking

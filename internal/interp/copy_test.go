@@ -67,12 +67,15 @@ func runSchedule(m interp.Machine, seed int64, n int) (tosses int, ok bool) {
 }
 
 // sameState fails the test unless a and b render the same fingerprint
-// and state hash.
+// and state hash, and the key of each stands for that fingerprint.
 func sameState(t *testing.T, label string, a, b interp.Machine) {
 	t.Helper()
-	if fa, fb := string(a.AppendFingerprint(nil)), string(b.AppendFingerprint(nil)); fa != fb {
+	fa, fb := string(a.AppendFingerprint(nil)), string(b.AppendFingerprint(nil))
+	if fa != fb {
 		t.Fatalf("%s: fingerprints differ\n src: %s\n dst: %s", label, fa, fb)
 	}
+	checkKey(t, label+": src", a, fa)
+	checkKey(t, label+": dst", b, fa)
 	if ha, hb := a.StateHash(), b.StateHash(); ha != hb {
 		t.Fatalf("%s: state hashes differ: src=%#x dst=%#x", label, ha, hb)
 	}

@@ -92,7 +92,7 @@ func (s *System) copyState(src *System, cloneStale bool) bool {
 		dp := s.Procs[i]
 		dp.cur, dp.status, dp.vis = sp.cur, sp.status, sp.vis
 		if dp.segOK = sp.segOK; sp.segOK { // the key segment goes with its process
-			dp.seg = append(dp.seg[:0], sp.seg...)
+			dp.seg, dp.segID = append(dp.seg[:0], sp.seg...), sp.segID
 		}
 		for k := len(dp.stack) - 1; k >= len(sp.stack); k-- {
 			s.putFrame(dp.stack[k])
@@ -143,6 +143,8 @@ func (s *System) copyState(src *System, cloneStale bool) bool {
 		for i, seg := range src.objSeg {
 			s.objSeg[i] = append(s.objSeg[i][:0], seg...)
 		}
+		s.tab = src.tab
+		copy(s.objID, src.objID)
 	}
 	s.MaxInvisible = src.MaxInvisible
 	ok := !cp.failed

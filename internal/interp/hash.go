@@ -1,5 +1,7 @@
 package interp
 
+import "hash/maphash"
+
 // Incremental state identity: the canonical global state's 64-bit
 // hash and its fingerprint bytes, both kept with the components they
 // describe and updated as those change, instead of re-walking all slots
@@ -40,6 +42,16 @@ package interp
 // restored or forked machine is as current as its source. The bytes are
 // the full walk's (keyseg_test.go, one test per rule).
 //
+// What a search stores of a state is shorter: AppendKey writes, for each
+// object and process in that order, the id its segment has in the
+// search's SegmentTable — exact, so two keys under one table are equal
+// iff the fingerprints are — and returns the fingerprint's length. An id
+// travels with its segment and is looked up once per rendering: whoever
+// renders a segment (procSeg, rehashObj) zeroes the id, the trail and
+// copyState carry it with the segment, and a key asked for under another
+// table zeroes them all. A machine that keeps no segments — hashing off,
+// the reference — answers AppendKey with the fingerprint itself.
+//
 // The incremental path is maintained only while hashing is switched on
 // (SetStateHashing; the explorer does it for cached and liveness
 // searches). A System with hashing off and the reference interpreter
@@ -49,6 +61,18 @@ package interp
 // merged reports — byte-identical between them.
 
 const hashSeed = 0x9e3779b97f4a7c15
+
+// SegmentTable names key segments for AppendKey: Intern returns the id,
+// never 0, of these bytes and no others; hash is a function of the bytes
+// that says where to look. One table (statecache.Segments) serves every
+// machine of a search.
+type SegmentTable interface {
+	Intern(hash uint64, seg []byte) uint32
+}
+
+// segSeed seeds the hash a process segment is looked up by (an object's
+// goes by the hash rehashObj took). It shows in nothing a search reports.
+var segSeed = maphash.MakeSeed()
 
 // Mix64 combines two 64-bit values with strong avalanche (splitmix64
 // finalizer over the xor). Exported for the explorer, which mixes the
@@ -173,7 +197,7 @@ func (s *System) foldProcOut(p *Proc) {
 func (s *System) rehashObj(i int) {
 	seg := s.objs[i].AppendFingerprint(s.objSeg[i][:0])
 	s.objHash[i] = fnvBytes(seg)
-	s.objSeg[i] = append(seg, ';')
+	s.objSeg[i], s.objID[i] = append(seg, ';'), 0
 }
 
 // SetStateHashing turns incremental hashing on or off. Turning it on

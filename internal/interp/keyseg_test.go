@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"reclose/internal/interp"
 	"reclose/internal/obs"
 	"reclose/internal/randprog"
+	"reclose/internal/statecache"
 )
 
 // This file tests that a hashing machine's fingerprint — put together
@@ -17,6 +19,43 @@ import (
 // only the invalid ones — is byte for byte the full render of a machine
 // with hashing off and of the reference, whatever was done to the
 // machine since its segments were last rendered.
+
+// keySegs is the segment table of every key this package's tests ask
+// for: as in a search, one table serves machines that are copied into
+// each other, over whatever programs.
+var keySegs = new(statecache.Segments)
+
+// decodeKey renders the fingerprint a key of segment ids stands for.
+func decodeKey(t *testing.T, tab *statecache.Segments, key []byte) string {
+	t.Helper()
+	if len(key)%4 != 0 {
+		t.Fatalf("a key of %d bytes is not a row of ids", len(key))
+	}
+	var out []byte
+	for ; len(key) > 0; key = key[4:] {
+		out = tab.AppendText(out, binary.LittleEndian.Uint32(key))
+	}
+	return string(out)
+}
+
+// checkKey fails the test unless m's key under keySegs stands for the
+// fingerprint want, with want's length beside it: want itself, or a row
+// of ids that decodes to want byte for byte — it reports which. It asks
+// twice; the second answer looks nothing up.
+func checkKey(t *testing.T, label string, m interp.Machine, want string) (ids bool) {
+	t.Helper()
+	for pass := 0; pass < 2; pass++ {
+		key, rendered := m.AppendKey(nil, keySegs)
+		got := string(key)
+		if ids = got != want; ids {
+			got = decodeKey(t, keySegs, key)
+		}
+		if got != want || rendered != len(want) {
+			t.Fatalf("%s (key %d): the key stands for %d bytes\n  %s\nwant %d\n  %s", label, pass, rendered, got, len(want), want)
+		}
+	}
+	return ids
+}
 
 // keyRig is one logical machine state held three ways: cur is the
 // hashing machine under test, full (a compiled machine with hashing
@@ -31,6 +70,9 @@ type keyRig struct {
 	cur, spare interp.Machine
 	full, ref  interp.Machine
 	chs        [3]*stepChooser
+	// hashingOff is set while a test has switched cur's hashing off: its
+	// key is then the fingerprint, as the oracles' is.
+	hashingOff bool
 }
 
 func newKeyRig(t *testing.T, label string, u *cfg.Unit) *keyRig {
@@ -69,6 +111,12 @@ func (k *keyRig) check(op string) {
 			k.t.Fatalf("%s: after %s (assembly %d): assembled key differs from the full render\n got: %s\nwant: %s",
 				k.label, op, pass, got, want)
 		}
+	}
+	if ids := checkKey(k.t, k.label+": after "+op, k.cur, want); ids == k.hashingOff {
+		k.t.Fatalf("%s: after %s: hashing off is %v and the key a row of ids is %v", k.label, op, k.hashingOff, ids)
+	}
+	if checkKey(k.t, k.label+": after "+op+": full", k.full, want) || checkKey(k.t, k.label+": after "+op+": ref", k.ref, want) {
+		k.t.Fatalf("%s: after %s: an oracle's key is not its fingerprint", k.label, op)
 	}
 	if h, full := k.cur.StateHash(), k.cur.(*interp.System).RecomputeStateHash(); h != full {
 		k.t.Fatalf("%s: after %s: incremental hash %#x != full re-walk %#x", k.label, op, h, full)
@@ -311,10 +359,12 @@ func TestKeyRuleHashingSwitchedOn(t *testing.T) {
 		t.Fatal("run ended early")
 	}
 	k.cur.(*interp.System).SetStateHashing(false)
+	k.hashingOff = true
 	if !k.step(1) {
 		t.Fatal("run ended early")
 	}
 	k.cur.(*interp.System).SetStateHashing(true)
+	k.hashingOff = false
 	k.check("SetStateHashing(true)")
 }
 
@@ -399,4 +449,175 @@ func TestKeySegmentWork(t *testing.T) {
 			rendered("ForkMachine", 0)
 		}
 	}
+}
+
+// The tests below pin the rules a segment's id travels by (hash.go), one
+// each as above: the key is asked for, so every id is looked up, the one
+// thing the rule is about is done, and the key is asked for again.
+
+// idPair is a hashing machine and a full-render shadow of it over src,
+// both at the initial state, and a check that the key of a machine in the
+// shadow's state stands for the shadow's fingerprint.
+func idPair(t *testing.T, src string) (m, shadow *interp.System, same func(op string, m *interp.System)) {
+	t.Helper()
+	u, err := core.CompileSource(src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	r := resolveT(t, u)
+	m, shadow = newCopyMachine(r, true), newCopyMachine(r, false)
+	if m.Init(&stepChooser{}) != nil || shadow.Init(&stepChooser{}) != nil {
+		t.Fatal("Init ended the run")
+	}
+	same = func(op string, m *interp.System) {
+		t.Helper()
+		if !checkKey(t, "after "+op, m, string(shadow.AppendFingerprint(nil))) {
+			t.Fatalf("after %s: the hashing machine's key is its fingerprint", op)
+		}
+	}
+	same("Init", m)
+	return m, shadow, same
+}
+
+// stepBoth runs process p on every machine.
+func stepBoth(t *testing.T, p int, ms ...*interp.System) {
+	t.Helper()
+	for _, m := range ms {
+		if _, out := m.Step(p, &stepChooser{}); out != nil {
+			t.Fatalf("Step(%d): %s", p, out)
+		}
+	}
+}
+
+// Rule: rendering a segment zeroes its id. A vread leaves its object as
+// it was, so the first steps re-render a process segment and nothing
+// else; the vwrite after them re-renders the object's.
+func TestKeyIDRuleRendered(t *testing.T) {
+	m, shadow, same := idPair(t, `
+shared g = 3;
+proc main() {
+    var v;
+    vread(g, v);
+    vread(g, v);
+    vwrite(g, v + 1);
+    vread(g, v);
+}
+process main;
+`)
+	for i := 0; i < 4; i++ {
+		stepBoth(t, 0, m, shadow)
+		same(fmt.Sprintf("step %d", i), m)
+	}
+}
+
+// Rule: the trail carries the id with the segment. Undo puts the process
+// segment of the marked state back and says it is valid, and re-renders
+// the object's; the ids left in the machine are the later state's.
+func TestKeyIDRuleUndo(t *testing.T) {
+	m, shadow, same := idPair(t, keyCases[2].src)
+	for _, p := range []int{0, 1, 0} {
+		mk, smk := m.Mark(), shadow.Mark()
+		stepBoth(t, p, m, shadow)
+		same("a step", m)
+		if _, ok := m.Undo(mk); !ok {
+			t.Fatal("mark dead")
+		}
+		shadow.Undo(smk)
+		same("its undo", m)
+		stepBoth(t, p, m, shadow)
+		same("the step again", m)
+	}
+}
+
+// Rule: a copy carries the ids of the state it copies, objects' and
+// processes'. The receiver's own are looked up and name another state.
+func TestKeyIDRuleCopy(t *testing.T) {
+	m, shadow, same := idPair(t, keyCases[2].src)
+	stepBoth(t, 0, m, shadow)
+	same("a step", m)
+	spare := newCopyMachine(m.Resolution(), true)
+	runSchedule(spare, 7, 4)
+	spare.AppendKey(nil, keySegs)
+	if !spare.CopyFrom(m) {
+		t.Fatal("CopyFrom refused")
+	}
+	m = spare
+	same("CopyFrom into a machine with ids of its own", m)
+	m = m.Fork()
+	same("Fork", m)
+	stepBoth(t, 1, m, shadow)
+	same("a step of the fork", m)
+}
+
+// Rule: ids are one table's. Asked for a key under another table, the
+// machine looks every segment up again, those an undo puts back included.
+func TestKeyIDRuleOtherTable(t *testing.T) {
+	m, shadow, same := idPair(t, keyCases[0].src)
+	mk, smk := m.Mark(), shadow.Mark()
+	stepBoth(t, 0, m, shadow)
+	same("a step", m)
+	other := new(statecache.Segments)
+	other.Intern(1, []byte("a segment the first table does not have at this id"))
+	under := func(op string) {
+		t.Helper()
+		key, rendered := m.AppendKey(nil, other)
+		want := string(shadow.AppendFingerprint(nil))
+		if got := decodeKey(t, other, key); got != want || rendered != len(want) {
+			t.Fatalf("after %s the key under another table stands for\n  %s\nwant\n  %s", op, got, want)
+		}
+	}
+	under("a step")
+	if _, ok := m.Undo(mk); !ok {
+		t.Fatal("mark dead")
+	}
+	shadow.Undo(smk)
+	under("an undo to a state keyed under the first")
+	same("going back to the first table", m)
+}
+
+// countingTable counts the lookups a machine makes.
+type countingTable struct {
+	*statecache.Segments
+	n int
+}
+
+func (c *countingTable) Intern(h uint64, seg []byte) uint32 {
+	c.n++
+	return c.Segments.Intern(h, seg)
+}
+
+// TestKeyLookupWork counts table lookups as TestKeySegmentWork counts
+// renderings: a key after a step looks up the stepped process and the
+// object it operated on, and a second key, a key after an undo, a copy's
+// or a fork's none at all.
+func TestKeyLookupWork(t *testing.T) {
+	m, _, _ := idPair(t, keyCases[2].src)
+	tab := &countingTable{Segments: new(statecache.Segments)}
+	lookups := func(op string, want int) {
+		t.Helper()
+		n0 := tab.n
+		m.AppendKey(nil, tab)
+		if got := tab.n - n0; got != want {
+			t.Fatalf("the key after %s made %d lookups, want %d", op, got, want)
+		}
+	}
+	lookups("a change of table", 3) // two processes and the channel
+	lookups("a key", 0)
+	mk := m.Mark()
+	stepBoth(t, 0, m)
+	lookups("a step", 2)
+	if _, ok := m.Undo(mk); !ok {
+		t.Fatal("mark dead")
+	}
+	lookups("an undo", 0)
+	stepBoth(t, 1, m)
+	lookups("a step", 2)
+	spare := newCopyMachine(m.Resolution(), true)
+	if !spare.CopyFrom(m) {
+		t.Fatal("CopyFrom refused")
+	}
+	m = spare
+	lookups("CopyFrom", 0)
+	m = m.Fork()
+	lookups("Fork", 0)
 }

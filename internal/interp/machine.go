@@ -85,8 +85,10 @@ type Machine interface {
 	Mark() Mark
 	Undo(m Mark) (popped int, ok bool)
 
-	// State identity and snapshotting.
+	// State identity and snapshotting. AppendKey is what a search stores
+	// of a state: see hash.go.
 	AppendFingerprint(dst []byte) []byte
+	AppendKey(dst []byte, tab SegmentTable) (key []byte, rendered int)
 	StateHash() uint64
 	ForkMachine() Machine
 	// CopyFrom overwrites the receiver's whole state with src's without
@@ -239,6 +241,19 @@ func (s *RefSystem) StateHash() uint64 {
 		}
 	}
 	return Mix64(h, acc)
+}
+
+// AppendKey appends the fingerprint: the reference's key is the text.
+func (s *RefSystem) AppendKey(dst []byte, _ SegmentTable) ([]byte, int) {
+	return fingerprintKey(s, dst)
+}
+
+// fingerprintKey is the key of a machine that keeps no segments: its
+// fingerprint, at its own length.
+func fingerprintKey(m Machine, dst []byte) ([]byte, int) {
+	n := len(dst)
+	dst = m.AppendFingerprint(dst)
+	return dst, len(dst) - n
 }
 
 // CopyFrom reports false: the reference interpreter keeps its cells in

@@ -1,7 +1,9 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"strconv"
 	"strings"
 
@@ -69,9 +71,11 @@ type Proc struct {
 	own uint8
 
 	// seg is the process's part of the state fingerprint as last
-	// rendered, current while segOK (hash.go says who clears the bit).
+	// rendered, current while segOK (hash.go says who clears the bit);
+	// segID is its id in the segment table, 0 when not looked up.
 	seg   []byte
 	segOK bool
+	segID uint32
 }
 
 // Status returns the process's lifecycle state.
@@ -165,12 +169,15 @@ type System struct {
 	tr trail
 
 	// Incremental state identity (hash.go), maintained while hashOn: the
-	// rolling cell accumulator, per-object hashes and key segments, and
-	// the full hash walk's scratch buffer.
+	// rolling cell accumulator, per-object hashes and key segments, the
+	// segments' ids in tab (0: not looked up), and the full hash walk's
+	// scratch buffer.
 	hashOn   bool
 	acc      uint64
 	objHash  []uint64
 	objSeg   [][]byte
+	objID    []uint32
+	tab      SegmentTable
 	objFpBuf []byte
 	// nd batches dispatched-instruction counts between metric flushes.
 	nd int64
@@ -228,6 +235,7 @@ func (r *Resolution) NewSystem() *System {
 		s.objs[i] = objs[name]
 	}
 	s.objHash, s.objSeg = make([]uint64, len(s.objs)), make([][]byte, len(s.objs))
+	s.objID = make([]uint32, len(s.objs))
 	s.Reset()
 	return s
 }
@@ -553,11 +561,7 @@ func (s *System) AppendFingerprint(dst []byte) []byte {
 			dst = append(dst, seg...)
 		}
 		for _, p := range s.Procs {
-			if !p.segOK {
-				s.met.Segs.Inc()
-				p.seg, p.segOK = p.appendFingerprint(p.seg[:0]), true
-			}
-			dst = append(dst, p.seg...)
+			dst = append(dst, s.procSeg(p)...)
 		}
 		return dst
 	}
@@ -569,6 +573,55 @@ func (s *System) AppendFingerprint(dst []byte) []byte {
 		dst = p.appendFingerprint(dst)
 	}
 	return dst
+}
+
+// procSeg returns p's key segment, rendering it if it is stale.
+func (s *System) procSeg(p *Proc) []byte {
+	if !p.segOK {
+		s.met.Segs.Inc()
+		p.seg, p.segOK, p.segID = p.appendFingerprint(p.seg[:0]), true, 0
+	}
+	return p.seg
+}
+
+// AppendKey appends the state's key under tab and returns it with the
+// fingerprint's length: one id per object and process, looked up only if
+// its segment was rendered since (hash.go). With hashing off the machine
+// keeps no segments and its key is the fingerprint.
+func (s *System) AppendKey(dst []byte, tab SegmentTable) (key []byte, rendered int) {
+	if !s.hashOn || tab == nil {
+		return fingerprintKey(s, dst)
+	}
+	if tab != s.tab { // every id, the trail's included, is another table's
+		s.tab = tab
+		clear(s.objID)
+		for _, p := range s.Procs {
+			p.segID = 0
+		}
+		for i := range s.tr.steps {
+			s.tr.steps[i].segID = 0
+		}
+		for i := range s.tr.refs {
+			s.tr.refs[i].id = 0
+		}
+	}
+	s.met.Keys.Inc()
+	for i, seg := range s.objSeg {
+		if s.objID[i] == 0 {
+			s.objID[i] = tab.Intern(s.objHash[i], seg)
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, s.objID[i])
+		rendered += len(seg)
+	}
+	for _, p := range s.Procs {
+		seg := s.procSeg(p)
+		if p.segID == 0 {
+			p.segID = tab.Intern(maphash.Bytes(segSeed, seg), seg)
+		}
+		dst = binary.LittleEndian.AppendUint32(dst, p.segID)
+		rendered += len(seg)
+	}
+	return dst, rendered
 }
 
 // appendFingerprint appends the process's part of the fingerprint. It

@@ -80,6 +80,7 @@ type stepUndo struct {
 	status Status
 	acc    uint64
 	seg    []byte // p's key segment when segOK, else a spare buffer
+	segID  uint32
 	segOK  bool
 }
 
@@ -88,6 +89,7 @@ type refUndo struct {
 	f   *frame
 	v   any
 	obj int32
+	id  uint32 // uObj: the id of obj's key segment before the operation
 	op  builtinOp
 }
 
@@ -141,7 +143,7 @@ func (s *System) Undo(m Mark) (popped int, ok bool) {
 			p := u.p
 			p.cur, p.vis, p.status, s.acc = u.cur, u.vis, u.status, u.acc
 			if p.segOK = u.segOK; u.segOK {
-				p.seg, u.seg = u.seg, p.seg
+				p.seg, u.seg, p.segID = u.seg, p.seg, u.segID
 			}
 		default:
 			nr--
@@ -193,6 +195,7 @@ func (s *System) undoRef(op undoOp, u *refUndo) {
 		}
 		if s.hashOn {
 			s.rehashObj(int(u.obj))
+			s.objID[u.obj] = u.id
 		}
 	}
 }
@@ -234,7 +237,7 @@ func (s *System) logStep(p *Proc) {
 	u := &t.steps[n]
 	u.p, u.cur, u.vis, u.status, u.acc = p, p.cur, p.vis, p.status, s.acc
 	if u.segOK = p.segOK; p.segOK {
-		p.seg, u.seg = u.seg, p.seg
+		p.seg, u.seg, u.segID = u.seg, p.seg, p.segID
 	}
 }
 
@@ -249,5 +252,5 @@ func (s *System) logRef(op undoOp, u refUndo) {
 // logObj records the visible operation vis on its object, v being what
 // the operation consumed or is about to overwrite, if anything.
 func (s *System) logObj(vis *visOp, v any) {
-	s.logRef(uObj, refUndo{obj: vis.pend.Obj, op: vis.op, v: v})
+	s.logRef(uObj, refUndo{obj: vis.pend.Obj, id: s.objID[vis.pend.Obj], op: vis.op, v: v})
 }

@@ -33,6 +33,7 @@ func sameAsShadow(t *testing.T, label string, m, shadow *interp.System) {
 	if got, want := stateDigest(m), stateDigest(shadow); got != want {
 		t.Fatalf("%s: undone machine differs from the one that never left\n got: %s\nwant: %s", label, got, want)
 	}
+	checkKey(t, label, m, string(shadow.AppendFingerprint(nil)))
 	if h, full := m.StateHash(), m.RecomputeStateHash(); h != full {
 		t.Fatalf("%s: restored incremental hash %#x != full re-walk %#x", label, h, full)
 	}
@@ -41,7 +42,8 @@ func sameAsShadow(t *testing.T, label string, m, shadow *interp.System) {
 // undoSweep drives m and a shadow down the schedule seeded by seed, with
 // hashing on and off. At every state m takes a mark and keeps it, leaves
 // on an excursion of one to four random transitions — to wherever they
-// end — and undoes it; it must then equal the shadow, and step like it.
+// end, asking for the state's key at each as a search does — and undoes
+// it; it must then equal the shadow, and step like it.
 // When the schedule ends, every mark taken on the way is undone to in
 // turn, newest first, down to the state before Init.
 func undoSweep(t *testing.T, label string, u *cfg.Unit, seed int64, steps, maxInvisible int) {
@@ -74,6 +76,7 @@ func undoSweep(t *testing.T, label string, u *cfg.Unit, seed int64, steps, maxIn
 				} else if _, out := m.Step(e[rng.Intn(len(e))], away); out != nil {
 					break
 				}
+				m.AppendKey(nil, keySegs)
 			}
 			if popped, ok := m.Undo(mk); !ok || popped == 0 {
 				t.Fatalf("%s: Undo = %d, %v after an excursion", l, popped, ok)
@@ -94,6 +97,7 @@ func undoSweep(t *testing.T, label string, u *cfg.Unit, seed int64, steps, maxIn
 			if got := stateDigest(m); got != want[i] {
 				t.Fatalf("%s: unwound to mark %d:\n got: %s\nwant: %s", label, i, got, want[i])
 			}
+			checkKey(t, fmt.Sprintf("%s: unwound to mark %d", label, i), m, string(m.AppendFingerprint(nil)))
 			if h, full := m.StateHash(), m.RecomputeStateHash(); h != full {
 				t.Fatalf("%s: unwound to mark %d: incremental hash %#x != full re-walk %#x", label, i, h, full)
 			}

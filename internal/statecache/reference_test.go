@@ -13,14 +13,16 @@ import (
 // must still do: the same answer to every visit, and the same Stats
 // after it, which covers the order evictions happen in (MaxBytes
 // accounting, clock hand, LIFO free list) and the order a scan meets
-// the candidates of one hash (Collisions). Only the names are changed.
+// the candidates of one hash (Collisions). Only the names are changed,
+// and an entry costs the budget what the visit says, not its length.
 
 type refSlot struct {
-	key   []byte
-	hash  uint64
-	depth int32
-	ref   bool
-	live  bool
+	key    []byte
+	hash   uint64
+	charge int
+	depth  int32
+	ref    bool
+	live   bool
 }
 
 type refShard struct {
@@ -29,6 +31,7 @@ type refShard struct {
 	free  []int32
 	hand  int
 	bytes int64
+	keys  int64
 	live  int64
 
 	hits, misses, inserts, reexpansions, evictions, collisions int64
@@ -59,7 +62,7 @@ func newRefCache(cfg Config) *refCache {
 	return c
 }
 
-func (c *refCache) VisitPrehashed(h uint64, key []byte, depth int) bool {
+func (c *refCache) VisitCharged(h uint64, key []byte, charge, depth int) bool {
 	s := &c.shards[h&c.mask]
 	for _, pos := range s.index[h] {
 		sl := &s.slots[pos]
@@ -80,7 +83,7 @@ func (c *refCache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 	}
 
 	s.misses++
-	cost := int64(len(key)) + entryOverhead
+	cost := int64(charge) + entryOverhead
 	if c.maxPer > 0 {
 		for s.bytes+cost > c.maxPer {
 			if !s.evictOne() {
@@ -101,12 +104,13 @@ func (c *refCache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 	}
 	sl := &s.slots[pos]
 	sl.key = append([]byte(nil), key...)
-	sl.hash = h
+	sl.hash, sl.charge = h, charge
 	sl.depth = int32(depth)
 	sl.ref = false
 	sl.live = true
 	s.index[h] = append(s.index[h], pos)
 	s.bytes += cost
+	s.keys += int64(len(key))
 	s.live++
 	s.inserts++
 	return false
@@ -152,7 +156,8 @@ func (s *refShard) remove(pos int32, sl *refSlot) {
 	} else {
 		s.index[sl.hash] = bucket
 	}
-	s.bytes -= int64(len(sl.key)) + entryOverhead
+	s.bytes -= int64(sl.charge) + entryOverhead
+	s.keys -= int64(len(sl.key))
 	s.live--
 	sl.key = nil
 	sl.live = false
@@ -171,6 +176,7 @@ func (c *refCache) Stats() Stats {
 		st.Collisions += s.collisions
 		st.Entries += s.live
 		st.Bytes += s.bytes
+		st.Stored += s.keys
 	}
 	return st
 }
@@ -179,8 +185,10 @@ func (c *refCache) Stats() Stats {
 // distinct keys of mixed lengths so revisits, shallower revisits and
 // evictions all happen, under budgets from a couple of entries a shard
 // to none — through both caches, with the default hash and with hashes
-// that put many keys on one chain, and compares the answer of every
-// visit, a read-only lookup, and the whole Stats after every step.
+// that put many keys on one chain, charging a key its length on even
+// seeds and, on odd ones, less the longer it is — and compares the answer
+// of every visit and the whole Stats (but Carved, which is the storage's
+// own) after every step.
 func TestCacheMatchesReference(t *testing.T) {
 	hashes := map[string]func([]byte) uint64{
 		"fnv":      nil,
@@ -213,12 +221,19 @@ func compareWithReference(t *testing.T, label string, cfg Config, seed int64, st
 	}
 	for i := 0; i < steps; i++ {
 		k, depth := key(), rng.Intn(6)
-		h := ref.hash(k)
-		got, want := c.VisitPrehashed(h, k, depth), ref.VisitPrehashed(h, k, depth)
+		h, charge := ref.hash(k), len(k)
+		if seed%2 == 1 {
+			charge = 70 - len(k) // keys are at most 64 bytes
+		}
+		got, want := c.VisitCharged(h, k, charge, depth), ref.VisitCharged(h, k, charge, depth)
 		if got != want {
 			t.Fatalf("%s: step %d: Visit(%q, %d) = %v, reference %v", label, i, k, depth, got, want)
 		}
-		if gs, ws := c.Stats(), ref.Stats(); gs != ws {
+		gs, ws := c.Stats(), ref.Stats()
+		if gs.Carved < gs.Stored {
+			t.Fatalf("%s: step %d: %d key bytes in %d carved", label, i, gs.Stored, gs.Carved)
+		}
+		if gs.Carved = 0; gs != ws {
 			t.Fatalf("%s: step %d: after Visit(%q, %d)\n  stats %+v\nreference %+v", label, i, k, depth, gs, ws)
 		}
 	}
@@ -237,7 +252,7 @@ func TestSteadyStateVisitAllocatesNothing(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			key[i] = byte(n >> (8 * i))
 		}
-		if c.VisitPrehashed(FNV1a(key[:8]), key, 0) {
+		if c.VisitCharged(FNV1a(key[:8]), key, keyLen, 0) {
 			t.Fatal("fresh key pruned")
 		}
 	}
@@ -245,7 +260,7 @@ func TestSteadyStateVisitAllocatesNothing(t *testing.T) {
 		visit()
 	}
 	if a := testing.AllocsPerRun(2000, visit); a != 0 {
-		t.Fatalf("steady-state VisitPrehashed allocates %v times per visit", a)
+		t.Fatalf("steady-state VisitCharged allocates %v times per visit", a)
 	}
 	if st := c.Stats(); st.Entries > 4*64 || st.Inserts != int64(n) {
 		t.Fatalf("stats = %+v after %d visits", st, n)

@@ -2,9 +2,11 @@ package statecache
 
 import "bytes"
 
-// StackSet tracks the full fingerprints of the states on the current
-// DFS path, indexed by scheduling depth, and answers on-stack revisit
-// queries exactly (hash prefilter, byte-compare confirm). It is the
+// StackSet tracks the keys of the states on the current DFS path — what
+// the machine hands over as a state's key, segment ids or fingerprint
+// text, as the Cache stores it — indexed by scheduling depth, and answers
+// on-stack revisit queries exactly (hash prefilter, byte-compare
+// confirm). It is the
 // cycle-detection counterpart of Cache: the cache remembers states
 // visited anywhere in the search, the stack set remembers only the
 // states on the path currently being extended, which is what a
@@ -18,7 +20,7 @@ import "bytes"
 // concurrent use.
 type StackSet struct {
 	entries []stackEntry
-	// index maps a fingerprint hash to the deepest entry holding it;
+	// index maps a state hash to the deepest entry holding it;
 	// shallower ones follow through next. Entries are pushed and
 	// truncated at the deep end only, so that entry is always the one
 	// to unlink.
@@ -53,8 +55,8 @@ func (s *StackSet) Truncate(n int) {
 	}
 }
 
-// Push records the state with the given fingerprint hash and full
-// fingerprint at the given depth, truncating any deeper entries first.
+// Push records the state with the given hash and key at the given
+// depth, truncating any deeper entries first.
 // The key bytes are copied. Depths must be pushed contiguously:
 // depth <= Len() is required.
 func (s *StackSet) Push(depth int, hash uint64, key []byte) {
@@ -77,7 +79,7 @@ func (s *StackSet) Push(depth int, hash uint64, key []byte) {
 }
 
 // Lookup reports the depth of the shallowest on-stack state with the
-// given fingerprint, or ok == false if the state is not on the stack.
+// given key, or ok == false if the state is not on the stack.
 func (s *StackSet) Lookup(hash uint64, key []byte) (depth int, ok bool) {
 	d, found := s.index[hash]
 	for found && d >= 0 {
@@ -90,6 +92,6 @@ func (s *StackSet) Lookup(hash uint64, key []byte) (depth int, ok bool) {
 	return depth, ok
 }
 
-// Key returns the stored fingerprint at the given depth. The returned
+// Key returns the stored key at the given depth. The returned
 // slice aliases internal storage and is invalidated by Push/Truncate.
 func (s *StackSet) Key(depth int) []byte { return s.entries[depth].key }

@@ -1,12 +1,19 @@
 // Package statecache provides the sharded concurrent visited-state set
 // used by the exploration engine's StateCache option.
 //
-// The cache is a set of full state fingerprints (byte strings), striped
-// across a power-of-two number of mutex-guarded shards routed by a
-// 64-bit hash of the fingerprint. Storing the complete fingerprint —
-// not just its hash — makes membership exact: a hash collision costs a
-// bucket scan, never a false "already visited" answer, so pruning can
-// never mask a state that was genuinely new.
+// The cache is a set of state keys (byte strings), striped across a
+// power-of-two number of mutex-guarded shards routed by a 64-bit hash of
+// the state. Storing the complete key — not just its hash — makes
+// membership exact: a hash collision costs a bucket scan, never a false
+// "already visited" answer, so pruning can never mask a state that was
+// genuinely new.
+//
+// The key is the caller's: the compiled machine hands over one uint32
+// per process and object — the id of that component's fingerprint
+// segment in the search's segment table (segments.go) — the reference
+// the fingerprint's text. The cache stores what it is given and charges
+// what it is told (VisitCharged), the rendered fingerprint's length, so
+// a MaxBytes budget evicts the same entries whatever the storage.
 //
 // Each entry also records the shallowest depth at which its state was
 // visited. Under a depth bound, the subtree explored from a state
@@ -28,12 +35,10 @@
 // sweeps it, a LIFO free list hands out evicted positions. Slots with
 // one hash form a chain through their next fields under a map from the
 // hash to the chain's first slot. Key bytes are carved from chunks the
-// shard owns (4 KiB doubling to 64 KiB); an evicted slot keeps its piece
-// and the next key stored at that position reuses it when it fits, so a
-// bounded cache at its budget stores a state without allocating.
-// MaxBytes charges a key's length plus entryOverhead however the bytes
-// are held, so the evictions a given budget causes do not depend on the
-// storage.
+// shard owns (4 KiB doubling to 64 KiB) in pieces of a whole number of
+// pieceGrain bytes; an evicted entry's piece goes on the free list of
+// its size and the next key of that size takes it, so a bounded cache at
+// its budget stores a state without allocating or abandoning a piece.
 package statecache
 
 import (
@@ -57,10 +62,12 @@ const entryOverhead = 96
 
 // Key bytes are carved from blocks that double from minChunk, so a
 // search of a few hundred states does not zero a megabyte, to chunkSize,
-// small enough for 16-bit offsets (a longer key gets a block of its own).
+// small enough for 16-bit offsets (a longer key gets a block of its own),
+// in pieces of a whole number of pieceGrain bytes.
 const (
-	minChunk  = 1 << 12
-	chunkSize = 1 << 16
+	minChunk   = 1 << 12
+	chunkSize  = 1 << 16
+	pieceGrain = 8
 )
 
 // Config configures a Cache.
@@ -68,13 +75,12 @@ type Config struct {
 	// Shards is the number of stripes, rounded up to a power of two;
 	// 0 means DefaultShards.
 	Shards int
-	// MaxBytes bounds the cache's approximate memory (fingerprint
-	// bytes plus entryOverhead per entry), split evenly across shards;
-	// 0 means unbounded.
+	// MaxBytes bounds what the cache's entries are charged (the length
+	// Visit is told, plus entryOverhead per entry), split evenly across
+	// shards; 0 means unbounded.
 	MaxBytes int64
-	// Hash overrides the fingerprint hash used for shard routing and
-	// bucket lookup; nil means FNV1a. Tests inject degenerate hashes
-	// here to force collisions.
+	// Hash overrides the hash Visit routes a key by; nil means FNV1a.
+	// Tests inject degenerate hashes here to force collisions.
 	Hash func([]byte) uint64
 }
 
@@ -87,22 +93,32 @@ type Stats struct {
 	Evictions    int64 // entries dropped by the clock hand
 	Collisions   int64 // same-hash candidates with a different fingerprint
 	Entries      int64 // live entries
-	Bytes        int64 // approximate bytes held
+	Bytes        int64 // bytes charged: charged lengths plus entryOverhead each
+	Stored       int64 // key bytes the live entries hold
+	Carved       int64 // chunk bytes in key pieces, the free ones included
+	Segments     int64 // segments in the table
+	SegmentBytes int64 // their text
 	Shards       int
 }
 
-// slot is one cache entry on a shard's clock ring. Its key is
-// chunks[chunk][off:off+klen], in a piece of kcap bytes it keeps dead.
+// slot is one cache entry on a shard's clock ring. Its key is the first
+// klen bytes of the piece at (chunk, off); charge is its cost.
 type slot struct {
-	hash  uint64
+	hash   uint64
+	klen   int32
+	charge int32
+	depth  int32
+	next   int32 // next live slot with this hash, or -1
+	chunk  int32
+	off    uint16
+	ref    bool // second-chance reference bit
+	live   bool
+}
+
+// piece is a position in a shard's chunks.
+type piece struct {
 	chunk int32
-	klen  int32
-	kcap  int32
-	depth int32
-	next  int32 // next live slot with this hash, or -1
 	off   uint16
-	ref   bool // second-chance reference bit
-	live  bool
 }
 
 // shard is one stripe: a hash index over a slot ring with its own
@@ -113,9 +129,12 @@ type shard struct {
 	slots  []slot
 	free   []int32
 	chunks [][]byte
-	fill   int // bytes carved from the last chunk
+	fill   int       // bytes carved from the last chunk
+	pieces [][]piece // free key pieces, by size in grains
 	hand   int
 	bytes  int64
+	stored int64
+	carved int64
 	live   int64
 
 	hits         int64
@@ -135,6 +154,7 @@ type Cache struct {
 	mask   uint64
 	hash   func([]byte) uint64
 	maxPer int64 // per-shard byte budget; 0 = unbounded
+	segs   Segments
 }
 
 // New builds a cache from cfg.
@@ -185,17 +205,17 @@ func ceilPow2(n int) int {
 // stored is simply not remembered). The key bytes are copied on insert,
 // so callers may reuse their buffer.
 func (c *Cache) Visit(key []byte, depth int) bool {
-	return c.VisitPrehashed(c.hash(key), key, depth)
+	return c.VisitCharged(c.hash(key), key, len(key), depth)
 }
 
-// VisitPrehashed is Visit with the routing hash supplied by the caller.
-// Engines that maintain an incremental state hash pass it here directly,
-// skipping the full-key hash walk; correctness does not depend on the
-// hash (membership is decided by byte-exact key compare), only shard
-// routing and bucket layout do, so the caller must be consistent: a
-// given key must always arrive with the same hash for the lifetime of
-// the cache.
-func (c *Cache) VisitPrehashed(h uint64, key []byte, depth int) bool {
+// VisitCharged is Visit with the routing hash and the length to charge
+// against the byte budget supplied by the caller: an engine passes its
+// machine's state hash and the rendered fingerprint's length. Correctness
+// depends on neither (membership is decided by byte-exact key compare),
+// only shard routing, bucket layout and what a budget evicts do, so a
+// given key must always arrive with the same hash and charge for the
+// lifetime of the cache.
+func (c *Cache) VisitCharged(h uint64, key []byte, charge, depth int) bool {
 	s := &c.shards[h&c.mask]
 	s.mu.Lock()
 	pos, tail, skipped := s.find(h, key)
@@ -219,7 +239,7 @@ func (c *Cache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 	}
 
 	s.misses++
-	cost := int64(len(key)) + entryOverhead
+	cost := int64(charge) + entryOverhead
 	if c.maxPer > 0 && s.bytes+cost > c.maxPer {
 		for s.bytes+cost > c.maxPer && s.evictOne() {
 		}
@@ -243,11 +263,8 @@ func (c *Cache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 		pos = int32(len(s.slots) - 1)
 	}
 	sl := &s.slots[pos]
-	if int(sl.kcap) < len(key) {
-		sl.chunk, sl.off = s.carve(len(key))
-		sl.kcap = int32(len(key))
-	}
-	sl.klen = int32(len(key))
+	p := s.takePiece(len(key))
+	sl.chunk, sl.off, sl.klen, sl.charge = p.chunk, p.off, int32(len(key)), int32(charge)
 	copy(s.key(sl), key)
 	sl.hash, sl.depth, sl.next, sl.ref, sl.live = h, int32(depth), -1, false, true
 	if tail < 0 {
@@ -256,6 +273,7 @@ func (c *Cache) VisitPrehashed(h uint64, key []byte, depth int) bool {
 		s.slots[tail].next = pos
 	}
 	s.bytes += cost
+	s.stored += int64(len(key))
 	s.live++
 	s.inserts++
 	s.mu.Unlock()
@@ -287,8 +305,32 @@ func (s *shard) key(sl *slot) []byte {
 	return s.chunks[sl.chunk][sl.off : int(sl.off)+int(sl.klen)]
 }
 
+// takePiece returns a piece for a key of n bytes: the last one freed of
+// that size, or a new one.
+func (s *shard) takePiece(n int) piece {
+	g := (n + pieceGrain - 1) / pieceGrain
+	if g < len(s.pieces) {
+		if l := s.pieces[g]; len(l) > 0 {
+			s.pieces[g] = l[:len(l)-1]
+			return l[len(l)-1]
+		}
+	}
+	s.carved += int64(g * pieceGrain)
+	return s.carve(g * pieceGrain)
+}
+
+// freePiece puts a removed key's piece where the next key of n bytes
+// finds it.
+func (s *shard) freePiece(p piece, n int) {
+	g := (n + pieceGrain - 1) / pieceGrain
+	for len(s.pieces) <= g {
+		s.pieces = append(s.pieces, nil)
+	}
+	s.pieces[g] = append(s.pieces[g], p)
+}
+
 // carve reserves n bytes of chunk space and returns their position.
-func (s *shard) carve(n int) (chunk int32, off uint16) {
+func (s *shard) carve(n int) piece {
 	last := len(s.chunks) - 1
 	if last < 0 || s.fill+n > len(s.chunks[last]) {
 		size := minChunk
@@ -299,9 +341,9 @@ func (s *shard) carve(n int) (chunk int32, off uint16) {
 		last++
 		s.fill = 0
 	}
-	off = uint16(s.fill)
+	off := uint16(s.fill)
 	s.fill += n
-	return int32(last), off
+	return piece{int32(last), off}
 }
 
 // Reset forgets every entry and keeps the storage; the event counters
@@ -314,8 +356,8 @@ func (c *Cache) Reset() {
 		if n := len(s.chunks); n > 1 { // keep the largest block
 			s.chunks[0], s.chunks = s.chunks[n-1], s.chunks[:1]
 		}
-		s.slots, s.free = s.slots[:0], s.free[:0]
-		s.fill, s.hand, s.bytes, s.live = 0, 0, 0, 0
+		s.slots, s.free, s.pieces = s.slots[:0], s.free[:0], s.pieces[:0]
+		s.fill, s.hand, s.bytes, s.stored, s.carved, s.live = 0, 0, 0, 0, 0, 0
 		s.mu.Unlock()
 	}
 }
@@ -377,7 +419,9 @@ func (s *shard) remove(pos int32, sl *slot) {
 			}
 		}
 	}
-	s.bytes -= int64(sl.klen) + entryOverhead
+	s.bytes -= int64(sl.charge) + entryOverhead
+	s.stored -= int64(sl.klen)
+	s.freePiece(piece{sl.chunk, sl.off}, int(sl.klen))
 	s.live--
 	sl.live = false
 	s.free = append(s.free, pos)
@@ -399,8 +443,11 @@ func (c *Cache) Stats() Stats {
 		st.Collisions += s.collisions
 		st.Entries += s.live
 		st.Bytes += s.bytes
+		st.Stored += s.stored
+		st.Carved += s.carved
 		s.mu.Unlock()
 	}
+	st.Segments, st.SegmentBytes = c.segs.Size()
 	return st
 }
 
@@ -419,6 +466,10 @@ func (c *Cache) ShardOccupancy() []int64 {
 
 // Shards returns the (normalized) shard count.
 func (c *Cache) Shards() int { return len(c.shards) }
+
+// Segments returns the cache's segment table: the ids in the keys a
+// search stores here come from it.
+func (c *Cache) Segments() *Segments { return &c.segs }
 
 // FNV1a hashes b with 64-bit FNV-1a: a deterministic streaming hash,
 // so shard routing and bucket layout do not vary across runs.

@@ -1,7 +1,9 @@
 #!/bin/sh
 # CPU profile of a benchmark of the root package: where a search's time
-# goes, by function. The default rows are the four searches of the
-# benchmark's explore_stateless workload, in process.
+# goes, by function. The rows are the benchmark's sequential searches, in
+# process: BenchmarkBacktrack (the default) is the four of
+# explore_stateless, BenchmarkStateful the six fixed items of
+# explore_stateful.
 #   scripts/profile.sh [bench-regexp]
 set -eu
 cd "$(dirname "$0")/.."

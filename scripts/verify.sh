@@ -73,11 +73,11 @@ go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 
 # Bench smoke: one iteration of the dataflow-analysis, interpreter,
-# snapshot-vs-replay, backtracking, scheduling, state-key,
+# snapshot-vs-replay, backtracking, stateful-search, scheduling, state-key,
 # checkpoint-cadence and liveness benchmarks (catches bit-rot in the perf
 # harness without paying for a real measurement run), plus a syntax check
 # of the bench driver.
-go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkSchedule|BenchmarkStateKey|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x . ./internal/explore
+go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkStateful|BenchmarkSchedule|BenchmarkStateKey|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x . ./internal/explore
 sh -n scripts/bench.sh
 
 # Not a gate: non-test Go lines per package and in total, the number
