@@ -1,7 +1,8 @@
-// Command experiments regenerates every experiment of the reproduction
-// (E1–E8 in DESIGN.md): the worked figures of the paper, the complexity
-// and state-space claims, the Theorem 7 preservation checks, the 5ESS
-// case study, and the partial-order-reduction ablation.
+// Command experiments regenerates the tables of EXPERIMENTS.md (E1–E11
+// and E15): the worked figures of the paper, the complexity and
+// state-space claims, the Theorem 7 preservation checks, the 5ESS case
+// study, the partial-order-reduction ablation, the extensions and
+// post-passes, interrupt/resume equivalence and the liveness search.
 //
 // Usage:
 //

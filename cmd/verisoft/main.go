@@ -123,7 +123,7 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.StringVar(&c.por, "por", "", "partial-order reduction: static (persistent sets, the default), dynamic (Flanagan-Godefroid backtrack sets), or off")
 	fs.StringVar(&c.search, "search", "", "frontier order: dfs (strict depth-first, the default) or priority (score-directed)")
 	fs.StringVar(&c.interest, "interest", "", "comma-separated object names the priority search should steer toward (requires -search=priority)")
-	fs.BoolVar(&c.stateCache, "state-cache", false, "enable the state-hashing ablation")
+	fs.BoolVar(&c.stateCache, "state-cache", false, "remember visited states and prune a path that reaches one again, no shallower than before and with the same sleep set; a state evicted under -cache-mem is explored again when met, so eviction costs time, never soundness")
 	fs.IntVar(&c.cacheShards, "cache-shards", 0, "lock shards in the state cache, rounded up to a power of two (0 = default 16; requires -state-cache)")
 	fs.Int64Var(&c.cacheMem, "cache-mem", 0, "state-cache budget in bytes, per worker process under -dist-workers, charged per entry the rendered state fingerprint's length plus 96 — more than the entry occupies (the cache: line's resident); over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
 	fs.BoolVar(&c.stopFirst, "stop-on-violation", false, "stop at the first assertion violation or runtime error")

@@ -185,28 +185,6 @@ func (c *Chan) Clone(copyPayload func(any) any) Object {
 	return nc
 }
 
-// CopyFrom overwrites the channel's queue with src's, reusing the
-// receiver's backing array: the in-place form of Clone, for whole-state
-// snapshots that are taken and restored once per explored path. Both
-// channels must instantiate the same declaration. copyPayload
-// duplicates each stored value, as in Clone.
-func (c *Chan) CopyFrom(src *Chan, copyPayload func(any) any) {
-	live := src.q[src.head:]
-	old := c.q
-	if cap(old) < len(live) {
-		c.q = make([]any, len(live))
-	} else {
-		c.q = old[:len(live)]
-		if len(old) > len(live) {
-			clear(old[len(live):])
-		}
-	}
-	for i, v := range live {
-		c.q[i] = copyPayload(v)
-	}
-	c.head = 0
-}
-
 // Fingerprint implements Object.
 func (c *Chan) Fingerprint() string { return string(c.AppendFingerprint(nil)) }
 
@@ -285,9 +263,6 @@ func (s *Sem) Clone(copyPayload func(any) any) Object {
 	return &ns
 }
 
-// CopyFrom overwrites the semaphore's count with src's.
-func (s *Sem) CopyFrom(src *Sem) { s.count = src.count }
-
 // Fingerprint implements Object.
 func (s *Sem) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
 
@@ -336,14 +311,6 @@ func (s *Shared) Clone(copyPayload func(any) any) Object {
 		ns.v = copyPayload(s.v)
 	}
 	return ns
-}
-
-// CopyFrom overwrites the variable's value with a copy of src's.
-func (s *Shared) CopyFrom(src *Shared, copyPayload func(any) any) {
-	s.v = src.v
-	if src.v != nil {
-		s.v = copyPayload(src.v)
-	}
 }
 
 // Fingerprint implements Object.

@@ -1,8 +1,7 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment of DESIGN.md, each regenerating the figures and
+// per experiment of EXPERIMENTS.md, each regenerating the figures and
 // quantitative claims of the paper as printable rows. The cmd/experiments
-// binary runs them all; the root bench_test.go wraps the same
-// measurements as testing.B benchmarks.
+// binary runs them all.
 package experiments
 
 import (

@@ -89,10 +89,14 @@ func TestDPORReduction(t *testing.T) {
 		name string
 		src  string
 		opt  Options
+		// The transitions of EXPERIMENTS.md E13's rows, static, dynamic
+		// and dynamic under the priority frontier; 0 leaves one unpinned.
+		static, dynamic, priority int64
 	}{
-		{"philosophers-4", progs.Philosophers(4), Options{}},
-		{"philosophers-6", progs.Philosophers(6), Options{}},
-		{"fiveess-medium-d20", fiveess.Source(fiveess.Scale("medium")), Options{MaxDepth: 20}},
+		{"philosophers-4", progs.Philosophers(4), Options{}, 0, 0, 0},
+		{"philosophers-6", progs.Philosophers(6), Options{}, 4057, 1790, 4162},
+		{"fiveess-medium-d20", fiveess.Source(fiveess.Scale("medium")), Options{MaxDepth: 20}, 0, 0, 0},
+		{"fiveess-medium-d30", fiveess.Source(fiveess.Scale("medium")), Options{MaxDepth: 30}, 220939, 15080, 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -121,6 +125,26 @@ func TestDPORReduction(t *testing.T) {
 			}
 			if dynamic.PorBacktracks == 0 {
 				t.Error("dynamic search inserted no backtrack points — nothing was dynamic about it")
+			}
+			if c.static != 0 && (static.Transitions != c.static || dynamic.Transitions != c.dynamic) {
+				t.Errorf("transitions static %d dynamic %d, E13 says %d and %d",
+					static.Transitions, dynamic.Transitions, c.static, c.dynamic)
+			}
+			if c.priority != 0 {
+				// Units published by the priority frontier are expanded
+				// statically and sealed (DESIGN.md §14, rule 1): direction,
+				// not reduction.
+				dopt.Search = SearchPriority
+				prio, err := Explore(closed, dopt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := incidentSet(prio), incidentSet(static); got != want {
+					t.Errorf("incident set diverged under the priority frontier:\n%s\n--- static ---\n%s", got, want)
+				}
+				if prio.Transitions != c.priority {
+					t.Errorf("dynamic+priority executed %d transitions, E13 says %d", prio.Transitions, c.priority)
+				}
 			}
 		})
 	}

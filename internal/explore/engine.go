@@ -127,8 +127,8 @@ type engine struct {
 
 	// snapRoot, when the claimed unit carries a snapshot
 	// (Options.SnapshotSpill), is the forked machine pinned at the unit's
-	// decision point. A path that finds no live mark on its stack
-	// overwrites the machine from it instead of replaying the base prefix
+	// decision point. A path that finds no live mark on its stack goes
+	// on with a fork of it instead of replaying the base prefix
 	// from the initial state, and snapTrace seeds the visible trace with
 	// the prefix events. Both nil in replay mode. snapRoot is shared with
 	// other claimers and only ever read.
@@ -349,7 +349,7 @@ func (e *engine) backtrack() bool {
 // internal-error incident carrying the offending decision prefix. Only
 // the panicking path is lost: the recovery abandons every mark on the
 // stack, so the next path starts by overwriting the whole machine —
-// sys.Reset, or CopyFrom the unit's snapshot — and a torn interpreter
+// sys.Reset, or a fork of the unit's snapshot — and a torn interpreter
 // state cannot leak; the DFS backtracks past the failure and continues.
 func (e *engine) runPathSafe() {
 	// Registered first so it runs last (after the panic recovery has
@@ -417,9 +417,7 @@ func (e *engine) runPath() {
 	switch {
 	case e.restore():
 	case e.snapRoot != nil:
-		if !e.sys.CopyFrom(e.snapRoot) {
-			e.sys = e.snapRoot.ForkMachine()
-		}
+		e.sys = e.snapRoot.ForkMachine()
 		e.baseIdx = len(e.base)
 		e.liveDepth = e.baseSched
 		e.trace = append(e.trace[:0], e.snapTrace...)

@@ -4,10 +4,7 @@ import (
 	"runtime"
 	"testing"
 
-	"reclose/internal/core"
 	"reclose/internal/fiveess"
-	"reclose/internal/interp"
-	"reclose/internal/lockserver"
 	"reclose/internal/obs"
 	"reclose/internal/progs"
 )
@@ -83,76 +80,5 @@ func TestSearchAllocations(t *testing.T) {
 			t.Errorf("%s: %d allocations for %d transitions = %.3f each, want at most %.2f",
 				c.name, allocs, rep.Transitions, per, c.max)
 		}
-	}
-}
-
-// BenchmarkSchedule measures what the search does between two states of
-// a backtrack besides executing the transition: undo to a mark, step
-// one process, read the new state's pending table, list its enabled
-// processes, take their persistent set and compute the sleep set the
-// first option's subtree inherits. The loop must not allocate.
-func BenchmarkSchedule(b *testing.B) {
-	for _, c := range []struct{ name, src string }{
-		{"5ess-medium", fiveess.Source(fiveess.Scale("medium"))},
-		{"lock-c4-r2", lockserver.Source(lockserver.Config{Clients: 4, Rounds: 2})},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			u, _, err := core.CloseSource(c.src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := interp.Resolve(u)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := res.NewSystem()
-			e := newEngine(m, Options{}.withDefaults(), footprints(u), newSiteTable(u), &sharedState{})
-			ch := interp.FixedChooser(0)
-			if out := m.Init(ch); out != nil {
-				b.Fatal(out)
-			}
-			for i := 0; i < 6; i++ { // a few transitions in: several processes enabled
-				if _, out := m.Step(m.EnabledProcs()[0], ch); out != nil {
-					b.Fatal(out)
-				}
-			}
-			p := m.EnabledProcs()[0]
-			// The inherited sleep set: every enabled process but p, as if
-			// each had been explored at the parent.
-			var inherited sleepSet
-			for _, q := range m.EnabledProcs()[1:] {
-				inherited = append(inherited, sleepEntry{proc: q, obj: m.AppendPending(nil)[q].Obj})
-			}
-			en := e.getEntry()
-			mk := m.Mark()
-			sink := 0
-			step := func() {
-				if _, ok := m.Undo(mk); !ok {
-					b.Fatal("mark dead")
-				}
-				if _, out := m.Step(p, ch); out != nil {
-					b.Fatal(out)
-				}
-				e.observe()
-				e.scanEnabled()
-				set := e.persistentSet(e.enBuf)
-				en.options, en.objs, en.sleep = en.options[:0], en.objs[:0], inherited
-				for _, q := range set {
-					en.options = append(en.options, q)
-					en.objs = append(en.objs, e.pend[q].Obj)
-				}
-				en.cursor = len(en.options) - 1
-				sink += len(set) + len(en.childSleep())
-			}
-			step() // grow the scratch buffers once
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
-			if sink == 0 {
-				b.Fatal("nothing was scheduled")
-			}
-		})
 	}
 }

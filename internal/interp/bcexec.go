@@ -9,7 +9,7 @@ import (
 // This file is the bytecode dispatch loop. It executes the flat
 // instruction array compiled in bytecode.go against the System's state
 // (Proc, frame, Cell); system.go holds the visible operations, Enabled
-// and the fingerprint, fork.go the state copies.
+// and the fingerprint, fork.go the state copy.
 //
 // The loop runs in two modes sharing one switch: advance executes a
 // transition's invisible suffix (entered at the current node's block,
@@ -399,7 +399,7 @@ func (s *System) pin(f *frame) {
 	}
 }
 
-// framePoolCap bounds the frames returns, Reset and state copies put on
+// framePoolCap bounds the frames returns and Reset put on
 // the per-System free list (the undo of a call is not held to it).
 const framePoolCap = 64
 

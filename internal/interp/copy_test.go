@@ -12,21 +12,18 @@ import (
 	"reclose/internal/randprog"
 )
 
-// This file tests Machine.CopyFrom, the allocation-free whole-state
-// overwrite restore-based backtracking runs on: after dst.CopyFrom(src)
-// the two machines are indistinguishable and independent.
+// This file tests the compiled machine's state copy, Fork (fork.go): a
+// machine and its fork are indistinguishable and independent.
 
-// copyModes are the two ways the explorer runs the compiled machine,
-// whose CopyFrom copies: with incremental state hashing (cached and
-// liveness searches) and without (the stateless search). The
-// reference's always reports false (TestCopyFromRefusals).
+// copyModes are the two ways the explorer runs the compiled machine:
+// with incremental state hashing (cached and liveness searches) and
+// without (the stateless search).
 var copyModes = []struct {
 	name    string
 	hashing bool
 }{{"hashing", true}, {"full-render", false}}
 
-// resolveT compiles u once; machines copy only between instances of one
-// Resolution.
+// resolveT compiles u once.
 func resolveT(t testing.TB, u *cfg.Unit) *interp.Resolution {
 	t.Helper()
 	r, err := interp.Resolve(u)
@@ -89,18 +86,14 @@ func sameState(t *testing.T, label string, a, b interp.Machine) {
 }
 
 // copyLockstep brings src to the state prefix steps down schedule seed,
-// overwrites dst — whatever state it was left in — with it, and steps
-// the two in lockstep down a second seeded schedule: they must emit
-// identical events, outcomes, fingerprints and hashes, and stepping
-// either must never show in the other. It reports whether the copy was
-// made (CopyFrom may refuse a state holding a stale pointer).
-func copyLockstep(t *testing.T, label string, src, dst interp.Machine, seed int64, prefix, steps int) bool {
+// forks it, and steps the two in lockstep down a second seeded schedule:
+// they must emit identical events, outcomes, fingerprints and hashes,
+// and stepping either must never show in the other.
+func copyLockstep(t *testing.T, label string, src interp.Machine, seed int64, prefix, steps int) {
 	t.Helper()
 	tosses, _ := runSchedule(src, seed, prefix)
-	if !dst.CopyFrom(src) {
-		return false
-	}
-	sameState(t, label+": after CopyFrom", src, dst)
+	dst := src.ForkMachine()
+	sameState(t, label+": after Fork", src, dst)
 
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	chA, chB := &stepChooser{n: tosses}, &stepChooser{n: tosses}
@@ -131,35 +124,27 @@ func copyLockstep(t *testing.T, label string, src, dst interp.Machine, seed int6
 			break
 		}
 	}
-	return true
 }
 
 // copySweep runs copyLockstep over every prefix length up to maxPrefix
-// with hashing on and off, reusing one src and one dst for each so every
-// copy lands on a machine dirtied by the previous round — different
-// stack shapes, queue lengths, pinned frames. It returns how many
-// copies were made and how many refused.
-func copySweep(t *testing.T, label string, u *cfg.Unit, seed int64, maxPrefix, steps int) (copied, refused int) {
+// with hashing on and off, reusing one src for each so every fork is of
+// a machine dirtied by the previous round — different stack shapes,
+// queue lengths, pinned frames.
+func copySweep(t *testing.T, label string, u *cfg.Unit, seed int64, maxPrefix, steps int) {
 	t.Helper()
 	r := resolveT(t, u)
 	for _, k := range copyModes {
-		src, dst := newCopyMachine(r, k.hashing), newCopyMachine(r, k.hashing)
-		// Leave dst somewhere else entirely before the first copy.
-		runSchedule(dst, seed+99, maxPrefix)
+		src := newCopyMachine(r, k.hashing)
 		for prefix := 0; prefix <= maxPrefix; prefix++ {
 			l := fmt.Sprintf("%s/%s/prefix %d", label, k.name, prefix)
-			if copyLockstep(t, l, src, dst, seed+int64(prefix), prefix, steps) {
-				copied++
-			} else {
-				refused++
-			}
+			copyLockstep(t, l, src, seed+int64(prefix), prefix, steps)
 		}
 	}
-	return copied, refused
 }
 
-// TestCopyFromRandomPrograms is the property test over closed random
-// programs.
+// TestCopyFromRandomPrograms is the Fork property test over closed
+// random programs (it keeps the name it had when the sweep also ran
+// the in-place overwrite, which is gone).
 func TestCopyFromRandomPrograms(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -172,21 +157,14 @@ func TestCopyFromRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, src)
 		}
-		if _, refused := copySweep(t, fmt.Sprintf("seed %d", seed), closed, int64(seed), 8, 40); refused != 0 {
-			t.Fatalf("seed %d: CopyFrom refused %d states of a pointer-free program", seed, refused)
-		}
+		copySweep(t, fmt.Sprintf("seed %d", seed), closed, int64(seed), 8, 40)
 	}
 }
 
 // copyCases are the hand-written programs for what the generator never
 // emits: every way a pointer or an array can sit in the state at a
 // visible operation.
-var copyCases = []struct {
-	name, src string
-	// stale marks programs that hold a pointer into a popped frame at
-	// some visible operation, where CopyFrom must refuse.
-	stale bool
-}{
+var copyCases = []struct{ name, src string }{
 	{name: "pointer-into-caller-frame", src: `
 chan out[16];
 proc bump(p, n) {
@@ -237,7 +215,7 @@ proc main() {
 }
 process main;
 `},
-	{name: "pinned-and-stale", stale: true, src: `
+	{name: "pinned-and-stale", src: `
 chan out[8];
 proc mk(r) {
     var local = 42;
@@ -289,9 +267,8 @@ process user;
 `},
 }
 
-// TestCopyFromHandwritten runs the sweep over the pointer and array
-// cases. The stale-pointer program must be refused somewhere (and
-// copied elsewhere); the others must copy everywhere.
+// TestCopyFromHandwritten runs the Fork sweep over the pointer and
+// array cases, the pointer into a popped frame included.
 func TestCopyFromHandwritten(t *testing.T) {
 	for _, tc := range copyCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -299,24 +276,16 @@ func TestCopyFromHandwritten(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			copied, refused := 0, 0
 			for seed := int64(0); seed < 4; seed++ {
-				c, r := copySweep(t, tc.name, u, seed, 14, 30)
-				copied, refused = copied+c, refused+r
-			}
-			if copied == 0 {
-				t.Fatalf("no state was copied")
-			}
-			if tc.stale != (refused > 0) {
-				t.Fatalf("refused %d copies (of %d), stale=%v", refused, copied+refused, tc.stale)
+				copySweep(t, tc.name, u, seed, 14, 30)
 			}
 		})
 	}
 }
 
-// TestForkClonesStalePointers pins the one place the identity map
-// survives: Fork of a state holding a pointer into a popped frame clones
-// the target on demand, and the fork then behaves like the original.
+// TestForkClonesStalePointers pins the identity map: Fork of a state
+// holding a pointer into a popped frame clones the target on demand, and
+// the fork then behaves like the original.
 func TestForkClonesStalePointers(t *testing.T) {
 	u, err := core.CompileSource(copyCases[2].src)
 	if err != nil {
@@ -343,64 +312,6 @@ func TestForkClonesStalePointers(t *testing.T) {
 				}
 				sameState(t, fmt.Sprintf("%s: step %d", label, step), sys, clone)
 			}
-		}
-	}
-}
-
-// TestCopyFromRefusals covers the whole-machine refusals: the reference
-// interpreter on either side, and a machine over other compiled code.
-func TestCopyFromRefusals(t *testing.T) {
-	u, err := core.CompileSource(copyCases[0].src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := resolveT(t, u)
-	bc := newCopyMachine(r, true)
-	ref, err := r.NewMachine(interp.EngineRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := newCopyMachine(resolveT(t, u), true) // same unit, separate compiled code
-	for _, tc := range []struct {
-		name     string
-		dst, src interp.Machine
-	}{
-		{"ref<-ref", ref, ref.ForkMachine()},
-		{"ref<-bytecode", ref, bc},
-		{"bytecode<-ref", bc, ref},
-		{"bytecode<-other-resolution", bc, other},
-	} {
-		if tc.dst.CopyFrom(tc.src) {
-			t.Errorf("%s: CopyFrom reported true", tc.name)
-		}
-	}
-	if !bc.CopyFrom(bc.ForkMachine()) {
-		t.Errorf("bytecode<-its own fork: CopyFrom reported false")
-	}
-}
-
-// TestCopyFromAllocatesNothing pins the property the explorer's hot path
-// relies on: overwriting a warm machine allocates nothing, pointers
-// included.
-func TestCopyFromAllocatesNothing(t *testing.T) {
-	u, err := core.CompileSource(copyCases[0].src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := resolveT(t, u)
-	for _, k := range copyModes {
-		a, b, dst := newCopyMachine(r, k.hashing), newCopyMachine(r, k.hashing), newCopyMachine(r, k.hashing)
-		runSchedule(a, 1, 3)
-		runSchedule(b, 2, 9)
-		// Warm dst on both shapes, then alternate.
-		dst.CopyFrom(a)
-		dst.CopyFrom(b)
-		if n := testing.AllocsPerRun(100, func() {
-			if !dst.CopyFrom(a) || !dst.CopyFrom(b) {
-				t.Fatal("CopyFrom refused")
-			}
-		}); n != 0 {
-			t.Errorf("%s: CopyFrom allocates %v objects per pair of copies", k.name, n)
 		}
 	}
 }

@@ -104,31 +104,3 @@ func TestAppendFingerprintAllocs(t *testing.T) {
 		t.Errorf("AppendFingerprint allocates %.1f per call, budget %d", allocs, budget)
 	}
 }
-
-// BenchmarkAppendFingerprint measures the streaming fingerprint against
-// the string-building form.
-func BenchmarkAppendFingerprint(b *testing.B) {
-	sys := fingerprintSys(b)
-	buf := make([]byte, 0, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = sys.AppendFingerprint(buf[:0])
-	}
-	if len(buf) == 0 {
-		b.Fatal("empty fingerprint")
-	}
-}
-
-// BenchmarkFingerprintString is the baseline: the string-materializing
-// form.
-func BenchmarkFingerprintString(b *testing.B) {
-	sys := fingerprintSys(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if sys.Fingerprint() == "" {
-			b.Fatal("empty fingerprint")
-		}
-	}
-}

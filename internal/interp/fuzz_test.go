@@ -11,12 +11,12 @@ import (
 // compiled machine — once with incremental state hashing, once
 // rendering in full — and the reference interpreter in lockstep: any
 // divergence in events, outcomes, fingerprints, or state hashes fails
-// the fuzz run. It then sweeps CopyFrom over the program's first states
-// with hashing on and off — every copy made must be indistinguishable
-// from, and independent of, its source (copy_test.go) — and runs the
-// key-segment schedule (keyseg_test.go): steps interleaved with copies
-// into a stale machine, forks and resets, the assembled key compared
-// with the full render after every operation — and the undo sweep
+// the fuzz run. It then sweeps Fork over the program's first states with
+// hashing on and off — every fork must be indistinguishable from, and
+// independent of, its source (copy_test.go) — and runs the key-segment
+// schedule (keyseg_test.go): steps interleaved with forks and resets,
+// the assembled key compared with the full render after every
+// operation — and the undo sweep
 // (trail_test.go): at every state of a schedule a mark, an excursion of a
 // few transitions and an Undo that must leave the machine where one that
 // never left is.

@@ -60,16 +60,13 @@ func checkKey(t *testing.T, label string, m interp.Machine, want string) (ids bo
 // keyRig is one logical machine state held three ways: cur is the
 // hashing machine under test, full (a compiled machine with hashing
 // off, as the stateless search runs it) and ref the oracles that render
-// every key in full. spare is a second hashing machine left wherever
-// earlier operations dropped it: the receiver of the next CopyFrom,
-// whose own segments are all valid and all wrong.
+// every key in full.
 type keyRig struct {
-	t          *testing.T
-	label      string
-	u          *cfg.Unit
-	cur, spare interp.Machine
-	full, ref  interp.Machine
-	chs        [3]*stepChooser
+	t              *testing.T
+	label          string
+	u              *cfg.Unit
+	cur, full, ref interp.Machine
+	chs            [3]*stepChooser
 	// hashingOff is set while a test has switched cur's hashing off: its
 	// key is then the fingerprint, as the oracles' is.
 	hashingOff bool
@@ -83,10 +80,9 @@ func newKeyRig(t *testing.T, label string, u *cfg.Unit) *keyRig {
 		t.Fatalf("%s: %v", label, err)
 	}
 	k := &keyRig{t: t, label: label, u: u,
-		cur:   newCopyMachine(r, true),
-		spare: newCopyMachine(r, true),
-		full:  newCopyMachine(r, false),
-		ref:   ref,
+		cur:  newCopyMachine(r, true),
+		full: newCopyMachine(r, false),
+		ref:  ref,
 	}
 	return k
 }
@@ -160,26 +156,15 @@ func (k *keyRig) step(p int) bool {
 	return ok
 }
 
-// copyOver overwrites the spare machine with the current one and goes
-// on with the copy, when the state can be copied.
-func (k *keyRig) copyOver() {
-	k.t.Helper()
-	if k.spare.CopyFrom(k.cur) {
-		k.cur, k.spare = k.spare, k.cur
-		k.check("CopyFrom into a stale machine")
-	}
-}
-
 // fork goes on with a fork of the current machine.
 func (k *keyRig) fork() {
 	k.t.Helper()
-	k.cur, k.spare = k.cur.ForkMachine(), k.cur
+	k.cur = k.cur.ForkMachine()
 	k.check("ForkMachine")
 }
 
 // keySchedule drives a rig down a seeded schedule that interleaves
-// steps with copies into the stale machine, forks and resets, checking
-// the key after every operation.
+// steps with forks and resets, checking the key after every operation.
 func keySchedule(t *testing.T, label string, u *cfg.Unit, seed int64, ops int) {
 	t.Helper()
 	k := newKeyRig(t, label, u)
@@ -192,9 +177,7 @@ func keySchedule(t *testing.T, label string, u *cfg.Unit, seed int64, ops int) {
 			if live = k.reset(); !live {
 				return // Init itself ends the run: nothing to schedule
 			}
-		case r <= 3:
-			k.copyOver()
-		case r == 4:
+		case r <= 4:
 			k.fork()
 		default:
 			live = k.step(en[rng.Intn(len(en))])
@@ -392,18 +375,14 @@ func TestKeyStoreIntoPoppedFrame(t *testing.T) {
 	}
 }
 
-// Rule: a copy carries the segments of the state it copies. The
-// receiver's own are valid and describe another state; keeping them
-// would render that state's key.
+// Rule: a copy carries the segments of the state it copies, and the
+// copy of a copy does.
 func TestKeyRuleCopyCarriesSegments(t *testing.T) {
 	k := compileKeyCase(t, 2)
 	if !k.step(0) {
 		t.Fatal("run ended early")
 	}
-	// Leave the spare elsewhere, with every segment rendered.
-	runSchedule(k.spare, 7, 4)
-	k.spare.AppendFingerprint(nil)
-	k.copyOver()
+	k.fork()
 	if !k.step(1) {
 		t.Fatal("run ended early")
 	}
@@ -416,13 +395,12 @@ func TestKeyRuleCopyCarriesSegments(t *testing.T) {
 // TestKeySegmentWork counts the work instead of timing it: a key after
 // a step re-renders the stepped process and nothing else — stores
 // through pointers into the process's own frames included — and a
-// restored or forked machine renders nothing until it steps.
+// forked machine renders nothing until it steps.
 func TestKeySegmentWork(t *testing.T) {
 	k := compileKeyCase(t, 2)
 	var keys, segs obs.Counter
 	met := interp.Metrics{Keys: &keys, Segs: &segs}
 	k.cur.SetMetrics(met)
-	k.spare.SetMetrics(met)
 	rendered := func(op string, want int64) {
 		t.Helper()
 		s0, k0 := segs.Load(), keys.Load()
@@ -438,16 +416,8 @@ func TestKeySegmentWork(t *testing.T) {
 			t.Fatalf("step %d: %s", i, out)
 		}
 		rendered("a step with own-frame pointer stores", 1)
-		if i%2 == 0 {
-			if !k.spare.CopyFrom(k.cur) {
-				t.Fatal("CopyFrom refused")
-			}
-			k.cur, k.spare = k.spare, k.cur
-			rendered("CopyFrom", 0)
-		} else {
-			k.cur = k.cur.ForkMachine()
-			rendered("ForkMachine", 0)
-		}
+		k.cur = k.cur.ForkMachine()
+		rendered("ForkMachine", 0)
 	}
 }
 
@@ -530,19 +500,11 @@ func TestKeyIDRuleUndo(t *testing.T) {
 }
 
 // Rule: a copy carries the ids of the state it copies, objects' and
-// processes'. The receiver's own are looked up and name another state.
+// processes'.
 func TestKeyIDRuleCopy(t *testing.T) {
 	m, shadow, same := idPair(t, keyCases[2].src)
 	stepBoth(t, 0, m, shadow)
 	same("a step", m)
-	spare := newCopyMachine(m.Resolution(), true)
-	runSchedule(spare, 7, 4)
-	spare.AppendKey(nil, keySegs)
-	if !spare.CopyFrom(m) {
-		t.Fatal("CopyFrom refused")
-	}
-	m = spare
-	same("CopyFrom into a machine with ids of its own", m)
 	m = m.Fork()
 	same("Fork", m)
 	stepBoth(t, 1, m, shadow)
@@ -588,8 +550,8 @@ func (c *countingTable) Intern(h uint64, seg []byte) uint32 {
 
 // TestKeyLookupWork counts table lookups as TestKeySegmentWork counts
 // renderings: a key after a step looks up the stepped process and the
-// object it operated on, and a second key, a key after an undo, a copy's
-// or a fork's none at all.
+// object it operated on, and a second key, a key after an undo or a
+// fork's none at all.
 func TestKeyLookupWork(t *testing.T) {
 	m, _, _ := idPair(t, keyCases[2].src)
 	tab := &countingTable{Segments: new(statecache.Segments)}
@@ -612,12 +574,6 @@ func TestKeyLookupWork(t *testing.T) {
 	lookups("an undo", 0)
 	stepBoth(t, 1, m)
 	lookups("a step", 2)
-	spare := newCopyMachine(m.Resolution(), true)
-	if !spare.CopyFrom(m) {
-		t.Fatal("CopyFrom refused")
-	}
-	m = spare
-	lookups("CopyFrom", 0)
 	m = m.Fork()
 	lookups("Fork", 0)
 }

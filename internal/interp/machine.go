@@ -49,10 +49,9 @@ func ParseEngine(s string) (EngineKind, error) {
 
 // Machine is the executable-system interface the explorer drives: the
 // transition semantics, the state identity operations (fingerprint and
-// hash), the write trail backtracking runs on (Mark, Undo) and the two
-// state copies for a state that has to outlive the machine that reached
-// it — deep-copy forking and the in-place overwrite. System and
-// RefSystem implement it.
+// hash), the write trail backtracking runs on (Mark, Undo) and the
+// deep-copy fork for a state that has to outlive the machine that
+// reached it. System and RefSystem implement it.
 //
 // Per state the search calls Init/Step/Reset, AppendPending, Mark and
 // the identity methods, per path Undo. The per-process questions are for
@@ -91,12 +90,6 @@ type Machine interface {
 	AppendKey(dst []byte, tab SegmentTable) (key []byte, rendered int)
 	StateHash() uint64
 	ForkMachine() Machine
-	// CopyFrom overwrites the receiver's whole state with src's without
-	// allocating, or reports false when it cannot (the reference, a
-	// machine over other compiled code, a state the copy does not
-	// cover); the caller then reaches the state by replay. See
-	// System.CopyFrom.
-	CopyFrom(src Machine) bool
 
 	// Instrumentation.
 	SetMetrics(m Metrics)
@@ -255,11 +248,6 @@ func fingerprintKey(m Machine, dst []byte) ([]byte, int) {
 	dst = m.AppendFingerprint(dst)
 	return dst, len(dst) - n
 }
-
-// CopyFrom reports false: the reference interpreter keeps its cells in
-// name-keyed maps with no positional correspondence to copy over, so
-// its callers always replay.
-func (s *RefSystem) CopyFrom(Machine) bool { return false }
 
 // Mark returns the dead mark and Undo reports false: the reference
 // keeps no trail, so its callers always replay.

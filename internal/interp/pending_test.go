@@ -14,7 +14,7 @@ import (
 // This file holds the pending table (pending.go) to its specification.
 // checkPending is called by the lockstep harness after every Init and
 // Step (differential_test.go) and by the key rig after every Reset,
-// Init, Step, CopyFrom and ForkMachine (keyseg_test.go), so the random
+// Init, Step and ForkMachine (keyseg_test.go), so the random
 // programs, copyCases, keyCases and the fuzz target all run it;
 // TestPendingTable adds the states those programs rarely reach.
 

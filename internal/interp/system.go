@@ -160,11 +160,8 @@ type System struct {
 	// serves every frame.
 	regs []Value
 	// pool is the free list of popped, unpinned frames: filled by
-	// returns, Reset and state copies, drawn on by calls and by state
-	// copies.
+	// returns and Reset, drawn on by calls.
 	pool []*frame
-	// cp is the scratch of a whole-state copy into this system (fork.go).
-	cp copier
 	// tr is the write trail Mark and Undo work on (trail.go).
 	tr trail
 

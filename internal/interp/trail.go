@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"sync/atomic"
+
 	"reclose/internal/cfg"
 	"reclose/internal/comm"
 )
@@ -27,10 +29,9 @@ import (
 // succeeded (a refused send must not be un-sent), with nothing that can
 // trap in between.
 //
-// Whatever replaces the state wholesale — Reset, a copy into the machine,
-// SetStateHashing — drops the log and starts a new generation, which
-// kills every mark taken before; so does Mark itself on a log longer
-// than maxTrail.
+// Whatever replaces the state wholesale — Reset, SetStateHashing — drops
+// the log and starts a new generation, which kills every mark taken
+// before; so does Mark itself on a log longer than maxTrail.
 
 // Mark is a state of a machine that Undo can take the machine back to.
 // The zero Mark is dead: no machine returns to it, and it is the only
@@ -43,6 +44,12 @@ type Mark struct {
 // SameTrail reports whether m and o were taken on one machine with its
 // log not dropped in between: while either can be undone to, both can.
 func (m Mark) SameTrail(o Mark) bool { return m.gen != 0 && m.gen == o.gen }
+
+// trailGens numbers the logs of every machine in the process, so a mark
+// is dead on every machine but the one it was taken on: a search that
+// replaces its machine with a fork cannot undo the fork to a mark of the
+// machine it gave up.
+var trailGens atomic.Uint64
 
 // maxTrail bounds the log: Mark drops one longer than this many entries,
 // some 4 MiB of them (a cell entry is 88 bytes). The longest log of the
@@ -97,7 +104,7 @@ type refUndo struct {
 // order; each names the typed log its payload was appended to.
 type trail struct {
 	on    bool   // a mark has been taken since the log was last dropped
-	gen   uint64 // 1 and up: NewSystem's Reset drops the empty log
+	gen   uint64 // a trailGens number: NewSystem's Reset drops the empty log
 	ops   []undoOp
 	cells []cellUndo
 	steps []stepUndo
@@ -117,7 +124,7 @@ func (s *System) Mark() Mark {
 // dropTrail forgets the log: no state before this one can be returned to.
 func (s *System) dropTrail() {
 	t := &s.tr
-	t.on, t.gen = false, t.gen+1
+	t.on, t.gen = false, trailGens.Add(1)
 	t.ops, t.cells, t.steps, t.refs = t.ops[:0], t.cells[:0], t.steps[:0], t.refs[:0]
 }
 

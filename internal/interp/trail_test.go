@@ -17,8 +17,7 @@ import (
 // violate, diverge, exit, return, store through pointers into live and
 // popped frames of its own and of other processes — undoing to the mark
 // leaves it indistinguishable from a machine that never left, pointers
-// into popped frames included, which a copy cannot carry
-// (TestCopyFromHandwritten's refusals).
+// into popped frames included.
 
 // stateDigest renders everything two machines in one state agree on.
 func stateDigest(m interp.Machine) string {
@@ -188,7 +187,7 @@ process main;
 }
 
 // TestUndoHandwritten runs the sweep over every hand-written pointer
-// and array program. pinned-and-stale is the state CopyFrom refuses.
+// and array program.
 func TestUndoHandwritten(t *testing.T) {
 	cases := append([]struct{ name, src string }(nil), undoCases...)
 	cases = append(cases, keyCases...)
@@ -229,21 +228,21 @@ func TestUndoRandomPrograms(t *testing.T) {
 
 // TestDeadMarks: whatever replaces the state wholesale kills the marks
 // taken before it, the machine's last state is left alone by the refused
-// Undo, and the reference has no live mark to give.
+// Undo, no machine undoes to another's mark, and the reference has no
+// live mark to give.
 func TestDeadMarks(t *testing.T) {
 	u, err := core.CompileSource(copyCases[0].src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := resolveT(t, u)
-	m, other := newCopyMachine(r, true), newCopyMachine(r, true)
-	runSchedule(other, 3, 5)
+	m := newCopyMachine(r, true)
 	for _, kill := range []struct {
 		name string
 		do   func()
 	}{
 		{"Reset", func() { m.Reset() }},
-		{"CopyFrom into the machine", func() { m.CopyFrom(other) }},
+		{"going on with a fork", func() { m = m.Fork() }},
 		{"SetStateHashing", func() { m.SetStateHashing(false) }},
 	} {
 		runSchedule(m, 1, 4)
@@ -274,6 +273,16 @@ func TestDeadMarks(t *testing.T) {
 	}
 	if _, ok := m.Undo(inner); ok {
 		t.Errorf("Undo went forward to a mark already undone past")
+	}
+	// A mark is its machine's: two forks of one state that log alike, and
+	// the mark of one is dead on the other (a search that gives its
+	// machine up for a fresh fork keeps the marks of the old one around).
+	one, two := m.Fork(), m.Fork()
+	mk := one.Mark()
+	two.Mark()
+	two.Step(two.AppendEnabled(nil)[0], &stepChooser{})
+	if _, ok := two.Undo(mk); ok {
+		t.Errorf("a fork undid to the mark of another fork")
 	}
 	ref, err := r.NewMachine(interp.EngineRef)
 	if err != nil {

@@ -149,7 +149,17 @@ func TestTheorem7Preservation(t *testing.T) {
 		return openRep, closedRep
 	}
 
+	// sooner holds E5's last two columns: the closed system has no
+	// environment values to branch over before it reaches the incident.
+	sooner := func(open, closed *explore.Report) {
+		t.Helper()
+		if c, o := closed.StatesAtFirstIncident, open.StatesAtFirstIncident; c == 0 || c > o {
+			t.Errorf("first incident after %d states closed, %d naive", c, o)
+		}
+	}
+
 	open, closed := check(progs.DeadlockProne, 4)
+	sooner(open, closed)
 	if open.Deadlocks == 0 {
 		t.Error("naive composition missed the deadlock")
 	}
@@ -158,6 +168,7 @@ func TestTheorem7Preservation(t *testing.T) {
 	}
 
 	open, closed = check(progs.AssertViolation, 4)
+	sooner(open, closed)
 	if open.Violations == 0 {
 		t.Error("naive composition missed the assertion violation")
 	}

@@ -3,7 +3,7 @@
 # the packages with real concurrency, and a short fuzz smoke over the
 # front end, the checkpoint decoder, the compiled-machine/reference
 # lockstep oracle, the job request parser and the dist frame codec (5s
-# per target; the lockstep target also runs the CopyFrom sweep of
+# per target; the lockstep target also runs the Fork sweep of
 # copy_test.go, the key-segment schedule of keyseg_test.go and the undo
 # sweep of trail_test.go).
 # -count=1 defeats the test cache: a verification run must actually run.
@@ -26,12 +26,12 @@ go test -count=1 -timeout=10m ./...
 #     must find exactly the static oracle's incident set across workers
 #     × spill × cache shards (shared frontier heap, per-entry backtrack
 #     folds);
-#   - backtracking by undoing: the write trail's and the copy routine's
-#     property and hand-written pointer/array tests with hashing on and
-#     off, the restore-vs-replay equivalence grid (engines × POR × cache ×
+#   - backtracking by undoing: the write trail's and Fork's property and
+#     hand-written pointer/array tests with hashing on and off, the
+#     restore-vs-replay equivalence grid (engines × POR × cache ×
 #     liveness × workers × snapshot-spill), the trail's bound, the running
 #     depth count and the panic recoveries (shared snapshot-spill
-#     machines that several workers copy from at once);
+#     machines that several workers fork at once);
 #   - checkpoints as pauses: workers stopped and restarted in place
 #     1 897 times on the lock server, at 0, 1 and 2 workers;
 #   - liveness: the nested-DFS cycle search over the shared state cache
@@ -72,14 +72,11 @@ go test -fuzz=FuzzBytecodeLockstep -fuzztime=5s ./internal/interp/
 go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 
-# Bench smoke: one iteration of the dataflow-analysis, interpreter,
-# snapshot-vs-replay, backtracking, stateful-search, scheduling, state-key,
-# checkpoint-cadence and liveness benchmarks (catches bit-rot in the perf
-# harness without paying for a real measurement run), plus a syntax check
-# of the bench driver.
-go test -run '^$' -bench 'BenchmarkAnalyze|BenchmarkInterpreter|BenchmarkForkVsReplay|BenchmarkBacktrack|BenchmarkStateful|BenchmarkSchedule|BenchmarkStateKey|BenchmarkCheckpointCadence|BenchmarkLiveness' -benchtime=1x . ./internal/explore
-sh -n scripts/bench.sh
+# Bench smoke: one iteration of the two benchmarks scripts/profile.sh
+# profiles (catches bit-rot in the tool's input; time is measured by
+# `go run ./benchmark`, counts are asserted by the tests above).
+go test -run '^$' -bench 'BenchmarkBacktrack|BenchmarkStateful' -benchtime=1x .
 
-# Not a gate: non-test Go lines per package and in total, the number
-# the simplicity entries in CHANGES.md quote.
+# Not a gate: non-test Go lines per package, and the non-test and test
+# totals the simplicity entries in CHANGES.md quote.
 scripts/loc.sh
