@@ -171,7 +171,8 @@ func TestCLIDistDriverFlags(t *testing.T) {
 // says "requires" is refused without what it requires — the dist tuning
 // flags without -dist-workers, the cache tuning flags without
 // -state-cache — and dist mode rejects the modes it cannot serve. Each
-// is exit 1 with a message naming the flag, before any search.
+// is exit 1 with a message naming the flag (or, for what explore's
+// Resolve decides, the Options field), before any search.
 func TestCLIDistFlagValidation(t *testing.T) {
 	prog := writeProg(t, progs.DeadlockProne)
 	for _, tc := range []struct {
@@ -180,9 +181,9 @@ func TestCLIDistFlagValidation(t *testing.T) {
 	}{
 		{[]string{"-dist-slice", "64", prog}, "require -dist-workers"},
 		{[]string{"-dist-lease", "1s", prog}, "require -dist-workers"},
-		{[]string{"-cache-shards", "4", prog}, "require -state-cache"},
-		{[]string{"-cache-mem", "1048576", prog}, "require -state-cache"},
-		{[]string{"-dist-workers", "2", "-cache-mem", "1048576", prog}, "require -state-cache"},
+		{[]string{"-cache-shards", "4", prog}, "CacheShards and MaxCacheBytes require StateCache"},
+		{[]string{"-cache-mem", "1048576", prog}, "CacheShards and MaxCacheBytes require StateCache"},
+		{[]string{"-dist-workers", "2", "-cache-mem", "1048576", prog}, "CacheShards and MaxCacheBytes require StateCache"},
 		{[]string{"-dist-workers", "2", "-shortest", prog}, "-dist-workers does not compose"},
 		{[]string{"-dist-workers", "-1", prog}, "-dist-workers must be >= 0"},
 	} {

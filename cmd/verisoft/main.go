@@ -32,6 +32,7 @@ package main
 
 import (
 	"context"
+	"encoding"
 	"flag"
 	"fmt"
 	"io"
@@ -39,6 +40,7 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux; served only with -pprof
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -46,7 +48,6 @@ import (
 	"reclose/internal/atomicio"
 	"reclose/internal/dist"
 	"reclose/internal/explore"
-	"reclose/internal/interp"
 	"reclose/internal/mgenv"
 	"reclose/internal/obs"
 )
@@ -65,40 +66,29 @@ var exitNow = os.Exit
 var testSignals chan os.Signal
 
 // cli carries the parsed flags and output streams of one invocation, so
-// tests drive the whole command in-process.
+// tests drive the whole command in-process. The search's flags bind
+// straight into opt; the rest concern the CLI alone.
 type cli struct {
 	fs             *flag.FlagSet
 	stdout, stderr io.Writer
 
-	engine      string
-	depth       int
-	maxStates   int64
+	opt explore.Options
+	// modeErr holds, by flag name, what -engine, -por or -search made of
+	// its value (nil: parsed): an unknown name is a refused option set —
+	// exit 1 with the mode's own message — not a usage error.
+	modeErr map[string]error
+
 	naive       int
 	noPOR       bool
-	noSleep     bool
-	por         string
-	search      string
-	interest    string
-	stateCache  bool
-	cacheShards int
-	cacheMem    int64
-	stopFirst   bool
-	liveness    bool
-	samples     int
 	replay      bool
 	shortest    bool
-	workers     int
-	spillDepth  int
-	snapSpill   bool
 	distWorkers int
 	distSlice   int64
 	distLease   time.Duration
 	workerMode  bool
 	progress    time.Duration
 
-	timeout   time.Duration
 	ckptFile  string
-	ckptEvery time.Duration
 	resumeFrm string
 
 	metricsOut string
@@ -107,41 +97,65 @@ type cli struct {
 }
 
 func newCLI(stdout, stderr io.Writer) *cli {
-	c := &cli{stdout: stdout, stderr: stderr}
+	c := &cli{stdout: stdout, stderr: stderr, modeErr: map[string]error{}}
+	o := &c.opt
 	fs := flag.NewFlagSet("verisoft", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: verisoft [flags] file.mc (use - for stdin)\n")
 		fs.PrintDefaults()
 	}
-	fs.StringVar(&c.engine, "engine", "bytecode", "interpreter: bytecode (the compiled machine: flat bytecode + incremental hashing) or ref (reference oracle)")
-	fs.IntVar(&c.depth, "depth", 0, "depth bound on explored paths (0 = default 1e6)")
-	fs.Int64Var(&c.maxStates, "max-states", 0, "abort after visiting this many global states (0 = unlimited)")
+	for _, m := range []struct {
+		name, usage string
+		v           encoding.TextUnmarshaler
+	}{
+		{"engine", "interpreter: bytecode (the compiled machine: flat bytecode + incremental hashing, the default) or ref (reference oracle)", &o.Engine},
+		{"por", "partial-order reduction: static (persistent sets, the default), dynamic (Flanagan-Godefroid backtrack sets; refused with -liveness), or off", &o.POR},
+		{"search", "frontier order: dfs (strict depth-first, the default) or priority (score-directed)", &o.Search},
+	} {
+		fs.Func(m.name, m.usage, func(s string) error {
+			c.modeErr[m.name] = m.v.UnmarshalText([]byte(s))
+			return nil
+		})
+	}
+	fs.IntVar(&o.MaxDepth, "depth", 0, "depth bound on explored paths (0 = default 1e6)")
+	fs.Int64Var(&o.MaxStates, "max-states", 0, "abort after visiting this many global states (0 = unlimited)")
 	fs.IntVar(&c.naive, "naive", 0, "close naively with an explicit most general environment over domain [0,D) instead of transforming")
 	fs.BoolVar(&c.noPOR, "no-por", false, "disable persistent-set reduction (same as -por=off)")
-	fs.BoolVar(&c.noSleep, "no-sleep", false, "disable sleep sets")
-	fs.StringVar(&c.por, "por", "", "partial-order reduction: static (persistent sets, the default), dynamic (Flanagan-Godefroid backtrack sets), or off")
-	fs.StringVar(&c.search, "search", "", "frontier order: dfs (strict depth-first, the default) or priority (score-directed)")
-	fs.StringVar(&c.interest, "interest", "", "comma-separated object names the priority search should steer toward (requires -search=priority)")
-	fs.BoolVar(&c.stateCache, "state-cache", false, "remember visited states and prune a path that reaches one again, no shallower than before and with the same sleep set; a state evicted under -cache-mem is explored again when met, so eviction costs time, never soundness")
-	fs.IntVar(&c.cacheShards, "cache-shards", 0, "lock shards in the state cache, rounded up to a power of two (0 = default 16; requires -state-cache)")
-	fs.Int64Var(&c.cacheMem, "cache-mem", 0, "state-cache budget in bytes, per worker process under -dist-workers, charged per entry the rendered state fingerprint's length plus 96 — more than the entry occupies (the cache: line's resident); over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
-	fs.BoolVar(&c.stopFirst, "stop-on-violation", false, "stop at the first assertion violation or runtime error")
-	fs.BoolVar(&c.liveness, "liveness", false, "detect non-progress cycles (livelock) with a nested DFS; progress is declared with the MiniC `progress` label, defaulting to every visible op (forces -por=static)")
-	fs.IntVar(&c.samples, "samples", 4, "incident samples to print")
+	fs.BoolVar(&o.NoSleep, "no-sleep", false, "disable sleep sets")
+	fs.Func("interest", "comma-separated object names the priority search should steer toward (requires -search=priority)", func(s string) error {
+		o.Interest = strings.FieldsFunc(s, func(r rune) bool { return r == ',' })
+		for i := range o.Interest {
+			o.Interest[i] = strings.TrimSpace(o.Interest[i])
+		}
+		return nil
+	})
+	fs.BoolVar(&o.StateCache, "state-cache", false, "remember visited states and prune a path that reaches one again, no shallower than before and with the same sleep set; a state evicted under -cache-mem is explored again when met, so eviction costs time, never soundness")
+	fs.IntVar(&o.CacheShards, "cache-shards", 0, "lock shards in the state cache, rounded up to a power of two (0 = default 16; requires -state-cache)")
+	fs.Int64Var(&o.MaxCacheBytes, "cache-mem", 0, "state-cache budget in bytes, per worker process under -dist-workers, charged per entry the rendered state fingerprint's length plus 96 — more than the entry occupies (the cache: line's resident); over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
+	fs.BoolFunc("stop-on-violation", "stop at the first assertion violation or runtime error", func(s string) error {
+		on, err := strconv.ParseBool(s)
+		o.Stop = explore.StopNone
+		if on {
+			o.Stop = explore.StopViolation
+		}
+		return err
+	})
+	fs.BoolVar(&o.Liveness, "liveness", false, "detect non-progress cycles (livelock) with a nested DFS; progress is declared with the MiniC `progress` label, defaulting to every visible op (refused with -por=dynamic and -snapshot-spill)")
+	fs.IntVar(&o.MaxIncidents, "samples", 4, "incident samples to keep and print")
 	fs.BoolVar(&c.replay, "replay", false, "replay the first incident step by step after the search")
 	fs.BoolVar(&c.shortest, "shortest", false, "find a minimal-depth incident by iterative deepening instead of a full search")
-	fs.IntVar(&c.workers, "workers", 0, "search workers (0 = the search loop inline in classic depth-first order, -1 = GOMAXPROCS)")
-	fs.IntVar(&c.spillDepth, "spill-depth", 0, "depth above which workers spill sibling subtrees to the shared frontier (0 = default 16)")
-	fs.BoolVar(&c.snapSpill, "snapshot-spill", false, "attach state snapshots to spilled work units so claimers skip prefix replay (-workers > 0 or -search=priority)")
+	fs.IntVar(&o.Workers, "workers", 0, "search workers (0 = the search loop inline in classic depth-first order, -1 = GOMAXPROCS)")
+	fs.IntVar(&o.SpillDepth, "spill-depth", 0, "depth above which workers spill sibling subtrees to the shared frontier (0 = default 16)")
+	fs.BoolVar(&o.SnapshotSpill, "snapshot-spill", false, "attach state snapshots to spilled work units so claimers skip prefix replay (-workers > 0 or -search=priority; refused with -liveness)")
 	fs.IntVar(&c.distWorkers, "dist-workers", 0, "distribute the search across this many worker OS processes (0 = in-process); results merge deterministically, byte-identical to the in-process engine (with -state-cache each process keeps its own cache: same incidents, schedule-dependent counters)")
 	fs.Int64Var(&c.distSlice, "dist-slice", 0, "per-batch state budget a distributed worker explores before reporting back (0 = default 4096; requires -dist-workers)")
 	fs.DurationVar(&c.distLease, "dist-lease", 0, "lease timeout after which a distributed worker is declared dead and its work reassigned (0 = default 60s; requires -dist-workers)")
 	fs.BoolVar(&c.workerMode, "worker-mode", false, "run as a distributed exploration worker speaking the frame protocol on stdin/stdout (spawned by a -dist-workers coordinator, not for interactive use)")
 	fs.DurationVar(&c.progress, "progress", 0, "print progress lines at this interval (0 = off)")
-	fs.DurationVar(&c.timeout, "timeout", 0, "wall-clock budget for the search; on expiry the partial result is reported (0 = unlimited)")
+	fs.DurationVar(&o.Timeout, "timeout", 0, "wall-clock budget for the search; on expiry the partial result is reported (0 = unlimited)")
 	fs.StringVar(&c.ckptFile, "checkpoint", "", "write checkpoint snapshots to this file (periodically with -checkpoint-every, and on interrupt or budget exhaustion)")
-	fs.DurationVar(&c.ckptEvery, "checkpoint-every", 0, "period between checkpoints (requires -checkpoint; 0 = only final)")
+	fs.DurationVar(&o.CheckpointEvery, "checkpoint-every", 0, "period between checkpoints (requires -checkpoint; 0 = only final)")
 	fs.StringVar(&c.resumeFrm, "resume", "", "resume the search from a checkpoint file written by -checkpoint")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the final metrics registry to this file as versioned JSON")
 	fs.StringVar(&c.traceOut, "trace-out", "", "stream structured JSONL events (run start/stop, incidents, checkpoints) to this file")
@@ -183,26 +197,17 @@ func (c *cli) run() (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	engine, err := interp.ParseEngine(c.engine)
-	if err != nil {
-		return 1, err
-	}
-	por, err := explore.ParsePOR(c.por)
-	if err != nil {
-		return 1, err
-	}
-	search, err := explore.ParseSearch(c.search)
-	if err != nil {
-		return 1, err
-	}
-	if c.noPOR {
-		if c.por != "" && por != explore.POROff {
-			return 1, fmt.Errorf("-no-por contradicts -por=%s", por)
+	for _, name := range []string{"engine", "por", "search"} {
+		if err := c.modeErr[name]; err != nil {
+			return 1, err
 		}
-		por = explore.POROff
 	}
-	if c.interest != "" && search != explore.SearchPriority {
-		return 1, fmt.Errorf("-interest requires -search=priority")
+	opt := c.opt
+	if c.noPOR {
+		if _, set := c.modeErr["por"]; set && opt.POR != explore.POROff {
+			return 1, fmt.Errorf("-no-por contradicts -por=%s", opt.POR)
+		}
+		opt.POR = explore.POROff
 	}
 	if c.distWorkers > 0 && c.shortest {
 		return 1, fmt.Errorf("-dist-workers does not compose with -shortest")
@@ -213,8 +218,8 @@ func (c *cli) run() (int, error) {
 	if (c.distSlice != 0 || c.distLease != 0) && c.distWorkers == 0 {
 		return 1, fmt.Errorf("-dist-slice and -dist-lease require -dist-workers")
 	}
-	if (c.cacheShards != 0 || c.cacheMem != 0) && !c.stateCache {
-		return 1, fmt.Errorf("-cache-shards and -cache-mem require -state-cache")
+	if _, err := opt.Resolve(); err != nil {
+		return 1, err
 	}
 
 	closeMode := "auto"
@@ -225,8 +230,8 @@ func (c *cli) run() (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	fmt.Fprintf(c.stdout, "prepared system: %s (engine %s)\n", how, engine)
-	if c.stateCache && c.distWorkers > 1 {
+	fmt.Fprintf(c.stdout, "prepared system: %s (engine %s)\n", how, opt.Engine)
+	if opt.StateCache && c.distWorkers > 1 {
 		// Not the one shared cache of -workers N: pruning, and so every
 		// counter, depends on which process meets a state first.
 		fmt.Fprintf(c.stdout, "state cache: private to each of %d worker processes\n", c.distWorkers)
@@ -256,33 +261,7 @@ func (c *cli) run() (int, error) {
 		reg.SetSink(obs.NewSink(traceFile))
 	}
 
-	opt := explore.Options{
-		Engine:          engine,
-		MaxDepth:        c.depth,
-		MaxStates:       c.maxStates,
-		NoSleep:         c.noSleep,
-		POR:             por,
-		Search:          search,
-		StateCache:      c.stateCache,
-		CacheShards:     c.cacheShards,
-		MaxCacheBytes:   c.cacheMem,
-		StopOnViolation: c.stopFirst,
-		Liveness:        c.liveness,
-		MaxIncidents:    c.samples,
-		Workers:         c.workers,
-		SpillDepth:      c.spillDepth,
-		SnapshotSpill:   c.snapSpill,
-		Timeout:         c.timeout,
-		Obs:             reg,
-	}
-	var interest []string
-	if c.interest != "" {
-		interest = strings.Split(c.interest, ",")
-		for i := range interest {
-			interest[i] = strings.TrimSpace(interest[i])
-		}
-		opt.Score = explore.InterestScore(interest...)
-	}
+	opt.Obs = reg
 	if c.progress > 0 {
 		opt.ProgressEvery = c.progress
 		opt.Progress = func(st explore.Stats) {
@@ -291,8 +270,7 @@ func (c *cli) run() (int, error) {
 				st.Elapsed.Round(time.Millisecond))
 		}
 	}
-	if c.ckptFile != "" && c.ckptEvery > 0 {
-		opt.CheckpointEvery = c.ckptEvery
+	if c.ckptFile != "" && opt.CheckpointEvery > 0 {
 		opt.Checkpoint = func(s *explore.Snapshot) {
 			if err := writeSnapshot(c.ckptFile, s); err != nil {
 				fmt.Fprintf(c.stderr, "verisoft: checkpoint: %v\n", err)
@@ -387,7 +365,6 @@ func (c *cli) run() (int, error) {
 				SliceStates:  c.distSlice,
 				LeaseTimeout: c.distLease,
 				Resume:       snap,
-				Interest:     interest,
 				Logf: func(format string, args ...any) {
 					fmt.Fprintf(c.stderr, format+"\n", args...)
 				},
@@ -420,13 +397,13 @@ func (c *cli) run() (int, error) {
 		}
 	}
 	verdict := "no deadlocks, violations, or errors found"
-	if c.liveness {
+	if opt.Liveness {
 		verdict = "no deadlocks, violations, livelocks, or errors found"
 	}
 	if rep.Incidents() > 0 {
 		verdict = fmt.Sprintf("FOUND: %d deadlock(s), %d violation(s), %d error(s), %d divergence(s), %d internal error(s)",
 			rep.Deadlocks, rep.Violations, rep.Traps, rep.Divergences, rep.InternalErrors)
-		if c.liveness {
+		if opt.Liveness {
 			verdict += fmt.Sprintf(", %d livelock(s)", rep.Livelocks)
 		}
 	}
@@ -443,7 +420,7 @@ func (c *cli) run() (int, error) {
 			rep.RedCut, rep.RedSearches, explore.RedStateBudget)
 	}
 	for i, in := range rep.Samples {
-		if i >= c.samples {
+		if i >= opt.MaxIncidents {
 			break
 		}
 		fmt.Fprintf(c.stdout, "--- sample %d ---\n%s", i+1, in)

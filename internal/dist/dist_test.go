@@ -508,23 +508,31 @@ func TestRunLeavesNothingBehind(t *testing.T) {
 	}
 }
 
-// TestDistStopOnViolation checks that a worker-detected violation
-// aborts the whole fleet the way the in-process engine aborts its
-// workers: the report is incomplete with the violation merged.
-func TestDistStopOnViolation(t *testing.T) {
+// TestDistStopPolicies checks that a worker-detected incident the stop
+// policy names aborts the whole fleet the way the in-process engine
+// aborts its workers: the report is incomplete with the incident merged.
+// The incident policy is the one the version-2 wire form dropped.
+func TestDistStopPolicies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
-	prog := Program{Source: progs.AssertViolation}
-	opt := explore.Options{StopOnViolation: true, MaxIncidents: 1 << 20}
-	cfg := workerConfig(2)
-	cfg.SliceStates = 16
-	rep := mustRun(t, prog, opt, cfg)
-	if rep.Violations == 0 {
-		t.Fatalf("stop-on-violation run found no violation")
-	}
-	if !rep.Incomplete || rep.Cause != explore.StopViolation {
-		t.Errorf("Incomplete=%v Cause=%v, want incomplete StopViolation", rep.Incomplete, rep.Cause)
+	for _, tc := range []struct {
+		src  string
+		stop explore.StopCause
+	}{
+		{progs.AssertViolation, explore.StopViolation},
+		{progs.DeadlockProne, explore.StopIncident},
+	} {
+		opt := explore.Options{Stop: tc.stop, MaxIncidents: 1 << 20}
+		cfg := workerConfig(2)
+		cfg.SliceStates = 16
+		rep := mustRun(t, Program{Source: tc.src}, opt, cfg)
+		if rep.Incidents() == 0 {
+			t.Fatalf("stop %s: the run found no incident", tc.stop)
+		}
+		if !rep.Incomplete || rep.Cause != tc.stop {
+			t.Errorf("stop %s: Incomplete=%v Cause=%v, want incomplete %v", tc.stop, rep.Incomplete, rep.Cause, tc.stop)
+		}
 	}
 }
 

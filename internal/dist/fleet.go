@@ -39,10 +39,6 @@ type Config struct {
 	// starting frontier), exactly like the in-process Resume. Nil
 	// starts from the root.
 	Resume *explore.Snapshot
-	// Interest is the object-name list behind a priority search's Score
-	// function, shipped by name because a compiled closure cannot cross
-	// the wire (see WireOptions.Interest).
-	Interest []string
 	// FaultSeed/FaultRules arm a fault plan inside first-generation
 	// workers (dist.worker.* points). Respawned workers run clean: the
 	// armed fault simulates a crash, and re-arming it would make
@@ -108,13 +104,17 @@ func Run(ctx context.Context, prog Program, opt explore.Options, cfg Config) (*e
 	if len(cfg.Command) == 0 {
 		return nil, fmt.Errorf("dist: Command is required")
 	}
+	// Refused here, not by every worker process the run would spawn.
+	if _, err := opt.Resolve(); err != nil {
+		return nil, err
+	}
 	unit, err := prog.Compile()
 	if err != nil {
 		return nil, err
 	}
 	f := &fleet{
 		cfg:   cfg,
-		hello: Hello{Version: ProtocolVersion, Program: prog, Options: EncodeOptions(opt, cfg.Interest)},
+		hello: Hello{Version: ProtocolVersion, Program: prog, Options: opt},
 		met:   newDistMetrics(opt.Obs),
 		plan:  opt.Fault,
 		procs: make([]*proc, cfg.Workers),

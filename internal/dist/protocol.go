@@ -18,12 +18,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"reclose/internal/explore"
 )
 
 // ProtocolVersion is carried in every hello; a worker rejects any
 // other version, so a coordinator never drives a worker built from a
-// different wire format.
-const ProtocolVersion = 2
+// different wire format. Version 3 ships the options as explore.Options'
+// own JSON form.
+const ProtocolVersion = 3
 
 // MaxFrame bounds one frame's payload (64 MiB). A length prefix past
 // the bound is rejected before any allocation, so a corrupt or
@@ -52,35 +55,15 @@ const (
 // Hello is the session-opening payload: everything a worker process
 // needs to reconstruct the search environment byte-compatibly.
 type Hello struct {
-	Version int         `json:"version"`
-	Program Program     `json:"program"`
-	Options WireOptions `json:"options"`
+	Version int     `json:"version"`
+	Program Program `json:"program"`
+	// Options cross as their JSON form: what a slice honours. An unknown
+	// mode name fails the frame's decode; the worker Resolves the rest.
+	Options explore.Options `json:"options"`
 	// FaultSeed/FaultRules arm a faultinject.Plan inside the worker
 	// (dist.worker.* points); empty rules mean no plan.
 	FaultSeed  int64  `json:"fault_seed,omitempty"`
 	FaultRules string `json:"fault_rules,omitempty"`
-}
-
-// WireOptions is the serializable subset of explore.Options a worker
-// slice honors. Callback options (Score, OnLeaf, Checkpoint, Obs)
-// cannot cross a process boundary: Interest reconstructs the one score
-// function the CLI can express; the rest stay coordinator-side.
-type WireOptions struct {
-	Engine        string   `json:"engine,omitempty"`
-	MaxDepth      int      `json:"max_depth,omitempty"`
-	POR           string   `json:"por,omitempty"`
-	NoSleep       bool     `json:"no_sleep,omitempty"`
-	Search        string   `json:"search,omitempty"`
-	Interest      []string `json:"interest,omitempty"`
-	StateCache    bool     `json:"state_cache,omitempty"`
-	CacheShards   int      `json:"cache_shards,omitempty"`
-	MaxCacheBytes int64    `json:"max_cache_bytes,omitempty"`
-	MaxIncidents  int      `json:"max_incidents,omitempty"`
-	Workers       int      `json:"workers,omitempty"`
-	SpillDepth    int      `json:"spill_depth,omitempty"`
-	SnapshotSpill bool     `json:"snapshot_spill,omitempty"`
-	StopOnFirst   bool     `json:"stop_on_first,omitempty"` // StopOnViolation
-	Liveness      bool     `json:"liveness,omitempty"`
 }
 
 // Message is the single frame envelope; Type selects which fields are

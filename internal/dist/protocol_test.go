@@ -20,8 +20,8 @@ func sampleMessages() []*Message {
 		{Type: MsgHello, Hello: &Hello{
 			Version: ProtocolVersion,
 			Program: Program{Source: "process p() { halt; }", Close: "auto", NaiveDomain: 4},
-			Options: WireOptions{
-				Engine: "bytecode", MaxDepth: 500, POR: "dynamic", Search: "priority",
+			Options: explore.Options{
+				Engine: interp.EngineBytecode, MaxDepth: 500, POR: explore.PORDynamic, Search: explore.SearchPriority,
 				Interest: []string{"ch", "lock"}, StateCache: true, CacheShards: 8,
 				MaxIncidents: 1 << 20,
 			},
@@ -153,6 +153,16 @@ func FuzzDistProtocol(f *testing.F) {
 	for _, payload := range v1CacheFrames {
 		f.Add(rawFrame(payload))
 	}
+	// Hellos spelling every mode name between them, and one whose mode
+	// name the decoder must refuse rather than default.
+	for _, opt := range everyModeOptions() {
+		var hello bytes.Buffer
+		if err := WriteFrame(&hello, &Message{Type: MsgHello, Hello: &Hello{Version: ProtocolVersion, Options: opt}}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(hello.Bytes())
+	}
+	f.Add(rawFrame(`{"type":"hello","hello":{"version":3,"options":{"por":"dynamc"}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := ReadFrame(bytes.NewReader(data))
@@ -188,47 +198,43 @@ func FuzzDistProtocol(f *testing.F) {
 	})
 }
 
-// TestOptionsRoundTrip checks the option projection both processes
-// must agree on.
-func TestOptionsRoundTrip(t *testing.T) {
-	cases := []explore.Options{
+// everyModeOptions are option sets that spell every engine, POR mode,
+// search mode and stop cause Options.Stop takes between them, with every
+// other wire field set somewhere.
+func everyModeOptions() []explore.Options {
+	return []explore.Options{
 		{},
-		{Engine: interp.EngineRef, MaxDepth: 123, NoSleep: true},
-		{POR: explore.PORDynamic, Search: explore.SearchPriority, MaxIncidents: 7},
-		{POR: explore.POROff, StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20},
-		{SnapshotSpill: true, SpillDepth: 5, Workers: 3, StopOnViolation: true},
+		{Engine: interp.EngineRef, MaxDepth: 123, NoSleep: true, POR: explore.PORDynamic, Stop: explore.StopViolation},
+		{POR: explore.POROff, Search: explore.SearchPriority, Interest: []string{"ch", "lock"}, MaxIncidents: 7, Stop: explore.StopIncident},
+		{StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20, Liveness: true, Interest: []string{}},
+		{SnapshotSpill: true, SpillDepth: 5, Workers: 3},
 	}
-	for i, opt := range cases {
-		w := EncodeOptions(opt, nil)
-		data, err := json.Marshal(w)
+}
+
+// TestOptionsRoundTrip checks the wire form both processes must agree
+// on — explore.Options' own JSON — and that a mode name nobody knows is
+// refused, not read as the default.
+func TestOptionsRoundTrip(t *testing.T) {
+	for i, opt := range everyModeOptions() {
+		data, err := json.Marshal(opt)
 		if err != nil {
 			t.Fatalf("case %d: marshal: %v", i, err)
 		}
-		var back WireOptions
+		var back explore.Options
 		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatalf("case %d: unmarshal: %v", i, err)
+			t.Fatalf("case %d: unmarshal %s: %v", i, data, err)
 		}
-		got, err := DecodeOptions(back)
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
-		// Re-encoding the decoded options must be a fixed point; this
-		// is the property the worker and coordinator actually rely on.
-		if again := EncodeOptions(got, nil); !reflect.DeepEqual(again, w) {
-			t.Errorf("case %d: options drifted across the wire:\n sent %+v\n back %+v", i, w, again)
+		if !reflect.DeepEqual(back, opt) {
+			t.Errorf("case %d: options drifted across the wire:\n sent %+v\n back %+v", i, opt, back)
 		}
 	}
-	for _, engine := range []string{"valves", "slots"} { // never one; the tier deleted in PR 17
-		if _, err := DecodeOptions(WireOptions{Engine: engine}); err == nil {
-			t.Errorf("DecodeOptions accepted the unknown engine %q", engine)
+	for _, doc := range []string{
+		`{"engine":"valves"}`, `{"engine":"slots"}`, // never one; the tier deleted in PR 17
+		`{"por":"dynamc"}`, `{"search":"bfs"}`, `{"stop":"first"}`,
+	} {
+		var opt explore.Options
+		if err := json.Unmarshal([]byte(doc), &opt); err == nil {
+			t.Errorf("decoding %s succeeded: %+v", doc, opt)
 		}
-	}
-	w := EncodeOptions(explore.Options{Search: explore.SearchPriority}, []string{"ch"})
-	got, err := DecodeOptions(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Score == nil {
-		t.Errorf("interest list did not reconstruct a Score function")
 	}
 }

@@ -70,7 +70,7 @@ func (w *worker) refuse(err error) error {
 }
 
 // handshake consumes the hello frame, builds the search environment —
-// compiled unit, decoded options, the process's state cache, fault
+// resolved options, compiled unit, the process's state cache, fault
 // plan — and answers ready.
 func (w *worker) handshake() error {
 	m, err := ReadFrame(w.in)
@@ -84,13 +84,13 @@ func (w *worker) handshake() error {
 	if h.Version != ProtocolVersion {
 		return fmt.Errorf("dist: protocol version %d, want %d", h.Version, ProtocolVersion)
 	}
+	opt, err := h.Options.Resolve()
+	if err != nil {
+		return fmt.Errorf("dist: options: %w", err)
+	}
 	unit, err := h.Program.Compile()
 	if err != nil {
 		return fmt.Errorf("dist: compile: %w", err)
-	}
-	opt, err := DecodeOptions(h.Options)
-	if err != nil {
-		return err
 	}
 	if h.FaultRules != "" {
 		plan, err := faultinject.Decode(h.FaultSeed, []byte(h.FaultRules))

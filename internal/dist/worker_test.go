@@ -75,7 +75,7 @@ func helloFrame(src string, opt explore.Options) *Message {
 	return &Message{Type: MsgHello, Hello: &Hello{
 		Version: ProtocolVersion,
 		Program: Program{Source: src},
-		Options: EncodeOptions(opt, nil),
+		Options: opt,
 	}}
 }
 
@@ -138,22 +138,28 @@ func TestWorkerMainRefusals(t *testing.T) {
 	good := helloFrame(src, explore.Options{})
 	oldVersion := helloFrame(src, explore.Options{})
 	oldVersion.Hello.Version = ProtocolVersion - 1
-	badOptions := helloFrame(src, explore.Options{})
-	badOptions.Hello.Options.Engine = "slots" // the tier deleted in PR 17
+	// The tier deleted in PR 17, spelled the only way it still can be.
+	badEngine := rawFrame(fmt.Sprintf(`{"type":"hello","hello":{"version":%d,"program":{"source":"x"},"options":{"engine":"slots"}}}`, ProtocolVersion))
 	cases := []struct {
 		name   string
+		raw    []byte     // written before frames
 		frames []*Message // ready is read after a good hello
 		want   string     // substring of the error
 	}{
-		{"wrong-protocol-version", []*Message{oldVersion}, "protocol version"},
-		{"first-frame-not-hello", []*Message{{Type: MsgBatch, Batch: 1}}, `first frame is "batch"`},
-		{"undecodable-options", []*Message{badOptions}, `"slots"`},
-		{"undecodable-batch-snapshot", []*Message{good,
+		{"wrong-protocol-version", nil, []*Message{oldVersion}, "protocol version"},
+		{"first-frame-not-hello", nil, []*Message{{Type: MsgBatch, Batch: 1}}, `first frame is "batch"`},
+		{"undecodable-options", badEngine, nil, `"slots"`},
+		{"undecodable-batch-snapshot", nil, []*Message{good,
 			{Type: MsgBatch, Batch: 3, Snapshot: json.RawMessage(`{"version":-1}`)}}, "batch 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := startWorker(t)
+			if tc.raw != nil {
+				if _, err := s.to.Write(tc.raw); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for _, m := range tc.frames {
 				s.send(m)
 				if m == good {

@@ -48,13 +48,13 @@ package explore
 //
 // POR interaction (the cycle proviso): reduction can defer the
 // transition that would close a cycle past the depth the detector
-// inspects, so liveness runs force the strict static oracle —
-// withDefaults degrades PORDynamic to PORStatic, and the dynamic
-// driver's seals/backtrack machinery never runs. Static persistent
+// inspects, so liveness runs under the strict static oracle — Resolve
+// refuses it with PORDynamic, whose seals/backtrack machinery never
+// runs here. Static persistent
 // sets and sleep sets remain active; they can hide cycles that only
 // close under a pruned interleaving (the ignoring problem, documented
 // in docs/DESIGN.md) — run with POR: POROff / NoSleep for the
-// exhaustive graph. SnapshotSpill is forced off so spilled units
+// exhaustive graph. Resolve refuses SnapshotSpill too: spilled units
 // rebuild their stem (and with it the live stack) by replay.
 
 import (

@@ -52,14 +52,16 @@ func Distribute(ctx context.Context, u *cfg.Unit, resume *Snapshot, opt Options,
 	if len(slicers) == 0 || sliceStates <= 0 {
 		return nil, fmt.Errorf("explore: Distribute needs a Slicer and a positive slice budget (have %d, %d)", len(slicers), sliceStates)
 	}
+	opt, err := opt.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	var restored *restoredState
 	if resume != nil {
-		var err error
 		if restored, err = restoreSnapshot(u, resume); err != nil {
 			return nil, err
 		}
 	}
-	opt = opt.withDefaults()
 	opt.Workers = len(slicers)
 	return search(ctx, u, opt, restored, &distribution{slicers: slicers, sliceStates: sliceStates})
 }

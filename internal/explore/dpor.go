@@ -10,8 +10,8 @@ import (
 )
 
 // This file implements dynamic partial-order reduction (Flanagan &
-// Godefroid, POPL 2005) on top of the stateless DFS core, plus the
-// pluggable scoring used by the priority-directed frontier.
+// Godefroid, POPL 2005) on top of the stateless DFS core, plus the unit
+// scoring used by the priority-directed frontier.
 //
 // Static POR (the default) pre-expands a persistent set at every
 // state, computed from the static object footprints. Dynamic POR
@@ -93,6 +93,15 @@ func ParsePOR(s string) (PORMode, error) {
 	return PORStatic, fmt.Errorf("explore: unknown POR mode %q (want static, dynamic, or off)", s)
 }
 
+// MarshalText spells the mode as String does: its flag and JSON form.
+func (m PORMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText parses the mode as ParsePOR does.
+func (m *PORMode) UnmarshalText(b []byte) (err error) {
+	*m, err = ParsePOR(string(b))
+	return err
+}
+
 // SearchMode selects the frontier discipline (Options.Search).
 type SearchMode int
 
@@ -102,8 +111,8 @@ const (
 	// depth-first order in sequential mode.
 	SearchDFS SearchMode = iota
 	// SearchPriority replaces the LIFO frontier with a max-heap
-	// ordered by a pluggable unit score (Options.Score, DefaultScore
-	// when nil): promising subtrees are explored first. Exploration
+	// ordered by a unit score (engine.score, raised for units touching
+	// an Options.Interest object): promising subtrees first. Exploration
 	// order — and therefore scheduling-dependent counters like Replays
 	// — differs from DFS, but complete searches find the same incident
 	// multiset (the same-incident-multiset contract; DESIGN.md §14).
@@ -132,50 +141,13 @@ func ParseSearch(s string) (SearchMode, error) {
 	return SearchDFS, fmt.Errorf("explore: unknown search mode %q (want dfs or priority)", s)
 }
 
-// UnitInfo describes a work unit to a scoring function. Spill-time
-// units carry full information (the spilling engine sits at the unit's
-// decision state); residual and restored units are scored on shape
-// alone (NewSites and Objs empty).
-type UnitInfo struct {
-	// Depth is the decision depth of the unit's decision point.
-	Depth int
-	// Siblings is the number of sibling options the unit covers.
-	Siblings int
-	// Toss marks a VS_toss decision point (fan-out over toss outcomes).
-	Toss bool
-	// Objs are the objects the unit's pending operations target
-	// (scheduling units scored at spill time only).
-	Objs []string
-	// NewSites counts options whose visible-operation site has not been
-	// covered yet (spill time only): steering toward them raises
-	// coverage fastest.
-	NewSites int
-}
+// MarshalText spells the mode as String does: its flag and JSON form.
+func (m SearchMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
 
-// DefaultScore is the built-in priority: uncovered sites dominate,
-// then fan-out, with a mild preference for shallow units.
-func DefaultScore(in UnitInfo) float64 {
-	return 8*float64(in.NewSites) + float64(in.Siblings) + 1/float64(1+in.Depth)
-}
-
-// InterestScore returns a scoring function biased toward units whose
-// pending operations target any of the given objects (the user
-// interest predicate behind the -interest flag), on top of
-// DefaultScore.
-func InterestScore(objs ...string) func(UnitInfo) float64 {
-	set := make(map[string]bool, len(objs))
-	for _, o := range objs {
-		set[o] = true
-	}
-	return func(in UnitInfo) float64 {
-		s := DefaultScore(in)
-		for _, o := range in.Objs {
-			if set[o] {
-				s += 64
-			}
-		}
-		return s
-	}
+// UnmarshalText parses the mode as ParseSearch does.
+func (m *SearchMode) UnmarshalText(b []byte) (err error) {
+	*m, err = ParseSearch(string(b))
+	return err
 }
 
 // objClass is an object's dynamic-POR conflict class: it selects the
@@ -604,51 +576,55 @@ func advanceFrames(frames []stackFrame) []stackFrame {
 }
 
 // unitScore scores a unit spilled at the current decision state, where
-// the machine can still resolve option sites for novelty: Depth is the
-// decision depth, Siblings the options the unit covers (from from on),
-// NewSites the options at not-yet-covered visible-operation sites.
+// the machine can still resolve option sites for novelty: the options
+// the unit covers (from from on) at not-yet-covered visible-operation
+// sites are its new sites.
 func (e *engine) unitScore(depth int, en *entry, from int) float64 {
-	info := UnitInfo{Depth: depth, Toss: en.isToss, Siblings: len(en.options) - from}
 	var objs []int32
+	newSites := 0
 	if !en.isToss {
 		objs = en.objs[from:]
 		for _, p := range en.options[from:] {
 			if site := int(e.pend[p].Site); site >= 0 && !e.covered.get(site) {
-				info.NewSites++
+				newSites++
 			}
 		}
 	}
-	return e.score(info, objs)
+	return e.score(depth, len(en.options)-from, newSites, objs)
 }
 
 // shapeScore scores a residual or continuation unit on shape alone
 // (the engine is no longer at the unit's decision state).
 func (e *engine) shapeScore(u *workUnit) float64 {
-	info := UnitInfo{Depth: len(u.prefix), Toss: u.toss}
+	siblings := 0
 	var objs []int32
 	switch {
 	case len(u.stack) > 0:
 		for i := range u.stack {
 			f := &u.stack[i]
-			info.Siblings += len(f.options) - f.cursor + len(f.backtrack)
+			siblings += len(f.options) - f.cursor + len(f.backtrack)
 		}
 	case u.cont:
-		info.Siblings = 1
+		siblings = 1
 	default:
-		info.Siblings = len(u.options) - u.from
+		siblings = len(u.options) - u.from
 		if !u.toss {
 			objs = u.objs[u.from:]
 		}
 	}
-	return e.score(info, objs)
+	return e.score(len(u.prefix), siblings, 0, objs)
 }
 
-// score applies the configured scoring function, spelling the unit's
-// objects out for it (DefaultScore, when none is set, reads no names).
-func (e *engine) score(info UnitInfo, objs []int32) float64 {
-	if e.opt.Score != nil {
-		info.Objs = e.sites.objNames(objs)
-		return e.opt.Score(info)
+// score is the priority of a unit at decision depth depth covering
+// siblings options: uncovered sites dominate, then fan-out, with a mild
+// preference for shallow units, and 64 more for each pending operation
+// on an object Options.Interest names (e.interest, by object index).
+func (e *engine) score(depth, siblings, newSites int, objs []int32) float64 {
+	s := 8*float64(newSites) + float64(siblings) + 1/float64(1+depth)
+	for _, o := range objs {
+		if e.interest != nil && o >= 0 && e.interest[o] {
+			s += 64
+		}
 	}
-	return DefaultScore(info)
+	return s
 }

@@ -191,16 +191,16 @@ func TestPrioritySearchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := incidentSet(oracle)
-	scores := map[string]func(UnitInfo) float64{
+	scores := map[string][]string{
 		"default":  nil,
-		"interest": InterestScore("fork0", "fork1"),
+		"interest": {"fork0", "fork1"},
 	}
-	for sname, score := range scores {
+	for sname, interest := range scores {
 		for _, workers := range []int{0, 2} {
 			label := fmt.Sprintf("score=%s workers=%d", sname, workers)
 			rep, err := Explore(closed, Options{
 				Search:       SearchPriority,
-				Score:        score,
+				Interest:     interest,
 				Workers:      workers,
 				MaxIncidents: 1 << 20,
 			})

@@ -99,6 +99,9 @@ type engine struct {
 	// shared across workers.
 	footprint *footprintTable
 	sites     *siteTable
+	// interest marks, by object index, the objects Options.Interest
+	// names (nil for none): what score adds a bonus for. Shared read-only.
+	interest []bool
 
 	// base is the decision prefix of the current work unit, replayed
 	// verbatim from the initial state before the stack decisions; empty
@@ -1109,11 +1112,9 @@ func (e *engine) leaf(kind LeafKind, msg string) {
 			e.opt.OnLeaf(kind, e.trace)
 		}()
 	}
-	if e.opt.StopOnViolation && (kind == LeafViolation || kind == LeafTrap) {
-		e.shared.requestStop(StopViolation)
-	}
-	if e.opt.StopOnIncident && interesting && kind != LeafInternalError {
-		e.shared.requestStop(StopIncident)
+	if e.opt.Stop == StopViolation && (kind == LeafViolation || kind == LeafTrap) ||
+		e.opt.Stop == StopIncident && interesting && kind != LeafInternalError {
+		e.shared.requestStop(e.opt.Stop)
 	}
 }
 

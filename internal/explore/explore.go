@@ -7,9 +7,9 @@
 // scheduling and VS_toss decisions. VeriSoft backtracks by re-executing
 // the run from the initial state, because its processes are real ones
 // that cannot be saved; here they are interpreter data, so the engine
-// hangs a bounded number of machine snapshots on its decision stack and
-// backtracks by restoring the deepest one, replaying decisions only
-// from there (restore.go). Search is pruned with partial-order methods — persistent sets computed from
+// marks the machine's write trail at each decision point and backtracks
+// by undoing it to the deepest mark, re-executing one transition
+// (restore.go). Search is pruned with partial-order methods — persistent sets computed from
 // static object footprints, plus sleep sets — and it detects deadlocks,
 // assertion violations, runtime errors, and divergences up to a depth
 // bound.
@@ -18,8 +18,8 @@
 //
 //   - engine.go — the stateless DFS core, reaching a work unit's
 //     decision point and extending paths depth-first from it;
-//   - restore.go — the snapshot pool under the decision stack that
-//     lets a path start from its deepest saved state;
+//   - restore.go — the trail marks under the decision stack that let a
+//     path start by undoing the last one's writes;
 //   - frontier.go — the work unit (a schedule/toss prefix plus its
 //     pending sibling choices) and the pool of them: a work-stealing
 //     deque per worker, or one score-ordered heap in priority mode;
@@ -58,7 +58,9 @@ import (
 	"reclose/internal/statecache"
 )
 
-// Options configure a search.
+// Options configure a search; Resolve decides what they mean. The JSON
+// form is what a worker process's slice honours: a field that does not
+// cross a process boundary is `json:"-"`.
 type Options struct {
 	// Engine selects the interpreter executing transitions: the zero
 	// value is interp.EngineBytecode, the compiled machine (flat
@@ -66,17 +68,18 @@ type Options struct {
 	// reference interpreter, kept as the differential oracle — it
 	// cannot copy its state, so the search replays on it. Both produce
 	// byte-identical reports.
-	Engine interp.EngineKind
+	Engine interp.EngineKind `json:"engine"`
 	// MaxDepth bounds the number of transitions along one path; 0 means
 	// the default (1,000,000).
-	MaxDepth int
+	MaxDepth int `json:"max_depth"`
 	// MaxStates aborts the whole search after visiting this many global
 	// states; 0 means unlimited. The report is then marked Incomplete.
 	// The budget is reserved before a state is credited (with Workers >
 	// 0, one atomic add-and-check on the shared counter), so the final
 	// state count never overshoots the bound and a run resumed after a
 	// MaxStates cut reaches exactly the totals of an uninterrupted run.
-	MaxStates int64
+	// Each distributed slice gets its own budget in its batch frame.
+	MaxStates int64 `json:"-"`
 	// POR selects the partial-order reduction: PORStatic (default)
 	// expands persistent sets from static object footprints, PORDynamic
 	// runs Flanagan–Godefroid dynamic POR (backtrack points inserted
@@ -86,9 +89,9 @@ type Options struct {
 	// classic deterministic exploration exactly; dynamic guarantees the
 	// same incident multiset as the static oracle but explores a
 	// different (smaller) tree. See dpor.go and DESIGN.md §14.
-	POR PORMode
+	POR PORMode `json:"por"`
 	// NoSleep disables sleep sets.
-	NoSleep bool
+	NoSleep bool `json:"no_sleep"`
 	// Liveness enables non-progress cycle (livelock) detection: a
 	// nested DFS over the stateful search that reports any reachable
 	// cycle executing no progress-labeled visible operation as a
@@ -97,26 +100,26 @@ type Options struct {
 	// in MiniC with the `progress` label on a builtin call; a unit with
 	// no labels treats every visible operation as progress, so nothing
 	// is ever reported and detection is skipped entirely. Liveness
-	// forces the strict static oracle — PORDynamic degrades to
-	// PORStatic (reduction can defer cycle-closing transitions past the
-	// detector) and SnapshotSpill is disabled so spilled units rebuild
-	// the live stack by replay. Static persistent sets and sleep sets
+	// needs the strict static oracle, so Resolve refuses it with
+	// PORDynamic (reduction can defer cycle-closing transitions past
+	// the detector) and with SnapshotSpill (a spilled unit must rebuild
+	// the live stack by replay). Static persistent sets and sleep sets
 	// stay active and can hide cycles only closable under a pruned
 	// interleaving; run with POROff/NoSleep for the exhaustive graph.
 	// See cycle.go and docs/DESIGN.md.
-	Liveness bool
+	Liveness bool `json:"liveness"`
 	// Search selects the frontier discipline: SearchDFS (default) is
 	// the classic LIFO depth-first order; SearchPriority explores the
-	// best-scored pending subtree first, under Score (DefaultScore when
-	// nil). Priority search relaxes strict order determinism to the
-	// same-incident-multiset contract and, uniquely, makes the inline
-	// worker of Workers: 0 spill shallow sibling subtrees too, so the
-	// heap has something to prioritize.
-	Search SearchMode
-	// Score ranks frontier units in priority mode; nil means
-	// DefaultScore. InterestScore builds one from a set of interesting
-	// objects.
-	Score func(UnitInfo) float64
+	// best-scored pending subtree first (novelty and fan-out, plus a bonus
+	// per Interest object). Priority search relaxes strict order determinism
+	// to the same-incident-multiset contract and, uniquely, makes the
+	// inline worker of Workers: 0 spill shallow sibling subtrees too, so
+	// the heap has something to prioritize.
+	Search SearchMode `json:"search"`
+	// Interest names objects a priority search steers toward (-interest):
+	// a unit scores a bonus per pending operation on one. Undeclared names
+	// match nothing; Resolve refuses Interest without SearchPriority.
+	Interest []string `json:"interest"`
 	// StateCache enables fingerprint-based pruning: a global state whose
 	// full fingerprint was already visited at an equal or shallower
 	// depth is pruned. VeriSoft itself stores no states; this began as
@@ -132,18 +135,18 @@ type Options struct {
 	// never hidden), and fold the sleep-set context into the key (two
 	// visits are interchangeable only when they would expand the same
 	// transitions). Off by default.
-	StateCache bool
+	StateCache bool `json:"state_cache"`
 	// CacheShards is the stripe count of the shared state cache
 	// (StateCache only), rounded up to a power of two; 0 means the
 	// statecache default (16). More shards reduce lock contention
 	// between workers; results do not depend on the count.
-	CacheShards int
+	CacheShards int `json:"cache_shards"`
 	// MaxCacheBytes bounds the state cache's approximate memory
 	// (fingerprint bytes plus per-entry overhead, split evenly across
 	// shards); 0 means unbounded. Over budget, entries are evicted
 	// clock-wise (second chance). Eviction only degrades pruning — a
 	// forgotten state is re-explored on revisit — never soundness.
-	MaxCacheBytes int64
+	MaxCacheBytes int64 `json:"max_cache_bytes"`
 	// Cache, when non-nil together with StateCache, is the visited-state
 	// set the search uses instead of building its own from CacheShards
 	// and MaxCacheBytes. It exists for a caller that runs one search —
@@ -154,23 +157,22 @@ type Options struct {
 	// subtree is covered by the slices so far and the unexplored
 	// remainders they reported, so the caller must keep every such
 	// slice's report, or drop the cache along with a report it drops.
-	Cache *statecache.Cache
+	Cache *statecache.Cache `json:"-"`
 	// MaxIncidents bounds the recorded incident samples: the search keeps
 	// the MaxIncidents smallest under (depth, decision sequence, message),
 	// the same ones at every worker count; counters are exact
 	// regardless. Default 16.
-	MaxIncidents int
+	MaxIncidents int `json:"max_incidents"`
 	// OnLeaf, if non-nil, is invoked at the end of every explored path
 	// with the leaf kind and the visible trace of the path. The trace
 	// slice is reused; copy it to retain. The callback is serialized under
 	// a mutex; with Workers > 1 it is invoked in nondeterministic order.
-	OnLeaf func(kind LeafKind, trace []interp.Event)
-	// StopOnViolation aborts the search at the first assertion violation
-	// or runtime error.
-	StopOnViolation bool
-	// StopOnIncident aborts the search at the first deadlock, violation,
-	// runtime error, or divergence (used by ShortestWitness).
-	StopOnIncident bool
+	OnLeaf func(kind LeafKind, trace []interp.Event) `json:"-"`
+	// Stop is the cause the search stops with at the first incident it
+	// names: StopNone (default) never, StopViolation at an assertion
+	// violation or runtime error, StopIncident at any incident but an
+	// internal error (ShortestWitness). Resolve refuses the other causes.
+	Stop StopCause `json:"stop"`
 
 	// Workers sets how the search's worker loop runs: 0 runs one worker
 	// inline on the caller's goroutine — no goroutine of the search
@@ -178,30 +180,28 @@ type Options struct {
 	// preserves the classic sequential exploration order exactly; N >= 1
 	// runs N work-stealing workers on their own goroutines; a negative
 	// value uses runtime.GOMAXPROCS(0) workers.
-	Workers int
+	Workers int `json:"workers"`
 	// SpillDepth is the scheduling depth above which workers spill
 	// unexplored sibling subtrees back to the shared frontier (Workers >
 	// 0, or priority search); deeper siblings are explored in-worker by
 	// ordinary backtracking. 0 means the default (16). Spilling is unconditional
 	// below the bound, which keeps the set of work units — and hence
 	// every merged counter — independent of worker timing.
-	SpillDepth int
+	SpillDepth int `json:"spill_depth"`
 	// SnapshotSpill makes spilled work units carry a forked deep copy of
 	// the interpreter state at their decision point. An engine claiming
-	// such a unit starts from the snapshot — it is the bottom of the
-	// engine's snapshot stack (restore.go), copied over the engine's
-	// machine whenever no deeper snapshot of its own applies — instead
-	// of re-executing the unit's decision prefix from the initial state,
-	// trading memory for replay work. The explored tree is unchanged:
-	// every merged counter and every incident sample is identical to
-	// replay mode — only the cost counter ReplaySteps drops, since
-	// prefix transitions are no longer re-executed. Checkpoints still
-	// serialize decision prefixes, never snapshots, so restored units
-	// replay. Units are spilled with Workers > 0 and by priority search;
-	// a depth-first search at Workers: 0 never spills, so the flag
-	// changes nothing there (its backtracking restores snapshots
-	// regardless).
-	SnapshotSpill bool
+	// such a unit goes on from a fork of the snapshot whenever no mark
+	// of its own is alive (restore.go), instead of re-executing the
+	// unit's decision prefix from the initial state, trading memory for
+	// replay work. The explored tree is unchanged: every merged counter
+	// and every incident sample is identical to replay mode — only the
+	// cost counter ReplaySteps drops, since prefix transitions are no
+	// longer re-executed. Checkpoints still serialize decision prefixes,
+	// never snapshots, so restored units replay. Units are spilled with
+	// Workers > 0 and by priority search; a depth-first search at
+	// Workers: 0 never spills, so the flag changes nothing there (its
+	// backtracking undoes the trail regardless).
+	SnapshotSpill bool `json:"snapshot_spill"`
 	// Fault, if non-nil, is a fault-injection plan fired at the
 	// engine's hook points — currently faultinject.PointExplorePath,
 	// hit once before every explored path. Sleep rules simulate slow
@@ -210,7 +210,7 @@ type Options struct {
 	// per-path panic isolation as internal-error incidents, so an
 	// injected fault costs exactly one path, like a real interpreter
 	// bug would. A nil plan is free.
-	Fault *faultinject.Plan
+	Fault *faultinject.Plan `json:"-"`
 	// Obs, if non-nil, is the observability registry the search
 	// publishes into: live counters (explore.states, ... — see
 	// metrics.go) flushed at path boundaries, frontier/worker gauges,
@@ -218,19 +218,19 @@ type Options struct {
 	// structured JSONL events (run start/stop, incidents, checkpoints,
 	// truncation). Counter totals equal the merged Report counters
 	// exactly. A nil registry disables all instrumentation at zero cost.
-	Obs *obs.Registry
+	Obs *obs.Registry `json:"-"`
 	// Progress, if non-nil, is invoked periodically with a snapshot of
 	// the running search's counters.
-	Progress func(Stats)
+	Progress func(Stats) `json:"-"`
 	// ProgressEvery is the progress callback period; 0 means 1s.
-	ProgressEvery time.Duration
+	ProgressEvery time.Duration `json:"-"`
 
 	// Timeout bounds the search's wall-clock time; 0 means unlimited. A
 	// timed-out search drains cleanly and returns a partial Report
 	// marked Incomplete (never an error): counters cover exactly the
 	// work done, incident samples remain replayable, and the remaining
 	// frontier is available through Report.Snapshot for Resume.
-	Timeout time.Duration
+	Timeout time.Duration `json:"-"`
 	// Checkpoint, if non-nil, receives periodic snapshots of the
 	// running search: the unexplored frontier (as decision-prefix work
 	// units) plus the merged partial counters and incident samples. A
@@ -242,14 +242,14 @@ type Options struct {
 	// from an uncheckpointed run; with more, only ReplaySteps can (which
 	// worker claims which unit shifts, and with it which prefixes
 	// replay).
-	Checkpoint func(*Snapshot)
+	Checkpoint func(*Snapshot) `json:"-"`
 	// CheckpointEvery is the wall-clock period between checkpoints; 0
 	// disables time-based checkpointing.
-	CheckpointEvery time.Duration
+	CheckpointEvery time.Duration `json:"-"`
 	// CheckpointEveryPaths triggers a checkpoint every N completed
 	// paths — deterministic cut points, used by tests and experiments;
 	// 0 disables.
-	CheckpointEveryPaths int64
+	CheckpointEveryPaths int64 `json:"-"`
 
 	// testPanicAtState, if non-nil, panics at every fresh state whose
 	// decision prefix it accepts: the white-box panic-injection hook of
@@ -271,35 +271,53 @@ type Options struct {
 // short.
 const defaultSpillDepth = 16
 
-// withDefaults normalizes zero-valued options.
-func (opt Options) withDefaults() Options {
-	if opt.MaxDepth <= 0 {
+// Resolve decides the search an option set asks for: it fills the zero
+// MaxDepth (1,000,000), MaxIncidents (16), SpillDepth (16) and
+// ProgressEvery (1s), a negative Workers with GOMAXPROCS, and refuses
+// what the engine cannot honour instead of rewriting it. Nothing else
+// changes, so it is idempotent. Every entry point and front end calls it.
+func (opt Options) Resolve() (Options, error) {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"MaxDepth", int64(opt.MaxDepth)}, {"MaxStates", opt.MaxStates},
+		{"MaxIncidents", int64(opt.MaxIncidents)}, {"SpillDepth", int64(opt.SpillDepth)},
+		{"CacheShards", int64(opt.CacheShards)}, {"MaxCacheBytes", opt.MaxCacheBytes},
+		{"ProgressEvery", int64(opt.ProgressEvery)},
+	} {
+		if f.v < 0 {
+			return opt, fmt.Errorf("explore: %s is %d; it must not be negative", f.name, f.v)
+		}
+	}
+	switch {
+	case opt.Stop != StopNone && opt.Stop != StopViolation && opt.Stop != StopIncident:
+		return opt, fmt.Errorf("explore: Stop is %s; an incident stops a search as %s or %s", opt.Stop, StopViolation, StopIncident)
+	case opt.Liveness && opt.POR == PORDynamic:
+		return opt, fmt.Errorf("explore: Liveness does not compose with POR dynamic: a backtrack set can defer the transition that closes a cycle past the detector")
+	case opt.Liveness && opt.SnapshotSpill:
+		return opt, fmt.Errorf("explore: Liveness does not compose with SnapshotSpill: a spilled snapshot lacks the stem that rebuilds the live stack")
+	case len(opt.Interest) > 0 && opt.Search != SearchPriority:
+		return opt, fmt.Errorf("explore: Interest requires Search priority")
+	case (opt.CacheShards != 0 || opt.MaxCacheBytes != 0) && !opt.StateCache:
+		return opt, fmt.Errorf("explore: CacheShards and MaxCacheBytes require StateCache")
+	}
+	if opt.MaxDepth == 0 {
 		opt.MaxDepth = 1000000
 	}
-	if opt.MaxIncidents <= 0 {
+	if opt.MaxIncidents == 0 {
 		opt.MaxIncidents = 16
 	}
-	if opt.SpillDepth <= 0 {
+	if opt.SpillDepth == 0 {
 		opt.SpillDepth = defaultSpillDepth
 	}
 	if opt.Workers < 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opt.ProgressEvery <= 0 {
+	if opt.ProgressEvery == 0 {
 		opt.ProgressEvery = time.Second
 	}
-	// Liveness runs under the strict static oracle: dynamic POR's
-	// backtrack-set reduction can defer the transition that closes a
-	// cycle past the detector (the cycle proviso), and snapshot spill
-	// would hand workers a state without the stem that rebuilds the
-	// live stack — replay mode recomputes it uniformly.
-	if opt.Liveness {
-		if opt.POR == PORDynamic {
-			opt.POR = PORStatic
-		}
-		opt.SnapshotSpill = false
-	}
-	return opt
+	return opt, nil
 }
 
 // LeafKind classifies path endings.
@@ -367,8 +385,8 @@ const (
 	StopMaxStates                  // Options.MaxStates budget exhausted
 	StopTimeout                    // Options.Timeout elapsed
 	StopCancelled                  // context cancelled (ExploreContext)
-	StopViolation                  // Options.StopOnViolation fired
-	StopIncident                   // Options.StopOnIncident fired
+	StopViolation                  // Options.Stop: an assertion violation or runtime error
+	StopIncident                   // Options.Stop: any incident but an internal error
 )
 
 // String names the stop cause.
@@ -388,6 +406,20 @@ func (c StopCause) String() string {
 		return "stop-on-incident"
 	}
 	return "unknown"
+}
+
+// MarshalText spells the cause as String does: Options.Stop's JSON form.
+func (c StopCause) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText, refusing an unknown name.
+func (c *StopCause) UnmarshalText(b []byte) error {
+	for k := StopNone; k <= StopIncident; k++ {
+		if k.String() == string(b) {
+			*c = k
+			return nil
+		}
+	}
+	return fmt.Errorf("explore: unknown stop cause %q", b)
 }
 
 // Incident is a recorded sample of an interesting path ending.
@@ -576,7 +608,11 @@ func Explore(u *cfg.Unit, opt Options) (*Report, error) {
 // never an error, never a torn merge. The same applies to
 // Options.Timeout and the MaxStates budget.
 func ExploreContext(ctx context.Context, u *cfg.Unit, opt Options) (*Report, error) {
-	return search(ctx, u, opt.withDefaults(), nil, nil)
+	opt, err := opt.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	return search(ctx, u, opt, nil, nil)
 }
 
 // Resume continues a search from a checkpoint snapshot previously
@@ -598,11 +634,15 @@ func Resume(u *cfg.Unit, snap *Snapshot, opt Options) (*Report, error) {
 // ResumeContext is Resume under a context; a resumed search can itself
 // be cancelled, timed out, and checkpointed again.
 func ResumeContext(ctx context.Context, u *cfg.Unit, snap *Snapshot, opt Options) (*Report, error) {
+	opt, err := opt.Resolve()
+	if err != nil {
+		return nil, err
+	}
 	restored, err := restoreSnapshot(u, snap)
 	if err != nil {
 		return nil, err
 	}
-	return search(ctx, u, opt.withDefaults(), restored, nil)
+	return search(ctx, u, opt, restored, nil)
 }
 
 // newMachine instantiates one machine of the configured engine over the
@@ -772,7 +812,7 @@ func footprintSets(u *cfg.Unit) []map[string]bool {
 // bitmap — per-worker coverage is a bitmap ORed together by the merge
 // layer — at the index the pending table reports as its site; objs
 // names the declared objects by index, for where an index is spelled
-// out (checkpoints, cache keys, UnitInfo).
+// out (checkpoints, cache keys) or a name looked up (Options.Interest).
 type siteTable struct {
 	bits  int      // total bitmap width (all nodes)
 	total int      // visible-operation sites (builtin call nodes)
@@ -807,6 +847,21 @@ func (t *siteTable) objNames(objs []int32) []string {
 		names[i] = t.name(o)
 	}
 	return names
+}
+
+// objectSet marks the named objects by index (nil for no names).
+func (t *siteTable) objectSet(names []string) []bool {
+	if len(names) == 0 {
+		return nil
+	}
+	num := interp.Numbering{Objects: t.objs}
+	set := make([]bool, len(t.objs))
+	for _, name := range names {
+		if o := num.Object(name); o >= 0 {
+			set[o] = true
+		}
+	}
+	return set
 }
 
 // coverage is a bitmap over the unit's CFG nodes; only visible-operation

@@ -311,8 +311,9 @@ func (m *exploreMetrics) noteClaim(u *workUnit) {
 	}
 }
 
-// emitRunStart records the run-start event. distributed says the
-// workers are slice workers (dist.go): worker processes do the exploring.
+// emitRunStart records the run-start event: the resolved options as JSON,
+// and the state budget, which that leaves out. distributed says worker
+// processes do the exploring (dist.go).
 func (m *exploreMetrics) emitRunStart(opt Options, resumed, distributed bool) {
 	if m.sink == nil {
 		return
@@ -326,14 +327,7 @@ func (m *exploreMetrics) emitRunStart(opt Options, resumed, distributed bool) {
 	}
 	m.sink.Emit("run_start",
 		obs.F("mode", mode),
-		obs.F("engine", opt.Engine.String()),
-		obs.F("por", opt.POR.String()),
-		obs.F("search", opt.Search.String()),
-		obs.F("workers", opt.Workers),
-		obs.F("spill_depth", opt.SpillDepth),
-		obs.F("snapshot_spill", opt.SnapshotSpill),
-		obs.F("liveness", opt.Liveness),
-		obs.F("max_depth", opt.MaxDepth),
+		obs.F("options", opt),
 		obs.F("max_states", opt.MaxStates),
 		obs.F("resumed", resumed),
 	)

@@ -173,7 +173,7 @@ func TestStopOnViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := explore.Explore(unit, explore.Options{StopOnViolation: true})
+	rep, err := explore.Explore(unit, explore.Options{Stop: explore.StopViolation})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func ShortestWitness(u *cfg.Unit, opt Options) (*Incident, *Report, error) {
 	if limit <= 0 {
 		limit = 64
 	}
-	opt.StopOnIncident = true
+	opt.Stop = StopIncident
 	if opt.Search == SearchPriority || opt.POR == PORDynamic {
 		opt.MaxDepth = limit
 		rep, err := Explore(u, opt)

@@ -79,7 +79,8 @@ func restoreCases(t *testing.T) map[string]*cfg.Unit {
 
 // TestRestoreMatchesReplay is the equivalence grid: engines {bytecode,
 // ref} × POR {off, static, dynamic} × state cache × liveness × workers
-// {0, 2} × snapshot-spill. Restore and replay runs of one
+// {0, 2} × snapshot-spill, where the liveness cells with dynamic POR or
+// snapshot spill must be refused. Restore and replay runs of one
 // configuration must produce byte-identical digests (the
 // schedule-independent digests for parallel cached runs, where which
 // duplicate route is pruned varies between any two runs of one
@@ -113,6 +114,14 @@ func TestRestoreMatchesReplay(t *testing.T) {
 							}
 							label := fmt.Sprintf("engine=%s por=%s cache=%t liveness=%t workers=%d spill=%t",
 								eng, por, mode.cache, mode.live, par.workers, par.spill)
+							if mode.live && (por == PORDynamic || par.spill) {
+								// Refused (Resolve); each once ran another
+								// cell's static, unspilled search.
+								if _, err := Explore(u, opt); err == nil {
+									t.Fatalf("%s: Explore accepted a liveness search it cannot honour", label)
+								}
+								continue
+							}
 							replayOpt := opt
 							replayOpt.testReplayOnly = true
 							replay, err := Explore(u, replayOpt)
@@ -272,7 +281,10 @@ func (e *engine) walkSchedDepth() int {
 // metrics, for tests that need to look inside the engine.
 func driveEngine(t *testing.T, u *cfg.Unit, opt Options, setup, check func(e *engine)) *Report {
 	t.Helper()
-	opt = opt.withDefaults()
+	opt, err := opt.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := interp.Resolve(u)
 	if err != nil {
 		t.Fatal(err)

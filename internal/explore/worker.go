@@ -192,6 +192,7 @@ func startEngines(u *cfg.Unit, opt Options, sites *siteTable, cache *statecache.
 		return err
 	}
 	fps := footprints(u)
+	interest := sites.objectSet(opt.Interest)
 	// One segment table for the search — machines are copied between its
 	// engines, ids and all — and the cache's own when there is one: a
 	// cache the caller supplied outlives the search.
@@ -207,7 +208,7 @@ func startEngines(u *cfg.Unit, opt Options, sites *siteTable, cache *statecache.
 			return err
 		}
 		eng := newEngine(m, opt, fps, sites, w.shared)
-		eng.cache, eng.segs = cache, segs
+		eng.cache, eng.segs, eng.interest = cache, segs, interest
 		eng.setMetrics(met)
 		if opt.Workers > 0 || opt.Search == SearchPriority {
 			// The inline depth-first search never spills: backtracking

@@ -47,6 +47,15 @@ func ParseEngine(s string) (EngineKind, error) {
 	return 0, fmt.Errorf("unknown engine %q (want bytecode or ref)", s)
 }
 
+// MarshalText spells the engine as String does: its flag and JSON form.
+func (k EngineKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses the engine as ParseEngine does.
+func (k *EngineKind) UnmarshalText(b []byte) (err error) {
+	*k, err = ParseEngine(string(b))
+	return err
+}
+
 // Machine is the executable-system interface the explorer drives: the
 // transition semantics, the state identity operations (fingerprint and
 // hash), the write trail backtracking runs on (Mark, Undo) and the

@@ -3,15 +3,13 @@ package jobs
 import (
 	"testing"
 	"unicode/utf8"
-
-	"reclose/internal/explore"
-	"reclose/internal/interp"
 )
 
 // FuzzJobRequest hammers the job-submission JSON decoder: whatever the
 // bytes, ParseRequest must not panic, and anything it accepts must
 // satisfy every documented bound — the same bounds the HTTP layer
-// relies on to keep one request from exhausting the server.
+// relies on to keep one request from exhausting the server — and name a
+// search explore can run (Request.options succeeds).
 func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(`{"source":"int main() { return 0; }"}`))
 	f.Add([]byte(`{"source":"x","close":"naive","naive_domain":3,"priority":9}`))
@@ -28,6 +26,7 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte{0xff, 0xfe, '{', '}'})
 	f.Add([]byte(`{"source":"x","engine":"ref"}`))
 	f.Add([]byte(`{"source":"x","engine":"slots"}`)) // the tier deleted in PR 17: refused like any unknown name
+	f.Add([]byte(`{"source":"x","livenes":true}`))   // a misspelt key: refused, not ignored
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseRequest(data)
 		if err != nil {
@@ -54,18 +53,8 @@ func FuzzJobRequest(f *testing.F) {
 		if req.Close == "naive" && (req.NaiveDomain < 1 || req.NaiveDomain > maxNaiveDomain) {
 			t.Fatalf("accepted naive close with domain %d", req.NaiveDomain)
 		}
-		por, err := explore.ParsePOR(req.POR)
-		if err != nil {
-			t.Fatalf("accepted unparseable por %q", req.POR)
-		}
-		if req.NoPOR && req.POR != "" && por != explore.POROff {
-			t.Fatalf("accepted contradictory no_por + por=%q", req.POR)
-		}
-		if _, err := explore.ParseSearch(req.Search); err != nil {
-			t.Fatalf("accepted unparseable search %q", req.Search)
-		}
-		if _, err := interp.ParseEngine(req.Engine); err != nil {
-			t.Fatalf("accepted unparseable engine %q", req.Engine)
+		if _, err := req.options(); err != nil {
+			t.Fatalf("accepted a request whose options are refused: %v", err)
 		}
 	})
 }

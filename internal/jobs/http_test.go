@@ -282,3 +282,26 @@ func TestHTTPPORModes(t *testing.T) {
 		t.Errorf("POST /jobs no_por+por=off rejected; the spellings agree")
 	}
 }
+
+// TestHTTPRejectsUnknownKeys pins admission's strictness: a misspelt key
+// would otherwise be dropped and the job run as the search it did not
+// ask for — "livenes" as a plain search reporting clean — so POST /jobs
+// refuses it with a 400 naming the key, as it does trailing data.
+func TestHTTPRejectsUnknownKeys(t *testing.T) {
+	_, srv := newTestServer(t, Config{Workers: 1})
+	for body, want := range map[string]string{
+		`{"source":"x","livenes":true}`: `unknown field "livenes"`,
+		`{"source":"x"} {"source":"y"}`: "data after the document",
+	} {
+		resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(doc.Error, want) {
+			t.Errorf("POST /jobs %s = %d %q (%v), want 400 saying %s", body, resp.StatusCode, doc.Error, err, want)
+		}
+	}
+}

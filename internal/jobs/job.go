@@ -8,14 +8,16 @@
 package jobs
 
 import (
+	"bytes"
+	"encoding"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"unicode/utf8"
 
 	"reclose/internal/cfg"
 	"reclose/internal/explore"
-	"reclose/internal/interp"
 	"reclose/internal/mgenv"
 )
 
@@ -133,19 +135,51 @@ type Request struct {
 
 // ParseRequest decodes and validates a job-submission document. It
 // never panics on hostile input (FuzzJobRequest) and enforces the
-// bounds above so a single request cannot exhaust the server.
+// bounds above so a single request cannot exhaust the server. An unknown
+// key is refused: a misspelt "livenes" would run a plain search.
 func ParseRequest(data []byte) (*Request, error) {
 	if len(data) > MaxSourceBytes+4096 {
 		return nil, fmt.Errorf("jobs: request body is %d bytes (limit %d)", len(data), MaxSourceBytes+4096)
 	}
 	var r Request
-	if err := json.Unmarshal(data, &r); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&r); err != nil {
 		return nil, fmt.Errorf("jobs: malformed request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("jobs: malformed request: data after the document")
 	}
 	if err := r.validate(); err != nil {
 		return nil, err
 	}
 	return &r, nil
+}
+
+// options is the search the request asks for: its three mode names
+// parsed, no_por as the legacy spelling of por "off", and the rest
+// decided by explore's Resolve, whose refusal it returns.
+func (r *Request) options() (explore.Options, error) {
+	opt := explore.Options{MaxDepth: r.MaxDepth, MaxStates: r.MaxStates, NoSleep: r.NoSleep,
+		Liveness: r.Liveness, MaxIncidents: r.MaxIncidents, Workers: r.Workers}
+	for _, m := range []struct {
+		v    encoding.TextUnmarshaler
+		name string
+	}{{&opt.Engine, r.Engine}, {&opt.POR, r.POR}, {&opt.Search, r.Search}} {
+		if err := m.v.UnmarshalText([]byte(m.name)); err != nil {
+			return opt, fmt.Errorf("jobs: %w", err)
+		}
+	}
+	if r.NoPOR {
+		if r.POR != "" && opt.POR != explore.POROff {
+			return opt, fmt.Errorf("jobs: no_por contradicts por=%q", r.POR)
+		}
+		opt.POR = explore.POROff
+	}
+	if _, err := opt.Resolve(); err != nil {
+		return opt, fmt.Errorf("jobs: %w", err)
+	}
+	return opt, nil
 }
 
 func (r *Request) validate() error {
@@ -170,12 +204,7 @@ func (r *Request) validate() error {
 	if r.Priority < 0 || r.Priority > MaxPriority {
 		return fmt.Errorf("jobs: priority %d outside [0,%d]", r.Priority, MaxPriority)
 	}
-	if r.Engine != "" {
-		if _, err := interp.ParseEngine(r.Engine); err != nil {
-			return fmt.Errorf("jobs: %w", err)
-		}
-	}
-	if r.MaxDepth < 0 || r.MaxStates < 0 || r.AttemptStates < 0 || r.AttemptTimeoutMS < 0 {
+	if r.AttemptStates < 0 || r.AttemptTimeoutMS < 0 {
 		return fmt.Errorf("jobs: negative budget")
 	}
 	if r.Workers < 0 || r.Workers > maxRequestWorkers {
@@ -184,23 +213,11 @@ func (r *Request) validate() error {
 	if r.DistWorkers < 0 || r.DistWorkers > maxRequestDistWorkers {
 		return fmt.Errorf("jobs: dist_workers %d outside [0,%d]", r.DistWorkers, maxRequestDistWorkers)
 	}
-	por, err := explore.ParsePOR(r.POR)
-	if err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	if r.NoPOR && r.POR != "" && por != explore.POROff {
-		return fmt.Errorf("jobs: no_por contradicts por=%q", r.POR)
-	}
-	if _, err := explore.ParseSearch(r.Search); err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	if r.Liveness && por == explore.PORDynamic {
-		return fmt.Errorf("jobs: liveness runs under the strict static reduction; por=%q contradicts it", r.POR)
-	}
 	if r.MaxIncidents < 0 || r.MaxIncidents > maxRequestIncidents {
 		return fmt.Errorf("jobs: max_incidents %d outside [0,%d]", r.MaxIncidents, maxRequestIncidents)
 	}
-	return nil
+	_, err := r.options()
+	return err
 }
 
 // compile builds the closed unit a request describes. Compile and

@@ -32,6 +32,11 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("save %d: %v", i, err)
 		}
 	}
+	// A request key this version does not know — refused at admission
+	// (ParseRequest) — still recovers from the journal.
+	if err := os.WriteFile(filepath.Join(jn.dir, "old.json"), []byte(`{"v":1,"id":"old","seq":3,"state":"queued","req":{"source":"x","retired":1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	recs, corrupt, err := jn.load()
 	if err != nil {
 		t.Fatal(err)
@@ -39,8 +44,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(corrupt) != 0 {
 		t.Fatalf("corrupt = %v, want none", corrupt)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("loaded %d records, want 3", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("loaded %d records, want 4", len(recs))
 	}
 	for i, rec := range recs {
 		if rec.Seq != uint64(i) {

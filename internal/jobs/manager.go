@@ -12,7 +12,6 @@ import (
 
 	"reclose/internal/explore"
 	"reclose/internal/faultinject"
-	"reclose/internal/interp"
 	"reclose/internal/obs"
 )
 
@@ -822,46 +821,17 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job) (out attemptOutcome) {
 }
 
 // exploreOptions builds the per-attempt search options: the request's
-// knobs, the attempt budgets (state budgets are absolute, so a resumed
-// attempt's slice sits on top of the restored total), the checkpoint
-// callback, and — when the request asked for a trace — a per-job
-// registry streaming to the job's JSONL file.
+// (an error means a job file edited by hand), the attempt budgets (state
+// budgets are absolute, so a resumed attempt's slice sits on top of the
+// restored total), the fault plan, the checkpoint callback, and — when
+// the request asked for a trace — a per-job registry streaming to the
+// job's JSONL file.
 func (m *Manager) exploreOptions(j *Job, snap *explore.Snapshot) (explore.Options, func(), error) {
-	engine := interp.EngineBytecode
-	if j.Req.Engine != "" {
-		e, err := interp.ParseEngine(j.Req.Engine)
-		if err != nil {
-			return explore.Options{}, nil, err
-		}
-		engine = e
-	}
-	// Mode strings were validated at admission (Request.validate), so
-	// parse errors here are impossible for persisted jobs from this
-	// version; a job file hand-edited into an invalid mode fails the
-	// attempt cleanly instead of panicking.
-	por, err := explore.ParsePOR(j.Req.POR)
+	opt, err := j.Req.options()
 	if err != nil {
-		return explore.Options{}, nil, err
+		return opt, nil, err
 	}
-	if j.Req.NoPOR {
-		// The legacy spelling; Validate has rejected a contradicting por.
-		por = explore.POROff
-	}
-	search, err := explore.ParseSearch(j.Req.Search)
-	if err != nil {
-		return explore.Options{}, nil, err
-	}
-	opt := explore.Options{
-		Engine:       engine,
-		MaxDepth:     j.Req.MaxDepth,
-		NoSleep:      j.Req.NoSleep,
-		POR:          por,
-		Search:       search,
-		Liveness:     j.Req.Liveness,
-		MaxIncidents: j.Req.MaxIncidents,
-		Workers:      j.Req.Workers,
-		Fault:        m.cfg.Fault,
-	}
+	opt.Fault = m.cfg.Fault
 
 	var restored int64
 	if snap != nil {
@@ -871,11 +841,9 @@ func (m *Manager) exploreOptions(j *Job, snap *explore.Snapshot) (explore.Option
 	if attemptStates == 0 {
 		attemptStates = m.cfg.DefaultAttemptStates
 	}
-	if attemptStates > 0 {
+	// opt.MaxStates is the job's own budget; the attempt's may be tighter.
+	if attemptStates > 0 && (opt.MaxStates == 0 || restored+attemptStates < opt.MaxStates) {
 		opt.MaxStates = restored + attemptStates
-	}
-	if j.Req.MaxStates > 0 && (opt.MaxStates == 0 || j.Req.MaxStates < opt.MaxStates) {
-		opt.MaxStates = j.Req.MaxStates
 	}
 	timeout := time.Duration(j.Req.AttemptTimeoutMS) * time.Millisecond
 	if timeout == 0 {

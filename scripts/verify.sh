@@ -5,7 +5,10 @@
 # lockstep oracle, the job request parser and the dist frame codec (5s
 # per target; the lockstep target also runs the Fork sweep of
 # copy_test.go, the key-segment schedule of keyseg_test.go and the undo
-# sweep of trail_test.go).
+# sweep of trail_test.go). The last two guard the one option decoder:
+# an accepted job names options explore.Options.Resolve accepts, and a
+# hello's options are explore.Options' own JSON, unknown mode names
+# refused.
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
