@@ -2,142 +2,11 @@ package explore
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"testing"
 
-	"reclose/internal/cfg"
-	"reclose/internal/core"
 	"reclose/internal/obs"
 	"reclose/internal/progs"
 )
-
-// cacheDigest renders what every configuration of a cached search must
-// agree on: the terminal and incident leaf counters plus the multiset
-// of incident samples (kind, depth, message). Sample *decision
-// sequences* are left out: when several routes reach a cached state,
-// which duplicate route gets pruned depends on arrival order, so the
-// surviving incident paths vary with the schedule even though their
-// count and endpoints do not. (States/Paths/CachePrunes are also left
-// out: the contract allows them to vary with the schedule in general,
-// even though they do not on the loop-free models used here.)
-func cacheDigest(rep *Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "terminated=%d deadlocks=%d violations=%d traps=%d divergences=%d\n",
-		rep.Terminated, rep.Deadlocks, rep.Violations, rep.Traps, rep.Divergences)
-	lines := make([]string, 0, len(rep.Samples))
-	for _, in := range rep.Samples {
-		lines = append(lines, fmt.Sprintf("%s depth=%d msg=%q", in.Kind, in.Depth, in.Msg))
-	}
-	sort.Strings(lines)
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// incidentSet renders the distinct incidents of a report — what pruning
-// may never change relative to a stateless search (pruning can drop
-// duplicate routes to an incident state, never the incident itself).
-func incidentSet(rep *Report) string {
-	seen := map[string]bool{}
-	for _, in := range rep.Samples {
-		seen[fmt.Sprintf("%s|%d|%s", in.Kind, in.Depth, in.Msg)] = true
-	}
-	lines := make([]string, 0, len(seen))
-	for s := range seen {
-		lines = append(lines, s)
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
-func mustClose(t *testing.T, src string) *cfg.Unit {
-	t.Helper()
-	closed, _, err := core.CloseSource(src)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	return closed
-}
-
-// TestShardedCacheEquivalence is the tentpole contract: StateCache now
-// composes with the parallel engine. Across Workers {0,2,4} ×
-// SnapshotSpill × shards {1,8} (run under -race by verify.sh), a
-// cached search reports identical terminated/deadlock/violation/trap
-// counters and identical incident samples; relative to the stateless
-// search, the distinct incident set is unchanged (pruning is sound).
-// On the diamond-shaped pipeline the cache must actually prune.
-func TestShardedCacheEquivalence(t *testing.T) {
-	cases := map[string]string{
-		"pipeline-2-2":   progs.Pipeline(2, 2),
-		"philosophers-3": progs.Philosophers(3),
-	}
-	for name, src := range cases {
-		t.Run(name, func(t *testing.T) {
-			closed := mustClose(t, src)
-			base := Options{POR: POROff, NoSleep: true, MaxIncidents: 1 << 20}
-
-			stateless, err := Explore(closed, base)
-			if err != nil {
-				t.Fatalf("stateless Explore: %v", err)
-			}
-
-			ref := base
-			ref.StateCache = true
-			ref.CacheShards = 1
-			seqCached, err := Explore(closed, ref)
-			if err != nil {
-				t.Fatalf("sequential cached Explore: %v", err)
-			}
-			if name == "pipeline-2-2" {
-				if seqCached.CachePrunes == 0 {
-					t.Fatalf("no cache prunes on the diamond pipeline: %s", seqCached)
-				}
-				if seqCached.States >= stateless.States {
-					t.Errorf("cache did not shrink the search: cached %d states, stateless %d",
-						seqCached.States, stateless.States)
-				}
-			}
-			if got, want := incidentSet(seqCached), incidentSet(stateless); got != want {
-				t.Fatalf("cached incident set diverged from stateless:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-			}
-			want := cacheDigest(seqCached)
-
-			for _, workers := range []int{0, 2, 4} {
-				for _, spill := range []bool{false, true} {
-					for _, shards := range []int{1, 8} {
-						opt := base
-						opt.StateCache = true
-						opt.CacheShards = shards
-						opt.Workers = workers
-						opt.SnapshotSpill = spill
-						label := fmt.Sprintf("workers=%d spill=%t shards=%d", workers, spill, shards)
-						rep, err := Explore(closed, opt)
-						if err != nil {
-							t.Fatalf("%s: Explore: %v", label, err)
-						}
-						if rep.Incomplete {
-							t.Fatalf("%s: search did not complete: %s", label, rep)
-						}
-						if rep.Workers != workers {
-							t.Errorf("%s: Report.Workers = %d, want %d", label, rep.Workers, workers)
-						}
-						if rep.CachePrunes == 0 && seqCached.CachePrunes > 0 {
-							t.Errorf("%s: CachePrunes = 0, sequential cached run pruned %d",
-								label, seqCached.CachePrunes)
-						}
-						if got := cacheDigest(rep); got != want {
-							t.Errorf("%s: diverged from sequential cached run:\n--- got ---\n%s--- want ---\n%s",
-								label, got, want)
-						}
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestCacheCollisionSoundness forces every fingerprint onto one hash
 // value. With hash-only keys (the old engine) the second state ever
@@ -168,7 +37,7 @@ func TestCacheCollisionSoundness(t *testing.T) {
 			t.Errorf("workers=%d: deadlocks = %d under colliding hash, want %d",
 				workers, rep.Deadlocks, normal.Deadlocks)
 		}
-		if got, want := cacheDigest(rep), cacheDigest(normal); got != want {
+		if got, want := digest(rep, sameCounters), digest(normal, sameCounters); got != want {
 			t.Errorf("workers=%d: colliding-hash run diverged:\n--- got ---\n%s--- want ---\n%s",
 				workers, got, want)
 		}
@@ -272,7 +141,7 @@ func TestCacheEvictionSoundness(t *testing.T) {
 			t.Errorf("workers=%d: cache holds %d bytes, budget %d",
 				workers, rep.cacheSum.Bytes, opt.MaxCacheBytes)
 		}
-		if got, want := incidentSet(rep), incidentSet(stateless); got != want {
+		if got, want := digest(rep, sameIncidents), digest(stateless, sameIncidents); got != want {
 			t.Errorf("workers=%d: incident set diverged under eviction:\n--- got ---\n%s\n--- want ---\n%s",
 				workers, got, want)
 		}

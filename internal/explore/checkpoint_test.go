@@ -1,156 +1,33 @@
-package explore_test
+package explore
 
 import (
 	"context"
-	"fmt"
 	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
 
-	"reclose/internal/core"
-	"reclose/internal/explore"
 	"reclose/internal/interp"
 	"reclose/internal/lockserver"
 	"reclose/internal/progs"
 )
-
-// resultDigest renders everything an interrupted-and-resumed search must
-// reproduce from an uninterrupted one: every counter except Replays and
-// ReplaySteps (resuming re-replays unit prefixes, so those two
-// legitimately differ), coverage, and every sample with its decisions.
-func resultDigest(rep *explore.Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "states=%d transitions=%d paths=%d maxdepth=%d\n",
-		rep.States, rep.Transitions, rep.Paths, rep.MaxDepth)
-	fmt.Fprintf(&b, "terminated=%d deadlocks=%d violations=%d traps=%d divergences=%d depth-hits=%d sleep-prunes=%d cache-prunes=%d internal-errors=%d\n",
-		rep.Terminated, rep.Deadlocks, rep.Violations, rep.Traps, rep.Divergences,
-		rep.DepthHits, rep.SleepPrunes, rep.CachePrunes, rep.InternalErrors)
-	fmt.Fprintf(&b, "coverage=%d/%d\n", rep.OpsCovered, rep.OpsTotal)
-	for _, in := range rep.Samples {
-		fmt.Fprintf(&b, "%s depth=%d msg=%q decisions=", in.Kind, in.Depth, in.Msg)
-		for _, d := range in.Decisions {
-			fmt.Fprintf(&b, "%s;", d)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// checkpointCases are models with enough paths that checkpoint cuts land
-// mid-search.
-func checkpointCases() map[string]string {
-	return map[string]string{
-		"deadlock-prone":    progs.DeadlockProne,
-		"producer-consumer": progs.ProducerConsumer,
-		"philosophers-3":    progs.Philosophers(3),
-	}
-}
-
-// interruptOnce runs a search that checkpoints after cutPaths completed
-// paths, captures the first snapshot, and cancels the search from
-// inside the checkpoint callback; it returns the snapshot (nil if the
-// search completed before the first checkpoint fired).
-func interruptOnce(t *testing.T, src string, opt explore.Options, cutPaths int64) *explore.Snapshot {
-	t.Helper()
-	closed, _, err := core.CloseSource(src)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var snap *explore.Snapshot
-	opt.CheckpointEveryPaths = cutPaths
-	opt.Checkpoint = func(s *explore.Snapshot) {
-		if snap == nil {
-			snap = s
-			cancel()
-		}
-	}
-	rep, err := explore.ExploreContext(ctx, closed, opt)
-	if err != nil {
-		t.Fatalf("ExploreContext: %v", err)
-	}
-	if snap != nil && !rep.Incomplete {
-		// The cancel landed after the last path; rare but legal. The
-		// snapshot is still exact, so the equivalence check still holds.
-		t.Logf("search completed despite cancel (cut=%d)", cutPaths)
-	}
-	return snap
-}
-
-// TestInterruptResumeEquivalence is the central resilience contract: a
-// search checkpointed mid-run and resumed to completion reports the
-// same states, transitions, paths, leaf counters, coverage, and
-// incident samples (kind, message, decisions) as an uninterrupted
-// sequential run — at several cut points and worker counts. With
-// workers > 1 and small cuts, the interrupt lands while stolen units
-// are in flight on several workers (mid-steal), which is exactly the
-// torn-merge hazard this exercises.
-func TestInterruptResumeEquivalence(t *testing.T) {
-	for name, src := range checkpointCases() {
-		t.Run(name, func(t *testing.T) {
-			closed, _, err := core.CloseSource(src)
-			if err != nil {
-				t.Fatalf("CloseSource: %v", err)
-			}
-			// Selection differences between the sequential (first-N) and
-			// sorted (best-N) sample bounds are not under test here.
-			base := explore.Options{MaxIncidents: 1 << 20}
-			baseline, err := explore.Explore(closed, base)
-			if err != nil {
-				t.Fatalf("baseline Explore: %v", err)
-			}
-			want := resultDigest(baseline)
-			for _, workers := range []int{0, 2, 4} {
-				for _, cut := range []int64{1, 7, 50} {
-					opt := base
-					opt.Workers = workers
-					snap := interruptOnce(t, src, opt, cut)
-					if snap == nil {
-						continue // completed before the first checkpoint
-					}
-					// Resume with a different worker count than the
-					// interrupted run to stress work-distribution
-					// independence.
-					resumeOpt := base
-					resumeOpt.Workers = workers
-					final, err := explore.Resume(closed, snap, resumeOpt)
-					if err != nil {
-						t.Fatalf("workers=%d cut=%d: Resume: %v", workers, cut, err)
-					}
-					if final.Incomplete {
-						t.Fatalf("workers=%d cut=%d: resumed run did not complete", workers, cut)
-					}
-					if got := resultDigest(final); got != want {
-						t.Errorf("workers=%d cut=%d: resumed result diverged:\n--- got ---\n%s--- want ---\n%s",
-							workers, cut, got, want)
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestResumeChain interrupts and resumes repeatedly — every hop explores
 // a handful of paths, checkpoints, and aborts — until the search
 // completes, then checks the final report against the uninterrupted
 // baseline.
 func TestResumeChain(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.ProducerConsumer)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	base := explore.Options{MaxIncidents: 1 << 20}
-	baseline, err := explore.Explore(closed, base)
+	closed := mustClose(t, progs.ProducerConsumer)
+	base := Options{MaxIncidents: 1 << 20}
+	baseline, err := Explore(closed, base)
 	if err != nil {
 		t.Fatalf("baseline Explore: %v", err)
 	}
-	want := resultDigest(baseline)
+	want := digest(raced(baseline), identical)
 
 	for _, workers := range []int{0, 2} {
-		var snap *explore.Snapshot
-		var final *explore.Report
+		var snap *Snapshot
+		var final *Report
 		for hop := 0; ; hop++ {
 			if hop > 2*int(baseline.Paths)+10 {
 				t.Fatalf("workers=%d: resume chain did not converge after %d hops", workers, hop)
@@ -159,19 +36,19 @@ func TestResumeChain(t *testing.T) {
 			opt := base
 			opt.Workers = workers
 			opt.CheckpointEveryPaths = 5
-			var hopSnap *explore.Snapshot
-			opt.Checkpoint = func(s *explore.Snapshot) {
+			var hopSnap *Snapshot
+			opt.Checkpoint = func(s *Snapshot) {
 				if hopSnap == nil {
 					hopSnap = s
 					cancel()
 				}
 			}
-			var rep *explore.Report
+			var rep *Report
 			var err error
 			if snap == nil {
-				rep, err = explore.ExploreContext(ctx, closed, opt)
+				rep, err = ExploreContext(ctx, closed, opt)
 			} else {
-				rep, err = explore.ResumeContext(ctx, closed, snap, opt)
+				rep, err = ResumeContext(ctx, closed, snap, opt)
 			}
 			cancel()
 			if err != nil {
@@ -190,12 +67,12 @@ func TestResumeChain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d hop %d: Encode: %v", workers, hop, err)
 			}
-			snap, err = explore.DecodeSnapshot(data)
+			snap, err = DecodeSnapshot(data)
 			if err != nil {
 				t.Fatalf("workers=%d hop %d: DecodeSnapshot: %v", workers, hop, err)
 			}
 		}
-		if got := resultDigest(final); got != want {
+		if got := digest(raced(final), identical); got != want {
 			t.Errorf("workers=%d: chained result diverged:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
 		}
 	}
@@ -217,48 +94,45 @@ func TestCheckpointWithoutInterrupt(t *testing.T) {
 	cases := []struct {
 		name    string
 		src     string
-		opt     explore.Options
+		opt     Options
 		every   int64
 		workers []int
 		// resumeStride thins the snapshots that are resumed: every
 		// stride-th one, and the last.
 		resumeStride int
 	}{
-		{"philosophers-3", progs.Philosophers(3), explore.Options{MaxIncidents: 1 << 20}, 7, []int{0, 3}, 1},
+		{"philosophers-3", progs.Philosophers(3), Options{MaxIncidents: 1 << 20}, 7, []int{0, 3}, 1},
 		{"lockserver-c3-r2-d30", lockserver.Source(lockserver.Config{Clients: 3, Rounds: 2}),
-			explore.Options{MaxIncidents: 1 << 20, MaxDepth: 30}, 64, []int{0, 1, 2}, 1000},
+			Options{MaxIncidents: 1 << 20, MaxDepth: 30}, 64, []int{0, 1, 2}, 1000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			closed, _, err := core.CloseSource(tc.src)
-			if err != nil {
-				t.Fatalf("CloseSource: %v", err)
-			}
-			baseline, err := explore.Explore(closed, tc.opt)
+			closed := mustClose(t, tc.src)
+			baseline, err := Explore(closed, tc.opt)
 			if err != nil {
 				t.Fatalf("baseline Explore: %v", err)
 			}
-			want := resultDigest(baseline)
+			want := digest(raced(baseline), identical)
 			for _, workers := range tc.workers {
 				opt := tc.opt
 				opt.Workers = workers
 				plain := baseline
 				if workers != 0 {
-					if plain, err = explore.Explore(closed, opt); err != nil {
+					if plain, err = Explore(closed, opt); err != nil {
 						t.Fatalf("workers=%d: checkpoint-free Explore: %v", workers, err)
 					}
 				}
 				opt.CheckpointEveryPaths = tc.every
-				var snaps []*explore.Snapshot
-				opt.Checkpoint = func(s *explore.Snapshot) { snaps = append(snaps, s) }
-				rep, err := explore.Explore(closed, opt)
+				var snaps []*Snapshot
+				opt.Checkpoint = func(s *Snapshot) { snaps = append(snaps, s) }
+				rep, err := Explore(closed, opt)
 				if err != nil {
 					t.Fatalf("workers=%d: Explore: %v", workers, err)
 				}
 				if rep.Incomplete {
 					t.Fatalf("workers=%d: checkpointed run did not complete", workers)
 				}
-				if got := resultDigest(rep); got != want {
+				if got := digest(raced(rep), identical); got != want {
 					t.Errorf("workers=%d: checkpointed run diverged:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
 				}
 				if rep.Replays != plain.Replays {
@@ -276,11 +150,11 @@ func TestCheckpointWithoutInterrupt(t *testing.T) {
 					if (i+1)%tc.resumeStride != 0 && i != len(snaps)-1 {
 						continue
 					}
-					final, err := explore.Resume(closed, s, tc.opt)
+					final, err := Resume(closed, s, tc.opt)
 					if err != nil {
 						t.Fatalf("workers=%d snapshot %d: Resume: %v", workers, i, err)
 					}
-					if got := resultDigest(final); got != want {
+					if got := digest(raced(final), identical); got != want {
 						t.Errorf("workers=%d: resume from snapshot %d diverged:\n--- got ---\n%s--- want ---\n%s",
 							workers, i, got, want)
 					}
@@ -296,30 +170,27 @@ func TestCheckpointWithoutInterrupt(t *testing.T) {
 // exactly (cancellation cuts land before a state is counted, so nothing
 // is counted twice).
 func TestCancelSnapshotResume(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, progs.Philosophers(3))
 	// Ablations off: the unreduced space (~1000 states) is large enough
 	// that a cancellation at the 20th leaf always lands mid-search, even
 	// against the sequential engine's 64-state polling granularity.
-	base := explore.Options{MaxIncidents: 1 << 20, POR: explore.POROff, NoSleep: true}
-	baseline, err := explore.Explore(closed, base)
+	base := Options{MaxIncidents: 1 << 20, POR: POROff, NoSleep: true}
+	baseline, err := Explore(closed, base)
 	if err != nil {
 		t.Fatalf("baseline Explore: %v", err)
 	}
-	want := resultDigest(baseline)
+	want := digest(raced(baseline), identical)
 	for _, workers := range []int{0, 2} {
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := base
 		opt.Workers = workers
 		var leaves atomic.Int64
-		opt.OnLeaf = func(explore.LeafKind, []interp.Event) {
+		opt.OnLeaf = func(LeafKind, []interp.Event) {
 			if leaves.Add(1) == 20 {
 				cancel()
 			}
 		}
-		cut, err := explore.ExploreContext(ctx, closed, opt)
+		cut, err := ExploreContext(ctx, closed, opt)
 		cancel()
 		if err != nil {
 			t.Fatalf("workers=%d: ExploreContext: %v", workers, err)
@@ -328,21 +199,21 @@ func TestCancelSnapshotResume(t *testing.T) {
 			t.Fatalf("workers=%d: cancelled search not Incomplete (paths=%d of %d)",
 				workers, cut.Paths, baseline.Paths)
 		}
-		if cut.Cause != explore.StopCancelled {
-			t.Errorf("workers=%d: Cause = %s, want %s", workers, cut.Cause, explore.StopCancelled)
+		if cut.Cause != StopCancelled {
+			t.Errorf("workers=%d: Cause = %s, want %s", workers, cut.Cause, StopCancelled)
 		}
 		snap := cut.Snapshot()
 		if snap == nil {
 			t.Fatalf("workers=%d: Incomplete report has no snapshot", workers)
 		}
-		final, err := explore.Resume(closed, snap, base)
+		final, err := Resume(closed, snap, base)
 		if err != nil {
 			t.Fatalf("workers=%d: Resume: %v", workers, err)
 		}
 		if final.Incomplete {
 			t.Fatalf("workers=%d: resumed run did not complete", workers)
 		}
-		if got := resultDigest(final); got != want {
+		if got := digest(raced(final), identical); got != want {
 			t.Errorf("workers=%d: cancel+resume result diverged:\n--- got ---\n%s--- want ---\n%s",
 				workers, got, want)
 		}
@@ -352,12 +223,12 @@ func TestCancelSnapshotResume(t *testing.T) {
 // TestSnapshotValidation checks that structurally bad snapshots are
 // rejected with an error instead of corrupting a resumed search.
 func TestSnapshotValidation(t *testing.T) {
-	snap := interruptOnce(t, progs.DeadlockProne, explore.Options{}, 1)
+	snap, _ := cutOnce(t, mustClose(t, progs.DeadlockProne), Options{}, 1)
 	if snap == nil {
 		t.Fatal("no snapshot captured")
 	}
 
-	if _, err := explore.DecodeSnapshot([]byte("{")); err == nil {
+	if _, err := DecodeSnapshot([]byte("{")); err == nil {
 		t.Error("DecodeSnapshot accepted truncated JSON")
 	}
 
@@ -369,16 +240,13 @@ func TestSnapshotValidation(t *testing.T) {
 	if !strings.Contains(string(data), `"version": 1`) {
 		t.Fatalf("encoded snapshot carries no version field:\n%s", data)
 	}
-	if _, err := explore.DecodeSnapshot([]byte(bad)); err == nil {
+	if _, err := DecodeSnapshot([]byte(bad)); err == nil {
 		t.Error("DecodeSnapshot accepted version 99")
 	}
 
 	// A snapshot only resumes against the program that produced it.
-	other, _, err := core.CloseSource(progs.ProducerConsumer)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	if _, err := explore.Resume(other, snap, explore.Options{}); err == nil {
+	other := mustClose(t, progs.ProducerConsumer)
+	if _, err := Resume(other, snap, Options{}); err == nil {
 		t.Error("Resume accepted a snapshot from a different program")
 	}
 }
@@ -392,17 +260,14 @@ func TestSnapshotValidation(t *testing.T) {
 // uninterrupted totals.
 func TestStaleCheckpointRefused(t *testing.T) {
 	src := progs.Philosophers(3)
-	closed, _, err := core.CloseSource(src)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	for _, por := range []explore.PORMode{explore.PORStatic, explore.PORDynamic} {
-		opt := explore.Options{POR: por, MaxIncidents: 1 << 20}
-		full, err := explore.Explore(closed, opt)
+	closed := mustClose(t, src)
+	for _, por := range []PORMode{PORStatic, PORDynamic} {
+		opt := Options{POR: por, MaxIncidents: 1 << 20}
+		full, err := Explore(closed, opt)
 		if err != nil {
 			t.Fatalf("Explore: %v", err)
 		}
-		snap := interruptOnce(t, src, opt, 3)
+		snap, _ := cutOnce(t, closed, opt, 3)
 		if snap == nil {
 			t.Fatalf("por=%s: no checkpoint", por)
 		}
@@ -410,11 +275,11 @@ func TestStaleCheckpointRefused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Encode: %v", err)
 		}
-		resumed, err := explore.Resume(closed, snap, opt)
+		resumedRep, err := Resume(closed, snap, opt)
 		if err != nil {
 			t.Fatalf("por=%s: the good checkpoint does not resume: %v", por, err)
 		}
-		if got, want := resultDigest(resumed), resultDigest(full); got != want {
+		if got, want := digest(resumed(resumedRep), identical), digest(resumed(full), identical); got != want {
 			t.Errorf("por=%s: resumed totals diverged:\n--- got ---\n%s--- want ---\n%s", por, got, want)
 		}
 
@@ -422,7 +287,7 @@ func TestStaleCheckpointRefused(t *testing.T) {
 			{"undeclared objs name", `("objs": \[\s*)"fork\d"`, `${1}"spoon"`, `objs[0]: the program declares no object "spoon"`},
 			{"option out of range", `("options": \[\s*)\d`, `${1}7`, `options[0]: process 7 out of range [0, 3)`},
 		}
-		if por == explore.PORStatic {
+		if por == PORStatic {
 			cases = append(cases, []struct{ name, pattern, repl, want string }{
 				{"sleep key out of range", `("sleep": \{\s*)"\d"`, `${1}"99"`, `sleep: key "99" is not a process in [0, 3)`},
 				{"undeclared sleep object", `("sleep": \{\s*"\d": )"fork\d"`, `${1}"spoon"`, `the program declares no object "spoon"`},
@@ -443,18 +308,18 @@ func TestStaleCheckpointRefused(t *testing.T) {
 			}
 			// Mutate the first match only: one stale field in one unit.
 			bad := append(append(append([]byte(nil), good[:loc[0]]...), re.ReplaceAll(good[loc[0]:loc[1]], []byte(c.repl))...), good[loc[1]:]...)
-			stale, err := explore.DecodeSnapshot(bad)
+			stale, err := DecodeSnapshot(bad)
 			if err != nil {
 				t.Errorf("por=%s %s: DecodeSnapshot: %v", por, c.name, err)
 				continue
 			}
-			_, err = explore.Resume(closed, stale, opt)
+			_, err = Resume(closed, stale, opt)
 			if err == nil || !strings.Contains(err.Error(), "snapshot unit ") || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("por=%s %s: Resume error = %v, want one naming the unit and %q", por, c.name, err, c.want)
 			}
 			// The same units arrive at the distributed driver as what a
 			// slice left over: it refuses the result, and the search fails.
-			_, err = explore.Distribute(context.Background(), closed, nil, opt, []explore.Slicer{fixedSlicer{stale}}, 64)
+			_, err = Distribute(context.Background(), closed, nil, opt, []Slicer{fixedSlicer{stale}}, 64)
 			if err == nil || !strings.Contains(err.Error(), "slice result: ") || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("por=%s %s: Distribute error = %v, want one naming the slice result and %q", por, c.name, err, c.want)
 			}
@@ -463,10 +328,10 @@ func TestStaleCheckpointRefused(t *testing.T) {
 }
 
 // fixedSlicer answers every slice with the same result.
-type fixedSlicer struct{ result *explore.Snapshot }
+type fixedSlicer struct{ result *Snapshot }
 
-func (s fixedSlicer) Slice(context.Context, *explore.Snapshot, int64) (*explore.Snapshot, explore.StopCause, error) {
-	return s.result, explore.StopNone, nil
+func (s fixedSlicer) Slice(context.Context, *Snapshot, int64) (*Snapshot, StopCause, error) {
+	return s.result, StopNone, nil
 }
 
 // TestMaxStatesResumeEquivalence pins the reserve-then-credit budget
@@ -476,12 +341,9 @@ func (s fixedSlicer) Slice(context.Context, *explore.Snapshot, int64) (*explore.
 // reaches exactly the totals of an uninterrupted run — states,
 // transitions, paths, leaf counters, coverage, and samples.
 func TestMaxStatesResumeEquivalence(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.ProducerConsumer)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	base := explore.Options{MaxIncidents: 1 << 20}
-	baseline, err := explore.Explore(closed, base)
+	closed := mustClose(t, progs.ProducerConsumer)
+	base := Options{MaxIncidents: 1 << 20}
+	baseline, err := Explore(closed, base)
 	if err != nil {
 		t.Fatalf("baseline Explore: %v", err)
 	}
@@ -489,11 +351,11 @@ func TestMaxStatesResumeEquivalence(t *testing.T) {
 	if baseline.States <= step {
 		t.Fatalf("model too small for budget cuts: %d states", baseline.States)
 	}
-	want := resultDigest(baseline)
+	want := digest(raced(baseline), identical)
 
 	for _, workers := range []int{0, 2, 4} {
-		var snap *explore.Snapshot
-		var final *explore.Report
+		var snap *Snapshot
+		var final *Report
 		budget := int64(step)
 		for hop := 0; ; hop++ {
 			if hop > int(baseline.States)/step+10 {
@@ -502,12 +364,12 @@ func TestMaxStatesResumeEquivalence(t *testing.T) {
 			opt := base
 			opt.Workers = workers
 			opt.MaxStates = budget
-			var rep *explore.Report
+			var rep *Report
 			var err error
 			if snap == nil {
-				rep, err = explore.Explore(closed, opt)
+				rep, err = Explore(closed, opt)
 			} else {
-				rep, err = explore.Resume(closed, snap, opt)
+				rep, err = Resume(closed, snap, opt)
 			}
 			if err != nil {
 				t.Fatalf("workers=%d hop %d: %v", workers, hop, err)
@@ -520,9 +382,9 @@ func TestMaxStatesResumeEquivalence(t *testing.T) {
 				final = rep
 				break
 			}
-			if rep.Cause != explore.StopMaxStates {
+			if rep.Cause != StopMaxStates {
 				t.Fatalf("workers=%d hop %d: Cause = %s, want %s",
-					workers, hop, rep.Cause, explore.StopMaxStates)
+					workers, hop, rep.Cause, StopMaxStates)
 			}
 			if rep.States != budget {
 				t.Fatalf("workers=%d hop %d: cut run counted %d states, want exactly %d",
@@ -536,13 +398,13 @@ func TestMaxStatesResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("workers=%d hop %d: Encode: %v", workers, hop, err)
 			}
-			snap, err = explore.DecodeSnapshot(data)
+			snap, err = DecodeSnapshot(data)
 			if err != nil {
 				t.Fatalf("workers=%d hop %d: DecodeSnapshot: %v", workers, hop, err)
 			}
 			budget += step
 		}
-		if got := resultDigest(final); got != want {
+		if got := digest(raced(final), identical); got != want {
 			t.Errorf("workers=%d: budget-chained result diverged:\n--- got ---\n%s--- want ---\n%s",
 				workers, got, want)
 		}

@@ -1,16 +1,13 @@
-package explore_test
+package explore
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
 	"reclose/internal/cfg"
 	"reclose/internal/core"
-	"reclose/internal/explore"
 	"reclose/internal/interp"
-	"reclose/internal/leaderelect"
 )
 
 // livelockSpin is a closed single-process program that spins forever on
@@ -103,19 +100,19 @@ func compileClosed(t testing.TB, src string) *cfg.Unit {
 // checks the witness contract: the stem and the full lasso end in the
 // same state (the cycle closes), the cycle is non-empty, and no cycle
 // transition executes a progress-labeled operation.
-func verifyLasso(t *testing.T, u *cfg.Unit, in *explore.Incident) {
+func verifyLasso(t *testing.T, u *cfg.Unit, in *Incident) {
 	t.Helper()
-	if in.Kind != explore.LeafLivelock {
+	if in.Kind != LeafLivelock {
 		t.Fatalf("incident kind = %v, want livelock", in.Kind)
 	}
 	if in.CycleStart < 0 || in.CycleStart >= len(in.Decisions) {
 		t.Fatalf("cycle split %d out of range of %d decisions", in.CycleStart, len(in.Decisions))
 	}
-	stemSys, out, err := explore.Replay(u, in.Decisions[:in.CycleStart], nil)
+	stemSys, out, err := Replay(u, in.Decisions[:in.CycleStart], nil)
 	if err != nil || out != nil {
 		t.Fatalf("stem replay: err=%v out=%v", err, out)
 	}
-	fullSys, out, err := explore.Replay(u, in.Decisions, nil)
+	fullSys, out, err := Replay(u, in.Decisions, nil)
 	if err != nil || out != nil {
 		t.Fatalf("lasso replay: err=%v out=%v", err, out)
 	}
@@ -163,14 +160,14 @@ func verifyLasso(t *testing.T, u *cfg.Unit, in *explore.Incident) {
 // on-stack (blue) check and validates its lasso witness end to end.
 func TestLivelockBlueDetected(t *testing.T) {
 	u := compileClosed(t, livelockSpin)
-	rep, err := explore.Explore(u, explore.Options{Liveness: true, MaxDepth: 40})
+	rep, err := Explore(u, Options{Liveness: true, MaxDepth: 40})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
 	if rep.Livelocks == 0 {
 		t.Fatalf("no livelock found: %s", rep)
 	}
-	in := rep.FirstIncident(explore.LeafLivelock)
+	in := rep.FirstIncident(LeafLivelock)
 	if in == nil {
 		t.Fatal("no livelock sample recorded")
 	}
@@ -184,7 +181,7 @@ func TestLivelockBlueDetected(t *testing.T) {
 // the same program reports nothing new and unrolls to the depth bound.
 func TestLivelockOffSilent(t *testing.T) {
 	u := compileClosed(t, livelockSpin)
-	rep, err := explore.Explore(u, explore.Options{MaxDepth: 40})
+	rep, err := Explore(u, Options{MaxDepth: 40})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -215,7 +212,7 @@ proc p() {
 process p;
 `
 	u := compileClosed(t, src)
-	rep, err := explore.Explore(u, explore.Options{Liveness: true, MaxDepth: 40})
+	rep, err := Explore(u, Options{Liveness: true, MaxDepth: 40})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -245,7 +242,7 @@ proc p() {
 process p;
 `
 	u := compileClosed(t, src)
-	rep, err := explore.Explore(u, explore.Options{Liveness: true, MaxDepth: 40})
+	rep, err := Explore(u, Options{Liveness: true, MaxDepth: 40})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -260,7 +257,7 @@ process p;
 // replay.
 func TestLivelockRedSearch(t *testing.T) {
 	u := compileClosed(t, livelockCrossPath)
-	rep, err := explore.Explore(u, explore.Options{
+	rep, err := Explore(u, Options{
 		Liveness:   true,
 		StateCache: true,
 		MaxDepth:   40,
@@ -276,7 +273,7 @@ func TestLivelockRedSearch(t *testing.T) {
 	}
 	n := 0
 	for _, in := range rep.Samples {
-		if in.Kind == explore.LeafLivelock {
+		if in.Kind == LeafLivelock {
 			verifyLasso(t, u, in)
 			n++
 		}
@@ -292,8 +289,8 @@ func TestLivelockRedSearch(t *testing.T) {
 // POR with it is refused — not run as static under the dynamic name.
 func TestLivelockPORDynamicRefused(t *testing.T) {
 	u := compileClosed(t, livelockTwoProc)
-	stat, err := explore.Explore(u, explore.Options{
-		Liveness: true, POR: explore.PORStatic, MaxDepth: 60,
+	stat, err := Explore(u, Options{
+		Liveness: true, POR: PORStatic, MaxDepth: 60,
 	})
 	if err != nil {
 		t.Fatalf("static: %v", err)
@@ -301,84 +298,11 @@ func TestLivelockPORDynamicRefused(t *testing.T) {
 	if stat.Livelocks == 0 {
 		t.Fatalf("static oracle found no livelock: %s", stat)
 	}
-	dyn, err := explore.Explore(u, explore.Options{
-		Liveness: true, POR: explore.PORDynamic, MaxDepth: 60,
+	dyn, err := Explore(u, Options{
+		Liveness: true, POR: PORDynamic, MaxDepth: 60,
 	})
 	if err == nil || !strings.Contains(err.Error(), "Liveness does not compose with POR dynamic") {
 		t.Errorf("dynamic-POR liveness: report %v, error %v; want the refusal", dyn, err)
-	}
-}
-
-// TestLivelockParallelWorkers checks the verdict survives the parallel
-// driver: every worker count finds the seeded livelock.
-func TestLivelockParallelWorkers(t *testing.T) {
-	u := compileClosed(t, livelockTwoProc)
-	for _, workers := range []int{0, 2, 4} {
-		rep, err := explore.Explore(u, explore.Options{
-			Liveness: true, Workers: workers, MaxDepth: 60,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if rep.Livelocks == 0 {
-			t.Errorf("workers=%d: no livelock found: %s", workers, rep)
-		}
-	}
-}
-
-// TestLivelockSamplesAcrossWorkers pins the one sample-retention rule:
-// the MaxIncidents smallest samples under (depth, decisions, message)
-// are kept at every worker count, the inline search included — which
-// used to keep the first MaxIncidents it met instead, here a depth-20
-// lasso where the workers kept the depth-16 one. One worker visits
-// states in the inline search's order, so its sample is the same to the
-// byte; with two, the state cache prunes whichever of two equivalent
-// stems arrives second, so only the lasso's shape is fixed.
-func TestLivelockSamplesAcrossWorkers(t *testing.T) {
-	u, _, err := core.CloseSource(leaderelect.Source(leaderelect.Config{Nodes: 3, SeedLivelock: true}))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	var want *explore.Incident
-	for _, workers := range []int{0, 1, 2} {
-		rep, err := explore.Explore(u, explore.Options{
-			StateCache: true, Liveness: true, MaxIncidents: 1, Workers: workers,
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(rep.Samples) != 1 || rep.Samples[0].Kind != explore.LeafLivelock {
-			t.Fatalf("workers=%d: want one livelock sample, got %d: %s", workers, len(rep.Samples), rep)
-		}
-		got := rep.Samples[0]
-		if workers == 0 {
-			want = got
-			continue
-		}
-		if got.Depth != want.Depth || got.Msg != want.Msg || got.CycleStart != want.CycleStart {
-			t.Errorf("workers=%d kept a different sample than workers=0:\n--- got ---\n%s--- want ---\n%s", workers, got, want)
-		}
-		if workers == 1 && !reflect.DeepEqual(got.Decisions, want.Decisions) {
-			t.Errorf("workers=1 sample decisions = %v, workers=0 %v", got.Decisions, want.Decisions)
-		}
-	}
-}
-
-// TestLivelockEngines checks detection on both interpreters; the
-// fingerprints that drive the on-stack check must agree between the
-// compiled and the reference machine.
-func TestLivelockEngines(t *testing.T) {
-	u := compileClosed(t, livelockSpin)
-	for _, eng := range []interp.EngineKind{interp.EngineBytecode, interp.EngineRef} {
-		rep, err := explore.Explore(u, explore.Options{
-			Liveness: true, Engine: eng, MaxDepth: 40,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", eng, err)
-		}
-		if rep.Livelocks == 0 {
-			t.Errorf("%v: no livelock found: %s", eng, rep)
-		}
 	}
 }
 
@@ -419,18 +343,18 @@ process worker3;
 // counters.
 func TestRedSearchBudgetIsCounted(t *testing.T) {
 	u := compileClosed(t, redCutProgram)
-	opt := explore.Options{Liveness: true, StateCache: true}
-	rep, err := explore.Explore(u, opt)
+	opt := Options{Liveness: true, StateCache: true}
+	rep, err := Explore(u, opt)
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
-	if rep.Livelocks != 0 || rep.RedCut != 1 || rep.RedSearches < 1 || rep.RedStates < explore.RedStateBudget {
+	if rep.Livelocks != 0 || rep.RedCut != 1 || rep.RedSearches < 1 || rep.RedStates < RedStateBudget {
 		t.Fatalf("want no livelock and one of the red searches cut, got livelocks=%d cut=%d searches=%d states=%d",
 			rep.Livelocks, rep.RedCut, rep.RedSearches, rep.RedStates)
 	}
 
 	// Red searches that end inside the budget cut nothing.
-	full, err := explore.Explore(compileClosed(t, livelockCrossPath), explore.Options{Liveness: true, StateCache: true, MaxDepth: 40})
+	full, err := Explore(compileClosed(t, livelockCrossPath), Options{Liveness: true, StateCache: true, MaxDepth: 40})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -438,10 +362,10 @@ func TestRedSearchBudgetIsCounted(t *testing.T) {
 		t.Fatalf("cross-path program: searches=%d cut=%d, want some and none", full.RedSearches, full.RedCut)
 	}
 
-	var snap *explore.Snapshot
+	var snap *Snapshot
 	opt.CheckpointEveryPaths = 1
-	opt.Checkpoint = func(s *explore.Snapshot) { snap = s }
-	if _, err := explore.Explore(u, opt); err != nil {
+	opt.Checkpoint = func(s *Snapshot) { snap = s }
+	if _, err := Explore(u, opt); err != nil {
 		t.Fatalf("Explore with checkpoints: %v", err)
 	}
 	if snap == nil || snap.Counters.RedCut != 1 {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -127,30 +126,6 @@ func TestWireUnitScoreFormat(t *testing.T) {
 	}
 }
 
-// distDigest renders what the distributed merge must reproduce exactly
-// from the in-process engine: every counter except Replays/ReplaySteps
-// (slicing re-replays unit prefixes, the same allowance
-// checkpoint/resume has), coverage, and every sample with decisions.
-func distDigest(rep *Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "states=%d transitions=%d paths=%d maxdepth=%d\n",
-		rep.States, rep.Transitions, rep.Paths, rep.MaxDepth)
-	fmt.Fprintf(&b, "terminated=%d deadlocks=%d violations=%d traps=%d divergences=%d depth-hits=%d sleep-prunes=%d cache-prunes=%d internal-errors=%d\n",
-		rep.Terminated, rep.Deadlocks, rep.Violations, rep.Traps, rep.Divergences,
-		rep.DepthHits, rep.SleepPrunes, rep.CachePrunes, rep.InternalErrors)
-	fmt.Fprintf(&b, "por: backtracks=%d sleep-blocked=%d pruned=%d\n",
-		rep.PorBacktracks, rep.PorSleepBlocked, rep.PorDynamicPruned)
-	fmt.Fprintf(&b, "coverage=%d/%d\n", rep.OpsCovered, rep.OpsTotal)
-	for _, in := range rep.Samples {
-		fmt.Fprintf(&b, "%s depth=%d msg=%q decisions=", in.Kind, in.Depth, in.Msg)
-		for _, d := range in.Decisions {
-			fmt.Fprintf(&b, "%s;", d)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
 // resumeSlicer is the transport of these tests: a Slicer that runs the
 // slice in this process with Resume, as a worker process does on the far
 // side of internal/dist. So the driver under test is the one a
@@ -211,89 +186,6 @@ func slicers(n int, mk func(i int) *resumeSlicer) []Slicer {
 	return out
 }
 
-// runSliced runs a whole search to completion through Distribute over n
-// resumeSlicers that take `take` units of a batch at a time.
-func runSliced(t *testing.T, u *cfg.Unit, opt Options, n, take int, sliceStates int64) *Report {
-	t.Helper()
-	rep, err := Distribute(context.Background(), u, nil, opt,
-		slicers(n, func(int) *resumeSlicer { return &resumeSlicer{u: u, opt: opt, take: take} }), sliceStates)
-	if err != nil {
-		t.Fatalf("Distribute: %v", err)
-	}
-	if rep.Incomplete {
-		t.Fatalf("sliced run reported incomplete: cause %v", rep.Cause)
-	}
-	if rep.Workers != n || len(rep.WorkerStats) != n {
-		t.Errorf("report has Workers=%d and %d worker stats, want %d", rep.Workers, len(rep.WorkerStats), n)
-	}
-	return rep
-}
-
-// TestMergerSliceEquivalence is the merge-contract core of the
-// distributed design, checked without processes: cutting a search into
-// bounded slices over serialized unit batches and merging the slice
-// snapshots reproduces the sequential oracle's counters, coverage, and
-// incident samples exactly (strict modes), across batch sizes and slice
-// budgets that force mid-path cuts, with one slice worker and with
-// three. A priority search hands its units out best first and keeps the
-// incident set.
-func TestMergerSliceEquivalence(t *testing.T) {
-	cases := map[string]string{
-		"deadlock-prone": progs.DeadlockProne,
-		"philosophers-3": progs.Philosophers(3),
-	}
-	for name, src := range cases {
-		t.Run(name, func(t *testing.T) {
-			closed := mustClose(t, src)
-			base := Options{MaxIncidents: 1 << 20}
-			oracle, err := Explore(closed, base)
-			if err != nil {
-				t.Fatalf("oracle Explore: %v", err)
-			}
-			want := distDigest(oracle)
-			for _, n := range []int{1, 3} {
-				for _, batch := range []int{1, 3} {
-					for _, slice := range []int64{7, 64} {
-						rep := runSliced(t, closed, base, n, batch, slice)
-						if got := distDigest(rep); got != want {
-							t.Errorf("slicers=%d batch=%d slice=%d: sliced merge diverged from oracle:\n got:\n%s\nwant:\n%s",
-								n, batch, slice, got, want)
-						}
-					}
-				}
-				prio := base
-				prio.Search = SearchPriority
-				if got, want := incidentSet(runSliced(t, closed, prio, n, 3, 7)), incidentSet(oracle); got != want {
-					t.Errorf("slicers=%d: priority sliced incident set diverged:\n got:\n%s\nwant:\n%s", n, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestMergerSliceEquivalenceDynamicPOR extends the slice contract to
-// dynamic POR, where mid-path cuts produce stack-continuation units:
-// the sliced search must find exactly the oracle's incident set (the
-// same relaxation DPOR itself is held to).
-func TestMergerSliceEquivalenceDynamicPOR(t *testing.T) {
-	closed := mustClose(t, progs.Philosophers(3))
-	base := Options{POR: PORDynamic, MaxIncidents: 1 << 20}
-	oracle, err := Explore(closed, Options{MaxIncidents: 1 << 20})
-	if err != nil {
-		t.Fatalf("oracle Explore: %v", err)
-	}
-	want := incidentSet(oracle)
-	for _, n := range []int{1, 3} {
-		for _, slice := range []int64{9, 128} {
-			rep := runSliced(t, closed, base, n, 2, slice)
-			if got := incidentSet(rep); got != want {
-				t.Errorf("slicers=%d slice=%d: dynamic-POR sliced incident set diverged:\n got:\n%s\nwant:\n%s",
-					n, slice, got, want)
-			}
-		}
-	}
-}
-
 // philOracle is the search the driver tests below cut up — three
 // philosophers unreduced, 955 states and six deadlocks — and its
 // uninterrupted report.
@@ -332,7 +224,7 @@ func TestDistributeLostSlices(t *testing.T) {
 		if lost.Load() == 0 {
 			t.Fatalf("slicers=%d: no slice was lost; the test exercised nothing", n)
 		}
-		if got, want := distDigest(rep), distDigest(oracle); rep.Incomplete || got != want {
+		if got, want := digest(raced(rep), identical), digest(raced(oracle), identical); rep.Incomplete || got != want {
 			t.Errorf("slicers=%d, %d slices lost: incomplete=%v, digest diverged from oracle:\n got:\n%s\nwant:\n%s",
 				n, lost.Load(), rep.Incomplete, got, want)
 		}
@@ -346,7 +238,7 @@ func TestDistributeLostSlices(t *testing.T) {
 // itself completes to them.
 func TestDistributeCheckpoints(t *testing.T) {
 	closed, base, oracle := philOracle(t)
-	want := distDigest(oracle)
+	want := digest(raced(oracle), identical)
 	for name, cadence := range map[string]Options{
 		"every-paths": {CheckpointEveryPaths: 5},
 		"every-1ms":   {CheckpointEvery: time.Millisecond},
@@ -366,7 +258,7 @@ func TestDistributeCheckpoints(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Distribute: %v", err)
 			}
-			if got := distDigest(rep); rep.Incomplete || got != want {
+			if got := digest(raced(rep), identical); rep.Incomplete || got != want {
 				t.Errorf("checkpointed run: incomplete=%v, digest diverged from oracle:\n got:\n%s\nwant:\n%s", rep.Incomplete, got, want)
 			}
 			if len(snaps) == 0 {
@@ -385,7 +277,7 @@ func TestDistributeCheckpoints(t *testing.T) {
 				if err != nil {
 					t.Fatalf("checkpoint %d: Resume: %v", i, err)
 				}
-				if got := distDigest(rest); got != want {
+				if got := digest(raced(rest), identical); got != want {
 					t.Errorf("checkpoint %d (%d states, %d units) resumed to a different digest:\n got:\n%s\nwant:\n%s",
 						i, snap.Counters.States, len(snap.Units), got, want)
 				}
@@ -416,7 +308,7 @@ func TestDistributeMaxStates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("budget %d: resumed Distribute: %v", budget, err)
 		}
-		if got, want := distDigest(rest), distDigest(oracle); rest.Incomplete || got != want {
+		if got, want := digest(raced(rest), identical), digest(raced(oracle), identical); rest.Incomplete || got != want {
 			t.Errorf("budget %d: cut + resume diverged from the uninterrupted run:\n got:\n%s\nwant:\n%s", budget, got, want)
 		}
 	}
@@ -479,7 +371,7 @@ func TestDistributeCancelMidSlice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("slicers=%d: Resume: %v", n, err)
 		}
-		if got, want := distDigest(rest), distDigest(oracle); got != want {
+		if got, want := digest(raced(rest), identical), digest(raced(oracle), identical); got != want {
 			t.Errorf("slicers=%d: cancelled cut + resume diverged from the oracle:\n got:\n%s\nwant:\n%s", n, got, want)
 		}
 	}

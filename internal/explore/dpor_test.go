@@ -2,79 +2,11 @@ package explore
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"reclose/internal/fiveess"
 	"reclose/internal/progs"
 )
-
-// TestDPOREquivalence is the dynamic-POR soundness contract: across
-// search modes {dfs, priority} × workers {0, 2, 4} × SnapshotSpill ×
-// cache shards {off, 1, 8} (run under -race by verify.sh), a complete
-// dynamic-POR search finds exactly the distinct incident set of the
-// sequential static-POR oracle. Dynamic POR and priority search relax
-// exploration *order* — States/Transitions/Paths legitimately shrink
-// or reorder — but never soundness: no deadlock, violation, trap, or
-// divergence reachable under the oracle may be missed, and none may
-// appear from nowhere.
-func TestDPOREquivalence(t *testing.T) {
-	cases := map[string]string{
-		"pipeline-2-2":   progs.Pipeline(2, 2),
-		"philosophers-3": progs.Philosophers(3),
-	}
-	for name, src := range cases {
-		t.Run(name, func(t *testing.T) {
-			closed := mustClose(t, src)
-			oracle, err := Explore(closed, Options{MaxIncidents: 1 << 20})
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
-			if oracle.Incomplete {
-				t.Fatalf("oracle did not complete: %s", oracle)
-			}
-			want := incidentSet(oracle)
-			for _, search := range []SearchMode{SearchDFS, SearchPriority} {
-				for _, workers := range []int{0, 2, 4} {
-					for _, spill := range []bool{false, true} {
-						for _, shards := range []int{0, 1, 8} {
-							opt := Options{
-								POR:           PORDynamic,
-								Search:        search,
-								MaxIncidents:  1 << 20,
-								Workers:       workers,
-								SnapshotSpill: spill,
-							}
-							if shards > 0 {
-								opt.StateCache = true
-								opt.CacheShards = shards
-							}
-							label := fmt.Sprintf("search=%s workers=%d spill=%t shards=%d",
-								search, workers, spill, shards)
-							rep, err := Explore(closed, opt)
-							if err != nil {
-								t.Fatalf("%s: Explore: %v", label, err)
-							}
-							if rep.Incomplete {
-								t.Fatalf("%s: search did not complete: %s", label, rep)
-							}
-							if got := incidentSet(rep); got != want {
-								t.Errorf("%s: incident set diverged from static oracle:\n--- got ---\n%s\n--- want ---\n%s",
-									label, got, want)
-							}
-							if (rep.Deadlocks > 0) != (oracle.Deadlocks > 0) {
-								t.Errorf("%s: deadlocks=%d, oracle=%d", label, rep.Deadlocks, oracle.Deadlocks)
-							}
-							if (rep.Violations > 0) != (oracle.Violations > 0) {
-								t.Errorf("%s: violations=%d, oracle=%d", label, rep.Violations, oracle.Violations)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
 
 // TestDPORReduction pins the point of the exercise: on workloads whose
 // static footprints over-approximate (the philosophers' forks are all
@@ -120,7 +52,7 @@ func TestDPORReduction(t *testing.T) {
 				t.Errorf("dynamic POR executed %d transitions, static %d — no reduction",
 					dynamic.Transitions, static.Transitions)
 			}
-			if got, want := incidentSet(dynamic), incidentSet(static); got != want {
+			if got, want := digest(dynamic, sameIncidents), digest(static, sameIncidents); got != want {
 				t.Errorf("incident set diverged:\n--- dynamic ---\n%s\n--- static ---\n%s", got, want)
 			}
 			if dynamic.PorBacktracks == 0 {
@@ -139,7 +71,7 @@ func TestDPORReduction(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got, want := incidentSet(prio), incidentSet(static); got != want {
+				if got, want := digest(prio, sameIncidents), digest(static, sameIncidents); got != want {
 					t.Errorf("incident set diverged under the priority frontier:\n%s\n--- static ---\n%s", got, want)
 				}
 				if prio.Transitions != c.priority {
@@ -147,79 +79,6 @@ func TestDPORReduction(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStrictModesUnchanged pins the determinism contract's strict side:
-// POR static under DFS produces a byte-identical report whether spelled
-// out or defaulted, and the dynamic-only counters stay
-// zero there (so snapshots and reports serialize byte-identically to
-// the pre-DPOR format).
-func TestStrictModesUnchanged(t *testing.T) {
-	closed := mustClose(t, progs.Philosophers(3))
-	static, err := Explore(closed, Options{MaxIncidents: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	staticExplicit, err := Explore(closed, Options{POR: PORStatic, Search: SearchDFS, MaxIncidents: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := reportDigest(staticExplicit), reportDigest(static); got != want {
-		t.Errorf("explicit static mode diverged from default:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	off, err := Explore(closed, Options{POR: POROff, MaxIncidents: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range []*Report{static, staticExplicit, off} {
-		if rep.PorBacktracks != 0 || rep.PorSleepBlocked != 0 || rep.PorDynamicPruned != 0 {
-			t.Errorf("strict mode bumped dynamic-POR counters: backtracks=%d sleepblocked=%d pruned=%d",
-				rep.PorBacktracks, rep.PorSleepBlocked, rep.PorDynamicPruned)
-		}
-	}
-}
-
-// TestPrioritySearchEquivalence checks priority-directed search under
-// static POR (the reduction everything else in the repo defaults to):
-// same distinct incidents, same terminal counters, on sequential and
-// parallel drivers, with the default and an interest-directed score.
-func TestPrioritySearchEquivalence(t *testing.T) {
-	closed := mustClose(t, progs.Philosophers(3))
-	oracle, err := Explore(closed, Options{MaxIncidents: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := incidentSet(oracle)
-	scores := map[string][]string{
-		"default":  nil,
-		"interest": {"fork0", "fork1"},
-	}
-	for sname, interest := range scores {
-		for _, workers := range []int{0, 2} {
-			label := fmt.Sprintf("score=%s workers=%d", sname, workers)
-			rep, err := Explore(closed, Options{
-				Search:       SearchPriority,
-				Interest:     interest,
-				Workers:      workers,
-				MaxIncidents: 1 << 20,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if rep.Incomplete {
-				t.Fatalf("%s: search did not complete: %s", label, rep)
-			}
-			if got := incidentSet(rep); got != want {
-				t.Errorf("%s: incident set diverged:\n--- got ---\n%s\n--- want ---\n%s", label, got, want)
-			}
-			if rep.Terminated != oracle.Terminated || rep.Deadlocks != oracle.Deadlocks ||
-				rep.Violations != oracle.Violations {
-				t.Errorf("%s: terminal counters diverged: got %d/%d/%d, want %d/%d/%d",
-					label, rep.Terminated, rep.Deadlocks, rep.Violations,
-					oracle.Terminated, oracle.Deadlocks, oracle.Violations)
-			}
-		}
 	}
 }
 
@@ -245,7 +104,7 @@ func TestDPORCheckpointResume(t *testing.T) {
 			if full.Incomplete {
 				t.Fatalf("uninterrupted search did not complete: %s", full)
 			}
-			want := incidentSet(full)
+			want := digest(full, sameIncidents)
 			for _, cut := range []int64{1, 4, 11} {
 				ctx, cancel := context.WithCancel(context.Background())
 				var snap *Snapshot
@@ -301,7 +160,7 @@ func TestDPORCheckpointResume(t *testing.T) {
 				if final.Incomplete {
 					t.Fatalf("cut=%d: resumed run did not complete", cut)
 				}
-				if got := incidentSet(final); got != want {
+				if got := digest(final, sameIncidents); got != want {
 					t.Errorf("cut=%d: resumed incident set diverged:\n--- got ---\n%s\n--- want ---\n%s",
 						cut, got, want)
 				}

@@ -129,7 +129,7 @@ func TestWideMaskExploration(t *testing.T) {
 	if dynamic.Incomplete {
 		t.Fatalf("dynamic search did not complete within bounds: %s", dynamic)
 	}
-	if got, want := incidentSet(dynamic), incidentSet(static); got != want {
+	if got, want := digest(dynamic, sameIncidents), digest(static, sameIncidents); got != want {
 		t.Errorf("incident set diverged:\n--- dynamic ---\n%s\n--- static ---\n%s", got, want)
 	}
 }

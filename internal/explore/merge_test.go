@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"reclose/internal/core"
 	"reclose/internal/progs"
 )
 
@@ -12,10 +11,7 @@ import (
 // and process count, for building accumulators in isolation.
 func testSites(t *testing.T) (*siteTable, int) {
 	t.Helper()
-	closed, _, err := core.CloseSource(progs.DeadlockProne)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, progs.DeadlockProne)
 	return newSiteTable(closed), len(closed.Processes)
 }
 
@@ -197,10 +193,7 @@ func TestAccumCloneIndependent(t *testing.T) {
 // budget-cut search at both engines: Incomplete is set,
 // the cause names the budget, and the pending snapshot is non-empty.
 func TestMaxStatesTruncationFlags(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, progs.Philosophers(3))
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			rep, err := Explore(closed, Options{Workers: workers, MaxStates: 40})

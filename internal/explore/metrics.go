@@ -14,7 +14,7 @@ import (
 // from the per-engine partial reports at path boundaries and from
 // restored snapshots at resume time, the same two sources the report
 // accumulator sums — so registry totals and Report counters cannot
-// disagree (TestMetricsMatchReport pins this).
+// disagree (TestLattice checks this on every cell that sets Obs).
 const (
 	MetricStates      = "explore.states"
 	MetricTransitions = "explore.transitions"

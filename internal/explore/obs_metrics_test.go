@@ -1,148 +1,13 @@
-package explore_test
+package explore
 
 import (
 	"fmt"
 	"testing"
 
-	"reclose/internal/core"
-	"reclose/internal/explore"
+	"reclose/internal/interp"
 	"reclose/internal/obs"
 	"reclose/internal/progs"
 )
-
-// checkRegistryMatches asserts the observability contract: every
-// registry counter the engine flushes equals the corresponding merged
-// Report counter exactly — not approximately, not eventually.
-func checkRegistryMatches(t *testing.T, reg *obs.Registry, rep *explore.Report) {
-	t.Helper()
-	for _, c := range []struct {
-		metric string
-		want   int64
-	}{
-		{explore.MetricStates, rep.States},
-		{explore.MetricTransitions, rep.Transitions},
-		{explore.MetricPaths, rep.Paths},
-		{explore.MetricReplays, rep.Replays},
-		{explore.MetricReplaySteps, rep.ReplaySteps},
-		{explore.MetricIncidents, rep.Incidents()},
-		{explore.MetricPorBacktracks, rep.PorBacktracks},
-		{explore.MetricPorSleepBlocked, rep.PorSleepBlocked},
-		{explore.MetricPorDynamicPruned, rep.PorDynamicPruned},
-		{explore.MetricTrailRestores, rep.TrailRestores},
-		{explore.MetricTrailUndone, rep.TrailUndone},
-		{explore.MetricTrailDrops, rep.TrailDrops},
-	} {
-		if got := reg.Counter(c.metric).Load(); got != c.want {
-			t.Errorf("%s = %d, report says %d", c.metric, got, c.want)
-		}
-	}
-	if got, want := reg.Gauge(explore.MetricDepthMax).Load(), int64(rep.MaxDepth); got != want {
-		t.Errorf("%s = %d, report says %d", explore.MetricDepthMax, got, want)
-	}
-}
-
-// TestMetricsMatchReport is the metamorphic consistency test of the
-// observability layer: across worker counts and snapshot-spill modes —
-// configurations that schedule, split, and merge work completely
-// differently — the registry totals must equal the merged Report
-// counters exactly. Run under -race (scripts/verify.sh does) this also
-// exercises the concurrent flush paths.
-func TestMetricsMatchReport(t *testing.T) {
-	for name, src := range parallelCases(t) {
-		closed, _, err := core.CloseSource(src)
-		if err != nil {
-			t.Fatalf("%s: CloseSource: %v", name, err)
-		}
-		for _, workers := range []int{0, 2, 4} {
-			for _, spill := range []bool{false, true} {
-				if spill && workers == 0 {
-					continue // snapshot spill is a parallel-engine mode
-				}
-				t.Run(fmt.Sprintf("%s/workers=%d/snapshot-spill=%v", name, workers, spill), func(t *testing.T) {
-					reg := obs.New()
-					rep, err := explore.Explore(closed, explore.Options{
-						Workers:       workers,
-						SnapshotSpill: spill,
-						Obs:           reg,
-					})
-					if err != nil {
-						t.Fatalf("Explore: %v", err)
-					}
-					checkRegistryMatches(t, reg, rep)
-					if got, want := reg.Gauge(explore.MetricWorkers).Load(), int64(workers); got != want {
-						t.Errorf("%s = %d, want %d", explore.MetricWorkers, got, want)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestMetricsMatchReportTruncated checks the same invariant when the
-// search is cut by a state budget: partial counters must still agree,
-// because both views are built from the same drained engine reports.
-func TestMetricsMatchReportTruncated(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			reg := obs.New()
-			rep, err := explore.Explore(closed, explore.Options{
-				Workers:   workers,
-				MaxStates: 40,
-				Obs:       reg,
-			})
-			if err != nil {
-				t.Fatalf("Explore: %v", err)
-			}
-			if !rep.Incomplete {
-				t.Fatal("search was not truncated; raise the workload or lower MaxStates")
-			}
-			checkRegistryMatches(t, reg, rep)
-		})
-	}
-}
-
-// TestMetricsMatchReportResumed checks the invariant across a
-// checkpoint/resume boundary: the resumed run's registry folds in the
-// restored totals (addRestored) exactly as the report accumulator does,
-// so whole-search numbers agree after stitching.
-func TestMetricsMatchReportResumed(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	for _, workers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			first, err := explore.Explore(closed, explore.Options{
-				Workers:   workers,
-				MaxStates: 40,
-			})
-			if err != nil {
-				t.Fatalf("first Explore: %v", err)
-			}
-			snap := first.Snapshot()
-			if snap == nil {
-				t.Fatal("truncated search produced no snapshot")
-			}
-
-			reg := obs.New()
-			rep, err := explore.Resume(closed, snap, explore.Options{
-				Workers: workers,
-				Obs:     reg,
-			})
-			if err != nil {
-				t.Fatalf("Resume: %v", err)
-			}
-			checkRegistryMatches(t, reg, rep)
-			if got := reg.Counter(explore.MetricResumes).Load(); got != 1 {
-				t.Errorf("%s = %d, want 1", explore.MetricResumes, got)
-			}
-		})
-	}
-}
 
 // TestMetricsDynamicPOR checks the dynamic-POR instrumentation: the
 // por.* registry counters equal the merged report counters across
@@ -151,10 +16,7 @@ func TestMetricsMatchReportResumed(t *testing.T) {
 // fills the frontier-priority histogram with one observation per
 // spilled unit.
 func TestMetricsDynamicPOR(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(4))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, progs.Philosophers(4))
 	for _, workers := range []int{0, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			reg := obs.New()
@@ -163,8 +25,8 @@ func TestMetricsDynamicPOR(t *testing.T) {
 			// depths are statically expanded (soundness rule 1), so with
 			// the default horizon this workload's entire 16-level tree
 			// would degenerate to static and insert no backtracks.
-			rep, err := explore.Explore(closed, explore.Options{
-				POR:          explore.PORDynamic,
+			rep, err := Explore(closed, Options{
+				POR:          PORDynamic,
 				Workers:      workers,
 				SpillDepth:   4,
 				Obs:          reg,
@@ -181,8 +43,8 @@ func TestMetricsDynamicPOR(t *testing.T) {
 	}
 	t.Run("priority-histogram", func(t *testing.T) {
 		reg := obs.New()
-		rep, err := explore.Explore(closed, explore.Options{
-			Search:       explore.SearchPriority,
+		rep, err := Explore(closed, Options{
+			Search:       SearchPriority,
 			Workers:      2,
 			Obs:          reg,
 			MaxIncidents: 1 << 20,
@@ -191,30 +53,58 @@ func TestMetricsDynamicPOR(t *testing.T) {
 			t.Fatalf("Explore: %v", err)
 		}
 		checkRegistryMatches(t, reg, rep)
-		h := reg.Histogram(explore.MetricFrontierPriority)
+		h := reg.Histogram(MetricFrontierPriority)
 		if h.Count() == 0 {
 			t.Error("priority search recorded no frontier-priority observations")
 		}
 	})
 }
 
-// TestMetricsNilRegistry pins the disabled mode: Options.Obs == nil
-// must behave exactly like before the observability layer existed.
-func TestMetricsNilRegistry(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
+// TestEngineHashMetrics checks the incremental-hash instrumentation: a
+// cached bytecode search answers every StateHash query from the rolling
+// hash (no full recomputation on the hot path), dispatches a nonzero
+// instruction count, and records the one-time bytecode compile cost;
+// the reference answers the same queries by full walks.
+func TestEngineHashMetrics(t *testing.T) {
+	closed := mustClose(t, progs.Pipeline(2, 2))
+
+	reg := obs.New()
+	rep, err := Explore(closed, Options{StateCache: true, Obs: reg})
 	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
+		t.Fatalf("bytecode Explore: %v", err)
 	}
-	with := obs.New()
-	repOn, err := explore.Explore(closed, explore.Options{Obs: with})
-	if err != nil {
-		t.Fatalf("Explore (obs on): %v", err)
+	if rep.States == 0 {
+		t.Fatalf("empty search: %s", rep)
 	}
-	repOff, err := explore.Explore(closed, explore.Options{})
-	if err != nil {
-		t.Fatalf("Explore (obs off): %v", err)
+	if got := reg.Counter(MetricInterpInstrs).Load(); got == 0 {
+		t.Error("bytecode run dispatched 0 instructions")
 	}
-	if repOn.String() != repOff.String() {
-		t.Errorf("observability changed the search:\n  on:  %s\n  off: %s", repOn, repOff)
+	incr := reg.Counter(MetricInterpHashIncr).Load()
+	full := reg.Counter(MetricInterpHashFull).Load()
+	if incr == 0 {
+		t.Error("cached bytecode run answered no StateHash queries incrementally")
+	}
+	if full != 0 {
+		t.Errorf("cached bytecode run recomputed the hash %d times on the hot path", full)
+	}
+	if got := reg.Gauge(MetricInterpCompileNanos).Load(); got <= 0 {
+		t.Errorf("bytecode compile nanos = %d, want > 0", got)
+	}
+	if got := reg.Label("engine"); got != "bytecode" {
+		t.Errorf("registry engine label = %q, want %q", got, "bytecode")
+	}
+
+	reg = obs.New()
+	if _, err := Explore(closed, Options{Engine: interp.EngineRef, StateCache: true, Obs: reg}); err != nil {
+		t.Fatalf("ref Explore: %v", err)
+	}
+	if got := reg.Counter(MetricInterpHashIncr).Load(); got != 0 {
+		t.Errorf("ref run claims %d incremental hash answers", got)
+	}
+	if got := reg.Counter(MetricInterpHashFull).Load(); got == 0 {
+		t.Error("cached ref run performed no full hash walks")
+	}
+	if got := reg.Label("engine"); got != "ref" {
+		t.Errorf("registry engine label = %q, want %q", got, "ref")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"reclose/internal/core"
 	"reclose/internal/interp"
 	"reclose/internal/progs"
 )
@@ -19,10 +18,7 @@ import (
 // panicking work unit among many).
 func TestOnLeafPanicIsolation(t *testing.T) {
 	src := progs.Philosophers(3)
-	closed, _, err := core.CloseSource(src)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, src)
 	base := Options{MaxIncidents: 1 << 20, OnLeaf: func(LeafKind, []interp.Event) {}}
 	baseline, err := Explore(closed, base)
 	if err != nil {
@@ -79,10 +75,7 @@ func TestOnLeafPanicIsolation(t *testing.T) {
 // internal-error incident, only its subtree is lost, and the search
 // still runs to completion with consistent counters.
 func TestMidPathPanicIsolation(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, progs.Philosophers(3))
 	for _, workers := range []int{0, 2} {
 		var fired atomic.Bool
 		opt := Options{
@@ -180,7 +173,7 @@ process w;
 		if in == nil || !strings.Contains(in.Msg, "boom mid-step") {
 			t.Fatalf("panic at toss %d: internal-error sample %v does not carry the panic", panicAt, in)
 		}
-		if got, want := restoreDigest(restore), restoreDigest(replay); got != want {
+		if got, want := digest(restore, identical), digest(replay, identical); got != want {
 			t.Errorf("panic at toss %d: restore diverged from replay:\n--- restore ---\n%s--- replay ---\n%s", panicAt, got, want)
 		}
 		if restore.ReplaySteps >= replay.ReplaySteps {
@@ -200,10 +193,7 @@ process w;
 // internal-error incidents (via ReplayMismatchError or the recovered
 // index panic), never crash or error out the search.
 func TestStaleSnapshotIsolated(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.DeadlockProne)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, progs.DeadlockProne)
 	sites := newSiteTable(closed)
 	mkSnap := func(units ...snapUnit) *Snapshot {
 		return &Snapshot{

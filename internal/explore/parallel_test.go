@@ -1,4 +1,4 @@
-package explore_test
+package explore
 
 import (
 	"fmt"
@@ -6,97 +6,10 @@ import (
 	"strings"
 	"testing"
 
-	"reclose/internal/core"
-	"reclose/internal/explore"
 	"reclose/internal/interp"
 	"reclose/internal/progs"
 	"reclose/internal/randprog"
 )
-
-// parallelCases are closed systems whose complete searches are small
-// enough to explore at every worker count.
-func parallelCases(t testing.TB) map[string]string {
-	t.Helper()
-	return map[string]string{
-		"figure2":           progs.FigureP,
-		"deadlock-prone":    progs.DeadlockProne,
-		"assert-violation":  progs.AssertViolation,
-		"producer-consumer": progs.ProducerConsumer,
-		"philosophers-3":    progs.Philosophers(3),
-	}
-}
-
-// TestParallelMatchesSequential checks the central contract of the
-// parallel engine: for a complete (non-truncated) search, every merged
-// counter — and hence Report.String() — is identical to the sequential
-// search's, regardless of worker count. ReplaySteps is a cost counter,
-// not part of the contract: a claimed unit replays its prefix where the
-// sequential search restores a snapshot, so the two legitimately differ.
-func TestParallelMatchesSequential(t *testing.T) {
-	for name, src := range parallelCases(t) {
-		t.Run(name, func(t *testing.T) {
-			closed, _, err := core.CloseSource(src)
-			if err != nil {
-				t.Fatalf("CloseSource: %v", err)
-			}
-			seq, err := explore.Explore(closed, explore.Options{})
-			if err != nil {
-				t.Fatalf("sequential Explore: %v", err)
-			}
-			for _, workers := range []int{1, 2, 4} {
-				par, err := explore.Explore(closed, explore.Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("parallel Explore (workers=%d): %v", workers, err)
-				}
-				if got, want := par.String(), seq.String(); got != want {
-					t.Errorf("workers=%d report mismatch:\n  parallel:   %s\n  sequential: %s", workers, got, want)
-				}
-				if par.Replays != seq.Replays {
-					t.Errorf("workers=%d replays = %d, sequential = %d", workers, par.Replays, seq.Replays)
-				}
-				if par.OpsCovered != seq.OpsCovered || par.OpsTotal != seq.OpsTotal {
-					t.Errorf("workers=%d coverage = %d/%d, sequential = %d/%d",
-						workers, par.OpsCovered, par.OpsTotal, seq.OpsCovered, seq.OpsTotal)
-				}
-				if par.Workers != workers {
-					t.Errorf("report Workers = %d, want %d", par.Workers, workers)
-				}
-				if len(par.WorkerStats) != workers {
-					t.Errorf("len(WorkerStats) = %d, want %d", len(par.WorkerStats), workers)
-				}
-				var units int64
-				for _, ws := range par.WorkerStats {
-					units += ws.Units
-				}
-				if units == 0 {
-					t.Errorf("workers=%d claimed no work units", workers)
-				}
-			}
-		})
-	}
-}
-
-// TestParallelSpillDepthInvariance checks that the spill-depth knob
-// changes only work granularity, never results.
-func TestParallelSpillDepthInvariance(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.ProducerConsumer)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	seq, err := explore.Explore(closed, explore.Options{})
-	if err != nil {
-		t.Fatalf("sequential Explore: %v", err)
-	}
-	for _, spill := range []int{1, 4, 64} {
-		par, err := explore.Explore(closed, explore.Options{Workers: 3, SpillDepth: spill})
-		if err != nil {
-			t.Fatalf("Explore (spill=%d): %v", spill, err)
-		}
-		if got, want := par.String(), seq.String(); got != want {
-			t.Errorf("spill=%d report mismatch:\n  parallel:   %s\n  sequential: %s", spill, got, want)
-		}
-	}
-}
 
 // replayCases are programs whose every search ends in incidents that
 // depend on what the machine computed on the way: values stored through
@@ -208,10 +121,14 @@ process main;
 // deterministically to the same kind of leaf with the same message and,
 // event for event, the same trace: a witness is re-executed — by
 // verisoft -replay, by a resumed checkpoint rebuilding its samples'
-// traces — on the machine that found it. The table is parallelCases
-// plus replayCases plus thirty random programs.
+// traces — on the machine that found it. The table is the lattice's
+// programs plus replayCases plus thirty random programs (which replace
+// the lattice's three of the same names).
 func TestParallelIncidentsReplay(t *testing.T) {
-	cases := parallelCases(t)
+	cases := map[string]string{}
+	for _, p := range programs {
+		cases[p.name] = p.src
+	}
 	for name, src := range replayCases {
 		cases[name] = src
 	}
@@ -222,13 +139,10 @@ func TestParallelIncidentsReplay(t *testing.T) {
 	randSamples := 0
 	for name, src := range cases {
 		t.Run(name, func(t *testing.T) {
-			closed, _, err := core.CloseSource(src)
-			if err != nil {
-				t.Fatalf("CloseSource: %v", err)
-			}
+			closed := mustClose(t, src)
 			// The bounds only cut the largest random programs; a cut
 			// search's samples replay like any other's.
-			rep, err := explore.Explore(closed, explore.Options{Workers: 3, MaxDepth: 40, MaxStates: 500})
+			rep, err := Explore(closed, Options{Workers: 3, MaxDepth: 40, MaxStates: 500})
 			if err != nil {
 				t.Fatalf("Explore: %v", err)
 			}
@@ -240,7 +154,7 @@ func TestParallelIncidentsReplay(t *testing.T) {
 			}
 			for i, in := range rep.Samples {
 				var trace []interp.Event
-				sys, out, err := explore.Replay(closed, in.Decisions, func(st explore.ReplayStep) {
+				sys, out, err := Replay(closed, in.Decisions, func(st ReplayStep) {
 					if st.HasEvent {
 						trace = append(trace, st.Event)
 					}
@@ -259,20 +173,20 @@ func TestParallelIncidentsReplay(t *testing.T) {
 					}
 				}
 				switch in.Kind {
-				case explore.LeafDeadlock:
+				case LeafDeadlock:
 					if out != nil {
 						t.Errorf("sample %d: deadlock replay ended with outcome %v", i, out)
 					} else if !sys.Deadlocked() {
 						t.Errorf("sample %d: deadlock replay did not reach a deadlocked state", i)
 					}
-				case explore.LeafViolation, explore.LeafTrap, explore.LeafDivergence:
+				case LeafViolation, LeafTrap, LeafDivergence:
 					if out == nil {
 						t.Fatalf("sample %d: %s replay produced no outcome", i, in.Kind)
 					}
-					wantKind := map[explore.LeafKind]interp.OutcomeKind{
-						explore.LeafViolation:  interp.OutViolation,
-						explore.LeafTrap:       interp.OutTrap,
-						explore.LeafDivergence: interp.OutDivergence,
+					wantKind := map[LeafKind]interp.OutcomeKind{
+						LeafViolation:  interp.OutViolation,
+						LeafTrap:       interp.OutTrap,
+						LeafDivergence: interp.OutDivergence,
 					}[in.Kind]
 					if out.Kind != wantKind {
 						t.Errorf("sample %d: replay outcome kind = %v, recorded leaf %s", i, out.Kind, in.Kind)
@@ -295,11 +209,8 @@ func TestParallelIncidentsReplay(t *testing.T) {
 // and marks the report truncated (the exact counts are
 // timing-dependent and deliberately not asserted).
 func TestParallelTruncation(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	rep, err := explore.Explore(closed, explore.Options{Workers: 2, MaxStates: 50})
+	closed := mustClose(t, progs.Philosophers(3))
+	rep, err := Explore(closed, Options{Workers: 2, MaxStates: 50})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}

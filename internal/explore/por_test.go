@@ -183,14 +183,15 @@ func TestStopOnViolation(t *testing.T) {
 }
 
 // TestIncidentSampleCap: MaxIncidents bounds samples but not counters.
+// Unreduced, four philosophers deadlock 24 times.
 func TestIncidentSampleCap(t *testing.T) {
 	unit := core.MustCompileSource(progs.Philosophers(4))
-	rep, err := explore.Explore(unit, explore.Options{MaxIncidents: 2})
+	rep, err := explore.Explore(unit, explore.Options{POR: explore.POROff, NoSleep: true, MaxIncidents: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Deadlocks < 2 {
-		t.Skipf("fewer than 2 deadlocks: %s", rep)
+	if rep.Deadlocks != 24 {
+		t.Fatalf("deadlocks = %d, want 24: %s", rep.Deadlocks, rep)
 	}
 	if len(rep.Samples) != 2 {
 		t.Errorf("samples = %d, want 2", len(rep.Samples))

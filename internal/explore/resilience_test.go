@@ -1,19 +1,17 @@
-package explore_test
+package explore
 
 import (
 	"context"
 	"testing"
 	"time"
 
-	"reclose/internal/core"
-	"reclose/internal/explore"
 	"reclose/internal/interp"
 	"reclose/internal/progs"
 )
 
 // leafSum adds up every per-kind path counter; it must equal Paths on
 // any report, partial or complete.
-func leafSum(rep *explore.Report) int64 {
+func leafSum(rep *Report) int64 {
 	return rep.Terminated + rep.Deadlocks + rep.Violations + rep.Traps +
 		rep.Divergences + rep.DepthHits + rep.SleepPrunes + rep.CachePrunes +
 		rep.InternalErrors
@@ -21,26 +19,23 @@ func leafSum(rep *explore.Report) int64 {
 
 // replaySamples re-executes every recorded sample and checks it ends in
 // the recorded leaf kind with the recorded message.
-func replaySamples(t *testing.T, rep *explore.Report, src string) {
+func replaySamples(t *testing.T, rep *Report, src string) {
 	t.Helper()
-	closed, _, err := core.CloseSource(src)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, src)
 	for i, in := range rep.Samples {
-		sys, out, err := explore.Replay(closed, in.Decisions, nil)
+		sys, out, err := Replay(closed, in.Decisions, nil)
 		if err != nil {
 			t.Errorf("sample %d (%s): Replay: %v", i, in.Kind, err)
 			continue
 		}
 		switch in.Kind {
-		case explore.LeafDeadlock:
+		case LeafDeadlock:
 			if out != nil {
 				t.Errorf("sample %d: deadlock replay ended with outcome %v", i, out)
 			} else if !sys.Deadlocked() {
 				t.Errorf("sample %d: deadlock replay did not reach a deadlocked state", i)
 			}
-		case explore.LeafViolation, explore.LeafTrap, explore.LeafDivergence:
+		case LeafViolation, LeafTrap, LeafDivergence:
 			if out == nil {
 				t.Errorf("sample %d: %s replay produced no outcome", i, in.Kind)
 			} else if out.Msg != in.Msg {
@@ -56,20 +51,17 @@ func replaySamples(t *testing.T, rep *explore.Report, src string) {
 // counters, replayable samples, and a snapshot of the remaining work.
 func TestMaxStatesPartialReport(t *testing.T) {
 	src := progs.Philosophers(3)
-	closed, _, err := core.CloseSource(src)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, src)
 	for _, workers := range []int{0, 2} {
-		rep, err := explore.Explore(closed, explore.Options{Workers: workers, MaxStates: 40})
+		rep, err := Explore(closed, Options{Workers: workers, MaxStates: 40})
 		if err != nil {
 			t.Fatalf("workers=%d: Explore: %v", workers, err)
 		}
 		if !rep.Incomplete {
 			t.Fatalf("workers=%d: budget-cut report not Incomplete: %s", workers, rep)
 		}
-		if rep.Cause != explore.StopMaxStates {
-			t.Errorf("workers=%d: Cause = %s, want %s", workers, rep.Cause, explore.StopMaxStates)
+		if rep.Cause != StopMaxStates {
+			t.Errorf("workers=%d: Cause = %s, want %s", workers, rep.Cause, StopMaxStates)
 		}
 		// The budget is reserved before a state is credited, so a cut
 		// run counts exactly MaxStates — no per-engine overshoot.
@@ -92,16 +84,13 @@ func TestMaxStatesPartialReport(t *testing.T) {
 // baseline.
 func TestTimeoutPartialReport(t *testing.T) {
 	src := progs.Philosophers(3)
-	closed, _, err := core.CloseSource(src)
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
-	base := explore.Options{MaxIncidents: 1 << 20, POR: explore.POROff, NoSleep: true}
-	baseline, err := explore.Explore(closed, base)
+	closed := mustClose(t, src)
+	base := Options{MaxIncidents: 1 << 20, POR: POROff, NoSleep: true}
+	baseline, err := Explore(closed, base)
 	if err != nil {
 		t.Fatalf("baseline Explore: %v", err)
 	}
-	want := resultDigest(baseline)
+	want := digest(raced(baseline), identical)
 	for _, workers := range []int{0, 2} {
 		// Slow the search down through the leaf callback so a short
 		// timeout reliably lands mid-run without depending on machine
@@ -109,8 +98,8 @@ func TestTimeoutPartialReport(t *testing.T) {
 		opt := base
 		opt.Workers = workers
 		opt.Timeout = 30 * time.Millisecond
-		opt.OnLeaf = func(explore.LeafKind, []interp.Event) { time.Sleep(time.Millisecond) }
-		rep, err := explore.Explore(closed, opt)
+		opt.OnLeaf = func(LeafKind, []interp.Event) { time.Sleep(time.Millisecond) }
+		rep, err := Explore(closed, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: Explore: %v", workers, err)
 		}
@@ -118,8 +107,8 @@ func TestTimeoutPartialReport(t *testing.T) {
 			t.Fatalf("workers=%d: timed-out search not Incomplete (paths=%d of %d)",
 				workers, rep.Paths, baseline.Paths)
 		}
-		if rep.Cause != explore.StopTimeout {
-			t.Errorf("workers=%d: Cause = %s, want %s", workers, rep.Cause, explore.StopTimeout)
+		if rep.Cause != StopTimeout {
+			t.Errorf("workers=%d: Cause = %s, want %s", workers, rep.Cause, StopTimeout)
 		}
 		if got, want := leafSum(rep), rep.Paths; got != want {
 			t.Errorf("workers=%d: leaf counters sum to %d, Paths = %d", workers, got, want)
@@ -129,11 +118,11 @@ func TestTimeoutPartialReport(t *testing.T) {
 		if snap == nil {
 			t.Fatalf("workers=%d: Incomplete report has no snapshot", workers)
 		}
-		final, err := explore.Resume(closed, snap, base)
+		final, err := Resume(closed, snap, base)
 		if err != nil {
 			t.Fatalf("workers=%d: Resume: %v", workers, err)
 		}
-		if got := resultDigest(final); got != want {
+		if got := digest(raced(final), identical); got != want {
 			t.Errorf("workers=%d: timeout+resume result diverged:\n--- got ---\n%s--- want ---\n%s",
 				workers, got, want)
 		}
@@ -144,19 +133,16 @@ func TestTimeoutPartialReport(t *testing.T) {
 // search starts still returns a graceful (and nearly empty) partial
 // report rather than an error.
 func TestPreCancelledContext(t *testing.T) {
-	closed, _, err := core.CloseSource(progs.Philosophers(3))
-	if err != nil {
-		t.Fatalf("CloseSource: %v", err)
-	}
+	closed := mustClose(t, progs.Philosophers(3))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{0, 2} {
-		opt := explore.Options{Workers: workers, POR: explore.POROff, NoSleep: true}
-		rep, err := explore.ExploreContext(ctx, closed, opt)
+		opt := Options{Workers: workers, POR: POROff, NoSleep: true}
+		rep, err := ExploreContext(ctx, closed, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: ExploreContext: %v", workers, err)
 		}
-		if !rep.Incomplete || rep.Cause != explore.StopCancelled {
+		if !rep.Incomplete || rep.Cause != StopCancelled {
 			t.Errorf("workers=%d: report = %s cause=%s, want Incomplete/cancelled",
 				workers, rep, rep.Cause)
 		}

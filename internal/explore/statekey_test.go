@@ -24,10 +24,10 @@ import (
 // machine's key — one segment-table id per component — against the
 // fingerprint it stands for, which is what the reference stores.
 
-// keyCases are restoreCases and n random programs more.
+// keyCases are the lattice's programs and n random programs more.
 func keyCases(t *testing.T, n int) map[string]*cfg.Unit {
 	t.Helper()
-	cases := restoreCases(t)
+	cases := closedPrograms(t)
 	for seed := int64(100); seed < 100+int64(n); seed++ {
 		src := randprog.Generate(rand.New(rand.NewSource(seed)), randprog.Config{Processes: 2 + int(seed%2), MaxStmts: 6, Helpers: 1})
 		cases[fmt.Sprintf("rand-%d", seed)] = mustClose(t, src)
@@ -141,7 +141,7 @@ func TestStateKeyEngineReports(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				got := restoreDigest(rep) + cacheInstruments(t, opt.Obs)
+				got := digest(rep, identical) + cacheInstruments(t, opt.Obs)
 				c := rep.cacheSum
 				rendered := c.Bytes - entryOverhead*c.Entries
 				if eng == interp.EngineRef {

@@ -79,7 +79,11 @@ func TestPropertyBranchingNotIncreased(t *testing.T) {
 // programs: every complete visible trace of the naive composition
 // S × E_S (domain 2) is matched — up to eliminated data — by a trace of
 // the closed transformation S'. An under-approximation anywhere in the
-// analysis or the transformation shows up here as a missing trace.
+// analysis or the transformation shows up here as a missing trace. On
+// the same seeds it checks Theorem 7: a deadlock or an assertion
+// violation of S × E_S is found in S' too. A seed where either search
+// was cut proves nothing; those are counted, and more than a tenth of
+// them fails the test.
 func TestPropertyTheorem6(t *testing.T) {
 	n := 60
 	if testing.Short() {
@@ -90,7 +94,8 @@ func TestPropertyTheorem6(t *testing.T) {
 		maxDepth  = 48
 		maxStates = 300000
 	)
-	checked := 0
+	var checked, deadlocks, violations int
+	var cut []int
 	for seed := 0; seed < n; seed++ {
 		r := rand.New(rand.NewSource(int64(seed)))
 		src := randprog.Generate(r, randprog.Config{Processes: 2, MaxStmts: 5})
@@ -112,13 +117,25 @@ func TestPropertyTheorem6(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: explore closed: %v\n%s", seed, err, src)
 		}
-		if closedRep.Incomplete {
-			// Cannot conclude anything if the closed search was cut off.
+		if openRep.Incomplete || closedRep.Incomplete {
+			cut = append(cut, seed)
 			continue
 		}
 		if openRep.Traps != 0 {
 			t.Fatalf("seed %d: open program trapped (generator guarantee broken): %v\n%s",
 				seed, openRep.Samples, src)
+		}
+		if openRep.Deadlocks > 0 {
+			deadlocks++
+			if closedRep.Deadlocks == 0 {
+				t.Errorf("seed %d: Theorem 7 violated: deadlock lost by the transformation\n%s", seed, src)
+			}
+		}
+		if openRep.Violations > 0 {
+			violations++
+			if closedRep.Violations == 0 {
+				t.Errorf("seed %d: Theorem 7 violated: assertion violation lost by the transformation\n%s", seed, src)
+			}
 		}
 		if len(open) == 0 {
 			continue
@@ -128,6 +145,11 @@ func TestPropertyTheorem6(t *testing.T) {
 			t.Fatalf("seed %d: open trace not matched by closed system:\n  %s\nprogram:\n%s",
 				seed, w, src)
 		}
+	}
+	t.Logf("%d/%d seeds compared; %d cut %v; %d with a naive deadlock, %d with a naive violation",
+		checked, n, len(cut), cut, deadlocks, violations)
+	if len(cut) > n/10 {
+		t.Errorf("%d of %d seeds cut (%v): the bounds no longer decide the property", len(cut), n, cut)
 	}
 	if checked < n/3 {
 		t.Errorf("only %d/%d seeds produced comparable trace sets; generator or bounds too tight", checked, n)

@@ -21,20 +21,22 @@ go test -count=1 -timeout=10m ./...
 # Exploration race leg: every test of the search driver, the interpreter
 # it runs on, and the observability instruments and state cache all of
 # them share. It covers, with the race detector watching:
+#   - the conformance lattice (lattice_test.go): every program held to
+#     its baseline at the contract its cell derives, along the axes
+#     engine × POR × search × cache (shards, bounded) × liveness ×
+#     workers × snapshot spill and spill depth × replay-only
+#     backtracking × driver (Explore, checkpoint cut + Resume,
+#     Distribute over in-process slicers) × registry on/off — the
+#     shared frontier heap, cache and backtrack folds under the race
+#     scheduler's timings;
 #   - the engine differential (the compiled machine, with incremental
 #     state hashing and rendering in full, against the reference
 #     interpreter: byte-identical even under the race scheduler's
-#     timings) and the bytecode-vs-ref report equivalence grid;
-#   - dynamic POR: the backtrack-set search and the priority frontier
-#     must find exactly the static oracle's incident set across workers
-#     × spill × cache shards (shared frontier heap, per-entry backtrack
-#     folds);
+#     timings);
 #   - backtracking by undoing: the write trail's and Fork's property and
 #     hand-written pointer/array tests with hashing on and off, the
-#     restore-vs-replay equivalence grid (engines × POR × cache ×
-#     liveness × workers × snapshot-spill), the trail's bound, the running
-#     depth count and the panic recoveries (shared snapshot-spill
-#     machines that several workers fork at once);
+#     trail's bound, the running depth count and the panic recoveries
+#     (shared snapshot-spill machines that several workers fork at once);
 #   - checkpoints as pauses: workers stopped and restarted in place
 #     1 897 times on the lock server, at 0, 1 and 2 workers;
 #   - liveness: the nested-DFS cycle search over the shared state cache
