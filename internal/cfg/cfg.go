@@ -232,16 +232,15 @@ func (g *Graph) Validate() error {
 	if g.Entry == nil || g.Entry.Kind != NStart {
 		return fmt.Errorf("proc %s: entry is not a start node", g.ProcName)
 	}
-	idOK := make(map[*Node]bool, len(g.Nodes))
 	for i, n := range g.Nodes {
 		if n.ID != i {
 			return fmt.Errorf("proc %s: node %d has ID %d", g.ProcName, i, n.ID)
 		}
-		idOK[n] = true
 	}
+	var seen map[int]bool // a toss node's outcomes
 	for _, n := range g.Nodes {
 		for _, a := range n.Out {
-			if !idOK[a.To] {
+			if id := a.To.ID; id < 0 || id >= len(g.Nodes) || g.Nodes[id] != a.To {
 				return fmt.Errorf("proc %s: n%d has arc to foreign node", g.ProcName, n.ID)
 			}
 			if a.From != n {
@@ -258,11 +257,8 @@ func (g *Graph) Validate() error {
 			if len(n.Out) != 2 {
 				return fmt.Errorf("proc %s: n%d (cond) must have 2 successors, has %d", g.ProcName, n.ID, len(n.Out))
 			}
-			kinds := map[LabelKind]int{}
-			for _, a := range n.Out {
-				kinds[a.Label.Kind]++
-			}
-			if kinds[LTrue] != 1 || kinds[LFalse] != 1 {
+			k0, k1 := n.Out[0].Label.Kind, n.Out[1].Label.Kind
+			if !(k0 == LTrue && k1 == LFalse || k0 == LFalse && k1 == LTrue) {
 				return fmt.Errorf("proc %s: n%d (cond) must have one true and one false arc", g.ProcName, n.ID)
 			}
 		case NTossSwitch:
@@ -270,7 +266,10 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("proc %s: n%d (toss %d) must have %d successors, has %d",
 					g.ProcName, n.ID, n.TossBound, n.TossBound+1, len(n.Out))
 			}
-			seen := map[int]bool{}
+			if seen == nil {
+				seen = make(map[int]bool)
+			}
+			clear(seen)
 			for _, a := range n.Out {
 				if a.Label.Kind != LToss {
 					return fmt.Errorf("proc %s: n%d (toss) has non-toss arc label %s", g.ProcName, n.ID, a.Label)

@@ -10,6 +10,7 @@ import (
 	"reclose/internal/parser"
 	"reclose/internal/progs"
 	"reclose/internal/sem"
+	"reclose/internal/token"
 )
 
 func buildProc(t *testing.T, body string) *cfg.Graph {
@@ -194,6 +195,58 @@ func TestArcLabelInvariant(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestValidateRejects builds, for each rule no compiled program breaks,
+// a graph that breaks it, and checks that Validate names the defect.
+func TestValidateRejects(t *testing.T) {
+	var at token.Pos
+	always, yes := cfg.Label{Kind: cfg.LAlways}, cfg.Label{Kind: cfg.LTrue}
+	// startThen returns a graph whose start node leads to a node of kind
+	// k, and a return node.
+	startThen := func(k cfg.NodeKind) (g *cfg.Graph, n, ret *cfg.Node) {
+		g = &cfg.Graph{ProcName: "f"}
+		g.Entry = g.NewNode(cfg.NStart, at)
+		n = g.NewNode(k, at)
+		ret = g.NewNode(cfg.NReturn, at)
+		g.Connect(g.Entry, n, always)
+		return g, n, ret
+	}
+	for _, c := range []struct {
+		name  string
+		build func() *cfg.Graph
+		want  string
+	}{
+		{"arc to a foreign node that shares an ID", func() *cfg.Graph {
+			g, n, _ := startThen(cfg.NAssign)
+			other, _, _ := startThen(cfg.NReturn)
+			g.Connect(n, other.Nodes[2], always) // n2 in both graphs
+			return g
+		}, "arc to foreign node"},
+		{"conditional with two true arcs", func() *cfg.Graph {
+			g, n, ret := startThen(cfg.NCond)
+			g.Connect(n, ret, yes)
+			g.Connect(n, ret, yes)
+			return g
+		}, "one true and one false arc"},
+		{"toss with a duplicate outcome", func() *cfg.Graph {
+			g, n, ret := startThen(cfg.NTossSwitch)
+			n.TossBound = 1
+			g.Connect(n, ret, cfg.Label{Kind: cfg.LToss, K: 1})
+			g.Connect(n, ret, cfg.Label{Kind: cfg.LToss, K: 1})
+			return g
+		}, "duplicate outcome 1"},
+		{"start node with two arcs", func() *cfg.Graph {
+			g, _, ret := startThen(cfg.NReturn)
+			g.Connect(g.Entry, ret, always)
+			return g
+		}, "exactly one unconditional successor, has 2 arc(s)"},
+	} {
+		err := c.build().Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -146,10 +146,11 @@ func closeAnalyzed(u *cfg.Unit, res *dataflow.Result, opt Options) (*cfg.Unit, *
 		closed.Objects = append(closed.Objects, o)
 	}
 
+	rg := &regions{}
 	for _, name := range u.Order {
 		g := u.Procs[name]
 		pr := res.Proc(name)
-		cg, err := closeProc(g, pr, u, removed, st, opt)
+		cg, err := closeProc(g, pr, u, removed, st, opt, rg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -196,7 +197,7 @@ func envFacingCall(cs *ast.CallStmt, u *cfg.Unit) bool {
 
 // closeProc applies Steps 3–5 of Figure 1 to one procedure.
 func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
-	removed map[string]map[int]bool, st *Stats, opt Options) (*cfg.Graph, error) {
+	removed map[string]map[int]bool, st *Stats, opt Options, rg *regions) (*cfg.Graph, error) {
 
 	// --- Step 3: mark the nodes to preserve. ---
 	marked := make([]bool, len(g.Nodes))
@@ -251,14 +252,15 @@ func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
 		}
 	}
 
+	rg.use(marked)
 	for _, n := range g.Nodes {
 		if !marked[n.ID] {
 			continue
 		}
 		nn := newNode[n.ID]
 		for _, a := range n.Out {
-			succ := succSet(g, a, marked)
-			st.PathChoicesOriginal += countSimplePaths(a, marked)
+			succ := rg.succSet(a)
+			st.PathChoicesOriginal += rg.paths(a.To)
 			if len(succ) > 0 {
 				st.PathChoicesClosed += len(succ)
 			}
@@ -323,66 +325,79 @@ func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
 	return cg, nil
 }
 
-// countSimplePaths counts the simple control paths from arc a through
-// unmarked nodes to preserved (marked) nodes — the original "static
+// regions walks the unmarked regions between marked nodes for Step 4,
+// on stamp arrays and buffers that every arc of every procedure reuses.
+type regions struct {
+	marked  []bool
+	seen    []int32 // seen[n] == walk: the current succSet walk reached n
+	walk    int32
+	onStack []bool // the current paths walk is inside n
+	stack   []*cfg.Node
+	succ    []int
+}
+
+// use points the walks at one procedure's marks. Stamps left by another
+// procedure are harmless: walk only grows.
+func (r *regions) use(marked []bool) {
+	r.marked = marked
+	if len(r.seen) < len(marked) {
+		r.seen, r.onStack = make([]int32, len(marked)), make([]bool, len(marked))
+	}
+}
+
+// paths counts the simple control paths from n through unmarked nodes
+// to preserved (marked) nodes — for an arc into n, the original "static
 // degree of branching" the toss outcomes replace. Cyclic continuations
 // are cut (they diverge invisibly and are dropped by the
 // transformation). The count is capped to avoid pathological blowup.
-func countSimplePaths(a *cfg.Arc, marked []bool) int {
-	if marked[a.To.ID] {
+func (r *regions) paths(n *cfg.Node) int {
+	const pathCap = 1 << 16
+	if r.marked[n.ID] {
 		return 1
 	}
-	const pathCap = 1 << 16
-	onStack := make(map[int]bool)
-	var walk func(n *cfg.Node) int
-	walk = func(n *cfg.Node) int {
-		if marked[n.ID] {
-			return 1
-		}
-		if onStack[n.ID] {
-			return 0 // invisible cycle: dropped
-		}
-		onStack[n.ID] = true
-		total := 0
-		for _, out := range n.Out {
-			total += walk(out.To)
-			if total >= pathCap {
-				total = pathCap
-				break
-			}
-		}
-		delete(onStack, n.ID)
-		return total
+	if r.onStack[n.ID] {
+		return 0 // invisible cycle: dropped
 	}
-	return walk(a.To)
+	r.onStack[n.ID] = true
+	total := 0
+	for _, out := range n.Out {
+		total += r.paths(out.To)
+		if total >= pathCap {
+			total = pathCap
+			break
+		}
+	}
+	r.onStack[n.ID] = false
+	return total
 }
 
 // succSet computes succ(a): the marked nodes reachable from arc a
 // through unmarked nodes exclusively, in ascending node-ID order
-// (Point 2 of Step 4).
-func succSet(g *cfg.Graph, a *cfg.Arc, marked []bool) []int {
-	if marked[a.To.ID] {
-		return []int{a.To.ID}
+// (Point 2 of Step 4). The slice is valid until the next call.
+func (r *regions) succSet(a *cfg.Arc) []int {
+	r.succ = r.succ[:0]
+	if r.marked[a.To.ID] {
+		return append(r.succ, a.To.ID)
 	}
-	seen := make(map[int]bool)
-	var out []int
-	var visit func(n *cfg.Node)
-	visit = func(n *cfg.Node) {
-		if seen[n.ID] {
-			return
-		}
-		seen[n.ID] = true
-		if marked[n.ID] {
-			out = append(out, n.ID)
-			return
+	r.walk++
+	r.seen[a.To.ID] = r.walk
+	r.stack = append(r.stack[:0], a.To)
+	for len(r.stack) > 0 {
+		n := r.stack[len(r.stack)-1]
+		r.stack = r.stack[:len(r.stack)-1]
+		if r.marked[n.ID] {
+			r.succ = append(r.succ, n.ID)
+			continue
 		}
 		for _, arc := range n.Out {
-			visit(arc.To)
+			if r.seen[arc.To.ID] != r.walk {
+				r.seen[arc.To.ID] = r.walk
+				r.stack = append(r.stack, arc.To)
+			}
 		}
 	}
-	visit(a.To)
-	sort.Ints(out)
-	return out
+	sort.Ints(r.succ)
+	return r.succ
 }
 
 // transformCall applies Step 5 (and interface elimination of data
@@ -405,7 +420,7 @@ func transformCall(n *cfg.Node, pr *dataflow.ProcResult, u *cfg.Unit,
 				out.Args = append(out.Args, a)
 				continue
 			}
-			if id, isID := a.(*ast.Ident); isID && pr.VI[n.ID].Has(id.Name) {
+			if id, isID := a.(*ast.Ident); isID && pr.InVI(n.ID, id.Name) {
 				st.ArgsUndefed++
 				out.Args = append(out.Args, &ast.UndefLit{ValuePos: a.Pos()})
 				continue
@@ -420,7 +435,7 @@ func transformCall(n *cfg.Node, pr *dataflow.ProcResult, u *cfg.Unit,
 		if removed[callee][i] {
 			continue
 		}
-		if id, isID := a.(*ast.Ident); isID && pr.VI[n.ID].Has(id.Name) {
+		if id, isID := a.(*ast.Ident); isID && pr.InVI(n.ID, id.Name) {
 			// The argument is env-dependent but its parameter survived:
 			// this cannot happen after the interprocedural fixpoint, but
 			// guard with undef for robustness.
@@ -444,9 +459,9 @@ func VerifyClosed(u *cfg.Unit) error {
 	for _, name := range u.Order {
 		pr := res.Proc(name)
 		for _, n := range pr.Graph.Nodes {
-			if len(pr.VI[n.ID]) > 0 {
+			if vi := pr.VI(n.ID); len(vi) > 0 {
 				return fmt.Errorf("core: proc %s node n%d has non-empty V_I %v (Lemma 5 violated)",
-					name, n.ID, pr.VI[n.ID].Sorted())
+					name, n.ID, vi.Sorted())
 			}
 		}
 	}

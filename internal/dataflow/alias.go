@@ -20,7 +20,7 @@ type PointsTo struct {
 	// to.
 	Pts map[string]VarSet
 	// AddrTaken is the set of variables whose address is taken anywhere
-	// in the procedure.
+	// in the procedure (nil when none is).
 	AddrTaken VarSet
 }
 
@@ -29,8 +29,12 @@ func (pt *PointsTo) PointsToSet(v string) VarSet { return pt.Pts[v] }
 
 // Closure returns the set of variables transitively reachable from the
 // pointees of the seed variables: everything a callee receiving the
-// seeds (by value) could read or write through pointers.
+// seeds (by value) could read or write through pointers. It is nil when
+// the procedure has no pointer at all.
 func (pt *PointsTo) Closure(seeds []string) VarSet {
+	if len(pt.Pts) == 0 {
+		return nil
+	}
 	out := NewVarSet()
 	work := make([]string, 0, len(seeds))
 	for _, s := range seeds {
@@ -53,11 +57,31 @@ func (pt *PointsTo) Closure(seeds []string) VarSet {
 }
 
 // AnalyzeAliases computes the points-to relation of one procedure graph.
+// Both maps are nil for a procedure that takes no address.
 func AnalyzeAliases(g *cfg.Graph) *PointsTo {
-	pt := &PointsTo{
-		Pts:       make(map[string]VarSet),
-		AddrTaken: NewVarSet(),
+	// Record every address-of occurrence first, so AddrTaken is complete
+	// even for addresses taken in nested expressions.
+	var taken []string
+	addrOf := func(e ast.Expr) {
+		if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
+			switch x := u.X.(type) {
+			case *ast.Ident:
+				taken = append(taken, x.Name)
+			case *ast.IndexExpr:
+				taken = append(taken, x.X.Name)
+			}
+		}
 	}
+	for _, n := range g.Nodes {
+		eachExpr(n, addrOf)
+	}
+
+	// Every points-to set grows from some &x, directly or by copying:
+	// without one there is nothing to propagate.
+	if len(taken) == 0 {
+		return &PointsTo{}
+	}
+	pt := &PointsTo{Pts: make(map[string]VarSet), AddrTaken: NewVarSet(taken...)}
 	ensure := func(v string) VarSet {
 		s := pt.Pts[v]
 		if s == nil {
@@ -65,27 +89,6 @@ func AnalyzeAliases(g *cfg.Graph) *PointsTo {
 			pt.Pts[v] = s
 		}
 		return s
-	}
-
-	// Record every address-of occurrence first, so AddrTaken is complete
-	// even for addresses taken in nested expressions.
-	for _, n := range g.Nodes {
-		eachExpr(n, func(e ast.Expr) {
-			if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-				switch x := u.X.(type) {
-				case *ast.Ident:
-					pt.AddrTaken.Add(x.Name)
-				case *ast.IndexExpr:
-					pt.AddrTaken.Add(x.X.Name)
-				}
-			}
-		})
-	}
-
-	// Every points-to set grows from some &x, directly or by copying:
-	// without one there is nothing to propagate.
-	if len(pt.AddrTaken) == 0 {
-		return pt
 	}
 
 	// Iterate the inclusion constraints to a fixpoint. The constraint

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,34 +29,50 @@ type ProcResult struct {
 	// NI[n] reports n ∈ N_I: n is reachable from N_Es by a (possibly
 	// empty) sequence of define-use arcs.
 	NI []bool
-	// VI[n] is V_I(n): the variables used in n that are defined by E_S
-	// or labeling a define-use arc into n from a node in N_I. Nodes not
-	// in N_I have an empty (nil) set.
-	VI []VarSet
 	// DerefEnvPointer records nodes that store through a pointer whose
 	// value is environment-dependent; the transformation rejects these
 	// (see DESIGN.md: environment inputs are scalar values).
 	DerefEnvPointer []int
 
-	facts *procFacts
-	ctx   *procContext // final once Analyze has returned
+	// V_I(n), the variables used in n that are defined by E_S or label a
+	// define-use arc into n from a node in N_I, is vars[vi[viOff[n]:
+	// viOff[n+1]]]; vi and viOff are nil when every V_I is empty.
+	vars      []string
+	vi, viOff []int32
+	ctx       *procContext // final once Analyze has returned
+}
+
+// vis is V_I(id) as variable ids.
+func (r *ProcResult) vis(id int) []int32 {
+	if r.viOff == nil {
+		return nil
+	}
+	return r.vi[r.viOff[id]:r.viOff[id+1]]
+}
+
+// InVI reports whether name ∈ V_I(id).
+func (r *ProcResult) InVI(id int, name string) bool {
+	return slices.ContainsFunc(r.vis(id), func(v int32) bool { return r.vars[v] == name })
+}
+
+// VI returns V_I(id) as a new set.
+func (r *ProcResult) VI(id int) VarSet {
+	s := make(VarSet)
+	for _, v := range r.vis(id) {
+		s[r.vars[v]] = true
+	}
+	return s
 }
 
 // HasTaint reports whether any node of the procedure has a non-empty
 // V_I set.
-func (r *ProcResult) HasTaint() bool {
-	for _, ni := range r.NI {
-		if ni {
-			return true
-		}
-	}
-	return false
-}
+func (r *ProcResult) HasTaint() bool { return slices.Contains(r.NI, true) }
 
 // String renders the per-node analysis for debugging.
 func (r *ProcResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "analysis of %s:\n", r.Proc)
+	f := buildFacts(r.Graph, r.ctx.unit.Arrays[r.Proc]) // Analyze keeps no facts
 	for _, n := range r.Graph.Nodes {
 		mark := " "
 		if r.EnvUse[n.ID] {
@@ -63,12 +80,12 @@ func (r *ProcResult) String() string {
 		} else if r.NI[n.ID] {
 			mark = "I"
 		}
-		uses := make([]string, 0, len(r.facts.nodes[n.ID].uses))
-		for _, v := range r.facts.nodes[n.ID].uses {
-			uses = append(uses, r.facts.vars[v])
+		uses := make([]string, 0, len(f.uses(n.ID)))
+		for _, v := range f.uses(n.ID) {
+			uses = append(uses, f.vars[v])
 		}
 		sort.Strings(uses)
-		fmt.Fprintf(&b, "  n%-3d [%s] uses=%v VI=%v\n", n.ID, mark, uses, r.VI[n.ID].Sorted())
+		fmt.Fprintf(&b, "  n%-3d [%s] uses=%v VI=%v\n", n.ID, mark, uses, r.VI(n.ID).Sorted())
 	}
 	return b.String()
 }
@@ -81,7 +98,7 @@ func (r *ProcResult) String() string {
 // redefined, so the cost is the size of the regions the definitions
 // reach — and Ğ_j itself is quadratic in G_j for branchy or loopy code.
 func (r *ProcResult) DefUse() []DUArc {
-	f, g := r.facts, r.Graph
+	f, g := buildFacts(r.Graph, r.ctx.unit.Arrays[r.Proc]), r.Graph
 	var arcs []DUArc
 	seen := make([]int, len(g.Nodes)) // seen[n] == walk: n already visited by this walk
 	var stack []*cfg.Node
@@ -90,7 +107,7 @@ func (r *ProcResult) DefUse() []DUArc {
 		if r.ctx.envObj(f.nodes[m].outObj) {
 			continue
 		}
-		for _, d := range f.nodes[m].defs {
+		for _, d := range f.defs(m) {
 			walk++
 			stack = append(stack[:0], g.Nodes[m])
 			for len(stack) > 0 {
@@ -103,10 +120,10 @@ func (r *ProcResult) DefUse() []DUArc {
 					}
 					seen[t] = walk
 					killed := false
-					for _, td := range f.nodes[t].defs {
+					for _, td := range f.defs(t) {
 						killed = killed || td.strong && td.v == d.v
 					}
-					for _, u := range f.nodes[t].uses {
+					for _, u := range f.uses(t) {
 						if u == d.v {
 							arcs = append(arcs, DUArc{From: m, To: t, Var: f.vars[d.v]})
 						}

@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"slices"
+
 	"reclose/internal/ast"
 	"reclose/internal/cfg"
 	"reclose/internal/sem"
@@ -8,17 +10,18 @@ import (
 )
 
 // procFacts are the facts of one procedure that do not depend on the
-// interprocedural context: its aliases, a dense numbering of its
-// variables, and for every node what it reads and what it defines. They
-// are built once per procedure; the forward taint pass (solve) and the
-// backward liveness pass both read them, so the two directions share
-// one use/def model.
+// interprocedural context: a dense numbering of its variables, and for
+// every node what it reads and what it defines, aliases resolved. The
+// forward taint pass (solve) and the backward liveness pass both read
+// them, so the two directions share one use/def model. They are fixpoint
+// scratch: DefUse and String rebuild them.
 type procFacts struct {
 	g      *cfg.Graph
-	pt     *PointsTo
 	vars   []string // dense variable id -> name
 	params []int32  // the variable of each parameter
 	nodes  []nodeFacts
+	use    []int32     // every node's use list, node after node
+	def    []def       // every node's definitions, node after node
 	calls  []*cfg.Node // calls to user procedures
 	sends  []*cfg.Node // send and vwrite nodes
 	rpo    []int32     // node IDs in reverse postorder from the entry
@@ -30,12 +33,17 @@ type procFacts struct {
 // why the context may make the node's definitions so (the third reason,
 // "entry parameter i", belongs to the procedure, not to a node).
 type nodeFacts struct {
-	uses   []int32
-	defs   []def
-	outObj string // the node's definition is the out-argument of a recv/vread on this object
-	callee string // the node's definitions are clobbers by this user procedure
-	deref  int32  // the pointer variable of a store *p = e, or -1
+	uses, defs span   // the node's slices of procFacts.use and procFacts.def
+	outObj     string // the node's definition is the out-argument of a recv/vread on this object
+	callee     string // the node's definitions are clobbers by this user procedure
+	deref      int32  // the pointer variable of a store *p = e, or -1
 }
+
+type span struct{ lo, hi int32 }
+
+// uses is V(n) of node id as variable ids; defs its definitions.
+func (f *procFacts) uses(id int) []int32 { return f.use[f.nodes[id].uses.lo:f.nodes[id].uses.hi] }
+func (f *procFacts) defs(id int) []def   { return f.def[f.nodes[id].defs.lo:f.nodes[id].defs.hi] }
 
 // def is one definition: strong definitions kill the other definitions
 // of the variable, weak ones (arrays, may-alias stores, callee clobbers)
@@ -45,14 +53,22 @@ type def struct {
 	strong bool
 }
 
-// factsBuilder interns variables and deduplicates the use list of the
-// node under construction.
+// factsBuilder builds the facts of one procedure after another, reusing
+// its interning map, arenas and buffers; a procedure keeps exact copies.
 type factsBuilder struct {
-	*procFacts
+	pt    *PointsTo
 	ids   map[string]int32
+	vars  []string
+	uses  []int32
+	defs  []def
+	args  []string
 	stamp []int // stamp[v] == cur+1: v is already in the current node's uses
 	cur   int
+	seen  []bool     // reversePostorder's
+	stack []rpoFrame // reversePostorder's
 }
+
+type rpoFrame struct{ v, i int }
 
 func (b *factsBuilder) id(name string) int32 {
 	v, ok := b.ids[name]
@@ -69,8 +85,7 @@ func (b *factsBuilder) use(name string) {
 	v := b.id(name)
 	if b.stamp[v] != b.cur+1 {
 		b.stamp[v] = b.cur + 1
-		nf := &b.nodes[b.cur]
-		nf.uses = append(nf.uses, v)
+		b.uses = append(b.uses, v)
 	}
 }
 
@@ -81,8 +96,7 @@ func (b *factsBuilder) useAll(s VarSet) {
 }
 
 func (b *factsBuilder) define(name string, strong bool) {
-	nf := &b.nodes[b.cur]
-	nf.defs = append(nf.defs, def{b.id(name), strong})
+	b.defs = append(b.defs, def{b.id(name), strong})
 }
 
 // useExpr records the variables whose values are read by e: identifiers
@@ -116,8 +130,14 @@ func (b *factsBuilder) useExpr(e ast.Expr) {
 // buildFacts computes the context-free facts of g. arrays is the set of
 // g's array variables (definitions of an array are weak).
 func buildFacts(g *cfg.Graph, arrays map[string]bool) *procFacts {
-	f := &procFacts{g: g, pt: AnalyzeAliases(g), nodes: make([]nodeFacts, len(g.Nodes))}
-	b := &factsBuilder{procFacts: f, ids: make(map[string]int32)}
+	return (&factsBuilder{ids: make(map[string]int32)}).build(g, arrays)
+}
+
+func (b *factsBuilder) build(g *cfg.Graph, arrays map[string]bool) *procFacts {
+	f := &procFacts{g: g, nodes: make([]nodeFacts, len(g.Nodes))}
+	b.pt = AnalyzeAliases(g)
+	clear(b.ids)
+	b.vars, b.uses, b.defs, b.stamp = b.vars[:0], b.uses[:0], b.defs[:0], b.stamp[:0]
 	for _, p := range g.Params {
 		f.params = append(f.params, b.id(p))
 	}
@@ -125,6 +145,7 @@ func buildFacts(g *cfg.Graph, arrays map[string]bool) *procFacts {
 		b.cur = n.ID
 		nf := &f.nodes[n.ID]
 		nf.deref = -1
+		nf.uses.lo, nf.defs.lo = int32(len(b.uses)), int32(len(b.defs))
 		switch n.Kind {
 		case cfg.NAssign:
 			lhs, rhs := assignParts(n.Stmt)
@@ -177,23 +198,27 @@ func buildFacts(g *cfg.Graph, arrays map[string]bool) *procFacts {
 			}
 			f.calls = append(f.calls, n)
 			nf.callee = cs.Name.Name
-			var argNames []string
+			b.args = b.args[:0]
 			for _, a := range cs.Args {
 				if id, ok := a.(*ast.Ident); ok {
-					argNames = append(argNames, id.Name)
+					b.args = append(b.args, id.Name)
 				}
 				b.useExpr(a)
 			}
 			// The callee may read and write every variable reachable
 			// through pointers from the arguments.
-			reach := b.pt.Closure(argNames)
+			reach := b.pt.Closure(b.args)
 			b.useAll(reach)
 			for _, v := range reach.Sorted() {
 				b.define(v, false)
 			}
 		}
+		nf.uses.hi, nf.defs.hi = int32(len(b.uses)), int32(len(b.defs))
 	}
-	f.rpo = reversePostorder(len(g.Nodes), []int{g.Entry.ID}, func(v, i int) int {
+	f.vars = append([]string(nil), b.vars...) // an empty slices.Clone would pin b.vars
+	f.use = append([]int32(nil), b.uses...)
+	f.def = append([]def(nil), b.defs...)
+	f.rpo = b.reversePostorder(len(g.Nodes), []int{g.Entry.ID}, func(v, i int) int {
 		if out := g.Nodes[v].Out; i < len(out) {
 			// Last arc first, so a loop body precedes the loop's exit.
 			return out[len(out)-1-i].To.ID
@@ -211,11 +236,11 @@ func buildFacts(g *cfg.Graph, arrays map[string]bool) *procFacts {
 // analysis: depth-first from each vertex of first in turn, then from
 // every vertex not yet reached in index order, each tree in reverse
 // postorder. succ(v, i) is the i-th successor of v, or -1 past the last.
-func reversePostorder(n int, first []int, succ func(v, i int) int) []int32 {
+func (b *factsBuilder) reversePostorder(n int, first []int, succ func(v, i int) int) []int32 {
 	order := make([]int32, 0, n)
-	seen := make([]bool, n)
-	type frame struct{ v, i int }
-	var stack []frame
+	seen := slices.Grow(b.seen[:0], n)[:n]
+	clear(seen)
+	stack := slices.Grow(b.stack[:0], n) // a path may hold every vertex
 	for k := 0; k < len(first)+n; k++ {
 		root := k - len(first)
 		if k < len(first) {
@@ -226,7 +251,7 @@ func reversePostorder(n int, first []int, succ func(v, i int) int) []int32 {
 		}
 		seen[root] = true
 		start := len(order)
-		stack = append(stack, frame{root, 0})
+		stack = append(stack, rpoFrame{root, 0})
 		for len(stack) > 0 {
 			top := &stack[len(stack)-1]
 			s := succ(top.v, top.i)
@@ -237,12 +262,13 @@ func reversePostorder(n int, first []int, succ func(v, i int) int) []int32 {
 				stack = stack[:len(stack)-1]
 			case !seen[s]:
 				seen[s] = true
-				stack = append(stack, frame{s, 0})
+				stack = append(stack, rpoFrame{s, 0})
 			}
 		}
 		for i, j := start, len(order)-1; i < j; i, j = i+1, j-1 {
 			order[i], order[j] = order[j], order[i]
 		}
 	}
+	b.seen, b.stack = seen, stack
 	return order
 }

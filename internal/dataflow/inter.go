@@ -103,8 +103,9 @@ func Analyze(u *cfg.Unit) *Result {
 	index := make(map[string]int, len(u.Order))
 	callers := make(map[string][]int) // callee -> callers
 	readers := make(map[string][]int) // object -> procs receiving from it
+	b := &factsBuilder{ids: make(map[string]int32)}
 	for i, name := range u.Order {
-		f := buildFacts(u.Procs[name], u.Arrays[name])
+		f := b.build(u.Procs[name], u.Arrays[name])
 		facts[i], index[name] = f, i
 		res.factsBuilt++
 		ctx.work += len(f.nodes)
@@ -112,7 +113,7 @@ func Analyze(u *cfg.Unit) *Result {
 			switch nf := &f.nodes[id]; {
 			case nf.outObj != "":
 				readers[nf.outObj] = append(readers[nf.outObj], i)
-			case len(nf.defs) > 0 && nf.callee != "":
+			case nf.defs.hi > nf.defs.lo && nf.callee != "":
 				callers[nf.callee] = append(callers[nf.callee], i)
 			}
 		}
@@ -122,7 +123,7 @@ func Analyze(u *cfg.Unit) *Result {
 	for i, name := range u.Processes {
 		roots[i] = index[name]
 	}
-	queue := reversePostorder(len(facts), roots, func(v, i int) int {
+	queue := b.reversePostorder(len(facts), roots, func(v, i int) int {
 		if calls := facts[v].calls; i < len(calls) {
 			if callee, ok := index[calls[i].CallStmt().Name.Name]; ok {
 				return callee
@@ -161,7 +162,7 @@ func Analyze(u *cfg.Unit) *Result {
 			if !ok || ctx.taintedObjs[obj.Name] {
 				continue
 			}
-			if id, ok := cs.Args[1].(*ast.Ident); ok && pr.VI[n.ID].Has(id.Name) {
+			if id, ok := cs.Args[1].(*ast.Ident); ok && pr.InVI(n.ID, id.Name) {
 				ctx.taintedObjs[obj.Name] = true
 				push(readers[obj.Name]...)
 			}
@@ -172,7 +173,7 @@ func Analyze(u *cfg.Unit) *Result {
 			callee := cs.Name.Name
 			for k, a := range cs.Args {
 				id, ok := a.(*ast.Ident)
-				if !ok || !pr.VI[n.ID].Has(id.Name) || ctx.envParams[callee][k] {
+				if !ok || !pr.InVI(n.ID, id.Name) || ctx.envParams[callee][k] {
 					continue
 				}
 				if ctx.envParams[callee] == nil {
@@ -197,5 +198,6 @@ func Analyze(u *cfg.Unit) *Result {
 	res.EnvTainted = ctx.envTainted
 	res.TaintedObjs = ctx.taintedObjs
 	res.work = ctx.work
+	ctx.vi, ctx.viOff = nil, nil
 	return res
 }

@@ -34,10 +34,10 @@ func AnalyzeLiveness(g *cfg.Graph, arrays map[string]bool) *Liveness {
 	defStrong := make([][]string, len(g.Nodes)) // strongly-defined (killed) vars
 	for id := range f.nodes {
 		use[id] = NewVarSet()
-		for _, v := range f.nodes[id].uses {
+		for _, v := range f.uses(id) {
 			use[id].Add(f.vars[v])
 		}
-		for _, d := range f.nodes[id].defs {
+		for _, d := range f.defs(id) {
 			if d.strong {
 				defStrong[id] = append(defStrong[id], f.vars[d.v])
 			}

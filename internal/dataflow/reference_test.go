@@ -68,7 +68,7 @@ func checkAgainstOracle(t *testing.T, name string, u *cfg.Unit) {
 			t.Errorf("%s: proc %s: NI differs from the oracle\n%s", name, proc, g)
 		}
 		for id := range w.VI {
-			if gv, wv := g.VI[id].Sorted(), w.VI[id].Sorted(); !reflect.DeepEqual(gv, wv) {
+			if gv, wv := g.VI(id).Sorted(), w.VI[id].Sorted(); !reflect.DeepEqual(gv, wv) {
 				t.Errorf("%s: proc %s: VI(n%d) = %v, oracle %v", name, proc, id, gv, wv)
 			}
 		}

@@ -62,17 +62,3 @@ func (s VarSet) Sorted() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Intersects reports whether s and t share a member.
-func (s VarSet) Intersects(t VarSet) bool {
-	small, large := s, t
-	if len(t) < len(s) {
-		small, large = t, s
-	}
-	for n := range small {
-		if large[n] {
-			return true
-		}
-	}
-	return false
-}

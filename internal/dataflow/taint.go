@@ -26,7 +26,8 @@ type procContext struct {
 	taintedObjs map[string]bool
 	// work counts facts-building node visits, worklist pops and facts
 	// pushed along arcs: the analysis's cost in units that repeat exactly.
-	work int
+	work      int
+	vi, viOff []int32 // solve's V_I buffers (a ProcResult keeps a copy)
 }
 
 // envObj reports whether a recv/vread on obj yields a value provided by
@@ -53,8 +54,8 @@ func (c *procContext) envObj(obj string) bool {
 func (f *procFacts) solve(ctx *procContext) *ProcResult {
 	g, n := f.g, len(f.g.Nodes)
 	r := &ProcResult{
-		Proc: g.ProcName, Graph: g, facts: f, ctx: ctx,
-		EnvUse: make([]bool, n), NI: make([]bool, n), VI: make([]VarSet, n),
+		Proc: g.ProcName, Graph: g, vars: f.vars, ctx: ctx,
+		EnvUse: make([]bool, n), NI: make([]bool, n),
 	}
 	in := make([][]int32, n)
 	for i, v := range f.params {
@@ -94,24 +95,27 @@ func (f *procFacts) solve(ctx *procContext) *ProcResult {
 		}
 	}
 
+	vi, off := ctx.vi[:0], slices.Grow(ctx.viOff[:0], n+1)
 	for id := range f.nodes {
+		off = append(off, int32(len(vi)))
 		if !r.NI[id] {
 			continue
 		}
-		nf := &f.nodes[id]
-		vi := make(VarSet, len(nf.uses))
-		for _, v := range nf.uses {
+		for _, v := range f.uses(id) {
 			env := has(in[id], v<<1|1)
 			r.EnvUse[id] = r.EnvUse[id] || env
 			if env || has(in[id], v<<1) {
-				vi[f.vars[v]] = true
+				vi = append(vi, v)
 			}
 		}
-		r.VI[id] = vi
-		if nf.deref >= 0 && vi[f.vars[nf.deref]] {
+		if slices.Contains(vi[off[id]:], f.nodes[id].deref) {
 			r.DerefEnvPointer = append(r.DerefEnvPointer, id)
 		}
 	}
+	if len(vi) > 0 {
+		r.vi, r.viOff = slices.Clone(vi), slices.Clone(append(off, int32(len(vi))))
+	}
+	ctx.vi, ctx.viOff = vi, off
 	return r
 }
 
@@ -119,13 +123,14 @@ func (f *procFacts) solve(ctx *procContext) *ProcResult {
 // the facts at its exit.
 func (f *procFacts) transfer(id int, in []int32, r *ProcResult, ctx *procContext) []int32 {
 	nf := &f.nodes[id]
-	for _, v := range nf.uses {
+	for _, v := range f.uses(id) {
 		if r.NI[id] {
 			break
 		}
 		r.NI[id] = has(in, v<<1) || has(in, v<<1|1)
 	}
-	if len(nf.defs) == 0 {
+	defs := f.defs(id)
+	if len(defs) == 0 {
 		return in
 	}
 	// gen[e]: the node's definitions generate the facts (v, e). The
@@ -134,7 +139,7 @@ func (f *procFacts) transfer(id int, in []int32, r *ProcResult, ctx *procContext
 	env := ctx.envObj(nf.outObj)
 	gen := [2]bool{r.NI[id] && !env, env || ctx.envTainted[nf.callee]}
 	out := in
-	for _, d := range nf.defs {
+	for _, d := range defs {
 		for e, g := range gen {
 			switch x := d.v<<1 | int32(e); {
 			case g:

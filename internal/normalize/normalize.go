@@ -66,7 +66,7 @@ func (n *normalizer) fresh() string {
 }
 
 func (n *normalizer) block(b *ast.BlockStmt) *ast.BlockStmt {
-	out := &ast.BlockStmt{Lbrace: b.Lbrace}
+	out := &ast.BlockStmt{Lbrace: b.Lbrace, Stmts: make([]ast.Stmt, 0, len(b.Stmts))}
 	for _, st := range b.Stmts {
 		out.Stmts = append(out.Stmts, n.stmt(st)...)
 	}

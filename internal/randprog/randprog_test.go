@@ -75,85 +75,112 @@ func TestPropertyBranchingNotIncreased(t *testing.T) {
 	}
 }
 
-// TestPropertyTheorem6 is the end-to-end soundness property on random
-// programs: every complete visible trace of the naive composition
-// S × E_S (domain 2) is matched — up to eliminated data — by a trace of
-// the closed transformation S'. An under-approximation anywhere in the
-// analysis or the transformation shows up here as a missing trace. On
-// the same seeds it checks Theorem 7: a deadlock or an assertion
-// violation of S × E_S is found in S' too. A seed where either search
-// was cut proves nothing; those are counted, and more than a tenth of
-// them fails the test.
-func TestPropertyTheorem6(t *testing.T) {
-	n := 60
-	if testing.Short() {
-		n = 10
-	}
+// preservation is what checkPreservation found on one seed.
+type preservation struct {
+	cut, compared, deadlock, violation bool
+}
+
+// checkPreservation is the end-to-end soundness property on the random
+// program of seed: every complete visible trace of the naive
+// composition S × E_S at the given domain is matched — up to eliminated
+// data — by a trace of the closed transformation S' (Theorem 6), and a
+// deadlock or an assertion violation of S × E_S is found in S' too
+// (Theorem 7). Close(S) must be a refinement-sound abstraction of
+// S × E_S. An under-approximation anywhere in the analysis or the
+// transformation shows up as a missing trace or incident. A seed where
+// either search was cut proves nothing and asserts nothing.
+func checkPreservation(t *testing.T, seed int64, domain int) preservation {
+	t.Helper()
 	const (
-		domain    = 2
 		maxDepth  = 48
 		maxStates = 300000
 	)
-	var checked, deadlocks, violations int
-	var cut []int
-	for seed := 0; seed < n; seed++ {
-		r := rand.New(rand.NewSource(int64(seed)))
-		src := randprog.Generate(r, randprog.Config{Processes: 2, MaxStmts: 5})
+	src := randprog.Generate(rand.New(rand.NewSource(seed)), randprog.Config{Processes: 2, MaxStmts: 5})
+	naive, info, err := mgenv.ComposeSource(src, domain)
+	if err != nil {
+		t.Fatalf("seed %d: compose: %v\n%s", seed, err, src)
+	}
+	full := explore.Options{MaxDepth: maxDepth, MaxStates: maxStates, POR: explore.POROff, NoSleep: true}
+	open, openRep, err := explore.TraceLists(naive, full, info.SystemProcs)
+	if err != nil {
+		t.Fatalf("seed %d: explore naive: %v\n%s", seed, err, src)
+	}
+	closedUnit, _, err := core.CloseSource(src)
+	if err != nil {
+		t.Fatalf("seed %d: close: %v\n%s", seed, err, src)
+	}
+	closed, closedRep, err := explore.TraceLists(closedUnit, full, 0)
+	if err != nil {
+		t.Fatalf("seed %d: explore closed: %v\n%s", seed, err, src)
+	}
+	if openRep.Incomplete || closedRep.Incomplete {
+		return preservation{cut: true}
+	}
+	if openRep.Traps != 0 {
+		t.Fatalf("seed %d: open program trapped (generator guarantee broken): %v\n%s",
+			seed, openRep.Samples, src)
+	}
+	p := preservation{deadlock: openRep.Deadlocks > 0, violation: openRep.Violations > 0, compared: len(open) > 0}
+	if p.deadlock && closedRep.Deadlocks == 0 {
+		t.Errorf("seed %d domain %d: Theorem 7 violated: deadlock lost by the transformation\n%s", seed, domain, src)
+	}
+	if p.violation && closedRep.Violations == 0 {
+		t.Errorf("seed %d domain %d: Theorem 7 violated: assertion violation lost by the transformation\n%s", seed, domain, src)
+	}
+	if w, ok := explore.WildcardSubset(open, closed); p.compared && !ok {
+		t.Fatalf("seed %d domain %d: open trace not matched by closed system:\n  %s\nprogram:\n%s",
+			seed, domain, w, src)
+	}
+	return p
+}
 
-		naive, info, err := mgenv.ComposeSource(src, domain)
-		if err != nil {
-			t.Fatalf("seed %d: compose: %v\n%s", seed, err, src)
-		}
-		full := explore.Options{MaxDepth: maxDepth, MaxStates: maxStates, POR: explore.POROff, NoSleep: true}
-		open, openRep, err := explore.TraceLists(naive, full, info.SystemProcs)
-		if err != nil {
-			t.Fatalf("seed %d: explore naive: %v\n%s", seed, err, src)
-		}
-		closedUnit, _, err := core.CloseSource(src)
-		if err != nil {
-			t.Fatalf("seed %d: close: %v\n%s", seed, err, src)
-		}
-		closed, closedRep, err := explore.TraceLists(closedUnit, full, 0)
-		if err != nil {
-			t.Fatalf("seed %d: explore closed: %v\n%s", seed, err, src)
-		}
-		if openRep.Incomplete || closedRep.Incomplete {
+// TestPropertyTheorem6 checks preservation over the first n randprog
+// seeds at domain 2. More than a tenth of them cut fails the test.
+func TestPropertyTheorem6(t *testing.T) {
+	n := 150
+	if testing.Short() {
+		n = 15
+	}
+	var compared, deadlocks, violations int
+	var cut []int64
+	for seed := int64(0); seed < int64(n); seed++ {
+		p := checkPreservation(t, seed, 2)
+		if p.cut {
 			cut = append(cut, seed)
-			continue
 		}
-		if openRep.Traps != 0 {
-			t.Fatalf("seed %d: open program trapped (generator guarantee broken): %v\n%s",
-				seed, openRep.Samples, src)
-		}
-		if openRep.Deadlocks > 0 {
-			deadlocks++
-			if closedRep.Deadlocks == 0 {
-				t.Errorf("seed %d: Theorem 7 violated: deadlock lost by the transformation\n%s", seed, src)
-			}
-		}
-		if openRep.Violations > 0 {
-			violations++
-			if closedRep.Violations == 0 {
-				t.Errorf("seed %d: Theorem 7 violated: assertion violation lost by the transformation\n%s", seed, src)
-			}
-		}
-		if len(open) == 0 {
-			continue
-		}
-		checked++
-		if w, ok := explore.WildcardSubset(open, closed); !ok {
-			t.Fatalf("seed %d: open trace not matched by closed system:\n  %s\nprogram:\n%s",
-				seed, w, src)
-		}
+		compared += b2i(p.compared)
+		deadlocks += b2i(p.deadlock)
+		violations += b2i(p.violation)
 	}
 	t.Logf("%d/%d seeds compared; %d cut %v; %d with a naive deadlock, %d with a naive violation",
-		checked, n, len(cut), cut, deadlocks, violations)
+		compared, n, len(cut), cut, deadlocks, violations)
 	if len(cut) > n/10 {
 		t.Errorf("%d of %d seeds cut (%v): the bounds no longer decide the property", len(cut), n, cut)
 	}
-	if checked < n/3 {
-		t.Errorf("only %d/%d seeds produced comparable trace sets; generator or bounds too tight", checked, n)
+	if compared < n/3 {
+		t.Errorf("only %d/%d seeds produced comparable trace sets; generator or bounds too tight", compared, n)
 	}
+}
+
+// FuzzClosePreservation is checkPreservation over any seed, at domain 2
+// or 3. A cut input passes.
+func FuzzClosePreservation(f *testing.F) {
+	for seed := int64(0); seed < 60; seed++ {
+		f.Add(seed, uint8(0))
+	}
+	// The seeds TestPropertyTheorem6 cuts at domain 2, at domain 3.
+	f.Add(int64(23), uint8(1))
+	f.Add(int64(31), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, domain uint8) {
+		checkPreservation(t, seed, 2+int(domain%2))
+	})
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // TestGeneratorDeterministic: the same seed yields the same program.

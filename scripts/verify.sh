@@ -8,7 +8,8 @@
 # sweep of trail_test.go). The last two guard the one option decoder:
 # an accepted job names options explore.Options.Resolve accepts, and a
 # hello's options are explore.Options' own JSON, unknown mode names
-# refused.
+# refused. The seventh judges the closer: Close(S) keeps every trace,
+# deadlock and assertion violation of S x E_S on a random program.
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
@@ -76,6 +77,7 @@ go test -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/explore/
 go test -fuzz=FuzzBytecodeLockstep -fuzztime=5s ./internal/interp/
 go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
+go test -fuzz=FuzzClosePreservation -fuzztime=5s ./internal/randprog/
 
 # Bench smoke: one iteration of the two benchmarks scripts/profile.sh
 # profiles (catches bit-rot in the tool's input; time is measured by
