@@ -294,34 +294,32 @@ func (c *cli) run() (int, error) {
 		signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 		defer signal.Stop(sigCh)
 	}
-	// Both selects prefer a queued signal over search completion, so
-	// two rapid-fire interrupts force the exit even when the drain
-	// itself finishes between them.
-	go func() {
+	// nextSignal returns the next signal, or nil once the search is done.
+	// A queued signal comes first, so two rapid-fire interrupts force the
+	// exit even when the drain itself finishes between them.
+	nextSignal := func() os.Signal {
 		select {
 		case sig := <-sigCh:
-			fmt.Fprintf(c.stderr, "verisoft: %s: draining gracefully (second signal forces exit 3)\n", sig)
-			cancel()
+			return sig
 		default:
-			select {
-			case sig := <-sigCh:
-				fmt.Fprintf(c.stderr, "verisoft: %s: draining gracefully (second signal forces exit 3)\n", sig)
-				cancel()
-			case <-searchDone:
-				return
-			}
 		}
 		select {
 		case sig := <-sigCh:
+			return sig
+		case <-searchDone:
+			return nil
+		}
+	}
+	go func() {
+		sig := nextSignal()
+		if sig == nil {
+			return
+		}
+		fmt.Fprintf(c.stderr, "verisoft: %s: draining gracefully (second signal forces exit 3)\n", sig)
+		cancel()
+		if sig = nextSignal(); sig != nil {
 			fmt.Fprintf(c.stderr, "verisoft: %s during drain: forcing immediate exit\n", sig)
 			exitNow(3)
-		default:
-			select {
-			case sig := <-sigCh:
-				fmt.Fprintf(c.stderr, "verisoft: %s during drain: forcing immediate exit\n", sig)
-				exitNow(3)
-			case <-searchDone:
-			}
 		}
 	}()
 

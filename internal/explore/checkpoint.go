@@ -4,8 +4,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 
 	"reclose/internal/cfg"
 	"reclose/internal/interp"
@@ -22,9 +24,11 @@ const SnapshotVersion = 1
 // (unclaimed frontier plus the residual subtrees of in-flight paths).
 // Because the explorer is stateless, a decision prefix is all it takes
 // to reconstruct any point of the search — no interpreter state is
-// serialized. Snapshots are produced by Options.Checkpoint or
-// Report.Snapshot, persisted as JSON via Encode, and consumed by
-// Resume.
+// serialized. The counters, decisions and incident samples are the
+// search's own types, encoded as themselves; only work units go through
+// a wire form (snapUnit), which spells object indices as names.
+// Snapshots are produced by Options.Checkpoint or Report.Snapshot,
+// persisted as JSON via Encode, and consumed by Resume.
 type Snapshot struct {
 	Version int `json:"version"`
 
@@ -33,10 +37,10 @@ type Snapshot struct {
 	Processes int `json:"processes"`
 	SiteBits  int `json:"site_bits"`
 
-	Counters snapCounters   `json:"counters"`
-	Coverage string         `json:"coverage,omitempty"` // hex bitmap over CFG sites
-	Samples  []snapIncident `json:"samples,omitempty"`
-	Units    []snapUnit     `json:"units,omitempty"`
+	Counters Counters   `json:"counters"`
+	Coverage string     `json:"coverage,omitempty"` // hex bitmap over CFG sites
+	Samples  []Incident `json:"samples,omitempty"`  // traces left out
+	Units    []snapUnit `json:"units,omitempty"`
 
 	// Cache summarizes the shared state cache's occupancy at snapshot
 	// time (nil without StateCache). It is informational only: the
@@ -79,45 +83,6 @@ func cacheSnap(c *statecache.Cache) *snapCache {
 	}
 }
 
-// snapCounters mirrors the Report counters that carry across a
-// checkpoint cut.
-type snapCounters struct {
-	States                int64 `json:"states"`
-	Transitions           int64 `json:"transitions"`
-	Paths                 int64 `json:"paths"`
-	Replays               int64 `json:"replays"`
-	ReplaySteps           int64 `json:"replay_steps"`
-	MaxDepth              int   `json:"max_depth"`
-	Terminated            int64 `json:"terminated"`
-	Deadlocks             int64 `json:"deadlocks"`
-	Violations            int64 `json:"violations"`
-	Traps                 int64 `json:"traps"`
-	Divergences           int64 `json:"divergences"`
-	DepthHits             int64 `json:"depth_hits"`
-	SleepPrunes           int64 `json:"sleep_prunes"`
-	CachePrunes           int64 `json:"cache_prunes"`
-	InternalErrors        int64 `json:"internal_errors"`
-	StatesAtFirstIncident int64 `json:"states_at_first_incident,omitempty"`
-	// The POR counters are zero outside dynamic mode; omitempty keeps
-	// static-mode snapshots byte-identical to the pre-DPOR format.
-	PorBacktracks    int64 `json:"por_backtracks,omitempty"`
-	PorSleepBlocked  int64 `json:"por_sleep_blocked,omitempty"`
-	PorDynamicPruned int64 `json:"por_dynamic_pruned,omitempty"`
-	// The liveness counters are zero outside Options.Liveness runs;
-	// omitempty keeps liveness-off snapshots byte-identical to the
-	// pre-liveness format.
-	Livelocks   int64 `json:"livelocks,omitempty"`
-	RedSearches int64 `json:"red_searches,omitempty"`
-	RedStates   int64 `json:"red_states,omitempty"`
-	RedCut      int64 `json:"red_cut,omitempty"`
-}
-
-// snapDecision is one recorded decision.
-type snapDecision struct {
-	Toss  bool `json:"toss,omitempty"`
-	Value int  `json:"value"`
-}
-
 // snapUnit is one serialized work unit. Objects go by name: the engine's
 // indices are translated at this boundary. Sleep keys are process indices
 // rendered as decimal strings (JSON object keys must be strings). The
@@ -125,7 +90,7 @@ type snapDecision struct {
 // deliberately not serialized: the decision prefix alone reconstructs
 // the unit's state, so restored units simply replay.
 type snapUnit struct {
-	Prefix  []snapDecision    `json:"prefix,omitempty"`
+	Prefix  []Decision        `json:"prefix,omitempty"`
 	Options []int             `json:"options,omitempty"`
 	Objs    []string          `json:"objs,omitempty"`
 	Sleep   map[string]string `json:"sleep,omitempty"`
@@ -158,18 +123,6 @@ type snapFrame struct {
 	Statics   []int             `json:"statics,omitempty"`
 	Sealed    bool              `json:"sealed,omitempty"`
 	Dynamic   bool              `json:"dynamic,omitempty"`
-}
-
-// snapIncident is one serialized incident sample. The trace is not
-// stored: it is rebuilt on resume by replaying the decision sequence.
-type snapIncident struct {
-	Kind      string         `json:"kind"`
-	Msg       string         `json:"msg"`
-	Depth     int            `json:"depth"`
-	Decisions []snapDecision `json:"decisions,omitempty"`
-	// CycleStart is the lasso stem/cycle split of a livelock sample;
-	// omitempty keeps liveness-off snapshots byte-identical.
-	CycleStart int `json:"cycle_start,omitempty"`
 }
 
 // Encode renders the snapshot as versioned, human-readable JSON.
@@ -208,42 +161,16 @@ func buildSnapshot(rep *Report, units []*workUnit) *Snapshot {
 		Version:   SnapshotVersion,
 		Processes: rep.procs,
 		SiteBits:  rep.sites.bits,
-		Counters: snapCounters{
-			States:                rep.States,
-			Transitions:           rep.Transitions,
-			Paths:                 rep.Paths,
-			Replays:               rep.Replays,
-			ReplaySteps:           rep.ReplaySteps,
-			MaxDepth:              rep.MaxDepth,
-			Terminated:            rep.Terminated,
-			Deadlocks:             rep.Deadlocks,
-			Violations:            rep.Violations,
-			Traps:                 rep.Traps,
-			Divergences:           rep.Divergences,
-			DepthHits:             rep.DepthHits,
-			SleepPrunes:           rep.SleepPrunes,
-			CachePrunes:           rep.CachePrunes,
-			InternalErrors:        rep.InternalErrors,
-			StatesAtFirstIncident: rep.StatesAtFirstIncident,
-			PorBacktracks:         rep.PorBacktracks,
-			PorSleepBlocked:       rep.PorSleepBlocked,
-			PorDynamicPruned:      rep.PorDynamicPruned,
-			Livelocks:             rep.Livelocks,
-			RedSearches:           rep.RedSearches,
-			RedStates:             rep.RedStates,
-			RedCut:                rep.RedCut,
-		},
-		Coverage: hex.EncodeToString(covBytes(rep.cov)),
-		Cache:    rep.cacheSum,
+		Counters:  rep.Counters,
+		Coverage:  hex.EncodeToString(covBytes(rep.cov)),
+		Cache:     rep.cacheSum,
 	}
+	// A snapshot holds what its encoding does: no trail counters, no traces.
+	s.Counters.TrailRestores, s.Counters.TrailUndone, s.Counters.TrailDrops = 0, 0, 0
 	for _, in := range rep.Samples {
-		s.Samples = append(s.Samples, snapIncident{
-			Kind:       in.Kind.String(),
-			Msg:        in.Msg,
-			Depth:      in.Depth,
-			Decisions:  snapFromDecisions(in.Decisions),
-			CycleStart: in.CycleStart,
-		})
+		in := *in
+		in.Trace = nil
+		s.Samples = append(s.Samples, in)
 	}
 	for _, u := range units {
 		s.Units = append(s.Units, rep.sites.snapFromUnit(u))
@@ -284,47 +211,15 @@ func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
 		return nil, err
 	}
 
-	c := snap.Counters
-	rep := &Report{
-		States:                c.States,
-		Transitions:           c.Transitions,
-		Paths:                 c.Paths,
-		Replays:               c.Replays,
-		ReplaySteps:           c.ReplaySteps,
-		MaxDepth:              c.MaxDepth,
-		Terminated:            c.Terminated,
-		Deadlocks:             c.Deadlocks,
-		Violations:            c.Violations,
-		Traps:                 c.Traps,
-		Divergences:           c.Divergences,
-		DepthHits:             c.DepthHits,
-		SleepPrunes:           c.SleepPrunes,
-		CachePrunes:           c.CachePrunes,
-		InternalErrors:        c.InternalErrors,
-		StatesAtFirstIncident: c.StatesAtFirstIncident,
-		PorBacktracks:         c.PorBacktracks,
-		PorSleepBlocked:       c.PorSleepBlocked,
-		PorDynamicPruned:      c.PorDynamicPruned,
-		Livelocks:             c.Livelocks,
-		RedSearches:           c.RedSearches,
-		RedStates:             c.RedStates,
-		RedCut:                c.RedCut,
+	if err := snap.Counters.check(); err != nil {
+		return nil, err
 	}
-	for i, si := range snap.Samples {
-		kind, ok := leafKindFromString(si.Kind)
-		if !ok {
-			return nil, fmt.Errorf("explore: snapshot sample %d has unknown kind %q", i, si.Kind)
-		}
-		in := &Incident{
-			Kind:       kind,
-			Msg:        si.Msg,
-			Depth:      si.Depth,
-			Decisions:  decisionsFromSnap(si.Decisions),
-			CycleStart: si.CycleStart,
-		}
-		// Rebuild the trace by replaying the decisions; a failed replay
-		// (stale snapshot) leaves the trace empty rather than failing
-		// the resume — the counters and the sample itself still stand.
+	rep := &Report{Counters: snap.Counters}
+	for _, in := range snap.Samples {
+		// Rebuild the trace by replaying the decisions, on the copy: the
+		// snapshot stays as it was given. A failed replay (stale snapshot)
+		// leaves the trace empty rather than failing the resume — the
+		// counters and the sample itself still stand.
 		var trace []interp.Event
 		if _, _, err := Replay(u, in.Decisions, func(st ReplayStep) {
 			if st.HasEvent {
@@ -333,7 +228,7 @@ func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
 		}); err == nil {
 			in.Trace = trace
 		}
-		rep.Samples = append(rep.Samples, in)
+		rep.Samples = append(rep.Samples, &in)
 	}
 
 	units := make([]*workUnit, 0, len(snap.Units))
@@ -347,10 +242,24 @@ func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
 	return &restoredState{partial: partial{rep: rep, covered: covered}, units: units}, nil
 }
 
+// check refuses a negative tally, naming its key: the search budgets
+// against these (a negative states would buy a resumed search that many
+// fresh states past MaxStates), and nothing it counts goes below zero.
+func (c *Counters) check() error {
+	v := reflect.ValueOf(c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if n := v.Field(i).Int(); n < 0 {
+			key, _, _ := strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+			return fmt.Errorf("explore: snapshot counter %s is %d; it must not be negative", key, n)
+		}
+	}
+	return nil
+}
+
 // snapFromUnit serializes one work unit.
 func (t *siteTable) snapFromUnit(u *workUnit) snapUnit {
 	su := snapUnit{
-		Prefix:  snapFromDecisions(u.prefix),
+		Prefix:  u.prefix,
 		Options: u.options,
 		Objs:    t.objNames(u.objs),
 		Sleep:   t.snapFromSleep(u.sleep),
@@ -460,7 +369,7 @@ func (t *siteTable) unitFromSnap(su *snapUnit, procs int) (*workUnit, error) {
 	}
 
 	u := &workUnit{
-		prefix:  decisionsFromSnap(su.Prefix),
+		prefix:  su.Prefix,
 		options: su.Options,
 		objs:    objs("objs", su.Objs),
 		sleep:   sleep(su.Sleep),
@@ -497,28 +406,6 @@ func (t *siteTable) unitFromSnap(su *snapUnit, procs int) (*workUnit, error) {
 		shape("option index", u.from, u.toss, u.options, len(u.objs))
 	}
 	return u, err
-}
-
-func snapFromDecisions(dec []Decision) []snapDecision {
-	if len(dec) == 0 {
-		return nil
-	}
-	out := make([]snapDecision, len(dec))
-	for i, d := range dec {
-		out[i] = snapDecision{Toss: d.Toss, Value: d.Value}
-	}
-	return out
-}
-
-func decisionsFromSnap(sd []snapDecision) []Decision {
-	if len(sd) == 0 {
-		return nil
-	}
-	out := make([]Decision, len(sd))
-	for i, d := range sd {
-		out[i] = Decision{Toss: d.Toss, Value: d.Value}
-	}
-	return out
 }
 
 // covBytes renders a coverage bitmap as little-endian bytes.

@@ -327,6 +327,42 @@ func TestStaleCheckpointRefused(t *testing.T) {
 	}
 }
 
+// TestNegativeCountersRefused: a checkpoint counts nothing below zero,
+// and the search budgets against what it counts — resumed with "states":
+// -100000 under MaxStates 50, a search would explore 100 050 fresh
+// states. Resume, and the distributed merge of a slice result, refuse
+// any negative counter with an error that names it.
+func TestNegativeCountersRefused(t *testing.T) {
+	closed := mustClose(t, progs.Philosophers(3))
+	snap, _ := cutOnce(t, closed, Options{}, 3)
+	if snap == nil {
+		t.Fatal("no checkpoint")
+	}
+	good, err := snap.Encode()
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	opt := Options{MaxStates: 50}
+	for _, c := range []struct{ pattern, repl, want string }{
+		{`"states": \d+`, `"states": -100000`, "snapshot counter states is -100000"},
+		{`"max_depth": \d+`, `"max_depth": -1`, "snapshot counter max_depth is -1"},
+		{`"counters": \{`, `"counters": {"red_cut": -2,`, "snapshot counter red_cut is -2"},
+	} {
+		bad, err := DecodeSnapshot(regexp.MustCompile(c.pattern).ReplaceAll(good, []byte(c.repl)))
+		if err != nil {
+			t.Errorf("%s: DecodeSnapshot: %v", c.repl, err)
+			continue
+		}
+		if rep, err := Resume(closed, bad, opt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Resume error = %v, want %q (report %v)", c.repl, err, c.want, rep)
+		}
+		_, err = Distribute(context.Background(), closed, nil, opt, []Slicer{fixedSlicer{bad}}, 64)
+		if err == nil || !strings.Contains(err.Error(), "slice result: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Distribute error = %v, want one naming the slice result and %q", c.repl, err, c.want)
+		}
+	}
+}
+
 // fixedSlicer answers every slice with the same result.
 type fixedSlicer struct{ result *Snapshot }
 

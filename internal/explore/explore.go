@@ -364,15 +364,19 @@ func (k LeafKind) String() string {
 	return "unknown"
 }
 
-// leafKindFromString is the inverse of LeafKind.String, used when
-// decoding checkpoint snapshots.
-func leafKindFromString(s string) (LeafKind, bool) {
-	for k := LeafTerminated; k <= LeafLivelock; k++ {
-		if k.String() == s {
-			return k, true
+// MarshalText spells the kind as String does: an incident sample's JSON
+// form in a checkpoint.
+func (k LeafKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText, refusing an unknown name.
+func (k *LeafKind) UnmarshalText(b []byte) error {
+	for l := LeafTerminated; l <= LeafLivelock; l++ {
+		if l.String() == string(b) {
+			*k = l
+			return nil
 		}
 	}
-	return 0, false
+	return fmt.Errorf("explore: unknown leaf kind %q", b)
 }
 
 // StopCause records why a search ended before covering the whole state
@@ -422,21 +426,23 @@ func (c *StopCause) UnmarshalText(b []byte) error {
 	return fmt.Errorf("explore: unknown stop cause %q", b)
 }
 
-// Incident is a recorded sample of an interesting path ending.
+// Incident is a recorded sample of an interesting path ending. Its JSON
+// form is a checkpoint's sample: the trace is not stored, since replaying
+// the decisions rebuilds it.
 type Incident struct {
-	Kind  LeafKind
-	Msg   string
-	Depth int
-	Trace []interp.Event
+	Kind  LeafKind       `json:"kind"`
+	Msg   string         `json:"msg"`
+	Depth int            `json:"depth"`
+	Trace []interp.Event `json:"-"`
 	// Decisions is the full decision sequence reaching the incident; it
 	// can be re-executed deterministically with Replay.
-	Decisions []Decision
+	Decisions []Decision `json:"decisions,omitempty"`
 	// CycleStart, for a LeafLivelock incident, is the index in
 	// Decisions where the lasso's cycle begins: Decisions[:CycleStart]
 	// is the stem, Decisions[CycleStart:] the non-progress cycle
 	// (replaying the cycle's decisions again from the loop state
 	// re-traverses the loop). Zero for every other kind.
-	CycleStart int
+	CycleStart int `json:"cycle_start,omitempty"`
 }
 
 // String renders the incident with its trace.
@@ -453,20 +459,71 @@ func (in *Incident) String() string {
 	return b.String()
 }
 
-// Report summarizes a search.
-type Report struct {
-	States      int64 // global states visited
-	Transitions int64 // transitions executed during forward exploration
-	Paths       int64 // completed paths (leaves)
-	Replays     int64 // prefix re-executions (backtracks and work-unit claims)
-	ReplaySteps int64 // transitions re-executed while replaying prefixes
-	MaxDepth    int   // deepest path seen
+// Counters are a search's tallies. A Report carries them, and so does a
+// checkpoint (Snapshot.Counters): this is their wire form, in the
+// checkpoint's key order. The POR and liveness counters are omitempty,
+// which keeps snapshots of searches that never move them byte-identical
+// to the formats from before either existed.
+type Counters struct {
+	States      int64 `json:"states"`       // global states visited
+	Transitions int64 `json:"transitions"`  // transitions executed during forward exploration
+	Paths       int64 `json:"paths"`        // completed paths (leaves)
+	Replays     int64 `json:"replays"`      // prefix re-executions (backtracks and work-unit claims)
+	ReplaySteps int64 `json:"replay_steps"` // transitions re-executed while replaying prefixes
+	MaxDepth    int   `json:"max_depth"`    // deepest path seen
+
+	Terminated  int64 `json:"terminated"`
+	Deadlocks   int64 `json:"deadlocks"`
+	Violations  int64 `json:"violations"`
+	Traps       int64 `json:"traps"`
+	Divergences int64 `json:"divergences"`
+	DepthHits   int64 `json:"depth_hits"`
+	SleepPrunes int64 `json:"sleep_prunes"`
+	CachePrunes int64 `json:"cache_prunes"`
+	// InternalErrors counts paths that ended in an isolated
+	// engine/interpreter panic (LeafInternalError): the panic is
+	// recovered, recorded as an incident carrying the offending
+	// decision prefix, and only that path is lost.
+	InternalErrors int64 `json:"internal_errors"`
+	// StatesAtFirstIncident is the number of states visited when the
+	// first deadlock, violation, trap, or divergence was found (0 if
+	// none was found). With Workers > 1 it is a snapshot of the shared
+	// state counter and therefore approximate.
+	StatesAtFirstIncident int64 `json:"states_at_first_incident,omitempty"`
+
+	// Dynamic-POR counters (zero outside POR == PORDynamic):
+	// PorBacktracks counts backtrack points inserted at earlier
+	// decision points when a dependent transition executed;
+	// PorSleepBlocked counts candidate insertions (and dynamic
+	// expansions) suppressed because the process was asleep;
+	// PorDynamicPruned counts enabled transitions never expanded at
+	// fully-explored dynamic decision points — the reduction's win
+	// over full expansion.
+	PorBacktracks    int64 `json:"por_backtracks,omitempty"`
+	PorSleepBlocked  int64 `json:"por_sleep_blocked,omitempty"`
+	PorDynamicPruned int64 `json:"por_dynamic_pruned,omitempty"`
+	// Liveness counters (zero unless Options.Liveness ran on a unit
+	// with progress labels): Livelocks counts paths ending in a
+	// detected non-progress cycle; RedSearches counts nested (red)
+	// searches launched at cache-pruned states, RedStates the states
+	// they expanded, RedCut the searches that found no cycle before
+	// running out of RedStateBudget — each a place where the verdict
+	// "no livelock" is not backed (cycle.go).
+	Livelocks   int64 `json:"livelocks,omitempty"`
+	RedSearches int64 `json:"red_searches,omitempty"`
+	RedStates   int64 `json:"red_states,omitempty"`
+	RedCut      int64 `json:"red_cut,omitempty"`
 
 	// Backtracking by undoing (restore.go): paths begun by undoing the
 	// machine to a mark, the trail entries undone for them, and the times
 	// the machine dropped a trail that had outgrown its bound. Like
 	// ReplaySteps a cost, not a finding, and in no checkpoint.
-	TrailRestores, TrailUndone, TrailDrops int64
+	TrailRestores, TrailUndone, TrailDrops int64 `json:"-"`
+}
+
+// Report summarizes a search.
+type Report struct {
+	Counters
 
 	// Incomplete reports that the search ended before covering the
 	// whole state space — cancelled, timed out, budget-exhausted, or
@@ -477,48 +534,6 @@ type Report struct {
 	// Cause says why an Incomplete search stopped (StopNone when the
 	// search is complete).
 	Cause StopCause
-
-	// StatesAtFirstIncident is the number of states visited when the
-	// first deadlock, violation, trap, or divergence was found (0 if
-	// none was found). With Workers > 1 it is a snapshot of the shared
-	// state counter and therefore approximate.
-	StatesAtFirstIncident int64
-
-	Terminated  int64
-	Deadlocks   int64
-	Violations  int64
-	Traps       int64
-	Divergences int64
-	DepthHits   int64
-	SleepPrunes int64
-	CachePrunes int64
-	// Liveness counters (zero unless Options.Liveness ran on a unit
-	// with progress labels): Livelocks counts paths ending in a
-	// detected non-progress cycle; RedSearches counts nested (red)
-	// searches launched at cache-pruned states, RedStates the states
-	// they expanded, RedCut the searches that found no cycle before
-	// running out of RedStateBudget — each a place where the verdict
-	// "no livelock" is not backed (cycle.go).
-	Livelocks   int64
-	RedSearches int64
-	RedStates   int64
-	RedCut      int64
-	// Dynamic-POR counters (zero outside POR == PORDynamic):
-	// PorBacktracks counts backtrack points inserted at earlier
-	// decision points when a dependent transition executed;
-	// PorSleepBlocked counts candidate insertions (and dynamic
-	// expansions) suppressed because the process was asleep;
-	// PorDynamicPruned counts enabled transitions never expanded at
-	// fully-explored dynamic decision points — the reduction's win
-	// over full expansion.
-	PorBacktracks    int64
-	PorSleepBlocked  int64
-	PorDynamicPruned int64
-	// InternalErrors counts paths that ended in an isolated
-	// engine/interpreter panic (LeafInternalError): the panic is
-	// recovered, recorded as an incident carrying the offending
-	// decision prefix, and only that path is lost.
-	InternalErrors int64
 
 	// Visible-operation coverage: how many of the program's visible
 	// operation sites (builtin call nodes) were executed at least once.

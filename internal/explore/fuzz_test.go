@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"reflect"
 	"regexp"
 	"testing"
 
@@ -14,7 +15,9 @@ import (
 // adversarially mutated — decoding and resuming must either succeed or
 // fail with a clean error. A panic anywhere (decode, structural
 // validation, prefix replay through the interpreter) is a bug: a stale
-// checkpoint from yesterday's program must not crash today's run.
+// checkpoint from yesterday's program must not crash today's run. A
+// snapshot that restores must also survive its own encoding: re-encoded,
+// it decodes to a snapshot equal to itself.
 //
 // Seeds are real encoded checkpoints from a truncated search plus
 // targeted mutations of them (cut in half, out-of-range decision
@@ -97,6 +100,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add(bytes.ReplaceAll(real1, []byte(`"from": 1`), []byte(`"from": 77`)))          // option index out of range
 	f.Add(bytes.ReplaceAll(real1, []byte(`"processes": 3`), []byte(`"processes": 8`))) // program mismatch
 	f.Add(bytes.ReplaceAll(real1, []byte(`"coverage"`), []byte(`"coverage!"`)))
+	f.Add(regexp.MustCompile(`"states": \d+`).ReplaceAll(real1, []byte(`"states": -100000`))) // negative counter
 	// Names and indices the program does not have: the engine indexes
 	// arrays with both, so the decoder must refuse them.
 	f.Add(bytes.ReplaceAll(real1, []byte(`"fork1"`), []byte(`"spoon1"`)))                     // undeclared object in objs and sleep
@@ -119,6 +123,20 @@ func FuzzCheckpointDecode(f *testing.F) {
 		if _, err := restoreSnapshot(closed, snap); err != nil {
 			return // clean structural rejection
 		}
+		again, err := snap.Encode()
+		if err != nil {
+			t.Fatalf("Encode: %v", err)
+		}
+		back, err := DecodeSnapshot(again)
+		if err != nil {
+			t.Fatalf("a restored snapshot re-encodes to bytes that do not decode: %v\n%s", err, again)
+		}
+		// omitempty writes an empty list or map as none at all.
+		emptyToNil(reflect.ValueOf(snap))
+		emptyToNil(reflect.ValueOf(back))
+		if !reflect.DeepEqual(back, snap) {
+			t.Fatalf("a restored snapshot does not survive its encoding:\n got %+v\nwant %+v", back, snap)
+		}
 		// Structurally valid: the search must run to completion. Decision
 		// prefixes that are semantically stale (wrong toss outcomes, moves
 		// that are no longer enabled) must surface as isolated
@@ -129,4 +147,28 @@ func FuzzCheckpointDecode(f *testing.F) {
 			return
 		}
 	})
+}
+
+// emptyToNil sets every empty slice and map reachable from v to nil.
+func emptyToNil(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			emptyToNil(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Field(i).CanSet() {
+				emptyToNil(v.Field(i))
+			}
+		}
+	case reflect.Slice, reflect.Map:
+		if v.Len() == 0 {
+			v.SetZero()
+		} else if v.Kind() == reflect.Slice {
+			for i := 0; i < v.Len(); i++ {
+				emptyToNil(v.Index(i))
+			}
+		}
+	}
 }

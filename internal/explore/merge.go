@@ -15,7 +15,7 @@ type partial struct {
 // count, scheduling, or how many times the search was checkpointed and
 // resumed.
 func (p partial) fold(q partial) {
-	p.rep.add(q.rep)
+	p.rep.add(&q.rep.Counters)
 	p.covered.or(q.covered)
 	p.rep.Samples = append(p.rep.Samples, q.rep.Samples...)
 }
@@ -42,8 +42,8 @@ func (a *accum) clone() *accum {
 	return b
 }
 
-// add sums a partial report's counters (not its samples) into t.
-func (t *Report) add(r *Report) {
+// add sums r's tallies into t.
+func (t *Counters) add(r *Counters) {
 	t.States += r.States
 	t.Transitions += r.Transitions
 	t.Paths += r.Paths

@@ -22,45 +22,45 @@ func TestAccumAdd(t *testing.T) {
 	sites, procs := testSites(t)
 	cases := []struct {
 		name string
-		in   []Report
-		want Report
+		in   []Counters
+		want Counters
 	}{
 		{
 			name: "empty reports",
-			in:   []Report{{}, {}, {}},
-			want: Report{},
+			in:   []Counters{{}, {}, {}},
+			want: Counters{},
 		},
 		{
 			name: "single report passes through",
-			in:   []Report{{States: 10, Transitions: 9, Paths: 2, MaxDepth: 5, Deadlocks: 1}},
-			want: Report{States: 10, Transitions: 9, Paths: 2, MaxDepth: 5, Deadlocks: 1},
+			in:   []Counters{{States: 10, Transitions: 9, Paths: 2, MaxDepth: 5, Deadlocks: 1}},
+			want: Counters{States: 10, Transitions: 9, Paths: 2, MaxDepth: 5, Deadlocks: 1},
 		},
 		{
 			name: "counters sum, depth maxes",
-			in: []Report{
+			in: []Counters{
 				{States: 10, Transitions: 9, Paths: 2, Replays: 1, ReplaySteps: 4, MaxDepth: 5},
 				{States: 3, Transitions: 2, Paths: 1, Replays: 2, ReplaySteps: 6, MaxDepth: 9},
 				{States: 1, MaxDepth: 2},
 			},
-			want: Report{States: 14, Transitions: 11, Paths: 3, Replays: 3, ReplaySteps: 10, MaxDepth: 9},
+			want: Counters{States: 14, Transitions: 11, Paths: 3, Replays: 3, ReplaySteps: 10, MaxDepth: 9},
 		},
 		{
 			name: "incident kinds sum independently",
-			in: []Report{
+			in: []Counters{
 				{Deadlocks: 1, Violations: 2, Traps: 3},
 				{Divergences: 4, InternalErrors: 5, Violations: 1},
 			},
-			want: Report{Deadlocks: 1, Violations: 3, Traps: 3, Divergences: 4, InternalErrors: 5},
+			want: Counters{Deadlocks: 1, Violations: 3, Traps: 3, Divergences: 4, InternalErrors: 5},
 		},
 		{
 			name: "states-at-first-incident: zero never wins",
-			in:   []Report{{StatesAtFirstIncident: 0}, {StatesAtFirstIncident: 7}, {StatesAtFirstIncident: 0}},
-			want: Report{StatesAtFirstIncident: 7},
+			in:   []Counters{{StatesAtFirstIncident: 0}, {StatesAtFirstIncident: 7}, {StatesAtFirstIncident: 0}},
+			want: Counters{StatesAtFirstIncident: 7},
 		},
 		{
 			name: "states-at-first-incident: smallest non-zero wins",
-			in:   []Report{{StatesAtFirstIncident: 9}, {StatesAtFirstIncident: 3}, {StatesAtFirstIncident: 5}},
-			want: Report{StatesAtFirstIncident: 3},
+			in:   []Counters{{StatesAtFirstIncident: 9}, {StatesAtFirstIncident: 3}, {StatesAtFirstIncident: 5}},
+			want: Counters{StatesAtFirstIncident: 3},
 		},
 	}
 	for _, c := range cases {
@@ -69,12 +69,7 @@ func TestAccumAdd(t *testing.T) {
 			for i := range c.in {
 				a.rep.add(&c.in[i])
 			}
-			got := a.rep
-			if got.States != c.want.States || got.Transitions != c.want.Transitions ||
-				got.Paths != c.want.Paths || got.Replays != c.want.Replays ||
-				got.ReplaySteps != c.want.ReplaySteps || got.MaxDepth != c.want.MaxDepth ||
-				got.Incidents() != c.want.Incidents() ||
-				got.StatesAtFirstIncident != c.want.StatesAtFirstIncident {
+			if got := a.rep.Counters; got != c.want {
 				t.Errorf("merged = %+v, want %+v", got, c.want)
 			}
 		})
@@ -166,7 +161,7 @@ func TestFinalizeTruncatesSamples(t *testing.T) {
 func TestAccumCloneIndependent(t *testing.T) {
 	sites, procs := testSites(t)
 	a := newAccum(Options{MaxIncidents: 4}, sites, procs)
-	a.rep.add(&Report{States: 5})
+	a.rep.add(&Counters{States: 5})
 	a.rep.Samples = append(a.rep.Samples, &Incident{Kind: LeafDeadlock, Msg: "one"})
 	if len(a.covered) == 0 {
 		t.Fatal("expected a non-empty coverage bitmap")
@@ -174,7 +169,7 @@ func TestAccumCloneIndependent(t *testing.T) {
 	a.covered[0] = 0b1
 
 	c := a.clone()
-	a.rep.add(&Report{States: 7})
+	a.rep.add(&Counters{States: 7})
 	a.rep.Samples = append(a.rep.Samples, &Incident{Kind: LeafDeadlock, Msg: "two"})
 	a.covered[0] = 0b11
 

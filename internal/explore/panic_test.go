@@ -205,11 +205,11 @@ func TestStaleSnapshotIsolated(t *testing.T) {
 	}
 	cases := map[string]*Snapshot{
 		"toss-for-sched": mkSnap(snapUnit{
-			Prefix: []snapDecision{{Toss: true, Value: 0}},
+			Prefix: []Decision{{Toss: true, Value: 0}},
 			Cont:   true,
 		}),
 		"process-out-of-range": mkSnap(snapUnit{
-			Prefix: []snapDecision{{Value: 97}},
+			Prefix: []Decision{{Value: 97}},
 			Cont:   true,
 		}),
 	}

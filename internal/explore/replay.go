@@ -10,8 +10,8 @@ import (
 // Decision is one recorded choice of a search path: either a scheduling
 // decision (which process's transition fired) or a VS_toss outcome.
 type Decision struct {
-	Toss  bool
-	Value int
+	Toss  bool `json:"toss,omitempty"`
+	Value int  `json:"value"`
 }
 
 // String renders the decision.

@@ -315,26 +315,12 @@ func resultFromReport(rep *explore.Report) *Result {
 	return res
 }
 
-// Job is the in-memory job table entry. Fields are guarded by the
-// manager's table lock; the worker running the job mutates it only
-// through manager methods.
+// Job is the in-memory job table entry: its journal record, which the
+// journal writes as it stands, plus what lives only in this process.
+// Fields are guarded by the manager's table lock; the worker running the
+// job mutates it only through manager methods.
 type Job struct {
-	ID  string
-	Req Request
-
-	State    State
-	Priority int
-	Seq      uint64 // admission order, for FIFO-within-priority and eviction age
-
-	Attempts         int    // attempts started (including the current one)
-	Retries          int    // transient failures that scheduled a retry
-	Resumes          int    // attempts that resumed from a checkpoint
-	BackoffLevel     int    // current backoff escalation level
-	Checkpoint       []byte `json:"-"` // encoded explore.Snapshot, nil when none
-	CheckpointStates int64  // states recorded in the persisted checkpoint
-
-	Result *Result
-	Error  string // terminal error for failed jobs
+	record
 
 	// unit is the compiled closed system, built on first attempt and
 	// kept in memory only (the journal re-compiles from source).
@@ -366,7 +352,7 @@ func (j *Job) view() *View {
 	return &View{
 		ID:               j.ID,
 		State:            j.State,
-		Priority:         j.Priority,
+		Priority:         j.Req.Priority,
 		Attempts:         j.Attempts,
 		Retries:          j.Retries,
 		Resumes:          j.Resumes,

@@ -16,24 +16,25 @@ import (
 // records from the future rather than misreading them.
 const recordVersion = 1
 
-// record is the persisted form of one job: everything boot recovery
-// needs to rebuild the job table and resume in-flight work. The
-// checkpoint travels as the explore snapshot's own JSON, embedded raw.
+// record is what a Job persists, and the journal's record of it as
+// it stands: everything boot recovery needs to rebuild the job table
+// and resume in-flight work. The checkpoint travels as the explore
+// snapshot's own JSON, embedded raw.
 type record struct {
 	V     int     `json:"v"`
 	ID    string  `json:"id"`
 	Req   Request `json:"req"`
 	State State   `json:"state"`
-	Seq   uint64  `json:"seq"`
+	Seq   uint64  `json:"seq"` // admission order, for FIFO-within-priority and eviction age
 
-	Attempts         int             `json:"attempts,omitempty"`
-	Retries          int             `json:"retries,omitempty"`
-	Resumes          int             `json:"resumes,omitempty"`
-	BackoffLevel     int             `json:"backoff_level,omitempty"`
-	Checkpoint       json.RawMessage `json:"checkpoint,omitempty"`
-	CheckpointStates int64           `json:"checkpoint_states,omitempty"`
+	Attempts         int             `json:"attempts,omitempty"`          // attempts started (including the current one)
+	Retries          int             `json:"retries,omitempty"`           // transient failures that scheduled a retry
+	Resumes          int             `json:"resumes,omitempty"`           // attempts that resumed from a checkpoint
+	BackoffLevel     int             `json:"backoff_level,omitempty"`     // current backoff escalation level
+	Checkpoint       json.RawMessage `json:"checkpoint,omitempty"`        // encoded explore.Snapshot, nil when none
+	CheckpointStates int64           `json:"checkpoint_states,omitempty"` // states recorded in the persisted checkpoint
 	Result           *Result         `json:"result,omitempty"`
-	Error            string          `json:"error,omitempty"`
+	Error            string          `json:"error,omitempty"` // terminal error for failed jobs
 }
 
 // journal is the crash-safe job store: one JSON file per job under
@@ -123,43 +124,4 @@ func (jn *journal) load() (recs []*record, corrupt []string, err error) {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	return recs, corrupt, nil
-}
-
-// recordFromJob snapshots a job into its persisted form (caller holds
-// the manager lock).
-func recordFromJob(j *Job) *record {
-	return &record{
-		V:                recordVersion,
-		ID:               j.ID,
-		Req:              j.Req,
-		State:            j.State,
-		Seq:              j.Seq,
-		Attempts:         j.Attempts,
-		Retries:          j.Retries,
-		Resumes:          j.Resumes,
-		BackoffLevel:     j.BackoffLevel,
-		Checkpoint:       json.RawMessage(j.Checkpoint),
-		CheckpointStates: j.CheckpointStates,
-		Result:           j.Result,
-		Error:            j.Error,
-	}
-}
-
-// jobFromRecord rebuilds the in-memory job from a loaded record.
-func jobFromRecord(rec *record) *Job {
-	return &Job{
-		ID:               rec.ID,
-		Req:              rec.Req,
-		State:            rec.State,
-		Priority:         rec.Req.Priority,
-		Seq:              rec.Seq,
-		Attempts:         rec.Attempts,
-		Retries:          rec.Retries,
-		Resumes:          rec.Resumes,
-		BackoffLevel:     rec.BackoffLevel,
-		Checkpoint:       []byte(rec.Checkpoint),
-		CheckpointStates: rec.CheckpointStates,
-		Result:           rec.Result,
-		Error:            rec.Error,
-	}
 }

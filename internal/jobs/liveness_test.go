@@ -61,11 +61,11 @@ func TestJobLivenessFindsLivelock(t *testing.T) {
 // the count of red searches that ran out of budget is projected from the
 // report, and absent from the JSON of a run that cut none.
 func TestResultCarriesRedCut(t *testing.T) {
-	cut, _ := json.Marshal(resultFromReport(&explore.Report{RedSearches: 5, RedCut: 3}))
+	cut, _ := json.Marshal(resultFromReport(&explore.Report{Counters: explore.Counters{RedSearches: 5, RedCut: 3}}))
 	if !strings.Contains(string(cut), `"liveness_red_searches_cut":3`) {
 		t.Errorf("result lacks the cut count: %s", cut)
 	}
-	clean, _ := json.Marshal(resultFromReport(&explore.Report{RedSearches: 5}))
+	clean, _ := json.Marshal(resultFromReport(&explore.Report{Counters: explore.Counters{RedSearches: 5}}))
 	if strings.Contains(string(clean), "liveness_red_searches_cut") {
 		t.Errorf("result of a run that cut nothing mentions cuts: %s", clean)
 	}

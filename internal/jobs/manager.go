@@ -168,7 +168,7 @@ func (m *Manager) recover() error {
 		m.cfg.Logf("jobs: quarantined %d corrupt journal record(s): %v", n, corrupt)
 	}
 	for _, rec := range recs {
-		j := jobFromRecord(rec)
+		j := &Job{record: *rec}
 		m.jobs[j.ID] = j
 		if j.Seq >= m.nextSeq {
 			m.nextSeq = j.Seq + 1
@@ -210,7 +210,7 @@ func (m *Manager) save(j *Job) error {
 	if m.killed {
 		return errKilled
 	}
-	return m.jn.save(recordFromJob(j))
+	return m.jn.save(&j.record)
 }
 
 // wakeStateWaiters wakes every AwaitState waiter (m.mu held); they
@@ -278,13 +278,7 @@ func (m *Manager) Submit(req *Request) (*View, error) {
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	j := &Job{
-		ID:       fmt.Sprintf("j%06d", m.nextSeq),
-		Req:      *req,
-		State:    StateQueued,
-		Priority: req.Priority,
-		Seq:      m.nextSeq,
-	}
+	j := &Job{record: record{ID: fmt.Sprintf("j%06d", m.nextSeq), Req: *req, State: StateQueued, Seq: m.nextSeq}}
 	m.nextSeq++
 	m.jobs[j.ID] = j
 	if err := m.save(j); err != nil {
@@ -311,10 +305,10 @@ func (m *Manager) Submit(req *Request) (*View, error) {
 		}
 		m.mu.Unlock()
 		m.met.shed.Inc()
-		m.met.emit("job_shed", evicted.ID, obs.F("priority", evicted.Priority))
+		m.met.emit("job_shed", evicted.ID, obs.F("priority", evicted.Req.Priority))
 	}
 	m.met.noteQueueDepth(m.q.depth())
-	m.met.emit("job_submitted", j.ID, obs.F("priority", j.Priority))
+	m.met.emit("job_submitted", j.ID, obs.F("priority", j.Req.Priority))
 
 	m.mu.Lock()
 	v := j.view()

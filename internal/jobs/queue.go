@@ -13,7 +13,7 @@ var ErrSaturated = errors.New("jobs: queue saturated")
 // ErrClosed is returned by queue operations after close.
 var ErrClosed = errors.New("jobs: queue closed")
 
-// queue is the bounded priority admission queue: higher Priority pops
+// queue is the bounded priority admission queue: higher Req.Priority pops
 // first, FIFO within a priority (by admission Seq). When full, a push
 // may shed load by evicting the oldest queued job whose priority is
 // strictly lower than the incoming job's; otherwise the push fails
@@ -46,7 +46,7 @@ func (q *queue) push(j *Job) (evicted *Job, err error) {
 	if len(q.items) >= q.cap {
 		vi := -1
 		for i, cand := range q.items {
-			if cand.Priority >= j.Priority {
+			if cand.Req.Priority >= j.Req.Priority {
 				continue
 			}
 			if vi == -1 || less(cand, q.items[vi]) {
@@ -69,8 +69,8 @@ func (q *queue) push(j *Job) (evicted *Job, err error) {
 // less orders two queued jobs for eviction: lower priority first, then
 // older (smaller Seq) first — "oldest-low-priority" sheds first.
 func less(a, b *Job) bool {
-	if a.Priority != b.Priority {
-		return a.Priority < b.Priority
+	if a.Req.Priority != b.Req.Priority {
+		return a.Req.Priority < b.Req.Priority
 	}
 	return a.Seq < b.Seq
 }
@@ -103,8 +103,8 @@ func (q *queue) pop() (*Job, error) {
 // popBefore orders jobs for dispatch: higher priority first, then
 // older first.
 func popBefore(a, b *Job) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+	if a.Req.Priority != b.Req.Priority {
+		return a.Req.Priority > b.Req.Priority
 	}
 	return a.Seq < b.Seq
 }

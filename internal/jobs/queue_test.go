@@ -7,7 +7,7 @@ import (
 )
 
 func qj(seq uint64, prio int) *Job {
-	return &Job{ID: "j", Seq: seq, Priority: prio, State: StateQueued}
+	return &Job{record: record{ID: "j", Req: Request{Priority: prio}, State: StateQueued, Seq: seq}}
 }
 
 func TestQueuePriorityThenFIFO(t *testing.T) {

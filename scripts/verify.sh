@@ -3,9 +3,11 @@
 # the packages with real concurrency, and a short fuzz smoke over the
 # front end, the checkpoint decoder, the compiled-machine/reference
 # lockstep oracle, the job request parser and the dist frame codec (5s
-# per target; the lockstep target also runs the Fork sweep of
-# copy_test.go, the key-segment schedule of keyseg_test.go and the undo
-# sweep of trail_test.go). The last two guard the one option decoder:
+# per target; the checkpoint target also checks that a snapshot that
+# restores re-encodes to bytes decoding to an equal snapshot, and the
+# lockstep target also runs the Fork sweep of copy_test.go, the
+# key-segment schedule of keyseg_test.go and the undo sweep of
+# trail_test.go). The last two guard the one option decoder:
 # an accepted job names options explore.Options.Resolve accepts, and a
 # hello's options are explore.Options' own JSON, unknown mode names
 # refused. The seventh judges the closer: Close(S) keeps every trace,
