@@ -1,8 +1,9 @@
-// Package bench holds the two benchmarks that are a tool's input, not a
-// record: scripts/profile.sh takes its CPU profiles from them. Time is
-// measured by `go run ./benchmark` (benchmark/README.md) and counts are
-// asserted by `go test ./...`; ledger/PR-23.txt maps every benchmark
-// this file used to hold to the row or test that owns its number now.
+// Package bench holds the three benchmarks that are a tool's input, not a
+// record: scripts/profile.sh takes its CPU profiles from them (two
+// searches and one closing). Time is measured by `go run ./benchmark`
+// (benchmark/README.md) and counts are asserted by `go test ./...`;
+// ledger/PR-23.txt maps every benchmark this file used to hold to the
+// row or test that owns its number now.
 package bench
 
 import (
@@ -15,6 +16,7 @@ import (
 	"reclose/internal/leaderelect"
 	"reclose/internal/lockserver"
 	"reclose/internal/progs"
+	"reclose/internal/synth"
 )
 
 func mustCloseB(b *testing.B, src string) *cfg.Unit {
@@ -104,6 +106,29 @@ func BenchmarkStateful(b *testing.B) {
 				trans = exploreB(b, closed, c.opt).Transitions
 			}
 			b.ReportMetric(float64(trans), "transitions")
+		})
+	}
+}
+
+// BenchmarkClose closes the five items of the benchmark's close_scale
+// workload in process, from source text to closed unit: parse, check,
+// normalize, build the CFGs, analyze and close. B/op is what closing one
+// item allocates; scripts/profile.sh BenchmarkClose profiles these rows.
+func BenchmarkClose(b *testing.B) {
+	for _, c := range []struct{ name, src string }{
+		{"synth-straight-n20000", synth.Program(synth.StraightLine, 20000)},
+		{"synth-branchy-n20000", synth.Program(synth.Branchy, 20000)},
+		{"synth-loopy-n6000", synth.Program(synth.Loopy, 6000)},
+		{"synth-manyprocs-n50000", synth.Program(synth.ManyProcs, 50000)},
+		{"5ess-h16-l3-f2000-c8-stub", fiveess.Source(fiveess.Config{Handlers: 16, Lines: 3, Features: 2000, Chain: 8, WithStub: true})},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var nodes int
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nodes, _ = mustCloseB(b, c.src).Size()
+			}
+			b.ReportMetric(float64(nodes), "nodes")
 		})
 	}
 }

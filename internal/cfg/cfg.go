@@ -21,7 +21,7 @@ import (
 )
 
 // NodeKind classifies CFG nodes.
-type NodeKind int
+type NodeKind uint8
 
 // Node kinds. NTossSwitch nodes are introduced only by the closing
 // transformation (Step 4 of Figure 1); source programs never contain
@@ -58,7 +58,7 @@ func (k NodeKind) String() string {
 }
 
 // LabelKind classifies arc labels.
-type LabelKind int
+type LabelKind uint8
 
 // Arc label kinds.
 const (
@@ -69,10 +69,10 @@ const (
 )
 
 // Label is the boolean expression labeling an arc, in the restricted
-// forms the construction produces.
+// forms the construction produces. It packs into 8 bytes.
 type Label struct {
 	Kind LabelKind
-	K    int // toss outcome for LToss
+	K    int32 // toss outcome for LToss
 }
 
 // String renders the label.
@@ -90,14 +90,17 @@ func (l Label) String() string {
 	return "?"
 }
 
-// Arc is a control-flow arc between two nodes.
+// Arc is a control-flow arc out of the node whose Out list holds it: a
+// 16-byte value, stored inline in that list.
 type Arc struct {
-	From, To *Node
-	Label    Label
+	To    *Node
+	Label Label
 }
 
 // Node is one statement of a procedure (or the start node, or an
-// inserted VS_toss switch).
+// inserted VS_toss switch). The fields are ordered so a Node is 80
+// bytes. Nodes keep no predecessor lists: every pass that needs
+// predecessors walks the Out lists.
 type Node struct {
 	ID   int
 	Kind NodeKind
@@ -108,13 +111,13 @@ type Node struct {
 	Stmt ast.Stmt
 	// Cond is the test expression for NCond.
 	Cond ast.Expr
-	// TossBound is n in VS_toss(n) for NTossSwitch; the node has
-	// TossBound+1 outgoing arcs labeled toss==0 .. toss==TossBound.
-	TossBound int
 
-	Out []*Arc
-	In  []*Arc
+	Out []Arc
 }
+
+// TossBound is n in VS_toss(n) for an NTossSwitch node, whose outgoing
+// arcs are labeled toss==0 .. toss==n (Validate checks this).
+func (n *Node) TossBound() int { return len(n.Out) - 1 }
 
 // Succ returns the target of the unique LAlways arc, or nil.
 func (n *Node) Succ() *Node {
@@ -147,20 +150,8 @@ func (g *Graph) NewNode(kind NodeKind, pos token.Pos) *Node {
 }
 
 // Connect adds an arc from → to with the given label.
-func (g *Graph) Connect(from, to *Node, label Label) *Arc {
-	a := &Arc{From: from, To: to, Label: label}
-	from.Out = append(from.Out, a)
-	to.In = append(to.In, a)
-	return a
-}
-
-// Arcs returns all arcs of the graph in node order.
-func (g *Graph) Arcs() []*Arc {
-	var out []*Arc
-	for _, n := range g.Nodes {
-		out = append(out, n.Out...)
-	}
-	return out
+func (g *Graph) Connect(from, to *Node, label Label) {
+	from.Out = append(from.Out, Arc{To: to, Label: label})
 }
 
 // Size returns the number of nodes and arcs.
@@ -219,15 +210,15 @@ func (g *Graph) nodeText(n *Node) string {
 	case NExit:
 		return "exit"
 	case NTossSwitch:
-		return fmt.Sprintf("switch VS_toss(%d)", n.TossBound)
+		return fmt.Sprintf("switch VS_toss(%d)", n.TossBound())
 	}
 	return "?"
 }
 
 // Validate checks structural invariants of the graph: the entry is a
 // start node; every non-terminal node has outgoing arcs with consistent
-// labels; arc endpoints belong to the graph. It returns the first
-// violation found, or nil.
+// labels (a toss node's outcomes are exactly 0..len(Out)-1); arc targets
+// belong to the graph. It returns the first violation found, or nil.
 func (g *Graph) Validate() error {
 	if g.Entry == nil || g.Entry.Kind != NStart {
 		return fmt.Errorf("proc %s: entry is not a start node", g.ProcName)
@@ -237,14 +228,11 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("proc %s: node %d has ID %d", g.ProcName, i, n.ID)
 		}
 	}
-	var seen map[int]bool // a toss node's outcomes
+	var seen []bool // a toss node's outcomes
 	for _, n := range g.Nodes {
 		for _, a := range n.Out {
 			if id := a.To.ID; id < 0 || id >= len(g.Nodes) || g.Nodes[id] != a.To {
 				return fmt.Errorf("proc %s: n%d has arc to foreign node", g.ProcName, n.ID)
-			}
-			if a.From != n {
-				return fmt.Errorf("proc %s: n%d has arc with wrong From", g.ProcName, n.ID)
 			}
 		}
 		switch n.Kind {
@@ -262,17 +250,20 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("proc %s: n%d (cond) must have one true and one false arc", g.ProcName, n.ID)
 			}
 		case NTossSwitch:
-			if len(n.Out) != n.TossBound+1 {
-				return fmt.Errorf("proc %s: n%d (toss %d) must have %d successors, has %d",
-					g.ProcName, n.ID, n.TossBound, n.TossBound+1, len(n.Out))
+			if len(n.Out) == 0 {
+				return fmt.Errorf("proc %s: n%d (toss) must have at least one successor", g.ProcName, n.ID)
 			}
-			if seen == nil {
-				seen = make(map[int]bool)
+			if cap(seen) < len(n.Out) {
+				seen = make([]bool, len(n.Out))
 			}
+			seen = seen[:len(n.Out)]
 			clear(seen)
 			for _, a := range n.Out {
 				if a.Label.Kind != LToss {
 					return fmt.Errorf("proc %s: n%d (toss) has non-toss arc label %s", g.ProcName, n.ID, a.Label)
+				}
+				if k := a.Label.K; k < 0 || int(k) >= len(n.Out) {
+					return fmt.Errorf("proc %s: n%d (toss %d) has outcome %d", g.ProcName, n.ID, n.TossBound(), k)
 				}
 				if seen[a.Label.K] {
 					return fmt.Errorf("proc %s: n%d (toss) has duplicate outcome %d", g.ProcName, n.ID, a.Label.K)

@@ -3,6 +3,7 @@ package cfg_test
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"reclose/internal/ast"
 	"reclose/internal/cfg"
@@ -25,6 +26,18 @@ func buildProc(t *testing.T, body string) *cfg.Graph {
 		t.Fatalf("invalid graph: %v\n%s", err, g)
 	}
 	return g
+}
+
+// preds returns every node's predecessors by node ID, one entry per arc.
+// Graphs keep no predecessor lists, so the tests reverse the Out lists.
+func preds(g *cfg.Graph) [][]*cfg.Node {
+	out := make([][]*cfg.Node, len(g.Nodes))
+	for _, n := range g.Nodes {
+		for _, a := range n.Out {
+			out[a.To.ID] = append(out[a.To.ID], n)
+		}
+	}
+	return out
 }
 
 func countKind(g *cfg.Graph, k cfg.NodeKind) int {
@@ -179,19 +192,11 @@ func TestArcLabelInvariant(t *testing.T) {
 			t.Errorf("%v", err)
 		}
 		for _, name := range u.Order {
-			for _, n := range u.Procs[name].Nodes {
+			g := u.Procs[name]
+			for _, n := range g.Nodes {
 				for _, a := range n.Out {
-					if a.From != n {
-						t.Errorf("arc From mismatch at %s n%d", name, n.ID)
-					}
-					found := false
-					for _, in := range a.To.In {
-						if in == a {
-							found = true
-						}
-					}
-					if !found {
-						t.Errorf("arc not registered in target's In list at %s n%d", name, n.ID)
+					if id := a.To.ID; id < 0 || id >= len(g.Nodes) || g.Nodes[id] != a.To {
+						t.Errorf("arc out of %s n%d has a target outside the graph", name, n.ID)
 					}
 				}
 			}
@@ -233,11 +238,20 @@ func TestValidateRejects(t *testing.T) {
 		}, "one true and one false arc"},
 		{"toss with a duplicate outcome", func() *cfg.Graph {
 			g, n, ret := startThen(cfg.NTossSwitch)
-			n.TossBound = 1
 			g.Connect(n, ret, cfg.Label{Kind: cfg.LToss, K: 1})
 			g.Connect(n, ret, cfg.Label{Kind: cfg.LToss, K: 1})
 			return g
 		}, "duplicate outcome 1"},
+		{"toss with an outcome past its bound", func() *cfg.Graph {
+			g, n, ret := startThen(cfg.NTossSwitch)
+			g.Connect(n, ret, cfg.Label{Kind: cfg.LToss, K: 0})
+			g.Connect(n, ret, cfg.Label{Kind: cfg.LToss, K: 2})
+			return g
+		}, "(toss 1) has outcome 2"},
+		{"toss with no arcs", func() *cfg.Graph {
+			g, _, _ := startThen(cfg.NTossSwitch)
+			return g
+		}, "at least one successor"},
 		{"start node with two arcs", func() *cfg.Graph {
 			g, _, ret := startThen(cfg.NReturn)
 			g.Connect(g.Entry, ret, always)
@@ -299,5 +313,20 @@ func TestDotOutput(t *testing.T) {
 	}
 	if got := strings.Count(g.Dot(), "->"); got != arcs {
 		t.Errorf("DOT arcs = %d, want %d", got, arcs)
+	}
+}
+
+// TestRepresentationSize pins what one node, one arc and one source
+// position cost: the closer keeps every CFG node alive until the end of
+// closing, so these sizes set its peak memory.
+func TestRepresentationSize(t *testing.T) {
+	if got := unsafe.Sizeof(cfg.Node{}); got > 80 {
+		t.Errorf("cfg.Node is %d bytes, want at most 80", got)
+	}
+	if got := unsafe.Sizeof(cfg.Arc{}); got != 16 {
+		t.Errorf("cfg.Arc is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(token.Pos{}); got != 12 {
+		t.Errorf("token.Pos is %d bytes, want 12", got)
 	}
 }

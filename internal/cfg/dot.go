@@ -35,7 +35,7 @@ func (g *Graph) Dot() string {
 			if a.Label.Kind != LAlways {
 				label = a.Label.String()
 			}
-			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", a.From.ID, a.To.ID, label)
+			fmt.Fprintf(&b, "  n%d -> n%d [label=%q];\n", n.ID, a.To.ID, label)
 		}
 	}
 	b.WriteString("}\n")

@@ -31,14 +31,15 @@ send(c, 9);
 		t.Errorf("calls = %d, want 4\n%s", got, g)
 	}
 	// All arms converge on the trailing send: it must have 3 in-arcs.
+	pred := preds(g)
 	for _, n := range g.Nodes {
 		if n.Kind != cfg.NCall {
 			continue
 		}
 		cs := n.CallStmt()
 		if len(cs.Args) == 2 && ast.FormatExpr(cs.Args[1]) == "9" {
-			if len(n.In) != 3 {
-				t.Errorf("join send has %d in-arcs, want 3\n%s", len(n.In), g)
+			if len(pred[n.ID]) != 3 {
+				t.Errorf("join send has %d in-arcs, want 3\n%s", len(pred[n.ID]), g)
 			}
 		}
 	}
@@ -76,10 +77,11 @@ send(c, x);
 	}
 	// The send join is reached both from the loop condition (false) and
 	// the break (true branch of the inner if).
+	pred := preds(g)
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.NCall {
-			if len(n.In) != 2 {
-				t.Errorf("send has %d in-arcs, want 2 (loop exit + break)\n%s", len(n.In), g)
+			if len(pred[n.ID]) != 2 {
+				t.Errorf("send has %d in-arcs, want 2 (loop exit + break)\n%s", len(pred[n.ID]), g)
 			}
 		}
 	}
@@ -100,16 +102,17 @@ while (x > 0) {
 	}
 	// The loop condition receives arcs from: procedure entry, the body
 	// end (send), and the continue.
+	pred := preds(g)
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.NCond && len(n.Out) == 2 {
 			isLoop := false
-			for _, a := range n.In {
-				if a.From.Kind == cfg.NCall {
+			for _, p := range pred[n.ID] {
+				if p.Kind == cfg.NCall {
 					isLoop = true
 				}
 			}
-			if isLoop && len(n.In) != 3 {
-				t.Errorf("loop cond has %d in-arcs, want 3\n%s", len(n.In), g)
+			if isLoop && len(pred[n.ID]) != 3 {
+				t.Errorf("loop cond has %d in-arcs, want 3\n%s", len(pred[n.ID]), g)
 			}
 		}
 	}
@@ -130,11 +133,12 @@ for (i = 0; i < 3; i = i + 1) {
 	}
 	// The post assignment (i = i + 1) receives the body end AND the
 	// continue: 2 in-arcs.
+	pred := preds(g)
 	for _, n := range g.Nodes {
 		if n.Kind != cfg.NAssign {
 			continue
 		}
-		if len(n.In) == 2 {
+		if len(pred[n.ID]) == 2 {
 			return // found the post node
 		}
 	}

@@ -241,7 +241,6 @@ func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
 		}
 		nn := cg.NewNode(n.Kind, n.Pos)
 		nn.Cond = n.Cond
-		nn.TossBound = n.TossBound
 		nn.Stmt = n.Stmt
 		if n.Kind == cfg.NCall {
 			nn.Stmt = transformCall(n, pr, u, removed, st)
@@ -259,7 +258,7 @@ func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
 		}
 		nn := newNode[n.ID]
 		for _, a := range n.Out {
-			succ := rg.succSet(a)
+			succ := rg.succSet(a.To)
 			st.PathChoicesOriginal += rg.paths(a.To)
 			if len(succ) > 0 {
 				st.PathChoicesClosed += len(succ)
@@ -283,12 +282,11 @@ func closeProc(g *cfg.Graph, pr *dataflow.ProcResult, u *cfg.Unit,
 					}
 				}
 				t := cg.NewNode(cfg.NTossSwitch, n.Pos)
-				t.TossBound = len(succ) - 1
 				st.TossInserted++
 				st.TossOutcomes += len(succ)
 				cg.Connect(nn, t, a.Label)
 				for i, id := range succ {
-					cg.Connect(t, newNode[id], cfg.Label{Kind: cfg.LToss, K: i})
+					cg.Connect(t, newNode[id], cfg.Label{Kind: cfg.LToss, K: int32(i)})
 				}
 				if opt.ShareTossSwitches {
 					tossMemo[key] = t
@@ -371,17 +369,18 @@ func (r *regions) paths(n *cfg.Node) int {
 	return total
 }
 
-// succSet computes succ(a): the marked nodes reachable from arc a
-// through unmarked nodes exclusively, in ascending node-ID order
-// (Point 2 of Step 4). The slice is valid until the next call.
-func (r *regions) succSet(a *cfg.Arc) []int {
+// succSet computes succ(a) for an arc a into to: the marked nodes
+// reachable from to through unmarked nodes exclusively, in ascending
+// node-ID order (Point 2 of Step 4). The slice is valid until the next
+// call.
+func (r *regions) succSet(to *cfg.Node) []int {
 	r.succ = r.succ[:0]
-	if r.marked[a.To.ID] {
-		return append(r.succ, a.To.ID)
+	if r.marked[to.ID] {
+		return append(r.succ, to.ID)
 	}
 	r.walk++
-	r.seen[a.To.ID] = r.walk
-	r.stack = append(r.stack[:0], a.To)
+	r.seen[to.ID] = r.walk
+	r.stack = append(r.stack[:0], to)
 	for len(r.stack) > 0 {
 		n := r.stack[len(r.stack)-1]
 		r.stack = r.stack[:len(r.stack)-1]

@@ -50,8 +50,8 @@ func TestFigure2Shape(t *testing.T) {
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.NTossSwitch {
 			toss++
-			if n.TossBound != 1 {
-				t.Errorf("toss bound = %d, want 1 (two branches)", n.TossBound)
+			if n.TossBound() != 1 {
+				t.Errorf("toss bound = %d, want 1 (two branches)", n.TossBound())
 			}
 		}
 	}
@@ -249,8 +249,8 @@ process p;
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.NTossSwitch {
 			toss++
-			if n.TossBound != 2 {
-				t.Errorf("toss bound = %d, want 2 (three arms)", n.TossBound)
+			if n.TossBound() != 2 {
+				t.Errorf("toss bound = %d, want 2 (three arms)", n.TossBound())
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"reclose/internal/core"
@@ -144,4 +145,95 @@ func TestEliminateDeadKeepsLiveCode(t *testing.T) {
 	if removed := core.EliminateDead(unit2); removed != 2 {
 		t.Errorf("removed %d nodes from the pipeline, want 2 (stage-local dead zero-inits)", removed)
 	}
+}
+
+// TestEliminateDeadShapes pins the graph EliminateDead leaves behind in
+// the places an arc must be moved past dead nodes: two dead nodes in a
+// row, a dead node on a loop's back edge, and a dead node entered from
+// the start node. The goldens are the listings the pass produced when
+// it still spliced nodes out through predecessor lists.
+func TestEliminateDeadShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		removed   int
+		want      string
+	}{
+		{"two in a row", `
+chan out[1];
+proc p() {
+    var k = 3;
+    send(out, k);
+    var a = 1;
+    var b = 2;
+    send(out, k);
+}
+process p;
+`, 2, `
+proc p():
+  n0   start   <start>                                 always->n1
+  n1   assign  var k = 3                               always->n2
+  n2   call    send(out, k)                            always->n3
+  n3   call    send(out, k)                            always->n4
+  n4   return  return
+`},
+		{"back edge", `
+chan out[1];
+proc p() {
+    var i = 0;
+    var t = 0;
+    while (i < 3) {
+        send(out, i);
+        i = i + 1;
+        t = i;
+    }
+    send(out, i);
+}
+process p;
+`, 2, `
+proc p():
+  n0   start   <start>                                 always->n1
+  n1   assign  var i = 0                               always->n2
+  n2   cond    if i < 3                                true->n3 false->n5
+  n3   call    send(out, i)                            always->n4
+  n4   assign  i = i + 1                               always->n2
+  n5   call    send(out, i)                            always->n6
+  n6   return  return
+`},
+		{"after start", `
+chan out[1];
+proc p() {
+    var d = 7;
+    send(out, 1);
+}
+process p;
+`, 1, `
+proc p():
+  n0   start   <start>                                 always->n1
+  n1   assign  var __t1 = 1                            always->n2
+  n2   call    send(out, __t1)                         always->n3
+  n3   return  return
+`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := core.MustCompileSource(tc.src)
+			if removed := core.EliminateDead(u); removed != tc.removed {
+				t.Errorf("removed %d nodes, want %d", removed, tc.removed)
+			}
+			if err := u.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if got := trimLines(u.String()); got != strings.TrimPrefix(tc.want, "\n") {
+				t.Errorf("graph after elimination:\n%s\nwant:\n%s", got, tc.want)
+			}
+		})
+	}
+}
+
+// trimLines drops the padding a listing leaves at the end of its lines.
+func trimLines(s string) string {
+	lines := strings.Split(s, "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimRight(l, " ")
+	}
+	return strings.Join(lines, "\n")
 }

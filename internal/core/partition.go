@@ -234,16 +234,7 @@ func representatives(consts []int64) []int64 {
 func injectDraw(g *cfg.Graph, param string, reps []int64) {
 	entrySucc := g.Entry.Out[0].To
 	label := g.Entry.Out[0].Label
-
-	// Detach the entry arc.
-	g.Entry.Out = nil
-	in := entrySucc.In[:0]
-	for _, a := range entrySucc.In {
-		if a.From != g.Entry {
-			in = append(in, a)
-		}
-	}
-	entrySucc.In = in
+	g.Entry.Out = g.Entry.Out[:0] // detach the entry arc
 
 	if len(reps) == 1 {
 		asn := g.NewNode(cfg.NAssign, g.Entry.Pos)
@@ -257,7 +248,6 @@ func injectDraw(g *cfg.Graph, param string, reps []int64) {
 	}
 
 	t := g.NewNode(cfg.NTossSwitch, g.Entry.Pos)
-	t.TossBound = len(reps) - 1
 	g.Connect(g.Entry, t, label)
 	for i, r := range reps {
 		asn := g.NewNode(cfg.NAssign, g.Entry.Pos)
@@ -265,7 +255,7 @@ func injectDraw(g *cfg.Graph, param string, reps []int64) {
 			LHS: &ast.Ident{Name: param},
 			RHS: &ast.IntLit{Value: r},
 		}
-		g.Connect(t, asn, cfg.Label{Kind: cfg.LToss, K: i})
+		g.Connect(t, asn, cfg.Label{Kind: cfg.LToss, K: int32(i)})
 		g.Connect(asn, entrySucc, cfg.Label{Kind: cfg.LAlways})
 	}
 }

@@ -370,3 +370,45 @@ func comparisonOnlyProgram(r *rand.Rand) string {
 	b.WriteString("}\nprocess p;\n")
 	return b.String()
 }
+
+// TestPartitionEntryJoin partitions a parameter whose first statement is
+// a loop head, so the start node's successor has another predecessor
+// (the back edge): the draw goes between the start node and the loop
+// and the back edge still enters the loop head.
+func TestPartitionEntryJoin(t *testing.T) {
+	src := `
+chan out[1];
+env chan out;
+env p.x;
+proc p(x) {
+    while (x > 0) {
+        send(out, 1);
+    }
+    send(out, 2);
+}
+process p;
+`
+	closed, _, pst, err := core.ClosePartitioned(core.MustCompileSource(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pst.Partitioned != 1 {
+		t.Fatalf("partitioned %d parameters, want 1", pst.Partitioned)
+	}
+	want := `proc p(x):
+  n0   start   <start>                                 always->n7
+  n1   cond    if x > 0                                true->n2 false->n4
+  n2   assign  var __t1 = 1                            always->n3
+  n3   call    send(out, __t1)                         always->n1
+  n4   assign  var __t2 = 2                            always->n5
+  n5   call    send(out, __t2)                         always->n6
+  n6   return  return
+  n7   toss    switch VS_toss(2)                       toss==0->n8 toss==1->n9 toss==2->n10
+  n8   assign  x = -1                                  always->n1
+  n9   assign  x = 0                                   always->n1
+  n10  assign  x = 1                                   always->n1
+`
+	if got := trimLines(closed.String()); got != want {
+		t.Errorf("closed graph:\n%s\nwant:\n%s", got, want)
+	}
+}

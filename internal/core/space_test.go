@@ -78,12 +78,23 @@ func retainedByAnalysis(u *cfg.Unit) int64 {
 	return int64(ms.HeapAlloc) - int64(before)
 }
 
+// graphObjs is, per shape, the most objects per node cfg and close
+// allocated over the three sizes once arcs were stored inline and nodes
+// lost their predecessor lists. TestSpacePerPass allows 5 % over it.
+var graphObjs = map[synth.Shape]struct{ cfg, close float64 }{
+	synth.StraightLine: {3.01, 1.51},
+	synth.Branchy:      {4.01, 3.01},
+	synth.Loopy:        {4.01, 2.41},
+	synth.ManyProcs:    {3.76, 1.63},
+}
+
 // TestSpacePerPass is the closer's linearity claim for space: over the
 // four synth shapes at three doubling sizes it records the bytes and
 // objects each pass allocates per CFG node, and the bytes per node the
 // dataflow result keeps alive. No pass's bytes per node may grow by more
 // than a tenth per doubling, dataflow's objects per node may not grow,
-// and neither may the bytes the result retains per node.
+// and neither may the bytes the result retains per node. cfg and close
+// may not allocate more than 5 % over graphObjs per node.
 func TestSpacePerPass(t *testing.T) {
 	const reps = 3 // the minimum of three runs damps map-growth luck
 	var table strings.Builder
@@ -128,6 +139,14 @@ func TestSpacePerPass(t *testing.T) {
 				prev[i] = bpn
 			}
 			fmt.Fprintf(&table, " %8.1fB\n", keptPer)
+			for _, p := range []struct {
+				i     int
+				bound float64
+			}{{4, graphObjs[shape].cfg}, {6, graphObjs[shape].close}} {
+				if objs := float64(best[p.i].objs) / float64(nodes); objs > 1.05*p.bound {
+					t.Errorf("%s n=%d: %s allocates %.2f objects per node, more than 5 %% over %.2f", shape, n, passNames[p.i], objs, p.bound)
+				}
+			}
 			objs := float64(best[5].objs) / float64(nodes) // dataflow
 			if prevObjs != 0 && objs > 1.02*prevObjs {
 				t.Errorf("%s n=%d: dataflow allocates %.3f objects per node, up from %.3f at half the size", shape, n, objs, prevObjs)

@@ -478,6 +478,7 @@ func refAnalyzeProc(g *cfg.Graph, ctx *refContext) *refProc {
 	// Worklist iteration in reverse-postorder-ish (node creation order is
 	// roughly topological for structured code, so plain order converges
 	// quickly).
+	pred := preds(g)
 	workQ := make([]int, 0, len(g.Nodes))
 	inQ := make([]bool, len(g.Nodes))
 	push := func(id int) {
@@ -497,8 +498,8 @@ func refAnalyzeProc(g *cfg.Graph, ctx *refContext) *refProc {
 		if n == g.Entry {
 			or(in[id], entryIn)
 		}
-		for _, a := range n.In {
-			or(in[id], out[a.From.ID])
+		for _, p := range pred[id] {
+			or(in[id], out[p])
 		}
 		// out = gen ∪ (in − kill)
 		changed := false
@@ -597,6 +598,18 @@ func refAnalyzeProc(g *cfg.Graph, ctx *refContext) *refProc {
 	}
 
 	return r
+}
+
+// preds lists every node's predecessors by ID, one entry per arc. Graphs
+// keep no predecessor lists, so the oracle reverses the Out lists.
+func preds(g *cfg.Graph) [][]int {
+	out := make([][]int, len(g.Nodes))
+	for _, n := range g.Nodes {
+		for _, a := range n.Out {
+			out[a.To.ID] = append(out[a.To.ID], n.ID)
+		}
+	}
+	return out
 }
 
 // refExprUses adds to dst the variables whose values are read by e:

@@ -172,7 +172,7 @@ func (s *RefSystem) advance(p *RefProc, ch Chooser) (out *Outcome) {
 			}
 			p.cur = pickArc(n, v.B, -1)
 		case cfg.NTossSwitch:
-			k := ctx.toss(n.TossBound)
+			k := ctx.toss(n.TossBound())
 			p.cur = pickArc(n, false, k)
 		case cfg.NCall:
 			cs := n.CallStmt()
@@ -267,7 +267,7 @@ func pickArc(n *cfg.Node, b bool, tossK int) *cfg.Node {
 				return a.To
 			}
 		case cfg.LToss:
-			if a.Label.K == tossK {
+			if int(a.Label.K) == tossK {
 				return a.To
 			}
 		}

@@ -189,11 +189,11 @@ func (r *Resolution) resolveProc(pc *procCode) {
 			p.onTrue = pickArcStatic(n, true)
 			p.onFalse = pickArcStatic(n, false)
 		case cfg.NTossSwitch:
-			p.tossBound = n.TossBound
+			p.tossBound = n.TossBound()
 			// A negative bound traps at runtime (inside toss), like the
 			// reference; only precompute successors for valid bounds.
-			if n.TossBound >= 0 {
-				p.tossSucc = make([]*cfg.Node, n.TossBound+1)
+			if p.tossBound >= 0 {
+				p.tossSucc = make([]*cfg.Node, p.tossBound+1)
 				for k := range p.tossSucc {
 					p.tossSucc[k] = pickTossArc(n, k)
 				}
@@ -301,7 +301,7 @@ func pickTossArc(n *cfg.Node, k int) *cfg.Node {
 		case cfg.LAlways:
 			return a.To
 		case cfg.LToss:
-			if a.Label.K == k {
+			if int(a.Label.K) == k {
 				return a.To
 			}
 		}

@@ -34,7 +34,7 @@ func FuzzLexer(f *testing.F) {
 		// Every token must carry a position inside the input, and every
 		// error must render.
 		for _, tok := range toks {
-			if tok.Pos.Offset < 0 || tok.Pos.Offset > len(src) {
+			if tok.Pos.Offset < 0 || int(tok.Pos.Offset) > len(src) {
 				t.Fatalf("token %s at offset %d outside input of %d bytes", tok.Kind, tok.Pos.Offset, len(src))
 			}
 		}

@@ -8,6 +8,7 @@ package lexer
 
 import (
 	"fmt"
+	"math"
 
 	"reclose/internal/token"
 )
@@ -66,8 +67,12 @@ func (l *Lexer) peek() byte {
 }
 
 func (l *Lexer) pos() token.Pos {
-	return token.Pos{Offset: l.offset, Line: l.line, Column: l.col}
+	return token.Pos{Offset: sat32(l.offset), Line: sat32(l.line), Column: sat32(l.col)}
 }
+
+// sat32 narrows a counter to a position field, saturating at
+// math.MaxInt32 instead of wrapping to a negative value.
+func sat32(v int) int32 { return int32(min(v, math.MaxInt32)) }
 
 func (l *Lexer) errorf(pos token.Pos, format string, args ...any) {
 	l.errs = append(l.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})

@@ -8,6 +8,7 @@ package parser
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -53,8 +54,13 @@ type parser struct {
 }
 
 // Parse parses a complete MiniC program from src. On failure it returns
-// a non-nil error (an ErrorList) and a possibly partial program.
+// a non-nil error (an ErrorList) and a possibly partial program. A
+// source longer than math.MaxInt32 bytes, which 32-bit positions cannot
+// address, is refused before scanning with a plain error and no program.
 func Parse(src []byte) (*ast.Program, error) {
+	if len(src) > math.MaxInt32 {
+		return nil, fmt.Errorf("source is %d bytes; positions address at most %d", len(src), math.MaxInt32)
+	}
 	p := &parser{lex: lexer.New(src)}
 	p.next()
 	prog := p.parseProgram()

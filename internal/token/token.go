@@ -210,11 +210,14 @@ func (k Kind) Precedence() int {
 	return 0
 }
 
-// Pos is a source position: byte offset, 1-based line and column.
+// Pos is a source position: byte offset, 1-based line and column. The
+// fields are 32-bit, so a Pos is 12 bytes in every AST and CFG node; the
+// parser refuses sources longer than math.MaxInt32 bytes and the lexer
+// saturates rather than wraps.
 type Pos struct {
-	Offset int
-	Line   int
-	Column int
+	Offset int32
+	Line   int32
+	Column int32
 }
 
 // IsValid reports whether the position has been set.

@@ -1,9 +1,9 @@
 #!/bin/sh
-# CPU profile of a benchmark of the root package: where a search's time
-# goes, by function. The rows are the benchmark's sequential searches, in
-# process: BenchmarkBacktrack (the default) is the four of
+# CPU profile of a benchmark of the root package: where a search's or a
+# closing's time goes, by function. The rows run in process:
+# BenchmarkBacktrack (the default) is the four sequential searches of
 # explore_stateless, BenchmarkStateful the six fixed items of
-# explore_stateful.
+# explore_stateful, BenchmarkClose the five items close_scale closes.
 #   scripts/profile.sh [bench-regexp]
 set -eu
 cd "$(dirname "$0")/.."
