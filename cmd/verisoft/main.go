@@ -42,6 +42,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -164,6 +165,44 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	return c
 }
 
+// startProgress prints a progress: line every -progress period from the
+// registry's counters, which the search flushes a path at a time (a
+// slice at a time under -dist-workers), and returns the function that
+// stops it and prints the last line. Without -progress it prints
+// nothing.
+func (c *cli) startProgress(reg *obs.Registry, start time.Time) (stop func()) {
+	if c.progress <= 0 {
+		return func() {}
+	}
+	line := func() {
+		fmt.Fprintf(c.stderr, "progress: states=%d transitions=%d paths=%d incidents=%d elapsed=%s\n",
+			reg.Counter(explore.MetricStates).Load(), reg.Counter(explore.MetricTransitions).Load(),
+			reg.Counter(explore.MetricPaths).Load(), reg.Counter(explore.MetricIncidents).Load(),
+			time.Since(start).Round(time.Millisecond))
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		t := time.NewTicker(c.progress)
+		defer t.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-t.C:
+				line()
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
+		line()
+	}
+}
+
 // realMain is main without the process boundary: it parses args, runs
 // the search, and returns the exit code, writing to the given streams.
 func realMain(args []string, stdout, stderr io.Writer) int {
@@ -262,14 +301,6 @@ func (c *cli) run() (int, error) {
 	}
 
 	opt.Obs = reg
-	if c.progress > 0 {
-		opt.ProgressEvery = c.progress
-		opt.Progress = func(st explore.Stats) {
-			fmt.Fprintf(c.stderr, "progress: states=%d transitions=%d paths=%d incidents=%d frontier=%d elapsed=%s\n",
-				st.States, st.Transitions, st.Paths, st.Incidents, st.FrontierUnits,
-				st.Elapsed.Round(time.Millisecond))
-		}
-	}
 	if c.ckptFile != "" && opt.CheckpointEvery > 0 {
 		opt.Checkpoint = func(s *explore.Snapshot) {
 			if err := writeSnapshot(c.ckptFile, s); err != nil {
@@ -324,6 +355,8 @@ func (c *cli) run() (int, error) {
 	}()
 
 	start := time.Now()
+	stopProgress := sync.OnceFunc(c.startProgress(reg, start))
+	defer stopProgress()
 	var rep *explore.Report
 	switch {
 	case c.shortest:
@@ -377,6 +410,7 @@ func (c *cli) run() (int, error) {
 		}
 	}
 	elapsed := time.Since(start)
+	stopProgress()
 
 	fmt.Fprintf(c.stdout, "search: %s\n", rep)
 	if s := rep.CacheSummary(); s != "" {

@@ -164,6 +164,25 @@ func TestCLIParallelSummary(t *testing.T) {
 	}
 }
 
+// TestCLIProgressEndsOnSummary checks -progress on a sequential run long
+// enough to tick: the last progress: line on stderr carries the summary:
+// line's four counts.
+func TestCLIProgressEndsOnSummary(t *testing.T) {
+	prog := writeProg(t, progs.Philosophers(4))
+	var out, errb bytes.Buffer
+	if code := realMain([]string{"-progress", "1ms", "-no-sleep", prog}, &out, &errb); code != 3 {
+		t.Fatalf("exit code = %d, want 3\nstderr:\n%s", code, errb.String())
+	}
+	sum := summaryRE.FindStringSubmatch(out.String())
+	lines := regexp.MustCompile(`(?m)^progress: states=(\d+) transitions=(\d+) paths=(\d+) incidents=(\d+) .*elapsed=\S+$`).FindAllStringSubmatch(errb.String(), -1)
+	if sum == nil || len(lines) == 0 {
+		t.Fatalf("want a summary: line and progress: lines\nstdout:\n%s\nstderr:\n%s", out.String(), errb.String())
+	}
+	if last := lines[len(lines)-1]; fmt.Sprint(last[1:5]) != fmt.Sprint(sum[1:5]) {
+		t.Errorf("last progress: line %q, summary: line %q", last[0], sum[0])
+	}
+}
+
 // TestCLIUsageErrors pins the CLI error contract: bad flags and a
 // missing operand exit 2, an unreadable input exits 1.
 func TestCLIUsageErrors(t *testing.T) {

@@ -35,9 +35,6 @@ func (t *SlotTable) Slot(name string) int {
 	return -1
 }
 
-// NumSlots returns the number of variables in the table.
-func (t *SlotTable) NumSlots() int { return len(t.Names) }
-
 // BuildSlotTable collects the variables of g into a fresh slot table.
 // The first argument of a builtin call names a communication object,
 // not a variable, and is excluded; every other identifier position is a

@@ -31,12 +31,9 @@ type Object interface {
 	Enabled(op string) bool
 	// Reset restores the initial state.
 	Reset()
-	// Fingerprint returns a short string capturing the object state
-	// (used by the optional state-hashing mode of the explorer).
-	Fingerprint() string
-	// AppendFingerprint appends the same canonical fingerprint to dst
-	// and returns the extended slice; it is the allocation-free form
-	// used on the explorer's hot path.
+	// AppendFingerprint appends a short canonical rendering of the
+	// object state to dst and returns the extended slice, allocation-free
+	// on the explorer's hot path.
 	AppendFingerprint(dst []byte) []byte
 	// Clone returns an independent deep copy of the object for state
 	// snapshots (the reference interpreter's fork). Payloads are opaque
@@ -185,9 +182,6 @@ func (c *Chan) Clone(copyPayload func(any) any) Object {
 	return nc
 }
 
-// Fingerprint implements Object.
-func (c *Chan) Fingerprint() string { return string(c.AppendFingerprint(nil)) }
-
 // AppendFingerprint implements Object.
 func (c *Chan) AppendFingerprint(dst []byte) []byte {
 	dst = append(dst, c.name...)
@@ -263,9 +257,6 @@ func (s *Sem) Clone(copyPayload func(any) any) Object {
 	return &ns
 }
 
-// Fingerprint implements Object.
-func (s *Sem) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
-
 // AppendFingerprint implements Object.
 func (s *Sem) AppendFingerprint(dst []byte) []byte {
 	dst = append(dst, s.name...)
@@ -312,9 +303,6 @@ func (s *Shared) Clone(copyPayload func(any) any) Object {
 	}
 	return ns
 }
-
-// Fingerprint implements Object.
-func (s *Shared) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
 
 // AppendFingerprint implements Object.
 func (s *Shared) AppendFingerprint(dst []byte) []byte {

@@ -65,8 +65,8 @@ func TestChanStub(t *testing.T) {
 	if err != nil || !stub || v != nil {
 		t.Errorf("stub recv = %v/%t/%v, want nil/stub", v, stub, err)
 	}
-	if c.Fingerprint() != "e:stub" {
-		t.Errorf("fingerprint = %q", c.Fingerprint())
+	if fp := string(c.AppendFingerprint(nil)); fp != "e:stub" {
+		t.Errorf("fingerprint = %q", fp)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestChanInverses(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := comm.NewChan("c", 3, false)
-		states := []string{c.Fingerprint()}
+		states := []string{string(c.AppendFingerprint(nil))}
 		var inverse []func()
 		for i := 0; i < 40; i++ {
 			if c.CanSend() && (!c.CanRecv() || rng.Intn(2) == 0) {
@@ -199,12 +199,12 @@ func TestChanInverses(t *testing.T) {
 				}
 				inverse = append(inverse, func() { c.Unrecv(v) })
 			}
-			states = append(states, c.Fingerprint())
+			states = append(states, string(c.AppendFingerprint(nil)))
 			// Unwind part of the way now and then, and go on from there.
 			for len(inverse) > 0 && rng.Intn(3) == 0 {
 				inverse[len(inverse)-1]()
 				inverse, states = inverse[:len(inverse)-1], states[:len(states)-1]
-				if got, want := c.Fingerprint(), states[len(states)-1]; got != want {
+				if got, want := string(c.AppendFingerprint(nil)), states[len(states)-1]; got != want {
 					t.Fatalf("seed %d, op %d: unwound to %s, was %s", seed, i, got, want)
 				}
 			}

@@ -147,7 +147,7 @@ func verifyLasso(t *testing.T, u *cfg.Unit, in *Incident) {
 		if d.Toss {
 			t.Fatalf("unconsumed toss decision at %d", pos-1)
 		}
-		if inCycle && sys.ProcProgress(d.Value) {
+		if inCycle && sys.AppendPending(nil)[d.Value].Flags&interp.PendProgress != 0 {
 			t.Errorf("cycle transition at decision %d runs progress-labeled P%d", pos-1, d.Value)
 		}
 		if _, out := sys.Step(d.Value, ch); out != nil {

@@ -154,9 +154,6 @@ func (w *worker) ship() {
 		}
 		w.fold(rs.partial)
 		d.met.addRestored(rs.rep)
-		w.shared.transitions.Add(rs.rep.Transitions)
-		w.shared.replaySteps.Add(rs.rep.ReplaySteps)
-		w.shared.incidents.Add(rs.rep.Incidents())
 		w.shared.notePaths(rs.rep.Paths)
 		for _, u := range rs.units {
 			w.f.push(w.id, u)

@@ -661,7 +661,6 @@ func (e *engine) runPath() {
 			e.dporTrack(len(e.stack)-1, pd, en)
 		}
 		e.rep.Transitions++
-		e.shared.transitions.Add(1)
 		ev, out := e.sys.Step(p, e.ch)
 		e.pushTrace(ev)
 		if out != nil {
@@ -685,7 +684,6 @@ func (e *engine) pushTrace(ev interp.Event) {
 // noteReplayStep accounts one re-executed prefix transition.
 func (e *engine) noteReplayStep() {
 	e.rep.ReplaySteps++
-	e.shared.replaySteps.Add(1)
 }
 
 // pathDecisions returns a copy of the full decision sequence of the
@@ -1056,10 +1054,8 @@ func (e *engine) leafOutcome(out *interp.Outcome) {
 	}
 }
 
-// noteIncident bumps the shared incident counter and the
-// states-at-first-incident watermark.
+// noteIncident sets the states-at-first-incident watermark.
 func (e *engine) noteIncident() {
-	e.shared.incidents.Add(1)
 	if e.rep.StatesAtFirstIncident == 0 {
 		e.rep.StatesAtFirstIncident = e.shared.states.Load()
 	}

@@ -219,11 +219,6 @@ type Options struct {
 	// truncation). Counter totals equal the merged Report counters
 	// exactly. A nil registry disables all instrumentation at zero cost.
 	Obs *obs.Registry `json:"-"`
-	// Progress, if non-nil, is invoked periodically with a snapshot of
-	// the running search's counters.
-	Progress func(Stats) `json:"-"`
-	// ProgressEvery is the progress callback period; 0 means 1s.
-	ProgressEvery time.Duration `json:"-"`
 
 	// Timeout bounds the search's wall-clock time; 0 means unlimited. A
 	// timed-out search drains cleanly and returns a partial Report
@@ -272,10 +267,10 @@ type Options struct {
 const defaultSpillDepth = 16
 
 // Resolve decides the search an option set asks for: it fills the zero
-// MaxDepth (1,000,000), MaxIncidents (16), SpillDepth (16) and
-// ProgressEvery (1s), a negative Workers with GOMAXPROCS, and refuses
-// what the engine cannot honour instead of rewriting it. Nothing else
-// changes, so it is idempotent. Every entry point and front end calls it.
+// MaxDepth (1,000,000), MaxIncidents (16) and SpillDepth (16), a
+// negative Workers with GOMAXPROCS, and refuses what the engine cannot
+// honour instead of rewriting it. Nothing else changes, so it is
+// idempotent. Every entry point and front end calls it.
 func (opt Options) Resolve() (Options, error) {
 	for _, f := range []struct {
 		name string
@@ -284,7 +279,6 @@ func (opt Options) Resolve() (Options, error) {
 		{"MaxDepth", int64(opt.MaxDepth)}, {"MaxStates", opt.MaxStates},
 		{"MaxIncidents", int64(opt.MaxIncidents)}, {"SpillDepth", int64(opt.SpillDepth)},
 		{"CacheShards", int64(opt.CacheShards)}, {"MaxCacheBytes", opt.MaxCacheBytes},
-		{"ProgressEvery", int64(opt.ProgressEvery)},
 	} {
 		if f.v < 0 {
 			return opt, fmt.Errorf("explore: %s is %d; it must not be negative", f.name, f.v)
@@ -313,9 +307,6 @@ func (opt Options) Resolve() (Options, error) {
 	}
 	if opt.Workers < 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.ProgressEvery == 0 {
-		opt.ProgressEvery = time.Second
 	}
 	return opt, nil
 }

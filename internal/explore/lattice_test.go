@@ -724,8 +724,6 @@ var notAnAxis = map[string]string{
 	"Cache":                "a distributed worker process's cache shared between its slices",
 	"OnLeaf":               "a callback",
 	"Fault":                "fault injection: an injected panic costs a path (panic_test.go, fault_test.go)",
-	"Progress":             "a callback",
-	"ProgressEvery":        "the Progress callback's period",
 	"Timeout":              "a wall-clock budget",
 	"Checkpoint":           "a callback; the resume driver sets it",
 	"CheckpointEvery":      "checkpoint cadence by wall clock",

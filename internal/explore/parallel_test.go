@@ -176,7 +176,7 @@ func TestParallelIncidentsReplay(t *testing.T) {
 				case LeafDeadlock:
 					if out != nil {
 						t.Errorf("sample %d: deadlock replay ended with outcome %v", i, out)
-					} else if !sys.Deadlocked() {
+					} else if !Deadlocked(sys) {
 						t.Errorf("sample %d: deadlock replay did not reach a deadlocked state", i)
 					}
 				case LeafViolation, LeafTrap, LeafDivergence:

@@ -262,7 +262,7 @@ func TestReplayIncident(t *testing.T) {
 	if out != nil {
 		t.Fatalf("unexpected outcome: %s", out)
 	}
-	if !sys.Deadlocked() {
+	if !explore.Deadlocked(sys) {
 		t.Error("replayed scenario does not end in the deadlock")
 	}
 	if len(events) != len(in.Trace) {
@@ -350,7 +350,7 @@ func TestShortestWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sys.Deadlocked() {
+	if !explore.Deadlocked(sys) {
 		t.Error("shortest witness does not reproduce the deadlock")
 	}
 }
@@ -402,7 +402,7 @@ func TestShortestWitnessSomeWitnessModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: replay: %v", tc.name, err)
 		}
-		if !sys.Deadlocked() {
+		if !explore.Deadlocked(sys) {
 			t.Errorf("%s: witness does not reproduce the deadlock", tc.name)
 		}
 	}

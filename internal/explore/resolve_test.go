@@ -31,7 +31,6 @@ func randomValidOptions(rng *rand.Rand) explore.Options {
 		Workers:       n(6) - 2,
 		SpillDepth:    n(2) * n(32),
 		SnapshotSpill: n(2) == 0,
-		ProgressEvery: time.Duration(n(2)*n(5)) * time.Second,
 		Timeout:       time.Duration(n(2)*n(5)) * time.Second,
 	}
 	if o.Search == explore.SearchPriority && n(2) == 0 {
@@ -50,7 +49,7 @@ func randomValidOptions(rng *rand.Rand) explore.Options {
 // resolving once, and a value the caller set comes back unchanged — only
 // the zero values it documents are filled, and a negative Workers.
 func TestResolveIdempotentKeepsSetValues(t *testing.T) {
-	fills := map[string]bool{"MaxDepth": true, "MaxIncidents": true, "SpillDepth": true, "ProgressEvery": true}
+	fills := map[string]bool{"MaxDepth": true, "MaxIncidents": true, "SpillDepth": true}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		opt := randomValidOptions(rng)
@@ -96,7 +95,6 @@ func TestOptionsFieldsDecideTheWire(t *testing.T) {
 	}
 	opt := explore.Options{
 		OnLeaf:     func(explore.LeafKind, []interp.Event) {},
-		Progress:   func(explore.Stats) {},
 		Checkpoint: func(*explore.Snapshot) {},
 	}
 	if _, err := json.Marshal(opt); err != nil {

@@ -6,33 +6,15 @@ import (
 	"time"
 )
 
-// Stats is a live snapshot of a running search, delivered through
-// Options.Progress.
-type Stats struct {
-	States      int64
-	Transitions int64
-	ReplaySteps int64
-	Paths       int64
-	Incidents   int64
-	// FrontierUnits is the number of work units currently queued on the
-	// frontier.
-	FrontierUnits int64
-	Workers       int
-	Elapsed       time.Duration
-}
-
 // sharedState is what the engines of one search share, at every worker
-// count: the atomic counters behind progress snapshots, the MaxStates
-// budget and the checkpoint cadence, and the two flags that send workers
+// count: the state and path counters behind the MaxStates budget and
+// the checkpoint cadence, and the two flags that send workers
 // back to the driver — stop (the search is being cut; honoured at the
 // next fresh state) and pause (a checkpoint is due; honoured at the next
 // path boundary, with every stack left as it stands).
 type sharedState struct {
-	states      atomic.Int64
-	transitions atomic.Int64
-	replaySteps atomic.Int64
-	paths       atomic.Int64
-	incidents   atomic.Int64
+	states atomic.Int64
+	paths  atomic.Int64
 
 	maxStates int64 // 0 = unbounded
 	// reserved, under budgetMu, is the part of states that slices in
@@ -137,21 +119,6 @@ func (s *sharedState) requestPause() {
 // called while no workers are running.
 func (s *sharedState) clearPause() { s.pause.Store(false) }
 
-func (s *sharedState) snapshot(workers int, f *frontier, start time.Time) Stats {
-	s.budgetMu.Lock()
-	defer s.budgetMu.Unlock()
-	return Stats{
-		States:        s.states.Load() - s.reserved,
-		Transitions:   s.transitions.Load(),
-		ReplaySteps:   s.replaySteps.Load(),
-		Paths:         s.paths.Load(),
-		Incidents:     s.incidents.Load(),
-		FrontierUnits: f.queued.Load(),
-		Workers:       workers,
-		Elapsed:       time.Since(start),
-	}
-}
-
 // WorkerStat reports one worker's share of a search (the inline worker
 // of Workers: 0 is worker 0).
 type WorkerStat struct {
@@ -161,33 +128,4 @@ type WorkerStat struct {
 	Busy   time.Duration
 	// Utilization is Busy divided by the search's wall-clock time.
 	Utilization float64
-}
-
-// startProgress launches the search's progress ticker and returns a
-// function that stops it (delivering one final snapshot).
-func startProgress(opt Options, shared *sharedState, f *frontier, start time.Time) (stop func()) {
-	if opt.Progress == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(opt.ProgressEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				opt.Progress(shared.snapshot(opt.Workers, f, start))
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-		opt.Progress(shared.snapshot(opt.Workers, f, start))
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestRequestStopFirstCauseWins pins the stop-cause protocol: the first
@@ -87,67 +86,4 @@ func TestClearPause(t *testing.T) {
 	if s.cause() != StopTimeout {
 		t.Errorf("cause after a stop during a pause = %v, want %v", s.cause(), StopTimeout)
 	}
-}
-
-// TestSharedSnapshot checks that a progress snapshot reads every shared
-// counter and the frontier's queued length.
-func TestSharedSnapshot(t *testing.T) {
-	s := &sharedState{}
-	s.states.Store(100)
-	s.transitions.Store(90)
-	s.replaySteps.Store(8)
-	s.paths.Store(7)
-	s.incidents.Store(2)
-	f := newFrontier(2, false, s, noMetrics)
-	f.push(0, &workUnit{root: true})
-	f.push(1, &workUnit{root: true})
-
-	st := s.snapshot(4, f, time.Now().Add(-time.Second))
-	if st.States != 100 || st.Transitions != 90 || st.ReplaySteps != 8 ||
-		st.Paths != 7 || st.Incidents != 2 {
-		t.Errorf("snapshot counters = %+v", st)
-	}
-	if st.FrontierUnits != 2 {
-		t.Errorf("FrontierUnits = %d, want 2", st.FrontierUnits)
-	}
-	if st.Workers != 4 {
-		t.Errorf("Workers = %d, want 4", st.Workers)
-	}
-	if st.Elapsed < time.Second {
-		t.Errorf("Elapsed = %v, want >= 1s", st.Elapsed)
-	}
-}
-
-// TestStartProgressFinalDelivery checks that stopping the progress
-// ticker delivers one final snapshot even when the period never
-// elapsed — the caller always sees the end state.
-func TestStartProgressFinalDelivery(t *testing.T) {
-	var calls atomic.Int64
-	var last atomic.Int64
-	opt := Options{
-		Workers:       2,
-		ProgressEvery: time.Hour, // never ticks during the test
-		Progress: func(st Stats) {
-			calls.Add(1)
-			last.Store(st.States)
-		},
-	}
-	s := &sharedState{}
-	f := newFrontier(2, false, s, noMetrics)
-	stop := startProgress(opt, s, f, time.Now())
-	s.states.Store(42)
-	stop()
-	if got := calls.Load(); got != 1 {
-		t.Errorf("progress called %d times, want exactly the final delivery", got)
-	}
-	if got := last.Load(); got != 42 {
-		t.Errorf("final snapshot states = %d, want 42", got)
-	}
-}
-
-// TestStartProgressNil checks the disabled form: no Progress callback
-// means startProgress must be inert and its stop function safe.
-func TestStartProgressNil(t *testing.T) {
-	stop := startProgress(Options{}, &sharedState{}, nil, time.Now())
-	stop() // must not panic
 }

@@ -108,22 +108,17 @@ func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredSta
 		met.emitResume(restored)
 		seed = restored.units
 		// Preload the shared counters with the restored totals so the
-		// MaxStates budget, the path-based checkpoint cadence, and
-		// progress snapshots all see whole-search numbers. The final
-		// report is built from the accumulator, not these counters, so
-		// nothing is double-counted.
+		// MaxStates budget and the path-based checkpoint cadence see
+		// whole-search numbers. The final report is built from the
+		// accumulator, not these counters, so nothing is double-counted.
 		shared.states.Store(restored.rep.States)
-		shared.transitions.Store(restored.rep.Transitions)
-		shared.replaySteps.Store(restored.rep.ReplaySteps)
 		shared.paths.Store(restored.rep.Paths)
-		shared.incidents.Store(restored.rep.Incidents())
 	}
 	for i, un := range seed {
 		f.push(i, un)
 	}
 
 	start := time.Now()
-	stopProgress := startProgress(opt, shared, f, start)
 	stopWatch := startWatch(ctx, opt, shared)
 	for {
 		if opt.Workers == 0 {
@@ -148,7 +143,6 @@ func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredSta
 		shared.clearPause()
 	}
 	stopWatch()
-	stopProgress()
 	if shared.failure != nil {
 		return nil, shared.failure
 	}

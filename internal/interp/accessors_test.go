@@ -35,7 +35,7 @@ process main;
 	}
 
 	// Run to completion; the accessors flip to terminated forms.
-	for len(s.EnabledProcs()) > 0 {
+	for len(s.AppendEnabled(nil)) > 0 {
 		if _, out := s.Step(0, interp.FixedChooser(0)); out != nil {
 			t.Fatal(out)
 		}

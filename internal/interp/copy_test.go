@@ -380,7 +380,7 @@ process main;
 		if out := m.Init(ch); out != nil {
 			t.Fatalf("%s: init: %s", engineNames[i], out)
 		}
-		for step := 0; m.Enabled(0); step++ {
+		for step := 0; len(m.AppendEnabled(nil)) > 0; step++ {
 			ev, out := m.Step(0, ch)
 			if out != nil {
 				t.Fatalf("%s: step %d (%s): %s", engineNames[i], step, ev, out)
@@ -389,7 +389,7 @@ process main;
 				t.Errorf("%s: send event %s, want the value sent", engineNames[i], ev)
 			}
 		}
-		if !m.AllTerminated() {
+		if term, _ := verdict(m); !term {
 			t.Fatalf("%s: did not terminate", engineNames[i])
 		}
 	}

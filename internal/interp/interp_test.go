@@ -28,7 +28,7 @@ func runAll(t *testing.T, s *interp.System, ch interp.Chooser, maxSteps int) []i
 	}
 	var trace []interp.Event
 	for i := 0; i < maxSteps; i++ {
-		en := s.EnabledProcs()
+		en := s.AppendEnabled(nil)
 		if len(en) == 0 {
 			return trace
 		}
@@ -203,8 +203,8 @@ process receiver;
 		t.Fatalf("Init: %s", out)
 	}
 	steps := 0
-	for len(s.EnabledProcs()) > 0 {
-		p := s.EnabledProcs()[0]
+	for len(s.AppendEnabled(nil)) > 0 {
+		p := s.AppendEnabled(nil)[0]
 		if _, out := s.Step(p, interp.FixedChooser(0)); out != nil {
 			t.Fatalf("Step: %s", out)
 		}
@@ -213,7 +213,7 @@ process receiver;
 			t.Fatal("runaway")
 		}
 	}
-	if !s.AllTerminated() {
+	if term, _ := verdict(s); !term {
 		t.Fatal("system did not terminate")
 	}
 	g := s.Object("g").(interface{ Read() any })
@@ -356,7 +356,7 @@ process main;
 	if out := s.Init(interp.FixedChooser(0)); out != nil {
 		t.Fatalf("Init: %s", out)
 	}
-	if !s.Deadlocked() || s.AllTerminated() {
+	if term, dead := verdict(s); !dead || term {
 		t.Error("wait on 0-sem should deadlock")
 	}
 
@@ -367,7 +367,7 @@ process main;
 	if out := s2.Init(interp.FixedChooser(0)); out != nil {
 		t.Fatalf("Init: %s", out)
 	}
-	if !s2.AllTerminated() || s2.Deadlocked() {
+	if term, dead := verdict(s2); !term || dead {
 		t.Error("immediate return should terminate")
 	}
 }
@@ -387,7 +387,7 @@ process main;
 	if len(trace) != 1 {
 		t.Errorf("trace = %v, want just the first send", trace)
 	}
-	if !s.AllTerminated() {
+	if term, _ := verdict(s); !term {
 		t.Error("process should have terminated via exit")
 	}
 }
@@ -419,9 +419,9 @@ process main;
 	if out := s.Init(interp.FixedChooser(0)); out != nil {
 		t.Fatalf("Init: %s", out)
 	}
-	f0 := s.Fingerprint()
+	f0 := string(s.AppendFingerprint(nil))
 	s.Step(0, interp.FixedChooser(0))
-	f1 := s.Fingerprint()
+	f1 := string(s.AppendFingerprint(nil))
 	if f0 == f1 {
 		t.Error("fingerprint did not change after a transition")
 	}
@@ -429,7 +429,7 @@ process main;
 	if out := s.Init(interp.FixedChooser(0)); out != nil {
 		t.Fatalf("Init: %s", out)
 	}
-	if got := s.Fingerprint(); got != f0 {
+	if got := string(s.AppendFingerprint(nil)); got != f0 {
 		t.Errorf("fingerprint not reproducible after Reset:\n%s\n%s", f0, got)
 	}
 }
@@ -571,15 +571,16 @@ process spin;
 	if out := s.Init(interp.FixedChooser(0)); out != nil {
 		t.Fatal(out)
 	}
-	for len(s.EnabledProcs()) > 0 {
-		if _, out := s.Step(s.EnabledProcs()[0], interp.FixedChooser(0)); out != nil {
+	for len(s.AppendEnabled(nil)) > 0 {
+		if _, out := s.Step(s.AppendEnabled(nil)[0], interp.FixedChooser(0)); out != nil {
 			t.Fatal(out)
 		}
 	}
-	if s.Deadlocked() {
+	term, dead := verdict(s)
+	if dead {
 		t.Error("blocked daemon misreported as deadlock")
 	}
-	if !s.AllTerminated() {
+	if !term {
 		t.Error("system with only a blocked daemon should count as terminated")
 	}
 
@@ -603,12 +604,12 @@ process spin;
 	if out := s2.Init(interp.FixedChooser(0)); out != nil {
 		t.Fatal(out)
 	}
-	for len(s2.EnabledProcs()) > 0 {
-		if _, out := s2.Step(s2.EnabledProcs()[0], interp.FixedChooser(0)); out != nil {
+	for len(s2.AppendEnabled(nil)) > 0 {
+		if _, out := s2.Step(s2.AppendEnabled(nil)[0], interp.FixedChooser(0)); out != nil {
 			t.Fatal(out)
 		}
 	}
-	if !s2.Deadlocked() {
+	if _, dead := verdict(s2); !dead {
 		t.Error("blocked non-daemon should be a deadlock")
 	}
 }

@@ -63,9 +63,12 @@ func (k *EngineKind) UnmarshalText(b []byte) (err error) {
 // reached it. System and RefSystem implement it.
 //
 // Per state the search calls Init/Step/Reset, AppendPending, Mark and
-// the identity methods, per path Undo. The per-process questions are for
-// observers — tests, explore.Replay, incident messages, cmd/simulate,
-// the benchmark's probe — and the pending table holds every answer.
+// the identity methods, per path Undo. A state's pending table answers
+// every question about it — which processes are enabled, whether the
+// state is a deadlock or a final one, where each process is stopped,
+// whether its operation counts as progress. The per-process methods
+// render incident messages (NumProcs, ProcStatus, ProcPendingOp) and
+// feed the benchmark's probe (AppendEnabled).
 type Machine interface {
 	// Transition semantics.
 	Init(ch Chooser) *Outcome
@@ -75,16 +78,9 @@ type Machine interface {
 
 	// Observation only.
 	NumProcs() int
-	Enabled(i int) bool
 	AppendEnabled(dst []int) []int
-	AllTerminated() bool
-	Deadlocked() bool
 	ProcStatus(i int) Status
-	ProcAt(i int) (proc string, node int)
 	ProcPendingOp(i int) (op, object string, ok bool)
-	// ProcProgress reports whether process i's pending visible
-	// operation carries a `progress` label (liveness checking).
-	ProcProgress(i int) bool
 
 	// Backtracking (trail.go). Mark names the current state; Undo takes
 	// the machine back to a marked state and reports how many log entries
@@ -131,10 +127,11 @@ func (r *Resolution) NewMachine(k EngineKind) (Machine, error) {
 	return nil, fmt.Errorf("unknown engine %v", k)
 }
 
-// Held for benchmark/probe.go, which builders may not edit: its
-// per-layer row `interp.step_ns.slots` timed the closure tier this
-// package no longer has and now reads the one compiled machine under a
-// second name. Both forwarders go when that row does (ROADMAP 3a).
+// Held for benchmark/probe.go: its per-layer row
+// `interp.step_ns.slots` timed the closure tier this package no longer
+// has and now reads the one compiled machine under a second name. Both
+// forwarders go when that row does (ROADMAP, "For the harness owner",
+// item i).
 const EngineSlots = EngineBytecode
 
 func (r *Resolution) NewBytecodeSystem() *System { return r.NewSystem() }
@@ -151,16 +148,8 @@ func (s *System) NumProcs() int { return len(s.Procs) }
 // ProcStatus returns process i's lifecycle state.
 func (s *System) ProcStatus(i int) Status { return s.Procs[i].Status() }
 
-// ProcAt returns the procedure name and node ID process i is stopped
-// at, or ("", -1) if terminated.
-func (s *System) ProcAt(i int) (string, int) { return s.Procs[i].At() }
-
 // ProcPendingOp returns process i's pending visible operation.
 func (s *System) ProcPendingOp(i int) (string, string, bool) { return s.Procs[i].PendingOp() }
-
-// ProcProgress reports whether process i's pending visible operation is
-// progress-labeled.
-func (s *System) ProcProgress(i int) bool { return s.Procs[i].PendingProgress() }
 
 // ForkMachine returns Fork through the Machine interface.
 func (s *System) ForkMachine() Machine { return s.Fork() }
@@ -173,23 +162,8 @@ func (s *RefSystem) NumProcs() int { return len(s.Procs) }
 // ProcStatus returns process i's lifecycle state.
 func (s *RefSystem) ProcStatus(i int) Status { return s.Procs[i].Status() }
 
-// ProcAt returns the procedure name and node ID process i is stopped
-// at, or ("", -1) if terminated.
-func (s *RefSystem) ProcAt(i int) (string, int) { return s.Procs[i].At() }
-
 // ProcPendingOp returns process i's pending visible operation.
 func (s *RefSystem) ProcPendingOp(i int) (string, string, bool) { return s.Procs[i].PendingOp() }
-
-// ProcProgress reports whether process i's pending visible operation is
-// progress-labeled (or any visible operation, in an unlabeled unit).
-func (s *RefSystem) ProcProgress(i int) bool {
-	p := s.Procs[i]
-	if s.allProgress {
-		_, _, ok := p.PendingOp()
-		return ok
-	}
-	return p.PendingProgress()
-}
 
 // AppendEnabled appends the indices of all enabled processes to dst in
 // ascending order.

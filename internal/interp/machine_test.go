@@ -38,9 +38,8 @@ func TestParseEngine(t *testing.T) {
 }
 
 // TestNewSystemExecutesBytecode pins which machine the one constructor
-// builds: the machine of Replay, cmd/simulate and the examples
-// dispatches bytecode instructions when it runs, like the machine
-// NewMachine hands the explorer.
+// builds: the machine of Replay dispatches bytecode instructions when
+// it runs, like the machine NewMachine hands the explorer.
 func TestNewSystemExecutesBytecode(t *testing.T) {
 	s := sys(t, `
 chan out[2];

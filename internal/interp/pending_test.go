@@ -25,16 +25,32 @@ type pendingSeen struct {
 	widest                              int
 }
 
+// verdict reads a state the way the search does — through its pending
+// table, by explore.scanEnabled's rule: with no process enabled the
+// state is a deadlock if a process other than a daemon is still
+// running, and final otherwise.
+func verdict(m interp.Machine) (terminated, deadlocked bool) {
+	stuck := false
+	for _, pd := range m.AppendPending(nil) {
+		if pd.Flags&interp.PendEnabled != 0 {
+			return false, false
+		}
+		stuck = stuck || pd.Flags&(interp.PendRunning|interp.PendDaemon) == interp.PendRunning
+	}
+	return !stuck, stuck
+}
+
 // checkPending compares the machines' pending tables: every machine's
-// table must equal the first one's row for row — ms holds compiled
-// machines and the reference, which builds its table from its own
-// per-process answers — and each machine's table must say exactly what
-// that machine answers when asked the old way, one process and one
-// string at a time.
+// table must equal the first one's row for row, and ms holds the
+// reference, whose table must say exactly what the reference answers
+// when asked the old way, one process and one string at a time — the
+// compiled machine answers those questions through its table only.
+// Each machine's status and pending operation must agree with its rows.
 func checkPending(t *testing.T, label string, u *cfg.Unit, ms []interp.Machine, seen *pendingSeen) {
 	t.Helper()
 	num := interp.NumberUnit(u)
 	var first []interp.Pending
+	var ref *interp.RefSystem
 	for mi, m := range ms {
 		tab := m.AppendPending(nil)
 		if len(tab) != m.NumProcs() {
@@ -45,58 +61,65 @@ func checkPending(t *testing.T, label string, u *cfg.Unit, ms []interp.Machine, 
 		} else if fmt.Sprint(tab) != fmt.Sprint(first) {
 			t.Fatalf("%s: machine %d's table differs from machine 0's\n got %v\nwant %v", label, mi, tab, first)
 		}
-		enabled, stuck := 0, false
 		for p, pd := range tab {
-			want := interp.Pending{Obj: -1, Site: -1, Slot: -1}
-			if m.ProcStatus(p) == interp.Running {
-				want.Flags |= interp.PendRunning
-			}
-			if op, obj, ok := m.ProcPendingOp(p); ok {
-				proc, node := m.ProcAt(p)
-				want.Obj = num.Object(obj)
-				if base, ok := num.SiteBase[proc]; ok {
-					want.Site = int32(base + node)
-				}
-				switch op {
-				case "send", "wait", "vwrite":
-					want.Slot = 0
-				case "recv", "signal", "vread":
-					want.Slot = 1
-				}
-			}
-			if m.Enabled(p) {
-				want.Flags |= interp.PendEnabled
-				enabled++
-			} else if m.ProcStatus(p) == interp.Running && !u.Daemons[p] {
-				stuck = true
-			}
-			if m.ProcProgress(p) {
-				want.Flags |= interp.PendProgress
-			}
-			if u.Daemons[p] {
-				want.Flags |= interp.PendDaemon
-			}
-			if pd != want {
-				t.Fatalf("%s: machine %d: row %d is %+v, the process itself says %+v", label, mi, p, pd, want)
-			}
-			if seen != nil {
-				seen.blocked = seen.blocked || pd.Obj >= 0 && pd.Flags&interp.PendEnabled == 0
-				seen.terminated = seen.terminated || pd.Flags&interp.PendRunning == 0
-				seen.daemon = seen.daemon || pd.Flags&interp.PendDaemon != 0
-				seen.assert = seen.assert || pd.Obj < 0 && pd.Site >= 0
+			running := m.ProcStatus(p) == interp.Running
+			_, obj, _ := m.ProcPendingOp(p) // "" for none
+			if running != (pd.Flags&interp.PendRunning != 0) || num.Object(obj) != pd.Obj {
+				t.Fatalf("%s: machine %d: row %d is %+v; the process says running=%t, object %q", label, mi, p, pd, running, obj)
 			}
 		}
-		// What the search derives from the table (explore.scanEnabled) is
-		// what the machine's own predicates say.
-		if got, want := enabled == 0 && !stuck, m.AllTerminated(); got != want {
-			t.Fatalf("%s: machine %d: table says terminated=%t, AllTerminated %t", label, mi, got, want)
+		if r, ok := m.(*interp.RefSystem); ok {
+			ref = r
 		}
-		if got, want := enabled == 0 && stuck, m.Deadlocked(); got != want {
-			t.Fatalf("%s: machine %d: table says deadlocked=%t, Deadlocked %t", label, mi, got, want)
+	}
+	if ref == nil {
+		t.Fatalf("%s: no reference machine to hold the tables to", label)
+	}
+	for p, pd := range first {
+		want := interp.Pending{Obj: -1, Site: -1, Slot: -1}
+		if ref.ProcStatus(p) == interp.Running {
+			want.Flags |= interp.PendRunning
 		}
-		if seen != nil && len(tab) > seen.widest {
-			seen.widest = len(tab)
+		if op, obj, ok := ref.ProcPendingOp(p); ok {
+			proc, node := ref.Procs[p].At()
+			want.Obj = num.Object(obj)
+			if base, ok := num.SiteBase[proc]; ok {
+				want.Site = int32(base + node)
+			}
+			switch op {
+			case "send", "wait", "vwrite":
+				want.Slot = 0
+			case "recv", "signal", "vread":
+				want.Slot = 1
+			}
 		}
+		if ref.Enabled(p) {
+			want.Flags |= interp.PendEnabled
+		}
+		if ref.ProcProgress(p) {
+			want.Flags |= interp.PendProgress
+		}
+		if u.Daemons[p] {
+			want.Flags |= interp.PendDaemon
+		}
+		if pd != want {
+			t.Fatalf("%s: row %d is %+v, the reference's process says %+v", label, p, pd, want)
+		}
+		if seen != nil {
+			seen.blocked = seen.blocked || pd.Obj >= 0 && pd.Flags&interp.PendEnabled == 0
+			seen.terminated = seen.terminated || pd.Flags&interp.PendRunning == 0
+			seen.daemon = seen.daemon || pd.Flags&interp.PendDaemon != 0
+			seen.assert = seen.assert || pd.Obj < 0 && pd.Site >= 0
+		}
+	}
+	// What the search derives from the table (explore.scanEnabled) is
+	// what the reference's own predicates say.
+	if term, dead := verdict(ms[0]); term != ref.AllTerminated() || dead != ref.Deadlocked() {
+		t.Fatalf("%s: table says terminated=%t deadlocked=%t, the reference AllTerminated=%t Deadlocked=%t",
+			label, term, dead, ref.AllTerminated(), ref.Deadlocked())
+	}
+	if seen != nil && len(first) > seen.widest {
+		seen.widest = len(first)
 	}
 }
 

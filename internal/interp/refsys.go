@@ -290,16 +290,20 @@ func (s *RefSystem) Enabled(i int) bool {
 	return s.objects[objName].Enabled(op)
 }
 
-// EnabledProcs returns the indices of all enabled processes, ascending.
-func (s *RefSystem) EnabledProcs() []int {
-	var out []int
-	for i := range s.Procs {
-		if s.Enabled(i) {
-			out = append(out, i)
-		}
+// ProcProgress reports whether process i's pending visible operation is
+// progress-labeled (or any visible operation, in an unlabeled unit).
+func (s *RefSystem) ProcProgress(i int) bool {
+	p := s.Procs[i]
+	if s.allProgress {
+		_, _, ok := p.PendingOp()
+		return ok
 	}
-	return out
+	return p.PendingProgress()
 }
+
+// AllTerminated and Deadlocked are the reference's definitions of a
+// final state and a deadlock, one process at a time: the tests hold the
+// verdict the search draws from a pending table to them.
 
 // AllTerminated reports whether every non-daemon process has terminated
 // and no process is enabled.
@@ -424,11 +428,6 @@ func (s *RefSystem) execVisible(p *RefProc, ch Chooser) (ev Event, out *Outcome)
 	p.cur = n.Succ()
 	return ev, nil
 }
-
-// Fingerprint returns the canonical state fingerprint (see
-// System.Fingerprint; the two implementations render byte-identical
-// content for equal states).
-func (s *RefSystem) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
 
 // AppendFingerprint appends the canonical state fingerprint to dst.
 // Variables are walked in the slot table's name-sorted order over the

@@ -100,13 +100,6 @@ func (p *Proc) PendingOp() (op, object string, ok bool) {
 	return p.vis.opName, p.vis.objName, true
 }
 
-// PendingProgress reports whether the process's pending visible
-// operation carries a `progress` label. A terminated or mid-invisible
-// process has no pending operation and reports false.
-func (p *Proc) PendingProgress() bool {
-	return p.vis != nil && p.vis.pend.Flags&PendProgress != 0
-}
-
 // settle looks up the visible operation p has come to rest at.
 func (p *Proc) settle() {
 	p.vis = nil
@@ -386,37 +379,6 @@ func (s *System) AppendEnabled(dst []int) []int {
 	return dst
 }
 
-// EnabledProcs returns the indices of all enabled processes, ascending.
-func (s *System) EnabledProcs() []int { return s.AppendEnabled(nil) }
-
-// AllTerminated reports whether every non-daemon process has terminated
-// and no process is enabled. Daemon processes model the most general
-// environment (package mgenv); a daemon blocked forever after the system
-// is done is quiescence, not deadlock.
-func (s *System) AllTerminated() bool {
-	enabled, stuck := s.quiet()
-	return !enabled && !stuck
-}
-
-// Deadlocked reports whether the system is in a deadlock: at least one
-// non-daemon process is still running and no process is enabled.
-func (s *System) Deadlocked() bool {
-	enabled, stuck := s.quiet()
-	return !enabled && stuck
-}
-
-// quiet looks for an enabled process and, finding none, reports whether
-// a process other than a daemon is still running.
-func (s *System) quiet() (enabled, stuck bool) {
-	for _, p := range s.Procs {
-		if p.vis != nil && s.canRun(p.vis) {
-			return true, false
-		}
-		stuck = stuck || p.status == Running && p.own == 0
-	}
-	return false, stuck
-}
-
 // Step executes one transition of process i: its pending visible
 // operation followed by the invisible suffix up to the next visible
 // operation. It returns the visible event and, on abnormal execution, a
@@ -533,15 +495,9 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 	return ev, nil
 }
 
-// Fingerprint returns a deterministic string identifying the current
-// global state: object states, per-process control points, and stores.
-// Used only by the optional state-hashing mode (an ablation; VeriSoft
-// itself stores no states).
-func (s *System) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
-
-// AppendFingerprint appends the canonical state fingerprint to dst and
-// returns the extended slice. It renders the same content as
-// Fingerprint without materializing an intermediate string: the caller
+// AppendFingerprint appends the canonical state fingerprint — a
+// deterministic rendering of the object states, per-process control
+// points and stores — to dst and returns the extended slice: the caller
 // can reuse dst across calls (dst[:0]) and hash the bytes in a
 // streaming fashion, which is what the explorer's state-cache hot path
 // does.

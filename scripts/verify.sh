@@ -1,6 +1,7 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, full tests, race-detector legs over
-# the packages with real concurrency, and a short fuzz smoke over the
+# Tier-1 verification: build, vet, a format gate (gofmt must list no
+# file), full tests, race-detector legs over the packages with real
+# concurrency, and a short fuzz smoke over the
 # front end, the checkpoint decoder, the compiled-machine/reference
 # lockstep oracle, the job request parser and the dist frame codec (5s
 # per target; the checkpoint target also checks that a snapshot that
@@ -19,6 +20,7 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test -count=1 -timeout=10m ./...
 
 # Exploration race leg: every test of the search driver, the interpreter
