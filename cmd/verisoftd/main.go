@@ -182,6 +182,16 @@ func (d *daemon) run() (int, error) {
 		})
 	}
 
+	// First SIGINT/SIGTERM: graceful drain — stop admissions,
+	// checkpoint and park running jobs, journal everything, exit 0.
+	// A second signal while draining forces an immediate exit 3. The
+	// handler goes in before jobs.Open starts recovering jobs and before
+	// the address line announces readiness, so no signal after either
+	// meets Go's default action and skips the drain.
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
+
 	mgr, err := jobs.Open(jobs.Config{
 		DataDir:               d.dataDir,
 		Workers:               d.workers,
@@ -216,12 +226,6 @@ func (d *daemon) run() (int, error) {
 	srv := &http.Server{Handler: jobs.NewHandler(mgr, reg)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-
-	// First SIGINT/SIGTERM: graceful drain — stop admissions,
-	// checkpoint and park running jobs, journal everything, exit 0.
-	// A second signal while draining forces an immediate exit 3.
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
 
 	select {
 	case err := <-serveErr:

@@ -321,6 +321,28 @@ func TestDaemonSecondSignalForcesExit3(t *testing.T) {
 	}
 }
 
+// TestDaemonSignalAtReadiness sends SIGTERM the moment the address line
+// is read: the drain handler is in place by then, so the daemon drains
+// and exits 0 instead of dying of the signal's default action.
+func TestDaemonSignalAtReadiness(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns daemons; skipped in -short")
+	}
+	for i := 0; i < 5; i++ {
+		c := startChild(t, "-addr", "localhost:0", "-data", t.TempDir(), "-workers", "1")
+		if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		drained := false
+		for c.out.Scan() {
+			drained = drained || strings.Contains(c.out.Text(), "drained cleanly")
+		}
+		if code := c.waitExit(t); code != 0 || !drained {
+			t.Fatalf("run %d: exit %d, drained cleanly printed: %v; want 0, true", i, code, drained)
+		}
+	}
+}
+
 // TestDaemonUsageErrors: bad flags and stray args exit 2, bad fault
 // rules exit 1.
 func TestDaemonUsageErrors(t *testing.T) {

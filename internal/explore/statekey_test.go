@@ -21,8 +21,9 @@ import (
 )
 
 // This file tests what a search stores of a state: the compiled
-// machine's key — one segment-table id per component — against the
-// fingerprint it stands for, which is what the reference stores.
+// machine's key — one segment-table id per component, as a uvarint —
+// against the fingerprint it stands for, which is what the reference
+// stores.
 
 // keyCases are the lattice's programs and n random programs more.
 func keyCases(t *testing.T, n int) map[string]*cfg.Unit {
@@ -73,8 +74,14 @@ func TestStateKeyBijection(t *testing.T) {
 					}
 					keyOf[sum], fpOf[key] = key, sum
 					var text []byte
-					for ; len(kb) > 0; kb = kb[4:] {
-						text = segs.AppendText(text, binary.LittleEndian.Uint32(kb))
+					n, _ := segs.Size()
+					for len(kb) > 0 {
+						id, w := binary.Uvarint(kb)
+						if w <= 0 || id == 0 || id > uint64(n) {
+							t.Fatalf("%s: the key %x is not a row of ids", name, key)
+						}
+						text = segs.AppendText(text, uint32(id))
+						kb = kb[w:]
 					}
 					if !bytes.Equal(text, fp) || rendered != len(fp) {
 						t.Fatalf("%s: the key stands for %d bytes\n%s\nthe fingerprint is\n%s", name, rendered, text, fp)
@@ -172,9 +179,10 @@ const entryOverhead = 96
 
 // TestCachedSearchMemory bounds what a cached search keeps instead of
 // timing it. The lock server's 104 054 states cost 53.5 MB of
-// allocation when a state was stored as its 310-byte fingerprint; as 13
-// ids and a sleep suffix they cost 29 MB, and the text is held once, in a
-// few hundred segments. The other half is the table's worst case, a
+// allocation when a state was stored as its 310-byte fingerprint, 27.1
+// MiB as 13 4-byte ids and a sleep suffix (62.8 bytes a state), and 20.8
+// MiB as 13 uvarint ids (25.1 bytes); the text is held once, in a few
+// hundred segments. The other half is the table's worst case, a
 // component that never repeats a segment: a counter's states are a new
 // segment each, and the table then holds what the fingerprints would
 // have, no more.
@@ -193,8 +201,11 @@ func TestCachedSearchMemory(t *testing.T) {
 	if rep.cacheSum.Entries != 104054 {
 		t.Fatalf("the search stored %d states, want 104054", rep.cacheSum.Entries)
 	}
-	if b := after.TotalAlloc - before.TotalAlloc; b > 32<<20 {
-		t.Errorf("the search allocated %.1f MB, want at most 32", float64(b)/(1<<20))
+	if b := after.TotalAlloc - before.TotalAlloc; b > 26<<20 {
+		t.Errorf("the search allocated %.1f MiB, want at most 26", float64(b)/(1<<20))
+	}
+	if per := float64(rep.cacheSum.stored) / float64(rep.cacheSum.Entries); per > 32 {
+		t.Errorf("the cache holds %.1f key bytes a state, want at most 32", per)
 	}
 	if rep.cacheSum.segments > 1000 {
 		t.Errorf("%d segments in the table, want at most 1000", rep.cacheSum.segments)

@@ -44,12 +44,15 @@ import "hash/maphash"
 //
 // What a search stores of a state is shorter: AppendKey writes, for each
 // object and process in that order, the id its segment has in the
-// search's SegmentTable — exact, so two keys under one table are equal
-// iff the fingerprints are — and returns the fingerprint's length. An id
-// travels with its segment and is looked up once per rendering: whoever
-// renders a segment (procSeg, rehashObj) zeroes the id, the trail and
-// copyState carry it with the segment, and a key asked for under another
-// table zeroes them all. A machine that keeps no segments — hashing off,
+// search's SegmentTable as a uvarint — a few hundred segments take one or
+// two bytes each. A unit has a fixed number of components and a uvarint
+// ends itself, so the row decodes one way only: two keys under one table
+// are equal iff their ids are, iff the fingerprints are. AppendKey
+// returns the fingerprint's length beside the key. An id travels with
+// its segment and is looked up once per rendering: whoever renders a
+// segment (procSeg, rehashObj) zeroes the id, the trail and copyState
+// carry it with the segment, and a key asked for under another table
+// zeroes them all. A machine that keeps no segments — hashing off,
 // the reference — answers AppendKey with the fingerprint itself.
 //
 // The incremental path is maintained only while hashing is switched on

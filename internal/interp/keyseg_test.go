@@ -25,15 +25,19 @@ import (
 // each other, over whatever programs.
 var keySegs = new(statecache.Segments)
 
-// decodeKey renders the fingerprint a key of segment ids stands for.
+// decodeKey renders the fingerprint a key of uvarint segment ids stands
+// for.
 func decodeKey(t *testing.T, tab *statecache.Segments, key []byte) string {
 	t.Helper()
-	if len(key)%4 != 0 {
-		t.Fatalf("a key of %d bytes is not a row of ids", len(key))
-	}
 	var out []byte
-	for ; len(key) > 0; key = key[4:] {
-		out = tab.AppendText(out, binary.LittleEndian.Uint32(key))
+	segs, _ := tab.Size()
+	for rest := key; len(rest) > 0; {
+		id, n := binary.Uvarint(rest)
+		if n <= 0 || id == 0 || id > uint64(segs) {
+			t.Fatalf("the key %x is not a row of ids", key)
+		}
+		out = tab.AppendText(out, uint32(id))
+		rest = rest[n:]
 	}
 	return string(out)
 }

@@ -538,9 +538,9 @@ func (s *System) procSeg(p *Proc) []byte {
 }
 
 // AppendKey appends the state's key under tab and returns it with the
-// fingerprint's length: one id per object and process, looked up only if
-// its segment was rendered since (hash.go). With hashing off the machine
-// keeps no segments and its key is the fingerprint.
+// fingerprint's length: one uvarint id per object and process, looked up
+// only if its segment was rendered since (hash.go). With hashing off the
+// machine keeps no segments and its key is the fingerprint.
 func (s *System) AppendKey(dst []byte, tab SegmentTable) (key []byte, rendered int) {
 	if !s.hashOn || tab == nil {
 		return fingerprintKey(s, dst)
@@ -563,7 +563,7 @@ func (s *System) AppendKey(dst []byte, tab SegmentTable) (key []byte, rendered i
 		if s.objID[i] == 0 {
 			s.objID[i] = tab.Intern(s.objHash[i], seg)
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, s.objID[i])
+		dst = binary.AppendUvarint(dst, uint64(s.objID[i]))
 		rendered += len(seg)
 	}
 	for _, p := range s.Procs {
@@ -571,7 +571,7 @@ func (s *System) AppendKey(dst []byte, tab SegmentTable) (key []byte, rendered i
 		if p.segID == 0 {
 			p.segID = tab.Intern(maphash.Bytes(segSeed, seg), seg)
 		}
-		dst = binary.LittleEndian.AppendUint32(dst, p.segID)
+		dst = binary.AppendUvarint(dst, uint64(p.segID))
 		rendered += len(seg)
 	}
 	return dst, rendered

@@ -181,35 +181,123 @@ func (c *refCache) Stats() Stats {
 	return st
 }
 
+// hashFamilies are the hashes TestCacheMatchesReference and
+// FuzzCacheMatchesReference route keys by: the default, hashes that put
+// many keys on one chain, and one whose chains' index entries have their
+// homes at the end of the table, so probe runs wrap past it.
+var hashFamilies = []struct {
+	name string
+	hash func([]byte) uint64
+}{
+	{"fnv", nil},
+	{"constant", func([]byte) uint64 { return 42 }},
+	{"by-len", func(b []byte) uint64 { return uint64(len(b)) % 5 }},
+	{"mod-7", func(b []byte) uint64 { return FNV1a(b) % 7 }},
+	{"wrap", func(b []byte) uint64 { return fibInverse * (^uint64(0) - FNV1a(b)%40<<57) }},
+}
+
+// fibInverse is fibMul's inverse modulo 2^64: a hash of fibInverse * x
+// has its home in x's top bits.
+var fibInverse = func() uint64 {
+	inv := uint64(fibMul) // correct to 3 bits; each step doubles them
+	for i := 0; i < 5; i++ {
+		inv *= 2 - fibMul*inv
+	}
+	return inv
+}()
+
 // TestCacheMatchesReference replays random visit sequences — few
 // distinct keys of mixed lengths so revisits, shallower revisits and
 // evictions all happen, under budgets from a couple of entries a shard
-// to none — through both caches, with the default hash and with hashes
-// that put many keys on one chain, charging a key its length on even
-// seeds and, on odd ones, less the longer it is — and compares the answer
-// of every visit and the whole Stats (but Carved, which is the storage's
-// own) after every step.
+// to none — through both caches, with every hash family, charging a key
+// its length on even seeds and, on odd ones, less the longer it is — and
+// compares the answer of every visit and the whole Stats (but Carved,
+// which is the storage's own) after every step, and holds the index to
+// the slots (checkIndex). The wrap family must leave entries wrapped
+// past the index's end under every budget, and some index must grow
+// while a chain holds more than one slot.
 func TestCacheMatchesReference(t *testing.T) {
-	hashes := map[string]func([]byte) uint64{
-		"fnv":      nil,
-		"constant": func([]byte) uint64 { return 42 },
-		"by-len":   func(b []byte) uint64 { return uint64(len(b)) % 5 },
-		"mod-7":    func(b []byte) uint64 { return FNV1a(b) % 7 },
-	}
-	for name, hash := range hashes {
+	grewChained := false
+	for _, f := range hashFamilies {
 		for _, shards := range []int{1, 4} {
 			for _, entries := range []int64{0, 2, 5, 40} {
-				cfg := Config{Shards: shards, MaxBytes: entries * int64(shards) * (24 + entryOverhead), Hash: hash}
-				label := fmt.Sprintf("%s/shards=%d/entries=%d", name, shards, entries)
+				cfg := Config{Shards: shards, MaxBytes: entries * int64(shards) * (24 + entryOverhead), Hash: f.hash}
+				label := fmt.Sprintf("%s/shards=%d/entries=%d", f.name, shards, entries)
+				wrapped := 0
 				for seed := int64(0); seed < 6; seed++ {
-					compareWithReference(t, fmt.Sprintf("%s/seed=%d", label, seed), cfg, seed, 3000)
+					got := compareWithReference(t, fmt.Sprintf("%s/seed=%d", label, seed), cfg, seed, 3000)
+					wrapped += got.wrapped
+					grewChained = grewChained || got.grewChained
+				}
+				if f.name == "wrap" && wrapped == 0 {
+					t.Errorf("%s: no index entry wrapped past the end", label)
 				}
 			}
 		}
 	}
+	if !grewChained {
+		t.Error("no index grew while a chain held two slots")
+	}
 }
 
-func compareWithReference(t *testing.T, label string, cfg Config, seed int64, steps int) {
+// FuzzCacheMatchesReference is TestCacheMatchesReference with the
+// fuzzer's choice of seed, hash family, shard count and budget.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add(int64(0), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(3), uint8(4), uint8(4), uint8(2))
+	f.Add(int64(5), uint8(1), uint8(2), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, family, shards, entries uint8) {
+		fam := hashFamilies[int(family)%len(hashFamilies)]
+		n := 1 + int(shards)%8
+		cfg := Config{Shards: n, MaxBytes: int64(entries%64) * int64(n) * (24 + entryOverhead), Hash: fam.hash}
+		compareWithReference(t, fmt.Sprintf("%s/shards=%d/entries=%d/seed=%d", fam.name, n, entries%64, seed), cfg, seed, 1000)
+	})
+}
+
+// indexSeen is what the index went through in a replay.
+type indexSeen struct {
+	wrapped     int  // entries met before their home, summed over steps
+	grewChained bool // an index past its first size with a chain of two
+}
+
+// checkIndex holds each shard's index to its slots: one entry for each
+// hash that live slots have and none other, each where a probe for its
+// hash stops, the table at most half full.
+func checkIndex(t *testing.T, label string, step int, c *Cache) (seen indexSeen) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
+		hashes := map[uint64]bool{}
+		for _, sl := range s.slots {
+			if sl.live {
+				hashes[sl.hash] = true
+			}
+		}
+		n := 0
+		for j, e := range s.index {
+			if e == 0 {
+				continue
+			}
+			n++
+			sl := &s.slots[e-1]
+			if !sl.live || s.probe(sl.hash) != j {
+				t.Fatalf("%s: step %d: shard %d: index entry %d (slot %d, hash %#x) is not found where a probe looks", label, step, i, j, e-1, sl.hash)
+			}
+			if j < s.home(sl.hash) {
+				seen.wrapped++
+			}
+		}
+		if n != len(hashes) || s.heads != n || 2*n > len(s.index) {
+			t.Fatalf("%s: step %d: shard %d: %d index entries (%d counted) of %d for %d hashes", label, step, i, n, s.heads, len(s.index), len(hashes))
+		}
+		if len(s.index) > 16 && s.live > int64(s.heads) {
+			seen.grewChained = true
+		}
+	}
+	return seen
+}
+
+func compareWithReference(t *testing.T, label string, cfg Config, seed int64, steps int) (seen indexSeen) {
 	t.Helper()
 	c, ref := New(cfg), newRefCache(cfg)
 	rng := rand.New(rand.NewSource(seed))
@@ -236,7 +324,11 @@ func compareWithReference(t *testing.T, label string, cfg Config, seed int64, st
 		if gs.Carved = 0; gs != ws {
 			t.Fatalf("%s: step %d: after Visit(%q, %d)\n  stats %+v\nreference %+v", label, i, k, depth, gs, ws)
 		}
+		step := checkIndex(t, label, i, c)
+		seen.wrapped += step.wrapped
+		seen.grewChained = seen.grewChained || step.grewChained
 	}
+	return seen
 }
 
 // TestSteadyStateVisitAllocatesNothing fills a bounded cache and then

@@ -8,7 +8,7 @@
 // "already visited" answer, so pruning can never mask a state that was
 // genuinely new.
 //
-// The key is the caller's: the compiled machine hands over one uint32
+// The key is the caller's: the compiled machine hands over one uvarint
 // per process and object — the id of that component's fingerprint
 // segment in the search's segment table (segments.go) — the reference
 // the fingerprint's text. The cache stores what it is given and charges
@@ -33,16 +33,18 @@
 //
 // Storage. A shard is a ring of pointer-free slots: the clock hand
 // sweeps it, a LIFO free list hands out evicted positions. Slots with
-// one hash form a chain through their next fields under a map from the
-// hash to the chain's first slot. Key bytes are carved from chunks the
-// shard owns (4 KiB doubling to 64 KiB) in pieces of a whole number of
-// pieceGrain bytes; an evicted entry's piece goes on the free list of
-// its size and the next key of that size takes it, so a bounded cache at
-// its budget stores a state without allocating or abandoning a piece.
+// one hash form a chain through their next fields; an open-addressed
+// []int32 index finds a hash's chain by its first slot. Key bytes are
+// carved from chunks the shard owns (4 KiB doubling to 64 KiB) in pieces
+// of a whole number of pieceGrain bytes; an evicted entry's piece goes on
+// the free list of its size and the next key of that size takes it, so a
+// bounded cache at its budget stores a state without allocating or
+// abandoning a piece.
 package statecache
 
 import (
 	"bytes"
+	"math/bits"
 	"sync"
 )
 
@@ -52,12 +54,14 @@ import (
 const DefaultShards = 16
 
 // maxShards caps the shard count (1<<16); beyond that the per-shard
-// maps dominate memory for nothing.
+// bookkeeping dominates memory for nothing.
 const maxShards = 1 << 16
 
-// entryOverhead approximates the per-entry bookkeeping cost charged
-// against the byte budget beyond the fingerprint bytes themselves: the
-// slot record, its index entry, and unused chunk space.
+// entryOverhead is what an entry is charged against the byte budget
+// beyond its charged length. It is a fixed charge, well above the ≈45
+// bytes an entry's slot, index entry and chunk slack measure, and it
+// stays 96 because what a budget evicts, and so the pinned counts of the
+// bounded-cache runs, depend on it.
 const entryOverhead = 96
 
 // Key bytes are carved from blocks that double from minChunk, so a
@@ -125,7 +129,8 @@ type piece struct {
 // mutex, byte budget, and counters.
 type shard struct {
 	mu     sync.Mutex
-	index  map[uint64]int32 // hash -> first live slot of its chain
+	index  []int32 // 1 + the slot heading a hash's chain, 0 free
+	heads  int     // index entries in use
 	slots  []slot
 	free   []int32
 	chunks [][]byte
@@ -173,9 +178,6 @@ func New(cfg Config) *Cache {
 		if c.maxPer < 1 {
 			c.maxPer = 1
 		}
-	}
-	for i := range c.shards {
-		c.shards[i].index = make(map[uint64]int32)
 	}
 	return c
 }
@@ -268,7 +270,7 @@ func (c *Cache) VisitCharged(h uint64, key []byte, charge, depth int) bool {
 	copy(s.key(sl), key)
 	sl.hash, sl.depth, sl.next, sl.ref, sl.live = h, int32(depth), -1, false, true
 	if tail < 0 {
-		s.index[h] = pos
+		s.indexHead(h, pos)
 	} else {
 		s.slots[tail].next = pos
 	}
@@ -285,10 +287,9 @@ func (c *Cache) VisitCharged(h uint64, key []byte, charge, depth int) bool {
 // chain's last slot (-1 if none), where a new entry links in. Called
 // with the shard mutex held.
 func (s *shard) find(h uint64, key []byte) (pos, tail int32, skipped int64) {
-	tail = -1
-	pos, ok := s.index[h]
-	if !ok {
-		return -1, -1, 0
+	pos, tail = -1, -1
+	if len(s.index) > 0 {
+		pos = s.index[s.probe(h)] - 1
 	}
 	for pos >= 0 {
 		sl := &s.slots[pos]
@@ -299,6 +300,58 @@ func (s *shard) find(h uint64, key []byte) (pos, tail int32, skipped int64) {
 		tail, pos = pos, sl.next
 	}
 	return -1, tail, skipped
+}
+
+// The index is open-addressed: a power of two long, at most half full,
+// probed linearly from a hash's home — its Fibonacci hash, whose top bits
+// do not repeat the low ones that chose the shard — and emptied by
+// backward shift, so a probe ends at the first free entry.
+const fibMul = 0x9E3779B97F4A7C15
+
+func (s *shard) home(h uint64) int {
+	return int((h * fibMul) >> bits.LeadingZeros64(uint64(len(s.index)-1)))
+}
+
+// probe returns the position of hash h's entry, or of the free one where
+// it would go. The index must have an entry. Called with the shard mutex
+// held.
+func (s *shard) probe(h uint64) int {
+	mask := len(s.index) - 1
+	for i := s.home(h); ; i = (i + 1) & mask {
+		if e := s.index[i]; e == 0 || s.slots[e-1].hash == h {
+			return i
+		}
+	}
+}
+
+// indexHead enters slot pos as the head of the new chain of hash h,
+// doubling the index first if it would be over half full.
+func (s *shard) indexHead(h uint64, pos int32) {
+	if 2*(s.heads+1) > len(s.index) {
+		old := s.index
+		s.index = make([]int32, max(16, 2*len(old)))
+		for _, e := range old {
+			if e != 0 {
+				s.index[s.probe(s.slots[e-1].hash)] = e
+			}
+		}
+	}
+	s.index[s.probe(h)] = pos + 1
+	s.heads++
+}
+
+// unindex frees entry i and moves back each later entry of its probe run
+// that the hole would otherwise cut off from its home.
+func (s *shard) unindex(i int) {
+	mask := len(s.index) - 1
+	for j := (i + 1) & mask; s.index[j] != 0; j = (j + 1) & mask {
+		if (j-s.home(s.slots[s.index[j]-1].hash))&mask >= (j-i)&mask {
+			s.index[i] = s.index[j]
+			i = j
+		}
+	}
+	s.index[i] = 0
+	s.heads--
 }
 
 func (s *shard) key(sl *slot) []byte {
@@ -353,6 +406,7 @@ func (c *Cache) Reset() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		clear(s.index)
+		s.heads = 0
 		if n := len(s.chunks); n > 1 { // keep the largest block
 			s.chunks[0], s.chunks = s.chunks[n-1], s.chunks[:1]
 		}
@@ -397,8 +451,9 @@ func (s *shard) evictOne() bool {
 // remove unlinks a live slot from its chain and returns it to the free
 // list. Called with the shard mutex held.
 func (s *shard) remove(pos int32, sl *slot) {
-	if head := s.index[sl.hash]; head == pos && sl.next < 0 {
-		delete(s.index, sl.hash)
+	i := s.probe(sl.hash)
+	if head := s.index[i] - 1; head == pos && sl.next < 0 {
+		s.unindex(i)
 	} else {
 		// The chain's last slot takes the removed one's place, as in a
 		// bucket slice: scans pass the candidates (Collisions) they did.
@@ -413,7 +468,7 @@ func (s *shard) remove(pos int32, sl *slot) {
 		if last != pos {
 			s.slots[last].next = sl.next
 			if prev < 0 {
-				s.index[sl.hash] = last
+				s.index[i] = last + 1
 			} else {
 				s.slots[prev].next = last
 			}

@@ -12,7 +12,10 @@
 # an accepted job names options explore.Options.Resolve accepts, and a
 # hello's options are explore.Options' own JSON, unknown mode names
 # refused. The seventh judges the closer: Close(S) keeps every trace,
-# deadlock and assertion violation of S x E_S on a random program.
+# deadlock and assertion violation of S x E_S on a random program. The
+# eighth judges the state cache: every answer and every counter of its
+# open-addressed index over chained slots equals the map-of-slices
+# reference cache's, under the fuzzer's hash family, shards and budget.
 # -count=1 defeats the test cache: a verification run must actually run.
 set -eux
 
@@ -82,6 +85,7 @@ go test -fuzz=FuzzBytecodeLockstep -fuzztime=5s ./internal/interp/
 go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
 go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 go test -fuzz=FuzzClosePreservation -fuzztime=5s ./internal/randprog/
+go test -fuzz=FuzzCacheMatchesReference -fuzztime=5s ./internal/statecache/
 
 # Bench smoke: one iteration of the two benchmarks scripts/profile.sh
 # profiles (catches bit-rot in the tool's input; time is measured by
