@@ -101,7 +101,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 				trapf("branch on %s, want bool", kindName(v.Kind))
 			}
 			t := i.C
-			if v.B {
+			if v.B() {
 				t = i.B
 			}
 			if t < 0 {
@@ -203,7 +203,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if c.V.Kind != KArray {
 				trapf("%s is %s, not an array", mod.names[i.D], kindName(c.V.Kind))
 			}
-			if iv.Kind != KInt || iv.I < 0 || iv.I >= int64(len(c.V.Arr)) {
+			if iv.Kind != KInt || iv.I < 0 || iv.I >= c.V.I {
 				trapf("&%s[...]: bad index", mod.names[i.D])
 			}
 			s.pin(top)
@@ -217,7 +217,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if pv.Kind != KPtr {
 				trapf("dereference of %s, want pointer", kindName(pv.Kind))
 			}
-			regs[i.A] = loadPtr(pv.Ptr)
+			regs[i.A] = loadPtr(pv.Ptr())
 
 		case opNeg:
 			v := regs[i.B]
@@ -239,7 +239,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if v.Kind != KBool {
 				trapf("! on %s", kindName(v.Kind))
 			}
-			regs[i.A] = BoolVal(!v.B)
+			regs[i.A] = BoolVal(!v.B())
 
 		case opToss:
 			b := regs[i.B]
@@ -256,10 +256,10 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 				pc = i.B
 			case v.Kind != KBool:
 				trapf("%s on %s", token.Kind(i.D), kindName(v.Kind))
-			case i.C == 1 && !v.B: // && with a false lhs
+			case i.C == 1 && !v.B(): // && with a false lhs
 				regs[i.A] = False
 				pc = i.B
-			case i.C == 0 && v.B: // || with a true lhs
+			case i.C == 0 && v.B(): // || with a true lhs
 				regs[i.A] = True
 				pc = i.B
 			}
@@ -272,7 +272,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			case v.Kind != KBool:
 				trapf("%s on %s", token.Kind(i.D), kindName(v.Kind))
 			default:
-				regs[i.A] = BoolVal(v.B)
+				regs[i.A] = BoolVal(v.B())
 			}
 
 		case opEq:
@@ -315,11 +315,11 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if c.V.Kind != KArray {
 				trapf("%s is %s, not an array", mod.names[i.D], kindName(c.V.Kind))
 			}
-			if iv.Kind != KInt || iv.I < 0 || iv.I >= int64(len(c.V.Arr)) {
+			if iv.Kind != KInt || iv.I < 0 || iv.I >= c.V.I {
 				trapf("bad array index in assignment to %s", mod.names[i.D])
 			}
-			s.logCell(c, &c.V.Arr[iv.I])
-			c.V.Arr[iv.I] = regs[i.C].Copy()
+			s.logCell(c, &c.V.Arr()[iv.I])
+			c.V.Arr()[iv.I] = regs[i.C].Copy()
 			if s.hashOn {
 				s.noteWrite(c)
 			}
@@ -332,9 +332,9 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if pv.Kind != KPtr {
 				trapf("store through %s, want pointer", kindName(pv.Kind))
 			}
-			s.logStore(pv.Ptr)
-			storePtr(pv.Ptr, regs[i.B])
-			if c := pv.Ptr.Cell; s.hashOn && c.hkey != 0 {
+			s.logStore(pv.Ptr())
+			storePtr(pv.Ptr(), regs[i.B])
+			if c := pv.Ptr().Cell; s.hashOn && c.hkey != 0 {
 				s.noteWrite(c)
 				if fi, _ := p.locate(c); fi < 0 {
 					// Another process's live cell: Step clears only p's bit.

@@ -322,8 +322,8 @@ func TestForkClonesStalePointers(t *testing.T) {
 func TestPayloadFingerprintBytes(t *testing.T) {
 	cell := &interp.Cell{}
 	arr := interp.ArrayVal(3)
-	arr.Arr[1] = interp.IntVal(-4)
-	arr.Arr[2] = interp.PtrVal(interp.Pointer{Cell: cell, Elem: -1})
+	arr.Arr()[1] = interp.IntVal(-4)
+	arr.Arr()[2] = interp.PtrVal(interp.Pointer{Cell: cell, Elem: -1})
 	for _, v := range []interp.Value{
 		interp.Undef,
 		interp.IntVal(0), interp.IntVal(-17), interp.IntVal(1 << 40),

@@ -3,6 +3,7 @@ package interp_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"reclose/internal/cfg"
@@ -481,5 +482,38 @@ process main;
 	}
 	if origBefore == origNow {
 		t.Fatalf("original did not advance; the isolation check is vacuous")
+	}
+}
+
+// TestPointerPrograms runs the lockstep oracle, the Fork sweep and the
+// undo sweep over closed randprog.Pointers programs: loads and stores
+// through pointers into a caller's frame, array elements, and the traps
+// of pointer arithmetic and bad indices, none of which randprog.Generate
+// emits (element pointers, popped frames and array copies are the
+// hand-written cases'). The closer refuses a program that stores through
+// an env-dependent pointer (7 of the 150), and nothing else.
+func TestPointerPrograms(t *testing.T) {
+	n := 150
+	if testing.Short() {
+		n = 30
+	}
+	run := 0
+	for seed := 0; seed < n; seed++ {
+		src := randprog.Pointers(rand.New(rand.NewSource(int64(seed))))
+		closed, _, err := core.CloseSource(src)
+		if err != nil {
+			if !strings.Contains(err.Error(), "stores through an environment-dependent pointer") {
+				t.Fatalf("seed %d: %v\n%s", seed, err, src)
+			}
+			continue
+		}
+		label := fmt.Sprintf("pointer seed %d", seed)
+		lockstep(t, label, closed, 200)
+		copySweep(t, label, closed, int64(seed), 6, 30)
+		undoSweep(t, label, closed, int64(seed), 40, 1000)
+		run++
+	}
+	if run < n*9/10 {
+		t.Fatalf("only %d of %d pointer programs close", run, n)
 	}
 }

@@ -99,10 +99,10 @@ func indexValue(av, iv Value, name string) Value {
 	if iv.Kind != KInt {
 		trapf("array index is %s, want int", kindName(iv.Kind))
 	}
-	if iv.I < 0 || iv.I >= int64(len(av.Arr)) {
-		trapf("array index %d out of bounds [0,%d)", iv.I, len(av.Arr))
+	if iv.I < 0 || iv.I >= av.I {
+		trapf("array index %d out of bounds [0,%d)", iv.I, av.I)
 	}
-	return av.Arr[iv.I]
+	return av.Arr()[iv.I]
 }
 
 func loadPtr(p Pointer) Value {
@@ -111,10 +111,10 @@ func loadPtr(p Pointer) Value {
 	}
 	if p.Elem >= 0 {
 		v := p.Cell.V
-		if v.Kind != KArray || p.Elem >= len(v.Arr) {
+		if v.Kind != KArray || int64(p.Elem) >= v.I {
 			trapf("stale element pointer")
 		}
-		return v.Arr[p.Elem]
+		return v.Arr()[p.Elem]
 	}
 	return p.Cell.V
 }
@@ -125,10 +125,10 @@ func storePtr(p Pointer, v Value) {
 	}
 	if p.Elem >= 0 {
 		av := p.Cell.V
-		if av.Kind != KArray || p.Elem >= len(av.Arr) {
+		if av.Kind != KArray || int64(p.Elem) >= av.I {
 			trapf("stale element pointer")
 		}
-		av.Arr[p.Elem] = v.Copy()
+		av.Arr()[p.Elem] = v.Copy()
 		return
 	}
 	p.Cell.V = v.Copy()

@@ -136,13 +136,13 @@ func (cp *copier) payload(v any) any {
 func (cp *copier) value(v Value) Value {
 	switch v.Kind {
 	case KPtr:
-		v.Ptr.Cell = cp.cell(v.Ptr.Cell)
+		return PtrVal(Pointer{Cell: cp.cell(v.Ptr().Cell), Elem: int(v.I)})
 	case KArray:
-		arr := make([]Value, len(v.Arr))
-		for i, e := range v.Arr {
+		arr := make([]Value, v.I)
+		for i, e := range v.Arr() {
 			arr[i] = cp.value(e)
 		}
-		v.Arr = arr
+		return arrayOf(arr)
 	}
 	return v
 }

@@ -1,13 +1,15 @@
 package interp_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"reclose/internal/core"
+	"reclose/internal/randprog"
 )
 
 // FuzzBytecodeLockstep feeds arbitrary MiniC source through the full
-// pipeline (parse, check, close) and, when it compiles, drives the
+// pipeline (parse, check, close) and, when it closes, drives the
 // compiled machine — once with incremental state hashing, once
 // rendering in full — and the reference interpreter in lockstep: any
 // divergence in events, outcomes, fingerprints, or state hashes fails
@@ -70,12 +72,17 @@ process main;
 	for _, tc := range undoCases {
 		f.Add(tc.src)
 	}
+	// Open pointer programs, closed below: one ends clean, one traps on
+	// pointer arithmetic, one on a bad array index.
+	for _, seed := range []int64{0, 3, 27} {
+		f.Add(randprog.Pointers(rand.New(rand.NewSource(seed))))
+	}
 	f.Fuzz(func(t *testing.T, src string) {
-		u, err := core.CompileSource(src)
+		u, _, err := core.CloseSource(src)
 		if err != nil {
 			t.Skip()
 		}
-		if u.IsOpen() || len(u.Processes) == 0 {
+		if len(u.Processes) == 0 {
 			// Not executable: nothing to compare.
 			t.Skip()
 		}

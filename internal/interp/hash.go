@@ -38,8 +38,8 @@ import "hash/maphash"
 // rebuildHash (Reset, SetStateHashing) for all, and for every process by
 // a store through a pointer to a live cell (hkey != 0) outside the
 // running process's frames — its owner did not run (opStorePtr).
-// copyState copies segments and bits with the state they describe, so a
-// restored or forked machine is as current as its source. The bytes are
+// Fork copies segments and bits with the state they describe, so a
+// fork is as current as its source. The bytes are
 // the full walk's (keyseg_test.go, one test per rule).
 //
 // What a search stores of a state is shorter: AppendKey writes, for each
@@ -50,7 +50,7 @@ import "hash/maphash"
 // are equal iff their ids are, iff the fingerprints are. AppendKey
 // returns the fingerprint's length beside the key. An id travels with
 // its segment and is looked up once per rendering: whoever renders a
-// segment (procSeg, rehashObj) zeroes the id, the trail and copyState
+// segment (procSeg, rehashObj) zeroes the id, the trail and Fork
 // carry it with the segment, and a key asked for under another table
 // zeroes them all. A machine that keeps no segments — hashing off,
 // the reference — answers AppendKey with the fingerprint itself.
@@ -125,15 +125,12 @@ func valHash(v Value) uint64 {
 	case KInt:
 		return Mix64(1, uint64(v.I))
 	case KBool:
-		if v.B {
-			return Mix64(2, 1)
-		}
-		return Mix64(2, 0)
+		return Mix64(2, uint64(v.I))
 	case KPtr:
-		return Mix64(3, uint64(int64(v.Ptr.Elem))+1)
+		return Mix64(3, uint64(v.I)+1)
 	case KArray:
-		h := Mix64(4, uint64(len(v.Arr)))
-		for _, e := range v.Arr {
+		h := Mix64(4, uint64(v.I))
+		for _, e := range v.Arr() {
 			h = Mix64(h, valHash(e))
 		}
 		return h

@@ -443,8 +443,8 @@ func TestValueHelpers(t *testing.T) {
 	}
 	a := interp.ArrayVal(2)
 	b := a.Copy()
-	b.Arr[0] = interp.IntVal(9)
-	if a.Arr[0].Equal(interp.IntVal(9)) {
+	b.Arr()[0] = interp.IntVal(9)
+	if a.Arr()[0].Equal(interp.IntVal(9)) {
 		t.Error("Copy aliases the array")
 	}
 	if interp.True.String() != "true" || interp.IntVal(-2).String() != "-2" || interp.Undef.String() != "undef" {

@@ -249,13 +249,13 @@ type forker struct {
 func (fk *forker) value(v Value) Value {
 	switch v.Kind {
 	case KPtr:
-		v.Ptr.Cell = fk.cell(v.Ptr.Cell)
+		return PtrVal(Pointer{Cell: fk.cell(v.Ptr().Cell), Elem: int(v.I)})
 	case KArray:
-		arr := make([]Value, len(v.Arr))
-		for i, e := range v.Arr {
+		arr := make([]Value, v.I)
+		for i, e := range v.Arr() {
 			arr[i] = fk.value(e)
 		}
-		v.Arr = arr
+		return arrayOf(arr)
 	}
 	return v
 }

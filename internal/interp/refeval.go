@@ -78,7 +78,7 @@ func refEvalUnary(ctx *refCtx, e *ast.UnaryExpr) Value {
 			if c.V.Kind != KArray {
 				trapf("%s is %s, not an array", x.X.Name, kindName(c.V.Kind))
 			}
-			if iv.Kind != KInt || iv.I < 0 || iv.I >= int64(len(c.V.Arr)) {
+			if iv.Kind != KInt || iv.I < 0 || iv.I >= c.V.I {
 				trapf("&%s[...]: bad index", x.X.Name)
 			}
 			return PtrVal(Pointer{Cell: c, Elem: int(iv.I)})
@@ -92,7 +92,7 @@ func refEvalUnary(ctx *refCtx, e *ast.UnaryExpr) Value {
 		if p.Kind != KPtr {
 			trapf("dereference of %s, want pointer", kindName(p.Kind))
 		}
-		return loadPtr(p.Ptr)
+		return loadPtr(p.Ptr())
 	case token.SUB:
 		v := refEval(ctx, e.X)
 		if v.IsUndef() {
@@ -110,7 +110,7 @@ func refEvalUnary(ctx *refCtx, e *ast.UnaryExpr) Value {
 		if v.Kind != KBool {
 			trapf("! on %s", kindName(v.Kind))
 		}
-		return BoolVal(!v.B)
+		return BoolVal(!v.B())
 	}
 	trapf("bad unary operator %s", e.Op)
 	return Undef
@@ -127,10 +127,10 @@ func refEvalBinary(ctx *refCtx, e *ast.BinaryExpr) Value {
 		if x.Kind != KBool {
 			trapf("%s on %s", e.Op, kindName(x.Kind))
 		}
-		if e.Op == token.LAND && !x.B {
+		if e.Op == token.LAND && !x.B() {
 			return False
 		}
-		if e.Op == token.LOR && x.B {
+		if e.Op == token.LOR && x.B() {
 			return True
 		}
 		y := refEval(ctx, e.Y)
@@ -140,7 +140,7 @@ func refEvalBinary(ctx *refCtx, e *ast.BinaryExpr) Value {
 		if y.Kind != KBool {
 			trapf("%s on %s", e.Op, kindName(y.Kind))
 		}
-		return BoolVal(y.B)
+		return BoolVal(y.B())
 	}
 
 	x := refEval(ctx, e.X)
@@ -178,10 +178,10 @@ func refAssignTo(ctx *refCtx, lhs ast.Expr, v Value) {
 		if c.V.Kind != KArray {
 			trapf("%s is %s, not an array", lhs.X.Name, kindName(c.V.Kind))
 		}
-		if iv.IsUndef() || iv.Kind != KInt || iv.I < 0 || iv.I >= int64(len(c.V.Arr)) {
+		if iv.IsUndef() || iv.Kind != KInt || iv.I < 0 || iv.I >= c.V.I {
 			trapf("bad array index in assignment to %s", lhs.X.Name)
 		}
-		c.V.Arr[iv.I] = v.Copy()
+		c.V.Arr()[iv.I] = v.Copy()
 	case *ast.UnaryExpr:
 		if lhs.Op != token.MUL {
 			trapf("bad assignment target")
@@ -193,7 +193,7 @@ func refAssignTo(ctx *refCtx, lhs ast.Expr, v Value) {
 		if p.Kind != KPtr {
 			trapf("store through %s, want pointer", kindName(p.Kind))
 		}
-		storePtr(p.Ptr, v)
+		storePtr(p.Ptr(), v)
 	default:
 		trapf("bad assignment target")
 	}

@@ -170,7 +170,7 @@ func (s *RefSystem) advance(p *RefProc, ch Chooser) (out *Outcome) {
 			if v.Kind != KBool {
 				trapf("branch on %s, want bool", kindName(v.Kind))
 			}
-			p.cur = pickArc(n, v.B, -1)
+			p.cur = pickArc(n, v.B(), -1)
 		case cfg.NTossSwitch:
 			k := ctx.toss(n.TossBound())
 			p.cur = pickArc(n, false, k)
@@ -366,7 +366,7 @@ func (s *RefSystem) execVisible(p *RefProc, ch Chooser) (ev Event, out *Outcome)
 		ev.Value, ev.HasVal = v, true
 		switch v.Kind {
 		case KBool:
-			if !v.B {
+			if !v.B() {
 				// Report the violation; control still moves past the
 				// assertion so exploration may continue if desired.
 				p.cur = n.Succ()
@@ -481,10 +481,10 @@ func (s *RefSystem) AppendFingerprint(dst []byte) []byte {
 				dst = append(dst, '=')
 				if v.Kind == KPtr {
 					dst = append(dst, '&')
-					dst = append(dst, labels[v.Ptr.Cell]...)
-					if v.Ptr.Elem >= 0 {
+					dst = append(dst, labels[v.Ptr().Cell]...)
+					if v.I >= 0 {
 						dst = append(dst, '[')
-						dst = strconv.AppendInt(dst, int64(v.Ptr.Elem), 10)
+						dst = strconv.AppendInt(dst, v.I, 10)
 						dst = append(dst, ']')
 					}
 				} else {

@@ -417,7 +417,7 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 		ev.Value, ev.HasVal = v, true
 		switch v.Kind {
 		case KBool:
-			if !v.B {
+			if !v.B() {
 				// Report the violation; control still moves past the
 				// assertion so exploration may continue if desired.
 				p.cur = prog.succ
@@ -606,10 +606,10 @@ func (p *Proc) appendFingerprint(dst []byte) []byte {
 			dst = append(dst, '=')
 			if v.Kind == KPtr {
 				dst = append(dst, '&')
-				dst = appendCellLabel(dst, p, v.Ptr.Cell)
-				if v.Ptr.Elem >= 0 {
+				dst = appendCellLabel(dst, p, v.Ptr().Cell)
+				if v.I >= 0 {
 					dst = append(dst, '[')
-					dst = strconv.AppendInt(dst, int64(v.Ptr.Elem), 10)
+					dst = strconv.AppendInt(dst, v.I, 10)
 					dst = append(dst, ']')
 				}
 			} else {

@@ -52,7 +52,7 @@ func (m Mark) SameTrail(o Mark) bool { return m.gen != 0 && m.gen == o.gen }
 var trailGens atomic.Uint64
 
 // maxTrail bounds the log: Mark drops one longer than this many entries,
-// some 4 MiB of them (a cell entry is 88 bytes). The longest log of the
+// some 3 MiB of them (a cell entry is 48 bytes). The longest log of the
 // benchmark's searches is 695 entries, under 5ess-large to depth 500.
 const maxTrail = 1 << 16
 
@@ -223,8 +223,8 @@ func (s *System) logStore(ptr Pointer) {
 	case c == nil:
 	case ptr.Elem < 0:
 		s.logCell(c, &c.V)
-	case c.V.Kind == KArray && ptr.Elem < len(c.V.Arr):
-		s.logCell(c, &c.V.Arr[ptr.Elem])
+	case c.V.Kind == KArray && int64(ptr.Elem) < c.V.I:
+		s.logCell(c, &c.V.Arr()[ptr.Elem])
 	}
 }
 

@@ -12,6 +12,7 @@ package interp
 import (
 	"fmt"
 	"strconv"
+	"unsafe"
 )
 
 // Kind classifies runtime values.
@@ -30,13 +31,17 @@ const (
 	KArray
 )
 
-// Value is a MiniC runtime value.
+// Value is a MiniC runtime value, 24 bytes: a tag, one word and one
+// reference. I is a KInt's integer, a KBool's 0 or 1, a KPtr's element
+// index (-1 for the whole cell) and a KArray's length; ref is a KPtr's
+// *Cell and element 0 of a KArray's backing, nil otherwise and for an
+// empty array (read them through B, Ptr and Arr). ref is never converted
+// to uintptr — a stale pointer keeps its cell alive — and Arr never
+// slices past I; the race build's checkptr validates every conversion.
 type Value struct {
 	Kind Kind
 	I    int64
-	B    bool
-	Ptr  Pointer
-	Arr  []Value
+	ref  unsafe.Pointer
 }
 
 // Pointer is the address of a variable cell or an array element.
@@ -59,20 +64,14 @@ var boxedInts = func() (t [256]any) {
 var boxedBools = [2]any{BoolVal(false), BoolVal(true)}
 
 // boxValue converts v to an interface value, reusing a pre-boxed
-// instance when v is byte-identical to one (the guards on the unused
-// fields keep the substitution exact).
+// instance when v is a small int or a bool (a scalar's ref is nil, so
+// the substitution is exact).
 func boxValue(v Value) any {
-	if v.Ptr.Cell == nil && v.Arr == nil {
-		switch v.Kind {
-		case KInt:
-			if !v.B && v.I >= 0 && v.I < int64(len(boxedInts)) {
-				return boxedInts[v.I]
-			}
-		case KBool:
-			if v.I == 0 {
-				return boxedBools[b2i(v.B)]
-			}
-		}
+	switch {
+	case v.Kind == KInt && v.I >= 0 && v.I < int64(len(boxedInts)):
+		return boxedInts[v.I]
+	case v.Kind == KBool:
+		return boxedBools[v.I]
 	}
 	return v
 }
@@ -84,11 +83,11 @@ func b2i(b bool) int {
 	return 0
 }
 
-// Cell is an addressable storage location (one variable). hkey/hc are
-// the incremental-hash bookkeeping (hash.go): the cell's position key
-// (0 when the cell is not part of the live state) and its current
-// contribution to the rolling accumulator. They are engine-internal and
-// never rendered in fingerprints.
+// Cell is an addressable storage location (one variable), 40 bytes.
+// hkey/hc are the incremental-hash bookkeeping (hash.go): the cell's
+// position key (0 when the cell is not part of the live state) and its
+// current contribution to the rolling accumulator. They are
+// engine-internal and never rendered in fingerprints.
 type Cell struct {
 	V    Value
 	hkey uint64
@@ -100,18 +99,47 @@ var (
 	// Undef is the unknown value.
 	Undef = Value{Kind: KUndef}
 	// True and False are the boolean values.
-	True  = Value{Kind: KBool, B: true}
-	False = Value{Kind: KBool, B: false}
+	True  = Value{Kind: KBool, I: 1}
+	False = Value{Kind: KBool}
 )
 
 // IntVal returns an integer value.
 func IntVal(i int64) Value { return Value{Kind: KInt, I: i} }
 
 // BoolVal returns a boolean value.
-func BoolVal(b bool) Value { return Value{Kind: KBool, B: b} }
+func BoolVal(b bool) Value { return Value{Kind: KBool, I: int64(b2i(b))} }
 
 // PtrVal returns a pointer value.
-func PtrVal(p Pointer) Value { return Value{Kind: KPtr, Ptr: p} }
+func PtrVal(p Pointer) Value {
+	return Value{Kind: KPtr, I: int64(p.Elem), ref: unsafe.Pointer(p.Cell)}
+}
+
+// arrayOf returns the array value whose elements are arr's backing.
+func arrayOf(arr []Value) Value {
+	if len(arr) == 0 {
+		return Value{Kind: KArray}
+	}
+	return Value{Kind: KArray, I: int64(len(arr)), ref: unsafe.Pointer(&arr[0])}
+}
+
+// B is a KBool's truth value.
+func (v Value) B() bool { return v.I != 0 }
+
+// Ptr is a KPtr's target; the zero Pointer for any other kind.
+func (v Value) Ptr() Pointer {
+	if v.Kind != KPtr {
+		return Pointer{}
+	}
+	return Pointer{Cell: (*Cell)(v.ref), Elem: int(v.I)}
+}
+
+// Arr is a KArray's elements (its backing, not a copy); nil otherwise.
+func (v Value) Arr() []Value {
+	if v.Kind != KArray {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.ref), v.I)
+}
 
 // ArrayVal returns a fresh zero-initialized array of n integers.
 func ArrayVal(n int) Value {
@@ -119,7 +147,7 @@ func ArrayVal(n int) Value {
 	for i := range arr {
 		arr[i] = IntVal(0)
 	}
-	return Value{Kind: KArray, Arr: arr}
+	return arrayOf(arr)
 }
 
 // Copy returns a deep copy of v (arrays have value semantics: parameter
@@ -127,9 +155,9 @@ func ArrayVal(n int) Value {
 // model).
 func (v Value) Copy() Value {
 	if v.Kind == KArray {
-		arr := make([]Value, len(v.Arr))
-		copy(arr, v.Arr)
-		return Value{Kind: KArray, Arr: arr}
+		arr := make([]Value, v.I)
+		copy(arr, v.Arr())
+		return arrayOf(arr)
 	}
 	return v
 }
@@ -151,18 +179,18 @@ func (v Value) AppendString(dst []byte) []byte {
 	case KInt:
 		return strconv.AppendInt(dst, v.I, 10)
 	case KBool:
-		return strconv.AppendBool(dst, v.B)
+		return strconv.AppendBool(dst, v.B())
 	case KPtr:
 		dst = append(dst, "&cell"...)
-		if v.Ptr.Elem >= 0 {
+		if v.I >= 0 {
 			dst = append(dst, '[')
-			dst = strconv.AppendInt(dst, int64(v.Ptr.Elem), 10)
+			dst = strconv.AppendInt(dst, v.I, 10)
 			dst = append(dst, ']')
 		}
 		return dst
 	case KArray:
 		dst = append(dst, '[')
-		for i, e := range v.Arr {
+		for i, e := range v.Arr() {
 			if i > 0 {
 				dst = append(dst, ' ')
 			}
@@ -181,18 +209,17 @@ func (v Value) Equal(w Value) bool {
 		return false
 	}
 	switch v.Kind {
-	case KInt:
+	case KInt, KBool:
 		return v.I == w.I
-	case KBool:
-		return v.B == w.B
 	case KPtr:
-		return v.Ptr == w.Ptr
+		return v.I == w.I && v.ref == w.ref
 	case KArray:
-		if len(v.Arr) != len(w.Arr) {
+		if v.I != w.I {
 			return false
 		}
-		for i := range v.Arr {
-			if !v.Arr[i].Equal(w.Arr[i]) {
+		wa := w.Arr()
+		for i, e := range v.Arr() {
+			if !e.Equal(wa[i]) {
 				return false
 			}
 		}

@@ -1,5 +1,5 @@
 // Package randprog generates random well-formed open MiniC programs for
-// property-based testing. The generator guarantees:
+// property-based testing. Generate guarantees (Pointers does not):
 //
 //   - the program parses, checks, normalizes, compiles, and closes;
 //   - the open program never traps at runtime (integer-only values, no

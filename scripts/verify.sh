@@ -6,7 +6,8 @@
 # lockstep oracle, the job request parser and the dist frame codec (5s
 # per target; the checkpoint target also checks that a snapshot that
 # restores re-encodes to bytes decoding to an equal snapshot, and the
-# lockstep target also runs the Fork sweep of copy_test.go, the
+# lockstep target, whose seeds include three open randprog.Pointers
+# programs it closes, also runs the Fork sweep of copy_test.go, the
 # key-segment schedule of keyseg_test.go and the undo sweep of
 # trail_test.go). The last two guard the one option decoder:
 # an accepted job names options explore.Options.Resolve accepts, and a
@@ -49,7 +50,11 @@ go test -count=1 -timeout=10m ./...
 #     1 897 times on the lock server, at 0, 1 and 2 workers;
 #   - liveness: the nested-DFS cycle search over the shared state cache
 #     (blue stack + red searches under parallel workers) and the
-#     liveness-off byte-identity contract.
+#     liveness-off byte-identity contract;
+#   - the value representation: -race turns on checkptr, so this is also
+#     the leg that validates every conversion of value.go's unsafe
+#     reference (a pointer's cell, an array's backing) and every Arr
+#     slice of it, over all of the interp tests above.
 go test -count=1 -timeout=10m -race ./internal/explore/... ./internal/interp/... ./internal/obs/... ./internal/statecache/...
 
 # The two seeded-livelock workload generators under the race detector:
