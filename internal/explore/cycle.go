@@ -53,7 +53,7 @@ package explore
 // runs here. Static persistent
 // sets and sleep sets remain active; they can hide cycles that only
 // close under a pruned interleaving (the ignoring problem, documented
-// in docs/DESIGN.md) — run with POR: POROff / NoSleep for the
+// in DESIGN.md) — run with POR: POROff / NoSleep for the
 // exhaustive graph. Resolve refuses SnapshotSpill too: spilled units
 // rebuild their stem (and with it the live stack) by replay.
 

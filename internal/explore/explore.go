@@ -106,7 +106,7 @@ type Options struct {
 	// the live stack by replay). Static persistent sets and sleep sets
 	// stay active and can hide cycles only closable under a pruned
 	// interleaving; run with POROff/NoSleep for the exhaustive graph.
-	// See cycle.go and docs/DESIGN.md.
+	// See cycle.go and DESIGN.md.
 	Liveness bool `json:"liveness"`
 	// Search selects the frontier discipline: SearchDFS (default) is
 	// the classic LIFO depth-first order; SearchPriority explores the

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"reclose/internal/cfg"
-	"reclose/internal/comm"
 	"reclose/internal/core"
 	"reclose/internal/interp"
 	"reclose/internal/randprog"
@@ -312,39 +311,6 @@ func TestForkClonesStalePointers(t *testing.T) {
 				}
 				sameState(t, fmt.Sprintf("%s: step %d", label, step), sys, clone)
 			}
-		}
-	}
-}
-
-// TestPayloadFingerprintBytes pins comm's allocation-free payload
-// rendering to the reflective one it replaced: for every Value kind the
-// bytes a channel and a shared variable append are exactly fmt's.
-func TestPayloadFingerprintBytes(t *testing.T) {
-	cell := &interp.Cell{}
-	arr := interp.ArrayVal(3)
-	arr.Arr()[1] = interp.IntVal(-4)
-	arr.Arr()[2] = interp.PtrVal(interp.Pointer{Cell: cell, Elem: -1})
-	for _, v := range []interp.Value{
-		interp.Undef,
-		interp.IntVal(0), interp.IntVal(-17), interp.IntVal(1 << 40),
-		interp.True, interp.False,
-		interp.PtrVal(interp.Pointer{Cell: cell, Elem: -1}),
-		interp.PtrVal(interp.Pointer{Cell: cell, Elem: 2}),
-		arr, interp.ArrayVal(0),
-	} {
-		c := comm.NewChan("c", 2, false)
-		if err := c.Send(v); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Send(v); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := string(c.AppendFingerprint(nil)), fmt.Sprintf("c:[%v %v]", v, v); got != want {
-			t.Errorf("chan payload %v renders %q, want %q", v, got, want)
-		}
-		s := comm.NewShared("g", v)
-		if got, want := string(s.AppendFingerprint(nil)), string(fmt.Append([]byte("g:"), v)); got != want {
-			t.Errorf("shared payload %v renders %q, want %q", v, got, want)
 		}
 	}
 }

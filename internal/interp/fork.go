@@ -3,8 +3,6 @@ package interp
 import (
 	"slices"
 	"unsafe"
-
-	"reclose/internal/comm"
 )
 
 // This file is the compiled machine's state copy: Fork, a second System
@@ -40,7 +38,7 @@ func (s *System) Fork() *System {
 		Unit:         s.Unit,
 		Procs:        make([]*Proc, len(s.Procs)),
 		res:          s.res,
-		objs:         make([]comm.Object, len(s.objs)),
+		objs:         make([]*object, len(s.objs)),
 		bc:           s.bc,
 		regs:         make([]Value, len(s.regs)),
 		hashOn:       s.hashOn,
@@ -80,7 +78,12 @@ func (s *System) Fork() *System {
 		}
 	}
 	for i, so := range s.objs {
-		ns.objs[i] = so.Clone(cp.payload)
+		o := so.clone()
+		for j := range o.q {
+			o.q[j] = cp.value(o.q[j])
+		}
+		o.v = cp.value(o.v)
+		ns.objs[i] = o
 		ns.objSeg[i] = slices.Clone(s.objSeg[i])
 	}
 	return ns
@@ -119,16 +122,6 @@ func (cp *copier) cells(dst, src []Cell) {
 			*v = cp.value(*v)
 		}
 	}
-}
-
-// payload copies one value stored in a communication object. Scalars
-// are immutable once boxed, so both machines share the box; pointers
-// and arrays get a remapped deep copy.
-func (cp *copier) payload(v any) any {
-	if val := v.(Value); val.Kind >= KPtr {
-		return cp.value(val)
-	}
-	return v
 }
 
 // value returns a deep copy of v with pointer targets remapped into the

@@ -195,7 +195,7 @@ func (s *System) foldProcOut(p *Proc) {
 // keeping the text it hashed (plus the fingerprint's ';') as the
 // object's key segment.
 func (s *System) rehashObj(i int) {
-	seg := s.objs[i].AppendFingerprint(s.objSeg[i][:0])
+	seg := s.objs[i].appendFingerprint(s.objSeg[i][:0])
 	s.objHash[i] = fnvBytes(seg)
 	s.objSeg[i], s.objID[i] = append(seg, ';'), 0
 }
@@ -280,7 +280,7 @@ func (s *System) RecomputeStateHash() uint64 {
 	h := uint64(hashSeed)
 	buf := s.objFpBuf
 	for _, o := range s.objs {
-		buf = o.AppendFingerprint(buf[:0])
+		buf = o.appendFingerprint(buf[:0])
 		h = Mix64(h, fnvBytes(buf))
 	}
 	s.objFpBuf = buf

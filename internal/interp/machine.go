@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"reclose/internal/cfg"
-	"reclose/internal/comm"
 )
 
 // EngineKind selects the interpreter: the compiled machine or the
@@ -190,7 +189,7 @@ func (s *RefSystem) StateHash() uint64 {
 	h := uint64(hashSeed)
 	buf := make([]byte, 0, 64)
 	for _, name := range s.num.Objects {
-		buf = s.objects[name].AppendFingerprint(buf[:0])
+		buf = s.objects[name].appendFingerprint(buf[:0])
 		h = Mix64(h, fnvBytes(buf))
 	}
 	var acc uint64
@@ -314,9 +313,14 @@ func (s *RefSystem) ForkMachine() Machine {
 			pr.new.vars[name].V = fk.value(c.V)
 		}
 	}
-	ns.objects = make(map[string]comm.Object, len(s.objects))
+	ns.objects = make(map[string]*object, len(s.objects))
 	for name, o := range s.objects {
-		ns.objects[name] = o.Clone(func(v any) any { return fk.value(v.(Value)) })
+		c := o.clone()
+		for i := range c.q {
+			c.q[i] = fk.value(c.q[i])
+		}
+		c.v = fk.value(c.v)
+		ns.objects[name] = c
 	}
 	return ns
 }

@@ -6,7 +6,6 @@ import (
 
 	"reclose/internal/ast"
 	"reclose/internal/cfg"
-	"reclose/internal/comm"
 	"reclose/internal/sem"
 )
 
@@ -21,7 +20,7 @@ type RefSystem struct {
 	Unit  *cfg.Unit
 	Procs []*RefProc
 
-	objects map[string]comm.Object
+	objects map[string]*object
 	num     *Numbering // num.Objects is the deterministic object order
 	graphs  map[string]*refGraphInfo
 	// allProgress mirrors Resolution.allProgress: no `progress` labels
@@ -113,7 +112,10 @@ func NewRefSystem(u *cfg.Unit) (*RefSystem, error) {
 
 // Reset restores the initial program state.
 func (s *RefSystem) Reset() {
-	s.objects = comm.Build(s.Unit.Objects, func(i int64) any { return IntVal(i) })
+	s.objects = make(map[string]*object, len(s.Unit.Objects))
+	for _, sp := range s.Unit.Objects {
+		s.objects[sp.Name] = newObject(sp)
+	}
 	s.Procs = s.Procs[:0]
 	for i, top := range s.Unit.Processes {
 		gi := s.graphs[top]
@@ -123,9 +125,6 @@ func (s *RefSystem) Reset() {
 		s.Procs = append(s.Procs, p)
 	}
 }
-
-// Object returns the named communication object.
-func (s *RefSystem) Object(name string) comm.Object { return s.objects[name] }
 
 // Init runs every process's initial invisible prefix.
 func (s *RefSystem) Init(ch Chooser) *Outcome {
@@ -287,7 +286,7 @@ func (s *RefSystem) Enabled(i int) bool {
 	if op == "VS_assert" {
 		return true
 	}
-	return s.objects[objName].Enabled(op)
+	return s.objects[objName].enabled(op)
 }
 
 // ProcProgress reports whether process i's pending visible operation is
@@ -390,35 +389,22 @@ func (s *RefSystem) execVisible(p *RefProc, ch Chooser) (ev Event, out *Outcome)
 			// recorded event) must not alias the sender's variable.
 			v := refEval(ctx, cs.Args[1]).Copy()
 			ev.Value, ev.HasVal = v, true
-			c := obj.(*comm.Chan)
-			ev.Stub = c.EnvFacing()
-			if err := c.Send(v); err != nil {
-				trapf("%v", err)
-			}
+			ev.Stub = obj.stub
+			obj.send(v)
 		case "recv":
-			c := obj.(*comm.Chan)
-			raw, stub, err := c.Recv()
-			if err != nil {
-				trapf("%v", err)
-			}
-			v := Undef
-			if !stub {
-				v = raw.(Value)
-			}
+			v, stub := obj.recv()
 			ev.Value, ev.HasVal, ev.Stub = v, true, stub
 			refAssignTo(ctx, cs.Args[1], v)
 		case "wait":
-			if err := obj.(*comm.Sem).Wait(); err != nil {
-				trapf("%v", err)
-			}
+			obj.wait()
 		case "signal":
-			obj.(*comm.Sem).Signal()
+			obj.signal()
 		case "vwrite":
 			v := refEval(ctx, cs.Args[1]).Copy()
 			ev.Value, ev.HasVal = v, true
-			obj.(*comm.Shared).Write(v)
+			obj.v = v
 		case "vread":
-			v := obj.(*comm.Shared).Read().(Value)
+			v := obj.v
 			ev.Value, ev.HasVal = v, true
 			refAssignTo(ctx, cs.Args[1], v)
 		default:
@@ -436,7 +422,7 @@ func (s *RefSystem) execVisible(p *RefProc, ch Chooser) (ev Event, out *Outcome)
 // byte for byte.
 func (s *RefSystem) AppendFingerprint(dst []byte) []byte {
 	for _, name := range s.num.Objects {
-		dst = s.objects[name].AppendFingerprint(dst)
+		dst = s.objects[name].appendFingerprint(dst)
 		dst = append(dst, ';')
 	}
 	for _, p := range s.Procs {

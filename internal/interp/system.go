@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"reclose/internal/cfg"
-	"reclose/internal/comm"
 )
 
 // OutcomeKind classifies abnormal results of executing program steps.
@@ -143,7 +142,7 @@ type System struct {
 	res *Resolution
 	// objs holds the communication objects in the resolution's dense
 	// order (Numbering.Objects); a visOp's pend.Obj indexes into it.
-	objs []comm.Object
+	objs []*object
 
 	// bc is the resolution's bytecode module, run by the dispatch loop
 	// in bcexec.go.
@@ -219,10 +218,9 @@ func (r *Resolution) NewSystem() *System {
 		regs:         make([]Value, max(mod.maxRegs, 1)),
 		MaxInvisible: DefaultMaxInvisible,
 	}
-	objs := comm.Build(r.unit.Objects, func(i int64) any { return IntVal(i) })
-	s.objs = make([]comm.Object, len(r.num.Objects))
-	for i, name := range r.num.Objects {
-		s.objs[i] = objs[name]
+	s.objs = make([]*object, len(r.objSpecs))
+	for i, sp := range r.objSpecs {
+		s.objs[i] = newObject(sp)
 	}
 	s.objHash, s.objSeg = make([]uint64, len(s.objs)), make([][]byte, len(s.objs))
 	s.objID = make([]uint32, len(s.objs))
@@ -246,7 +244,7 @@ func (s *System) Resolution() *Resolution { return s.res }
 func (s *System) Reset() {
 	s.dropTrail()
 	for _, o := range s.objs {
-		o.Reset()
+		o.reset()
 	}
 	reuse := len(s.Procs) == len(s.Unit.Processes)
 	if !reuse {
@@ -292,14 +290,6 @@ func (s *System) Reset() {
 	if s.hashOn {
 		s.rebuildHash()
 	}
-}
-
-// Object returns the named communication object.
-func (s *System) Object(name string) comm.Object {
-	if i := s.res.num.Object(name); i >= 0 {
-		return s.objs[i]
-	}
-	return nil
 }
 
 // Init runs every process's initial invisible prefix up to its first
@@ -349,18 +339,18 @@ func (s *System) canRun(vis *visOp) bool {
 	}
 	if vis.pend.Obj < 0 || !vis.kindOK {
 		// Unknown object or kind-mismatched operation: permanently
-		// disabled (the reference dispatches to Object.Enabled, which
-		// returns false for an operation the object does not support).
+		// disabled (the reference asks object.enabled, which returns
+		// false for an operation the object does not support).
 		return false
 	}
 	obj := s.objs[vis.pend.Obj]
 	switch vis.op {
 	case opSend:
-		return obj.(*comm.Chan).CanSend()
+		return obj.canSend()
 	case opRecv:
-		return obj.(*comm.Chan).CanRecv()
+		return obj.canRecv()
 	case opWait:
-		return obj.(*comm.Sem).CanWait()
+		return obj.canWait()
 	case opSignal, opVwrite, opVread:
 		return true
 	}
@@ -441,44 +431,32 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 			// behave differently from the state it copied.
 			v := s.runFragment(p, frag.argPC, ch).Copy()
 			ev.Value, ev.HasVal = v, true
-			c := obj.(*comm.Chan)
-			ev.Stub = c.EnvFacing()
-			if err := c.Send(boxValue(v)); err != nil {
-				trapf("%v", err)
-			}
+			ev.Stub = obj.stub
+			obj.send(v)
 			if !ev.Stub {
-				s.logObj(vis, nil)
+				s.logObj(vis, Value{})
 			}
 		case opRecv:
-			c := obj.(*comm.Chan)
-			raw, stub, err := c.Recv()
-			if err != nil {
-				trapf("%v", err)
-			}
-			v := Undef
+			v, stub := obj.recv()
 			if !stub {
-				v = raw.(Value)
-				s.logObj(vis, raw) // before the destination store, which may trap
+				s.logObj(vis, v) // before the destination store, which may trap
 			}
 			ev.Value, ev.HasVal, ev.Stub = v, true, stub
 			s.regs[0] = v
 			s.runFragment(p, frag.dstPC, ch)
 		case opWait:
-			if err := obj.(*comm.Sem).Wait(); err != nil {
-				trapf("%v", err)
-			}
-			s.logObj(vis, nil)
+			obj.wait()
+			s.logObj(vis, Value{})
 		case opSignal:
-			s.logObj(vis, nil)
-			obj.(*comm.Sem).Signal()
+			s.logObj(vis, Value{})
+			obj.signal()
 		case opVwrite:
 			v := s.runFragment(p, frag.argPC, ch).Copy()
 			ev.Value, ev.HasVal = v, true
-			sh := obj.(*comm.Shared)
-			s.logObj(vis, sh.Read())
-			sh.Write(boxValue(v))
+			s.logObj(vis, obj.v)
+			obj.v = v
 		case opVread:
-			v := obj.(*comm.Shared).Read().(Value)
+			v := obj.v
 			ev.Value, ev.HasVal = v, true
 			s.regs[0] = v
 			s.runFragment(p, frag.dstPC, ch)
@@ -519,7 +497,7 @@ func (s *System) AppendFingerprint(dst []byte) []byte {
 		return dst
 	}
 	for _, o := range s.objs {
-		dst = o.AppendFingerprint(dst)
+		dst = o.appendFingerprint(dst)
 		dst = append(dst, ';')
 	}
 	for _, p := range s.Procs {

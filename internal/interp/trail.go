@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"reclose/internal/cfg"
-	"reclose/internal/comm"
 )
 
 // This file is the compiled machine's write trail: the log that lets a
@@ -94,7 +93,7 @@ type stepUndo struct {
 type refUndo struct {
 	p   *Proc
 	f   *frame
-	v   any
+	v   Value
 	obj int32
 	id  uint32 // uObj: the id of obj's key segment before the operation
 	op  builtinOp
@@ -190,15 +189,15 @@ func (s *System) undoRef(op undoOp, u *refUndo) {
 	case uObj:
 		switch o := s.objs[u.obj]; u.op {
 		case opSend:
-			o.(*comm.Chan).Unsend()
+			o.unsend()
 		case opRecv:
-			o.(*comm.Chan).Unrecv(u.v)
+			o.unrecv(u.v)
 		case opWait:
-			o.(*comm.Sem).Signal()
+			o.signal()
 		case opSignal:
-			o.(*comm.Sem).Unsignal()
+			o.unsignal()
 		case opVwrite:
-			o.(*comm.Shared).Write(u.v)
+			o.v = u.v
 		}
 		if s.hashOn {
 			s.rehashObj(int(u.obj))
@@ -258,6 +257,6 @@ func (s *System) logRef(op undoOp, u refUndo) {
 
 // logObj records the visible operation vis on its object, v being what
 // the operation consumed or is about to overwrite, if anything.
-func (s *System) logObj(vis *visOp, v any) {
+func (s *System) logObj(vis *visOp, v Value) {
 	s.logRef(uObj, refUndo{obj: vis.pend.Obj, id: s.objID[vis.pend.Obj], op: vis.op, v: v})
 }

@@ -50,32 +50,6 @@ type Pointer struct {
 	Elem int // -1 for the whole cell, >= 0 for an array element
 }
 
-// boxedInts and boxedBools pre-box the values that dominate channel
-// payloads, so handing one to a communication object (whose queues
-// store interface values) does not heap-allocate a fresh box per
-// visible operation.
-var boxedInts = func() (t [256]any) {
-	for i := range t {
-		t[i] = IntVal(int64(i))
-	}
-	return t
-}()
-
-var boxedBools = [2]any{BoolVal(false), BoolVal(true)}
-
-// boxValue converts v to an interface value, reusing a pre-boxed
-// instance when v is a small int or a bool (a scalar's ref is nil, so
-// the substitution is exact).
-func boxValue(v Value) any {
-	switch {
-	case v.Kind == KInt && v.I >= 0 && v.I < int64(len(boxedInts)):
-		return boxedInts[v.I]
-	case v.Kind == KBool:
-		return boxedBools[v.I]
-	}
-	return v
-}
-
 func b2i(b bool) int {
 	if b {
 		return 1

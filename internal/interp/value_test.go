@@ -8,7 +8,6 @@ import (
 	"time"
 	"unsafe"
 
-	"reclose/internal/comm"
 	"reclose/internal/core"
 )
 
@@ -79,25 +78,20 @@ func stepT(t *testing.T, s *System) Event {
 // (so the watch can see a collection at all).
 func TestReferencesKeepTargetsAlive(t *testing.T) {
 	t.Run("channel payload", func(t *testing.T) {
-		ch := comm.NewChan("c", 1, false)
+		ch := newChan("c", 1, false)
 		v := ArrayVal(3)
 		v.Arr()[1] = IntVal(7)
 		freed := watch(&v.Arr()[0])
-		if err := ch.Send(boxValue(v)); err != nil {
-			t.Fatal(err)
-		}
+		ch.send(v)
 		v = Value{}
 		if collect(freed) {
 			t.Fatal("the queued array's backing was freed")
 		}
-		got, _, err := ch.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s := got.(Value).String(); s != "[0 7 0]" {
+		got, _ := ch.recv()
+		if s := got.String(); s != "[0 7 0]" {
 			t.Fatalf("received %s, want [0 7 0]", s)
 		}
-		got = nil
+		got = Value{}
 		if !collect(freed) {
 			t.Fatal("the received array's backing was never freed")
 		}

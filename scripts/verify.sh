@@ -54,7 +54,9 @@ go test -count=1 -timeout=10m ./...
 #   - the value representation: -race turns on checkptr, so this is also
 #     the leg that validates every conversion of value.go's unsafe
 #     reference (a pointer's cell, an array's backing) and every Arr
-#     slice of it, over all of the interp tests above.
+#     slice of it, over all of the interp tests above — the
+#     communication objects' tests (object_test.go) included, whose
+#     channel queues and shared variables hold such Values.
 go test -count=1 -timeout=10m -race ./internal/explore/... ./internal/interp/... ./internal/obs/... ./internal/statecache/...
 
 # The two seeded-livelock workload generators under the race detector:
@@ -92,10 +94,10 @@ go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
 go test -fuzz=FuzzClosePreservation -fuzztime=5s ./internal/randprog/
 go test -fuzz=FuzzCacheMatchesReference -fuzztime=5s ./internal/statecache/
 
-# Bench smoke: one iteration of the two benchmarks scripts/profile.sh
+# Bench smoke: one iteration of the three benchmarks scripts/profile.sh
 # profiles (catches bit-rot in the tool's input; time is measured by
 # `go run ./benchmark`, counts are asserted by the tests above).
-go test -run '^$' -bench 'BenchmarkBacktrack|BenchmarkStateful' -benchtime=1x .
+go test -run '^$' -bench 'BenchmarkBacktrack|BenchmarkStateful|BenchmarkClose' -benchtime=1x .
 
 # Not a gate: non-test Go lines per package, and the non-test and test
 # totals the simplicity entries in CHANGES.md quote.
