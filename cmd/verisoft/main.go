@@ -25,7 +25,7 @@
 // equal the report's. -metrics-out writes the final registry as
 // versioned JSON, -trace-out streams structured JSONL events (run
 // start/stop, incidents, checkpoints, truncation, per-worker stats),
-// and -pprof starts an opt-in net/http/pprof listener. The summary:
+// and -cpuprofile writes a CPU profile of the whole run. The summary:
 // line is rendered from the registry, so CLI output, metrics file, and
 // report can never disagree.
 package main
@@ -36,10 +36,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof" // registered on DefaultServeMux; served only with -pprof
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -94,7 +93,7 @@ type cli struct {
 
 	metricsOut string
 	traceOut   string
-	pprofAddr  string
+	cpuProfile string
 }
 
 func newCLI(stdout, stderr io.Writer) *cli {
@@ -160,7 +159,7 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.StringVar(&c.resumeFrm, "resume", "", "resume the search from a checkpoint file written by -checkpoint")
 	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the final metrics registry to this file as versioned JSON")
 	fs.StringVar(&c.traceOut, "trace-out", "", "stream structured JSONL events (run start/stop, incidents, checkpoints) to this file")
-	fs.StringVar(&c.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile of the run (closing included) to this file")
 	c.fs = fs
 	return c
 }
@@ -232,6 +231,26 @@ func (c *cli) run() (int, error) {
 		c.fs.Usage()
 		return 2, nil
 	}
+	// The profile is stopped on every way out: by the deferred call, or
+	// before a forced exit.
+	stopProfile := func() {}
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
+		if err != nil {
+			return 1, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return 1, fmt.Errorf("cpuprofile: %w", err)
+		}
+		stopProfile = sync.OnceFunc(func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(c.stderr, "verisoft: cpuprofile: %v\n", err)
+			}
+		})
+		defer stopProfile()
+	}
 	src, err := readSource(c.fs.Arg(0))
 	if err != nil {
 		return 1, err
@@ -274,17 +293,6 @@ func (c *cli) run() (int, error) {
 		// Not the one shared cache of -workers N: pruning, and so every
 		// counter, depends on which process meets a state first.
 		fmt.Fprintf(c.stdout, "state cache: private to each of %d worker processes\n", c.distWorkers)
-	}
-
-	if c.pprofAddr != "" {
-		// Opt-in profiling listener; failures are reported but never
-		// fail the run.
-		go func(addr string) {
-			if err := http.ListenAndServe(addr, nil); err != nil {
-				fmt.Fprintf(c.stderr, "verisoft: pprof: %v\n", err)
-			}
-		}(c.pprofAddr)
-		fmt.Fprintf(c.stderr, "pprof: listening on http://%s/debug/pprof/\n", c.pprofAddr)
 	}
 
 	// Every run carries a registry: the engine flushes its counters into
@@ -350,6 +358,7 @@ func (c *cli) run() (int, error) {
 		cancel()
 		if sig = nextSignal(); sig != nil {
 			fmt.Fprintf(c.stderr, "verisoft: %s during drain: forcing immediate exit\n", sig)
+			stopProfile()
 			exitNow(3)
 		}
 	}()

@@ -155,3 +155,59 @@ func TestCLISecondSignalForcesExit3(t *testing.T) {
 		t.Errorf("stderr = %q, want the forced-exit announcement", errb.String())
 	}
 }
+
+// TestCPUProfileFlag: -cpuprofile writes a profile of the run, stopped
+// on every way out — the forced exit of a second signal included — and
+// a path it cannot create is an error before the search starts.
+func TestCPUProfileFlag(t *testing.T) {
+	prog := writeProg(t, progs.Philosophers(5))
+	// isProfile reports whether path holds a finished profile: pprof
+	// writes the gzipped protocol buffer when the profile is stopped.
+	isProfile := func(path string) bool {
+		b, err := os.ReadFile(path)
+		return err == nil && len(b) > 2 && b[0] == 0x1f && b[1] == 0x8b
+	}
+	t.Run("run", func(t *testing.T) {
+		prof := filepath.Join(t.TempDir(), "cpu.prof")
+		var out, errb bytes.Buffer
+		if code := realMain([]string{"-cpuprofile", prof, prog}, &out, &errb); code != 3 {
+			t.Fatalf("exit code = %d, want 3\nstderr:\n%s", code, errb.String())
+		}
+		if !isProfile(prof) {
+			t.Errorf("%s holds no profile", prof)
+		}
+	})
+	t.Run("unwritable", func(t *testing.T) {
+		prof := filepath.Join(t.TempDir(), "no-such-dir", "cpu.prof")
+		var out, errb bytes.Buffer
+		if code := realMain([]string{"-cpuprofile", prof, prog}, &out, &errb); code != 1 {
+			t.Fatalf("exit code = %d, want 1\nstderr:\n%s", code, errb.String())
+		}
+		if out.Len() != 0 || !strings.Contains(errb.String(), "verisoft: cpuprofile: ") {
+			t.Errorf("stdout %q, stderr %q: want no output and the cpuprofile error", out.String(), errb.String())
+		}
+	})
+	t.Run("forced-exit", func(t *testing.T) {
+		prof := filepath.Join(t.TempDir(), "cpu.prof")
+		forced := make(chan bool, 1)
+		old := exitNow
+		exitNow = func(int) { forced <- isProfile(prof) }
+		testSignals = make(chan os.Signal, 2)
+		testSignals <- syscall.SIGINT
+		testSignals <- syscall.SIGINT
+		defer func() {
+			exitNow = old
+			testSignals = nil
+		}()
+		var out bytes.Buffer
+		realMain([]string{"-cpuprofile", prof, prog}, &out, &syncBuf{})
+		select {
+		case stopped := <-forced:
+			if !stopped {
+				t.Error("the forced exit came before the profile was written")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("no forced exit")
+		}
+	})
+}

@@ -210,15 +210,21 @@ func (e *engine) redSearch(depth int) bool {
 		decs = append(decs, Decision{Toss: true, Value: 0})
 		return 0, true
 	})
-	var dfs func(m interp.Machine, rd int) bool
-	dfs = func(m interp.Machine, rd int) bool {
+	// dfs expands red level rd, the state m reached by stepping from the
+	// level above (from; -1 at the pruned state, whose table is e.pend).
+	var dfs func(m interp.Machine, rd, from int) bool
+	dfs = func(m interp.Machine, rd, from int) bool {
 		if rd >= remaining {
 			return false
 		}
 		if rd == len(e.redPend) {
 			e.redPend = append(e.redPend, nil)
 		}
-		e.redPend[rd] = m.AppendPending(e.redPend[rd][:0])
+		if from < 0 {
+			e.redPend[rd] = append(e.redPend[rd][:0], e.pend...)
+		} else {
+			e.redPend[rd] = m.PatchPending(append(e.redPend[rd][:0], e.redPend[rd-1]...), from)
+		}
 		for p, pd := range e.redPend[rd] {
 			if pd.Flags&interp.PendEnabled == 0 {
 				continue
@@ -250,7 +256,7 @@ func (e *engine) redSearch(depth int) bool {
 				}
 				// The set is per search: red reachability is judged against
 				// the current blue stack, which differs per path.
-				if !e.redSeen.VisitCharged(h, e.fpBuf, fpLen, 0) && dfs(fm, rd+1) {
+				if !e.redSeen.VisitCharged(h, e.fpBuf, fpLen, 0) && dfs(fm, rd+1, p) {
 					return true
 				}
 			}
@@ -267,7 +273,7 @@ func (e *engine) redSearch(depth int) bool {
 		}
 		return false
 	}
-	if dfs(e.sys, 0) {
+	if dfs(e.sys, 0, -1) {
 		return true
 	}
 	if cut {

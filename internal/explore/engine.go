@@ -153,17 +153,18 @@ type engine struct {
 	// segs is the search's segment table, which the machine writes its
 	// keys under; under nil a key is the fingerprint.
 	segs interp.SegmentTable
-	// pend is the pending table of the fresh state the machine is in
-	// (observe): all the scheduling layer reads of it.
-	pend   []interp.Pending
-	fpBuf  []byte        // state-key scratch
-	enBuf  []int         // the fresh state's enabled processes (scanEnabled)
-	inS    []bool        // closure-membership scratch (persistentSet)
-	inList []int         // closure-member list scratch (persistentSet)
-	setBuf []int         // persistent-set result scratch (consumed by scheduleOptions before the next call)
-	oneBuf [1]int        // singleton persistent-set scratch
-	runBuf []uint64      // running-process mask scratch (persistentSet)
-	dec    decisionArena // spill-prefix allocator
+	// pend is the pending table of the state the machine is in, at every
+	// step of a path: read at its root (observe) or copied from the
+	// restored entry, then patched by each transition (runPath). It is
+	// all the scheduling layer reads of a state.
+	pend    []interp.Pending
+	fpBuf   []byte        // state-key scratch
+	enBuf   []int         // the fresh state's enabled processes (scanEnabled)
+	running []uint64      // the fresh state's running-process mask (scanEnabled)
+	setBuf  []int         // persistent-set result scratch (consumed by scheduleOptions before the next call)
+	oneBuf  [1]int        // singleton persistent-set scratch
+	comps   componentMemo // persistentSet's closures, for the last running mask
+	dec     decisionArena // spill-prefix allocator
 
 	// Dynamic-POR per-path last-access vector: dporLast[objIndex] is
 	// the stack index of the last executed transition targeting the
@@ -419,11 +420,14 @@ func (e *engine) runPath() {
 
 	switch {
 	case e.restore():
+		// The entry restored to keeps its state's table.
+		e.pend = append(e.pend[:0], e.stack[e.replayIdx].pend...)
 	case e.snapRoot != nil:
 		e.sys = e.snapRoot.ForkMachine()
 		e.baseIdx = len(e.base)
 		e.liveDepth = e.baseSched
 		e.trace = append(e.trace[:0], e.snapTrace...)
+		e.observe()
 	default:
 		e.sys.Reset()
 		e.baseIdx = 0
@@ -432,6 +436,7 @@ func (e *engine) runPath() {
 			e.leafOutcome(out)
 			return
 		}
+		e.observe()
 	}
 
 	for {
@@ -442,7 +447,6 @@ func (e *engine) runPath() {
 			if d.Toss {
 				panic(&ReplayMismatchError{Want: "scheduling decision in prefix", Got: d.String()})
 			}
-			e.observe()
 			pd := e.pend[d.Value]
 			if e.liveStack != nil {
 				e.liveNoteReplay(pd, e.liveDepth, e.baseIdx)
@@ -457,6 +461,7 @@ func (e *engine) runPath() {
 				e.leafOutcome(out)
 				return
 			}
+			e.pend = e.sys.PatchPending(e.pend, d.Value)
 			continue
 		}
 
@@ -469,9 +474,11 @@ func (e *engine) runPath() {
 			e.replayIdx++
 			p := en.choice()
 			if len(en.pend) == 0 {
-				en.pend = e.sys.AppendPending(en.pend)
+				// An entry rebuilt from a work unit or a checkpoint: the
+				// replay has reached its state's table.
+				en.pend = append(en.pend, e.pend...)
 			}
-			pd := en.pend[p]
+			pd := e.pend[p]
 			e.pendingSleep = en.childSleep()
 			if !en.mark.SameTrail(e.trail) {
 				// An entry rebuilt from a work unit or a checkpoint, or one
@@ -493,6 +500,7 @@ func (e *engine) runPath() {
 				e.leafOutcome(out)
 				return
 			}
+			e.pend = e.sys.PatchPending(e.pend, p)
 			continue
 		}
 
@@ -521,7 +529,6 @@ func (e *engine) runPath() {
 		if depth > e.rep.MaxDepth {
 			e.rep.MaxDepth = depth
 		}
-		e.observe()
 		if e.opt.POR == PORDynamic {
 			// The FG backtrack-set update runs at every new state —
 			// leaf states included (a deadlocked process's pending
@@ -667,6 +674,7 @@ func (e *engine) runPath() {
 			e.leafOutcome(out)
 			return
 		}
+		e.pend = e.sys.PatchPending(e.pend, p)
 	}
 }
 
@@ -830,25 +838,31 @@ func (e *engine) residualUnits() []*workUnit {
 	return units
 }
 
-// observe reads the machine's pending table: the one look the search
-// takes at a state. An entry pushed there keeps a copy (entry.pend).
+// observe reads the pending table of a path's root state. A path begun
+// by a restore starts from the copy the entry kept (entry.pend); every
+// later state's table is its parent's, patched by the transition between
+// them (runPath).
 func (e *engine) observe() { e.pend = e.sys.AppendPending(e.pend[:0]) }
 
-// scanEnabled lists the state's enabled processes in e.enBuf, ascending.
-// With none the path ends — in a deadlock if stuck: a process other than
-// a daemon is still running (a daemon models the most general
-// environment; one blocked forever after the system is done is
-// quiescence).
+// scanEnabled lists the state's enabled processes in e.enBuf, ascending,
+// and its running ones in the mask e.running. With none enabled the path
+// ends — in a deadlock if stuck: a process other than a daemon is still
+// running (a daemon models the most general environment; one blocked
+// forever after the system is done is quiescence).
 func (e *engine) scanEnabled() (stuck bool) {
 	enabled := e.enBuf[:0]
+	running := append(e.running[:0], make([]uint64, e.footprint.procWords)...)
 	for p, pd := range e.pend {
+		if pd.Flags&interp.PendRunning != 0 {
+			running[p>>6] |= 1 << uint(p&63)
+		}
 		if pd.Flags&interp.PendEnabled != 0 {
 			enabled = append(enabled, p)
 		} else if pd.Flags&(interp.PendRunning|interp.PendDaemon) == interp.PendRunning {
 			stuck = true
 		}
 	}
-	e.enBuf = enabled
+	e.enBuf, e.running = enabled, running
 	return stuck
 }
 
@@ -923,25 +937,19 @@ func (e *engine) scheduleOptions(en *entry, depth int) {
 //   - if some enabled process's pending operation targets an object no
 //     other running process can ever touch (or targets no object at
 //     all, like VS_assert), that single process is persistent;
-//   - otherwise, grow a closure from the first enabled process by
-//     footprint overlap and return its enabled members.
+//   - otherwise, the enabled members of the first enabled process's
+//     component in the footprint-overlap graph over the running
+//     processes — kept for the last running mask (componentMemo).
 //
-// Both heuristic queries run on the footprintTable's precomputed
-// bitmask forms (multi-word above 64 processes) — no map traffic in
-// the per-state loop.
+// Both run on the footprintTable's precomputed bitmask forms
+// (multi-word above 64 processes) and the running mask scanEnabled
+// built — no map traffic in the per-state loop.
 func (e *engine) persistentSet(enabled []int) []int {
 	if len(enabled) <= 1 {
 		return enabled
 	}
-	t := e.footprint
-	n, pw := len(e.pend), t.procWords
-	running := append(e.runBuf[:0], make([]uint64, pw)...)
-	for q, pd := range e.pend {
-		if pd.Flags&interp.PendRunning != 0 {
-			running[q>>6] |= 1 << uint(q&63)
-		}
-	}
-	e.runBuf = running
+	t, running := e.footprint, e.running
+	pw := t.procWords
 	for _, p := range enabled {
 		// An operation without an object (VS_assert) is private to p.
 		private := true
@@ -961,39 +969,15 @@ func (e *engine) persistentSet(enabled []int) []int {
 			return e.oneBuf[:1]
 		}
 	}
-
-	e.inS = append(e.inS[:0], make([]bool, n)...)
-	inS := e.inS
-	members := e.inList[:0]
-	inS[enabled[0]] = true
-	members = append(members, enabled[0])
-	for changed := true; changed; {
-		changed = false
-		for q := 0; q < n; q++ {
-			if inS[q] || running[q>>6]&(1<<uint(q&63)) == 0 {
-				continue
-			}
-			for _, m := range members {
-				if t.overlaps(q, m) {
-					inS[q] = true
-					members = append(members, q)
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	e.inList = members[:0]
+	comp := e.comps.lookup(t, running)
+	c := comp[enabled[0]]
 	out := e.setBuf[:0]
 	for _, p := range enabled {
-		if inS[p] {
+		if comp[p] == c {
 			out = append(out, p)
 		}
 	}
 	e.setBuf = out
-	if len(out) == 0 {
-		return enabled
-	}
 	return out
 }
 

@@ -44,7 +44,9 @@ package explore
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -691,12 +693,13 @@ func newStateCache(opt Options) *statecache.Cache {
 // footprintTable precomputes the queries the persistent-set heuristic
 // and dynamic POR make against the static object footprints, so the
 // per-state loop runs on bitmasks instead of map lookups: per-object
-// masks of the processes that can ever touch the object, and the
-// pairwise footprint-overlap matrix. Objects go by their index in the
-// unit's numbering (interp.Numbering), as in the pending table and
-// dpor's last-access vector. Multi-word masks cover units with more
-// than 64 processes — there is no map-based fallback path. Immutable,
-// shared read-only by every worker of a parallel search.
+// masks of the processes that can ever touch the object, and per
+// process the mask of the processes whose footprints overlap its own.
+// Objects go by their index in the unit's numbering (interp.Numbering),
+// as in the pending table and dpor's last-access vector. Multi-word
+// masks cover units with more than 64 processes — there is no map-based
+// fallback path. Immutable, shared read-only by every worker of a
+// parallel search.
 type footprintTable struct {
 	n int
 	// numObjs is the number of declared objects.
@@ -707,7 +710,9 @@ type footprintTable struct {
 	// processes whose footprint contains the object.
 	procWords int
 	objProcs  []uint64
-	overlap   []bool // n*n pairwise footprint overlap
+	// overlap holds n masks of procWords words: mask q is the processes
+	// whose footprint shares an object with q's.
+	overlap []uint64
 	// class holds each object's dynamic-POR conflict class (objClass,
 	// by object index): it decides which operation pairs on the
 	// object are dependent-and-possibly-co-enabled, i.e. which pending
@@ -717,7 +722,9 @@ type footprintTable struct {
 
 // overlaps reports whether the footprints of processes q and m share an
 // object.
-func (t *footprintTable) overlaps(q, m int) bool { return t.overlap[q*t.n+m] }
+func (t *footprintTable) overlaps(q, m int) bool {
+	return t.overlap[q*t.procWords+m>>6]&(1<<uint(m&63)) != 0
+}
 
 // footprints computes, per process, the set of objects transitively
 // reachable from its top-level procedure through the call graph,
@@ -726,17 +733,19 @@ func (t *footprintTable) overlaps(q, m int) bool { return t.overlap[q*t.n+m] }
 func footprints(u *cfg.Unit) *footprintTable {
 	sets := footprintSets(u)
 	t := &footprintTable{n: len(sets)}
-	t.overlap = make([]bool, t.n*t.n)
-	for i := range sets {
-		for j := range sets {
-			t.overlap[i*t.n+j] = overlapSets(sets[i], sets[j])
-		}
-	}
 	num := interp.NumberUnit(u)
 	t.numObjs = len(num.Objects)
 	t.procWords = (t.n + 63) / 64
 	if t.procWords == 0 {
 		t.procWords = 1
+	}
+	t.overlap = make([]uint64, t.n*t.procWords)
+	for i := range sets {
+		for j := range sets {
+			if overlapSets(sets[i], sets[j]) {
+				t.overlap[i*t.procWords+j>>6] |= 1 << uint(j&63)
+			}
+		}
 	}
 	t.objProcs = make([]uint64, t.numObjs*t.procWords)
 	for i, fp := range sets {
@@ -752,6 +761,58 @@ func footprints(u *cfg.Unit) *footprintTable {
 		t.class[num.Object(spec.Name)] = uint8(objClassOf(spec))
 	}
 	return t
+}
+
+// componentMemo holds the connected components of the footprint-overlap
+// graph over the running processes for the last running mask it was
+// asked about, one per engine. A mask changes only when a process
+// terminates or a backtrack returns to a state before that; a new mask
+// is labelled again in the memo's own storage, a word of overlap mask at
+// a time.
+type componentMemo struct {
+	mask []uint64
+	left []uint64 // running processes not yet labelled
+	comp []int32  // component of each running process, -1 for the others
+	todo []int    // labelling scratch
+}
+
+// lookup returns the components of the running processes of mask running.
+func (cm *componentMemo) lookup(t *footprintTable, running []uint64) []int32 {
+	if cm.comp != nil && slices.Equal(cm.mask, running) {
+		return cm.comp
+	}
+	cm.mask = append(cm.mask[:0], running...)
+	left := append(cm.left[:0], running...)
+	comp := slices.Grow(cm.comp[:0], t.n)[:t.n]
+	for q := range comp {
+		comp[q] = -1
+	}
+	todo := cm.todo
+	next := int32(0)
+	for r := range comp {
+		if left[r>>6]&(1<<uint(r&63)) == 0 {
+			continue
+		}
+		left[r>>6] &^= 1 << uint(r&63)
+		comp[r] = next
+		todo = append(todo[:0], r)
+		for len(todo) > 0 {
+			m := todo[len(todo)-1]
+			todo = todo[:len(todo)-1]
+			for w, row := range t.overlap[m*t.procWords : (m+1)*t.procWords] {
+				reach := row & left[w]
+				left[w] &^= reach
+				for ; reach != 0; reach &= reach - 1 {
+					q := w<<6 + bits.TrailingZeros64(reach)
+					comp[q] = next
+					todo = append(todo, q)
+				}
+			}
+		}
+		next++
+	}
+	cm.left, cm.comp, cm.todo = left, comp, todo
+	return comp
 }
 
 // overlapSets reports whether two footprint sets share an object

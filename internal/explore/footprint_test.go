@@ -2,6 +2,8 @@ package explore
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,5 +133,171 @@ func TestWideMaskExploration(t *testing.T) {
 	}
 	if got, want := digest(dynamic, sameIncidents), digest(static, sameIncidents); got != want {
 		t.Errorf("incident set diverged:\n--- dynamic ---\n%s\n--- static ---\n%s", got, want)
+	}
+}
+
+// fixpointPersistentSet is the persistent set as it was computed before
+// the closures were kept by running mask: the object-private test,
+// then a closure grown from the first enabled process by footprint
+// overlap over the running processes until nothing changes. closure
+// says the set is a closure's smaller than the enabled set.
+func fixpointPersistentSet(t *footprintTable, pend []interp.Pending, enabled []int) (set []int, closure bool) {
+	if len(enabled) <= 1 {
+		return enabled, false
+	}
+	n, pw := len(pend), t.procWords
+	running := make([]uint64, pw)
+	for q, pd := range pend {
+		if pd.Flags&interp.PendRunning != 0 {
+			running[q>>6] |= 1 << uint(q&63)
+		}
+	}
+	for _, p := range enabled {
+		private := true
+		base := int(pend[p].Obj) * pw
+		for w := 0; base >= 0 && w < pw; w++ {
+			m := t.objProcs[base+w] & running[w]
+			if w == p>>6 {
+				m &^= 1 << uint(p&63)
+			}
+			if m != 0 {
+				private = false
+				break
+			}
+		}
+		if private {
+			return []int{p}, false
+		}
+	}
+	inS := make([]bool, n)
+	inS[enabled[0]] = true
+	members := []int{enabled[0]}
+	for changed := true; changed; {
+		changed = false
+		for q := 0; q < n; q++ {
+			if inS[q] || running[q>>6]&(1<<uint(q&63)) == 0 {
+				continue
+			}
+			for _, m := range members {
+				if t.overlaps(q, m) {
+					inS[q] = true
+					members = append(members, q)
+					changed = true
+					break
+				}
+			}
+		}
+	}
+	var out []int
+	for _, p := range enabled {
+		if inS[p] {
+			out = append(out, p)
+		}
+	}
+	return out, len(out) < len(enabled)
+}
+
+// randomFootprints returns a footprint table over n processes and objs
+// objects in which each process touches each object with probability
+// density.
+func randomFootprints(r *rand.Rand, n, objs int, density float64) *footprintTable {
+	t := &footprintTable{n: n, numObjs: objs, procWords: (n + 63) / 64}
+	t.objProcs = make([]uint64, objs*t.procWords)
+	touches := make([][]bool, n)
+	for p := range touches {
+		touches[p] = make([]bool, objs)
+		for o := range touches[p] {
+			if r.Float64() < density {
+				touches[p][o] = true
+				t.objProcs[o*t.procWords+p>>6] |= 1 << uint(p&63)
+			}
+		}
+	}
+	t.overlap = make([]uint64, n*t.procWords)
+	for p := range touches {
+		for q := range touches {
+			for o := range objs {
+				if touches[p][o] && touches[q][o] {
+					t.overlap[p*t.procWords+q>>6] |= 1 << uint(q&63)
+				}
+			}
+		}
+	}
+	return t
+}
+
+// TestPersistentSetLookupMatchesFixpoint holds persistentSet, whose
+// closure is a component kept for the last running mask, to the fixpoint
+// it replaced, on random footprint tables (up to 150 processes, so masks
+// of up to three words), random running masks and enabled subsets. Each
+// engine answers many states drawn from a few masks, so its memo is met
+// both by the mask it holds and by a different one.
+func TestPersistentSetLookupMatchesFixpoint(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	wide, closures := 0, 0
+	for table := 0; table < 60; table++ {
+		n := 1 + r.Intn(150)
+		if table%3 == 0 {
+			n = 65 + r.Intn(86)
+		}
+		objs := 1 + r.Intn(12)
+		ft := randomFootprints(r, n, objs, 0.05+0.3*r.Float64())
+		if ft.procWords > 1 {
+			wide++
+		}
+		e := &engine{footprint: ft}
+		// A few running masks per table, each met by many states.
+		masks := make([][]bool, 1+r.Intn(4))
+		for i := range masks {
+			masks[i] = make([]bool, n)
+			pRun := r.Float64()
+			for q := range masks[i] {
+				masks[i][q] = r.Float64() < pRun
+			}
+		}
+		for state := 0; state < 40; state++ {
+			mask := masks[r.Intn(len(masks))]
+			pEn := r.Float64()
+			e.pend = e.pend[:0]
+			for q := 0; q < n; q++ {
+				pd := interp.Pending{Obj: int32(r.Intn(objs+1)) - 1, Site: -1, Slot: -1}
+				if mask[q] {
+					pd.Flags |= interp.PendRunning
+					if r.Float64() < pEn {
+						pd.Flags |= interp.PendEnabled
+					}
+				}
+				e.pend = append(e.pend, pd)
+			}
+			e.scanEnabled()
+			want, closure := fixpointPersistentSet(ft, e.pend, e.enBuf)
+			if closure {
+				closures++
+			}
+			if got := e.persistentSet(e.enBuf); !slices.Equal(got, want) {
+				t.Fatalf("table %d (%d processes, %d objects), state %d: enabled %v: persistentSet %v, the fixpoint %v",
+					table, n, objs, state, e.enBuf, got, want)
+			}
+		}
+	}
+	if wide == 0 || closures < 100 {
+		t.Fatalf("%d tables wider than one mask word, %d states whose closure left an enabled process out", wide, closures)
+	}
+}
+
+// TestComponentMemoAllocatesNothing: a search whose processes terminate
+// in many orders meets a new running mask at many states; labelling one
+// again reuses the memo's storage.
+func TestComponentMemoAllocatesNothing(t *testing.T) {
+	ft := randomFootprints(rand.New(rand.NewSource(2)), 130, 8, 0.2)
+	masks := [][]uint64{{^uint64(0), ^uint64(0), 3}, {0x5555, 1 << 63, 1}, {7, 0, 2}}
+	var cm componentMemo
+	cm.lookup(ft, masks[0])
+	k := 0
+	if n := testing.AllocsPerRun(100, func() {
+		k++
+		cm.lookup(ft, masks[k%len(masks)])
+	}); n != 0 {
+		t.Errorf("a lookup under a new mask allocated %.1f times, want 0", n)
 	}
 }

@@ -144,6 +144,7 @@ func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) {
 			return
 		}
 		pick := en0[step%len(en0)]
+		parent := ms[0].AppendPending(nil)
 		ev0, o0 := ms[0].Step(pick, chs[0])
 		for i := 1; i < len(ms); i++ {
 			ev, o := ms[i].Step(pick, chs[i])
@@ -159,6 +160,7 @@ func lockstep(t *testing.T, label string, u *cfg.Unit, maxSteps int) {
 		if o0 != nil {
 			return
 		}
+		checkPatch(t, fmt.Sprintf("%s: step %d", label, step), ms, parent, pick)
 	}
 }
 

@@ -61,8 +61,9 @@ func (k *EngineKind) UnmarshalText(b []byte) (err error) {
 // deep-copy fork for a state that has to outlive the machine that
 // reached it. System and RefSystem implement it.
 //
-// Per state the search calls Init/Step/Reset, AppendPending, Mark and
-// the identity methods, per path Undo. A state's pending table answers
+// Per state the search calls Step, PatchPending, Mark and the identity
+// methods; per path Undo, or Init/Reset and AppendPending at the path's
+// root. A state's pending table answers
 // every question about it — which processes are enabled, whether the
 // state is a deadlock or a final one, where each process is stopped,
 // whether its operation counts as progress. The per-process methods
@@ -74,6 +75,9 @@ type Machine interface {
 	Step(i int, ch Chooser) (Event, *Outcome)
 	Reset()
 	AppendPending(dst []Pending) []Pending // the state's pending table (pending.go)
+	// PatchPending turns the table of the state before Step(i) into the
+	// current state's.
+	PatchPending(tab []Pending, i int) []Pending
 
 	// Observation only.
 	NumProcs() int

@@ -85,19 +85,39 @@ var idle = Pending{Obj: -1, Site: -1, Slot: -1}
 func (s *System) AppendPending(dst []Pending) []Pending {
 	dst = slices.Grow(dst, len(s.Procs))
 	for _, p := range s.Procs {
-		pd := idle
-		if p.vis != nil {
-			pd = p.vis.pend
-			if s.canRun(p.vis) {
-				pd.Flags |= PendEnabled
-			}
-		} else if p.status == Running {
-			pd.Flags = PendRunning
-		}
-		pd.Flags |= p.own
-		dst = append(dst, pd)
+		dst = append(dst, s.row(p))
 	}
 	return dst
+}
+
+// PatchPending turns tab, the table of the state before Step(i), into
+// the current state's, in place. A transition moves control only in
+// process i and changes objects only through i's one visible operation,
+// so the rows that can differ are i's and those of the processes pending
+// on the object that operation touched.
+func (s *System) PatchPending(tab []Pending, i int) []Pending {
+	obj := tab[i].Obj
+	for q := range tab {
+		if q == i || obj >= 0 && tab[q].Obj == obj {
+			tab[q] = s.row(s.Procs[q])
+		}
+	}
+	return tab
+}
+
+// row is p's row of the pending table.
+func (s *System) row(p *Proc) Pending {
+	pd := idle
+	if p.vis != nil {
+		pd = p.vis.pend
+		if s.canRun(p.vis) {
+			pd.Flags |= PendEnabled
+		}
+	} else if p.status == Running {
+		pd.Flags = PendRunning
+	}
+	pd.Flags |= p.own
+	return pd
 }
 
 // AppendPending is the reference's pending table, put together from the
@@ -131,4 +151,10 @@ func (s *RefSystem) AppendPending(dst []Pending) []Pending {
 		dst = append(dst, pd)
 	}
 	return dst
+}
+
+// PatchPending rebuilds the table in full: the oracle the compiled
+// machine's patch is held to does not share the patch's argument.
+func (s *RefSystem) PatchPending(tab []Pending, _ int) []Pending {
+	return s.AppendPending(tab[:0])
 }

@@ -16,7 +16,9 @@ import (
 // Step (differential_test.go) and by the key rig after every Reset,
 // Init, Step and ForkMachine (keyseg_test.go), so the random
 // programs, copyCases, keyCases and the fuzz target all run it;
-// TestPendingTable adds the states those programs rarely reach.
+// TestPendingTable adds the states those programs rarely reach. The
+// lockstep harness and pendingWalk also hold every machine's
+// PatchPending to the full tables after every Step (checkPatch).
 
 // pendingSeen records which kinds of row a run of checkPending came
 // across, for tests that must not pass vacuously.
@@ -123,6 +125,27 @@ func checkPending(t *testing.T, label string, u *cfg.Unit, ms []interp.Machine, 
 	}
 }
 
+// checkPatch holds each machine's PatchPending of parent, the table of
+// the state before Step(i), to the machine's own table and to the
+// reference's, both read in full.
+func checkPatch(t *testing.T, label string, ms []interp.Machine, parent []interp.Pending, i int) {
+	t.Helper()
+	var ref interp.Machine
+	for _, m := range ms {
+		if _, ok := m.(*interp.RefSystem); ok {
+			ref = m
+		}
+	}
+	want := fmt.Sprint(ref.AppendPending(nil))
+	for mi, m := range ms {
+		got := fmt.Sprint(m.PatchPending(append([]interp.Pending(nil), parent...), i))
+		if own := fmt.Sprint(m.AppendPending(nil)); got != own || got != want {
+			t.Fatalf("%s: machine %d: PatchPending after Step(%d) is\n %s\nits own table\n %s\nthe reference's\n %s",
+				label, mi, i, got, own, want)
+		}
+	}
+}
+
 // pendingWalk drives the lockstep machines down one schedule (always the
 // enabled process chosen by pick), checking the tables at every state.
 func pendingWalk(t *testing.T, label string, u *cfg.Unit, steps int, pick func(step int, enabled []int) int) *pendingSeen {
@@ -143,11 +166,13 @@ func pendingWalk(t *testing.T, label string, u *cfg.Unit, steps int, pick func(s
 			break
 		}
 		p := pick(step, en)
+		parent := ms[0].AppendPending(nil)
 		for i, m := range ms {
 			if _, out := m.Step(p, chs[i]); out != nil {
 				return seen
 			}
 		}
+		checkPatch(t, fmt.Sprintf("%s: step %d", label, step), ms, parent, p)
 	}
 	checkPending(t, label, u, ms, seen)
 	return seen

@@ -4,11 +4,25 @@
 # BenchmarkBacktrack (the default) is the four sequential searches of
 # explore_stateless, BenchmarkStateful the six fixed items of
 # explore_stateful, BenchmarkClose the five items close_scale closes.
+# With -cli, the profile is instead of one cold verisoft run, taken by
+# its -cpuprofile flag: the end-to-end view (process start, reading
+# and closing the program, the search, the exit) that the in-process
+# benchmarks miss, since they never pay the process floor.
 #   scripts/profile.sh [bench-regexp]
+#   scripts/profile.sh -cli [verisoft flags] file.mc
 set -eu
+here=$(pwd)
 cd "$(dirname "$0")/.."
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
+if [ "${1:-}" = "-cli" ]; then
+	shift
+	go build -o "$dir/verisoft" ./cmd/verisoft
+	# Exit codes 3 and 4 are verdicts (incidents, an incomplete search).
+	(cd "$here" && "$dir/verisoft" -cpuprofile "$dir/cpu.prof" "$@") >&2 || test $? -ge 3
+	go tool pprof -top -nodecount 40 "$dir/verisoft" "$dir/cpu.prof"
+	exit
+fi
 go test -run '^$' -bench "${1:-BenchmarkBacktrack}" -benchtime 5x \
 	-o "$dir/bench.test" -cpuprofile "$dir/cpu.prof" . >&2
 go tool pprof -top -nodecount 40 "$dir/bench.test" "$dir/cpu.prof"

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, a format gate (gofmt must list no
-# file), full tests, race-detector legs over the packages with real
+# file), a dependency gate (verisoft and reclose link neither net/http
+# nor runtime/cgo), full tests, race-detector legs over the packages with real
 # concurrency, and a short fuzz smoke over the
 # front end, the checkpoint decoder, the compiled-machine/reference
 # lockstep oracle, the job request parser and the dist frame codec (5s
@@ -25,6 +26,10 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
+# The command-line tools link no HTTP stack and no cgo: one net/http
+# import (verisoft's old -pprof listener) cost every process about 2 ms
+# and 5 MiB before it read its input.
+test -z "$(go list -deps ./cmd/verisoft ./cmd/reclose | grep -E '^(net/http|runtime/cgo)$')"
 go test -count=1 -timeout=10m ./...
 
 # Exploration race leg: every test of the search driver, the interpreter
