@@ -83,6 +83,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return nil
 		}
 
+		// Under -emit and -dot the statistics lines are comments, so the
+		// output re-parses as MiniC or DOT.
+		listing := !*statsOnly && !*quiet
+		note := ""
+		if listing && (*emit || *dot) {
+			note = "// "
+		}
 		var closed *cfg.Unit
 		var st *core.Stats
 		if *partition {
@@ -91,14 +98,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "partitioning: %s\n", pst)
+			fmt.Fprintf(stdout, "%spartitioning: %s\n", note, pst)
 		} else {
 			closed, st, err = core.Close(unit)
 			if err != nil {
 				return err
 			}
 		}
-		if !*statsOnly && !*quiet {
+		if listing {
 			switch {
 			case *emit:
 				src, err := codegen.Emit(closed)
@@ -113,7 +120,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprint(stdout, closed.String())
 			}
 		}
-		fmt.Fprintf(stdout, "closing: %s\n", st)
+		fmt.Fprintf(stdout, "%sclosing: %s\n", note, st)
 		return nil
 	}
 	if err := run(); err != nil {

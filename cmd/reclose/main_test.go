@@ -125,3 +125,43 @@ func TestExitCodes(t *testing.T) {
 		}
 	}
 }
+
+// TestEmitReparses closes every program of internal/progs — the paper's
+// Figure 2 and Figure 3 among them — with -emit and closes the emitted
+// source again: the statistics line after the program is a comment, not
+// a declaration. Under -partition -emit and -partition -dot both
+// statistics lines are comments. (A partitioned program's -emit output
+// does not always close again: PathIndependent's keeps its parameter but
+// drops its env declaration.)
+func TestEmitReparses(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"figure2": progs.FigureP, "figure3": progs.FigureQ, "simple-taint": progs.SimpleTaint,
+		"path-independent": progs.PathIndependent, "producer-consumer": progs.ProducerConsumer,
+		"deadlock-prone": progs.DeadlockProne, "assert-violation": progs.AssertViolation,
+		"router": progs.Router, "interproc": progs.Interproc, "forwarder": progs.Forwarder,
+		"philosophers-3": progs.Philosophers(3), "pipeline-2-2": progs.Pipeline(2, 2),
+		"router-scaled-2-2": progs.RouterScaled(2, 2), "lossy-transfer-2-1": progs.LossyTransfer(2, 1),
+	} {
+		in, again := filepath.Join(dir, name+".mc"), filepath.Join(dir, name+".emitted.mc")
+		if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, stderr bytes.Buffer
+		for _, args := range [][]string{{"-partition", "-dot", in}, {"-partition", "-emit", in}, {"-emit", in}} {
+			out.Reset()
+			if code := realMain(args, &out, &stderr); code != 0 {
+				t.Fatalf("reclose %v: exit %d\n%s", args, code, stderr.String())
+			}
+			if lines := "\n" + out.String(); strings.Contains(lines, "\npartitioning:") || strings.Contains(lines, "\nclosing:") {
+				t.Errorf("reclose %v: a bare statistics line:\n%s", args, out.String())
+			}
+		}
+		if err := os.WriteFile(again, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := realMain([]string{"-q", again}, &out, &stderr); code != 0 {
+			t.Errorf("reclose -emit %s: the output does not close again (exit %d): %s", name, code, stderr.String())
+		}
+	}
+}

@@ -40,7 +40,6 @@ import (
 	"os/signal"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -73,7 +72,7 @@ type cli struct {
 	stdout, stderr io.Writer
 
 	opt explore.Options
-	// modeErr holds, by flag name, what -engine, -por or -search made of
+	// modeErr holds, by flag name, what -engine or -por made of
 	// its value (nil: parsed): an unknown name is a refused option set —
 	// exit 1 with the mode's own message — not a usage error.
 	modeErr map[string]error
@@ -111,7 +110,6 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	}{
 		{"engine", "interpreter: bytecode (the compiled machine: flat bytecode + incremental hashing, the default) or ref (reference oracle)", &o.Engine},
 		{"por", "partial-order reduction: static (persistent sets, the default), dynamic (Flanagan-Godefroid backtrack sets; refused with -liveness), or off", &o.POR},
-		{"search", "frontier order: dfs (strict depth-first, the default) or priority (score-directed)", &o.Search},
 	} {
 		fs.Func(m.name, m.usage, func(s string) error {
 			c.modeErr[m.name] = m.v.UnmarshalText([]byte(s))
@@ -123,13 +121,6 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.IntVar(&c.naive, "naive", 0, "close naively with an explicit most general environment over domain [0,D) instead of transforming")
 	fs.BoolVar(&c.noPOR, "no-por", false, "disable persistent-set reduction (same as -por=off)")
 	fs.BoolVar(&o.NoSleep, "no-sleep", false, "disable sleep sets")
-	fs.Func("interest", "comma-separated object names the priority search should steer toward (requires -search=priority)", func(s string) error {
-		o.Interest = strings.FieldsFunc(s, func(r rune) bool { return r == ',' })
-		for i := range o.Interest {
-			o.Interest[i] = strings.TrimSpace(o.Interest[i])
-		}
-		return nil
-	})
 	fs.BoolVar(&o.StateCache, "state-cache", false, "remember visited states and prune a path that reaches one again, no shallower than before and with the same sleep set; a state evicted under -cache-mem is explored again when met, so eviction costs time, never soundness")
 	fs.IntVar(&o.CacheShards, "cache-shards", 0, "lock shards in the state cache, rounded up to a power of two (0 = default 16; requires -state-cache)")
 	fs.Int64Var(&o.MaxCacheBytes, "cache-mem", 0, "state-cache budget in bytes, per worker process under -dist-workers, charged per entry the rendered state fingerprint's length plus 96 — more than the entry occupies (the cache: line's resident); over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
@@ -147,7 +138,7 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.BoolVar(&c.shortest, "shortest", false, "find a minimal-depth incident by iterative deepening instead of a full search")
 	fs.IntVar(&o.Workers, "workers", 0, "search workers (0 = the search loop inline in classic depth-first order, -1 = GOMAXPROCS)")
 	fs.IntVar(&o.SpillDepth, "spill-depth", 0, "depth above which workers spill sibling subtrees to the shared frontier (0 = default 16)")
-	fs.BoolVar(&o.SnapshotSpill, "snapshot-spill", false, "attach state snapshots to spilled work units so claimers skip prefix replay (-workers > 0 or -search=priority; refused with -liveness)")
+	fs.BoolVar(&o.SnapshotSpill, "snapshot-spill", false, "attach state snapshots to spilled work units so claimers skip prefix replay (-workers > 0; refused with -liveness)")
 	fs.IntVar(&c.distWorkers, "dist-workers", 0, "distribute the search across this many worker OS processes (0 = in-process); results merge deterministically, byte-identical to the in-process engine (with -state-cache each process keeps its own cache: same incidents, schedule-dependent counters)")
 	fs.Int64Var(&c.distSlice, "dist-slice", 0, "per-batch state budget a distributed worker explores before reporting back (0 = default 4096; requires -dist-workers)")
 	fs.DurationVar(&c.distLease, "dist-lease", 0, "lease timeout after which a distributed worker is declared dead and its work reassigned (0 = default 60s; requires -dist-workers)")
@@ -255,7 +246,7 @@ func (c *cli) run() (int, error) {
 	if err != nil {
 		return 1, err
 	}
-	for _, name := range []string{"engine", "por", "search"} {
+	for _, name := range []string{"engine", "por"} {
 		if err := c.modeErr[name]; err != nil {
 			return 1, err
 		}

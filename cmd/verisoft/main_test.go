@@ -293,11 +293,11 @@ func TestCLICacheFlags(t *testing.T) {
 	}
 }
 
-// TestCLIPORFlags drives the -por / -search / -interest flags end to
-// end: a dynamic-POR priority-directed run on the philosophers ring
-// still finds the deadlock (exit 3), its metrics file carries the
-// dynamic-POR counters, and the invalid spellings and contradictory
-// combinations are rejected before any search starts.
+// TestCLIPORFlags drives the -por flag end to end: a dynamic-POR run on
+// the philosophers ring still finds the deadlock (exit 3), its metrics
+// file carries the dynamic-POR counters, the invalid spellings and
+// contradictory combinations are rejected before any search starts, and
+// the deleted -search and -interest flags are usage errors.
 func TestCLIPORFlags(t *testing.T) {
 	prog := writeProg(t, progs.Philosophers(3))
 	dir := t.TempDir()
@@ -305,7 +305,7 @@ func TestCLIPORFlags(t *testing.T) {
 	trace := filepath.Join(dir, "trace.jsonl")
 	var out, errb bytes.Buffer
 	code := realMain([]string{
-		"-por", "dynamic", "-search", "priority", "-interest", "fork0, fork1",
+		"-por", "dynamic",
 		"-metrics-out", metrics, "-trace-out", trace, prog,
 	}, &out, &errb)
 	if code != 3 {
@@ -331,9 +331,8 @@ func TestCLIPORFlags(t *testing.T) {
 	}
 	start := strings.SplitN(string(tdata), "\n", 2)[0]
 	if !strings.Contains(start, `"ev":"run_start"`) ||
-		!strings.Contains(start, `"por":"dynamic"`) ||
-		!strings.Contains(start, `"search":"priority"`) {
-		t.Errorf("run_start event does not carry the search modes: %s", start)
+		!strings.Contains(start, `"por":"dynamic"`) {
+		t.Errorf("run_start event does not carry the POR mode: %s", start)
 	}
 
 	// A static run spelled explicitly matches the default run's summary.
@@ -341,7 +340,7 @@ func TestCLIPORFlags(t *testing.T) {
 	if code := realMain([]string{prog}, &defOut, &errb); code != 3 {
 		t.Fatalf("default run: exit = %d, want 3", code)
 	}
-	if code := realMain([]string{"-por", "static", "-search", "dfs", prog}, &expOut, &errb); code != 3 {
+	if code := realMain([]string{"-por", "static", prog}, &expOut, &errb); code != 3 {
 		t.Fatalf("explicit static run: exit = %d, want 3", code)
 	}
 	def := summaryRE.FindStringSubmatch(defOut.String())
@@ -351,19 +350,23 @@ func TestCLIPORFlags(t *testing.T) {
 	}
 	for i := 1; i <= 4; i++ {
 		if def[i] != exp[i] {
-			t.Errorf("explicit -por=static -search=dfs diverged from default summary: %v vs %v", exp[1:5], def[1:5])
+			t.Errorf("explicit -por=static diverged from default summary: %v vs %v", exp[1:5], def[1:5])
 		}
 	}
 
 	// Rejections.
 	for _, args := range [][]string{
 		{"-por", "bogus", prog},
-		{"-search", "bogus", prog},
 		{"-no-por", "-por", "dynamic", prog},
-		{"-interest", "fork0", prog}, // -interest without -search=priority
 	} {
 		if code := realMain(args, &out, &errb); code != 1 {
 			t.Errorf("%v: exit = %d, want 1", args, code)
+		}
+	}
+	for _, args := range [][]string{{"-search", "dfs", prog}, {"-interest", "x", prog}} {
+		var uerr bytes.Buffer
+		if code := realMain(args, &out, &uerr); code != 2 || !strings.Contains(uerr.String(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("%v: exit = %d, want 2 and an undefined-flag message; stderr:\n%s", args, code, uerr.String())
 		}
 	}
 	// -no-por combined with the agreeing -por=off spelling is fine.

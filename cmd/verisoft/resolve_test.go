@@ -20,8 +20,7 @@ import (
 // through every front end that takes an option set — explore.Explore,
 // this command, job admission and a worker process's hello — and each
 // must refuse with Resolve's message. A front end that cannot spell a
-// rule skips it: a job request has no cache, spill, sample or interest
-// keys, and MaxStates does not cross the wire.
+// rule skips it: a job request has no cache, spill or sample keys, and MaxStates does not cross the wire.
 func TestOneRuleFourFrontEnds(t *testing.T) {
 	src := progs.Philosophers(3)
 	prog := writeProg(t, src)
@@ -45,7 +44,6 @@ func TestOneRuleFourFrontEnds(t *testing.T) {
 		{"negative-cache-mem", explore.Options{StateCache: true, MaxCacheBytes: -1}, []string{"-state-cache", "-cache-mem", "-1"}, "", true, "MaxCacheBytes is -1; it must not be negative"},
 		{"liveness-dynamic", explore.Options{Liveness: true, POR: explore.PORDynamic}, []string{"-liveness", "-por", "dynamic"}, `"liveness":true,"por":"dynamic"`, true, "Liveness does not compose with POR dynamic"},
 		{"liveness-spill", explore.Options{Liveness: true, SnapshotSpill: true}, []string{"-liveness", "-snapshot-spill"}, "", true, "Liveness does not compose with SnapshotSpill"},
-		{"interest-dfs", explore.Options{Interest: []string{"fork0"}}, []string{"-interest", "fork0"}, "", true, "Interest requires Search priority"},
 		{"cache-knobs-uncached", explore.Options{CacheShards: 4}, []string{"-cache-shards", "4"}, "", true, "CacheShards and MaxCacheBytes require StateCache"},
 	} {
 		t.Run(rule.name, func(t *testing.T) {
@@ -110,7 +108,7 @@ func TestCLITraceCarriesResolvedOptions(t *testing.T) {
 	prog := writeProg(t, progs.Philosophers(3))
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	args := []string{"-state-cache", "-cache-mem", "1048576", "-no-sleep", "-samples", "7", "-stop-on-violation",
-		"-workers", "-1", "-search", "priority", "-interest", "fork0, fork1", "-max-states", "100000", "-trace-out", trace, prog}
+		"-workers", "-1", "-max-states", "100000", "-trace-out", trace, prog}
 	c := newCLI(io.Discard, io.Discard)
 	if err := c.fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -146,7 +144,7 @@ func TestCLITraceCarriesResolvedOptions(t *testing.T) {
 		t.Errorf("run_start: ev %q mode %q max_states %d options %s;\nwant run_start, parallel, 100000 and %s",
 			start.Ev, start.Mode, start.MaxStates, gotJSON, wantJSON)
 	}
-	for _, key := range []string{`"state_cache":true`, `"no_sleep":true`, `"max_cache_bytes":1048576`, `"max_incidents":7`, `"stop":"stop-on-violation"`, `"interest":["fork0","fork1"]`} {
+	for _, key := range []string{`"state_cache":true`, `"no_sleep":true`, `"max_cache_bytes":1048576`, `"max_incidents":7`, `"stop":"stop-on-violation"`} {
 		if !strings.Contains(string(start.Options), key) {
 			t.Errorf("run_start options %s lack %s", start.Options, key)
 		}

@@ -94,8 +94,8 @@ type proc struct {
 // slice worker per process (explore.Distribute), so the report satisfies
 // the contracts of the in-process search: strict modes are byte-identical
 // to a sequential run (modulo Replays/ReplaySteps, as with checkpoint
-// resume), dynamic-POR and priority search keep the incident-set
-// contract, and an Incomplete report's snapshot is an exact cut.
+// resume), dynamic POR keeps the incident-set contract, and an
+// Incomplete report's snapshot is an exact cut.
 func Run(ctx context.Context, prog Program, opt explore.Options, cfg Config) (*explore.Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Workers < 1 {

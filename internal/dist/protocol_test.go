@@ -21,8 +21,7 @@ func sampleMessages() []*Message {
 			Version: ProtocolVersion,
 			Program: Program{Source: "process p() { halt; }", Close: "auto", NaiveDomain: 4},
 			Options: explore.Options{
-				Engine: interp.EngineBytecode, MaxDepth: 500, POR: explore.PORDynamic, Search: explore.SearchPriority,
-				Interest: []string{"ch", "lock"}, StateCache: true, CacheShards: 8,
+				Engine: interp.EngineBytecode, MaxDepth: 500, POR: explore.PORDynamic, StateCache: true, CacheShards: 8,
 				MaxIncidents: 1 << 20,
 			},
 			FaultSeed:  42,
@@ -198,15 +197,15 @@ func FuzzDistProtocol(f *testing.F) {
 	})
 }
 
-// everyModeOptions are option sets that spell every engine, POR mode,
-// search mode and stop cause Options.Stop takes between them, with every
+// everyModeOptions are option sets that spell every engine, POR mode
+// and stop cause Options.Stop takes between them, with every
 // other wire field set somewhere.
 func everyModeOptions() []explore.Options {
 	return []explore.Options{
 		{},
 		{Engine: interp.EngineRef, MaxDepth: 123, NoSleep: true, POR: explore.PORDynamic, Stop: explore.StopViolation},
-		{POR: explore.POROff, Search: explore.SearchPriority, Interest: []string{"ch", "lock"}, MaxIncidents: 7, Stop: explore.StopIncident},
-		{StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20, Liveness: true, Interest: []string{}},
+		{POR: explore.POROff, MaxIncidents: 7, Stop: explore.StopIncident},
+		{StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20, Liveness: true},
 		{SnapshotSpill: true, SpillDepth: 5, Workers: 3},
 	}
 }
@@ -230,7 +229,7 @@ func TestOptionsRoundTrip(t *testing.T) {
 	}
 	for _, doc := range []string{
 		`{"engine":"valves"}`, `{"engine":"slots"}`, // never one; the tier deleted in PR 17
-		`{"por":"dynamc"}`, `{"search":"bfs"}`, `{"stop":"first"}`,
+		`{"por":"dynamc"}`, `{"stop":"first"}`,
 	} {
 		var opt explore.Options
 		if err := json.Unmarshal([]byte(doc), &opt); err == nil {

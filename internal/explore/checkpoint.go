@@ -98,12 +98,6 @@ type snapUnit struct {
 	Root    bool              `json:"root,omitempty"`
 	Toss    bool              `json:"toss,omitempty"`
 	Cont    bool              `json:"cont,omitempty"`
-	// Score carries the priority-search interest score across the wire;
-	// omitempty keeps static-search snapshots byte-identical to the
-	// pre-distributed format. Dropping it was a real bug: a resumed or
-	// remotely executed priority search re-ranked restored units at the
-	// default score instead of the one the search had computed.
-	Score float64 `json:"score,omitempty"`
 	// Stack serializes a dynamic-POR stack-continuation unit; when
 	// non-empty, Options/Objs/From are unused.
 	Stack []snapFrame `json:"stack,omitempty"`
@@ -267,7 +261,6 @@ func (t *siteTable) snapFromUnit(u *workUnit) snapUnit {
 		Root:    u.root,
 		Toss:    u.toss,
 		Cont:    u.cont,
-		Score:   u.score,
 	}
 	for i := range u.stack {
 		f := &u.stack[i]
@@ -377,7 +370,6 @@ func (t *siteTable) unitFromSnap(su *snapUnit, procs int) (*workUnit, error) {
 		root:    su.Root,
 		toss:    su.Toss,
 		cont:    su.Cont,
-		score:   su.Score,
 	}
 	for i := range su.Stack {
 		sf := &su.Stack[i]

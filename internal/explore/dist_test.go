@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,8 +20,7 @@ import (
 var wireSites = &siteTable{objs: []string{"a", "b", "ch", "lock", "x"}}
 
 // wireUnits builds one work unit of every shape the frontier produces:
-// a root unit, a plain sibling-range unit with a sleep set and a
-// priority score, a toss unit, a continuation unit, and a dynamic-POR
+// a root unit, a plain sibling-range unit with a sleep set, a toss unit, a continuation unit, and a dynamic-POR
 // stack-continuation unit whose frames carry backtrack sets and seals.
 func wireUnits() map[string]*workUnit {
 	const a, b, ch, lock, x = 0, 1, 2, 3, 4
@@ -34,19 +32,16 @@ func wireUnits() map[string]*workUnit {
 			objs:    []int32{-1, ch, lock},
 			sleep:   sleepSet{{proc: 0, obj: ch}, {proc: 2, obj: lock}},
 			from:    1,
-			score:   3.5,
 		},
 		"toss": {
 			prefix:  []Decision{{Value: 0}},
 			options: []int{0, 1, 2},
 			toss:    true,
 			from:    2,
-			score:   -1.25,
 		},
 		"cont": {
 			prefix: []Decision{{Value: 1}, {Value: 1}},
 			cont:   true,
-			score:  0.5,
 		},
 		"dpor-stack": {
 			prefix: []Decision{{Value: 0}, {Value: 2}},
@@ -69,17 +64,14 @@ func wireUnits() map[string]*workUnit {
 					sealed:  true,
 				},
 			},
-			score: 7,
 		},
 	}
 }
 
 // TestWireUnitRoundTrip is the distributed-encoding regression the wire
 // format rides on: every unit shape — including stack-bearing
-// dynamic-POR units and priority scores — must survive
-// serialize → JSON → deserialize bit-for-bit. The Score field was
-// silently dropped by the original checkpoint encoding; this pins the
-// fix.
+// dynamic-POR units — must survive serialize → JSON → deserialize
+// bit-for-bit.
 func TestWireUnitRoundTrip(t *testing.T) {
 	for name, u := range wireUnits() {
 		t.Run(name, func(t *testing.T) {
@@ -100,29 +92,6 @@ func TestWireUnitRoundTrip(t *testing.T) {
 				t.Errorf("unit changed across the wire:\n got %+v\nwant %+v", got, u)
 			}
 		})
-	}
-}
-
-// TestWireUnitScoreFormat pins two properties of the Score fix: a
-// zero-score unit encodes without a "score" key (static-search
-// snapshots stay byte-identical to the pre-fix format), and a nonzero
-// score appears and round-trips exactly.
-func TestWireUnitScoreFormat(t *testing.T) {
-	plain := wireSites.snapFromUnit(&workUnit{prefix: []Decision{{Value: 1}}, cont: true})
-	data, err := json.Marshal(plain)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if strings.Contains(string(data), "score") {
-		t.Errorf("zero-score unit encodes a score key: %s", data)
-	}
-	scored := wireSites.snapFromUnit(&workUnit{prefix: []Decision{{Value: 1}}, cont: true, score: 2.75})
-	data, err = json.Marshal(scored)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	if !strings.Contains(string(data), `"score":2.75`) {
-		t.Errorf("scored unit does not carry its score: %s", data)
 	}
 }
 

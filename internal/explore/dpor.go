@@ -10,8 +10,7 @@ import (
 )
 
 // This file implements dynamic partial-order reduction (Flanagan &
-// Godefroid, POPL 2005) on top of the stateless DFS core, plus the unit
-// scoring used by the priority-directed frontier.
+// Godefroid, POPL 2005) on top of the stateless DFS core.
 //
 // Static POR (the default) pre-expands a persistent set at every
 // state, computed from the static object footprints. Dynamic POR
@@ -99,54 +98,6 @@ func (m PORMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil 
 // UnmarshalText parses the mode as ParsePOR does.
 func (m *PORMode) UnmarshalText(b []byte) (err error) {
 	*m, err = ParsePOR(string(b))
-	return err
-}
-
-// SearchMode selects the frontier discipline (Options.Search).
-type SearchMode int
-
-// Search modes.
-const (
-	// SearchDFS is the default: LIFO frontier, exact classic
-	// depth-first order in sequential mode.
-	SearchDFS SearchMode = iota
-	// SearchPriority replaces the LIFO frontier with a max-heap
-	// ordered by a unit score (engine.score, raised for units touching
-	// an Options.Interest object): promising subtrees first. Exploration
-	// order — and therefore scheduling-dependent counters like Replays
-	// — differs from DFS, but complete searches find the same incident
-	// multiset (the same-incident-multiset contract; DESIGN.md §14).
-	SearchPriority
-)
-
-// String names the search mode.
-func (m SearchMode) String() string {
-	switch m {
-	case SearchDFS:
-		return "dfs"
-	case SearchPriority:
-		return "priority"
-	}
-	return "unknown"
-}
-
-// ParseSearch parses a search mode name ("dfs", "priority").
-func ParseSearch(s string) (SearchMode, error) {
-	switch s {
-	case "", "dfs":
-		return SearchDFS, nil
-	case "priority":
-		return SearchPriority, nil
-	}
-	return SearchDFS, fmt.Errorf("explore: unknown search mode %q (want dfs or priority)", s)
-}
-
-// MarshalText spells the mode as String does: its flag and JSON form.
-func (m SearchMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
-
-// UnmarshalText parses the mode as ParseSearch does.
-func (m *SearchMode) UnmarshalText(b []byte) (err error) {
-	*m, err = ParseSearch(string(b))
 	return err
 }
 
@@ -536,15 +487,11 @@ func (e *engine) stackResidual() *workUnit {
 			cont:   true,
 		}
 	}
-	u := &workUnit{
+	return &workUnit{
 		prefix: append([]Decision(nil), e.base...),
 		sleep:  e.baseSleep,
 		stack:  frames,
 	}
-	if e.opt.Search == SearchPriority {
-		u.score = e.shapeScore(u)
-	}
-	return u
 }
 
 // advanceFrames performs one backtrack step on a copied frame stack:
@@ -573,58 +520,4 @@ func advanceFrames(frames []stackFrame) []stackFrame {
 		frames = frames[:len(frames)-1]
 	}
 	return nil
-}
-
-// unitScore scores a unit spilled at the current decision state, where
-// the machine can still resolve option sites for novelty: the options
-// the unit covers (from from on) at not-yet-covered visible-operation
-// sites are its new sites.
-func (e *engine) unitScore(depth int, en *entry, from int) float64 {
-	var objs []int32
-	newSites := 0
-	if !en.isToss {
-		objs = en.objs[from:]
-		for _, p := range en.options[from:] {
-			if site := int(e.pend[p].Site); site >= 0 && !e.covered.get(site) {
-				newSites++
-			}
-		}
-	}
-	return e.score(depth, len(en.options)-from, newSites, objs)
-}
-
-// shapeScore scores a residual or continuation unit on shape alone
-// (the engine is no longer at the unit's decision state).
-func (e *engine) shapeScore(u *workUnit) float64 {
-	siblings := 0
-	var objs []int32
-	switch {
-	case len(u.stack) > 0:
-		for i := range u.stack {
-			f := &u.stack[i]
-			siblings += len(f.options) - f.cursor + len(f.backtrack)
-		}
-	case u.cont:
-		siblings = 1
-	default:
-		siblings = len(u.options) - u.from
-		if !u.toss {
-			objs = u.objs[u.from:]
-		}
-	}
-	return e.score(len(u.prefix), siblings, 0, objs)
-}
-
-// score is the priority of a unit at decision depth depth covering
-// siblings options: uncovered sites dominate, then fan-out, with a mild
-// preference for shallow units, and 64 more for each pending operation
-// on an object Options.Interest names (e.interest, by object index).
-func (e *engine) score(depth, siblings, newSites int, objs []int32) float64 {
-	s := 8*float64(newSites) + float64(siblings) + 1/float64(1+depth)
-	for _, o := range objs {
-		if e.interest != nil && o >= 0 && e.interest[o] {
-			s += 64
-		}
-	}
-	return s
 }

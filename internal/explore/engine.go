@@ -99,9 +99,6 @@ type engine struct {
 	// shared across workers.
 	footprint *footprintTable
 	sites     *siteTable
-	// interest marks, by object index, the objects Options.Interest
-	// names (nil for none): what score adds a bonus for. Shared read-only.
-	interest []bool
 
 	// base is the decision prefix of the current work unit, replayed
 	// verbatim from the initial state before the stack decisions; empty
@@ -636,9 +633,6 @@ func (e *engine) runPath() {
 				sleep:   e.pendingSleep.clone(),
 				from:    1,
 			}
-			if e.opt.Search == SearchPriority {
-				u.score = e.unitScore(depth, en, 1)
-			}
 			if e.opt.SnapshotSpill {
 				// Fork the state at this decision point — before stepping
 				// the locally kept option — so claimers of the sibling
@@ -818,9 +812,6 @@ func (e *engine) residualUnits() []*workUnit {
 				u.objs = en.objs
 				u.sleep = en.sleep.clone()
 			}
-			if e.opt.Search == SearchPriority {
-				u.score = e.shapeScore(u)
-			}
 			units = append(units, u)
 		}
 		if !en.isToss {
@@ -829,11 +820,7 @@ func (e *engine) residualUnits() []*workUnit {
 		prefix = append(prefix, Decision{Toss: en.isToss, Value: en.choice()})
 	}
 	if e.midPath {
-		u := &workUnit{prefix: prefix, sleep: e.pendingSleep.clone(), cont: true}
-		if e.opt.Search == SearchPriority {
-			u.score = e.shapeScore(u)
-		}
-		units = append(units, u)
+		units = append(units, &workUnit{prefix: prefix, sleep: e.pendingSleep.clone(), cont: true})
 	}
 	return units
 }

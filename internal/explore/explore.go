@@ -22,7 +22,7 @@
 //     path start by undoing the last one's writes;
 //   - frontier.go — the work unit (a schedule/toss prefix plus its
 //     pending sibling choices) and the pool of them: a work-stealing
-//     deque per worker, or one score-ordered heap in priority mode;
+//     deque per worker;
 //   - worker.go — the driver and its workers, each owning a private
 //     machine and engine, claiming units, DFS-ing their subtrees, and
 //     spilling unexplored sibling subtrees back to the frontier;
@@ -110,18 +110,6 @@ type Options struct {
 	// interleaving; run with POROff/NoSleep for the exhaustive graph.
 	// See cycle.go and DESIGN.md.
 	Liveness bool `json:"liveness"`
-	// Search selects the frontier discipline: SearchDFS (default) is
-	// the classic LIFO depth-first order; SearchPriority explores the
-	// best-scored pending subtree first (novelty and fan-out, plus a bonus
-	// per Interest object). Priority search relaxes strict order determinism
-	// to the same-incident-multiset contract and, uniquely, makes the
-	// inline worker of Workers: 0 spill shallow sibling subtrees too, so
-	// the heap has something to prioritize.
-	Search SearchMode `json:"search"`
-	// Interest names objects a priority search steers toward (-interest):
-	// a unit scores a bonus per pending operation on one. Undeclared names
-	// match nothing; Resolve refuses Interest without SearchPriority.
-	Interest []string `json:"interest"`
 	// StateCache enables fingerprint-based pruning: a global state whose
 	// full fingerprint was already visited at an equal or shallower
 	// depth is pruned. VeriSoft itself stores no states; this began as
@@ -178,15 +166,15 @@ type Options struct {
 
 	// Workers sets how the search's worker loop runs: 0 runs one worker
 	// inline on the caller's goroutine — no goroutine of the search
-	// executes transitions — without spilling a depth-first search, which
-	// preserves the classic sequential exploration order exactly; N >= 1
+	// executes transitions — without spilling, which preserves the
+	// classic sequential exploration order exactly; N >= 1
 	// runs N work-stealing workers on their own goroutines; a negative
 	// value uses runtime.GOMAXPROCS(0) workers.
 	Workers int `json:"workers"`
 	// SpillDepth is the scheduling depth above which workers spill
 	// unexplored sibling subtrees back to the shared frontier (Workers >
-	// 0, or priority search); deeper siblings are explored in-worker by
-	// ordinary backtracking. 0 means the default (16). Spilling is unconditional
+	// 0); deeper siblings are explored in-worker by ordinary
+	// backtracking. 0 means the default (16). Spilling is unconditional
 	// below the bound, which keeps the set of work units — and hence
 	// every merged counter — independent of worker timing.
 	SpillDepth int `json:"spill_depth"`
@@ -199,10 +187,10 @@ type Options struct {
 	// and every incident sample is identical to replay mode — only the
 	// cost counter ReplaySteps drops, since prefix transitions are no
 	// longer re-executed. Checkpoints still serialize decision prefixes,
-	// never snapshots, so restored units replay. Units are spilled with
-	// Workers > 0 and by priority search; a depth-first search at
-	// Workers: 0 never spills, so the flag changes nothing there (its
-	// backtracking undoes the trail regardless).
+	// never snapshots, so restored units replay. Units are spilled only
+	// with Workers > 0; a search at Workers: 0 never spills, so the flag
+	// changes nothing there (its backtracking undoes the trail
+	// regardless).
 	SnapshotSpill bool `json:"snapshot_spill"`
 	// Fault, if non-nil, is a fault-injection plan fired at the
 	// engine's hook points — currently faultinject.PointExplorePath,
@@ -293,8 +281,6 @@ func (opt Options) Resolve() (Options, error) {
 		return opt, fmt.Errorf("explore: Liveness does not compose with POR dynamic: a backtrack set can defer the transition that closes a cycle past the detector")
 	case opt.Liveness && opt.SnapshotSpill:
 		return opt, fmt.Errorf("explore: Liveness does not compose with SnapshotSpill: a spilled snapshot lacks the stem that rebuilds the live stack")
-	case len(opt.Interest) > 0 && opt.Search != SearchPriority:
-		return opt, fmt.Errorf("explore: Interest requires Search priority")
 	case (opt.CacheShards != 0 || opt.MaxCacheBytes != 0) && !opt.StateCache:
 		return opt, fmt.Errorf("explore: CacheShards and MaxCacheBytes require StateCache")
 	}
@@ -879,7 +865,7 @@ func footprintSets(u *cfg.Unit) []map[string]bool {
 // bitmap — per-worker coverage is a bitmap ORed together by the merge
 // layer — at the index the pending table reports as its site; objs
 // names the declared objects by index, for where an index is spelled
-// out (checkpoints, cache keys) or a name looked up (Options.Interest).
+// out (checkpoints, cache keys).
 type siteTable struct {
 	bits  int      // total bitmap width (all nodes)
 	total int      // visible-operation sites (builtin call nodes)
@@ -916,21 +902,6 @@ func (t *siteTable) objNames(objs []int32) []string {
 	return names
 }
 
-// objectSet marks the named objects by index (nil for no names).
-func (t *siteTable) objectSet(names []string) []bool {
-	if len(names) == 0 {
-		return nil
-	}
-	num := interp.Numbering{Objects: t.objs}
-	set := make([]bool, len(t.objs))
-	for _, name := range names {
-		if o := num.Object(name); o >= 0 {
-			set[o] = true
-		}
-	}
-	return set
-}
-
 // coverage is a bitmap over the unit's CFG nodes; only visible-operation
 // sites are ever set.
 type coverage []uint64
@@ -940,8 +911,6 @@ func newCoverage(t *siteTable) coverage {
 }
 
 func (c coverage) set(i int) { c[i>>6] |= 1 << (uint(i) & 63) }
-
-func (c coverage) get(i int) bool { return c[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (c coverage) or(d coverage) {
 	for i := range c {

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"container/heap"
 	"sync"
 	"sync/atomic"
 
@@ -46,11 +45,6 @@ type workUnit struct {
 	// base sleep context under the stack.
 	stack []stackFrame
 
-	// score orders the unit in priority-search mode (higher first);
-	// seq breaks ties by push order. Both are unused under DFS.
-	score float64
-	seq   int64
-
 	// snap, when Options.SnapshotSpill is set, is a forked machine
 	// pinned at the unit's decision point, taken by the spilling
 	// worker. A claiming engine forks snap again and continues
@@ -83,31 +77,7 @@ func (u *workUnit) split() *workUnit {
 		toss:      u.toss,
 		snap:      u.snap,
 		traceSnap: u.traceSnap,
-		score:     u.score,
 	}
-}
-
-// unitHeap is a max-heap of work units ordered by score (higher
-// first), ties broken by push sequence (earlier first) so the order is
-// total and deterministic. Implements container/heap.Interface.
-type unitHeap []*workUnit
-
-func (h unitHeap) Len() int { return len(h) }
-func (h unitHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score > h[j].score
-	}
-	return h[i].seq < h[j].seq
-}
-func (h unitHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *unitHeap) Push(x any)   { *h = append(*h, x.(*workUnit)) }
-func (h *unitHeap) Pop() any {
-	old := *h
-	n := len(old)
-	u := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return u
 }
 
 // decisionArena allocates the decision-prefix slices that spilled work
@@ -146,31 +116,20 @@ type frontierShard struct {
 	_     [64]byte
 }
 
-// frontier is the search's work pool, at every worker count. In DFS
-// mode it is one shard per worker: a worker pushes and pops its own
-// shard LIFO (preserving depth-first locality — with a single worker
-// that is exactly the classic depth-first order) and steals the oldest
-// unit (FIFO) from sibling shards when its own is empty — stolen units
-// are the shallowest, i.e. the largest subtrees. In priority mode every
-// worker shares one score-ordered max-heap instead: the globally most
-// promising unit is always claimed next, at the cost of one lock.
+// frontier is the search's work pool, at every worker count: one shard
+// per worker. A worker pushes and pops its own shard LIFO (preserving
+// depth-first locality — with a single worker that is exactly the
+// classic depth-first order) and steals the oldest unit (FIFO) from
+// sibling shards when its own is empty — stolen units are the
+// shallowest, i.e. the largest subtrees.
 type frontier struct {
 	shards []frontierShard
-
-	// prio is the shared heap of priority mode (nil in DFS mode),
-	// guarded by pmu; pseq hands out push sequence numbers for
-	// deterministic tie-breaking.
-	prio unitHeap
-	pmu  sync.Mutex
-	pseq int64
 
 	// inflight counts units pushed but not yet fully processed; the
 	// search is complete when it reaches zero. queued counts units
 	// currently sitting in some shard.
 	inflight atomic.Int64
 	queued   atomic.Int64
-
-	priority bool
 
 	shared *sharedState // the search's stop and pause flags
 
@@ -183,8 +142,8 @@ type frontier struct {
 	cond *sync.Cond
 }
 
-func newFrontier(shards int, priority bool, shared *sharedState, met *exploreMetrics) *frontier {
-	f := &frontier{shards: make([]frontierShard, shards), priority: priority, shared: shared, met: met}
+func newFrontier(shards int, shared *sharedState, met *exploreMetrics) *frontier {
+	f := &frontier{shards: make([]frontierShard, shards), shared: shared, met: met}
 	f.cond = sync.NewCond(&f.mu)
 	return f
 }
@@ -194,19 +153,10 @@ func newFrontier(shards int, priority bool, shared *sharedState, met *exploreMet
 // claim's wait loop, so a wakeup cannot be lost.
 func (f *frontier) push(worker int, u *workUnit) {
 	f.met.frontierInflight.SetMax(f.inflight.Add(1))
-	if f.priority {
-		f.pmu.Lock()
-		u.seq = f.pseq
-		f.pseq++
-		heap.Push(&f.prio, u)
-		f.pmu.Unlock()
-		f.met.observePriority(u.score)
-	} else {
-		s := &f.shards[worker%len(f.shards)]
-		s.mu.Lock()
-		s.units = append(s.units, u)
-		s.mu.Unlock()
-	}
+	s := &f.shards[worker%len(f.shards)]
+	s.mu.Lock()
+	s.units = append(s.units, u)
+	s.mu.Unlock()
 	f.met.frontierQueued.SetMax(f.queued.Add(1))
 	f.mu.Lock()
 	f.cond.Signal()
@@ -237,20 +187,8 @@ func (f *frontier) claim(worker int) *workUnit {
 }
 
 // take pops the newest unit from the worker's own shard, else steals
-// the oldest unit from a sibling shard. Priority mode instead pops the
-// best-scored unit off the shared heap.
+// the oldest unit from a sibling shard.
 func (f *frontier) take(worker int) *workUnit {
-	if f.priority {
-		f.pmu.Lock()
-		if f.prio.Len() == 0 {
-			f.pmu.Unlock()
-			return nil
-		}
-		u := heap.Pop(&f.prio).(*workUnit)
-		f.pmu.Unlock()
-		f.queued.Add(-1)
-		return u
-	}
 	n := len(f.shards)
 	home := worker % n
 	s := &f.shards[home]
@@ -292,9 +230,7 @@ func (f *frontier) done() {
 // immutable), leaving the frontier as it is. It is called while no
 // worker runs: the result is the unclaimed part of the search.
 func (f *frontier) contents() []*workUnit {
-	f.pmu.Lock()
-	out := append([]*workUnit(nil), f.prio...)
-	f.pmu.Unlock()
+	var out []*workUnit
 	for i := range f.shards {
 		s := &f.shards[i]
 		s.mu.Lock()

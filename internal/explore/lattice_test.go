@@ -231,8 +231,6 @@ var (
 	live       set = func(c *cell) { c.opt.Liveness = true }
 	spill      set = func(c *cell) { c.opt.SnapshotSpill = true }
 	replayOnly set = func(c *cell) { c.opt.testReplayOnly = true }
-	priority   set = func(c *cell) { c.opt.Search = SearchPriority }
-	interest   set = func(c *cell) { c.opt.Interest = []string{"fork0", "fork1"} }
 	withObs    set = func(c *cell) { c.opt.Obs = observed }
 )
 
@@ -277,24 +275,18 @@ var rows = []row{
 		{same, workers(2)},
 		{bounded},
 	}},
-	// Dynamic POR and priority search against the static oracle.
+	// Dynamic POR against the static oracle.
 	{[]string{"pipeline-2-2", "philosophers-3"}, Options{POR: PORDynamic, MaxIncidents: all}, [][]set{
-		{same, priority},
 		{same, workers(2), workers(4)},
 		{same, spill},
 		{same, shards(1), shards(8)},
-	}},
-	{[]string{"philosophers-3"}, Options{Search: SearchPriority, MaxIncidents: all}, [][]set{
-		{same, interest},
-		{same, workers(2)},
 	}},
 	// Sleep sets without persistent sets.
 	{[]string{"philosophers-3"}, Options{POR: POROff, MaxIncidents: all}, [][]set{{same}}},
 	// Slices over serialized unit batches, merged.
 	{[]string{"deadlock-prone", "philosophers-3"}, Options{MaxIncidents: all}, [][]set{
 		{distribute(1, 1, 7), distribute(1, 1, 64), distribute(1, 3, 7), distribute(1, 3, 64),
-			distribute(3, 1, 7), distribute(3, 1, 64), distribute(3, 3, 7), distribute(3, 3, 64),
-			both(priority, distribute(1, 3, 7)), both(priority, distribute(3, 3, 7))},
+			distribute(3, 1, 7), distribute(3, 1, 64), distribute(3, 3, 7), distribute(3, 3, 64)},
 	}},
 	{[]string{"philosophers-3"}, Options{POR: PORDynamic, MaxIncidents: all}, [][]set{
 		{distribute(1, 2, 9), distribute(1, 2, 128), distribute(3, 2, 9), distribute(3, 2, 128)},
@@ -359,7 +351,7 @@ func cells() []cell {
 			cs = next
 		}
 		for _, c := range cs {
-			if c.opt.Workers == 0 && c.opt.Search != SearchPriority {
+			if c.opt.Workers == 0 {
 				c.opt.SpillDepth = 0 // read only by a search that spills (worker.go)
 			}
 			add(c)
@@ -371,12 +363,12 @@ func cells() []cell {
 // baseline is the cell c is compared with: c with the first group of
 // axes it sets taken back, in this order — replay-only backtracking; the
 // driver and the registry; the engine; snapshot spill; workers, spill
-// depth and shard count; dynamic POR and priority search; the state
-// cache, except under liveness, whose cycle detection runs on it. On a
-// program that is not loop-free the depth bound cuts paths, and a
-// reduction changes what the search sees within it: there dynamic POR
-// with its schedule (which units are expanded statically), priority
-// search and the cache are part of the question. ok is false at a root.
+// depth and shard count; dynamic POR; the state cache, except under
+// liveness, whose cycle detection runs on it. On a program that is not
+// loop-free the depth bound cuts paths, and a reduction changes what the
+// search sees within it: there dynamic POR with its schedule (which
+// units are expanded statically) and the cache are part of the
+// question. ok is false at a root.
 func (c cell) baseline() (b cell, ok bool) {
 	b = c
 	o := &b.opt
@@ -394,8 +386,8 @@ func (c cell) baseline() (b cell, ok bool) {
 		if o.MaxCacheBytes == 0 {
 			o.CacheShards = 0
 		}
-	case (o.POR == PORDynamic || o.Search == SearchPriority) && c.loopFree():
-		o.POR, o.Search, o.Interest = PORStatic, SearchDFS, nil
+	case o.POR == PORDynamic && c.loopFree():
+		o.POR = PORStatic
 	case o.StateCache && !o.Liveness && c.loopFree():
 		o.StateCache, o.CacheShards, o.MaxCacheBytes = false, 0, 0
 	default:
@@ -426,8 +418,7 @@ func (c cell) parallel() bool { return c.opt.Workers > 1 || c.drv.slicers > 1 }
 //     another schedule (spilled units are expanded statically); a
 //     cached search against the stateless one, or resumed; a bounded
 //     cache in parallel (what it evicts follows the schedule).
-//  4. sameCounters: a parallel cached search; priority search (which
-//     reorders the tree, but explores all of it, statically).
+//  4. sameCounters: a parallel cached search.
 //  5. identical: everything else.
 func contract(c, b cell, loopFree bool) level {
 	o := c.opt
@@ -444,7 +435,7 @@ func contract(c, b cell, loopFree bool) level {
 		return sameVerdict
 	case o.POR != b.opt.POR || o.POR == PORDynamic && rescheduled || o.StateCache != b.opt.StateCache || resumedCache || evicting:
 		return sameIncidents
-	case o.StateCache && c.parallel() || o.Search != b.opt.Search || o.Search == SearchPriority && rescheduled:
+	case o.StateCache && c.parallel():
 		return sameCounters
 	}
 	return identical
@@ -637,7 +628,7 @@ func TestLattice(t *testing.T) {
 		if c.drv != b.drv {
 			g, w = resumed(g), resumed(w)
 		}
-		if c.opt.Workers > 0 || b.opt.Workers > 0 || c.drv.slicers > 0 || c.opt.Search == SearchPriority {
+		if c.opt.Workers > 0 || b.opt.Workers > 0 || c.drv.slicers > 0 {
 			g.StatesAtFirstIncident, w.StatesAtFirstIncident = 0, 0
 		}
 		l := contract(c, b, loopFree)

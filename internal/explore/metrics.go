@@ -45,13 +45,10 @@ const (
 	MetricUnitPrefixLen = "explore.unit.prefix_len"
 
 	// Dynamic-POR counters (POR == dynamic runs only; mirror the
-	// Report's Por* fields exactly) and the priority-frontier score
-	// histogram (Search == priority runs only; one observation per
-	// pushed unit, scores clamped at zero).
+	// Report's Por* fields exactly).
 	MetricPorBacktracks    = "explore.por.backtracks"
 	MetricPorSleepBlocked  = "explore.por.sleep_blocked"
 	MetricPorDynamicPruned = "explore.por.dynamic_pruned"
-	MetricFrontierPriority = "explore.frontier.priority"
 
 	// Liveness counters (Options.Liveness runs only; mirror the
 	// Report's Livelocks/RedSearches/RedStates/RedCut fields exactly).
@@ -140,9 +137,8 @@ type exploreMetrics struct {
 	redStates   *obs.Counter
 	redCut      *obs.Counter
 
-	pathDepth        *obs.Histogram
-	unitPrefixLen    *obs.Histogram
-	frontierPriority *obs.Histogram
+	pathDepth     *obs.Histogram
+	unitPrefixLen *obs.Histogram
 
 	interp interp.Metrics
 	reg    *obs.Registry
@@ -194,9 +190,8 @@ func newExploreMetrics(reg *obs.Registry) *exploreMetrics {
 		redStates:   reg.Counter(MetricRedStates),
 		redCut:      reg.Counter(MetricRedCut),
 
-		pathDepth:        reg.Histogram(MetricPathDepth),
-		unitPrefixLen:    reg.Histogram(MetricUnitPrefixLen),
-		frontierPriority: reg.Histogram(MetricFrontierPriority),
+		pathDepth:     reg.Histogram(MetricPathDepth),
+		unitPrefixLen: reg.Histogram(MetricUnitPrefixLen),
 
 		interp: interp.Metrics{
 			Forks:    reg.Counter(MetricInterpForks),
@@ -266,19 +261,6 @@ func (m *exploreMetrics) flushReport(r *Report, cur *metricsCursor) {
 	}
 	*cur = now
 	m.depthMax.SetMax(int64(r.MaxDepth))
-}
-
-// observePriority records one priority-frontier push (priority mode
-// only); negative scores clamp to zero for the integer histogram.
-func (m *exploreMetrics) observePriority(score float64) {
-	if !m.on {
-		return
-	}
-	s := int64(score)
-	if s < 0 {
-		s = 0
-	}
-	m.frontierPriority.Observe(s)
 }
 
 // addRestored folds a restored snapshot's counters in, keeping registry

@@ -11,10 +11,8 @@ import (
 
 // TestMetricsDynamicPOR checks the dynamic-POR instrumentation: the
 // por.* registry counters equal the merged report counters across
-// sequential and parallel drivers, the backtrack counter actually
-// moves on a workload where dynamic POR bites, and priority search
-// fills the frontier-priority histogram with one observation per
-// spilled unit.
+// sequential and parallel drivers, and the backtrack counter actually
+// moves on a workload where dynamic POR bites.
 func TestMetricsDynamicPOR(t *testing.T) {
 	closed := mustClose(t, progs.Philosophers(4))
 	for _, workers := range []int{0, 2} {
@@ -41,23 +39,6 @@ func TestMetricsDynamicPOR(t *testing.T) {
 			}
 		})
 	}
-	t.Run("priority-histogram", func(t *testing.T) {
-		reg := obs.New()
-		rep, err := Explore(closed, Options{
-			Search:       SearchPriority,
-			Workers:      2,
-			Obs:          reg,
-			MaxIncidents: 1 << 20,
-		})
-		if err != nil {
-			t.Fatalf("Explore: %v", err)
-		}
-		checkRegistryMatches(t, reg, rep)
-		h := reg.Histogram(MetricFrontierPriority)
-		if h.Count() == 0 {
-			t.Error("priority search recorded no frontier-priority observations")
-		}
-	})
 }
 
 // TestEngineHashMetrics checks the incremental-hash instrumentation: a

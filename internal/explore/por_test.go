@@ -372,47 +372,38 @@ func TestShortestWitnessNone(t *testing.T) {
 }
 
 // TestShortestWitnessSomeWitnessModes pins the weaker contract under
-// the non-strict modes: with -search priority or -por dynamic the
-// function degrades to a single stop-on-first search, so it must still
+// dynamic POR: with -por dynamic the function degrades to a single stop-on-first search, so it must still
 // return a valid, replayable witness — just not necessarily a minimal
 // one. Strict DFS minimality (depth 3 here) stays pinned by
 // TestShortestWitness above.
 func TestShortestWitnessSomeWitnessModes(t *testing.T) {
 	unit := core.MustCompileSource(progs.Philosophers(3))
-	for _, tc := range []struct {
-		name string
-		opt  explore.Options
-	}{
-		{"priority", explore.Options{Search: explore.SearchPriority}},
-		{"dynamic", explore.Options{POR: explore.PORDynamic}},
-	} {
-		in, rep, err := explore.ShortestWitness(unit, tc.opt)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if in == nil {
-			t.Fatalf("%s: no witness found: %s", tc.name, rep)
-		}
-		if in.Kind != explore.LeafDeadlock {
-			t.Errorf("%s: witness = %s, want deadlock", tc.name, in.Kind)
-		}
-		// Some witness, not the shortest: depth may exceed the minimal
-		// 3, but the scenario must still replay to the deadlock.
-		sys, _, err := explore.Replay(unit, in.Decisions, nil)
-		if err != nil {
-			t.Fatalf("%s: replay: %v", tc.name, err)
-		}
-		if !explore.Deadlocked(sys) {
-			t.Errorf("%s: witness does not reproduce the deadlock", tc.name)
-		}
+	in, rep, err := explore.ShortestWitness(unit, explore.Options{POR: explore.PORDynamic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in == nil {
+		t.Fatalf("no witness found: %s", rep)
+	}
+	if in.Kind != explore.LeafDeadlock {
+		t.Errorf("witness = %s, want deadlock", in.Kind)
+	}
+	// Some witness, not the shortest: depth may exceed the minimal 3, but
+	// the scenario must still replay to the deadlock.
+	sys, _, err := explore.Replay(unit, in.Decisions, nil)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !explore.Deadlocked(sys) {
+		t.Error("witness does not reproduce the deadlock")
 	}
 }
 
-// TestShortestWitnessSomeWitnessNone: the degraded modes still answer
+// TestShortestWitnessSomeWitnessNone: the degraded mode still answers
 // "no witness" cleanly on an incident-free system.
 func TestShortestWitnessSomeWitnessNone(t *testing.T) {
 	unit := core.MustCompileSource(progs.Pipeline(2, 1))
-	in, _, err := explore.ShortestWitness(unit, explore.Options{Search: explore.SearchPriority})
+	in, _, err := explore.ShortestWitness(unit, explore.Options{POR: explore.PORDynamic})
 	if err != nil {
 		t.Fatal(err)
 	}

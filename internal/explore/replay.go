@@ -100,10 +100,8 @@ func Replay(u *cfg.Unit, decisions []Decision, observe func(ReplayStep)) (*inter
 // each smaller bound, and that premise needs the bounded search to be
 // exhaustive: dynamic POR computes its backtrack sets assuming the
 // search runs to completion, so a depth cutoff can hide a shallower
-// incident from a reduced run (the ignoring problem), and the priority
-// frontier reorders expansion without changing what a truncated search
-// covers. Under Search == SearchPriority or POR == PORDynamic the
-// function therefore degrades to the weaker some-witness contract — one
+// incident from a reduced run (the ignoring problem). Under POR ==
+// PORDynamic the function therefore degrades to the weaker some-witness contract — one
 // stop-on-first search at the full bound — instead of pretending to a
 // minimality it cannot deliver (TestShortestWitnessSomeWitnessModes).
 func ShortestWitness(u *cfg.Unit, opt Options) (*Incident, *Report, error) {
@@ -112,7 +110,7 @@ func ShortestWitness(u *cfg.Unit, opt Options) (*Incident, *Report, error) {
 		limit = 64
 	}
 	opt.Stop = StopIncident
-	if opt.Search == SearchPriority || opt.POR == PORDynamic {
+	if opt.POR == PORDynamic {
 		opt.MaxDepth = limit
 		rep, err := Explore(u, opt)
 		if err != nil {

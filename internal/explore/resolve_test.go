@@ -24,7 +24,6 @@ func randomValidOptions(rng *rand.Rand) explore.Options {
 		MaxStates:     int64(n(2) * n(1000)),
 		POR:           explore.PORMode(n(3)),
 		NoSleep:       n(2) == 0,
-		Search:        explore.SearchMode(n(2)),
 		StateCache:    n(2) == 0,
 		MaxIncidents:  n(2) * n(64),
 		Stop:          []explore.StopCause{explore.StopNone, explore.StopViolation, explore.StopIncident}[n(3)],
@@ -32,9 +31,6 @@ func randomValidOptions(rng *rand.Rand) explore.Options {
 		SpillDepth:    n(2) * n(32),
 		SnapshotSpill: n(2) == 0,
 		Timeout:       time.Duration(n(2)*n(5)) * time.Second,
-	}
-	if o.Search == explore.SearchPriority && n(2) == 0 {
-		o.Interest = []string{"fork0", "fork1"}[:1+n(2)]
 	}
 	if o.StateCache {
 		o.CacheShards = n(2) * n(32)

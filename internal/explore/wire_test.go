@@ -11,7 +11,7 @@ import (
 // wireReport is a hand-built finalized report with every serialized
 // field non-zero: each counter (the omitempty POR and liveness ones
 // included), a livelock sample with its lasso split, a toss prefix, a
-// scored unit with a sleep set, a dynamic-POR stack frame, and the cache
+// unit with a sleep set, a dynamic-POR stack frame, and the cache
 // summary. The trail counters and the sample traces are set too: no
 // checkpoint carries them.
 func wireReport() (*Report, []*workUnit) {
@@ -42,7 +42,7 @@ func wireReport() (*Report, []*workUnit) {
 		{root: true},
 		{
 			prefix: []Decision{{Toss: true, Value: 1}, {Value: 0}}, options: []int{0, 1}, objs: []int32{0, -1},
-			sleep: sleepSet{{proc: 1, obj: 1}}, from: 1, score: 2.5,
+			sleep: sleepSet{{proc: 1, obj: 1}}, from: 1,
 		},
 		{prefix: []Decision{{Value: 1}}, options: []int{0, 1}, toss: true, cont: true, sleep: sleepSet{{proc: 0, obj: 0}}},
 		{
@@ -91,7 +91,7 @@ const snapshotWireGolden = `{"version":1,"processes":2,"site_bits":64,
 "samples":[{"kind":"deadlock","msg":"deadlock","depth":2,"decisions":[{"value":1},{"value":0}]},
  {"kind":"livelock","msg":"no progress on \"lock\" \u0026 \u003cch\u003e","depth":3,"decisions":[{"value":0},{"toss":true,"value":1},{"value":1}],"cycle_start":1}],
 "units":[{"root":true},
- {"prefix":[{"toss":true,"value":1},{"value":0}],"options":[0,1],"objs":["lock",""],"sleep":{"1":"ch"},"from":1,"score":2.5},
+ {"prefix":[{"toss":true,"value":1},{"value":0}],"options":[0,1],"objs":["lock",""],"sleep":{"1":"ch"},"from":1},
  {"prefix":[{"value":1}],"options":[0,1],"sleep":{"0":"lock"},"toss":true,"cont":true},
  {"prefix":[{"value":0}],"sleep":{"0":""},"stack":[
   {"options":[0,1],"objs":["lock","ch"],"cursor":1,"sleep":{"1":"ch"},"enabled":[0,1],"en_objs":["lock","ch"],"backtrack":[1],"statics":[0],"sealed":true,"dynamic":true},

@@ -56,9 +56,9 @@ func (w *worker) run() {
 
 // search is the one search driver. max(1, Workers) workers share one
 // frontier and one sharedState; Workers: 0 runs the single worker's loop
-// inline on the caller's goroutine — and, under SearchDFS, without
-// spilling, so the whole tree stays one root unit explored by plain
-// backtracking in the classic order. With a distribution the workers are
+// inline on the caller's goroutine, without spilling, so the whole tree
+// stays one root unit explored by plain backtracking in the classic
+// order. With a distribution the workers are
 // slice workers, one per Slicer, instead of engines.
 //
 // Workers run until the frontier is exhausted or a flag sends them back:
@@ -77,7 +77,7 @@ func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredSta
 	}
 	met := newExploreMetrics(opt.Obs)
 	met.workers.Set(int64(opt.Workers))
-	f := newFrontier(max(1, opt.Workers), opt.Search == SearchPriority, shared, met)
+	f := newFrontier(max(1, opt.Workers), shared, met)
 	shared.wake = f.wake
 	sites := newSiteTable(u)
 
@@ -186,7 +186,6 @@ func startEngines(u *cfg.Unit, opt Options, sites *siteTable, cache *statecache.
 		return err
 	}
 	fps := footprints(u)
-	interest := sites.objectSet(opt.Interest)
 	// One segment table for the search — machines are copied between its
 	// engines, ids and all — and the cache's own when there is one: a
 	// cache the caller supplied outlives the search.
@@ -202,12 +201,11 @@ func startEngines(u *cfg.Unit, opt Options, sites *siteTable, cache *statecache.
 			return err
 		}
 		eng := newEngine(m, opt, fps, sites, w.shared)
-		eng.cache, eng.segs, eng.interest = cache, segs, interest
+		eng.cache, eng.segs = cache, segs
 		eng.setMetrics(met)
-		if opt.Workers > 0 || opt.Search == SearchPriority {
-			// The inline depth-first search never spills: backtracking
-			// alone preserves the classic order. Priority search spills at
-			// every worker count, so the heap has units to rank.
+		if opt.Workers > 0 {
+			// The inline search never spills: backtracking alone
+			// preserves the classic order.
 			eng.spill = func(u *workUnit) { w.f.push(i, u) }
 		}
 		w.eng, w.partial = eng, eng.partial

@@ -15,7 +15,7 @@ func FuzzJobRequest(f *testing.F) {
 	f.Add([]byte(`{"source":"x","close":"naive","naive_domain":3,"priority":9}`))
 	f.Add([]byte(`{"source":"x","engine":"bytecode","max_states":100,"attempt_states":10}`))
 	f.Add([]byte(`{"source":"x","workers":64,"max_incidents":256,"trace":true}`))
-	f.Add([]byte(`{"source":"x","por":"dynamic","search":"priority"}`))
+	f.Add([]byte(`{"source":"x","por":"dynamic","search":"priority"}`)) // the deleted search key: refused as unknown
 	f.Add([]byte(`{"source":"x","no_por":true,"por":"dynamic"}`))
 	f.Add([]byte(`{"source":"x","por":"bogus"}`))
 	f.Add([]byte(`{}`))

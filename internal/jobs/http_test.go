@@ -245,8 +245,7 @@ func TestHTTPHealthz(t *testing.T) {
 	}
 }
 
-// TestHTTPPORModes submits a dynamic-POR priority-search job and a
-// legacy-spelled static job for the same deadlocking program: both must
+// TestHTTPPORModes submits a dynamic-POR job and a default static job for the same deadlocking program: both must
 // complete and agree on whether a deadlock exists, the invalid and
 // contradictory mode spellings must be rejected at admission, and the
 // agreeing no_por + por=off combination must be accepted.
@@ -254,22 +253,22 @@ func TestHTTPPORModes(t *testing.T) {
 	m, srv := newTestServer(t, Config{Workers: 1})
 	src := progs.Philosophers(3)
 	for _, req := range []Request{
-		{Source: src, POR: "dynamic", Search: "priority"},
+		{Source: src, POR: "dynamic"},
 		{Source: src},
 	} {
 		body, _ := json.Marshal(req)
 		resp, v := postJob(t, srv, string(body))
 		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("POST /jobs (por=%q search=%q) = %d, want 202", req.POR, req.Search, resp.StatusCode)
+			t.Fatalf("POST /jobs (por=%q) = %d, want 202", req.POR, resp.StatusCode)
 		}
 		got := pollDone(t, m, srv, v.ID)
 		if got.Result == nil || got.Result.Deadlocks == 0 {
-			t.Fatalf("por=%q search=%q: result = %+v, want deadlocks", req.POR, req.Search, got.Result)
+			t.Fatalf("por=%q: result = %+v, want deadlocks", req.POR, got.Result)
 		}
 	}
 	for _, body := range []string{
 		`{"source":"x","por":"bogus"}`,
-		`{"source":"x","search":"bogus"}`,
+		`{"source":"x","search":"bogus"}`, // a key priority search took with it
 		`{"source":"x","no_por":true,"por":"dynamic"}`,
 	} {
 		resp, _ := postJob(t, srv, body)

@@ -116,11 +116,6 @@ type Request struct {
 	// legacy NoPOR spelling maps to "off"; combining it with a
 	// contradicting POR is rejected.
 	POR string `json:"por,omitempty"`
-	// Search selects the frontier order: "dfs" (default) or
-	// "priority" (score-directed; dynamic and priority jobs satisfy
-	// the same-incident-set contract rather than same-order
-	// determinism).
-	Search string `json:"search,omitempty"`
 	// Liveness turns on non-progress cycle detection (livelock search).
 	// Liveness runs under the strict static reduction, so combining it
 	// with por="dynamic" is rejected at admission rather than silently
@@ -156,7 +151,7 @@ func ParseRequest(data []byte) (*Request, error) {
 	return &r, nil
 }
 
-// options is the search the request asks for: its three mode names
+// options is the search the request asks for: its two mode names
 // parsed, no_por as the legacy spelling of por "off", and the rest
 // decided by explore's Resolve, whose refusal it returns.
 func (r *Request) options() (explore.Options, error) {
@@ -165,7 +160,7 @@ func (r *Request) options() (explore.Options, error) {
 	for _, m := range []struct {
 		v    encoding.TextUnmarshaler
 		name string
-	}{{&opt.Engine, r.Engine}, {&opt.POR, r.POR}, {&opt.Search, r.Search}} {
+	}{{&opt.Engine, r.Engine}, {&opt.POR, r.POR}} {
 		if err := m.v.UnmarshalText([]byte(m.name)); err != nil {
 			return opt, fmt.Errorf("jobs: %w", err)
 		}

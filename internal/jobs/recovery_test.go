@@ -211,6 +211,48 @@ func TestRecoveryQuarantineCountsMetric(t *testing.T) {
 	}
 }
 
+// TestRecoveryRunsPrioritySearchRecord boots a data directory written
+// before priority search was deleted: a running job whose request says
+// "search":"priority" and whose checkpoint's units carry the "score"
+// keys that search ranked them by (testdata/priority-search-record.json,
+// cut at 60 states). Recovery neither quarantines the record nor drops
+// the checkpoint: the unknown keys are ignored, the job resumes under
+// the one frontier order, and it ends with the incidents of the same job
+// run from scratch.
+func TestRecoveryRunsPrioritySearchRecord(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "priority-search-record.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jn, err := openJournal(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRaw(jn.path("j000001"), string(data)); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	m, err := Open(Config{DataDir: dir, Workers: 1, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer drain(t, m)
+	got := waitState(t, m, "j000001", StateDone)
+	if n := reg.Counter(MetricJournalCorrupt).Load(); n != 0 {
+		t.Errorf("journal_corrupt = %d, want 0", n)
+	}
+	if got.Resumes != 1 {
+		t.Errorf("resumes = %d, want 1 (the checkpoint was dropped)", got.Resumes)
+	}
+	want := baselineResult(t, &Request{Source: progs.Philosophers(3)})
+	r := got.Result
+	if r == nil || !r.Complete || r.Deadlocks != want.Deadlocks || r.Terminated != want.Terminated ||
+		r.Incidents != want.Incidents || !sameMultiset(sampleMultiset(r.Samples), sampleMultiset(want.Samples)) {
+		t.Errorf("recovered result = %+v\nwant the incidents of %+v", r, want)
+	}
+}
+
 // writeRaw drops raw bytes at a path (test corruption helper).
 func writeRaw(path, data string) error {
 	return os.WriteFile(path, []byte(data), 0o644)

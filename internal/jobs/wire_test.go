@@ -67,6 +67,21 @@ func TestJournalRecordWire(t *testing.T) {
 	}
 }
 
+// TestRequestSearchKeyRefused pins the refusal of the "search" key,
+// which went with priority search: admission names the key instead of
+// running a search the request did not ask for.
+func TestRequestSearchKeyRefused(t *testing.T) {
+	const want = `jobs: malformed request: json: unknown field "search"`
+	for _, body := range []string{
+		`{"source":"x","search":"priority"}`,
+		`{"source":"x","search":"dfs"}`,
+	} {
+		if _, err := ParseRequest([]byte(body)); err == nil || err.Error() != want {
+			t.Errorf("ParseRequest(%s) = %v, want %q", body, err, want)
+		}
+	}
+}
+
 const journalRecordWireGolden = `{"v":1,"id":"j000007","req":{"source":"process p() { halt; }","priority":3,"max_states":500,"por":"dynamic"},"state":"failed","seq":7,
 "attempts":3,"retries":2,"resumes":1,"backoff_level":2,
 "checkpoint":{"version":1,"processes":1,"site_bits":4,"counters":{"states":9,"max_depth":2}},"checkpoint_states":9,

@@ -37,11 +37,11 @@ go test -count=1 -timeout=10m ./...
 # them share. It covers, with the race detector watching:
 #   - the conformance lattice (lattice_test.go): every program held to
 #     its baseline at the contract its cell derives, along the axes
-#     engine × POR × search × cache (shards, bounded) × liveness ×
+#     engine × POR × cache (shards, bounded) × liveness ×
 #     workers × snapshot spill and spill depth × replay-only
 #     backtracking × driver (Explore, checkpoint cut + Resume,
 #     Distribute over in-process slicers) × registry on/off — the
-#     shared frontier heap, cache and backtrack folds under the race
+#     shared frontier shards, cache and backtrack folds under the race
 #     scheduler's timings;
 #   - the engine differential (the compiled machine, with incremental
 #     state hashing and rendering in full, against the reference
