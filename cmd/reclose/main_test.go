@@ -2,11 +2,15 @@ package main
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"reclose/internal/core"
+	"reclose/internal/explore"
 	"reclose/internal/progs"
 )
 
@@ -127,12 +131,12 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestEmitReparses closes every program of internal/progs — the paper's
-// Figure 2 and Figure 3 among them — with -emit and closes the emitted
-// source again: the statistics line after the program is a comment, not
-// a declaration. Under -partition -emit and -partition -dot both
-// statistics lines are comments. (A partitioned program's -emit output
-// does not always close again: PathIndependent's keeps its parameter but
-// drops its env declaration.)
+// Figure 2 and Figure 3 among them — with -emit and with -partition
+// -emit, and closes each emitted source again: the statistics lines are
+// comments, not declarations, and a partitioned parameter is a local of
+// its procedure, not an input nothing declares. The re-closed partitioned
+// program has exactly the traces of the partitioned unit it was emitted
+// from. Under -partition -dot both statistics lines are comments too.
 func TestEmitReparses(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range map[string]string{
@@ -143,7 +147,7 @@ func TestEmitReparses(t *testing.T) {
 		"philosophers-3": progs.Philosophers(3), "pipeline-2-2": progs.Pipeline(2, 2),
 		"router-scaled-2-2": progs.RouterScaled(2, 2), "lossy-transfer-2-1": progs.LossyTransfer(2, 1),
 	} {
-		in, again := filepath.Join(dir, name+".mc"), filepath.Join(dir, name+".emitted.mc")
+		in := filepath.Join(dir, name+".mc")
 		if err := os.WriteFile(in, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -156,12 +160,44 @@ func TestEmitReparses(t *testing.T) {
 			if lines := "\n" + out.String(); strings.Contains(lines, "\npartitioning:") || strings.Contains(lines, "\nclosing:") {
 				t.Errorf("reclose %v: a bare statistics line:\n%s", args, out.String())
 			}
+			if !slices.Contains(args, "-emit") {
+				continue
+			}
+			again := filepath.Join(dir, name+".emitted.mc")
+			if err := os.WriteFile(again, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var quiet bytes.Buffer
+			if code := realMain([]string{"-q", again}, &quiet, &stderr); code != 0 {
+				t.Errorf("reclose %v %s: the output does not close again (exit %d): %s", args[:len(args)-1], name, code, stderr.String())
+				continue
+			}
+			if args[0] == "-partition" {
+				sameTraces(t, name, src, out.String())
+			}
 		}
-		if err := os.WriteFile(again, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if code := realMain([]string{"-q", again}, &out, &stderr); code != 0 {
-			t.Errorf("reclose -emit %s: the output does not close again (exit %d): %s", name, code, stderr.String())
-		}
+	}
+}
+
+// sameTraces holds the program emitted by reclose -partition -emit, closed
+// again, to the partitioned unit it was emitted from: the two have the
+// same traces.
+func sameTraces(t *testing.T, name, src, emitted string) {
+	t.Helper()
+	part, _, _, err := core.ClosePartitioned(core.MustCompileSource(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := core.CloseSource(emitted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := explore.Options{MaxDepth: 300, POR: explore.POROff, NoSleep: true}
+	want, _, err := explore.TraceSet(part, opt, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := explore.TraceSet(again, opt, 0); err != nil || len(want) == 0 || !maps.Equal(got, want) {
+		t.Errorf("%s: the re-closed -emit output has %d traces, the partitioned unit %d (%v)", name, len(got), len(want), err)
 	}
 }

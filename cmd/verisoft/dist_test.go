@@ -127,7 +127,7 @@ func TestCLIDistDriverFlags(t *testing.T) {
 		t.Skip("spawns worker subprocesses")
 	}
 	prog := writeProg(t, progs.Philosophers(3))
-	full := []string{"-no-por", "-no-sleep"}
+	full := []string{"-por", "off", "-no-sleep"}
 	run := func(wantCode int, args ...string) (stdout, stderr string) {
 		t.Helper()
 		var out, errb bytes.Buffer

@@ -78,7 +78,6 @@ type cli struct {
 	modeErr map[string]error
 
 	naive       int
-	noPOR       bool
 	replay      bool
 	shortest    bool
 	distWorkers int
@@ -119,7 +118,6 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.IntVar(&o.MaxDepth, "depth", 0, "depth bound on explored paths (0 = default 1e6)")
 	fs.Int64Var(&o.MaxStates, "max-states", 0, "abort after visiting this many global states (0 = unlimited)")
 	fs.IntVar(&c.naive, "naive", 0, "close naively with an explicit most general environment over domain [0,D) instead of transforming")
-	fs.BoolVar(&c.noPOR, "no-por", false, "disable persistent-set reduction (same as -por=off)")
 	fs.BoolVar(&o.NoSleep, "no-sleep", false, "disable sleep sets")
 	fs.BoolVar(&o.StateCache, "state-cache", false, "remember visited states and prune a path that reaches one again, no shallower than before and with the same sleep set; a state evicted under -cache-mem is explored again when met, so eviction costs time, never soundness")
 	fs.IntVar(&o.CacheShards, "cache-shards", 0, "lock shards in the state cache, rounded up to a power of two (0 = default 16; requires -state-cache)")
@@ -252,12 +250,6 @@ func (c *cli) run() (int, error) {
 		}
 	}
 	opt := c.opt
-	if c.noPOR {
-		if _, set := c.modeErr["por"]; set && opt.POR != explore.POROff {
-			return 1, fmt.Errorf("-no-por contradicts -por=%s", opt.POR)
-		}
-		opt.POR = explore.POROff
-	}
 	if c.distWorkers > 0 && c.shortest {
 		return 1, fmt.Errorf("-dist-workers does not compose with -shortest")
 	}

@@ -257,7 +257,7 @@ func TestCLICacheFlags(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := realMain([]string{
 		"-state-cache", "-cache-shards", "4", "-cache-mem", "1048576",
-		"-workers", "2", "-no-por", "-no-sleep",
+		"-workers", "2", "-por", "off", "-no-sleep",
 		"-metrics-out", metrics, prog,
 	}, &out, &errb)
 	if code != 3 {
@@ -295,9 +295,10 @@ func TestCLICacheFlags(t *testing.T) {
 
 // TestCLIPORFlags drives the -por flag end to end: a dynamic-POR run on
 // the philosophers ring still finds the deadlock (exit 3), its metrics
-// file carries the dynamic-POR counters, the invalid spellings and
-// contradictory combinations are rejected before any search starts, and
-// the deleted -search and -interest flags are usage errors.
+// file carries the dynamic-POR counters, an invalid spelling is
+// rejected before any search starts, and the deleted -search, -interest
+// and -no-por flags are usage errors: -por off is the one way to turn
+// the reduction off.
 func TestCLIPORFlags(t *testing.T) {
 	prog := writeProg(t, progs.Philosophers(3))
 	dir := t.TempDir()
@@ -355,23 +356,14 @@ func TestCLIPORFlags(t *testing.T) {
 	}
 
 	// Rejections.
-	for _, args := range [][]string{
-		{"-por", "bogus", prog},
-		{"-no-por", "-por", "dynamic", prog},
-	} {
-		if code := realMain(args, &out, &errb); code != 1 {
-			t.Errorf("%v: exit = %d, want 1", args, code)
-		}
+	if code := realMain([]string{"-por", "bogus", prog}, &out, &errb); code != 1 {
+		t.Errorf("-por bogus: exit = %d, want 1", code)
 	}
-	for _, args := range [][]string{{"-search", "dfs", prog}, {"-interest", "x", prog}} {
+	for _, args := range [][]string{{"-search", "dfs", prog}, {"-interest", "x", prog}, {"-no-por", prog}} {
 		var uerr bytes.Buffer
 		if code := realMain(args, &out, &uerr); code != 2 || !strings.Contains(uerr.String(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("%v: exit = %d, want 2 and an undefined-flag message; stderr:\n%s", args, code, uerr.String())
 		}
-	}
-	// -no-por combined with the agreeing -por=off spelling is fine.
-	if code := realMain([]string{"-no-por", "-por", "off", prog}, &out, &errb); code != 3 {
-		t.Errorf("-no-por -por=off: exit = %d, want 3", code)
 	}
 }
 

@@ -45,47 +45,60 @@ func (s *PartitionStats) String() string {
 }
 
 // Partition rewrites every qualifying declared environment parameter of
-// u into a VS_toss-selected draw from the representatives of its
-// constant partition, removing it from the environment interface. The
-// input unit is modified in place and returned together with the stats.
-// Env parameters that do not qualify, and env-facing channels, are left
-// untouched (the ordinary closing transformation handles them).
+// u, in place, into a VS_toss-selected draw from the representatives of
+// its constant partition. The parameter becomes a local the draw
+// defines: it leaves the parameter list, the environment interface (the
+// env parameters after it move down) and every call of its procedure, as
+// Close's Step 5 drops an eliminated parameter, so emitted source closes
+// again. Env parameters that do not qualify, and env-facing channels,
+// are left to the ordinary closing transformation.
 //
 // Use ClosePartitioned for the combined pipeline.
 func Partition(u *cfg.Unit) (*cfg.Unit, *PartitionStats) {
 	st := &PartitionStats{}
 	for _, name := range u.Order {
-		idx := u.EnvParams[name]
-		if len(idx) == 0 {
-			continue
-		}
-		g := u.Procs[name]
-		var indices []int
-		for i := range idx {
-			indices = append(indices, i)
-		}
-		sort.Ints(indices)
-		for _, i := range indices {
-			if i >= len(g.Params) {
-				continue
-			}
-			param := g.Params[i]
-			consts, ok := comparisonConstants(g, param)
+		g, drawn, env := u.Procs[name], map[int]bool{}, map[int]bool{}
+		for _, i := range u.SortedEnvParams(name) {
+			consts, ok := comparisonConstants(g, g.Params[i])
 			if !ok {
 				st.Skipped++
+				env[len(without(g.Params[:i], drawn))] = true
 				continue
 			}
 			reps := representatives(consts)
-			injectDraw(g, param, reps)
-			delete(u.EnvParams[name], i)
+			injectDraw(g, g.Params[i], reps)
+			drawn[i] = true
 			st.Partitioned++
 			st.Representatives += len(reps)
 		}
-		if len(u.EnvParams[name]) == 0 {
+		if len(drawn) == 0 {
+			continue
+		}
+		g.Params = without(g.Params, drawn)
+		if u.EnvParams[name] = env; len(env) == 0 {
 			delete(u.EnvParams, name)
+		}
+		for _, caller := range u.Order {
+			for _, n := range u.Procs[caller].Nodes {
+				if cs := n.CallStmt(); n.Kind == cfg.NCall && cs.Name.Name == name {
+					call := *cs
+					call.Args = without(cs.Args, drawn)
+					n.Stmt = &call
+				}
+			}
 		}
 	}
 	return u, st
+}
+
+// without returns xs less the elements at the indices in drop.
+func without[T any](xs []T, drop map[int]bool) (kept []T) {
+	for i, x := range xs {
+		if !drop[i] {
+			kept = append(kept, x)
+		}
+	}
+	return kept
 }
 
 // ClosePartitioned runs Partition and then Close: qualifying inputs are

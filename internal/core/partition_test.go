@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"reclose/internal/cfg"
+	"reclose/internal/codegen"
 	"reclose/internal/core"
 	"reclose/internal/explore"
 	"reclose/internal/mgenv"
@@ -395,7 +396,7 @@ process p;
 	if pst.Partitioned != 1 {
 		t.Fatalf("partitioned %d parameters, want 1", pst.Partitioned)
 	}
-	want := `proc p(x):
+	want := `proc p():
   n0   start   <start>                                 always->n7
   n1   cond    if x > 0                                true->n2 false->n4
   n2   assign  var __t1 = 1                            always->n3
@@ -410,5 +411,55 @@ process p;
 `
 	if got := trimLines(closed.String()); got != want {
 		t.Errorf("closed graph:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestPartitionDropsDrawnParams: a partitioned parameter becomes a local
+// of its procedure. It leaves the parameter list and every call of the
+// procedure, the env parameter after it moves down to its index, and
+// the emitted program closes again (sem refuses a top-level parameter
+// that is not a declared env input).
+func TestPartitionDropsDrawnParams(t *testing.T) {
+	u := core.MustCompileSource(`
+chan out[2];
+env chan out;
+env p.t;
+env p.v;
+proc p(t, v) {
+    if (t < 10) {
+        send(out, v);
+    }
+}
+proc q() {
+    p(5, 7);
+}
+process p;
+process q;
+`)
+	_, pst := core.Partition(u)
+	if pst.Partitioned != 1 || pst.Skipped != 1 {
+		t.Fatalf("stats = %s, want t partitioned and v skipped", pst)
+	}
+	if got := strings.Join(u.Graph("p").Params, ","); got != "v" {
+		t.Errorf("p's parameters are %q, want v", got)
+	}
+	if env := u.EnvParams["p"]; len(env) != 1 || !env[0] {
+		t.Errorf("p's env parameters are %v, want {0}", env)
+	}
+	for _, n := range u.Graph("q").Nodes {
+		if cs := n.CallStmt(); n.Kind == cfg.NCall && cs.Name.Name == "p" && len(cs.Args) != 1 {
+			t.Errorf("q calls p with %d arguments, want 1", len(cs.Args))
+		}
+	}
+	closed, _, err := core.Close(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := codegen.Emit(closed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := core.CloseSource(src); err != nil {
+		t.Fatalf("the emitted program does not close again: %v\n%s", err, src)
 	}
 }

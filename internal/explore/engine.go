@@ -572,26 +572,23 @@ func (e *engine) runPath() {
 			if !e.opt.NoSleep {
 				e.fpBuf = e.appendSleepKey(e.fpBuf, fpLen)
 			}
-			var pruned bool
-			if e.opt.testCacheHash == nil {
-				// Route by the machine's state hash — incremental on the
-				// compiled machine, a full walk on the reference —
-				// folding in the sleep-key suffix when one was appended.
-				// Membership is still the byte-exact key compare inside
-				// the cache; the hash only picks the shard and bucket, so
-				// it must merely be a pure function of the key bytes (the
-				// engines' hash/fingerprint agreement is pinned by the
-				// differential oracle).
-				if len(e.fpBuf) > keyLen {
-					h = interp.Mix64(h, statecache.FNV1a(e.fpBuf[keyLen:]))
-				}
-				// The budget is charged the fingerprint and the suffix,
-				// however short the machine's key for them is.
-				pruned = e.cache.VisitCharged(h, e.fpBuf, fpLen+len(e.fpBuf)-keyLen, depth)
-			} else {
-				pruned = e.cache.Visit(e.fpBuf, depth)
+			// Route by the machine's state hash — incremental on the
+			// compiled machine, a full walk on the reference — folding in
+			// the sleep-key suffix when one was appended. Membership is
+			// still the byte-exact key compare inside the cache; the hash
+			// only picks the shard and bucket, so it must merely be a pure
+			// function of the key bytes (the engines' hash/fingerprint
+			// agreement is pinned by the machine judge).
+			route := h
+			if len(e.fpBuf) > keyLen {
+				route = interp.Mix64(h, statecache.FNV1a(e.fpBuf[keyLen:]))
 			}
-			if pruned {
+			if e.opt.testCacheHash != nil {
+				route = e.opt.testCacheHash(e.fpBuf)
+			}
+			// The budget is charged the fingerprint and the suffix,
+			// however short the machine's key for them is.
+			if e.cache.VisitCharged(route, e.fpBuf, fpLen+len(e.fpBuf)-keyLen, depth) {
 				// A pruned revisit can still sit on a non-progress cycle
 				// that closes through the earlier exploration — the red
 				// half of the nested DFS chases it (cycle.go).

@@ -67,7 +67,7 @@ type Options struct {
 	// Engine selects the interpreter executing transitions: the zero
 	// value is interp.EngineBytecode, the compiled machine (flat
 	// bytecode with incremental state hashing); EngineRef runs the
-	// reference interpreter, kept as the differential oracle — it
+	// reference interpreter, kept as the machine judge's oracle — it
 	// cannot copy its state, so the search replays on it. Both produce
 	// byte-identical reports.
 	Engine interp.EngineKind `json:"engine"`
@@ -240,8 +240,8 @@ type Options struct {
 	// decision prefix it accepts: the white-box panic-injection hook of
 	// the isolation tests.
 	testPanicAtState func(decisions []Decision) bool
-	// testCacheHash, if non-nil, replaces the state cache's fingerprint
-	// hash: the white-box collision-injection hook of the cache tests.
+	// testCacheHash, if non-nil, replaces the state cache's routing hash:
+	// the white-box collision-injection hook of the cache tests.
 	testCacheHash func([]byte) uint64
 	// testReplayOnly, if set, keeps the engine from marking its machine,
 	// so every path replays from the start of its unit and the red search
@@ -642,16 +642,15 @@ func ResumeContext(ctx context.Context, u *cfg.Unit, snap *Snapshot, opt Options
 // newMachine instantiates one machine of the configured engine over the
 // shared resolution and, on the compiled machine, switches on
 // incremental state hashing when the search will query StateHash for
-// cache routing (StateCache on, no test hash override). The reference
-// answers StateHash by a full recomputation of the same function, so
-// routing — and with it eviction behavior and merged reports — is
-// identical on both.
+// cache routing or the liveness stack. The reference answers StateHash
+// by a full recomputation of the same function, so routing — and with
+// it eviction behavior and merged reports — is identical on both.
 func newMachine(res *interp.Resolution, opt Options) (interp.Machine, error) {
 	m, err := res.NewMachine(opt.Engine)
 	if err != nil {
 		return nil, err
 	}
-	if (opt.StateCache || opt.Liveness) && opt.testCacheHash == nil {
+	if opt.StateCache || opt.Liveness {
 		if s, ok := m.(*interp.System); ok {
 			s.SetStateHashing(true)
 		}
@@ -672,7 +671,6 @@ func newStateCache(opt Options) *statecache.Cache {
 	return statecache.New(statecache.Config{
 		Shards:   opt.CacheShards,
 		MaxBytes: opt.MaxCacheBytes,
-		Hash:     opt.testCacheHash,
 	})
 }
 

@@ -2,8 +2,6 @@ package explore
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -17,13 +15,12 @@ import (
 	"reclose/internal/lockserver"
 	"reclose/internal/obs"
 	"reclose/internal/randprog"
-	"reclose/internal/statecache"
 )
 
 // This file tests what a search stores of a state: the compiled
 // machine's key — one segment-table id per component, as a uvarint —
 // against the fingerprint it stands for, which is what the reference
-// stores.
+// stores; interp's machine judge holds the key to the fingerprint.
 
 // keyCases are the lattice's programs and n random programs more.
 func keyCases(t *testing.T, n int) map[string]*cfg.Unit {
@@ -34,68 +31,6 @@ func keyCases(t *testing.T, n int) map[string]*cfg.Unit {
 		cases[fmt.Sprintf("rand-%d", seed)] = mustClose(t, src)
 	}
 	return cases
-}
-
-// TestStateKeyBijection visits every state of cached searches, with and
-// without the liveness stack, and holds the key the engine stores to the
-// fingerprint: the same key for the same fingerprint, another for
-// another, the fingerprint's length beside it, and every id the text of
-// its component.
-func TestStateKeyBijection(t *testing.T) {
-	n := 150
-	if testing.Short() || raceEnabled {
-		n = 20
-	}
-	states, collapsed := 0, 0
-	for name, u := range keyCases(t, n) {
-		for _, live := range []bool{false, true} {
-			// Fingerprints go by their digest: a program that recurses
-			// without bound renders longer ones at every state.
-			keyOf, fpOf := map[[32]byte]string{}, map[string][32]byte{}
-			var segs *statecache.Segments
-			driveEngine(t, u, Options{StateCache: true, Liveness: live, MaxDepth: 30, MaxStates: 4000},
-				func(e *engine) {
-					segs = e.cache.Segments()
-					e.segs = segs
-				},
-				func(e *engine) {
-					fp := e.sys.AppendFingerprint(nil)
-					kb, rendered := e.sys.AppendKey(nil, e.segs)
-					sum, key := sha256.Sum256(fp), string(kb)
-					k, seen := keyOf[sum]
-					if seen && k != key {
-						t.Fatalf("%s: one fingerprint, two keys\n%s\n%x\n%x", name, fp, k, key)
-					}
-					if f, ok := fpOf[key]; ok && f != sum {
-						t.Fatalf("%s: one key %x, two fingerprints, one of them\n%s", name, key, fp)
-					}
-					if seen {
-						return
-					}
-					keyOf[sum], fpOf[key] = key, sum
-					var text []byte
-					n, _ := segs.Size()
-					for len(kb) > 0 {
-						id, w := binary.Uvarint(kb)
-						if w <= 0 || id == 0 || id > uint64(n) {
-							t.Fatalf("%s: the key %x is not a row of ids", name, key)
-						}
-						text = segs.AppendText(text, uint32(id))
-						kb = kb[w:]
-					}
-					if !bytes.Equal(text, fp) || rendered != len(fp) {
-						t.Fatalf("%s: the key stands for %d bytes\n%s\nthe fingerprint is\n%s", name, rendered, text, fp)
-					}
-					states++
-					if len(key) < len(fp) {
-						collapsed++
-					}
-				})
-		}
-	}
-	if states < 1000 || collapsed != states {
-		t.Fatalf("%d distinct states checked, %d with a key shorter than the fingerprint", states, collapsed)
-	}
 }
 
 // cacheInstruments renders every explore.cache.* counter and gauge of a

@@ -13,7 +13,7 @@ import (
 // Resolution's nodes into one flat []Instr array for the whole unit,
 // executed by the register-addressed dispatch loop in bcexec.go. The
 // reference interpreter (refeval.go, refsys.go) is the specification
-// and the differential oracle: the two must agree on every observable,
+// and the machine judge's oracle: the two must agree on every observable,
 // including the byte-exact trap messages, which is why the compiler
 // follows the reference's evaluation and check order instruction for
 // instruction.

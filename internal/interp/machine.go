@@ -13,8 +13,8 @@ import (
 type EngineKind int
 
 // The two interpreters. They implement identical observable semantics
-// — events, outcomes, fingerprints, state hashes — which the
-// differential oracle enforces.
+// — events, outcomes, fingerprints, state hashes — which the machine
+// judge (judge_test.go) enforces.
 const (
 	// EngineBytecode is System: flat per-unit bytecode (bytecode.go,
 	// bcexec.go) with incremental state hashing.

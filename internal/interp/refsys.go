@@ -12,10 +12,10 @@ import (
 // RefSystem is the reference interpreter: the original string-map
 // implementation of the transition semantics, preserved verbatim when
 // System moved to slot-resolved frames. It exists as a behavioral
-// oracle — the differential tests drive a RefSystem and a System in
-// lockstep over the same unit and assert identical events, outcomes,
-// and fingerprints — and as the baseline side of the interpreter
-// benchmarks. It is not on any hot path; prefer System everywhere else.
+// oracle — the machine judge (judge_test.go) drives a RefSystem and two
+// Systems down one schedule over the same unit and asserts identical
+// events, outcomes, fingerprints, hashes and pending tables — and as the
+// baseline side of the interpreter benchmarks. It is not on any hot path; prefer System everywhere else.
 type RefSystem struct {
 	Unit  *cfg.Unit
 	Procs []*RefProc

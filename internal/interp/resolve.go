@@ -22,9 +22,9 @@ import (
 // consults the builtin table.
 //
 // The reference interpreter (refeval.go, refsys.go) is the
-// specification: the differential oracle (differential_test.go) holds
-// the compiled machine to byte-identical events, outcomes — every trap
-// message included — and fingerprints.
+// specification: the machine judge (judge_test.go) holds the compiled
+// machine to byte-identical events, outcomes — every trap message
+// included — and fingerprints.
 
 // builtinOp enumerates the visible operations, replacing per-step
 // string dispatch.

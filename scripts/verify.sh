@@ -3,14 +3,14 @@
 # file), a dependency gate (verisoft and reclose link neither net/http
 # nor runtime/cgo), full tests, race-detector legs over the packages with real
 # concurrency, and a short fuzz smoke over the
-# front end, the checkpoint decoder, the compiled-machine/reference
-# lockstep oracle, the job request parser and the dist frame codec (5s
-# per target; the checkpoint target also checks that a snapshot that
-# restores re-encodes to bytes decoding to an equal snapshot, and the
-# lockstep target, whose seeds include three open randprog.Pointers
-# programs it closes, also runs the Fork sweep of copy_test.go, the
-# key-segment schedule of keyseg_test.go and the undo sweep of
-# trail_test.go). The last two guard the one option decoder:
+# front end, the checkpoint decoder, the machine judge, the job request
+# parser and the dist frame codec (5s per target; the checkpoint target
+# also checks that a snapshot that restores re-encodes to bytes decoding
+# to an equal snapshot, and the judge's target, whose seeds are the
+# judge's hand-written programs and three open randprog.Pointers
+# programs it closes, runs the compiled machines and the reference down
+# one schedule of steps, forks, undone excursions and resets over every
+# input that closes). The last two guard the one option decoder:
 # an accepted job names options explore.Options.Resolve accepts, and a
 # hello's options are explore.Options' own JSON, unknown mode names
 # refused. The seventh judges the closer: Close(S) keeps every trace,
@@ -43,12 +43,11 @@ go test -count=1 -timeout=10m ./...
 #     Distribute over in-process slicers) × registry on/off — the
 #     shared frontier shards, cache and backtrack folds under the race
 #     scheduler's timings;
-#   - the engine differential (the compiled machine, with incremental
-#     state hashing and rendering in full, against the reference
-#     interpreter: byte-identical even under the race scheduler's
-#     timings);
-#   - backtracking by undoing: the write trail's and Fork's property and
-#     hand-written pointer/array tests with hashing on and off, the
+#   - the machine judge (the compiled machine, with incremental state
+#     hashing and rendering in full, against the reference interpreter
+#     down one schedule of steps, forks, undone excursions and resets:
+#     byte-identical even under the race scheduler's timings);
+#   - backtracking by undoing: the write trail's rule tests, the
 #     trail's bound, the running depth count and the panic recoveries
 #     (shared snapshot-spill machines that several workers fork at once);
 #   - checkpoints as pauses: workers stopped and restarted in place
