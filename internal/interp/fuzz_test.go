@@ -74,6 +74,6 @@ process main;
 			// Not executable: nothing to compare.
 			t.Skip()
 		}
-		newJudge(t, "fuzz", u, 1000, nil).schedule(1, judgeOps)
+		newJudge(t, "fuzz", u, 1000, nil).schedule(1, judgeOps, mixLockstep)
 	})
 }

@@ -16,7 +16,9 @@ import (
 )
 
 // This file holds the machine judge: the one schedule every program of
-// the corpus below, and every FuzzBytecodeLockstep input, runs down.
+// the corpus below, and every FuzzBytecodeLockstep input, runs down. The
+// corpus is run by the tests at the end of the file, one a list of
+// programs, each drawing its schedules by its own mix of operations.
 // Three machines hold one logical state the three ways the explorer
 // holds it — the compiled machine with incremental state hashing (the
 // cached and liveness searches), the compiled machine rendering every
@@ -109,6 +111,8 @@ type judge struct {
 	keyOf, fpOf map[string]string
 	num         *interp.Numbering
 	st          *judgeStats
+	// buf is scratch for renders compared and dropped.
+	buf []byte
 }
 
 func newJudge(t *testing.T, label string, u *cfg.Unit, maxInvisible int, st *judgeStats) *judge {
@@ -154,8 +158,8 @@ func (j *judge) check(op string) {
 	for mi, m := range all {
 		hashing := mi%3 == jCur
 		for pass := 0; pass < 2; pass++ {
-			if got := string(m.AppendFingerprint(nil)); got != want {
-				t.Fatalf("%s: machine %d's fingerprint (render %d) differs from the reference's\n got: %s\nwant: %s", at, mi, pass, got, want)
+			if j.buf = m.AppendFingerprint(j.buf[:0]); string(j.buf) != want {
+				t.Fatalf("%s: machine %d's fingerprint (render %d) differs from the reference's\n got: %s\nwant: %s", at, mi, pass, j.buf, want)
 			}
 			if !hashing {
 				break // the second assembly renders nothing: worth asking only of a hashing machine
@@ -192,18 +196,18 @@ func (j *judge) check(op string) {
 // keyed holds the hashing machine's key to the fingerprint one to one,
 // and counts the state if it is new.
 func (j *judge) keyed(at, fp string) {
-	kb, _ := j.cur().AppendKey(nil, keySegs)
-	key := string(kb)
+	j.buf, _ = j.cur().AppendKey(j.buf[:0], keySegs)
 	k, seen := j.keyOf[fp]
-	if seen && k != key {
-		j.t.Fatalf("%s: one fingerprint, two keys %x and %x\n%s", at, k, key, fp)
+	if seen && k != string(j.buf) {
+		j.t.Fatalf("%s: one fingerprint, two keys %x and %x\n%s", at, k, j.buf, fp)
 	}
-	if f, ok := j.fpOf[key]; ok && f != fp {
-		j.t.Fatalf("%s: one key %x, two fingerprints\n%s\n%s", at, key, f, fp)
+	if f, ok := j.fpOf[string(j.buf)]; ok && f != fp {
+		j.t.Fatalf("%s: one key %x, two fingerprints\n%s\n%s", at, j.buf, f, fp)
 	}
 	if seen {
 		return
 	}
+	key := string(j.buf)
 	j.keyOf[fp], j.fpOf[key] = key, fp
 	j.st.states++
 	if len(key) < len(fp) {
@@ -265,8 +269,8 @@ func (j *judge) step(p int) bool {
 		evs[mi], outs[mi] = all[mi].Step(p, chs[mi])
 		if mi == 3 {
 			for fi, f := range j.ms {
-				if got := string(f.AppendFingerprint(nil)); got != j.want {
-					j.t.Fatalf("%s: stepping the sources moved fork %d\nbefore: %s\n after: %s", at, fi, j.want, got)
+				if j.buf = f.AppendFingerprint(j.buf[:0]); string(j.buf) != j.want {
+					j.t.Fatalf("%s: stepping the sources moved fork %d\nbefore: %s\n after: %s", at, fi, j.want, j.buf)
 				}
 			}
 		}
@@ -358,9 +362,20 @@ func (j *judge) unwind() bool {
 	return j.init("Init after the unwind")
 }
 
-// schedule drives the judge down the schedule seeded by seed for ops
-// operations, checking after every one.
-func (j *judge) schedule(seed int64, ops int) {
+// judgeMix is how a schedule draws its operations, in sixteenths: fork
+// of them fork, the next undo make an undone excursion, one cuts the
+// run, and the rest step.
+type judgeMix struct{ fork, undo int }
+
+var (
+	mixLockstep = judgeMix{fork: 2, undo: 4}
+	mixFork     = judgeMix{fork: 5, undo: 2}
+	mixUndo     = judgeMix{fork: 1, undo: 7}
+)
+
+// schedule drives the judge down the schedule seeded by seed, drawn by
+// mix, for ops operations, checking after every one.
+func (j *judge) schedule(seed int64, ops int, mix judgeMix) {
 	rng := rand.New(rand.NewSource(seed))
 	live := false
 	for i := 0; i < ops; i++ {
@@ -382,9 +397,9 @@ func (j *judge) schedule(seed int64, ops int) {
 			if !live {
 				return // Init itself ends the run: nothing to schedule
 			}
-		case r <= 2:
+		case r <= mix.fork:
 			j.fork()
-		case r <= 6:
+		case r <= mix.fork+mix.undo:
 			j.excursion(rng)
 		default:
 			live = j.step(en[rng.Intn(len(en))])
@@ -392,19 +407,23 @@ func (j *judge) schedule(seed int64, ops int) {
 	}
 }
 
-// judgeProgram is one program of the corpus, run in the subtest group
-// down seeds schedules with every transition bounded by maxInvisible.
+// judgeProgram is one program of the corpus, run down seeds schedules
+// with every transition bounded by maxInvisible.
 type judgeProgram struct {
-	name, group         string
+	name                string
 	u                   *cfg.Unit
 	maxInvisible, seeds int
 }
 
-// handwritten are the hand-written programs of the corpus, for what the
-// random generators exercise rarely or never: pointers across frames
+// handwrittenProgram is a hand-written program of the corpus, for what
+// the random generators exercise rarely or never: pointers across frames
 // and processes and into popped frames, array aliasing, every
 // communication object kind, recursion, every way a transition ends.
-var handwritten = []struct{ name, src string }{
+type handwrittenProgram struct{ name, src string }
+
+// copyCases are every way a pointer or an array can sit in the state at
+// a visible operation.
+var copyCases = []handwrittenProgram{
 	// Every way a pointer or an array can sit in the state at a visible
 	// operation.
 	{name: "pointer-into-caller-frame", src: `
@@ -507,10 +526,13 @@ proc user() {
 process owner;
 process user;
 `},
-	// A process that writes through a pointer it received into another
-	// process's live frame, into that process's frame after the callee
-	// that owned the cell returned, and into its own frames at two
-	// depths (the key rules of keyseg_test.go use these three).
+}
+
+// keyCases are a process that writes through a pointer it received into
+// another process's live frame, into that process's frame after the
+// callee that owned the cell returned, and into its own frames at two
+// depths (the key rules of keyseg_test.go use these three).
+var keyCases = []handwrittenProgram{
 	{name: "store-into-another-process", src: `
 chan c[2];
 chan back[2];
@@ -579,9 +601,12 @@ proc main() {
 process main;
 process main;
 `},
-	// Transitions that end in a trap, a violation or a divergence after
-	// stores, an exit below two calls, a top-level return, tosses, an
-	// array declared again, an element pointer gone stale.
+}
+
+// undoCases are transitions that end in a trap, a violation or a
+// divergence after stores, an exit below two calls, a top-level return,
+// tosses, an array declared again, an element pointer gone stale.
+var undoCases = []handwrittenProgram{
 	{name: "trap-after-stores", src: `
 chan c[4];
 proc main() {
@@ -657,8 +682,11 @@ proc main() {
 }
 process main;
 `},
-	// Pointers across frames, recursion, every object kind, tosses, each
-	// trap class, undef, a deadlock.
+}
+
+// lockstepCases are pointers across frames, recursion, every object
+// kind, tosses, each trap class, undef, a deadlock.
+var lockstepCases = []handwrittenProgram{
 	{name: "pointers", src: `
 chan out[16];
 proc bump(p) {
@@ -805,10 +833,13 @@ proc main() {
 }
 process main;
 `},
-	// Pending rows random schedules seldom produce: a process blocked on
-	// a full channel beside a terminated one, and a VS_assert (no
-	// object). The daemons of a most general environment and a table
-	// wider than one mask word are built in judgeCorpus.
+}
+
+// pendingCases are pending rows random schedules seldom produce: a
+// process blocked on a full channel beside a terminated one, and a
+// VS_assert (no object). The daemons of a most general environment and
+// a table wider than one mask word are built in TestPendingTable.
+var pendingCases = []handwrittenProgram{
 	{name: "blocked-and-terminated", src: `
 chan c[1];
 proc filler() {
@@ -823,6 +854,9 @@ process filler;
 `},
 }
 
+// handwritten is every hand-written program of the corpus.
+var handwritten = slices.Concat(copyCases, keyCases, undoCases, lockstepCases, pendingCases)
+
 // handwrittenSrc returns the source of the hand-written program name.
 func handwrittenSrc(t testing.TB, name string) string {
 	for _, h := range handwritten {
@@ -834,24 +868,133 @@ func handwrittenSrc(t testing.TB, name string) string {
 	return ""
 }
 
-// judgeCorpus is every program the judge runs: the hand-written ones,
-// the daemons of a most general environment, a table wider than one
-// mask word, closed randprog.Generate programs and the closed
-// randprog.Pointers programs — loads and stores through pointers into a
-// caller's frame, array elements, and the traps of pointer arithmetic
-// and bad indices. The closer refuses a Pointers program that stores
-// through an env-dependent pointer (7 of the first 150), and nothing
-// else.
-func judgeCorpus(t *testing.T) []judgeProgram {
+// The corpus is run by the tests below, one a list of programs: every
+// program goes down the one judge, each test drawing its schedules by
+// its own mix.
+
+// judgeOps is the length of one schedule.
+const judgeOps = 150
+
+func newJudgeStats() *judgeStats { return &judgeStats{ops: map[string]int{}} }
+
+// run takes one program down its schedules.
+func (st *judgeStats) run(t *testing.T, p judgeProgram, mix judgeMix) {
+	j := newJudge(t, p.name, p.u, p.maxInvisible, st)
+	for seed := 0; seed < p.seeds; seed++ {
+		j.label = fmt.Sprintf("%s/schedule %d", p.name, seed)
+		j.schedule(int64(seed), judgeOps, mix)
+	}
+}
+
+// require fails t unless the run performed every operation and every
+// key it met is shorter than its fingerprint.
+func (st *judgeStats) require(t *testing.T) {
+	t.Helper()
+	for _, op := range []string{"reset", "step", "fork", "undo", "unwind"} {
+		if st.ops[op] == 0 {
+			t.Errorf("no schedule ran a %s", op)
+		}
+	}
+	if st.collapsed != st.states {
+		t.Errorf("%d distinct states keyed, %d with a key shorter than the fingerprint", st.states, st.collapsed)
+	}
+	t.Logf("operations %v, %d distinct states keyed", st.ops, st.states)
+}
+
+// runCorpus runs the judge over progs, a subtest a program when sub, and
+// requires what require does of the run. It returns what the run met,
+// or nil when -run left a program out.
+func runCorpus(t *testing.T, progs []judgeProgram, mix judgeMix, sub bool) *judgeStats {
+	t.Helper()
+	st, ran := newJudgeStats(), 0
+	for _, p := range progs {
+		if !sub {
+			st.run(t, p, mix)
+			ran++
+			continue
+		}
+		t.Run(p.name, func(t *testing.T) {
+			ran++
+			st.run(t, p, mix)
+		})
+	}
+	if ran < len(progs) {
+		return nil
+	}
+	st.require(t)
+	return st
+}
+
+// compileCases compiles hand-written programs, each run down seeds
+// schedules: eight in the test of its own list, four in another's.
+func compileCases(t *testing.T, seeds int, lists ...[]handwrittenProgram) []judgeProgram {
 	t.Helper()
 	var c []judgeProgram
-	for _, h := range handwritten {
+	for _, h := range slices.Concat(lists...) {
 		u, err := core.CompileSource(h.src)
 		if err != nil {
 			t.Fatalf("%s: %v", h.name, err)
 		}
-		c = append(c, judgeProgram{name: h.name, group: h.name, u: u, maxInvisible: 5000, seeds: 8})
+		c = append(c, judgeProgram{name: h.name, u: u, maxInvisible: 5000, seeds: seeds})
 	}
+	return c
+}
+
+// generated closes the randprog.Generate programs of seeds base to
+// base+n-1 (a fifth of them under -short), configured by cfg, each run
+// down one schedule.
+func generated(t *testing.T, base, n int, cfg func(seed int) randprog.Config) []judgeProgram {
+	t.Helper()
+	if testing.Short() {
+		n /= 5
+	}
+	var c []judgeProgram
+	for seed := base; seed < base+n; seed++ {
+		src := randprog.Generate(rand.New(rand.NewSource(int64(seed))), cfg(seed))
+		u, _, err := core.CloseSource(src)
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+		c = append(c, judgeProgram{name: fmt.Sprintf("seed %d", seed), u: u, maxInvisible: 2000, seeds: 1})
+	}
+	return c
+}
+
+// generateConfig is the generator's configuration of most random
+// programs: two or three processes and up to two helpers.
+func generateConfig(seed int) randprog.Config {
+	return randprog.Config{Processes: 2 + seed%2, Helpers: seed % 3}
+}
+
+// TestDifferentialHandwritten runs the judge over lockstepCases.
+func TestDifferentialHandwritten(t *testing.T) {
+	runCorpus(t, compileCases(t, 8, lockstepCases), mixLockstep, true)
+}
+
+// TestCopyFromHandwritten runs the judge over copyCases, forking often.
+func TestCopyFromHandwritten(t *testing.T) {
+	runCorpus(t, compileCases(t, 8, copyCases), mixFork, true)
+}
+
+// TestKeySegmentsMatchFullRender runs the judge over keyCases and
+// copyCases.
+func TestKeySegmentsMatchFullRender(t *testing.T) {
+	runCorpus(t, slices.Concat(compileCases(t, 8, keyCases), compileCases(t, 4, copyCases)), mixLockstep, true)
+}
+
+// TestUndoHandwritten runs the judge over undoCases, keyCases and
+// copyCases, undoing often.
+func TestUndoHandwritten(t *testing.T) {
+	runCorpus(t, slices.Concat(compileCases(t, 8, undoCases), compileCases(t, 4, keyCases, copyCases)), mixUndo, true)
+}
+
+// TestPendingTable runs the judge over programs whose pending tables
+// hold the rows random schedules seldom produce, and fails unless each
+// met the rows it is there for: a blocked, a terminated process and an
+// assert; the daemons of a most general environment; a table wider than
+// one mask word, with blocked and terminated rows.
+func TestPendingTable(t *testing.T) {
+	progs := compileCases(t, 8, pendingCases)
 	u, _, err := mgenv.ComposeSource(`
 chan in[1];
 chan out[1];
@@ -866,7 +1009,7 @@ process main;
 	if err != nil {
 		t.Fatal(err)
 	}
-	c = append(c, judgeProgram{name: "daemons", group: "daemons", u: u, seeds: 4})
+	progs = append(progs, judgeProgram{name: "daemons", u: u, seeds: 4})
 	var b strings.Builder
 	b.WriteString("sem s = 1;\nproc w() {\n    wait(s);\n    signal(s);\n}\n")
 	for i := 0; i < 70; i++ {
@@ -875,77 +1018,83 @@ process main;
 	if u, err = core.CompileSource(b.String()); err != nil {
 		t.Fatal(err)
 	}
-	c = append(c, judgeProgram{name: "wide", group: "wide", u: u, seeds: 1})
+	progs = append(progs, judgeProgram{name: "wide", u: u, seeds: 1})
+	met := map[string]func(s pendingSeen) bool{
+		"blocked-and-terminated": func(s pendingSeen) bool { return s.blocked && s.terminated && s.assert },
+		"daemons":                func(s pendingSeen) bool { return s.daemon },
+		"wide":                   func(s pendingSeen) bool { return s.widest > 64 && s.blocked && s.terminated },
+	}
+	st, ran := newJudgeStats(), 0
+	for _, p := range progs {
+		t.Run(p.name, func(t *testing.T) {
+			ran++
+			st.seen = pendingSeen{}
+			st.run(t, p, mixLockstep)
+			if !met[p.name](st.seen) {
+				t.Fatalf("the schedules missed a kind of pending row: %+v", st.seen)
+			}
+		})
+	}
+	if ran == len(progs) {
+		st.require(t)
+	}
+}
 
+// TestDifferentialRandomPrograms runs the judge over closed random
+// programs, and fails unless they keyed at least a thousand distinct
+// states (in proportion under -short, where a fifth of them run).
+func TestDifferentialRandomPrograms(t *testing.T) {
+	progs := generated(t, 0, 150, generateConfig)
+	st := runCorpus(t, progs, mixLockstep, false)
+	if want := 1000 * len(progs) / 150; st.states < want {
+		t.Errorf("%d distinct states keyed, want at least %d", st.states, want)
+	}
+}
+
+// TestForkMatchesOriginal runs the judge, forking often, over random
+// programs of two processes.
+func TestForkMatchesOriginal(t *testing.T) {
+	runCorpus(t, generated(t, 1000, 30, func(seed int) randprog.Config {
+		return randprog.Config{Processes: 2, Helpers: seed % 2}
+	}), mixFork, false)
+}
+
+// TestCopyFromRandomPrograms runs the judge, forking often, over random
+// programs.
+func TestCopyFromRandomPrograms(t *testing.T) {
+	runCorpus(t, generated(t, 2000, 30, generateConfig), mixFork, false)
+}
+
+// TestUndoRandomPrograms runs the judge, undoing often, over random
+// programs.
+func TestUndoRandomPrograms(t *testing.T) {
+	runCorpus(t, generated(t, 2030, 30, generateConfig), mixUndo, false)
+}
+
+// TestPointerPrograms runs the judge over the closed randprog.Pointers
+// programs: loads and stores through pointers into a caller's frame,
+// array elements, and the traps of pointer arithmetic and bad indices.
+// The closer refuses a program that stores through an env-dependent
+// pointer (7 of the first 150), and nothing else.
+func TestPointerPrograms(t *testing.T) {
 	n := 150
 	if testing.Short() {
 		n = 30
 	}
-	for seed := 0; seed < n; seed++ {
-		src := randprog.Generate(rand.New(rand.NewSource(int64(seed))), randprog.Config{Processes: 2 + seed%2, Helpers: seed % 3})
-		u, _, err := core.CloseSource(src)
-		if err != nil {
-			t.Fatalf("generate seed %d: %v\n%s", seed, err, src)
-		}
-		c = append(c, judgeProgram{name: fmt.Sprintf("generate seed %d", seed), group: "randprog-generate", u: u, maxInvisible: 2000, seeds: 1})
-	}
-	closed := 0
+	var progs []judgeProgram
 	for seed := 0; seed < n; seed++ {
 		src := randprog.Pointers(rand.New(rand.NewSource(int64(seed))))
 		u, _, err := core.CloseSource(src)
 		if err != nil {
 			if !strings.Contains(err.Error(), "stores through an environment-dependent pointer") {
-				t.Fatalf("pointers seed %d: %v\n%s", seed, err, src)
+				t.Fatalf("seed %d: %v\n%s", seed, err, src)
 			}
 			continue
 		}
-		c = append(c, judgeProgram{name: fmt.Sprintf("pointers seed %d", seed), group: "randprog-pointers", u: u, maxInvisible: 1000, seeds: 1})
-		closed++
+		progs = append(progs, judgeProgram{name: fmt.Sprintf("pointers seed %d", seed), u: u, maxInvisible: 1000, seeds: 1})
 	}
-	if closed < n*9/10 {
-		t.Fatalf("only %d of %d pointer programs close", closed, n)
+	if len(progs) < n*9/10 {
+		t.Fatalf("only %d of %d pointer programs close", len(progs), n)
 	}
-	return c
-}
-
-// judgeOps is the length of one schedule.
-const judgeOps = 150
-
-// TestMachineJudge runs the judge over the corpus: every program down
-// its seeded schedules, one subtest a hand-written program and one a
-// generator. The run must have performed every operation,
-// keyed at least a thousand distinct states — each key shorter than its
-// fingerprint — and met a blocked, a terminated, a daemon and an assert
-// row and a table wider than 64 processes.
-func TestMachineJudge(t *testing.T) {
-	st := &judgeStats{ops: map[string]int{}}
-	for corpus := judgeCorpus(t); len(corpus) > 0; {
-		n := 1
-		for n < len(corpus) && corpus[n].group == corpus[0].group {
-			n++
-		}
-		group := corpus[:n]
-		corpus = corpus[n:]
-		t.Run(group[0].group, func(t *testing.T) {
-			for _, p := range group {
-				j := newJudge(t, p.name, p.u, p.maxInvisible, st)
-				for seed := 0; seed < p.seeds; seed++ {
-					j.label = fmt.Sprintf("%s/schedule %d", p.name, seed)
-					j.schedule(int64(seed), judgeOps)
-				}
-			}
-		})
-	}
-	for _, op := range []string{"reset", "step", "fork", "undo", "unwind"} {
-		if st.ops[op] == 0 {
-			t.Errorf("no schedule ran a %s", op)
-		}
-	}
-	if st.states < 1000 || st.collapsed != st.states {
-		t.Errorf("%d distinct states keyed, %d with a key shorter than the fingerprint", st.states, st.collapsed)
-	}
-	if s := st.seen; !s.blocked || !s.terminated || !s.daemon || !s.assert || s.widest <= 64 {
-		t.Errorf("the corpus missed a kind of pending row: %+v", s)
-	}
-	t.Logf("operations %v, %d distinct states keyed", st.ops, st.states)
+	runCorpus(t, progs, mixLockstep, false)
 }
