@@ -44,16 +44,16 @@ func (s *PartitionStats) String() string {
 		s.Partitioned, s.Representatives, s.Skipped)
 }
 
-// Partition rewrites every qualifying declared environment parameter of
-// u, in place, into a VS_toss-selected draw from the representatives of
-// its constant partition. The parameter becomes a local the draw
-// defines: it leaves the parameter list, the environment interface (the
-// env parameters after it move down) and every call of its procedure, as
-// Close's Step 5 drops an eliminated parameter, so emitted source closes
-// again. Env parameters that do not qualify, and env-facing channels,
-// are left to the ordinary closing transformation.
-//
-// Use ClosePartitioned for the combined pipeline.
+// Partition rewrites, in place, every qualifying declared env parameter
+// of u into a local that a VS_toss draw from the representatives of its
+// constant partition defines. It leaves the parameter list, the env
+// interface (later env parameters move down) and every call of its
+// procedure; a compound argument still runs, in the temporary the
+// normalizer put it in, so one that traps still traps. Partition drops it
+// itself, not Close's Step 5 (which drops what the analysis finds
+// env-defined), so that its output is a whole unit, closeable again once
+// emitted. Other env parameters and env-facing channels are left to
+// Close; ClosePartitioned runs both.
 func Partition(u *cfg.Unit) (*cfg.Unit, *PartitionStats) {
 	st := &PartitionStats{}
 	for _, name := range u.Order {

@@ -418,9 +418,12 @@ process p;
 // of its procedure. It leaves the parameter list and every call of the
 // procedure, the env parameter after it moves down to its index, and
 // the emitted program closes again (sem refuses a top-level parameter
-// that is not a declared env input).
+// that is not a declared env input). The argument dropped from q's call
+// is still evaluated (the normalizer put it in a temporary before the
+// call): its bad index traps in the partitioned program as in the plainly
+// closed one.
 func TestPartitionDropsDrawnParams(t *testing.T) {
-	u := core.MustCompileSource(`
+	const src = `
 chan out[2];
 env chan out;
 env p.t;
@@ -431,11 +434,18 @@ proc p(t, v) {
     }
 }
 proc q() {
-    p(5, 7);
+    var a[2];
+    var i = 5;
+    p(a[i], 7);
 }
 process p;
 process q;
-`)
+`
+	plain, _, err := core.CloseSource(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := core.MustCompileSource(src)
 	_, pst := core.Partition(u)
 	if pst.Partitioned != 1 || pst.Skipped != 1 {
 		t.Fatalf("stats = %s, want t partitioned and v skipped", pst)
@@ -455,11 +465,20 @@ process q;
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, err := codegen.Emit(closed)
+	for _, c := range []*cfg.Unit{closed, plain} {
+		rep, err := explore.Explore(c, explore.Options{MaxDepth: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Traps == 0 || !strings.Contains(rep.Samples[0].Msg, "array index 5 out of bounds") {
+			t.Errorf("q's argument does not trap: %s", rep)
+		}
+	}
+	emitted, err := codegen.Emit(closed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := core.CloseSource(src); err != nil {
-		t.Fatalf("the emitted program does not close again: %v\n%s", err, src)
+	if _, _, err := core.CloseSource(emitted); err != nil {
+		t.Fatalf("the emitted program does not close again: %v\n%s", err, emitted)
 	}
 }

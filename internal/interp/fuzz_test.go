@@ -10,10 +10,11 @@ import (
 
 // FuzzBytecodeLockstep feeds arbitrary MiniC source through the full
 // pipeline (parse, check, close) and, when it closes, runs the machine
-// judge (judge_test.go) down one schedule over it: the hashing and the
-// full-render compiled machine and the reference through Reset, Init,
-// Step, ForkMachine, Mark/excursion/Undo and unwinding, every
-// observable compared at every state. Its seeds are three programs of
+// judge (judge_test.go) over it, down one uncut schedule of up to 150
+// steps and one seeded schedule: the hashing and the full-render
+// compiled machine and the reference through Reset, Init, Step,
+// ForkMachine, Mark/excursion/Undo and unwinding, every observable
+// compared at every state. Its seeds are three programs of
 // its own, the hand-written programs of the judge's corpus and three
 // open randprog.Pointers programs. scripts/verify.sh runs this for a
 // short smoke period on every verify.
@@ -74,6 +75,9 @@ process main;
 			// Not executable: nothing to compare.
 			t.Skip()
 		}
-		newJudge(t, "fuzz", u, 1000, nil).schedule(1, judgeOps, mixLockstep)
+		j := newJudge(t, "fuzz/uncut", u, 1000, nil)
+		j.deep(1, 150, mixLockstep)
+		j.label = "fuzz/schedule"
+		j.schedule(1, judgeOps, mixLockstep)
 	})
 }

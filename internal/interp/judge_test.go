@@ -36,6 +36,12 @@ import (
 //   - unwinding every mark still held, newest first, down to the state
 //     before Init.
 //
+// Every program first runs down one uncut schedule (deep): from Init
+// its main line steps by a fixed rule to termination, an abnormal
+// outcome or its test's step bound, at the default divergence bound,
+// with forks and undone excursions between steps. Then come its seeded
+// schedules, if it has any, which reset, unwind and cut runs at random.
+//
 // At every state all machines must agree on events and outcomes, the
 // enabled set, every process's pending operation, byte for byte on the
 // fingerprint, on StateHash (the hashing machine's incremental hash
@@ -80,6 +86,7 @@ type judgeStats struct {
 	ops       map[string]int
 	states    int // distinct states keyed, counted per judge
 	collapsed int // of which the key is shorter than the fingerprint
+	depth     int // the most main-line steps an uncut schedule took
 	seen      pendingSeen
 }
 
@@ -105,6 +112,8 @@ type judge struct {
 	// hashingOff is set while a test has switched jCur's hashing off: its
 	// key is then the fingerprint, as the others' is.
 	hashingOff bool
+	// maxInvisible is the divergence bound of the seeded schedules.
+	maxInvisible int
 	// want is the reference's fingerprint at the last check.
 	want string
 	// keyOf and fpOf hold the key to the fingerprint, one to one.
@@ -124,14 +133,29 @@ func newJudge(t *testing.T, label string, u *cfg.Unit, maxInvisible int, st *jud
 	}
 	cur, full := r.NewSystem(), r.NewSystem()
 	cur.SetStateHashing(true)
-	if maxInvisible > 0 {
-		cur.MaxInvisible, full.MaxInvisible, ref.MaxInvisible = maxInvisible, maxInvisible, maxInvisible
+	if maxInvisible <= 0 {
+		maxInvisible = interp.DefaultMaxInvisible
 	}
 	if st == nil {
-		st = &judgeStats{ops: map[string]int{}}
+		st = newJudgeStats()
 	}
-	return &judge{t: t, label: label, u: u, ms: [3]interp.Machine{cur, full, ref},
+	j := &judge{t: t, label: label, u: u, ms: [3]interp.Machine{cur, full, ref}, maxInvisible: maxInvisible,
 		keyOf: map[string]string{}, fpOf: map[string]string{}, num: interp.NumberUnit(u), st: st}
+	j.setMaxInvisible(maxInvisible)
+	return j
+}
+
+// setMaxInvisible bounds every machine's transitions by n (forks inherit
+// the bound).
+func (j *judge) setMaxInvisible(n int) {
+	for _, m := range j.ms {
+		switch m := m.(type) {
+		case *interp.System:
+			m.MaxInvisible = n
+		case *interp.RefSystem:
+			m.MaxInvisible = n
+		}
+	}
 }
 
 // cur is the hashing machine.
@@ -154,10 +178,11 @@ func (j *judge) check(op string) {
 	ref := j.ms[jRef]
 	want, hash := string(ref.AppendFingerprint(nil)), ref.StateHash()
 	en := ref.AppendEnabled(nil)
+	_, seen := j.keyOf[want]
 	all := j.machines()
 	for mi, m := range all {
 		hashing := mi%3 == jCur
-		for pass := 0; pass < 2; pass++ {
+		for pass := 0; pass < 2 && mi != jRef; pass++ {
 			if j.buf = m.AppendFingerprint(j.buf[:0]); string(j.buf) != want {
 				t.Fatalf("%s: machine %d's fingerprint (render %d) differs from the reference's\n got: %s\nwant: %s", at, mi, pass, j.buf, want)
 			}
@@ -165,11 +190,15 @@ func (j *judge) check(op string) {
 				break // the second assembly renders nothing: worth asking only of a hashing machine
 			}
 		}
-		if h := m.StateHash(); h != hash {
+		if h := m.StateHash(); mi != jRef && h != hash {
 			t.Fatalf("%s: machine %d's state hash %#x, the reference's %#x", at, mi, h, hash)
 		}
-		if ids := checkKey(t, at+": machine "+strconv.Itoa(mi), m, want); ids != (hashing && !j.hashingOff) {
-			t.Fatalf("%s: machine %d's key is a row of ids: %t", at, mi, ids)
+		// A key that is the fingerprint is asked for once in each distinct
+		// state; the hashing machine's, which caches segments, every time.
+		if hashing || !seen {
+			if ids := checkKey(t, at+": machine "+strconv.Itoa(mi), m, want); ids != (hashing && !j.hashingOff) {
+				t.Fatalf("%s: machine %d's key is a row of ids: %t", at, mi, ids)
+			}
 		}
 		if s, ok := m.(*interp.System); ok && hashing {
 			if full := s.RecomputeStateHash(); full != hash {
@@ -225,7 +254,7 @@ func (j *judge) reset() bool {
 		m.Reset()
 	}
 	j.check("Reset")
-	j.marks = append(j.marks[:0], j.mark())
+	j.marks = append(j.marks[:0], j.mark(true))
 	return j.init("Init")
 }
 
@@ -248,9 +277,14 @@ func (j *judge) init(op string) bool {
 	return true
 }
 
-// mark marks both compiled machines in the current state.
-func (j *judge) mark() judgeMark {
-	return judgeMark{mk: [2]interp.Mark{j.ms[jCur].Mark(), j.ms[jFull].Mark()}, digest: stateDigest(j.ms[jRef])}
+// mark marks both compiled machines in the current state, with the
+// reference's digest of it when the mark is to be kept.
+func (j *judge) mark(keep bool) judgeMark {
+	mk := judgeMark{mk: [2]interp.Mark{j.ms[jCur].Mark(), j.ms[jFull].Mark()}}
+	if keep {
+		mk.digest = stateDigest(j.ms[jRef])
+	}
+	return mk
 }
 
 // step runs process p on every machine — a fork's source before the
@@ -308,7 +342,7 @@ func (j *judge) fork() {
 // held go back to the one before Init (no fork since).
 func (j *judge) excursion(rng *rand.Rand) {
 	j.st.ops["undo"]++
-	mk := j.mark()
+	mk := j.mark(len(j.marks) > 0)
 	if len(j.marks) > 0 {
 		j.marks = append(j.marks, mk)
 	}
@@ -364,10 +398,11 @@ func (j *judge) unwind() bool {
 
 // judgeMix is how a schedule draws its operations, in sixteenths: fork
 // of them fork, the next undo make an undone excursion, one cuts the
-// run, and the rest step.
+// run (not in an uncut schedule), and the rest step.
 type judgeMix struct{ fork, undo int }
 
 var (
+	mixSteps    = judgeMix{}
 	mixLockstep = judgeMix{fork: 2, undo: 4}
 	mixFork     = judgeMix{fork: 5, undo: 2}
 	mixUndo     = judgeMix{fork: 1, undo: 7}
@@ -407,8 +442,49 @@ func (j *judge) schedule(seed int64, ops int, mix judgeMix) {
 	}
 }
 
+// deep drives the judge down the uncut schedule seeded by seed: from
+// Init, the main line's k-th step runs process en[k mod len(en)] of the
+// enabled set en until nothing is enabled, a transition ends abnormally or maxSteps steps
+// were taken; between steps mix draws forks and undone excursions, which
+// leave the main line where it was. Nothing cuts the run or resets a
+// machine on the way, and transitions are bounded by the default
+// divergence bound, so a program reaches its deep states and its
+// call-stack overflows as a search does. The run ends by unwinding the
+// marks held, if no fork dropped them.
+func (j *judge) deep(seed int64, maxSteps int, mix judgeMix) {
+	j.setMaxInvisible(interp.DefaultMaxInvisible)
+	defer func() { j.setMaxInvisible(j.maxInvisible) }()
+	rng := rand.New(rand.NewSource(seed))
+	if !j.reset() {
+		return // Init itself ends the run
+	}
+	k := 0
+	for k < maxSteps {
+		en := j.ms[jRef].AppendEnabled(nil)
+		if len(en) == 0 {
+			break
+		}
+		switch r := rng.Intn(16); {
+		case r >= 1 && r <= mix.fork:
+			j.fork()
+		case r > mix.fork && r <= mix.fork+mix.undo:
+			j.excursion(rng)
+		default:
+			live := j.step(en[k%len(en)])
+			k++
+			if !live {
+				maxSteps = k
+			}
+		}
+	}
+	j.st.depth = max(j.st.depth, k)
+	if len(j.marks) > 0 {
+		j.unwind()
+	}
+}
+
 // judgeProgram is one program of the corpus, run down seeds schedules
-// with every transition bounded by maxInvisible.
+// with every transition bounded by maxInvisible, after its uncut one.
 type judgeProgram struct {
 	name                string
 	u                   *cfg.Unit
@@ -877,12 +953,24 @@ const judgeOps = 150
 
 func newJudgeStats() *judgeStats { return &judgeStats{ops: map[string]int{}} }
 
+// judgePlan is how a test runs each program of its list: down an uncut
+// schedule of at most depth steps, drawing forks and excursions by deep,
+// then down the program's seeded schedules, drawn by mix. A test's depth
+// is at least the number of steps the walker it replaced took on its
+// programs.
+type judgePlan struct {
+	depth     int
+	deep, mix judgeMix
+}
+
 // run takes one program down its schedules.
-func (st *judgeStats) run(t *testing.T, p judgeProgram, mix judgeMix) {
+func (st *judgeStats) run(t *testing.T, p judgeProgram, plan judgePlan) {
 	j := newJudge(t, p.name, p.u, p.maxInvisible, st)
+	j.label = p.name + "/uncut"
+	j.deep(0, plan.depth, plan.deep)
 	for seed := 0; seed < p.seeds; seed++ {
 		j.label = fmt.Sprintf("%s/schedule %d", p.name, seed)
-		j.schedule(int64(seed), judgeOps, mix)
+		j.schedule(int64(seed), judgeOps, plan.mix)
 	}
 }
 
@@ -898,24 +986,24 @@ func (st *judgeStats) require(t *testing.T) {
 	if st.collapsed != st.states {
 		t.Errorf("%d distinct states keyed, %d with a key shorter than the fingerprint", st.states, st.collapsed)
 	}
-	t.Logf("operations %v, %d distinct states keyed", st.ops, st.states)
+	t.Logf("operations %v, %d distinct states keyed, uncut runs up to %d steps deep", st.ops, st.states, st.depth)
 }
 
-// runCorpus runs the judge over progs, a subtest a program when sub, and
-// requires what require does of the run. It returns what the run met,
-// or nil when -run left a program out.
-func runCorpus(t *testing.T, progs []judgeProgram, mix judgeMix, sub bool) *judgeStats {
+// runCorpus runs the judge over progs by plan, a subtest a program when
+// sub, and requires what require does of the run. It returns what the
+// run met, or nil when -run left a program out.
+func runCorpus(t *testing.T, progs []judgeProgram, plan judgePlan, sub bool) *judgeStats {
 	t.Helper()
 	st, ran := newJudgeStats(), 0
 	for _, p := range progs {
 		if !sub {
-			st.run(t, p, mix)
+			st.run(t, p, plan)
 			ran++
 			continue
 		}
 		t.Run(p.name, func(t *testing.T) {
 			ran++
-			st.run(t, p, mix)
+			st.run(t, p, plan)
 		})
 	}
 	if ran < len(progs) {
@@ -942,7 +1030,7 @@ func compileCases(t *testing.T, seeds int, lists ...[]handwrittenProgram) []judg
 
 // generated closes the randprog.Generate programs of seeds base to
 // base+n-1 (a fifth of them under -short), configured by cfg, each run
-// down one schedule.
+// down its uncut schedule and one seeded one.
 func generated(t *testing.T, base, n int, cfg func(seed int) randprog.Config) []judgeProgram {
 	t.Helper()
 	if testing.Short() {
@@ -968,24 +1056,28 @@ func generateConfig(seed int) randprog.Config {
 
 // TestDifferentialHandwritten runs the judge over lockstepCases.
 func TestDifferentialHandwritten(t *testing.T) {
-	runCorpus(t, compileCases(t, 8, lockstepCases), mixLockstep, true)
+	t.Parallel()
+	runCorpus(t, compileCases(t, 8, lockstepCases), judgePlan{300, mixSteps, mixLockstep}, true)
 }
 
 // TestCopyFromHandwritten runs the judge over copyCases, forking often.
 func TestCopyFromHandwritten(t *testing.T) {
-	runCorpus(t, compileCases(t, 8, copyCases), mixFork, true)
+	t.Parallel()
+	runCorpus(t, compileCases(t, 8, copyCases), judgePlan{44, mixFork, mixFork}, true)
 }
 
-// TestKeySegmentsMatchFullRender runs the judge over keyCases and
-// copyCases.
+// TestKeySegmentsMatchFullRender runs the judge over random programs,
+// keyCases and copyCases.
 func TestKeySegmentsMatchFullRender(t *testing.T) {
-	runCorpus(t, slices.Concat(compileCases(t, 8, keyCases), compileCases(t, 4, copyCases)), mixLockstep, true)
+	t.Parallel()
+	runCorpus(t, slices.Concat(generated(t, 3000, 60, generateConfig), compileCases(t, 8, keyCases), compileCases(t, 4, copyCases)), judgePlan{150, mixLockstep, mixLockstep}, true)
 }
 
 // TestUndoHandwritten runs the judge over undoCases, keyCases and
 // copyCases, undoing often.
 func TestUndoHandwritten(t *testing.T) {
-	runCorpus(t, slices.Concat(compileCases(t, 8, undoCases), compileCases(t, 4, keyCases, copyCases)), mixUndo, true)
+	t.Parallel()
+	runCorpus(t, slices.Concat(compileCases(t, 8, undoCases), compileCases(t, 4, keyCases, copyCases)), judgePlan{40, mixUndo, mixUndo}, true)
 }
 
 // TestPendingTable runs the judge over programs whose pending tables
@@ -994,6 +1086,7 @@ func TestUndoHandwritten(t *testing.T) {
 // assert; the daemons of a most general environment; a table wider than
 // one mask word, with blocked and terminated rows.
 func TestPendingTable(t *testing.T) {
+	t.Parallel()
 	progs := compileCases(t, 8, pendingCases)
 	u, _, err := mgenv.ComposeSource(`
 chan in[1];
@@ -1029,7 +1122,7 @@ process main;
 		t.Run(p.name, func(t *testing.T) {
 			ran++
 			st.seen = pendingSeen{}
-			st.run(t, p, mixLockstep)
+			st.run(t, p, judgePlan{150, mixLockstep, mixLockstep})
 			if !met[p.name](st.seen) {
 				t.Fatalf("the schedules missed a kind of pending row: %+v", st.seen)
 			}
@@ -1044,8 +1137,9 @@ process main;
 // programs, and fails unless they keyed at least a thousand distinct
 // states (in proportion under -short, where a fifth of them run).
 func TestDifferentialRandomPrograms(t *testing.T) {
+	t.Parallel()
 	progs := generated(t, 0, 150, generateConfig)
-	st := runCorpus(t, progs, mixLockstep, false)
+	st := runCorpus(t, progs, judgePlan{400, mixSteps, mixLockstep}, false)
 	if want := 1000 * len(progs) / 150; st.states < want {
 		t.Errorf("%d distinct states keyed, want at least %d", st.states, want)
 	}
@@ -1054,21 +1148,31 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 // TestForkMatchesOriginal runs the judge, forking often, over random
 // programs of two processes.
 func TestForkMatchesOriginal(t *testing.T) {
-	runCorpus(t, generated(t, 1000, 30, func(seed int) randprog.Config {
+	t.Parallel()
+	runCorpus(t, generated(t, 1000, 60, func(seed int) randprog.Config {
 		return randprog.Config{Processes: 2, Helpers: seed % 2}
-	}), mixFork, false)
+	}), judgePlan{105, mixFork, mixFork}, false)
 }
 
 // TestCopyFromRandomPrograms runs the judge, forking often, over random
-// programs.
+// programs (configured by their index in the list, not their seed).
 func TestCopyFromRandomPrograms(t *testing.T) {
-	runCorpus(t, generated(t, 2000, 30, generateConfig), mixFork, false)
+	t.Parallel()
+	runCorpus(t, generated(t, 2000, 60, func(seed int) randprog.Config {
+		return generateConfig(seed - 2000)
+	}), judgePlan{48, mixFork, mixFork}, false)
 }
 
 // TestUndoRandomPrograms runs the judge, undoing often, over random
-// programs.
+// programs: those of TestDifferentialRandomPrograms down their uncut
+// schedules only (their seeded ones run there), and seeds 2000-2059.
 func TestUndoRandomPrograms(t *testing.T) {
-	runCorpus(t, generated(t, 2030, 30, generateConfig), mixUndo, false)
+	t.Parallel()
+	diff := generated(t, 0, 150, generateConfig)
+	for i := range diff {
+		diff[i].seeds = 0
+	}
+	runCorpus(t, slices.Concat(diff, generated(t, 2000, 60, generateConfig)), judgePlan{60, mixUndo, mixUndo}, false)
 }
 
 // TestPointerPrograms runs the judge over the closed randprog.Pointers
@@ -1077,6 +1181,7 @@ func TestUndoRandomPrograms(t *testing.T) {
 // The closer refuses a program that stores through an env-dependent
 // pointer (7 of the first 150), and nothing else.
 func TestPointerPrograms(t *testing.T) {
+	t.Parallel()
 	n := 150
 	if testing.Short() {
 		n = 30
@@ -1096,5 +1201,5 @@ func TestPointerPrograms(t *testing.T) {
 	if len(progs) < n*9/10 {
 		t.Fatalf("only %d of %d pointer programs close", len(progs), n)
 	}
-	runCorpus(t, progs, mixLockstep, false)
+	runCorpus(t, progs, judgePlan{200, mixLockstep, mixLockstep}, false)
 }

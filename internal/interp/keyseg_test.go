@@ -38,20 +38,25 @@ func decodeKey(t *testing.T, tab *statecache.Segments, key []byte) string {
 
 // checkKey fails the test unless m's key under keySegs stands for the
 // fingerprint want, with want's length beside it: want itself, or a row
-// of ids that decodes to want byte for byte — it reports which. It asks
-// twice; the second answer looks nothing up.
+// of ids that decodes to want byte for byte — it reports which. A row of
+// ids is asked for twice: the second answer looks nothing up, and must
+// be the first.
 func checkKey(t *testing.T, label string, m interp.Machine, want string) (ids bool) {
-	for pass := 0; pass < 2; pass++ {
-		key, rendered := m.AppendKey(nil, keySegs)
-		got := string(key)
-		if ids = got != want; ids {
-			got = decodeKey(t, keySegs, key)
-		}
-		if got != want || rendered != len(want) {
-			t.Fatalf("%s (key %d): the key stands for %d bytes\n  %s\nwant %d\n  %s", label, pass, rendered, got, len(want), want)
-		}
+	key, rendered := m.AppendKey(nil, keySegs)
+	got := string(key)
+	if ids = got != want; ids {
+		got = decodeKey(t, keySegs, key)
 	}
-	return ids
+	if got != want || rendered != len(want) {
+		t.Fatalf("%s: the key stands for %d bytes\n  %s\nwant %d\n  %s", label, rendered, got, len(want), want)
+	}
+	if !ids {
+		return false // a fingerprint is rendered afresh each time: nothing to ask twice
+	}
+	if again, n := m.AppendKey(nil, keySegs); string(again) != string(key) || n != rendered {
+		t.Fatalf("%s: asked again, the key is %x for %d bytes, first %x for %d", label, again, n, key, rendered)
+	}
+	return true
 }
 
 // compileKeyCase compiles the hand-written program name into a judge
