@@ -29,13 +29,15 @@ package explore
 //
 //   - Red (nested) search: when the state cache prunes a revisit, the
 //     cycle may close through states explored on an earlier path — a
-//     cross edge the blue check cannot see. A bounded DFS, undone edge
-//     by edge, follows only non-progress transitions from the pruned state,
-//     looking for any on-stack state whose on-path suffix is also
-//     progress-free; reaching one exhibits a lasso whose cycle runs
-//     partly over the blue path and partly over the red extension. A
-//     search the bound stops is counted (Report.RedCut): the verdict
-//     says how many there were.
+//     cross edge the blue check cannot see. A bounded DFS follows only
+//     non-progress transitions from the pruned state, looking for any
+//     on-stack state whose on-path suffix is also progress-free;
+//     reaching one exhibits a lasso whose cycle runs partly over the
+//     blue path and partly over the red extension. A search the bound
+//     stops is counted (Report.RedCut): the verdict says how many there
+//     were. The searches share a memo of the non-progress graph, so the
+//     machine steps (and undoes) only onto states no red search has met
+//     before: the rest of a search is a walk over remembered edges.
 //
 // Decision-stack backtracking makes the live stack cheap to maintain:
 // a backtrack leaves a path's prefix below the change point unchanged,
@@ -62,6 +64,7 @@ import (
 	"sort"
 
 	"reclose/internal/interp"
+	"reclose/internal/statecache"
 )
 
 // liveMeta is the per-depth progress bookkeeping parallel to the
@@ -139,7 +142,7 @@ func (e *engine) liveCheck(depth int, h uint64) bool {
 	e.liveStack.Truncate(depth)
 	if i, ok := e.liveStack.Lookup(h, e.fpBuf); ok {
 		if e.progCountAt(depth)-e.liveMeta[i].progCount == 0 {
-			e.leafLivelock(i, nil, nil)
+			e.leafLivelock(i, nil)
 			return true
 		}
 		// A cycle containing progress is benign. Fall through: with a
@@ -154,14 +157,12 @@ func (e *engine) liveCheck(depth int, h uint64) bool {
 // leafLivelock ends the current path with a livelock incident whose
 // decisions replay the whole lasso: the current path's decisions
 // (stem + the blue part of the cycle), extended by the red search's
-// decisions when the cycle closes through a pruned region. i is the
-// live-stack depth the cycle closes into.
-func (e *engine) leafLivelock(i int, redDecs []Decision, redTrace []interp.Event) {
+// decisions when the cycle closes through a pruned region (whose events
+// the red search has pushed). i is the live-stack depth the cycle closes
+// into.
+func (e *engine) leafLivelock(i int, redDecs []Decision) {
 	decs := e.pathDecisions()
 	decs = append(decs, redDecs...)
-	for _, ev := range redTrace {
-		e.pushTrace(ev)
-	}
 	cs := e.liveMeta[i].decIdx
 	msg := fmt.Sprintf("non-progress cycle: %d-decision cycle closing to depth %d (stem %d decisions)",
 		len(decs)-cs, i, cs)
@@ -171,25 +172,26 @@ func (e *engine) leafLivelock(i int, redDecs []Decision, redTrace []interp.Event
 }
 
 // redSearch runs the nested (red) half of the search at a cache-pruned
-// state: the blue DFS stops here because the state was fully explored
-// on an earlier path, but a non-progress cycle through it may still
-// close into the current path over that earlier territory. A bounded DFS
-// follows only non-progress transitions from the pruned state, looking
-// for an on-stack state whose on-path suffix is also progress-free. It
-// steps the engine's own machine and undoes each edge, which leaves the
-// machine in the red state only when a livelock leaf ends the path (the
-// next path's undo to an entry's mark unwinds that too); a machine whose
-// marks are dead (the reference) steps a fork per edge instead. Toss
-// choices inside the red region always take
+// state, whose hash is h and key key: the blue DFS stops here because the
+// state was fully explored on an earlier path, but a non-progress cycle
+// through it may still close into the current path over that earlier
+// territory. A bounded DFS follows only non-progress transitions from the
+// pruned state, looking for an on-stack state whose on-path suffix is
+// also progress-free. Toss choices inside the red region always take
 // outcome 0 (recorded, so the witness replays); toss-dependent cycles
-// beyond that are missed, never misreported. Reports true when the
-// path ended in a livelock leaf; a search that ends without one because
+// beyond that are missed, never misreported. Reports true when the path
+// ended in a livelock leaf; a search that ends without one because
 // RedStateBudget ran out — or the machine dropped its trail under it —
-// is counted in Report.RedCut. A red state
-// allocates nothing: its key goes into the engine's key scratch (free
-// once the cache has answered) and is copied only by the seen set, and
-// the seen set and pending tables outlive the search.
-func (e *engine) redSearch(depth int) bool {
+// is counted in Report.RedCut.
+//
+// The DFS walks the engine's memo of the non-progress graph (redWalk)
+// and steps the machine only to learn an edge the memo lacks, or to
+// re-step a found lasso's red part for its events; which states it
+// visits, in which order, and what it counts do not depend on what the
+// memo knew. On a warm memo a search allocates nothing, and the machine
+// is back in the pruned state afterwards unless a livelock leaf ended
+// the path (the next path's undo to an entry's mark unwinds that too).
+func (e *engine) redSearch(depth int, h uint64, key []byte) bool {
 	// progCount is monotone along the stack, so the on-stack states
 	// whose suffix to here is progress-free form exactly the suffix
 	// [minIdx..depth].
@@ -202,82 +204,303 @@ func (e *engine) redSearch(depth int) bool {
 		return false
 	}
 	e.rep.RedSearches++
-	budget, cut := RedStateBudget, false
-	e.redSeen.Reset()
-	var decs []Decision
-	var trace []interp.Event
-	ch := interp.ChooserFunc(func(bound int) (int, bool) {
-		decs = append(decs, Decision{Toss: true, Value: 0})
-		return 0, true
-	})
-	// dfs expands red level rd, the state m reached by stepping from the
-	// level above (from; -1 at the pruned state, whose table is e.pend).
-	var dfs func(m interp.Machine, rd, from int) bool
-	dfs = func(m interp.Machine, rd, from int) bool {
-		if rd >= remaining {
-			return false
-		}
-		if rd == len(e.redPend) {
-			e.redPend = append(e.redPend, nil)
-		}
-		if from < 0 {
-			e.redPend[rd] = append(e.redPend[rd][:0], e.pend...)
-		} else {
-			e.redPend[rd] = m.PatchPending(append(e.redPend[rd][:0], e.redPend[rd-1]...), from)
-		}
-		for p, pd := range e.redPend[rd] {
-			if pd.Flags&interp.PendEnabled == 0 {
-				continue
-			}
-			if budget <= 0 {
-				cut = true
-				return false
-			}
-			if pd.Flags&interp.PendProgress != 0 {
-				continue
-			}
-			budget--
-			e.rep.RedStates++
-			nd, nt := len(decs), len(trace)
-			decs = append(decs, Decision{Value: p})
-			mk, fm := e.takeMark(), m
-			if mk == (interp.Mark{}) {
-				fm = m.ForkMachine()
-			}
-			ev, out := fm.Step(p, ch)
-			trace = append(trace, ev)
-			if out == nil {
-				var fpLen int
-				e.fpBuf, fpLen = fm.AppendKey(e.fpBuf[:0], e.segs)
-				h := fm.StateHash()
-				if i, ok := e.liveStack.Lookup(h, e.fpBuf); ok && i >= minIdx {
-					e.leafLivelock(i, decs, trace)
-					return true
-				}
-				// The set is per search: red reachability is judged against
-				// the current blue stack, which differs per path.
-				if !e.redSeen.VisitCharged(h, e.fpBuf, fpLen, 0) && dfs(fm, rd+1, p) {
-					return true
-				}
-			}
-			// An abnormal outcome inside the red region ends that red
-			// branch only: the region was already explored by the blue
-			// search, which reported (or will report) the incident.
-			decs = decs[:nd]
-			trace = trace[:nt]
-			if _, ok := m.Undo(mk); fm == m && !ok {
-				// The machine dropped its log under the search and is not
-				// back at this level's state: the search cannot go on.
-				budget, cut = 0, true
-			}
-		}
-		return false
+	r := e.red
+	if e.opt.testFreshRedMemo || e.opt.MaxCacheBytes > 0 && r.bytes > e.opt.MaxCacheBytes {
+		r.empty()
 	}
-	if dfs(e.sys, 0, -1) {
+	// The seen set is per search: red reachability is judged against the
+	// current blue stack, which differs per path.
+	r.stamp++
+	r.budget, r.cut, r.minIdx, r.remaining = RedStateBudget, false, minIdx, remaining
+	r.decs = r.decs[:0]
+	r.path = append(r.path[:0], redLevel{node: r.node(h, key), m: e.sys})
+	r.at = 0
+	if e.redDFS(0) {
 		return true
 	}
-	if cut {
+	e.redMachine(0) // back to the pruned state
+	if r.cut {
 		e.rep.RedCut++
 	}
 	return false
+}
+
+// The red search's memo. What a red search reads of a state — its enabled
+// processes in table order, which of them are progress, and for each
+// non-progress one the state its transition leads to (or that it ends
+// abnormally) and the toss decisions it makes, every toss taking outcome
+// 0 — is a function of the state's key. The engine keeps it for the whole
+// search, one node per distinct state a red search has reached, so every
+// red search after the first that meets a state walks its edges instead
+// of executing them: the searches of a run meet a few thousand distinct
+// states tens of times each.
+
+// redUnknown and redAbnormal are a row's successor before its transition
+// first ran, and after a transition that ended abnormally.
+const (
+	redUnknown  int32 = -1
+	redAbnormal int32 = -2
+)
+
+// redNodeOverhead is what a memo node is charged beyond its key: the
+// state cache's charge for an entry, so that MaxCacheBytes bounds the
+// memo at the cache's rate.
+const redNodeOverhead = 96
+
+// redRow is one enabled process of a memo node.
+type redRow struct {
+	proc     int32
+	tosses   int32 // the toss decisions its transition made
+	succ     int32 // the node it leads to, redUnknown or redAbnormal
+	progress bool
+}
+
+// redNode is one state red searches have reached. Its rows are unknown
+// (rows < 0) until a red search expands it.
+type redNode struct {
+	key         []byte // the id table's copy
+	hash        uint64
+	rows, nrows int32  // its enabled processes: redWalk.rows[rows:rows+nrows]
+	stamp       uint32 // the last red search that reached it
+}
+
+// redLevel is one state of the current red path.
+type redLevel struct {
+	node int32
+	row  int32 // the row the path leaves it by
+	// m is a machine in the level's state, nil until the walk brought one
+	// there; mk is m's mark for it once m has stepped on. A machine whose
+	// marks are dead (the reference, or replay-only backtracking) keeps
+	// m unstepped and steps forks of it instead.
+	m  interp.Machine
+	mk interp.Mark
+}
+
+// redWalk is an engine's red search: the memo, kept across searches,
+// and the walk's storage.
+type redWalk struct {
+	// ids maps a state's key to its node (id − 1): the memo's exact
+	// index, emptied with the memo.
+	ids   *statecache.Segments
+	nodes []redNode
+	rows  []redRow
+	bytes int64 // the nodes' charge: key length plus redNodeOverhead each
+	stamp uint32
+
+	path      []redLevel
+	decs      []Decision // the red path's decisions
+	pend      []interp.Pending
+	at        int // the path level the engine's own machine is in; -1 for none
+	budget    int
+	cut       bool
+	minIdx    int
+	remaining int
+	tosses    int32 // the toss decisions of the transition running on ch
+	ch        interp.Chooser
+}
+
+// newRedWalk returns an empty memo with its toss-counting chooser.
+func newRedWalk() *redWalk {
+	r := &redWalk{ids: new(statecache.Segments)}
+	r.ch = interp.ChooserFunc(func(int) (int, bool) {
+		r.tosses++
+		return 0, true
+	})
+	return r
+}
+
+// node returns the node of the state with key key and hash h, entering it
+// on first sight.
+func (r *redWalk) node(h uint64, key []byte) int32 {
+	id := r.ids.Intern(h, key)
+	if int(id) > len(r.nodes) {
+		r.nodes = append(r.nodes, redNode{key: r.ids.Text(id), hash: h, rows: -1})
+		r.bytes += int64(len(key)) + redNodeOverhead
+	}
+	return int32(id) - 1
+}
+
+// empty forgets every node. It runs between red searches only: a search
+// reads the memo's stamps as its seen set.
+func (r *redWalk) empty() {
+	r.ids = new(statecache.Segments)
+	r.nodes, r.rows, r.bytes = r.nodes[:0], r.rows[:0], 0
+}
+
+// redDFS expands red level rd: it follows the non-progress rows of the
+// level's state in table order, each to a state not seen in this search.
+// Every row costs one unit of budget and one RedStates, whether the memo
+// knows where it leads or the machine has to find out.
+func (e *engine) redDFS(rd int) bool {
+	r := e.red
+	if rd >= r.remaining {
+		return false
+	}
+	n := r.path[rd].node
+	if r.nodes[n].rows < 0 && !e.redOpen(rd) {
+		return false
+	}
+	lo := r.nodes[n].rows
+	for i := lo; i < lo+r.nodes[n].nrows; i++ {
+		if r.budget <= 0 {
+			r.cut = true
+			return false
+		}
+		if r.rows[i].progress {
+			continue
+		}
+		r.budget--
+		e.rep.RedStates++
+		var stepped interp.Machine
+		if r.rows[i].succ == redUnknown {
+			if stepped = e.redExpand(rd, i); stepped == nil {
+				return false
+			}
+		}
+		row := r.rows[i]
+		nd := len(r.decs)
+		r.decs = append(r.decs, Decision{Value: int(row.proc)})
+		for range row.tosses {
+			r.decs = append(r.decs, Decision{Toss: true})
+		}
+		r.path[rd].row = i
+		// An abnormal outcome inside the red region ends that red branch
+		// only: the region was already explored by the blue search, which
+		// reported (or will report) the incident.
+		if row.succ >= 0 {
+			s := &r.nodes[row.succ]
+			if d, ok := e.liveStack.Lookup(s.hash, s.key); ok && d >= r.minIdx {
+				return e.redWitness(rd, d)
+			}
+			if s.stamp != r.stamp {
+				s.stamp = r.stamp
+				r.path = append(r.path[:rd+1], redLevel{node: row.succ, m: stepped})
+				switch {
+				case stepped == e.sys:
+					r.at = rd + 1
+				case r.at > rd:
+					r.at = -1 // in a state the walk has left
+				}
+				if e.redDFS(rd + 1) {
+					return true
+				}
+			}
+		}
+		r.decs = r.decs[:nd]
+	}
+	return false
+}
+
+// redOpen enters red level rd's rows into the memo: the enabled processes
+// of the engine's pending table at the pruned state, of the machine's
+// anywhere else. It reports false when the machine cannot be brought
+// there.
+func (e *engine) redOpen(rd int) bool {
+	r := e.red
+	pend := e.pend
+	if rd > 0 {
+		m := e.redMachine(rd)
+		if m == nil {
+			return false
+		}
+		r.pend = m.AppendPending(r.pend[:0])
+		pend = r.pend
+	}
+	n := &r.nodes[r.path[rd].node]
+	n.rows = int32(len(r.rows))
+	for p, pd := range pend {
+		if pd.Flags&interp.PendEnabled != 0 {
+			r.rows = append(r.rows, redRow{proc: int32(p), succ: redUnknown, progress: pd.Flags&interp.PendProgress != 0})
+		}
+	}
+	n.nrows = int32(len(r.rows)) - n.rows
+	return true
+}
+
+// redExpand runs row i of red level rd for the first time and records
+// where it leads. It returns the machine in the state it led to, or nil
+// when the machine cannot be brought to the level.
+func (e *engine) redExpand(rd int, i int32) interp.Machine {
+	r := e.red
+	m := e.redMachine(rd)
+	if m == nil {
+		return nil
+	}
+	m, _, out := e.redStep(rd, m, r.rows[i].proc)
+	succ := redAbnormal
+	if out == nil {
+		e.fpBuf, _ = m.AppendKey(e.fpBuf[:0], e.segs)
+		succ = r.node(m.StateHash(), e.fpBuf)
+	}
+	r.rows[i].succ, r.rows[i].tosses = succ, r.tosses
+	return m
+}
+
+// redMachine brings a machine into the state of red level t, the deepest
+// on the path or the pruned state, and returns it: it undoes the engine's
+// machine to the deepest level it has marked, unless it is already there,
+// or takes the deepest level's fork, and steps the path's remembered
+// edges from there. Nil means the machine dropped its log under the
+// search and cannot get back: the search is cut.
+func (e *engine) redMachine(t int) interp.Machine {
+	r := e.red
+	k := t
+	for r.path[k].m == nil {
+		k--
+	}
+	m := r.path[k].m
+	if mk := r.path[k].mk; mk != (interp.Mark{}) && r.at != k {
+		if _, ok := m.Undo(mk); !ok {
+			r.budget, r.cut = 0, true
+			return nil
+		}
+		r.at = k
+	}
+	for ; k < t; k++ {
+		var out *interp.Outcome
+		if m, _, out = e.redStep(k, m, r.rows[r.path[k].row].proc); out != nil {
+			panic(fmt.Sprintf("explore: red memo edge ended abnormally on replay: %v", out))
+		}
+		r.path[k+1].m = m
+		if m == e.sys {
+			r.at = k + 1
+		}
+	}
+	return m
+}
+
+// redStep executes process p from red level k's state, which m is in: on
+// m itself under a mark for the level, or on a fork of m when marks are
+// dead. Tosses take outcome 0 and are counted in r.tosses.
+func (e *engine) redStep(k int, m interp.Machine, p int32) (interp.Machine, interp.Event, *interp.Outcome) {
+	r := e.red
+	if mk := e.takeMark(); mk != (interp.Mark{}) {
+		r.path[k].mk, r.at = mk, -1
+	} else {
+		m = m.ForkMachine()
+	}
+	r.tosses = 0
+	e.rep.RedSteps++
+	ev, out := m.Step(int(p), r.ch)
+	return m, ev, out
+}
+
+// redWitness ends the path in the livelock whose red part is the red path
+// down to level rd and its row out of it, closing into live-stack depth
+// d: it re-steps that part from the pruned state for its events, which
+// leaves the machine in the red state. A machine that dropped its log
+// under the search cannot get back to step it, and finds no livelock.
+func (e *engine) redWitness(rd, d int) bool {
+	r := e.red
+	m := e.redMachine(0)
+	if m == nil {
+		return false
+	}
+	for k := 0; k <= rd; k++ {
+		var ev interp.Event
+		m, ev, _ = e.redStep(k, m, r.rows[r.path[k].row].proc)
+		e.pushTrace(ev)
+	}
+	e.leafLivelock(d, r.decs)
+	return true
 }

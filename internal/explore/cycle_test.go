@@ -84,6 +84,42 @@ process spinner;
 process worker;
 `
 
+// progressCycle is livelockSpin with the spin loop's wait labeled
+// progress: the cycle makes progress and is not a livelock.
+const progressCycle = `
+sem m = 1;
+chan out[1];
+
+proc p() {
+    var done = 0;
+    while (done == 0) {
+        progress wait(m);
+        signal(m);
+    }
+    send(out, 0);
+}
+
+process p;
+`
+
+// unlabeledSpin is livelockSpin with no progress label anywhere, so every
+// visible operation counts as progress and the spin is benign.
+const unlabeledSpin = `
+sem m = 1;
+chan out[1];
+
+proc p() {
+    var done = 0;
+    while (done == 0) {
+        wait(m);
+        signal(m);
+    }
+    send(out, 0);
+}
+
+process p;
+`
+
 func compileClosed(t testing.TB, src string) *cfg.Unit {
 	t.Helper()
 	u, err := core.CompileSource(src)
@@ -196,22 +232,7 @@ func TestLivelockOffSilent(t *testing.T) {
 // TestLivelockProgressCycleBenign labels the spin loop's wait as
 // progress: the cycle now makes progress and is not a livelock.
 func TestLivelockProgressCycleBenign(t *testing.T) {
-	src := `
-sem m = 1;
-chan out[1];
-
-proc p() {
-    var done = 0;
-    while (done == 0) {
-        progress wait(m);
-        signal(m);
-    }
-    send(out, 0);
-}
-
-process p;
-`
-	u := compileClosed(t, src)
+	u := compileClosed(t, progressCycle)
 	rep, err := Explore(u, Options{Liveness: true, MaxDepth: 40})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
@@ -226,22 +247,7 @@ process p;
 // progress, so the same spin cycle is benign and existing programs need
 // no edits to stay quiet under -liveness.
 func TestLivelockDefaultAnyVisibleOp(t *testing.T) {
-	src := `
-sem m = 1;
-chan out[1];
-
-proc p() {
-    var done = 0;
-    while (done == 0) {
-        wait(m);
-        signal(m);
-    }
-    send(out, 0);
-}
-
-process p;
-`
-	u := compileClosed(t, src)
+	u := compileClosed(t, unlabeledSpin)
 	rep, err := Explore(u, Options{Liveness: true, MaxDepth: 40})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)

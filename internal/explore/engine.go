@@ -181,10 +181,9 @@ type engine struct {
 	liveMeta  []liveMeta
 	liveDepth int
 	lasso     *lassoSample
-	// The red search's storage, kept across searches: one pending table
-	// per level, the seen set.
-	redPend [][]interp.Pending
-	redSeen *statecache.Cache
+	// red is the red search's memo of the non-progress graph and its
+	// walk's storage, kept across searches (cycle.go).
+	red *redWalk
 
 	// met is the search's shared observability instruments (noMetrics
 	// when disabled — never nil); metCur tracks how much of e.rep has
@@ -219,7 +218,7 @@ func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *site
 	e.partial = partial{rep: &Report{}, covered: newCoverage(sites)}
 	if opt.Liveness {
 		e.liveStack = statecache.NewStackSet()
-		e.redSeen = statecache.New(statecache.Config{Shards: 1})
+		e.red = newRedWalk()
 	}
 	e.ch = e.chooser()
 	return e
@@ -592,7 +591,7 @@ func (e *engine) runPath() {
 				// A pruned revisit can still sit on a non-progress cycle
 				// that closes through the earlier exploration — the red
 				// half of the nested DFS chases it (cycle.go).
-				if e.liveStack != nil && e.redSearch(depth) {
+				if e.liveStack != nil && e.redSearch(depth, h, e.fpBuf[:keyLen]) {
 					return
 				}
 				// Stateful-DPOR soundness: the pruned subtree can no

@@ -248,6 +248,10 @@ type Options struct {
 	// steps copies: the white-box baseline of the restore-vs-replay
 	// equivalence tests.
 	testReplayOnly bool
+	// testFreshRedMemo, if set, empties the red search's memo at the
+	// start of every red search, so each one steps every state it
+	// expands: the white-box baseline of the memo's equivalence tests.
+	testFreshRedMemo bool
 }
 
 // defaultSpillDepth bounds frontier spilling when Options.SpillDepth is
@@ -498,6 +502,10 @@ type Counters struct {
 	// the machine dropped a trail that had outgrown its bound. Like
 	// ReplaySteps a cost, not a finding, and in no checkpoint.
 	TrailRestores, TrailUndone, TrailDrops int64 `json:"-"`
+	// RedSteps counts the transitions red searches executed on a
+	// machine; the states they walked over the memo instead are in
+	// RedStates only (cycle.go). A cost too, in no checkpoint.
+	RedSteps int64 `json:"-"`
 }
 
 // Report summarizes a search.

@@ -67,6 +67,7 @@ func (t *Counters) add(r *Counters) {
 	t.RedSearches += r.RedSearches
 	t.RedStates += r.RedStates
 	t.RedCut += r.RedCut
+	t.RedSteps += r.RedSteps
 	t.PorBacktracks += r.PorBacktracks
 	t.PorSleepBlocked += r.PorSleepBlocked
 	t.PorDynamicPruned += r.PorDynamicPruned

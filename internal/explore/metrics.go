@@ -51,11 +51,14 @@ const (
 	MetricPorDynamicPruned = "explore.por.dynamic_pruned"
 
 	// Liveness counters (Options.Liveness runs only; mirror the
-	// Report's Livelocks/RedSearches/RedStates/RedCut fields exactly).
+	// Report's Livelocks/RedSearches/RedStates/RedCut/RedSteps fields
+	// exactly). red_steps is what the red searches cost the machine: a
+	// red state the memo knew costs none (cycle.go).
 	MetricLivelocks   = "explore.livelocks"
 	MetricRedSearches = "explore.liveness.red_searches"
 	MetricRedStates   = "explore.liveness.red_states"
 	MetricRedCut      = "explore.liveness.red_budget_exhausted"
+	MetricRedSteps    = "explore.liveness.red_steps"
 
 	MetricInterpForks  = "interp.forks"
 	MetricInterpFrames = "interp.frames"
@@ -136,6 +139,7 @@ type exploreMetrics struct {
 	redSearches *obs.Counter
 	redStates   *obs.Counter
 	redCut      *obs.Counter
+	redSteps    *obs.Counter
 
 	pathDepth     *obs.Histogram
 	unitPrefixLen *obs.Histogram
@@ -189,6 +193,7 @@ func newExploreMetrics(reg *obs.Registry) *exploreMetrics {
 		redSearches: reg.Counter(MetricRedSearches),
 		redStates:   reg.Counter(MetricRedStates),
 		redCut:      reg.Counter(MetricRedCut),
+		redSteps:    reg.Counter(MetricRedSteps),
 
 		pathDepth:     reg.Histogram(MetricPathDepth),
 		unitPrefixLen: reg.Histogram(MetricUnitPrefixLen),
@@ -224,19 +229,19 @@ func (m *exploreMetrics) noteEngine(opt Options, res *interp.Resolution) {
 
 // nMirrored is the number of Report counters the registry mirrors:
 // mirrored lists them, and mirrors their instruments, in one order.
-const nMirrored = 16
+const nMirrored = 17
 
 func (r *Report) mirrored() [nMirrored]int64 {
 	return [...]int64{r.States, r.Transitions, r.Paths, r.Replays, r.ReplaySteps, r.Incidents(),
 		r.PorBacktracks, r.PorSleepBlocked, r.PorDynamicPruned,
-		r.Livelocks, r.RedSearches, r.RedStates, r.RedCut,
+		r.Livelocks, r.RedSearches, r.RedStates, r.RedCut, r.RedSteps,
 		r.TrailRestores, r.TrailUndone, r.TrailDrops}
 }
 
 func (m *exploreMetrics) mirrors() [nMirrored]*obs.Counter {
 	return [...]*obs.Counter{m.states, m.transitions, m.paths, m.replays, m.replaySteps, m.incidents,
 		m.porBacktracks, m.porSleepBlocked, m.porDynamicPruned,
-		m.livelocks, m.redSearches, m.redStates, m.redCut,
+		m.livelocks, m.redSearches, m.redStates, m.redCut, m.redSteps,
 		m.trailRestores, m.trailUndone, m.trailDrops}
 }
 

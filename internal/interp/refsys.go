@@ -66,13 +66,18 @@ func (p *RefProc) At() (proc string, node int) {
 }
 
 // PendingOp returns the visible operation the process is about to
-// execute. It returns ok == false if the process is terminated.
+// execute. It returns ok == false if the process is terminated, or
+// stopped at a call to a procedure — where a transition that trapped
+// mid-call, a call-stack overflow say, leaves it.
 func (p *RefProc) PendingOp() (op, object string, ok bool) {
 	if p.status != Running || p.cur == nil || p.cur.Kind != cfg.NCall {
 		return "", "", false
 	}
 	cs := p.cur.CallStmt()
-	b := sem.Builtins[cs.Name.Name]
+	b, ok := sem.Builtins[cs.Name.Name]
+	if !ok {
+		return "", "", false
+	}
 	obj := ""
 	if b.HasObj {
 		obj = cs.Args[0].(*ast.Ident).Name

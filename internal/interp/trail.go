@@ -121,10 +121,21 @@ func (s *System) Mark() Mark {
 }
 
 // dropTrail forgets the log: no state before this one can be returned to.
+// A log that one long transition grew past the bound gives its storage
+// back rather than keeping megabytes of it for the machine's life.
 func (s *System) dropTrail() {
 	t := &s.tr
 	t.on, t.gen = false, trailGens.Add(1)
-	t.ops, t.cells, t.steps, t.refs = t.ops[:0], t.cells[:0], t.steps[:0], t.refs[:0]
+	t.ops, t.cells, t.steps, t.refs = emptied(t.ops), emptied(t.cells), emptied(t.steps), emptied(t.refs)
+}
+
+// emptied is a typed log emptied for reuse, or released when its
+// capacity has passed maxTrail entries.
+func emptied[T any](log []T) []T {
+	if cap(log) > maxTrail {
+		return nil
+	}
+	return log[:0]
 }
 
 // Undo takes the machine back to the state m was taken in and reports

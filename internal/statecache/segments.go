@@ -92,6 +92,15 @@ func (t *Segments) find(h uint64, seg []byte) *segSlot {
 	}
 }
 
+// Text returns the text of segment id. The table never moves or rewrites
+// a text it holds, so the slice stays valid as long as the table; the
+// caller must not write to it.
+func (t *Segments) Text(id uint32) []byte {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.texts[id-1]
+}
+
 // AppendText appends the text of segment id to dst.
 func (t *Segments) AppendText(dst []byte, id uint32) []byte {
 	t.mu.RLock()

@@ -43,6 +43,9 @@ func TestSegmentsAreExact(t *testing.T) {
 			if got := tab.AppendText([]byte("x"), uint32(i+1)); !bytes.Equal(got[1:], seg) || got[0] != 'x' {
 				t.Fatalf("%s: text of %d = %.20q, want %.20q", name, i+1, got, seg)
 			}
+			if got := tab.Text(uint32(i + 1)); !bytes.Equal(got, seg) {
+				t.Fatalf("%s: Text(%d) = %.20q, want %.20q", name, i+1, got, seg)
+			}
 			total += int64(len(seg))
 		}
 		if n, b := tab.Size(); n != int64(len(segs)) || b != total {

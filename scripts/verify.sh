@@ -89,14 +89,17 @@ go test -count=1 -timeout=10m -race ./internal/jobs/... ./internal/faultinject/.
 # distributed variant that re-execs worker subprocesses.
 go test -count=1 -timeout=10m -run 'TestDaemonSmoke|TestDaemonDistJob' ./cmd/verisoftd/
 
-go test -fuzz=FuzzLexer -fuzztime=5s ./internal/lexer/
-go test -fuzz=FuzzParser -fuzztime=5s ./internal/parser/
-go test -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/explore/
-go test -fuzz=FuzzBytecodeLockstep -fuzztime=5s ./internal/interp/
-go test -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
-go test -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
-go test -fuzz=FuzzClosePreservation -fuzztime=5s ./internal/randprog/
-go test -fuzz=FuzzCacheMatchesReference -fuzztime=5s ./internal/statecache/
+# Each smoke runs its own target only: -run picks the fuzz target, which
+# replays its seed corpus before fuzzing, and no test of its package (the
+# suites ran above).
+go test -run '^FuzzLexer$' -fuzz=FuzzLexer -fuzztime=5s ./internal/lexer/
+go test -run '^FuzzParser$' -fuzz=FuzzParser -fuzztime=5s ./internal/parser/
+go test -run '^FuzzCheckpointDecode$' -fuzz=FuzzCheckpointDecode -fuzztime=5s ./internal/explore/
+go test -run '^FuzzBytecodeLockstep$' -fuzz=FuzzBytecodeLockstep -fuzztime=5s ./internal/interp/
+go test -run '^FuzzJobRequest$' -fuzz=FuzzJobRequest -fuzztime=5s ./internal/jobs/
+go test -run '^FuzzDistProtocol$' -fuzz=FuzzDistProtocol -fuzztime=5s ./internal/dist/
+go test -run '^FuzzClosePreservation$' -fuzz=FuzzClosePreservation -fuzztime=5s ./internal/randprog/
+go test -run '^FuzzCacheMatchesReference$' -fuzz=FuzzCacheMatchesReference -fuzztime=5s ./internal/statecache/
 
 # Bench smoke: one iteration of the three benchmarks scripts/profile.sh
 # profiles (catches bit-rot in the tool's input; time is measured by
