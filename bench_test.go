@@ -15,6 +15,7 @@ import (
 	"reclose/internal/fiveess"
 	"reclose/internal/leaderelect"
 	"reclose/internal/lockserver"
+	"reclose/internal/obs"
 	"reclose/internal/progs"
 	"reclose/internal/synth"
 )
@@ -28,8 +29,12 @@ func mustCloseB(b *testing.B, src string) *cfg.Unit {
 	return u
 }
 
+// exploreB runs one search with a fresh registry attached, as every
+// cmd/verisoft run has one: the instruments' cost is part of what a
+// profile of the CLI's search shows.
 func exploreB(b *testing.B, u *cfg.Unit, opt explore.Options) *explore.Report {
 	b.Helper()
+	opt.Obs = obs.New()
 	rep, err := explore.Explore(u, opt)
 	if err != nil {
 		b.Fatal(err)

@@ -21,8 +21,8 @@
 // search incomplete (timeout, budget, or interrupt) without incidents.
 //
 // Observability: every run fills a metrics registry (internal/obs)
-// whose counters are flushed by the engine itself and therefore always
-// equal the report's. -metrics-out writes the final registry as
+// whose counters the engines publish themselves and therefore equal the
+// report's when the search ends. -metrics-out writes the final registry as
 // versioned JSON, -trace-out streams structured JSONL events (run
 // start/stop, incidents, checkpoints, truncation, per-worker stats),
 // and -cpuprofile writes a CPU profile of the whole run. The summary:
@@ -154,10 +154,11 @@ func newCLI(stdout, stderr io.Writer) *cli {
 }
 
 // startProgress prints a progress: line every -progress period from the
-// registry's counters, which the search flushes a path at a time (a
-// slice at a time under -dist-workers), and returns the function that
-// stops it and prints the last line. Without -progress it prints
-// nothing.
+// registry's counters, which each engine publishes every few hundred
+// paths and at the end of each unit (a slice at a time under
+// -dist-workers), and returns the function that stops it and prints the
+// last line, whose counts are the summary: line's. Without -progress it
+// prints nothing.
 func (c *cli) startProgress(reg *obs.Registry, start time.Time) (stop func()) {
 	if c.progress <= 0 {
 		return func() {}

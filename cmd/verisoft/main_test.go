@@ -164,22 +164,43 @@ func TestCLIParallelSummary(t *testing.T) {
 	}
 }
 
-// TestCLIProgressEndsOnSummary checks -progress on a sequential run long
-// enough to tick: the last progress: line on stderr carries the summary:
-// line's four counts.
+// TestCLIProgressEndsOnSummary checks -progress on runs long enough to
+// tick, however they end: the last progress: line on stderr carries the
+// summary: line's four counts — the engines publish what they counted
+// in batches, and all of it when they return.
 func TestCLIProgressEndsOnSummary(t *testing.T) {
 	prog := writeProg(t, progs.Philosophers(4))
-	var out, errb bytes.Buffer
-	if code := realMain([]string{"-progress", "1ms", "-no-sleep", prog}, &out, &errb); code != 3 {
-		t.Fatalf("exit code = %d, want 3\nstderr:\n%s", code, errb.String())
-	}
-	sum := summaryRE.FindStringSubmatch(out.String())
-	lines := regexp.MustCompile(`(?m)^progress: states=(\d+) transitions=(\d+) paths=(\d+) incidents=(\d+) .*elapsed=\S+$`).FindAllStringSubmatch(errb.String(), -1)
-	if sum == nil || len(lines) == 0 {
-		t.Fatalf("want a summary: line and progress: lines\nstdout:\n%s\nstderr:\n%s", out.String(), errb.String())
-	}
-	if last := lines[len(lines)-1]; fmt.Sprint(last[1:5]) != fmt.Sprint(sum[1:5]) {
-		t.Errorf("last progress: line %q, summary: line %q", last[0], sum[0])
+	progressRE := regexp.MustCompile(`(?m)^progress: states=(\d+) transitions=(\d+) paths=(\d+) incidents=(\d+) .*elapsed=\S+$`)
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"sequential", nil, 3},
+		{"workers2", []string{"-workers", "2"}, 3},
+		// A cut run exits 3 if it met an incident first, else 4; which
+		// one, under two workers, follows the schedule.
+		{"max-states", []string{"-max-states", "1000"}, 4},
+		{"workers2-max-states", []string{"-workers", "2", "-max-states", "1000"}, -1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			args := append(append([]string{"-progress", "1ms", "-no-sleep"}, c.args...), prog)
+			if code := realMain(args, &out, &errb); code != c.code && !(c.code < 0 && (code == 3 || code == 4)) {
+				t.Fatalf("exit code = %d, want %d\nstderr:\n%s", code, c.code, errb.String())
+			}
+			sum := summaryRE.FindStringSubmatch(out.String())
+			lines := progressRE.FindAllStringSubmatch(errb.String(), -1)
+			if sum == nil || len(lines) == 0 {
+				t.Fatalf("want a summary: line and progress: lines\nstdout:\n%s\nstderr:\n%s", out.String(), errb.String())
+			}
+			if last := lines[len(lines)-1]; fmt.Sprint(last[1:5]) != fmt.Sprint(sum[1:5]) {
+				t.Errorf("last progress: line %q, summary: line %q", last[0], sum[0])
+			}
+			if c.code != 3 && sum[1] != "1000" {
+				t.Errorf("a -max-states 1000 cut counted %s states", sum[1])
+			}
+		})
 	}
 }
 

@@ -173,7 +173,7 @@ func buildSnapshot(rep *Report, units []*workUnit) *Snapshot {
 }
 
 // restoredState is a decoded, validated snapshot ready to seed a
-// search: partial counters and samples (with traces rebuilt), the
+// search: partial counters and samples (without traces), the
 // coverage bitmap, and the unexplored work units.
 type restoredState struct {
 	partial
@@ -210,18 +210,8 @@ func restoreSnapshot(u *cfg.Unit, snap *Snapshot) (*restoredState, error) {
 	}
 	rep := &Report{Counters: snap.Counters}
 	for _, in := range snap.Samples {
-		// Rebuild the trace by replaying the decisions, on the copy: the
-		// snapshot stays as it was given. A failed replay (stale snapshot)
-		// leaves the trace empty rather than failing the resume — the
-		// counters and the sample itself still stand.
-		var trace []interp.Event
-		if _, _, err := Replay(u, in.Decisions, func(st ReplayStep) {
-			if st.HasEvent {
-				trace = append(trace, st.Event)
-			}
-		}); err == nil {
-			in.Trace = trace
-		}
+		// A copy: the snapshot stays as it was given. The search that
+		// resumes rebuilds the trace of each sample it keeps.
 		rep.Samples = append(rep.Samples, &in)
 	}
 

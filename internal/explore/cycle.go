@@ -477,7 +477,7 @@ func (e *engine) redStep(k int, m interp.Machine, p int32) (interp.Machine, inte
 	if mk := e.takeMark(); mk != (interp.Mark{}) {
 		r.path[k].mk, r.at = mk, -1
 	} else {
-		m = m.ForkMachine()
+		m = m.ForkMachine(&e.tal)
 	}
 	r.tosses = 0
 	e.rep.RedSteps++
@@ -487,9 +487,11 @@ func (e *engine) redStep(k int, m interp.Machine, p int32) (interp.Machine, inte
 
 // redWitness ends the path in the livelock whose red part is the red path
 // down to level rd and its row out of it, closing into live-stack depth
-// d: it re-steps that part from the pruned state for its events, which
-// leaves the machine in the red state. A machine that dropped its log
-// under the search cannot get back to step it, and finds no livelock.
+// d: it re-steps that part from the pruned state — the events are
+// OnLeaf's trace of the path; a sample's is rebuilt from the lasso's
+// decisions (replay.go) — which leaves the machine in the red state. A
+// machine that dropped its log under the search cannot get back to step
+// it, and finds no livelock.
 func (e *engine) redWitness(rd, d int) bool {
 	r := e.red
 	m := e.redMachine(0)
@@ -499,7 +501,9 @@ func (e *engine) redWitness(rd, d int) bool {
 	for k := 0; k <= rd; k++ {
 		var ev interp.Event
 		m, ev, _ = e.redStep(k, m, r.rows[r.path[k].row].proc)
-		e.pushTrace(ev)
+		if e.tracing {
+			e.redTrace = append(e.redTrace, frozen(ev))
+		}
 	}
 	e.leafLivelock(d, r.decs)
 	return true

@@ -49,14 +49,11 @@ type workUnit struct {
 	// pinned at the unit's decision point, taken by the spilling
 	// worker. A claiming engine forks snap again and continues
 	// from it, skipping the prefix replay entirely; snap itself is
-	// never mutated and is shared by every split of the unit. traceSnap
-	// is the visible trace of the prefix (value-frozen events), seeding
-	// the claimer's trace so incident samples render identically to a
-	// replayed prefix. Both are nil for replay-mode units — residual
-	// and checkpoint-restored units always replay (checkpoints
-	// serialize prefixes, not snapshots).
-	snap      interp.Machine
-	traceSnap []interp.Event
+	// never mutated and is shared by every split of the unit. Nil for
+	// replay-mode units — residual and checkpoint-restored units always
+	// replay (checkpoints serialize prefixes, not snapshots) — and in a
+	// search that keeps traces for OnLeaf, which a snapshot lacks.
+	snap interp.Machine
 }
 
 // rest reports whether sibling options beyond from remain to be split
@@ -69,14 +66,13 @@ func (u *workUnit) rest() bool {
 // (from+1:), to be explored independently of options[from].
 func (u *workUnit) split() *workUnit {
 	return &workUnit{
-		prefix:    u.prefix,
-		options:   u.options,
-		objs:      u.objs,
-		sleep:     u.sleep,
-		from:      u.from + 1,
-		toss:      u.toss,
-		snap:      u.snap,
-		traceSnap: u.traceSnap,
+		prefix:  u.prefix,
+		options: u.options,
+		objs:    u.objs,
+		sleep:   u.sleep,
+		from:    u.from + 1,
+		toss:    u.toss,
+		snap:    u.snap,
 	}
 }
 

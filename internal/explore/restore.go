@@ -45,14 +45,13 @@ func (e *engine) takeMark() interp.Mark {
 // markEntry hangs a mark for the machine's current state on en, the
 // scheduling entry whose decision point it is, at scheduling depth depth.
 func (e *engine) markEntry(en *entry, depth int) {
-	en.mark, en.markTrace, en.markDepth = e.takeMark(), len(e.trace), depth
+	en.mark, en.markDepth = e.takeMark(), depth
 }
 
 // restore starts a path from the deepest live mark on the stack: it
-// undoes the machine to it, truncates the trace to the mark's length,
-// re-marks the dynamic-POR last accesses of the entries below (their
-// transitions are not re-executed), and points the replay at the mark's
-// entry. When no mark applies it reports false, the machine untouched,
+// undoes the machine to it, re-marks the dynamic-POR last accesses of
+// the entries below (their transitions are not re-executed), and points
+// the replay at the mark's entry. When no mark applies it reports false, the machine untouched,
 // and abandons every mark on the stack: the caller overwrites the
 // machine.
 func (e *engine) restore() bool {
@@ -68,7 +67,6 @@ func (e *engine) restore() bool {
 		e.rep.TrailRestores++
 		e.rep.TrailUndone += int64(popped)
 		e.baseIdx = len(e.base)
-		e.trace = e.trace[:en.markTrace]
 		e.replayIdx = k
 		e.liveDepth = en.markDepth
 		if e.opt.POR == PORDynamic {

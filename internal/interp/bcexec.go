@@ -42,12 +42,10 @@ func (s *System) runFragment(p *Proc, pc int32, ch Chooser) Value {
 }
 
 // flushDispatch moves the locally batched dispatch count into the
-// instruments; a no-op when observability is off.
+// tally.
 func (s *System) flushDispatch() {
-	if s.nd != 0 {
-		s.met.Instrs.Add(s.nd)
-		s.nd = 0
-	}
+	s.tal.Instrs += s.nd
+	s.nd = 0
 }
 
 // bcLoop is the dispatch loop. It returns on opVisible, opReturn at
@@ -131,7 +129,7 @@ func (s *System) bcLoop(p *Proc, ch Chooser, pc int32) (Value, *Outcome) {
 			if len(p.stack) >= maxCallDepth {
 				trapf("call stack overflow in %s", site.callee.name)
 			}
-			s.met.Frames.Inc()
+			s.tal.Frames++
 
 		case opCall:
 			site := &mod.sites[i.A]

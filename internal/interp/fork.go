@@ -32,8 +32,11 @@ import (
 // The explorer forks when a state has to outlive the engine that
 // reached it — a snapshot-spill work unit, and the machine a worker
 // starts a claimed one on — and backtracks by undoing everywhere else.
-func (s *System) Fork() *System {
-	s.met.Forks.Inc()
+func (s *System) Fork() *System { return s.fork(s.tal) }
+
+// fork is Fork counting into t, which the fork then counts into.
+func (s *System) fork(t *Tally) *System {
+	t.Forks++
 	ns := &System{
 		Unit:         s.Unit,
 		Procs:        make([]*Proc, len(s.Procs)),
@@ -48,7 +51,7 @@ func (s *System) Fork() *System {
 		objID:        slices.Clone(s.objID),
 		tab:          s.tab,
 		MaxInvisible: s.MaxInvisible,
-		met:          s.met,
+		tal:          t,
 	}
 	ns.dropTrail() // a log generation of its own
 	cp := &copier{dst: ns, src: s}

@@ -257,7 +257,7 @@ func (s *System) StateHash() uint64 {
 	if !s.hashOn {
 		return s.RecomputeStateHash()
 	}
-	s.met.HashIncr.Inc()
+	s.tal.HashIncr++
 	h := uint64(hashSeed)
 	for _, oh := range s.objHash {
 		h = Mix64(h, oh)
@@ -276,7 +276,7 @@ func (s *System) StateHash() uint64 {
 // state. The incremental path must agree with it exactly after every
 // visible operation — the machine judge checks that.
 func (s *System) RecomputeStateHash() uint64 {
-	s.met.HashFull.Inc()
+	s.tal.HashFull++
 	h := uint64(hashSeed)
 	buf := s.objFpBuf
 	for _, o := range s.objs {

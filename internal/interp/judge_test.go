@@ -329,7 +329,7 @@ func (j *judge) fork() {
 	j.st.ops["fork"]++
 	for i, m := range j.ms {
 		j.src[i], j.srcCh[i] = m, &stepChooser{n: j.chs[i].n}
-		j.ms[i] = m.ForkMachine()
+		j.ms[i] = m.ForkMachine(new(interp.Tally))
 	}
 	j.marks = j.marks[:0]
 	j.check("ForkMachine")

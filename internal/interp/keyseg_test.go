@@ -7,7 +7,6 @@ import (
 
 	"reclose/internal/core"
 	"reclose/internal/interp"
-	"reclose/internal/obs"
 	"reclose/internal/statecache"
 )
 
@@ -164,15 +163,14 @@ func TestKeyRuleCopyCarriesSegments(t *testing.T) {
 // forked machine renders nothing until it steps.
 func TestKeySegmentWork(t *testing.T) {
 	k := compileKeyCase(t, "own-frames")
-	var keys, segs obs.Counter
-	met := interp.Metrics{Keys: &keys, Segs: &segs}
-	k.cur().SetMetrics(met)
+	var tal interp.Tally
+	k.cur().SetTally(&tal)
 	rendered := func(op string, want int64) {
 		t.Helper()
-		s0, k0 := segs.Load(), keys.Load()
+		s0, k0 := tal.Segs, tal.Keys
 		k.ms[jCur].AppendFingerprint(nil)
-		if got := segs.Load() - s0; got != want || keys.Load()-k0 != 1 {
-			t.Fatalf("key after %s rendered %d segments in %d assemblies, want %d in 1", op, got, keys.Load()-k0, want)
+		if got := tal.Segs - s0; got != want || tal.Keys-k0 != 1 {
+			t.Fatalf("key after %s rendered %d segments in %d assemblies, want %d in 1", op, got, tal.Keys-k0, want)
 		}
 	}
 	rendered("an assembly", 0)
@@ -182,7 +180,7 @@ func TestKeySegmentWork(t *testing.T) {
 			t.Fatalf("step %d: %s", i, out)
 		}
 		rendered("a step with own-frame pointer stores", 1)
-		k.ms[jCur] = k.ms[jCur].ForkMachine()
+		k.ms[jCur] = k.ms[jCur].ForkMachine(&tal)
 		rendered("ForkMachine", 0)
 	}
 }

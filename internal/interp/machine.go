@@ -97,10 +97,11 @@ type Machine interface {
 	AppendFingerprint(dst []byte) []byte
 	AppendKey(dst []byte, tab SegmentTable) (key []byte, rendered int)
 	StateHash() uint64
-	ForkMachine() Machine
+	// ForkMachine's fork, the fork included, counts into t.
+	ForkMachine(t *Tally) Machine
 
-	// Instrumentation.
-	SetMetrics(m Metrics)
+	// Instrumentation: the tally the machine counts into.
+	SetTally(t *Tally)
 }
 
 // NewMachine builds a fresh machine of the requested engine over a
@@ -155,7 +156,7 @@ func (s *System) ProcStatus(i int) Status { return s.Procs[i].Status() }
 func (s *System) ProcPendingOp(i int) (string, string, bool) { return s.Procs[i].PendingOp() }
 
 // ForkMachine returns Fork through the Machine interface.
-func (s *System) ForkMachine() Machine { return s.Fork() }
+func (s *System) ForkMachine(t *Tally) Machine { return s.fork(t) }
 
 // RefSystem's Machine adapters.
 
@@ -179,17 +180,17 @@ func (s *RefSystem) AppendEnabled(dst []int) []int {
 	return dst
 }
 
-// SetMetrics attaches the instruments. The reference interpreter is an
-// oracle, not a measured engine: of them only HashFull applies — every
-// StateHash is a full walk.
-func (s *RefSystem) SetMetrics(m Metrics) { s.met = m }
+// SetTally points the counting at t. The reference interpreter is an
+// oracle, not a measured engine: of the tally only HashFull applies —
+// every StateHash is a full walk.
+func (s *RefSystem) SetTally(t *Tally) { s.tal = t }
 
 // StateHash recomputes the canonical state hash by a full walk; it
 // must equal System.StateHash for any state with an equal fingerprint,
 // so cache routing — and with it eviction behavior and merged reports
 // — is identical across engines.
 func (s *RefSystem) StateHash() uint64 {
-	s.met.HashFull.Inc()
+	s.tal.HashFull++
 	h := uint64(hashSeed)
 	buf := make([]byte, 0, 64)
 	for _, name := range s.num.Objects {
@@ -284,7 +285,7 @@ func (fk *forker) cell(c *Cell) *Cell {
 // system, with pointers remapped onto the clone's cells: the same
 // observable result as System.Fork, through an identity map over the
 // name-keyed cells.
-func (s *RefSystem) ForkMachine() Machine {
+func (s *RefSystem) ForkMachine(t *Tally) Machine {
 	fk := &forker{cellMap: make(map[*Cell]*Cell)}
 	ns := &RefSystem{
 		Unit:         s.Unit,
@@ -292,7 +293,7 @@ func (s *RefSystem) ForkMachine() Machine {
 		graphs:       s.graphs,
 		MaxInvisible: s.MaxInvisible,
 		allProgress:  s.allProgress,
-		met:          s.met,
+		tal:          t,
 	}
 	type framePair struct{ old, new *refFrame }
 	var pairs []framePair

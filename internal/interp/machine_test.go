@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"reclose/internal/interp"
-	"reclose/internal/obs"
 )
 
 // TestParseEngine pins the two engine spellings and their round trip
@@ -51,20 +50,20 @@ proc main() {
 }
 process main;
 `)
-	var instrs obs.Counter
-	s.SetMetrics(interp.Metrics{Instrs: &instrs})
+	var tal interp.Tally
+	s.SetTally(&tal)
 	ch := interp.FixedChooser(0)
 	if out := s.Init(ch); out != nil {
 		t.Fatalf("Init: %s", out)
 	}
-	if instrs.Load() == 0 {
+	if tal.Instrs == 0 {
 		t.Fatal("Init dispatched no bytecode instruction")
 	}
-	before := instrs.Load()
+	before := tal.Instrs
 	if _, out := s.Step(0, ch); out != nil {
 		t.Fatalf("Step: %s", out)
 	}
-	if instrs.Load() == before {
+	if tal.Instrs == before {
 		t.Fatal("Step dispatched no bytecode instruction")
 	}
 }

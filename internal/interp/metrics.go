@@ -1,30 +1,28 @@
 package interp
 
-import "reclose/internal/obs"
-
-// Metrics counts interpreter-level work. The zero value is the disabled
-// form: every field is a nil instrument and every obs method is a no-op
-// on a nil receiver, so systems carry a Metrics value unconditionally
-// and the hot paths pay only a nil check when observability is off.
-type Metrics struct {
+// Tally counts interpreter-level work in plain fields. A machine counts
+// into one Tally, its own unless SetTally points it at another, and a
+// fork counts into the block ForkMachine is given. The counting is a
+// plain add: a tally belongs to one goroutine, and whoever owns it
+// publishes it (the explorer does so in batches, metrics.go there).
+type Tally struct {
 	// Forks counts System.Fork calls (snapshot-spill state copies).
-	Forks *obs.Counter
+	Forks int64
 	// Frames counts slot-frame allocations: process root frames on
 	// Reset plus one frame per user procedure call.
-	Frames *obs.Counter
+	Frames int64
 	// Instrs counts bytecode instructions dispatched (batched per basic
-	// block, flushed at step boundaries).
-	Instrs *obs.Counter
+	// block, added at the end of a transition's invisible suffix).
+	Instrs int64
 	// HashIncr counts StateHash calls answered from the incremental
 	// rolling hash; HashFull counts full recomputation walks.
-	HashIncr *obs.Counter
-	HashFull *obs.Counter
+	HashIncr int64
+	HashFull int64
 	// Keys counts fingerprints assembled from key segments, Segs the
 	// process segments re-rendered for them (hash.go).
-	Keys *obs.Counter
-	Segs *obs.Counter
+	Keys int64
+	Segs int64
 }
 
-// SetMetrics attaches instrument counters to the system. Forked systems
-// inherit the metrics of the system they were forked from.
-func (s *System) SetMetrics(m Metrics) { s.met = m }
+// SetTally points the system's counting at t.
+func (s *System) SetTally(t *Tally) { s.tal = t }

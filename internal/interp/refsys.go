@@ -31,7 +31,7 @@ type RefSystem struct {
 	// transition; exceeding it reports divergence.
 	MaxInvisible int
 
-	met Metrics // SetMetrics; only HashFull is counted
+	tal *Tally // SetTally; only HashFull is counted
 }
 
 // refGraphInfo caches per-procedure data the reference interpreter
@@ -107,6 +107,7 @@ func NewRefSystem(u *cfg.Unit) (*RefSystem, error) {
 		graphs:       make(map[string]*refGraphInfo, len(u.Procs)),
 		MaxInvisible: DefaultMaxInvisible,
 		allProgress:  !HasProgressLabels(u),
+		tal:          new(Tally),
 	}
 	for name, g := range u.Procs {
 		s.graphs[name] = &refGraphInfo{g: g, slots: cfg.BuildSlotTable(g)}

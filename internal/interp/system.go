@@ -176,9 +176,8 @@ type System struct {
 	// timeout for the same purpose).
 	MaxInvisible int
 
-	// met carries the optional instrument counters (SetMetrics); the
-	// zero value is fully disabled.
-	met Metrics
+	// tal is the tally the machine counts its work into (SetTally).
+	tal *Tally
 }
 
 // DefaultMaxInvisible is the default divergence bound.
@@ -217,6 +216,7 @@ func (r *Resolution) NewSystem() *System {
 		// Fragment convention: register 0 always exists.
 		regs:         make([]Value, max(mod.maxRegs, 1)),
 		MaxInvisible: DefaultMaxInvisible,
+		tal:          new(Tally),
 	}
 	s.objs = make([]*object, len(r.objSpecs))
 	for i, sp := range r.objSpecs {
@@ -286,7 +286,7 @@ func (s *System) Reset() {
 		p.status = Running
 		p.settle()
 	}
-	s.met.Frames.Add(int64(fresh))
+	s.tal.Frames += int64(fresh)
 	if s.hashOn {
 		s.rebuildHash()
 	}
@@ -487,7 +487,7 @@ func (s *System) execVisible(p *Proc, ch Chooser) (ev Event, out *Outcome) {
 // interpreter's (RefSystem.AppendFingerprint).
 func (s *System) AppendFingerprint(dst []byte) []byte {
 	if s.hashOn { // concatenate the key segments (hash.go)
-		s.met.Keys.Inc()
+		s.tal.Keys++
 		for _, seg := range s.objSeg {
 			dst = append(dst, seg...)
 		}
@@ -509,7 +509,7 @@ func (s *System) AppendFingerprint(dst []byte) []byte {
 // procSeg returns p's key segment, rendering it if it is stale.
 func (s *System) procSeg(p *Proc) []byte {
 	if !p.segOK {
-		s.met.Segs.Inc()
+		s.tal.Segs++
 		p.seg, p.segOK, p.segID = p.appendFingerprint(p.seg[:0]), true, 0
 	}
 	return p.seg
@@ -536,7 +536,7 @@ func (s *System) AppendKey(dst []byte, tab SegmentTable) (key []byte, rendered i
 			s.tr.refs[i].id = 0
 		}
 	}
-	s.met.Keys.Inc()
+	s.tal.Keys++
 	for i, seg := range s.objSeg {
 		if s.objID[i] == 0 {
 			s.objID[i] = tab.Intern(s.objHash[i], seg)

@@ -6,7 +6,6 @@ import (
 
 	"reclose/internal/core"
 	"reclose/internal/interp"
-	"reclose/internal/obs"
 )
 
 // This file pins rules of the write trail (trail.go): which marks die,
@@ -212,10 +211,10 @@ process main;
 	if err != nil {
 		t.Fatal(err)
 	}
-	var frames obs.Counter
+	var tal interp.Tally
 	for _, undo := range []bool{true, false} {
 		m := resolveT(t, u).NewSystem()
-		m.SetMetrics(interp.Metrics{Frames: &frames})
+		m.SetTally(&tal)
 		ch := interp.FixedChooser(0)
 		m.Init(ch)
 		mk := m.Mark()
@@ -223,9 +222,9 @@ process main;
 		if undo {
 			m.Undo(mk)
 		}
-		before := frames.Load()
+		before := tal.Frames
 		m.Reset()
-		if fresh := frames.Load() - before; (fresh == 0) != undo {
+		if fresh := tal.Frames - before; (fresh == 0) != undo {
 			t.Errorf("undo=%t: Reset allocated %d root frames", undo, fresh)
 		}
 	}

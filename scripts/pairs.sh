@@ -14,10 +14,16 @@
 # BENCHMARK.json, both sides' values in pair order, the medians and
 # their change in percent, in how many pairs the change was better (ties
 # count for neither side) and whether the change's median is within the
-# metric's bound of the parent's; then whether every run was correct,
-# the largest failed_share and the distinct transitions_total values.
-# The documents and the runs' output stay in the directory printed
-# first; nothing is deleted.
+# metric's bound of the parent's; then the parent's quartile distance
+# (Python's exclusive quartiles, as benchmark/stats.go computes them) and
+# whether the claim rule holds for the metric: the change better in at
+# least 9 of 10 pairs, and its median further from the parent's, in the
+# better direction, than that distance. Then whether every run was
+# correct, the largest failed_share and the distinct transitions_total
+# values, each run's host_slowness, and last each item's median_ms per
+# side (the median over the pairs of the run documents' item rows, raw
+# timings that move with host_slowness). The documents and the runs'
+# output stay in the directory printed first; nothing is deleted.
 set -eu
 
 if [ $# -ne 4 ]; then
@@ -74,6 +80,11 @@ metrics() { # side
 	metrics change
 	{ docs parent; docs change; } | jq -s -r --arg w "$workload" "$runs"' |
 		"exact \(all(.[]; . != null and .correct)) \(map(.failed_share // 1) | max) \(map(.transitions_total) | unique | map(tostring) | join(","))"'
+	for side in parent change; do
+		docs "$side" | jq -s -r --arg w "$workload" --arg side "$side" "$runs"' |
+			"host \($side) \(map(.host_slowness // null | if . == null then "-" else (. * 1000 | round / 1000 | tostring) end) | join(" "))",
+			(.[] | select(. != null) | .items[]? | "item \($side) \(.name) \(.median_ms)")'
+	done
 } | awk -v workload="$workload" -v seed="$seed" -v n="$n" '
 function median(a, k,    s, i, j, t) {
 	for (i = 1; i <= k; i++) s[i] = a[i]
@@ -87,7 +98,28 @@ $1 == "parent" || $1 == "change" {
 	for (i = 5; i <= NF; i++) v[$2, $1, i - 4] = $i
 	next
 }
-$1 == "exact" { correct = $2 == "true" ? "True" : "False"; failed = $3; trans = $4 }
+# quartiles as statistics.quantiles(a, n=4) in Python, the exclusive
+# method of benchmark/stats.go: sets q1 and q3.
+function quartiles(a, k,    s, i, j, t, m) {
+	for (i = 1; i <= k; i++) s[i] = a[i]
+	for (i = 2; i <= k; i++)
+		for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
+	if (k < 2) { q1 = q3 = s[1]; return }
+	q1 = qat(s, k, 1); q3 = qat(s, k, 3)
+}
+function qat(s, k, i,    m, j, d) {
+	m = k + 1; j = int(i * m / 4)
+	if (j < 1) j = 1
+	if (j > k - 1) j = k - 1
+	d = i * m - j * 4
+	return (s[j] * (4 - d) + s[j + 1] * d) / 4
+}
+$1 == "exact" { correct = $2 == "true" ? "True" : "False"; failed = $3; trans = $4; next }
+$1 == "host" { $1 = ""; host[$2] = $0; next }
+$1 == "item" {
+	if (!(($3) in seen)) { seen[$3] = 1; items[++nitems] = $3 }
+	iv[$3, $2, ++ik[$3, $2]] = $4 + 0
+}
 END {
 	printf "== %s seed %s: %d pairs (order: even pairs parent first, odd change first)\n", workload, seed, n
 	for (m = 1; m <= metrics; m++) {
@@ -114,6 +146,21 @@ END {
 		lim = better[name] == "lower" ? mc <= mp * (1 + bound[name]) : mc >= mp * (1 - bound[name])
 		printf "  %-16s median %.4g -> %.4g (%+.1f %%), change better in %d/%d; bound %g %%: %s\n",
 			"", mp, mc, pct, wins, n, 100 * bound[name], lim ? "within" : "OUTSIDE"
+		quartiles(pv, kp)
+		qd = q3 - q1; gap = (better[name] == "lower") ? mp - mc : mc - mp
+		printf "  %-16s claim rule: better in %d/%d (need >= 9/10), medians %.4g apart, parent quartile distance %.4g: %s\n",
+			"", wins, n, gap, qd, (wins * 10 >= 9 * n && gap > qd) ? "HOLDS" : "fails"
 	}
 	printf "  correct in all runs: %s; failed_share max %s; transitions_total [%s]\n", correct, failed, trans
+	printf "  host_slowness (the divisor of every timing of a run), in pair order:\n"
+	printf "    parent%s\n    change%s\n", substr(host["parent"], length("parent") + 2), substr(host["change"], length("change") + 2)
+	if (nitems) printf "  item median_ms (median over pairs, raw: not divided by host_slowness)  parent -> change\n"
+	for (m = 1; m <= nitems; m++) {
+		name = items[m]
+		for (i = 1; i <= ik[name, "parent"]; i++) pv[i] = iv[name, "parent", i]
+		for (i = 1; i <= ik[name, "change"]; i++) cv[i] = iv[name, "change", i]
+		if (!ik[name, "parent"] || !ik[name, "change"]) continue
+		mp = median(pv, ik[name, "parent"]); mc = median(cv, ik[name, "change"])
+		printf "  %-40s %8.4g -> %8.4g (%+.1f %%)\n", name, mp, mc, (mp != 0) ? 100 * (mc - mp) / mp : 0
+	}
 }'
