@@ -2,7 +2,7 @@
 // search is explore's one driver with a slice worker per process
 // (explore.Distribute); this package is the transport under it: a
 // length-prefixed JSON protocol on the worker's stdin/stdout, the
-// process side of it (WorkerMain: a loop over explore.Resume), and Slice,
+// process side of it (WorkerMain: a loop over explore.ResumeSlice), and Slice,
 // which ships one batch of work units to a process and brings back the
 // slice's report snapshot, or kills and respawns the process. Final
 // counters and incident multisets match the in-process search at any

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -107,7 +108,7 @@ func (w *worker) handshake() error {
 	return WriteFrame(w.out, &Message{Type: MsgReady, PID: os.Getpid()})
 }
 
-// runBatch explores one batch as a bounded Resume slice and packs its
+// runBatch explores one batch as a bounded ResumeSlice and packs its
 // report as the result frame. A fault-plan panic at dist.worker.batch
 // or dist.worker.result is deliberately NOT recovered — it crashes the
 // process, which is the worker death proc.Slice recovers from.
@@ -119,7 +120,7 @@ func (w *worker) runBatch(m *Message) (*Message, error) {
 	}
 	opt := w.opt
 	opt.MaxStates = m.MaxStates
-	rep, err := explore.Resume(w.unit, snap, opt)
+	rep, err := explore.ResumeSlice(context.Background(), w.unit, snap, opt)
 	if err != nil {
 		return nil, err
 	}

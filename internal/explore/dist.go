@@ -63,7 +63,7 @@ func Distribute(ctx context.Context, u *cfg.Unit, resume *Snapshot, opt Options,
 		}
 	}
 	opt.Workers = len(slicers)
-	return search(ctx, u, opt, restored, &distribution{slicers: slicers, sliceStates: sliceStates})
+	return search(ctx, u, opt, restored, &distribution{slicers: slicers, sliceStates: sliceStates}, true)
 }
 
 // WireSnapshot serializes a finalized report plus its pending units as

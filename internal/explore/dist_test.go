@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -132,9 +133,14 @@ func (s *resumeSlicer) Slice(ctx context.Context, batch *Snapshot, budget int64)
 	}
 	opt := s.opt
 	opt.MaxStates = budget
-	rep, err := ResumeContext(ctx, s.u, &b, opt)
+	rep, err := ResumeSlice(ctx, s.u, &b, opt)
 	if err != nil {
 		return nil, StopNone, err
+	}
+	for _, in := range rep.Samples {
+		if in.Trace != nil {
+			return nil, StopNone, fmt.Errorf("a slice rebuilt the trace of a %s sample", in.Kind)
+		}
 	}
 	// A slice its context ended is dropped, as a killed process's is; and
 	// a slice can be lost after all its work was done.
