@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"reclose/internal/interp"
 	"reclose/internal/lockserver"
 	"reclose/internal/progs"
 )
@@ -185,7 +184,7 @@ func TestCancelSnapshotResume(t *testing.T) {
 		opt := base
 		opt.Workers = workers
 		var leaves atomic.Int64
-		opt.OnLeaf = func(LeafKind, []interp.Event) {
+		opt.OnLeaf = func(LeafKind, []Decision) {
 			if leaves.Add(1) == 20 {
 				cancel()
 			}

@@ -426,7 +426,7 @@ func (e *engine) redExpand(rd int, i int32) interp.Machine {
 	if m == nil {
 		return nil
 	}
-	m, _, out := e.redStep(rd, m, r.rows[i].proc)
+	m, out := e.redStep(rd, m, r.rows[i].proc)
 	succ := redAbnormal
 	if out == nil {
 		e.fpBuf, _ = m.AppendKey(e.fpBuf[:0], e.segs)
@@ -458,7 +458,7 @@ func (e *engine) redMachine(t int) interp.Machine {
 	}
 	for ; k < t; k++ {
 		var out *interp.Outcome
-		if m, _, out = e.redStep(k, m, r.rows[r.path[k].row].proc); out != nil {
+		if m, out = e.redStep(k, m, r.rows[r.path[k].row].proc); out != nil {
 			panic(fmt.Sprintf("explore: red memo edge ended abnormally on replay: %v", out))
 		}
 		r.path[k+1].m = m
@@ -472,7 +472,7 @@ func (e *engine) redMachine(t int) interp.Machine {
 // redStep executes process p from red level k's state, which m is in: on
 // m itself under a mark for the level, or on a fork of m when marks are
 // dead. Tosses take outcome 0 and are counted in r.tosses.
-func (e *engine) redStep(k int, m interp.Machine, p int32) (interp.Machine, interp.Event, *interp.Outcome) {
+func (e *engine) redStep(k int, m interp.Machine, p int32) (interp.Machine, *interp.Outcome) {
 	r := e.red
 	if mk := e.takeMark(); mk != (interp.Mark{}) {
 		r.path[k].mk, r.at = mk, -1
@@ -481,17 +481,16 @@ func (e *engine) redStep(k int, m interp.Machine, p int32) (interp.Machine, inte
 	}
 	r.tosses = 0
 	e.rep.RedSteps++
-	ev, out := m.Step(int(p), r.ch)
-	return m, ev, out
+	_, out := m.Step(int(p), r.ch)
+	return m, out
 }
 
 // redWitness ends the path in the livelock whose red part is the red path
 // down to level rd and its row out of it, closing into live-stack depth
-// d: it re-steps that part from the pruned state — the events are
-// OnLeaf's trace of the path; a sample's is rebuilt from the lasso's
-// decisions (replay.go) — which leaves the machine in the red state. A
-// machine that dropped its log under the search cannot get back to step
-// it, and finds no livelock.
+// d: it re-steps that part from the pruned state, which leaves the
+// machine in the red state. The witness is the lasso's decisions; its
+// trace is rebuilt from them (replay.go). A machine that dropped its log
+// under the search cannot get back to step it, and finds no livelock.
 func (e *engine) redWitness(rd, d int) bool {
 	r := e.red
 	m := e.redMachine(0)
@@ -499,11 +498,7 @@ func (e *engine) redWitness(rd, d int) bool {
 		return false
 	}
 	for k := 0; k <= rd; k++ {
-		var ev interp.Event
-		m, ev, _ = e.redStep(k, m, r.rows[r.path[k].row].proc)
-		if e.tracing {
-			e.redTrace = append(e.redTrace, frozen(ev))
-		}
+		m, _ = e.redStep(k, m, r.rows[r.path[k].row].proc)
 	}
 	e.leafLivelock(d, r.decs)
 	return true

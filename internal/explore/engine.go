@@ -77,8 +77,6 @@ type entry struct {
 	// scheduling depth at that state.
 	mark      interp.Mark
 	markDepth int
-	// ev is the visible event the current option produced (tracing only).
-	ev interp.Event
 }
 
 func (e *entry) choice() int { return e.options[e.cursor] }
@@ -118,12 +116,8 @@ type engine struct {
 	// step by push/pop so schedDepth never walks it.
 	stackSched int
 	replayIdx  int
-	// tracing says the search keeps each path's trace as it goes, for
-	// OnLeaf: baseTrace the base prefix's events, each entry its own
-	// (entry.ev), redTrace a livelock's red part, leafTrace their join.
-	// Otherwise a sample's trace is rebuilt from its decisions (replay.go).
-	tracing                        bool
-	baseTrace, redTrace, leafTrace []interp.Event
+	// leafDecs is the decision list handed to OnLeaf, reused path to path.
+	leafDecs []Decision
 	// pendingSleep is the sleep set to attach to the next scheduling
 	// entry (computed when its parent's option was executed).
 	pendingSleep sleepSet
@@ -226,7 +220,7 @@ type engine struct {
 // and shared are common to every engine of the search, the first two
 // read-only.
 func newEngine(sys interp.Machine, opt Options, fps *footprintTable, sites *siteTable, shared *sharedState) *engine {
-	e := &engine{sys: sys, opt: opt, footprint: fps, sites: sites, met: noMetrics, shared: shared, tracing: opt.OnLeaf != nil}
+	e := &engine{sys: sys, opt: opt, footprint: fps, sites: sites, met: noMetrics, shared: shared}
 	sys.SetTally(&e.tal)
 	e.partial = partial{rep: &Report{}, covered: newCoverage(sites)}
 	if opt.Liveness {
@@ -449,7 +443,6 @@ func (e *engine) runPath() {
 	e.pathEnded = false
 	e.midPath = false
 	e.liveDepth = 0
-	e.redTrace = e.redTrace[:0]
 	e.dporBegin()
 
 	switch {
@@ -464,7 +457,6 @@ func (e *engine) runPath() {
 	default:
 		e.sys.Reset()
 		e.baseIdx = 0
-		e.baseTrace = e.baseTrace[:0]
 		if out := e.sys.Init(e.ch); out != nil {
 			e.leafOutcome(out)
 			return
@@ -487,11 +479,8 @@ func (e *engine) runPath() {
 			e.liveDepth++
 			e.baseIdx++
 			e.cover(pd)
-			ev, out := e.sys.Step(d.Value, e.ch)
-			e.noteReplayStep()
-			if e.tracing {
-				e.baseTrace = append(e.baseTrace, frozen(ev))
-			}
+			_, out := e.sys.Step(d.Value, e.ch)
+			e.rep.ReplaySteps++
 			if out != nil {
 				e.leafOutcome(out)
 				return
@@ -528,11 +517,8 @@ func (e *engine) runPath() {
 				e.dporTrack(e.replayIdx-1, pd, en)
 			}
 			e.cover(pd)
-			ev, out := e.sys.Step(p, e.ch)
-			e.noteReplayStep()
-			if e.tracing {
-				en.ev = frozen(ev)
-			}
+			_, out := e.sys.Step(p, e.ch)
+			e.rep.ReplaySteps++
 			if out != nil {
 				e.leafOutcome(out)
 				return
@@ -668,7 +654,7 @@ func (e *engine) runPath() {
 				sleep:   e.pendingSleep.clone(),
 				from:    1,
 			}
-			if e.opt.SnapshotSpill && !e.tracing {
+			if e.opt.SnapshotSpill {
 				// Fork the state at this decision point — before stepping
 				// the locally kept option — so claimers of the sibling
 				// subtrees resume here without replaying the prefix.
@@ -696,42 +682,13 @@ func (e *engine) runPath() {
 			e.dporTrack(len(e.stack)-1, pd, en)
 		}
 		e.rep.Transitions++
-		ev, out := e.sys.Step(p, e.ch)
-		if e.tracing {
-			en.ev = frozen(ev)
-		}
+		_, out := e.sys.Step(p, e.ch)
 		if out != nil {
 			e.leafOutcome(out)
 			return
 		}
 		e.pend = e.sys.PatchPending(e.pend, p)
 	}
-}
-
-// frozen returns ev with its value deep-copied. Event values can alias
-// live cell storage (an array element received into a frame, say), and
-// a later in-place store through that cell would retroactively rewrite
-// a recorded event; freezing keeps recorded traces immutable.
-func frozen(ev interp.Event) interp.Event {
-	ev.Value = ev.Value.Copy()
-	return ev
-}
-
-// appendTrace appends the current path's visible trace, as tracing keeps
-// it, to dst.
-func (e *engine) appendTrace(dst []interp.Event) []interp.Event {
-	dst = append(dst, e.baseTrace...)
-	for _, en := range e.stack {
-		if !en.isToss {
-			dst = append(dst, en.ev)
-		}
-	}
-	return append(dst, e.redTrace...)
-}
-
-// noteReplayStep accounts one re-executed prefix transition.
-func (e *engine) noteReplayStep() {
-	e.rep.ReplaySteps++
 }
 
 // pathDecisions returns a copy of the full decision sequence of the
@@ -1115,16 +1072,20 @@ func (e *engine) leaf(kind LeafKind, msg string) {
 		e.met.emitIncident(kind, e.schedDepth(), msg)
 	}
 	e.depths.Observe(int64(e.schedDepth()))
-	// Internal-error paths carry a partial trace and may themselves be
-	// the fallout of a panicking callback, so OnLeaf is not invoked for
-	// them. The deferred unlock keeps a panicking callback from leaving
-	// the mutex held and deadlocking the other workers.
+	// Internal-error paths stopped part way and may themselves be the
+	// fallout of a panicking callback, so OnLeaf is not invoked for them.
+	// The deferred unlock keeps a panicking callback from leaving the
+	// mutex held and deadlocking the other workers.
 	if e.opt.OnLeaf != nil && kind != LeafInternalError {
 		func() {
 			e.shared.leafMu.Lock()
 			defer e.shared.leafMu.Unlock()
-			e.leafTrace = e.appendTrace(e.leafTrace[:0])
-			e.opt.OnLeaf(kind, e.leafTrace)
+			if e.lasso != nil {
+				e.leafDecs = append(e.leafDecs[:0], e.lasso.decisions...)
+			} else {
+				e.leafDecs = e.appendPathDecisions(e.leafDecs[:0])
+			}
+			e.opt.OnLeaf(kind, e.leafDecs)
 		}()
 	}
 	if e.opt.Stop == StopViolation && (kind == LeafViolation || kind == LeafTrap) ||

@@ -154,12 +154,11 @@ type Options struct {
 	// regardless. Default 16.
 	MaxIncidents int `json:"max_incidents"`
 	// OnLeaf, if non-nil, is invoked at the end of every explored path
-	// with the leaf kind and the visible trace of the path. The trace
-	// slice is reused; copy it to retain. The callback is serialized under
-	// a mutex; with Workers > 1 it is invoked in nondeterministic order.
-	// Such a search keeps each path's trace as it goes (others rebuild a
-	// sample's from its decisions) and so forks no snapshots.
-	OnLeaf func(kind LeafKind, trace []interp.Event) `json:"-"`
+	// but an internal error's with the leaf kind and the path's decisions
+	// (a livelock's lasso), which replay to its trace as a sample's do.
+	// The slice is reused; copy it to retain. Calls are serialized under a
+	// mutex; with Workers > 1 they come in nondeterministic order.
+	OnLeaf func(kind LeafKind, decisions []Decision) `json:"-"`
 	// Stop is the cause the search stops with at the first incident it
 	// names: StopNone (default) never, StopViolation at an assertion
 	// violation or runtime error, StopIncident at any incident but an
@@ -191,8 +190,7 @@ type Options struct {
 	// longer re-executed. Checkpoints still serialize decision prefixes,
 	// never snapshots, so restored units replay. Units are spilled only
 	// with Workers > 0; a search at Workers: 0 never spills, so the flag
-	// changes nothing there (its backtracking undoes the trail
-	// regardless). OnLeaf disables it: a snapshot carries no trace.
+	// changes nothing there (its backtracking undoes the trail regardless).
 	SnapshotSpill bool `json:"snapshot_spill"`
 	// Fault, if non-nil, is a fault-injection plan fired at the
 	// engine's hook points — currently faultinject.PointExplorePath,

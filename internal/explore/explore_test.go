@@ -1,11 +1,11 @@
 package explore_test
 
 import (
+	"strings"
 	"testing"
 
 	"reclose/internal/core"
 	"reclose/internal/explore"
-	"reclose/internal/interp"
 	"reclose/internal/progs"
 )
 
@@ -31,25 +31,18 @@ func TestFigure2Exploration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CloseSource: %v", err)
 	}
-	mixed := false
-	rep, err := explore.Explore(closed, explore.Options{
-		OnLeaf: func(kind explore.LeafKind, trace []interp.Event) {
-			sawEvn, sawOdd := false, false
-			for _, ev := range trace {
-				switch ev.Object {
-				case "evn":
-					sawEvn = true
-				case "odd":
-					sawOdd = true
-				}
-			}
-			if sawEvn && sawOdd {
-				mixed = true
-			}
-		},
-	})
+	traces, rep, err := explore.TraceLists(closed, explore.Options{}, 0)
 	if err != nil {
-		t.Fatalf("Explore: %v", err)
+		t.Fatalf("TraceLists: %v", err)
+	}
+	mixed := false
+	for _, trace := range traces {
+		sawEvn, sawOdd := false, false
+		for _, ev := range trace {
+			sawEvn = sawEvn || strings.Contains(ev, "(evn)")
+			sawOdd = sawOdd || strings.Contains(ev, "(odd)")
+		}
+		mixed = mixed || sawEvn && sawOdd
 	}
 	if rep.Paths != 1024 {
 		t.Errorf("paths = %d, want 2^10 = 1024", rep.Paths)

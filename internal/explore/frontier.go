@@ -51,8 +51,7 @@ type workUnit struct {
 	// from it, skipping the prefix replay entirely; snap itself is
 	// never mutated and is shared by every split of the unit. Nil for
 	// replay-mode units — residual and checkpoint-restored units always
-	// replay (checkpoints serialize prefixes, not snapshots) — and in a
-	// search that keeps traces for OnLeaf, which a snapshot lacks.
+	// replay (checkpoints serialize prefixes, not snapshots).
 	snap interp.Machine
 }
 

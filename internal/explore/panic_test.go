@@ -19,7 +19,7 @@ import (
 func TestOnLeafPanicIsolation(t *testing.T) {
 	src := progs.Philosophers(3)
 	closed := mustClose(t, src)
-	base := Options{MaxIncidents: 1 << 20, OnLeaf: func(LeafKind, []interp.Event) {}}
+	base := Options{MaxIncidents: 1 << 20, OnLeaf: func(LeafKind, []Decision) {}}
 	baseline, err := Explore(closed, base)
 	if err != nil {
 		t.Fatalf("baseline Explore: %v", err)
@@ -29,7 +29,7 @@ func TestOnLeafPanicIsolation(t *testing.T) {
 		opt.Workers = workers
 		var fired atomic.Bool
 		var leaves atomic.Int64
-		opt.OnLeaf = func(LeafKind, []interp.Event) {
+		opt.OnLeaf = func(LeafKind, []Decision) {
 			if leaves.Add(1) == 5 && fired.CompareAndSwap(false, true) {
 				panic("boom in leaf callback")
 			}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"sort"
 
 	"reclose/internal/cfg"
 	"reclose/internal/interp"
@@ -45,13 +46,15 @@ func Replay(u *cfg.Unit, decisions []Decision, observe func(ReplayStep)) (*inter
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := replayOn(sys, decisions, observe)
+	out, err := replayOn(sys, decisions, -1, observe, nil)
 	return sys, out, err
 }
 
-// replayOn is Replay on sys, which must be in its initial state.
-func replayOn(sys *interp.System, decisions []Decision, observe func(ReplayStep)) (*interp.Outcome, error) {
-	pos := 0
+// replayOn steps decisions[pos:] on sys, which is in the state
+// decisions[:pos] lead to — in its initial state, for Init to leave,
+// when pos is -1. Toss decisions are read through the chooser; before,
+// if non-nil, is called ahead of each scheduling step with its index.
+func replayOn(sys *interp.System, decisions []Decision, pos int, observe func(ReplayStep), before func(at int)) (*interp.Outcome, error) {
 	chooser := interp.ChooserFunc(func(bound int) (int, bool) {
 		if pos >= len(decisions) || !decisions[pos].Toss {
 			return 0, false
@@ -64,21 +67,27 @@ func replayOn(sys *interp.System, decisions []Decision, observe func(ReplayStep)
 		return v, true
 	})
 
-	if out := sys.Init(chooser); out != nil {
-		return out, nil
+	if pos < 0 {
+		pos = 0
+		if out := sys.Init(chooser); out != nil {
+			return out, nil
+		}
 	}
 	for pos < len(decisions) {
 		d := decisions[pos]
 		if d.Toss {
 			return nil, fmt.Errorf("explore: unconsumed toss decision at position %d", pos)
 		}
-		pos++
 		if d.Value < 0 || d.Value >= len(sys.Procs) {
 			return nil, fmt.Errorf("explore: scheduling decision names process %d of %d", d.Value, len(sys.Procs))
 		}
 		if !sys.Enabled(d.Value) {
 			return nil, fmt.Errorf("explore: replayed process P%d is not enabled (stale decisions?)", d.Value)
 		}
+		if before != nil {
+			before(pos)
+		}
+		pos++
 		ev, out := sys.Step(d.Value, chooser)
 		if observe != nil {
 			observe(ReplayStep{Decision: d, Event: ev, HasEvent: true})
@@ -90,11 +99,68 @@ func replayOn(sys *interp.System, decisions []Decision, observe func(ReplayStep)
 	return nil, nil
 }
 
+// replayer rebuilds traces from decision lists on one machine. It marks
+// the machine ahead of each scheduling step, so the next list undoes it
+// to the deepest mark within the prefix the two lists share and steps
+// only the rest. A dead mark (the machine dropped a log that outgrew its
+// bound) or a replay that failed starts over from Reset and Init.
+type replayer struct {
+	sys   *interp.System
+	decs  []Decision // the list last replayed
+	trace []interp.Event
+	marks []interp.Mark // ahead of each step replayed, so ahead of trace[i]
+	ats   []int         // the index in decs of marks[i]'s step
+}
+
+// replay returns the trace decisions replay to, up to a failing step; the
+// slice is reused by the next call.
+func (r *replayer) replay(decisions []Decision) (trace []interp.Event) {
+	common := 0
+	for common < min(len(r.decs), len(decisions)) && r.decs[common] == decisions[common] {
+		common++
+	}
+	pos := -1
+	if n := sort.SearchInts(r.ats, common+1) - 1; n >= 0 {
+		if _, ok := r.sys.Undo(r.marks[n]); ok {
+			pos, r.trace, r.marks, r.ats = r.ats[n], r.trace[:n], r.marks[:n], r.ats[:n]
+		}
+	}
+	if pos < 0 {
+		r.sys.Reset()
+		r.trace, r.marks, r.ats = r.trace[:0], r.marks[:0], r.ats[:0]
+	}
+	r.decs = append(r.decs[:0], decisions...)
+	var err error
+	defer func() {
+		if recover() != nil || err != nil {
+			r.marks, r.ats, trace = r.marks[:0], r.ats[:0], r.trace
+		}
+	}()
+	_, err = replayOn(r.sys, decisions, pos, func(st ReplayStep) {
+		if st.HasEvent {
+			r.trace = append(r.trace, frozen(st.Event))
+		}
+	}, func(at int) {
+		r.marks, r.ats = append(r.marks, r.sys.Mark()), append(r.ats, at)
+	})
+	return r.trace
+}
+
+// frozen returns ev with its value deep-copied. Event values can alias
+// live cell storage (an array element received into a frame, say), and
+// a later in-place store through that cell would retroactively rewrite
+// a recorded event; freezing keeps recorded traces immutable.
+func frozen(ev interp.Event) interp.Event {
+	ev.Value = ev.Value.Copy()
+	return ev
+}
+
 // rebuildTraces gives each of a finished search's samples its trace, a
 // function of its decisions: it replays them, once per sample, on one
 // machine of res Reset between samples (a search whose exploring was done
-// elsewhere resolves the unit here). A replay that fails keeps the events
-// before the failing step, which is what the path showed when it failed.
+// elsewhere resolves the unit here; samples share too little to pay for a
+// replayer's marks). A replay that fails keeps the events before the
+// failing step, which is what the path showed when it failed.
 func rebuildTraces(u *cfg.Unit, res *interp.Resolution, samples []*Incident) {
 	var err error
 	if len(samples) > 0 && res == nil {
@@ -106,16 +172,15 @@ func rebuildTraces(u *cfg.Unit, res *interp.Resolution, samples []*Incident) {
 	sys := res.NewSystem()
 	for _, in := range samples {
 		sys.Reset()
-		var trace []interp.Event
+		in.Trace = nil
 		func() {
 			defer func() { _ = recover() }()
-			replayOn(sys, in.Decisions, func(st ReplayStep) {
+			replayOn(sys, in.Decisions, -1, func(st ReplayStep) {
 				if st.HasEvent {
-					trace = append(trace, frozen(st.Event))
+					in.Trace = append(in.Trace, frozen(st.Event))
 				}
-			})
+			}, nil)
 		}()
-		in.Trace = trace
 	}
 }
 

@@ -112,7 +112,7 @@ func TestTimeoutPartialReport(t *testing.T) {
 		opt := base
 		opt.Workers = workers
 		opt.Timeout = 30 * time.Millisecond
-		opt.OnLeaf = func(LeafKind, []interp.Event) { time.Sleep(time.Millisecond) }
+		opt.OnLeaf = func(LeafKind, []Decision) { time.Sleep(time.Millisecond) }
 		rep, err := Explore(closed, opt)
 		if err != nil {
 			t.Fatalf("workers=%d: Explore: %v", workers, err)

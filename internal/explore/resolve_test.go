@@ -90,7 +90,7 @@ func TestOptionsFieldsDecideTheWire(t *testing.T) {
 		}
 	}
 	opt := explore.Options{
-		OnLeaf:     func(explore.LeafKind, []interp.Event) {},
+		OnLeaf:     func(explore.LeafKind, []explore.Decision) {},
 		Checkpoint: func(*explore.Snapshot) {},
 	}
 	if _, err := json.Marshal(opt); err != nil {

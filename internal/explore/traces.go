@@ -8,47 +8,25 @@ import (
 )
 
 // TraceSet explores the unit and returns the set of distinct visible
-// traces, canonicalized as strings. If sysProcs > 0, events of processes
-// with index >= sysProcs (environment components) are projected away, so
-// traces of a naive composition can be compared with traces of a closed
-// transformation. Stub markers are ignored in the canonical form for the
-// same reason.
+// traces, canonicalized as strings (each event followed by a space). If
+// sysProcs > 0, events of processes with index >= sysProcs (environment
+// components) are projected away, so traces of a naive composition can
+// be compared with traces of a closed transformation. Stub markers are
+// ignored in the canonical form for the same reason.
 //
 // Only complete paths contribute (terminated, deadlocked, violated, or
-// trapped); depth-bounded prefixes are excluded unless includePartial is
-// requested via the options' OnLeaf (not supported here — pick MaxDepth
-// large enough for the system under comparison).
+// trapped); depth-bounded prefixes are excluded, so pick MaxDepth large
+// enough for the system under comparison.
 func TraceSet(u *cfg.Unit, opt Options, sysProcs int) (map[string]bool, *Report, error) {
-	set := make(map[string]bool)
-	userLeaf := opt.OnLeaf
-	opt.OnLeaf = func(kind LeafKind, trace []interp.Event) {
-		if userLeaf != nil {
-			userLeaf(kind, trace)
-		}
-		switch kind {
-		case LeafTerminated, LeafDeadlock, LeafViolation, LeafTrap:
-			set[CanonTrace(trace, sysProcs)] = true
-		}
-	}
-	rep, err := Explore(u, opt)
+	lists, rep, err := TraceLists(u, opt, sysProcs)
 	if err != nil {
 		return nil, nil, err
 	}
-	return set, rep, nil
-}
-
-// CanonTrace renders a visible trace as a canonical string, projecting
-// away events of processes with index >= sysProcs when sysProcs > 0.
-func CanonTrace(trace []interp.Event, sysProcs int) string {
-	var b strings.Builder
-	for _, ev := range trace {
-		if sysProcs > 0 && ev.Proc >= sysProcs {
-			continue
-		}
-		b.WriteString(ev.String())
-		b.WriteByte(' ')
+	set := make(map[string]bool, len(lists))
+	for _, evs := range lists {
+		set[strings.Join(append(evs[:len(evs):len(evs)], ""), " ")] = true
 	}
-	return b.String()
+	return set, rep, nil
 }
 
 // Subset reports whether every trace in a is in b, returning a witness
@@ -63,26 +41,27 @@ func Subset(a, b map[string]bool) (string, bool) {
 }
 
 // TraceLists is TraceSet returning each distinct trace as its event
-// list, for wildcard comparisons.
+// list, for wildcard comparisons. A trace is a function of its path's
+// decisions: OnLeaf's are replayed on one machine, which steps only
+// where consecutive paths part (replayer).
 func TraceLists(u *cfg.Unit, opt Options, sysProcs int) ([][]string, *Report, error) {
+	sys, err := interp.NewSystem(u)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := &replayer{sys: sys}
 	seen := make(map[string]bool)
 	var out [][]string
-	userLeaf := opt.OnLeaf
-	opt.OnLeaf = func(kind LeafKind, trace []interp.Event) {
-		if userLeaf != nil {
-			userLeaf(kind, trace)
-		}
+	opt.OnLeaf = func(kind LeafKind, decisions []Decision) {
 		switch kind {
 		case LeafTerminated, LeafDeadlock, LeafViolation, LeafTrap:
 			var evs []string
-			for _, ev := range trace {
-				if sysProcs > 0 && ev.Proc >= sysProcs {
-					continue
+			for _, ev := range r.replay(decisions) {
+				if sysProcs == 0 || ev.Proc < sysProcs {
+					evs = append(evs, ev.String())
 				}
-				evs = append(evs, ev.String())
 			}
-			key := strings.Join(evs, " ")
-			if !seen[key] {
+			if key := strings.Join(evs, " "); !seen[key] {
 				seen[key] = true
 				out = append(out, evs)
 			}

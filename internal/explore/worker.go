@@ -69,7 +69,7 @@ func (w *worker) run() {
 // every slice worker between slices — so what is left of the search can
 // be read off the workers and the frontier without disturbing them: a
 // checkpoint is that read, after which the same workers are started
-// again. With traces, the report's samples get theirs (rebuildTraces).
+// again. With traces, each sample's is replayed from its decisions (rebuildTraces).
 func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredState, dist *distribution, traces bool) (*Report, error) {
 	shared := &sharedState{maxStates: opt.MaxStates}
 	if opt.Checkpoint != nil {

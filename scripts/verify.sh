@@ -1,10 +1,11 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, a format gate (gofmt must list no
-# file), a dependency gate (verisoft and reclose link neither net/http
-# nor runtime/cgo), full tests, race-detector legs over the packages with real
-# concurrency, and a short fuzz smoke over the
-# front end, the checkpoint decoder, the machine judge, the job request
-# parser and the dist frame codec (5s per target; the checkpoint target
+# file), a size gate (new CHANGES.md lines), a dependency gate (verisoft
+# and reclose link neither net/http nor runtime/cgo), full tests,
+# race-detector legs over the packages with real concurrency, and a
+# short fuzz smoke over the front end, the checkpoint decoder, the
+# machine judge, the job request parser and the dist frame codec (5s
+# per target; the checkpoint target
 # also checks that a snapshot that restores re-encodes to bytes decoding
 # to an equal snapshot, and the judge's target, whose seeds are the
 # judge's hand-written programs and three open randprog.Pointers
@@ -26,6 +27,12 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
+# Size gate: a CHANGES.md entry is its claim, contract, tests changed and
+# a ledger pointer; the ledger holds the rest. Every line after the last
+# one starting "PR 40" is at most 1 536 bytes (the line numbers over it
+# are printed).
+test -z "$(LC_ALL=C awk '/^PR 40/ { last = NR } { n[NR] = length($0) }
+	END { for (i = last + 1; i <= NR; i++) if (n[i] > 1536) print i }' CHANGES.md)"
 # The command-line tools link no HTTP stack and no cgo: one net/http
 # import (verisoft's old -pprof listener) cost every process about 2 ms
 # and 5 MiB before it read its input.
