@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"sort"
 
 	"reclose/internal/cfg"
@@ -43,6 +44,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		dot          = fs.Bool("dot", false, "emit Graphviz DOT instead of the plain listing")
 		emit         = fs.Bool("emit", false, "emit the closed program as re-parseable MiniC source (trampoline encoding)")
 		partition    = fs.Bool("partition", false, "partition comparison-only env inputs (S7 extension) before closing")
+		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: reclose [flags] file.mc (use - for stdin)\n")
@@ -57,6 +59,24 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 
 	run := func() error {
+		if *cpuProfile != "" {
+			f, err := os.Create(*cpuProfile)
+			if err != nil {
+				return fmt.Errorf("cpuprofile: %w", err)
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				f.Close()
+				return fmt.Errorf("cpuprofile: %w", err)
+			}
+			// Every way out of run stops the profile: reclose has no
+			// forced exit.
+			defer func() {
+				pprof.StopCPUProfile()
+				if err := f.Close(); err != nil {
+					fmt.Fprintf(stderr, "reclose: cpuprofile: %v\n", err)
+				}
+			}()
+		}
 		src, err := readSource(fs.Arg(0))
 		if err != nil {
 			return err

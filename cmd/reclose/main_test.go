@@ -130,6 +130,62 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestCPUProfileFlag: -cpuprofile writes a finished profile and changes
+// no output; a profile that cannot be created is an error before any
+// output.
+func TestCPUProfileFlag(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "figure2.mc")
+	if err := os.WriteFile(file, []byte(progs.FigureP), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var plain, plainErr bytes.Buffer
+	if code := realMain([]string{"-stats", file}, &plain, &plainErr); code != 0 {
+		t.Fatalf("reclose -stats: exit %d: %s", code, plainErr.String())
+	}
+	prof := filepath.Join(dir, "cpu.prof")
+	var out, errb bytes.Buffer
+	if code := realMain([]string{"-cpuprofile", prof, "-stats", file}, &out, &errb); code != 0 {
+		t.Fatalf("reclose -cpuprofile: exit %d: %s", code, errb.String())
+	}
+	if out.String() != plain.String() {
+		t.Errorf("-cpuprofile changed stdout:\n%s\nwant:\n%s", out.String(), plain.String())
+	}
+	// pprof writes the gzipped protocol buffer when the profile stops.
+	if b, err := os.ReadFile(prof); err != nil || len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+		t.Errorf("%s holds no profile (%v)", prof, err)
+	}
+	out.Reset()
+	errb.Reset()
+	bad := filepath.Join(dir, "no-such-dir", "cpu.prof")
+	if code := realMain([]string{"-cpuprofile", bad, file}, &out, &errb); code != 1 {
+		t.Fatalf("unwritable -cpuprofile: exit %d, want 1", code)
+	}
+	if out.Len() != 0 || !strings.Contains(errb.String(), "reclose: cpuprofile: ") {
+		t.Errorf("stdout %q, stderr %q: want no output and the cpuprofile error", out.String(), errb.String())
+	}
+}
+
+// TestTemporaryAvoidsObjectName: a hoisted argument's temporary does not
+// take the name of the channel the send names, so the program closes and
+// the send keeps its object.
+func TestTemporaryAvoidsObjectName(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "clash.mc")
+	src := "chan __t1[1];\nenv f.x;\nproc f(x) {\n    send(__t1, x + 1);\n}\nprocess f;\n"
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{file}, {"-dump-cfg", file}} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("reclose %v: exit %d: %s", args, code, stderr.String())
+		}
+		if args[0] == "-dump-cfg" && !strings.Contains(stdout.String(), "send(__t1, __t2)") {
+			t.Errorf("reclose -dump-cfg: want send(__t1, __t2):\n%s", stdout.String())
+		}
+	}
+}
+
 // TestEmitReparses closes every program of internal/progs — the paper's
 // Figure 2 and Figure 3 among them — with -emit and with -partition
 // -emit, and closes each emitted source again: the statistics lines are

@@ -519,7 +519,10 @@ type Unit struct {
 	EnvParams map[string]map[int]bool
 	// EnvChans is the set of env-facing channel names.
 	EnvChans map[string]bool
-	// Arrays maps procedure name -> set of array variable names.
+	// Arrays maps procedure name -> set of array variable names. It is
+	// read-only: CompileUnit takes sem.Info's map and a closed unit
+	// shares its open unit's, so nothing may write it. EnvParams, which
+	// partitioning rewrites, is each unit's own copy.
 	Arrays map[string]map[string]bool
 	// Daemons marks process indices that model the environment (added
 	// by the naive most-general-environment composition, package mgenv).
@@ -604,7 +607,7 @@ func CompileUnit(prog *ast.Program, info *sem.Info) *Unit {
 		Procs:     make(map[string]*Graph),
 		EnvParams: make(map[string]map[int]bool),
 		EnvChans:  make(map[string]bool),
-		Arrays:    make(map[string]map[string]bool),
+		Arrays:    info.Arrays,
 	}
 	for _, pd := range prog.Procs() {
 		g := Build(pd)
@@ -626,13 +629,6 @@ func CompileUnit(prog *ast.Program, info *sem.Info) *Unit {
 	}
 	for name := range info.EnvChans {
 		u.EnvChans[name] = true
-	}
-	for proc, set := range info.Arrays {
-		cp := make(map[string]bool, len(set))
-		for v := range set {
-			cp[v] = true
-		}
-		u.Arrays[proc] = cp
 	}
 	return u
 }

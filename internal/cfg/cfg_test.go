@@ -18,9 +18,7 @@ func buildProc(t *testing.T, body string) *cfg.Graph {
 	t.Helper()
 	src := "chan c[1];\nproc f(x) {\n" + body + "\n}"
 	prog := parser.MustParse(src)
-	sem.MustCheck(prog)
-	normalize.Program(prog)
-	sem.MustCheck(prog)
+	normalize.Checked(prog, sem.MustCheck(prog))
 	g := cfg.Build(prog.Proc("f"))
 	if err := g.Validate(); err != nil {
 		t.Fatalf("invalid graph: %v\n%s", err, g)
@@ -151,8 +149,7 @@ func TestUnreachableCodeTolerated(t *testing.T) {
 func TestCompileUnit(t *testing.T) {
 	prog := parser.MustParse(progs.ProducerConsumer)
 	info := sem.MustCheck(prog)
-	normalize.Program(prog)
-	info = sem.MustCheck(prog)
+	normalize.Checked(prog, info)
 	u := cfg.CompileUnit(prog, info)
 	if err := u.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -185,8 +182,7 @@ func TestArcLabelInvariant(t *testing.T) {
 	} {
 		prog := parser.MustParse(src)
 		info := sem.MustCheck(prog)
-		normalize.Program(prog)
-		info = sem.MustCheck(prog)
+		normalize.Checked(prog, info)
 		u := cfg.CompileUnit(prog, info)
 		if err := u.Validate(); err != nil {
 			t.Errorf("%v", err)
@@ -293,8 +289,7 @@ func TestVarArrayNode(t *testing.T) {
 func TestDotOutput(t *testing.T) {
 	prog := parser.MustParse(progs.FigureP)
 	info := sem.MustCheck(prog)
-	normalize.Program(prog)
-	info = sem.MustCheck(prog)
+	normalize.Checked(prog, info)
 	u := cfg.CompileUnit(prog, info)
 	dot := u.Dot()
 	for _, want := range []string{

@@ -176,9 +176,7 @@ proc f(x) {
     }
 }`
 	prog := parser.MustParse(src)
-	sem.MustCheck(prog)
-	normalize.Program(prog)
-	sem.MustCheck(prog)
+	normalize.Checked(prog, sem.MustCheck(prog))
 	g := cfg.Build(prog.Proc("f"))
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

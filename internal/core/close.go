@@ -125,14 +125,7 @@ func closeAnalyzed(u *cfg.Unit, res *dataflow.Result, opt Options) (*cfg.Unit, *
 		Processes: append([]string(nil), u.Processes...),
 		EnvParams: make(map[string]map[int]bool),
 		EnvChans:  make(map[string]bool),
-		Arrays:    make(map[string]map[string]bool, len(u.Arrays)),
-	}
-	for proc, set := range u.Arrays {
-		cp := make(map[string]bool, len(set))
-		for v := range set {
-			cp[v] = true
-		}
-		closed.Arrays[proc] = cp
+		Arrays:    u.Arrays, // read-only (cfg.Unit)
 	}
 	// Env-facing channels become stubs: the data they carried is part of
 	// the eliminated interface, but the visible operations on them are

@@ -51,15 +51,15 @@ func TestLemma1DynamicDependence(t *testing.T) {
 			t.Fatalf("seed %d: no open traces", seed)
 		}
 		for _, tr := range open {
-			if len(tr) != len(vars) {
-				t.Fatalf("seed %d: trace length %d, want %d (straight line!)", seed, len(tr), len(vars))
+			if len(tr.Events) != len(vars) {
+				t.Fatalf("seed %d: trace length %d, want %d (straight line!)", seed, len(tr.Events), len(vars))
 			}
 		}
 		dynamic := make([]bool, len(vars)) // position varies across inputs
 		for i := range vars {
 			vals := map[string]bool{}
 			for _, tr := range open {
-				vals[tr[i]] = true
+				vals[tr.Events[i]] = true
 			}
 			dynamic[i] = len(vals) > 1
 		}
@@ -77,10 +77,10 @@ func TestLemma1DynamicDependence(t *testing.T) {
 			t.Fatalf("seed %d: closed straight-line program has %d traces, want 1", seed, len(closed))
 		}
 		for i := range vars {
-			undef := strings.HasSuffix(closed[0][i], "=undef")
+			undef := strings.HasSuffix(closed[0].Events[i], "=undef")
 			if dynamic[i] && !undef {
 				t.Errorf("seed %d: Lemma 1 violated: %s dynamically depends on the input but survived concretely (%s)\n%s",
-					seed, vars[i], closed[0][i], src)
+					seed, vars[i], closed[0].Events[i], src)
 			}
 		}
 	}

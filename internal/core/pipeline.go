@@ -11,8 +11,8 @@ import (
 )
 
 // CompileSource runs the full front end on MiniC source text: parse,
-// check, normalize to paper form, re-check, and build the control-flow
-// graphs. It returns the compiled unit of the (still open) program.
+// check once, normalize to paper form and build the control-flow graphs.
+// It returns the compiled unit of the (still open) program.
 func CompileSource(src string) (*cfg.Unit, error) {
 	prog, err := parser.Parse([]byte(src))
 	if err != nil {
@@ -24,14 +24,11 @@ func CompileSource(src string) (*cfg.Unit, error) {
 // CompileProgram is CompileSource for an already-parsed program. The
 // program is normalized in place.
 func CompileProgram(prog *ast.Program) (*cfg.Unit, error) {
-	if _, err := sem.Check(prog); err != nil {
-		return nil, fmt.Errorf("check: %w", err)
-	}
-	normalize.Program(prog)
 	info, err := sem.Check(prog)
 	if err != nil {
-		return nil, fmt.Errorf("check (normalized): %w", err)
+		return nil, fmt.Errorf("check: %w", err)
 	}
+	normalize.Checked(prog, info)
 	u := cfg.CompileUnit(prog, info)
 	if err := u.Validate(); err != nil {
 		return nil, fmt.Errorf("cfg: %w", err)

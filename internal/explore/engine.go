@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -247,15 +248,26 @@ func (e *engine) publish() {
 
 // reserve ends the engine's reservation of states and takes the next:
 // tallyBatch, or under a MaxStates budget several engines share the one
-// state it is at, so a cut counts exactly MaxStates. None left stops.
+// state it is at, so a cut counts exactly MaxStates. A spent budget
+// stops the search; while other engines hold what is left of it, the
+// engine waits for them to use or give back their states.
 func (e *engine) reserve() {
 	e.settle()
 	n := int64(tallyBatch)
 	if e.opt.MaxStates > 0 && e.opt.Workers > 1 {
 		n = 1
 	}
-	if e.resv, _ = e.shared.reserve(n); e.resv == 0 {
-		e.shared.requestStop(StopMaxStates)
+	for {
+		got, spent := e.shared.reserve(n)
+		if got > 0 || e.shared.yielding() {
+			e.resv = got
+			break
+		}
+		if spent {
+			e.shared.requestStop(StopMaxStates)
+			break
+		}
+		runtime.Gosched()
 	}
 	e.held = e.resv
 }

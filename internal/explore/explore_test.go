@@ -38,7 +38,7 @@ func TestFigure2Exploration(t *testing.T) {
 	mixed := false
 	for _, trace := range traces {
 		sawEvn, sawOdd := false, false
-		for _, ev := range trace {
+		for _, ev := range trace.Events {
 			sawEvn = sawEvn || strings.Contains(ev, "(evn)")
 			sawOdd = sawOdd || strings.Contains(ev, "(odd)")
 		}

@@ -214,3 +214,27 @@ func TestMaxStatesTruncationFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestMaxStatesCutParallelExact cuts many small parallel searches by
+// MaxStates: each must count exactly the budget. An engine that found
+// the budget held, not spent, by another engine once stopped the search
+// anyway; the holder then gave its state back and the cut read one short,
+// about once in 600 runs on 2 CPUs. Under the race detector, which
+// watches the reservations here, a quarter of the runs keeps it near 1 s.
+func TestMaxStatesCutParallelExact(t *testing.T) {
+	closed := mustClose(t, progs.Philosophers(3))
+	runs := 4000
+	if raceEnabled {
+		runs = 1000
+	}
+	for run := 0; run < runs; run++ {
+		budget := int64(20 + run%40)
+		rep, err := Explore(closed, Options{Workers: 4, MaxStates: budget})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if rep.Cause != StopMaxStates || rep.States != budget {
+			t.Fatalf("run %d: cause %v, %d states, want a MaxStates cut at exactly %d", run, rep.Cause, rep.States, budget)
+		}
+	}
+}

@@ -140,14 +140,27 @@ func TestTraceHelpers(t *testing.T) {
 		t.Error("object must match")
 	}
 
-	open := [][]string{{"P0:send(c)=1", "P0:recv(d)=2"}}
-	closedOK := [][]string{{"P0:send(c)=undef", "P0:recv(d)=2"}}
-	closedBad := [][]string{{"P0:send(c)=undef"}}
+	open := []explore.Trace{{Events: []string{"P0:send(c)=1", "P0:recv(d)=2"}}}
+	closedOK := []explore.Trace{{Events: []string{"P0:send(c)=undef", "P0:recv(d)=2"}}}
+	closedBad := []explore.Trace{{Events: []string{"P0:send(c)=undef"}}}
 	if _, ok := explore.WildcardSubset(open, closedOK); !ok {
 		t.Error("inclusion with wildcard failed")
 	}
 	if w, ok := explore.WildcardSubset(open, closedBad); ok || w == "" {
 		t.Error("length mismatch must fail with a witness")
+	}
+
+	deadlock := func(evs ...string) []explore.Trace {
+		return []explore.Trace{{Kind: explore.LeafDeadlock, Events: evs}}
+	}
+	if _, ok := explore.IncidentsMatched(deadlock("P0:send(c)=1"), deadlock("P0:send(c)=undef")); !ok {
+		t.Error("a deadlock must match a closed deadlock with the wildcard")
+	}
+	if _, ok := explore.IncidentsMatched(deadlock("P0:send(c)=1"), closedOK); ok {
+		t.Error("a deadlock matched a trace that is no deadlock")
+	}
+	if _, ok := explore.IncidentsMatched(open, nil); !ok {
+		t.Error("a trace that is no incident needs no match")
 	}
 }
 

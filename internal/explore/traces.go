@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"slices"
 	"strings"
 
 	"reclose/internal/cfg"
@@ -23,8 +24,8 @@ func TraceSet(u *cfg.Unit, opt Options, sysProcs int) (map[string]bool, *Report,
 		return nil, nil, err
 	}
 	set := make(map[string]bool, len(lists))
-	for _, evs := range lists {
-		set[strings.Join(append(evs[:len(evs):len(evs)], ""), " ")] = true
+	for _, t := range lists {
+		set[strings.Join(append(t.Events[:len(t.Events):len(t.Events)], ""), " ")] = true
 	}
 	return set, rep, nil
 }
@@ -40,18 +41,31 @@ func Subset(a, b map[string]bool) (string, bool) {
 	return "", true
 }
 
-// TraceLists is TraceSet returning each distinct trace as its event
-// list, for wildcard comparisons. A trace is a function of its path's
+// Trace is a complete path's visible events and how the path ended.
+type Trace struct {
+	Kind   LeafKind
+	Events []string
+}
+
+// String renders the trace as its kind and its events.
+func (t Trace) String() string { return t.Kind.String() + ": " + strings.Join(t.Events, " ") }
+
+// TraceLists is TraceSet returning each distinct (trace, leaf kind) pair,
+// for wildcard comparisons. A trace is a function of its path's
 // decisions: OnLeaf's are replayed on one machine, which steps only
 // where consecutive paths part (replayer).
-func TraceLists(u *cfg.Unit, opt Options, sysProcs int) ([][]string, *Report, error) {
+func TraceLists(u *cfg.Unit, opt Options, sysProcs int) ([]Trace, *Report, error) {
 	sys, err := interp.NewSystem(u)
 	if err != nil {
 		return nil, nil, err
 	}
 	r := &replayer{sys: sys}
-	seen := make(map[string]bool)
-	var out [][]string
+	type key struct {
+		kind   LeafKind
+		events string
+	}
+	seen := make(map[key]bool)
+	var out []Trace
 	opt.OnLeaf = func(kind LeafKind, decisions []Decision) {
 		switch kind {
 		case LeafTerminated, LeafDeadlock, LeafViolation, LeafTrap:
@@ -61,9 +75,9 @@ func TraceLists(u *cfg.Unit, opt Options, sysProcs int) ([][]string, *Report, er
 					evs = append(evs, ev.String())
 				}
 			}
-			if key := strings.Join(evs, " "); !seen[key] {
-				seen[key] = true
-				out = append(out, evs)
+			if k := (key{kind, strings.Join(evs, " ")}); !seen[k] {
+				seen[k] = true
+				out = append(out, Trace{kind, evs})
 			}
 		}
 	}
@@ -101,27 +115,35 @@ func traceMatches(open, closed []string) bool {
 }
 
 // WildcardSubset reports whether every open trace is matched by some
-// closed trace under EventMatches, returning a witness open trace
-// otherwise. This is the inclusion Theorem 6 guarantees.
-func WildcardSubset(open, closed [][]string) (string, bool) {
+// closed trace under EventMatches, whatever either path's leaf, returning
+// a witness open trace otherwise. This is the inclusion Theorem 6
+// guarantees.
+func WildcardSubset(open, closed []Trace) (string, bool) {
 	exact := make(map[string]bool, len(closed))
 	for _, c := range closed {
-		exact[strings.Join(c, " ")] = true
+		exact[strings.Join(c.Events, " ")] = true
 	}
 	for _, o := range open {
-		key := strings.Join(o, " ")
-		if exact[key] {
+		key := strings.Join(o.Events, " ")
+		if !exact[key] && !slices.ContainsFunc(closed, func(c Trace) bool { return traceMatches(o.Events, c.Events) }) {
+			return key, false
+		}
+	}
+	return "", true
+}
+
+// IncidentsMatched reports whether every open deadlock or assertion
+// violation trace is matched under EventMatches by a closed trace of the
+// same kind, returning a witness open trace otherwise: Theorem 7 trace
+// by trace, where a count would let a closer keep one deadlock and lose
+// another.
+func IncidentsMatched(open, closed []Trace) (string, bool) {
+	for _, o := range open {
+		if o.Kind != LeafDeadlock && o.Kind != LeafViolation {
 			continue
 		}
-		found := false
-		for _, c := range closed {
-			if traceMatches(o, c) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return key, false
+		if !slices.ContainsFunc(closed, func(c Trace) bool { return c.Kind == o.Kind && traceMatches(o.Events, c.Events) }) {
+			return o.String(), false
 		}
 	}
 	return "", true

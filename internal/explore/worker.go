@@ -325,8 +325,12 @@ loop:
 		case e.backtrack():
 			e.rep.Replays++
 		default:
-			// The unit is done: publish what it counted.
+			// The unit is done: publish what it counted, and give back
+			// the reservation's rest, which an engine waiting in
+			// reserve would otherwise wait on while this one waits for
+			// a unit.
 			e.publish()
+			e.settle()
 			w.busy += time.Since(t0)
 			w.inUnit = false
 			w.f.done()

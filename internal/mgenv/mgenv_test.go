@@ -1,8 +1,11 @@
 package mgenv_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
+	"reclose/internal/cfg"
 	"reclose/internal/core"
 	"reclose/internal/explore"
 	"reclose/internal/mgenv"
@@ -77,6 +80,42 @@ func TestFigure3Equivalent(t *testing.T) {
 	}
 }
 
+// fullTraces memoizes fullTraceLists by domain and source:
+// TestTheorem6Inclusion and TestTheorem7Preservation compare the same
+// deadlock and violation programs.
+var fullTraces = map[string][2][]explore.Trace{}
+
+// fullTraceLists returns the distinct traces, leaf kinds included, of the
+// naive composition S × E_S (domain D, projected to system processes) and
+// of the closed transformation S'. Comparing them needs every
+// interleaving on both sides, so partial-order reduction is off.
+func fullTraceLists(t *testing.T, src string, domain int) (open, closed []explore.Trace) {
+	t.Helper()
+	key := fmt.Sprint(domain, src)
+	if l, ok := fullTraces[key]; ok {
+		return l[0], l[1]
+	}
+	naive, info, err := mgenv.ComposeSource(src, domain)
+	if err != nil {
+		t.Fatalf("ComposeSource: %v", err)
+	}
+	full := explore.Options{MaxDepth: 200, POR: explore.POROff, NoSleep: true}
+	open, _, err = explore.TraceLists(naive, full, info.SystemProcs)
+	if err != nil {
+		t.Fatalf("TraceLists(naive): %v", err)
+	}
+	closedUnit, _, err := core.CloseSource(src)
+	if err != nil {
+		t.Fatalf("CloseSource: %v", err)
+	}
+	closed, _, err = explore.TraceLists(closedUnit, full, 0)
+	if err != nil {
+		t.Fatalf("TraceLists(closed): %v", err)
+	}
+	fullTraces[key] = [2][]explore.Trace{open, closed}
+	return open, closed
+}
+
 // TestTheorem6Inclusion checks visible-trace inclusion of S × E_S in S'
 // across the example programs, for a modest domain. Closed-side events
 // whose data was eliminated carry undef and match any concrete value
@@ -97,25 +136,7 @@ func TestTheorem6Inclusion(t *testing.T) {
 		{"assert", progs.AssertViolation, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			naive, info, err := mgenv.ComposeSource(tc.src, tc.domain)
-			if err != nil {
-				t.Fatalf("ComposeSource: %v", err)
-			}
-			// Trace-set comparison requires all interleavings on both
-			// sides: disable partial-order reduction.
-			full := explore.Options{MaxDepth: 200, POR: explore.POROff, NoSleep: true}
-			open, _, err := explore.TraceLists(naive, full, info.SystemProcs)
-			if err != nil {
-				t.Fatalf("TraceLists(naive): %v", err)
-			}
-			closedUnit, _, err := core.CloseSource(tc.src)
-			if err != nil {
-				t.Fatalf("CloseSource: %v", err)
-			}
-			closed, _, err := explore.TraceLists(closedUnit, full, 0)
-			if err != nil {
-				t.Fatalf("TraceLists(closed): %v", err)
-			}
+			open, closed := fullTraceLists(t, tc.src, tc.domain)
 			if len(open) == 0 {
 				t.Fatal("no open traces collected")
 			}
@@ -126,54 +147,71 @@ func TestTheorem6Inclusion(t *testing.T) {
 	}
 }
 
-// TestTheorem7Preservation checks that deadlocks and environment-
-// independent assertion violations found in S × E_S are found in S'.
+// twoDeadlocks deadlocks one way when the environment sends 0 and
+// another when it sends anything else: a closer that kept one and lost
+// the other would still count a deadlock.
+const twoDeadlocks = `
+sem s = 0;
+chan c[1];
+chan in1[1];
+env chan in1;
+
+proc p() {
+    var x;
+    recv(in1, x);
+    if (x == 0) {
+        send(c, 1);
+    }
+    wait(s);
+}
+
+process p;
+`
+
+// TestTheorem7Preservation checks Theorem 7 trace by trace: every
+// deadlock and environment-independent assertion violation trace of
+// S × E_S, over every interleaving, is matched by a trace of S' that
+// ends the same way. S' also meets its first incident no later than
+// S × E_S (E5's last two columns: the closed system has no environment
+// values to branch over before it reaches the incident).
 func TestTheorem7Preservation(t *testing.T) {
-	check := func(src string, domain int) (openRep, closedRep *explore.Report) {
-		naive, _, err := mgenv.ComposeSource(src, domain)
-		if err != nil {
-			t.Fatalf("ComposeSource: %v", err)
-		}
-		openRep, err = explore.Explore(naive, explore.Options{MaxDepth: 200})
-		if err != nil {
-			t.Fatalf("Explore(naive): %v", err)
-		}
-		closedUnit, _, err := core.CloseSource(src)
-		if err != nil {
-			t.Fatalf("CloseSource: %v", err)
-		}
-		closedRep, err = explore.Explore(closedUnit, explore.Options{MaxDepth: 200})
-		if err != nil {
-			t.Fatalf("Explore(closed): %v", err)
-		}
-		return openRep, closedRep
-	}
-
-	// sooner holds E5's last two columns: the closed system has no
-	// environment values to branch over before it reaches the incident.
-	sooner := func(open, closed *explore.Report) {
-		t.Helper()
-		if c, o := closed.StatesAtFirstIncident, open.StatesAtFirstIncident; c == 0 || c > o {
-			t.Errorf("first incident after %d states closed, %d naive", c, o)
-		}
-	}
-
-	open, closed := check(progs.DeadlockProne, 4)
-	sooner(open, closed)
-	if open.Deadlocks == 0 {
-		t.Error("naive composition missed the deadlock")
-	}
-	if closed.Deadlocks == 0 {
-		t.Error("Theorem 7 violated: deadlock lost by the transformation")
-	}
-
-	open, closed = check(progs.AssertViolation, 4)
-	sooner(open, closed)
-	if open.Violations == 0 {
-		t.Error("naive composition missed the assertion violation")
-	}
-	if closed.Violations == 0 {
-		t.Error("Theorem 7 violated: assertion violation lost by the transformation")
+	for _, tc := range []struct {
+		name   string
+		src    string
+		domain int
+		kind   explore.LeafKind
+	}{
+		{"deadlock", progs.DeadlockProne, 2, explore.LeafDeadlock},
+		{"assert", progs.AssertViolation, 2, explore.LeafViolation},
+		{"two-deadlocks", twoDeadlocks, 2, explore.LeafDeadlock},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			naive, _, err := mgenv.ComposeSource(tc.src, tc.domain)
+			if err != nil {
+				t.Fatalf("ComposeSource: %v", err)
+			}
+			closedUnit, _, err := core.CloseSource(tc.src)
+			if err != nil {
+				t.Fatalf("CloseSource: %v", err)
+			}
+			first := func(u *cfg.Unit) int64 {
+				rep, err := explore.Explore(u, explore.Options{MaxDepth: 200})
+				if err != nil {
+					t.Fatalf("Explore: %v", err)
+				}
+				return rep.StatesAtFirstIncident
+			}
+			if c, o := first(closedUnit), first(naive); c == 0 || c > o {
+				t.Errorf("first incident after %d states closed, %d naive", c, o)
+			}
+			open, closed := fullTraceLists(t, tc.src, tc.domain)
+			if !slices.ContainsFunc(open, func(tr explore.Trace) bool { return tr.Kind == tc.kind }) {
+				t.Errorf("the naive composition has no %s trace", tc.kind)
+			}
+			if w, ok := explore.IncidentsMatched(open, closed); !ok {
+				t.Errorf("Theorem 7 violated: no closed trace ends as this one does:\n  %s", w)
+			}
+		})
 	}
 }
 

@@ -22,81 +22,86 @@ import (
 	"reclose/internal/sem"
 )
 
-// Program rewrites prog in place (allocating fresh statement lists) and
-// returns it. The input must have passed sem.Check. The caller should
-// re-run sem.Check afterwards to refresh symbol information (fresh
-// temporaries are introduced).
+// Program normalizes prog in place and returns it; the input must pass
+// sem.Check. It is Checked for callers that do not hold the Info.
 func Program(prog *ast.Program) *ast.Program {
-	for _, pd := range prog.Procs() {
-		n := &normalizer{proc: pd.Name.Name}
-		n.collectNames(pd)
-		pd.Body = n.block(pd.Body)
-	}
+	info, _ := sem.Check(prog)
+	Checked(prog, info)
 	return prog
 }
 
+// Checked normalizes prog in place. info must be sem.Check's result for
+// prog; each temporary is entered into info.ProcVars, so afterwards info
+// is what a fresh check of the normalized program returns. A statement
+// list is rebuilt only where a temporary is hoisted into it.
+func Checked(prog *ast.Program, info *sem.Info) {
+	n := &normalizer{info: info}
+	for _, d := range prog.Decls {
+		if pd, ok := d.(*ast.ProcDecl); ok {
+			n.vars, n.nTemp = info.ProcVars[pd.Name.Name], 0
+			n.block(pd.Body)
+		}
+	}
+}
+
 type normalizer struct {
-	proc  string
-	used  map[string]bool
+	info  *sem.Info
+	vars  map[string]bool // the current procedure's variables
 	nTemp int
 }
 
-func (n *normalizer) collectNames(pd *ast.ProcDecl) {
-	n.used = make(map[string]bool)
-	for _, p := range pd.Params {
-		n.used[p.Name] = true
-	}
-	ast.Inspect(pd.Body, func(node ast.Node) bool {
-		if vs, ok := node.(*ast.VarStmt); ok {
-			n.used[vs.Name.Name] = true
-		}
-		return true
-	})
-}
-
+// fresh returns a name no variable of the procedure, object or
+// procedure has, and declares it.
 func (n *normalizer) fresh() string {
 	for {
 		n.nTemp++
 		name := fmt.Sprintf("__t%d", n.nTemp)
-		if !n.used[name] {
-			n.used[name] = true
+		if !n.vars[name] && n.info.Objects[name] == nil && n.info.Procs[name] == nil {
+			n.vars[name] = true
 			return name
 		}
 	}
 }
 
-func (n *normalizer) block(b *ast.BlockStmt) *ast.BlockStmt {
-	out := &ast.BlockStmt{Lbrace: b.Lbrace, Stmts: make([]ast.Stmt, 0, len(b.Stmts))}
-	for _, st := range b.Stmts {
-		out.Stmts = append(out.Stmts, n.stmt(st)...)
+// block normalizes b in place.
+func (n *normalizer) block(b *ast.BlockStmt) {
+	var out []ast.Stmt // nil until a statement gains temporaries
+	for i, st := range b.Stmts {
+		pre := n.stmt(st)
+		if out == nil && pre == nil {
+			continue
+		}
+		if out == nil {
+			out = append(make([]ast.Stmt, 0, len(b.Stmts)+len(pre)), b.Stmts[:i]...)
+		}
+		out = append(append(out, pre...), st)
 	}
-	return out
+	if out != nil {
+		b.Stmts = out
+	}
 }
 
-// stmt normalizes one statement, possibly expanding it into several.
+// stmt normalizes one statement in place and returns the temporaries'
+// declarations to insert before it.
 func (n *normalizer) stmt(st ast.Stmt) []ast.Stmt {
 	switch st := st.(type) {
 	case *ast.CallStmt:
 		return n.call(st)
 	case *ast.IfStmt:
-		st.Then = n.block(st.Then)
+		n.block(st.Then)
 		if st.Else != nil {
-			st.Else = n.block(st.Else)
+			n.block(st.Else)
 		}
-		return []ast.Stmt{st}
 	case *ast.WhileStmt:
-		st.Body = n.block(st.Body)
-		return []ast.Stmt{st}
+		n.block(st.Body)
 	case *ast.ForStmt:
-		st.Body = n.block(st.Body)
-		return []ast.Stmt{st}
+		n.block(st.Body)
 	case *ast.SwitchStmt:
 		return n.switchStmt(st)
 	case *ast.BlockStmt:
-		return []ast.Stmt{n.block(st)}
-	default:
-		return []ast.Stmt{st}
+		n.block(st)
 	}
+	return nil
 }
 
 // switchStmt normalizes a switch: the tag expression is hoisted into a
@@ -109,15 +114,12 @@ func (n *normalizer) switchStmt(st *ast.SwitchStmt) []ast.Stmt {
 	case *ast.Ident, *ast.IntLit, *ast.BoolLit:
 		// already a single evaluation
 	default:
-		tmp := n.fresh()
-		pre = append(pre, &ast.VarStmt{VarPos: st.Tag.Pos(),
-			Name: &ast.Ident{NamePos: st.Tag.Pos(), Name: tmp}, Init: st.Tag})
-		st.Tag = &ast.Ident{NamePos: st.Tag.Pos(), Name: tmp}
+		pre = []ast.Stmt{n.hoist(&st.Tag)}
 	}
 	for _, cl := range st.Cases {
-		cl.Body = n.block(cl.Body)
+		n.block(cl.Body)
 	}
-	return append(pre, st)
+	return pre
 }
 
 // call hoists compound arguments of a call into fresh temporaries.
@@ -136,10 +138,16 @@ func (n *normalizer) call(st *ast.CallStmt) []ast.Stmt {
 		if _, ok := a.(*ast.Ident); ok {
 			continue // already a variable
 		}
-		tmp := n.fresh()
-		id := &ast.Ident{NamePos: a.Pos(), Name: tmp}
-		pre = append(pre, &ast.VarStmt{VarPos: a.Pos(), Name: id, Init: a})
-		st.Args[i] = &ast.Ident{NamePos: a.Pos(), Name: tmp}
+		pre = append(pre, n.hoist(&st.Args[i]))
 	}
-	return append(pre, st)
+	return pre
+}
+
+// hoist replaces *e by a fresh temporary and returns the temporary's
+// declaration, initialized to the old *e.
+func (n *normalizer) hoist(e *ast.Expr) ast.Stmt {
+	x := *e
+	tmp := n.fresh()
+	*e = &ast.Ident{NamePos: x.Pos(), Name: tmp}
+	return &ast.VarStmt{VarPos: x.Pos(), Name: &ast.Ident{NamePos: x.Pos(), Name: tmp}, Init: x}
 }

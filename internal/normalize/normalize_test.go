@@ -131,24 +131,48 @@ proc f(x) {
 	}
 }
 
+// TestFreshNamesAvoidCollisions: a temporary takes no name a variable,
+// an object or a procedure has, so none shadows or redeclares one.
 func TestFreshNamesAvoidCollisions(t *testing.T) {
-	prog := normalizeSrc(t, `
+	for _, src := range []string{`
 chan c[1];
 proc f(x) {
     var __t1 = 5;
     send(c, x + __t1);
 }
-`)
-	callArgsAreVars(t, prog)
-	names := map[string]int{}
-	for _, s := range prog.Proc("f").Body.Stmts {
-		if vs, ok := s.(*ast.VarStmt); ok {
-			names[vs.Name.Name]++
+`, `
+chan __t1[1];
+proc f(x) {
+    send(__t1, x + 1);
+}
+`, `
+chan c[1];
+proc __t1() { return; }
+proc f(x) {
+    send(c, x + 1);
+    __t1();
+}
+`} {
+		prog := normalizeSrc(t, src)
+		callArgsAreVars(t, prog)
+		names := map[string]int{}
+		for _, s := range prog.Proc("f").Body.Stmts {
+			switch s := s.(type) {
+			case *ast.VarStmt:
+				names[s.Name.Name]++
+			case *ast.CallStmt:
+				if s.Name.Name == "send" && s.Args[0].(*ast.Ident).Name != prog.Objects()[0].Name.Name {
+					t.Errorf("send's object became %s:\n%s", ast.FormatExpr(s.Args[0]), ast.Format(prog))
+				}
+			}
 		}
-	}
-	for n, k := range names {
-		if k > 1 {
-			t.Errorf("variable %q declared %d times", n, k)
+		for n, k := range names {
+			if k > 1 {
+				t.Errorf("variable %q declared %d times", n, k)
+			}
+			if prog.Proc(n) != nil {
+				t.Errorf("temporary %q is a procedure's name:\n%s", n, ast.Format(prog))
+			}
 		}
 	}
 }

@@ -7,9 +7,13 @@
 # With -cli, the profile is instead of one cold verisoft run, taken by
 # its -cpuprofile flag: the end-to-end view (process start, reading
 # and closing the program, the search, the exit) that the in-process
-# benchmarks miss, since they never pay the process floor.
+# benchmarks miss, since they never pay the process floor. With
+# -reclose, the same of one cold reclose run: close_scale runs reclose
+# -stats one cold process per item, and pays the collector's share of a
+# fresh heap that BenchmarkClose's warm in-process heap hides.
 #   scripts/profile.sh [bench-regexp]
 #   scripts/profile.sh -cli [verisoft flags] file.mc
+#   scripts/profile.sh -reclose [reclose flags] file.mc
 set -eu
 here=$(pwd)
 cd "$(dirname "$0")/.."
@@ -21,6 +25,13 @@ if [ "${1:-}" = "-cli" ]; then
 	# Exit codes 3 and 4 are verdicts (incidents, an incomplete search).
 	(cd "$here" && "$dir/verisoft" -cpuprofile "$dir/cpu.prof" "$@") >&2 || test $? -ge 3
 	go tool pprof -top -nodecount 40 "$dir/verisoft" "$dir/cpu.prof"
+	exit
+fi
+if [ "${1:-}" = "-reclose" ]; then
+	shift
+	go build -o "$dir/reclose" ./cmd/reclose
+	(cd "$here" && "$dir/reclose" -cpuprofile "$dir/cpu.prof" "$@") >/dev/null
+	go tool pprof -top -nodecount 40 "$dir/reclose" "$dir/cpu.prof"
 	exit
 fi
 go test -run '^$' -bench "${1:-BenchmarkBacktrack}" -benchtime 5x \
