@@ -181,9 +181,8 @@ func TestCLIDistFlagValidation(t *testing.T) {
 	}{
 		{[]string{"-dist-slice", "64", prog}, "require -dist-workers"},
 		{[]string{"-dist-lease", "1s", prog}, "require -dist-workers"},
-		{[]string{"-cache-shards", "4", prog}, "CacheShards and MaxCacheBytes require StateCache"},
-		{[]string{"-cache-mem", "1048576", prog}, "CacheShards and MaxCacheBytes require StateCache"},
-		{[]string{"-dist-workers", "2", "-cache-mem", "1048576", prog}, "CacheShards and MaxCacheBytes require StateCache"},
+		{[]string{"-cache-mem", "1048576", prog}, "MaxCacheBytes requires StateCache"},
+		{[]string{"-dist-workers", "2", "-cache-mem", "1048576", prog}, "MaxCacheBytes requires StateCache"},
 		{[]string{"-dist-workers", "2", "-shortest", prog}, "-dist-workers does not compose"},
 		{[]string{"-dist-workers", "-1", prog}, "-dist-workers must be >= 0"},
 	} {

@@ -11,7 +11,8 @@
 // transformation (default), or naively by composing an explicit most
 // general environment over a finite domain (-naive D).
 //
-// Long runs are resilient: -timeout bounds wall-clock time, -checkpoint
+// Long runs are resilient: -timeout bounds wall-clock time (of every
+// -shortest round together), -checkpoint
 // periodically persists the search frontier (atomically: write temp,
 // fsync, rename), -resume continues from a checkpoint, and
 // SIGINT/SIGTERM stop the search gracefully (writing a final
@@ -85,6 +86,7 @@ type cli struct {
 	distLease   time.Duration
 	workerMode  bool
 	progress    time.Duration
+	timeout     time.Duration
 
 	ckptFile  string
 	resumeFrm string
@@ -120,7 +122,6 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.IntVar(&c.naive, "naive", 0, "close naively with an explicit most general environment over domain [0,D) instead of transforming")
 	fs.BoolVar(&o.NoSleep, "no-sleep", false, "disable sleep sets")
 	fs.BoolVar(&o.StateCache, "state-cache", false, "remember visited states and prune a path that reaches one again, no shallower than before and with the same sleep set; a state evicted under -cache-mem is explored again when met, so eviction costs time, never soundness")
-	fs.IntVar(&o.CacheShards, "cache-shards", 0, "lock shards in the state cache, rounded up to a power of two (0 = default 16; requires -state-cache)")
 	fs.Int64Var(&o.MaxCacheBytes, "cache-mem", 0, "state-cache budget in bytes, per worker process under -dist-workers, charged per entry the rendered state fingerprint's length plus 96 — more than the entry occupies (the cache: line's resident); over budget, cold entries are evicted (0 = unbounded; requires -state-cache)")
 	fs.BoolFunc("stop-on-violation", "stop at the first assertion violation or runtime error", func(s string) error {
 		on, err := strconv.ParseBool(s)
@@ -142,7 +143,7 @@ func newCLI(stdout, stderr io.Writer) *cli {
 	fs.DurationVar(&c.distLease, "dist-lease", 0, "lease timeout after which a distributed worker is declared dead and its work reassigned (0 = default 60s; requires -dist-workers)")
 	fs.BoolVar(&c.workerMode, "worker-mode", false, "run as a distributed exploration worker speaking the frame protocol on stdin/stdout (spawned by a -dist-workers coordinator, not for interactive use)")
 	fs.DurationVar(&c.progress, "progress", 0, "print progress lines at this interval (0 = off)")
-	fs.DurationVar(&o.Timeout, "timeout", 0, "wall-clock budget for the search; on expiry the partial result is reported (0 = unlimited)")
+	fs.DurationVar(&c.timeout, "timeout", 0, "wall-clock budget for the search, every -shortest round included; on expiry the partial result is reported (0 = unlimited)")
 	fs.StringVar(&c.ckptFile, "checkpoint", "", "write checkpoint snapshots to this file (periodically with -checkpoint-every, and on interrupt or budget exhaustion)")
 	fs.DurationVar(&o.CheckpointEvery, "checkpoint-every", 0, "period between checkpoints (requires -checkpoint; 0 = only final)")
 	fs.StringVar(&c.resumeFrm, "resume", "", "resume the search from a checkpoint file written by -checkpoint")
@@ -347,20 +348,32 @@ func (c *cli) run() (int, error) {
 		}
 	}()
 
+	// The search's wall-clock budget is a deadline on its context: the
+	// search reports it as a timeout, not a cancellation.
+	if c.timeout > 0 {
+		var stop context.CancelFunc
+		ctx, stop = context.WithTimeout(ctx, c.timeout)
+		defer stop()
+	}
 	start := time.Now()
 	stopProgress := sync.OnceFunc(c.startProgress(reg, start))
 	defer stopProgress()
 	var rep *explore.Report
 	switch {
 	case c.shortest:
-		in, r, err := explore.ShortestWitness(unit, opt)
+		in, r, err := explore.ShortestWitness(ctx, unit, opt)
 		if err != nil {
 			return 1, err
 		}
 		rep = r
-		if in != nil {
+		switch {
+		case in != nil && opt.POR == explore.PORDynamic:
+			fmt.Fprintf(c.stdout, "incident: %s at depth %d (some witness, not minimal: dynamic POR)\n", in.Kind, in.Depth)
+		case in != nil:
 			fmt.Fprintf(c.stdout, "shortest incident: %s at depth %d (minimal)\n", in.Kind, in.Depth)
-		} else {
+		case rep.Incomplete:
+			fmt.Fprintln(c.stdout, "no incident found before the search was cut")
+		default:
 			fmt.Fprintln(c.stdout, "no incident within the depth limit")
 		}
 	default:

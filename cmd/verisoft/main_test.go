@@ -13,6 +13,7 @@ import (
 
 	"reclose/internal/leaderelect"
 	"reclose/internal/progs"
+	"reclose/internal/statecache"
 )
 
 // summaryRE is the pinned format of the summary: line — the registry-
@@ -268,16 +269,16 @@ func TestCLIEngineFlag(t *testing.T) {
 	}
 }
 
-// TestCLICacheFlags runs a cached parallel search with an explicit
-// shard count and memory budget and checks the cache section lands in
-// the metrics file: the shard gauge honors -cache-shards and the
-// hit/miss counters are populated.
+// TestCLICacheFlags runs a cached parallel search with a memory budget
+// and checks the cache section lands in the metrics file: the shard
+// gauge reads the state cache's default of 16 and the hit/miss counters
+// are populated.
 func TestCLICacheFlags(t *testing.T) {
 	prog := writeProg(t, progs.Philosophers(3))
 	metrics := filepath.Join(t.TempDir(), "metrics.json")
 	var out, errb bytes.Buffer
 	code := realMain([]string{
-		"-state-cache", "-cache-shards", "4", "-cache-mem", "1048576",
+		"-state-cache", "-cache-mem", "1048576",
 		"-workers", "2", "-por", "off", "-no-sleep",
 		"-metrics-out", metrics, prog,
 	}, &out, &errb)
@@ -303,8 +304,8 @@ func TestCLICacheFlags(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("-metrics-out is not JSON: %v", err)
 	}
-	if got := doc.Gauges["explore.cache.shards"]; got != 4 {
-		t.Errorf("explore.cache.shards gauge = %d, want 4", got)
+	if got := doc.Gauges["explore.cache.shards"]; got != statecache.DefaultShards {
+		t.Errorf("explore.cache.shards gauge = %d, want %d", got, statecache.DefaultShards)
 	}
 	if doc.Counters["explore.cache.hits"] == 0 {
 		t.Error("explore.cache.hits = 0, want > 0 on the philosophers model")

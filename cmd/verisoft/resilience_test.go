@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"reclose/internal/fiveess"
 	"reclose/internal/progs"
 )
 
@@ -153,6 +154,53 @@ func TestCLISecondSignalForcesExit3(t *testing.T) {
 	defer mu.Unlock()
 	if !strings.Contains(errb.String(), "forcing immediate exit") {
 		t.Errorf("stderr = %q, want the forced-exit announcement", errb.String())
+	}
+}
+
+// TestCLIShortestVerdicts: -shortest claims only what it searched.
+// -timeout bounds the run as a whole, not each of its iterative-deepening
+// rounds, and a round cut by it ends the run without a verdict it cannot
+// back — "incomplete:" and exit 4, not "no incident within the depth
+// limit" (on 5ESS medium at -depth 36 every round from about depth 27 on
+// outlasts a 300 ms budget, so a budget per round ran for seconds). Under
+// -por dynamic the witness is some witness, not a minimal one.
+func TestCLIShortestVerdicts(t *testing.T) {
+	prog := writeProg(t, fiveess.Source(fiveess.Scale("medium")))
+	var out, errb bytes.Buffer
+	start := time.Now()
+	code := realMain([]string{"-shortest", "-timeout", "300ms", "-depth", "36", prog}, &out, &errb)
+	wall := time.Since(start)
+	if code != 4 {
+		t.Fatalf("exit = %d, want 4\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	for _, want := range []string{
+		"no incident found before the search was cut\n",
+		"incomplete: search stopped early (timeout)",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("stdout does not say %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "within the depth limit") {
+		t.Errorf("a cut run claims its depth limit:\n%s", out.String())
+	}
+	if wall > 2*time.Second {
+		t.Errorf("a 300ms budget ran %s", wall)
+	}
+
+	phil := writeProg(t, progs.Philosophers(3))
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "shortest incident: deadlock at depth 3 (minimal)\n"},
+		{[]string{"-por", "dynamic"}, "(some witness, not minimal: dynamic POR)\n"},
+	} {
+		out.Reset()
+		args := append(append([]string{"-shortest"}, tc.args...), phil)
+		if code := realMain(args, &out, &errb); code != 3 || !strings.Contains(out.String(), tc.want) {
+			t.Errorf("%v: exit %d, want 3 and %q:\n%s", args, code, tc.want, out.String())
+		}
 	}
 }
 

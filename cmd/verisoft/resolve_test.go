@@ -40,11 +40,10 @@ func TestOneRuleFourFrontEnds(t *testing.T) {
 		{"negative-states", explore.Options{MaxStates: -5}, []string{"-max-states", "-5"}, `"max_states":-5`, false, "MaxStates is -5; it must not be negative"},
 		{"negative-samples", explore.Options{MaxIncidents: -1}, []string{"-samples", "-1"}, "", true, "MaxIncidents is -1; it must not be negative"},
 		{"negative-spill-depth", explore.Options{SpillDepth: -2}, []string{"-spill-depth", "-2"}, "", true, "SpillDepth is -2; it must not be negative"},
-		{"negative-shards", explore.Options{StateCache: true, CacheShards: -4}, []string{"-state-cache", "-cache-shards", "-4"}, "", true, "CacheShards is -4; it must not be negative"},
 		{"negative-cache-mem", explore.Options{StateCache: true, MaxCacheBytes: -1}, []string{"-state-cache", "-cache-mem", "-1"}, "", true, "MaxCacheBytes is -1; it must not be negative"},
 		{"liveness-dynamic", explore.Options{Liveness: true, POR: explore.PORDynamic}, []string{"-liveness", "-por", "dynamic"}, `"liveness":true,"por":"dynamic"`, true, "Liveness does not compose with POR dynamic"},
 		{"liveness-spill", explore.Options{Liveness: true, SnapshotSpill: true}, []string{"-liveness", "-snapshot-spill"}, "", true, "Liveness does not compose with SnapshotSpill"},
-		{"cache-knobs-uncached", explore.Options{CacheShards: 4}, []string{"-cache-shards", "4"}, "", true, "CacheShards and MaxCacheBytes require StateCache"},
+		{"cache-knobs-uncached", explore.Options{MaxCacheBytes: 4096}, []string{"-cache-mem", "4096"}, "", true, "MaxCacheBytes requires StateCache"},
 	} {
 		t.Run(rule.name, func(t *testing.T) {
 			if _, err := rule.opt.Resolve(); err == nil || !strings.Contains(err.Error(), rule.msg) {

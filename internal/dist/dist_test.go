@@ -17,6 +17,7 @@ import (
 	"reclose/internal/interp"
 	"reclose/internal/obs"
 	"reclose/internal/progs"
+	"reclose/internal/statecache"
 )
 
 // TestMain doubles as the worker binary: Run respawns the test
@@ -140,7 +141,9 @@ func mustRun(t *testing.T, prog Program, opt explore.Options, cfg Config) *explo
 // must match the sequential oracle on every counter and every incident
 // decision sequence. Cached configs run one private cache per worker
 // process: at one worker that is the sequential cached search cut into
-// slices, so every counter matches it; at more, which worker meets a
+// slices, so every counter matches it (the oracle's cache has one shard,
+// the worker process's the default sixteen: the count changes no
+// counter); at more, which worker meets a
 // state first depends on the schedule, and the contract is what no
 // sound pruning may change — the stateless oracle's distinct incident
 // set — plus evidence that the caches do prune and never cost states.
@@ -154,7 +157,7 @@ func TestDistEquivalence(t *testing.T) {
 
 	cachedOpt := base
 	cachedOpt.StateCache = true
-	cachedOpt.CacheShards = 1
+	cachedOpt.Cache = statecache.New(statecache.Config{Shards: 1})
 	cachedWant := distDigest(mustOracle(t, prog, cachedOpt))
 	incidentWant := incidentSet(stateless)
 
@@ -173,33 +176,30 @@ func TestDistEquivalence(t *testing.T) {
 				}
 			})
 		}
-		for _, shards := range []int{1, 8} {
-			opt := base
-			opt.StateCache = true
-			opt.CacheShards = shards
-			name := fmt.Sprintf("cache/w%d/shards=%d", workers, shards)
-			t.Run(name, func(t *testing.T) {
-				rep := mustRun(t, prog, opt, workerConfig(workers))
-				if rep.Incomplete {
-					t.Fatalf("distributed run reported incomplete: cause %v", rep.Cause)
+		opt := base
+		opt.StateCache = true
+		name := fmt.Sprintf("cache/w%d", workers)
+		t.Run(name, func(t *testing.T) {
+			rep := mustRun(t, prog, opt, workerConfig(workers))
+			if rep.Incomplete {
+				t.Fatalf("distributed run reported incomplete: cause %v", rep.Cause)
+			}
+			if workers == 1 {
+				if got := distDigest(rep); got != cachedWant {
+					t.Errorf("one-worker cached digest diverged from sequential cached oracle:\n got:\n%s\nwant:\n%s", got, cachedWant)
 				}
-				if workers == 1 {
-					if got := distDigest(rep); got != cachedWant {
-						t.Errorf("one-worker cached digest diverged from sequential cached oracle:\n got:\n%s\nwant:\n%s", got, cachedWant)
-					}
-				}
-				if got := incidentSet(rep); got != incidentWant {
-					t.Errorf("distributed incident set diverged from stateless oracle:\n got:\n%s\nwant:\n%s", got, incidentWant)
-				}
-				if rep.CachePrunes == 0 {
-					t.Errorf("cached run never pruned; the workers' caches are not being visited")
-				}
-				if rep.States > stateless.States {
-					t.Errorf("cached run visited %d states, the stateless search %d", rep.States, stateless.States)
-				}
-				t.Logf("states=%d cache-prunes=%d (stateless search: %d states)", rep.States, rep.CachePrunes, stateless.States)
-			})
-		}
+			}
+			if got := incidentSet(rep); got != incidentWant {
+				t.Errorf("distributed incident set diverged from stateless oracle:\n got:\n%s\nwant:\n%s", got, incidentWant)
+			}
+			if rep.CachePrunes == 0 {
+				t.Errorf("cached run never pruned; the workers' caches are not being visited")
+			}
+			if rep.States > stateless.States {
+				t.Errorf("cached run visited %d states, the stateless search %d", rep.States, stateless.States)
+			}
+			t.Logf("states=%d cache-prunes=%d (stateless search: %d states)", rep.States, rep.CachePrunes, stateless.States)
+		})
 	}
 }
 
@@ -360,7 +360,6 @@ func TestWorkerCrashRecoveryCached(t *testing.T) {
 	reg := obs.New()
 	opt := base
 	opt.StateCache = true
-	opt.CacheShards = 8
 	opt.Obs = reg
 	cfg := workerConfig(2)
 	cfg.FaultRules = `[{"point":"dist.worker.batch","action":"panic","after":1,"count":1}]`

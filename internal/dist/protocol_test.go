@@ -21,7 +21,7 @@ func sampleMessages() []*Message {
 			Version: ProtocolVersion,
 			Program: Program{Source: "process p() { halt; }", Close: "auto", NaiveDomain: 4},
 			Options: explore.Options{
-				Engine: interp.EngineBytecode, MaxDepth: 500, POR: explore.PORDynamic, StateCache: true, CacheShards: 8,
+				Engine: interp.EngineBytecode, MaxDepth: 500, POR: explore.PORDynamic, StateCache: true,
 				MaxIncidents: 1 << 20,
 			},
 			FaultSeed:  42,
@@ -205,7 +205,7 @@ func everyModeOptions() []explore.Options {
 		{},
 		{Engine: interp.EngineRef, MaxDepth: 123, NoSleep: true, POR: explore.PORDynamic, Stop: explore.StopViolation},
 		{POR: explore.POROff, MaxIncidents: 7, Stop: explore.StopIncident},
-		{StateCache: true, CacheShards: 8, MaxCacheBytes: 1 << 20, Liveness: true},
+		{StateCache: true, MaxCacheBytes: 1 << 20, Liveness: true},
 		{SnapshotSpill: true, SpillDepth: 5, Workers: 3},
 	}
 }

@@ -101,7 +101,7 @@ func (w *worker) handshake() error {
 		opt.Fault = plan
 	}
 	if opt.StateCache {
-		opt.Cache = statecache.New(statecache.Config{Shards: opt.CacheShards, MaxBytes: opt.MaxCacheBytes})
+		opt.Cache = statecache.New(statecache.Config{MaxBytes: opt.MaxCacheBytes})
 	}
 	w.unit = unit
 	w.opt = opt

@@ -6,6 +6,7 @@ import (
 
 	"reclose/internal/obs"
 	"reclose/internal/progs"
+	"reclose/internal/statecache"
 )
 
 // TestCacheCollisionSoundness forces every fingerprint onto one hash
@@ -120,11 +121,11 @@ func TestCacheEvictionSoundness(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stateless Explore: %v", err)
 	}
+	const budget = 4 << 10
 	for _, workers := range []int{0, 2} {
 		opt := base
 		opt.StateCache = true
-		opt.CacheShards = 1
-		opt.MaxCacheBytes = 4 << 10
+		opt.Cache = statecache.New(statecache.Config{Shards: 1, MaxBytes: budget})
 		opt.Workers = workers
 		rep, err := Explore(closed, opt)
 		if err != nil {
@@ -135,11 +136,11 @@ func TestCacheEvictionSoundness(t *testing.T) {
 		}
 		if rep.cacheSum == nil || rep.cacheSum.Evictions == 0 {
 			t.Fatalf("workers=%d: no evictions under a %d-byte budget (cache %+v)",
-				workers, opt.MaxCacheBytes, rep.cacheSum)
+				workers, budget, rep.cacheSum)
 		}
-		if rep.cacheSum.Bytes > opt.MaxCacheBytes {
+		if rep.cacheSum.Bytes > budget {
 			t.Errorf("workers=%d: cache holds %d bytes, budget %d",
-				workers, rep.cacheSum.Bytes, opt.MaxCacheBytes)
+				workers, rep.cacheSum.Bytes, budget)
 		}
 		if got, want := digest(rep, sameIncidents), digest(stateless, sameIncidents); got != want {
 			t.Errorf("workers=%d: incident set diverged under eviction:\n--- got ---\n%s\n--- want ---\n%s",
@@ -161,7 +162,7 @@ func TestCacheMetricsAndSnapshotSummary(t *testing.T) {
 		reg := obs.New()
 		opt := Options{
 			POR: POROff, NoSleep: true,
-			StateCache: true, CacheShards: 8,
+			StateCache: true, Cache: statecache.New(statecache.Config{Shards: 8}),
 			Workers: workers, Obs: reg,
 		}
 		rep, err := Explore(closed, opt)

@@ -252,10 +252,9 @@ func (t *siteTable) snapFromUnit(u *workUnit) snapUnit {
 		Toss:    u.toss,
 		Cont:    u.cont,
 	}
-	for i := range u.stack {
-		f := &u.stack[i]
+	for _, f := range u.stack {
 		su.Stack = append(su.Stack, snapFrame{
-			Toss:      f.toss,
+			Toss:      f.isToss,
 			Options:   f.options,
 			Objs:      t.objNames(f.objs),
 			Cursor:    f.cursor,
@@ -367,8 +366,8 @@ func (t *siteTable) unitFromSnap(su *snapUnit, procs int) (*workUnit, error) {
 		if len(sf.EnObjs) != len(sf.Enabled) {
 			fail("have %d enabled objs for %d enabled procs", len(sf.EnObjs), len(sf.Enabled))
 		}
-		u.stack = append(u.stack, stackFrame{
-			toss:      sf.Toss,
+		u.stack = append(u.stack, &entry{
+			isToss:    sf.Toss,
 			options:   sf.Options,
 			objs:      objs("objs", sf.Objs),
 			cursor:    sf.Cursor,

@@ -113,8 +113,8 @@ func (w *worker) ship() {
 	d := w.dist
 	for {
 		select {
-		case <-w.cancelled:
-			w.shared.requestStop(StopCancelled)
+		case <-w.ctx.Done():
+			w.shared.stopFor(w.ctx)
 		default:
 		}
 		batch := w.claimBatch()

@@ -46,7 +46,7 @@ func wireUnits() map[string]*workUnit {
 		},
 		"dpor-stack": {
 			prefix: []Decision{{Value: 0}, {Value: 2}},
-			stack: []stackFrame{
+			stack: []*entry{
 				{
 					options:   []int{0, 2},
 					objs:      []int32{a, b},
@@ -58,7 +58,7 @@ func wireUnits() map[string]*workUnit {
 					dynamic:   true,
 				},
 				{
-					toss:    true,
+					isToss:  true,
 					options: []int{0, 1},
 					cursor:  0,
 					sleep:   sleepSet{{proc: 1, obj: x}},

@@ -305,12 +305,12 @@ func (e *engine) addBacktrack(en *entry, q int) {
 	e.rep.PorBacktracks++
 }
 
-// foldBacktracks materializes an entry's pending backtrack points as
-// ordinary sibling options, in ascending process order for
-// determinism. It reports whether the entry gained an unexplored
-// option. Called when the entry's cursor exhausts its current options
-// (backtrack) and when the entry is sealed.
-func (e *engine) foldBacktracks(en *entry) bool {
+// fold materializes the entry's pending backtrack points as ordinary
+// sibling options, in ascending process order for determinism. It
+// reports whether the entry gained an unexplored option. Called when the
+// entry's cursor exhausts its current options (advance) and when the
+// entry is sealed.
+func (en *entry) fold() bool {
 	if len(en.backtrack) == 0 {
 		return false
 	}
@@ -344,7 +344,7 @@ func (e *engine) sealEntry(en *entry) {
 		return
 	}
 	en.sealed = true
-	e.foldBacktracks(en)
+	en.fold()
 	cand := en.statics
 	if len(cand) == 0 {
 		cand = en.enabled
@@ -409,56 +409,26 @@ func (e *engine) scheduleDynamic(en *entry, enabled []int) {
 	}
 }
 
-// stackFrame is a deep copy of one DFS stack entry, carried by a
-// stack-continuation work unit so backtrack sets survive stops,
-// spills, and checkpoint/resume. All slices are private to the frame.
-type stackFrame struct {
-	toss      bool
-	options   []int
-	objs      []int32
-	cursor    int
-	sleep     sleepSet
-	enabled   []int
-	enObjs    []int32
-	backtrack []int
-	statics   []int
-	sealed    bool
-	dynamic   bool
-}
-
-// frameFromEntry deep-copies a live stack entry into a frame.
-func frameFromEntry(en *entry) stackFrame {
-	return stackFrame{
-		toss:      en.isToss,
-		options:   append([]int(nil), en.options...),
-		objs:      append([]int32(nil), en.objs...),
-		cursor:    en.cursor,
-		sleep:     en.sleep.clone(),
-		enabled:   append([]int(nil), en.enabled...),
-		enObjs:    append([]int32(nil), en.enObjs...),
-		backtrack: append([]int(nil), en.backtrack...),
-		statics:   append([]int(nil), en.statics...),
-		sealed:    en.sealed,
-		dynamic:   en.dynamic,
-	}
-}
-
-// entryFromFrame rebuilds a pooled entry from a restored frame,
-// deep-copying so the published unit stays immutable while the engine
-// mutates its rebuilt stack (folding backtracks, truncating options on
-// spill).
-func entryFromFrame(en *entry, f *stackFrame) {
-	en.isToss = f.toss
-	en.options = append(en.options[:0], f.options...)
-	en.objs = append(en.objs[:0], f.objs...)
-	en.cursor = f.cursor
-	en.sleep = f.sleep
-	en.enabled = append(en.enabled[:0], f.enabled...)
-	en.enObjs = append(en.enObjs[:0], f.enObjs...)
-	en.backtrack = append(en.backtrack[:0], f.backtrack...)
-	en.statics = append(en.statics[:0], f.statics...)
-	en.sealed = f.sealed
-	en.dynamic = f.dynamic
+// copyFrom makes en a deep copy of src's decision point as a
+// stack-continuation unit carries it — options, cursor, sleep context,
+// and the dynamic-POR record with its still-growing backtrack set — so
+// neither side's later folds or spills reach the other. It copies in
+// both directions: a residual's entries into the unit, and a claimed
+// unit's into the pooled entries the claiming engine rebuilds its stack
+// from. The pending table, the trail mark and the child sleep set are
+// the live search's and stay behind.
+func (en *entry) copyFrom(src *entry) {
+	en.isToss = src.isToss
+	en.options = append(en.options[:0], src.options...)
+	en.objs = append(en.objs[:0], src.objs...)
+	en.cursor = src.cursor
+	en.sleep = src.sleep.clone()
+	en.enabled = append(en.enabled[:0], src.enabled...)
+	en.enObjs = append(en.enObjs[:0], src.enObjs...)
+	en.backtrack = append(en.backtrack[:0], src.backtrack...)
+	en.statics = append(en.statics[:0], src.statics...)
+	en.sealed = src.sealed
+	en.dynamic = src.dynamic
 }
 
 // stackResidual converts the engine's unexplored remainder into one
@@ -468,14 +438,18 @@ func entryFromFrame(en *entry, f *stackFrame) {
 // claimer recounts nothing; for a mid-path stop the frames replay to
 // the cut tip as-is. Returns nil when the subtree is exhausted.
 func (e *engine) stackResidual() *workUnit {
-	frames := make([]stackFrame, 0, len(e.stack))
-	for _, en := range e.stack {
-		frames = append(frames, frameFromEntry(en))
+	stack := make([]*entry, len(e.stack))
+	for i, en := range e.stack {
+		stack[i] = new(entry)
+		stack[i].copyFrom(en)
 	}
 	if !e.midPath {
-		frames = advanceFrames(frames)
+		// The live engine's next backtrack, on the copies.
+		for len(stack) > 0 && !stack[len(stack)-1].advance() {
+			stack = stack[:len(stack)-1]
+		}
 	}
-	if len(frames) == 0 {
+	if len(stack) == 0 {
 		if !e.midPath {
 			return nil
 		}
@@ -490,34 +464,6 @@ func (e *engine) stackResidual() *workUnit {
 	return &workUnit{
 		prefix: append([]Decision(nil), e.base...),
 		sleep:  e.baseSleep,
-		stack:  frames,
+		stack:  stack,
 	}
-}
-
-// advanceFrames performs one backtrack step on a copied frame stack:
-// advance the deepest frame's cursor, folding pending backtracks when
-// its options exhaust, and popping frames that stay exhausted. Returns
-// nil when the whole stack exhausts. This mirrors engine.backtrack +
-// foldBacktracks exactly, but on the copies.
-func advanceFrames(frames []stackFrame) []stackFrame {
-	for len(frames) > 0 {
-		f := &frames[len(frames)-1]
-		f.cursor++
-		if f.cursor < len(f.options) {
-			return frames
-		}
-		if f.dynamic && !f.sealed && len(f.backtrack) > 0 {
-			sort.Ints(f.backtrack)
-			for _, q := range f.backtrack {
-				f.options = append(f.options, q)
-				f.objs = append(f.objs, objOf(f.enabled, f.enObjs, q))
-			}
-			f.backtrack = nil
-			if f.cursor < len(f.options) {
-				return frames
-			}
-		}
-		frames = frames[:len(frames)-1]
-	}
-	return nil
 }

@@ -82,6 +82,15 @@ type entry struct {
 
 func (e *entry) choice() int { return e.options[e.cursor] }
 
+// advance is one backtrack step at this decision point: the cursor moves
+// to the next option, and a dynamic entry whose options run out first
+// folds its pending backtrack points in as fresh ones. It reports
+// whether an option is left.
+func (e *entry) advance() bool {
+	e.cursor++
+	return e.cursor < len(e.options) || e.dynamic && !e.sealed && e.fold()
+}
+
 // engine is the stateless DFS core each worker of a search owns. It
 // explores one claimed work unit at a time — the whole tree as the root
 // unit, or a spilled or restored subtree — reaching the unit's decision
@@ -369,18 +378,13 @@ func (e *engine) clearStack() {
 }
 
 // backtrack advances the deepest decision point with options left,
-// popping exhausted entries. A dynamic entry whose options exhaust
-// first folds its pending backtrack points in as fresh options; only
-// when none remain is it popped. It reports whether the search
-// continues.
+// popping exhausted entries (entry.advance; a dynamic entry is popped
+// only once its backtrack set folded nothing new in). It reports whether
+// the search continues.
 func (e *engine) backtrack() bool {
 	for len(e.stack) > 0 {
 		top := e.stack[len(e.stack)-1]
-		top.cursor++
-		if top.cursor < len(top.options) {
-			return true
-		}
-		if top.dynamic && !top.sealed && e.foldBacktracks(top) {
+		if top.advance() {
 			return true
 		}
 		if top.dynamic && len(top.enabled) > len(top.options) {
@@ -749,13 +753,13 @@ func (e *engine) prepareUnit(u *workUnit) {
 	case len(u.stack) > 0:
 		// A stack-continuation unit (dynamic POR): rebuild the whole
 		// DFS stack — cursors, backtrack sets, seal flags — from the
-		// published frames. The copies are engine-local, so dependency
+		// published entries. The copies are engine-local, so dependency
 		// insertions during the continued search mutate only this
 		// engine's entries.
 		e.baseSleep = u.sleep
-		for i := range u.stack {
+		for _, src := range u.stack {
 			en := e.getEntry()
-			entryFromFrame(en, &u.stack[i])
+			en.copyFrom(src)
 			e.push(en)
 		}
 	case u.cont:

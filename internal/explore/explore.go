@@ -17,7 +17,10 @@
 // There is one search driver (worker.go) over these layers:
 //
 //   - engine.go — the stateless DFS core, reaching a work unit's
-//     decision point and extending paths depth-first from it;
+//     decision point and extending paths depth-first from it. Its entry
+//     is the one record of a decision point, and entry.advance the one
+//     backtrack step: the live stack's, and a dynamic-POR
+//     stack-continuation unit's deep copies of it (dpor.go);
 //   - restore.go — the trail marks under the decision stack that let a
 //     path start by undoing the last one's writes;
 //   - frontier.go — the work unit (a schedule/toss prefix plus its
@@ -126,20 +129,16 @@ type Options struct {
 	// visits are interchangeable only when they would expand the same
 	// transitions). Off by default.
 	StateCache bool `json:"state_cache"`
-	// CacheShards is the stripe count of the shared state cache
-	// (StateCache only), rounded up to a power of two; 0 means the
-	// statecache default (16). More shards reduce lock contention
-	// between workers; results do not depend on the count.
-	CacheShards int `json:"cache_shards"`
 	// MaxCacheBytes bounds the state cache's approximate memory
 	// (fingerprint bytes plus per-entry overhead, split evenly across
-	// shards); 0 means unbounded. Over budget, entries are evicted
-	// clock-wise (second chance). Eviction only degrades pruning — a
-	// forgotten state is re-explored on revisit — never soundness.
+	// the cache's 16 shards); 0 means unbounded. Over budget, entries
+	// are evicted clock-wise (second chance). Eviction only degrades
+	// pruning — a forgotten state is re-explored on revisit — never
+	// soundness.
 	MaxCacheBytes int64 `json:"max_cache_bytes"`
 	// Cache, when non-nil together with StateCache, is the visited-state
-	// set the search uses instead of building its own from CacheShards
-	// and MaxCacheBytes. It exists for a caller that runs one search —
+	// set the search uses instead of building its own from
+	// MaxCacheBytes. It exists for a caller that runs one search —
 	// one program, one option set — as a sequence of Resume slices and
 	// passes the same cache to each, so that a state visited in one
 	// slice prunes its revisit in a later one: a distributed worker
@@ -195,8 +194,8 @@ type Options struct {
 	// Fault, if non-nil, is a fault-injection plan fired at the
 	// engine's hook points — currently faultinject.PointExplorePath,
 	// hit once before every explored path. Sleep rules simulate slow
-	// or stuck searches (pair them with Timeout to exercise drained
-	// partial reports); error and panic rules surface through the
+	// or stuck searches (pair them with a context deadline to exercise
+	// drained partial reports); error and panic rules surface through the
 	// per-path panic isolation as internal-error incidents, so an
 	// injected fault costs exactly one path, like a real interpreter
 	// bug would. A nil plan is free.
@@ -211,12 +210,6 @@ type Options struct {
 	// instrumentation at zero cost.
 	Obs *obs.Registry `json:"-"`
 
-	// Timeout bounds the search's wall-clock time; 0 means unlimited. A
-	// timed-out search drains cleanly and returns a partial Report
-	// marked Incomplete (never an error): counters cover exactly the
-	// work done, incident samples remain replayable, and the remaining
-	// frontier is available through Report.Snapshot for Resume.
-	Timeout time.Duration `json:"-"`
 	// Checkpoint, if non-nil, receives periodic snapshots of the
 	// running search: the unexplored frontier (as decision-prefix work
 	// units) plus the merged partial counters and incident samples. A
@@ -273,7 +266,7 @@ func (opt Options) Resolve() (Options, error) {
 	}{
 		{"MaxDepth", int64(opt.MaxDepth)}, {"MaxStates", opt.MaxStates},
 		{"MaxIncidents", int64(opt.MaxIncidents)}, {"SpillDepth", int64(opt.SpillDepth)},
-		{"CacheShards", int64(opt.CacheShards)}, {"MaxCacheBytes", opt.MaxCacheBytes},
+		{"MaxCacheBytes", opt.MaxCacheBytes},
 	} {
 		if f.v < 0 {
 			return opt, fmt.Errorf("explore: %s is %d; it must not be negative", f.name, f.v)
@@ -286,8 +279,8 @@ func (opt Options) Resolve() (Options, error) {
 		return opt, fmt.Errorf("explore: Liveness does not compose with POR dynamic: a backtrack set can defer the transition that closes a cycle past the detector")
 	case opt.Liveness && opt.SnapshotSpill:
 		return opt, fmt.Errorf("explore: Liveness does not compose with SnapshotSpill: a spilled snapshot lacks the stem that rebuilds the live stack")
-	case (opt.CacheShards != 0 || opt.MaxCacheBytes != 0) && !opt.StateCache:
-		return opt, fmt.Errorf("explore: CacheShards and MaxCacheBytes require StateCache")
+	case opt.MaxCacheBytes != 0 && !opt.StateCache:
+		return opt, fmt.Errorf("explore: MaxCacheBytes requires StateCache")
 	}
 	if opt.MaxDepth == 0 {
 		opt.MaxDepth = 1000000
@@ -371,8 +364,8 @@ type StopCause int
 const (
 	StopNone      StopCause = iota // search ran to completion
 	StopMaxStates                  // Options.MaxStates budget exhausted
-	StopTimeout                    // Options.Timeout elapsed
-	StopCancelled                  // context cancelled (ExploreContext)
+	StopTimeout                    // the context's deadline passed (ExploreContext)
+	StopCancelled                  // the context was cancelled (ExploreContext)
 	StopViolation                  // Options.Stop: an assertion violation or runtime error
 	StopIncident                   // Options.Stop: any incident but an internal error
 )
@@ -608,8 +601,10 @@ func Explore(u *cfg.Unit, opt Options) (*Report, error) {
 // search gracefully. Workers return at path boundaries or at a fresh
 // state they have not counted, their partial results merge exactly, and
 // the Report comes back marked Incomplete with Cause StopCancelled —
-// never an error, never a torn merge. The same applies to
-// Options.Timeout and the MaxStates budget.
+// never an error, never a torn merge; the remaining frontier is
+// available through Report.Snapshot for Resume. A deadline on ctx is the
+// search's wall-clock budget: the same, with Cause StopTimeout. The
+// MaxStates budget cuts a search the same way too.
 func ExploreContext(ctx context.Context, u *cfg.Unit, opt Options) (*Report, error) {
 	opt, err := opt.Resolve()
 	if err != nil {
@@ -688,10 +683,7 @@ func newStateCache(opt Options) *statecache.Cache {
 	if opt.Cache != nil {
 		return opt.Cache
 	}
-	return statecache.New(statecache.Config{
-		Shards:   opt.CacheShards,
-		MaxBytes: opt.MaxCacheBytes,
-	})
+	return statecache.New(statecache.Config{MaxBytes: opt.MaxCacheBytes})
 }
 
 // footprintTable precomputes the queries the persistent-set heuristic

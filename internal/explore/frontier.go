@@ -37,13 +37,13 @@ type workUnit struct {
 	cont bool
 
 	// stack, when non-empty, makes this a stack-continuation unit
-	// (dynamic POR): a deep copy of a whole DFS stack — cursors, sleep
-	// contexts, and still-growing backtrack sets included — claimed as
-	// one piece by one engine, which rebuilds the stack and continues.
-	// options/objs/from are unused (rest() is false: the unit never
-	// splits, so backtrack insertions stay engine-local). sleep is the
-	// base sleep context under the stack.
-	stack []stackFrame
+	// (dynamic POR): a deep copy of a whole DFS stack (entry.copyFrom) —
+	// cursors, sleep contexts, and still-growing backtrack sets included —
+	// claimed as one piece by one engine, which rebuilds the stack from
+	// copies and continues. options/objs/from are unused (rest() is
+	// false: the unit never splits, so backtrack insertions stay
+	// engine-local). sleep is the base sleep context under the stack.
+	stack []*entry
 
 	// snap, when Options.SnapshotSpill is set, is a forked machine
 	// pinned at the unit's decision point, taken by the spilling

@@ -19,6 +19,7 @@ import (
 	"reclose/internal/obs"
 	"reclose/internal/progs"
 	"reclose/internal/randprog"
+	"reclose/internal/statecache"
 )
 
 // This file is the conformance lattice. Whatever the configuration, a
@@ -175,10 +176,14 @@ func mustClose(t *testing.T, src string) *cfg.Unit {
 }
 
 // A cell is one search: a program, its options, and how it is driven.
+// shards, when set, makes each search of the cell run on a cache of its
+// own, built with that many shards and the cell's MaxCacheBytes, passed
+// as Options.Cache.
 type cell struct {
-	prog string
-	opt  Options
-	drv  driver
+	prog   string
+	opt    Options
+	shards int
+	drv    driver
 }
 
 // A driver runs a cell's search: Explore when zero; cut at the first
@@ -197,6 +202,9 @@ type driver struct {
 func (c cell) String() string {
 	var b strings.Builder
 	b.WriteString(c.prog)
+	if c.shards != 0 {
+		fmt.Fprintf(&b, " shards=%d", c.shards)
+	}
 	for _, v := range []reflect.Value{reflect.ValueOf(c.drv), reflect.ValueOf(c.opt)} {
 		for i := 0; i < v.NumField(); i++ {
 			if f := v.Field(i); !f.IsZero() {
@@ -217,7 +225,7 @@ type set func(*cell)
 func por(m PORMode) set             { return func(c *cell) { c.opt.POR = m } }
 func workers(n int) set             { return func(c *cell) { c.opt.Workers = n } }
 func spillDepth(n int) set          { return func(c *cell) { c.opt.SpillDepth = n } }
-func shards(n int) set              { return func(c *cell) { c.opt.StateCache, c.opt.CacheShards = true, n } }
+func shards(n int) set              { return func(c *cell) { c.opt.StateCache, c.shards = true, n } }
 func resumeAfter(paths int64) set   { return func(c *cell) { c.drv.cut = paths } }
 func resumeAfterStates(n int64) set { return func(c *cell) { c.drv.cutStates = n } }
 func both(a, b set) set             { return func(c *cell) { a(c); b(c) } }
@@ -237,7 +245,7 @@ var (
 	same       set = func(*cell) {}
 	ref        set = func(c *cell) { c.opt.Engine = interp.EngineRef }
 	cached     set = func(c *cell) { c.opt.StateCache = true }
-	bounded    set = func(c *cell) { c.opt.StateCache, c.opt.CacheShards, c.opt.MaxCacheBytes = true, 1, 4<<10 }
+	bounded    set = func(c *cell) { c.opt.StateCache, c.shards, c.opt.MaxCacheBytes = true, 1, 4<<10 }
 	live       set = func(c *cell) { c.opt.Liveness = true }
 	spill      set = func(c *cell) { c.opt.SnapshotSpill = true }
 	replayOnly set = func(c *cell) { c.opt.testReplayOnly = true }
@@ -400,15 +408,15 @@ func (c cell) baseline() (b cell, ok bool) {
 		o.Engine = interp.EngineBytecode
 	case o.SnapshotSpill:
 		o.SnapshotSpill = false
-	case (o.Workers != 0 || o.SpillDepth != 0 || o.CacheShards != 0 && o.MaxCacheBytes == 0) && (o.POR != PORDynamic || c.loopFree()):
+	case (o.Workers != 0 || o.SpillDepth != 0 || b.shards != 0 && o.MaxCacheBytes == 0) && (o.POR != PORDynamic || c.loopFree()):
 		o.Workers, o.SpillDepth = 0, 0
 		if o.MaxCacheBytes == 0 {
-			o.CacheShards = 0
+			b.shards = 0
 		}
 	case o.POR == PORDynamic && c.loopFree():
 		o.POR = PORStatic
 	case o.StateCache && !o.Liveness && c.loopFree():
-		o.StateCache, o.CacheShards, o.MaxCacheBytes = false, 0, 0
+		o.StateCache, b.shards, o.MaxCacheBytes = false, 0, 0
 	default:
 		return c, false
 	}
@@ -474,16 +482,27 @@ type result struct {
 	checkpoint string
 }
 
+// options are the options of one search of c: its own, with a fresh
+// registry where it has one and a fresh cache where it sets shards, so
+// that nothing one search counts or stores reaches another.
+func (c cell) options() Options {
+	opt := c.opt
+	if opt.Obs != nil {
+		opt.Obs = obs.New()
+	}
+	if c.shards != 0 {
+		opt.Cache = statecache.New(statecache.Config{Shards: c.shards, MaxBytes: opt.MaxCacheBytes})
+	}
+	return opt
+}
+
 // run runs c's search on u, checking what every run owes whatever it is
 // compared with: it completes; Workers and WorkerStats describe the
 // cell, whose workers claim units; a search that is not dynamic keeps the dynamic-POR counters at
 // zero; the registry, where there is one, equals the report.
 func (c cell) run(t *testing.T, u *cfg.Unit) result {
 	t.Helper()
-	opt := c.opt
-	if opt.Obs != nil {
-		opt.Obs = obs.New()
-	}
+	opt := c.options()
 	var res result
 	var err error
 	switch d := c.drv; {
@@ -521,9 +540,7 @@ func (c cell) run(t *testing.T, u *cfg.Unit) result {
 			t.Fatalf("%s: Encode: %v", c, err)
 		}
 		res.checkpoint = string(enc)
-		if opt.Obs != nil {
-			opt.Obs = obs.New()
-		}
+		opt = c.options()
 		res.rep, err = Resume(u, snap, opt)
 		if err == nil && opt.Obs != nil {
 			if got := opt.Obs.Counter(MetricResumes).Load(); got != 1 {
@@ -741,10 +758,9 @@ func TestLattice(t *testing.T) {
 var notAnAxis = map[string]string{
 	"MaxStates":            "a budget: a cut search is compared once resumed to the end (the resume driver's cutStates)",
 	"Stop":                 "stops a search at an incident: a cut, not a way to search the whole tree",
-	"Cache":                "a distributed worker process's cache shared between its slices",
+	"Cache":                "the shards axis passes a fresh one per search (cell.options)",
 	"OnLeaf":               "a callback",
 	"Fault":                "fault injection: an injected panic costs a path (panic_test.go, fault_test.go)",
-	"Timeout":              "a wall-clock budget",
 	"Checkpoint":           "a callback; the resume driver sets it",
 	"CheckpointEvery":      "checkpoint cadence by wall clock",
 	"CheckpointEveryPaths": "checkpoint cadence; the resume driver's cut",

@@ -1,8 +1,10 @@
 package explore_test
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"reclose/internal/core"
 	"reclose/internal/explore"
@@ -348,7 +350,7 @@ func TestCoverageReported(t *testing.T) {
 // depth (3 for three philosophers grabbing their left forks).
 func TestShortestWitness(t *testing.T) {
 	unit := core.MustCompileSource(progs.Philosophers(3))
-	in, rep, err := explore.ShortestWitness(unit, explore.Options{})
+	in, rep, err := explore.ShortestWitness(context.Background(), unit, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +374,7 @@ func TestShortestWitness(t *testing.T) {
 // terminates the deepening early.
 func TestShortestWitnessNone(t *testing.T) {
 	unit := core.MustCompileSource(progs.Pipeline(2, 1))
-	in, rep, err := explore.ShortestWitness(unit, explore.Options{})
+	in, rep, err := explore.ShortestWitness(context.Background(), unit, explore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,6 +386,44 @@ func TestShortestWitnessNone(t *testing.T) {
 	}
 }
 
+// TestShortestWitnessStopsAtACut: a round cut before it finds an
+// incident ends the deepening with that round's Incomplete report and no
+// incident — past a cut, "nothing shallower" is not proved, so a deeper
+// round's witness would not be minimal — and one context bounds every
+// round: a deadline already passed cuts the first.
+func TestShortestWitnessStopsAtACut(t *testing.T) {
+	unit := core.MustCompileSource(progs.Philosophers(3))
+	// The depth-2 round, whole, sizes a budget that cuts it; the deadlock
+	// is at depth 3.
+	whole, err := explore.Explore(unit, explore.Options{MaxDepth: 2, Stop: explore.StopIncident})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Incidents() != 0 || whole.Incomplete {
+		t.Fatalf("the depth-2 round is not whole and clean: %s", whole)
+	}
+	in, rep, err := explore.ShortestWitness(context.Background(), unit, explore.Options{MaxStates: whole.States - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in != nil {
+		t.Errorf("witness %s at depth %d past a cut round", in.Kind, in.Depth)
+	}
+	if !rep.Incomplete || rep.Cause != explore.StopMaxStates || rep.MaxDepth > 2 {
+		t.Errorf("report = %s cause=%s, want the depth-2 round cut by its state budget", rep, rep.Cause)
+	}
+
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	in, rep, err = explore.ShortestWitness(ctx, unit, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in != nil || !rep.Incomplete || rep.Cause != explore.StopTimeout || rep.MaxDepth > 1 {
+		t.Errorf("past its deadline: witness %v, report %s cause=%s; want none, the first round cut by the deadline", in, rep, rep.Cause)
+	}
+}
+
 // TestShortestWitnessSomeWitnessModes pins the weaker contract under
 // dynamic POR: with -por dynamic the function degrades to a single stop-on-first search, so it must still
 // return a valid, replayable witness — just not necessarily a minimal
@@ -391,7 +431,7 @@ func TestShortestWitnessNone(t *testing.T) {
 // TestShortestWitness above.
 func TestShortestWitnessSomeWitnessModes(t *testing.T) {
 	unit := core.MustCompileSource(progs.Philosophers(3))
-	in, rep, err := explore.ShortestWitness(unit, explore.Options{POR: explore.PORDynamic})
+	in, rep, err := explore.ShortestWitness(context.Background(), unit, explore.Options{POR: explore.PORDynamic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +456,7 @@ func TestShortestWitnessSomeWitnessModes(t *testing.T) {
 // "no witness" cleanly on an incident-free system.
 func TestShortestWitnessSomeWitnessNone(t *testing.T) {
 	unit := core.MustCompileSource(progs.Pipeline(2, 1))
-	in, _, err := explore.ShortestWitness(unit, explore.Options{POR: explore.PORDynamic})
+	in, _, err := explore.ShortestWitness(context.Background(), unit, explore.Options{POR: explore.PORDynamic})
 	if err != nil {
 		t.Fatal(err)
 	}

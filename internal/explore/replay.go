@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -193,7 +194,11 @@ func rebuildTraces(u *cfg.Unit, res *interp.Resolution, samples []*Incident) {
 // shallow state spaces are small.
 //
 // It returns nil (with the final report) if no incident exists within
-// opt.MaxDepth (default 64 for this function).
+// opt.MaxDepth (default 64 for this function). ctx bounds every round
+// together (its deadline is the whole search's wall-clock budget), and
+// opt.MaxStates bounds each round. A round cut before it found an
+// incident ends the search: its report comes back Incomplete with a nil
+// incident, since "no incident shallower" is not proved past a cut.
 //
 // Minimality holds only for the strict static DFS. Iterative deepening
 // proves "no incident at depth < d" by running a complete search at
@@ -204,38 +209,31 @@ func rebuildTraces(u *cfg.Unit, res *interp.Resolution, samples []*Incident) {
 // PORDynamic the function therefore degrades to the weaker some-witness contract — one
 // stop-on-first search at the full bound — instead of pretending to a
 // minimality it cannot deliver (TestShortestWitnessSomeWitnessModes).
-func ShortestWitness(u *cfg.Unit, opt Options) (*Incident, *Report, error) {
+func ShortestWitness(ctx context.Context, u *cfg.Unit, opt Options) (*Incident, *Report, error) {
 	limit := opt.MaxDepth
 	if limit <= 0 {
 		limit = 64
 	}
 	opt.Stop = StopIncident
+	first := 1
 	if opt.POR == PORDynamic {
-		opt.MaxDepth = limit
-		rep, err := Explore(u, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(rep.Samples) > 0 {
-			return rep.Samples[0], rep, nil
-		}
-		return nil, rep, nil
+		first = limit
 	}
-	var last *Report
-	for d := 1; d <= limit; d++ {
+	var rep *Report
+	for d := first; d <= limit; d++ {
 		opt.MaxDepth = d
-		rep, err := Explore(u, opt)
-		if err != nil {
+		var err error
+		if rep, err = ExploreContext(ctx, u, opt); err != nil {
 			return nil, nil, err
 		}
-		last = rep
 		if len(rep.Samples) > 0 {
 			return rep.Samples[0], rep, nil
 		}
-		if rep.DepthHits == 0 && !rep.Incomplete {
-			// The whole state space fits within d: nothing to find.
+		if rep.Incomplete || rep.DepthHits == 0 {
+			// Cut, or the whole state space fits within d: either way
+			// there is nothing deeper to search.
 			return nil, rep, nil
 		}
 	}
-	return nil, last, nil
+	return nil, rep, nil
 }

@@ -92,10 +92,10 @@ func TestMaxStatesPartialReport(t *testing.T) {
 	}
 }
 
-// TestTimeoutPartialReport checks Options.Timeout: the search drains
-// cleanly and reports a consistent partial result, and resuming its
-// snapshot (without the timeout) completes it to the uninterrupted
-// baseline.
+// TestTimeoutPartialReport checks a context deadline: the search drains
+// cleanly and reports a consistent partial result with Cause
+// StopTimeout, and resuming its snapshot (without the deadline)
+// completes it to the uninterrupted baseline.
 func TestTimeoutPartialReport(t *testing.T) {
 	src := progs.Philosophers(3)
 	closed := mustClose(t, src)
@@ -111,9 +111,10 @@ func TestTimeoutPartialReport(t *testing.T) {
 		// speed.
 		opt := base
 		opt.Workers = workers
-		opt.Timeout = 30 * time.Millisecond
 		opt.OnLeaf = func(LeafKind, []Decision) { time.Sleep(time.Millisecond) }
-		rep, err := Explore(closed, opt)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		rep, err := ExploreContext(ctx, closed, opt)
+		cancel()
 		if err != nil {
 			t.Fatalf("workers=%d: Explore: %v", workers, err)
 		}

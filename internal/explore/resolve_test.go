@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"reclose/internal/explore"
 	"reclose/internal/interp"
@@ -30,10 +29,8 @@ func randomValidOptions(rng *rand.Rand) explore.Options {
 		Workers:       n(6) - 2,
 		SpillDepth:    n(2) * n(32),
 		SnapshotSpill: n(2) == 0,
-		Timeout:       time.Duration(n(2)*n(5)) * time.Second,
 	}
 	if o.StateCache {
-		o.CacheShards = n(2) * n(32)
 		o.MaxCacheBytes = int64(n(2) * n(1<<20))
 	}
 	o.Liveness = o.POR != explore.PORDynamic && !o.SnapshotSpill && n(2) == 0

@@ -15,6 +15,7 @@ import (
 	"reclose/internal/lockserver"
 	"reclose/internal/obs"
 	"reclose/internal/randprog"
+	"reclose/internal/statecache"
 )
 
 // This file tests what a search stores of a state: the compiled
@@ -75,10 +76,11 @@ func TestStateKeyEngineReports(t *testing.T) {
 	var evictions int64
 	for name, u := range keyCases(t, n) {
 		for _, budget := range []int64{0, 6 << 10} {
-			opt := Options{StateCache: true, CacheShards: 2, MaxCacheBytes: budget, MaxDepth: 30, MaxStates: 1500, MaxIncidents: 1 << 20}
+			opt := Options{StateCache: true, MaxDepth: 30, MaxStates: 1500, MaxIncidents: 1 << 20}
 			var want string
 			for _, eng := range []interp.EngineKind{interp.EngineRef, interp.EngineBytecode} {
 				opt.Engine, opt.Obs = eng, obs.New()
+				opt.Cache = statecache.New(statecache.Config{Shards: 2, MaxBytes: budget})
 				rep, err := Explore(u, opt)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)

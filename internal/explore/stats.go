@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,6 +66,16 @@ func (s *sharedState) requestStop(c StopCause) {
 			s.abort()
 		}
 	}
+}
+
+// stopFor raises the stop flag for a done context: StopTimeout when its
+// deadline passed, StopCancelled otherwise.
+func (s *sharedState) stopFor(ctx context.Context) {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		s.requestStop(StopTimeout)
+		return
+	}
+	s.requestStop(StopCancelled)
 }
 
 // fail stops the search on an error it cannot go on from; search returns

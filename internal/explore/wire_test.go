@@ -48,11 +48,11 @@ func wireReport() (*Report, []*workUnit) {
 		{
 			prefix: []Decision{{Value: 0}},
 			sleep:  sleepSet{{proc: 0, obj: -1}},
-			stack: []stackFrame{{
+			stack: []*entry{{
 				options: []int{0, 1}, objs: []int32{0, 1}, cursor: 1, sleep: sleepSet{{proc: 1, obj: 1}},
 				enabled: []int{0, 1}, enObjs: []int32{0, 1}, backtrack: []int{1}, statics: []int{0},
 				sealed: true, dynamic: true,
-			}, {toss: true, options: []int{0, 1}}},
+			}, {isToss: true, options: []int{0, 1}}},
 		},
 	}
 	return rep, units

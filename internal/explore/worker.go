@@ -18,9 +18,9 @@ type worker struct {
 	id     int
 	f      *frontier
 	shared *sharedState
-	// cancelled is the search context's Done channel, polled between
-	// paths and between slices.
-	cancelled <-chan struct{}
+	// ctx is the search's context, polled between paths and between
+	// slices.
+	ctx context.Context
 
 	// partial is the worker's share of the result so far: its engine's, or
 	// the slice results a slice worker has folded in.
@@ -88,7 +88,7 @@ func search(ctx context.Context, u *cfg.Unit, opt Options, restored *restoredSta
 	var res *interp.Resolution
 	workers := make([]*worker, len(f.shards))
 	for i := range workers {
-		workers[i] = &worker{id: i, f: f, shared: shared, cancelled: ctx.Done()}
+		workers[i] = &worker{id: i, f: f, shared: shared, ctx: ctx}
 	}
 	if dist != nil {
 		dist.start(ctx, u, sites, shared, met, workers)
@@ -244,7 +244,7 @@ func checkpoint(a *accum, f *frontier, workers []*worker, cache *statecache.Cach
 }
 
 // startWatch launches the search's watcher, which forwards the timed and
-// external sources — context cancellation, Options.Timeout, the
+// external sources — the context's cancellation or deadline, the
 // Options.CheckpointEvery ticker — into the shared flags. The returned
 // function stops it.
 func startWatch(ctx context.Context, opt Options, shared *sharedState) (stop func()) {
@@ -253,12 +253,7 @@ func startWatch(ctx context.Context, opt Options, shared *sharedState) (stop fun
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var timeout, tick <-chan time.Time
-		if opt.Timeout > 0 {
-			t := time.NewTimer(opt.Timeout)
-			defer t.Stop()
-			timeout = t.C
-		}
+		var tick <-chan time.Time
 		if opt.Checkpoint != nil && opt.CheckpointEvery > 0 {
 			t := time.NewTicker(opt.CheckpointEvery)
 			defer t.Stop()
@@ -269,10 +264,7 @@ func startWatch(ctx context.Context, opt Options, shared *sharedState) (stop fun
 			case <-done:
 				return
 			case <-ctx.Done():
-				shared.requestStop(StopCancelled)
-				return
-			case <-timeout:
-				shared.requestStop(StopTimeout)
+				shared.stopFor(ctx)
 				return
 			case <-tick:
 				shared.requestPause()
@@ -298,8 +290,8 @@ loop:
 		// to run; a cancel issued on this goroutine — from OnLeaf or
 		// Checkpoint — must not cost a scheduler time slice of search.
 		select {
-		case <-w.cancelled:
-			e.shared.requestStop(StopCancelled)
+		case <-w.ctx.Done():
+			e.shared.stopFor(w.ctx)
 		default:
 		}
 		if e.shared.yielding() {

@@ -780,6 +780,17 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job) (out attemptOutcome) {
 	if closer != nil {
 		defer closer()
 	}
+	// The attempt's wall budget is a deadline on its context, which the
+	// search reports as StopTimeout.
+	timeout := time.Duration(j.Req.AttemptTimeoutMS) * time.Millisecond
+	if timeout == 0 {
+		timeout = m.cfg.DefaultAttemptTimeout
+	}
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
 
 	var rep *explore.Report
 	switch {
@@ -815,9 +826,9 @@ func (m *Manager) runAttempt(ctx context.Context, j *Job) (out attemptOutcome) {
 }
 
 // exploreOptions builds the per-attempt search options: the request's
-// (an error means a job file edited by hand), the attempt budgets (state
-// budgets are absolute, so a resumed attempt's slice sits on top of the
-// restored total), the fault plan, the checkpoint callback, and — when
+// (an error means a job file edited by hand), the attempt's state budget
+// (absolute, so a resumed attempt's slice sits on top of the restored
+// total), the fault plan, the checkpoint callback, and — when
 // the request asked for a trace — a per-job registry streaming to the
 // job's JSONL file.
 func (m *Manager) exploreOptions(j *Job, snap *explore.Snapshot) (explore.Options, func(), error) {
@@ -839,12 +850,6 @@ func (m *Manager) exploreOptions(j *Job, snap *explore.Snapshot) (explore.Option
 	if attemptStates > 0 && (opt.MaxStates == 0 || restored+attemptStates < opt.MaxStates) {
 		opt.MaxStates = restored + attemptStates
 	}
-	timeout := time.Duration(j.Req.AttemptTimeoutMS) * time.Millisecond
-	if timeout == 0 {
-		timeout = m.cfg.DefaultAttemptTimeout
-	}
-	opt.Timeout = timeout
-
 	opt.CheckpointEveryPaths = m.cfg.CheckpointEveryPaths
 	opt.Checkpoint = func(s *explore.Snapshot) { m.persistCheckpoint(j, s) }
 

@@ -8,6 +8,7 @@ import (
 	"reclose/internal/core"
 	"reclose/internal/explore"
 	"reclose/internal/leaderelect"
+	"reclose/internal/statecache"
 )
 
 func closeRing(t *testing.T, cfg leaderelect.Config) *cfg.Unit {
@@ -98,15 +99,15 @@ func TestLivelockAcrossConfigurations(t *testing.T) {
 	for _, opt := range []explore.Options{
 		{Liveness: true, MaxDepth: 120, Workers: 2},
 		{Liveness: true, MaxDepth: 120, StateCache: true},
-		{Liveness: true, MaxDepth: 120, StateCache: true, CacheShards: 4, Workers: 4},
+		{Liveness: true, MaxDepth: 120, StateCache: true, Cache: statecache.New(statecache.Config{Shards: 4}), Workers: 4},
 	} {
 		rep, err := explore.Explore(u, opt)
 		if err != nil {
 			t.Fatalf("explore(workers=%d cache=%t): %v", opt.Workers, opt.StateCache, err)
 		}
 		if rep.Livelocks == 0 {
-			t.Errorf("workers=%d cache=%t shards=%d: seeded livelock not found: %s",
-				opt.Workers, opt.StateCache, opt.CacheShards, rep)
+			t.Errorf("workers=%d cache=%t: seeded livelock not found: %s",
+				opt.Workers, opt.StateCache, rep)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Tier-1 verification: build, vet, a format gate (gofmt must list no
-# file), a size gate (new CHANGES.md lines), a dependency gate (verisoft
-# and reclose link neither net/http nor runtime/cgo), full tests,
+# file), size gates (new CHANGES.md lines, DESIGN.md), a dependency gate
+# (verisoft and reclose link neither net/http nor runtime/cgo), full tests,
 # race-detector legs over the packages with real concurrency, and a
 # short fuzz smoke over the front end, the checkpoint decoder, the
 # machine judge, the job request parser and the dist frame codec (5s
@@ -33,6 +33,10 @@ test -z "$(gofmt -l .)"
 # are printed).
 test -z "$(LC_ALL=C awk '/^PR 40/ { last = NR } { n[NR] = length($0) }
 	END { for (i = last + 1; i <= NR; i++) if (n[i] > 1536) print i }' CHANGES.md)"
+# DESIGN.md may not grow: the bound is its size when the gate was set,
+# and a change that shrinks the file lowers it (ROADMAP item 21 takes it
+# toward 45 KB).
+test "$(wc -c < DESIGN.md)" -le 119305
 # The command-line tools link no HTTP stack and no cgo: one net/http
 # import (verisoft's old -pprof listener) cost every process about 2 ms
 # and 5 MiB before it read its input.
